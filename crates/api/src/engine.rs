@@ -106,8 +106,6 @@ pub struct CkksEngineBuilder {
     fusion: Option<FusionConfig>,
     num_streams: Option<usize>,
     num_devices: Option<usize>,
-    graph_exec: Option<bool>,
-    sched_v2: Option<bool>,
     workers: Option<usize>,
     device: DeviceSpec,
     exec_mode: ExecMode,
@@ -149,8 +147,6 @@ impl CkksEngine {
             fusion: None,
             num_streams: None,
             num_devices: None,
-            graph_exec: None,
-            sched_v2: None,
             workers: None,
             device: DeviceSpec::rtx_4090(),
             exec_mode: ExecMode::Functional,
@@ -487,22 +483,6 @@ impl CkksEngineBuilder {
         self
     }
 
-    /// Enables/disables the recorded-graph execution engine (GPU-sim
-    /// backend; default on). Off = eager per-op dispatch, the A/B baseline.
-    pub fn graph_exec(mut self, enabled: bool) -> Self {
-        self.graph_exec = Some(enabled);
-        self
-    }
-
-    /// Enables/disables scheduler v2 — dependency-aware stream scheduling
-    /// plus the memory liveness pass (GPU-sim backend; default on). Off =
-    /// the v1 modulo stream remap, the A/B baseline `BENCH_PR5.json`
-    /// gates against. Bit-identical either way.
-    pub fn sched_v2(mut self, enabled: bool) -> Self {
-        self.sched_v2 = Some(enabled);
-        self
-    }
-
     /// Worker threads for limb-parallel execution (CPU backend; default:
     /// `FIDES_WORKERS` or the machine's parallelism). Results are
     /// bit-identical at every worker count.
@@ -602,12 +582,6 @@ impl CkksEngineBuilder {
         }
         if let Some(devices) = self.num_devices {
             params = params.with_num_devices(devices);
-        }
-        if let Some(graph) = self.graph_exec {
-            params = params.with_graph_exec(graph);
-        }
-        if let Some(v2) = self.sched_v2 {
-            params = params.with_sched_v2(v2);
         }
         let raw = params.to_raw();
         let client = ClientContext::new(raw.clone());

@@ -30,8 +30,8 @@
 //! replayed over the configured stream count. [`CkksEngine::eval_scope`]
 //! widens one graph across several ops, and [`CkksEngine::eval_batch`]
 //! evaluates a batch of ciphertexts inside a single graph so their kernels
-//! interleave across streams. Knobs: `num_streams`, `fusion`, `graph_exec`,
-//! and `workers` (CPU backend) on the builder.
+//! interleave across streams. Knobs: `num_streams`, `fusion`, and `workers`
+//! (CPU backend) on the builder.
 //!
 //! ## Scale management
 //!

@@ -531,25 +531,22 @@ fn main() {
     }
     let _ = writeln!(json, "    ],");
     // Tick-engine phase timers summed over every run above. Wall-clock
-    // (`wall_` keys are report-only in the perf gate); `overlapped_ticks`
-    // counts plan-ahead overlaps and is 0 unless FIDES_PLAN_AHEAD is set.
+    // (`wall_` keys are report-only in the perf gate).
     {
         let all = open_rows
             .iter()
             .map(|r| &r.stats)
             .chain(closed_rows.iter().map(|r| &r.stats));
-        let (mut plan, mut replay, mut flush, mut overlapped) = (0u64, 0u64, 0u64, 0u64);
+        let (mut plan, mut replay, mut flush) = (0u64, 0u64, 0u64);
         for s in all {
             plan += s.plan_us;
             replay += s.replay_us;
             flush += s.flush_us;
-            overlapped += s.overlapped_ticks;
         }
         let _ = writeln!(json, "    \"tick_engine\": {{");
         let _ = writeln!(json, "      \"wall_plan_us\": {plan},");
         let _ = writeln!(json, "      \"wall_replay_us\": {replay},");
-        let _ = writeln!(json, "      \"wall_flush_us\": {flush},");
-        let _ = writeln!(json, "      \"wall_overlapped_ticks\": {overlapped}");
+        let _ = writeln!(json, "      \"wall_flush_us\": {flush}");
         let _ = writeln!(json, "    }},");
     }
     let _ = writeln!(json, "    \"overload_2x\": {{");

@@ -1,6 +1,6 @@
-//! Scheduler v2 A/B snapshot: the PR 5 perf record (`BENCH_PR5.json`).
+//! Scheduler snapshot: the PR 5 perf record (`BENCH_PR5.json`).
 //!
-//! Measures, with scheduler v2 **on vs off** (everything else identical):
+//! Measures:
 //!
 //! * the **batch-16 serve workload** of BENCH_PR4 (4 tenants × 4 `serve_lr`
 //!   requests in one tick, 8 streams): simulated time, launches, stream
@@ -8,14 +8,8 @@
 //!   (`peak_device_bytes` / `allocations`);
 //! * the **PR 2 LR-iteration graph** at paper scale (`[16, 26, 59, 4]`,
 //!   cost-only): simulated time and occupancy;
-//! * a **16-tick steady-state run** on the v2 server: plan-cache hit rate
-//!   (tick 1 plans, ticks 2–16 replay the cached plan).
-//!
-//! The scheduler-v2 acceptance gates are asserted inline: v2 must be
-//! *strictly* better on simulated time, stream occupancy and peak device
-//! bytes for the batch-16 workload, strictly faster on the LR-iteration
-//! graph, the steady-state hit rate must be ≥ 90%, and both schedulers
-//! must produce bit-identical output frames.
+//! * a **16-tick steady-state run**: plan-cache hit rate (tick 1 plans,
+//!   ticks 2–16 replay the cached plan), asserted inline to be ≥ 90%.
 //!
 //! ```text
 //! cargo run --release --bin sched_bench [OUT_PATH]
@@ -35,14 +29,14 @@ use fides_workloads::serve_lr::{synthetic_features, synthetic_model, ServeLrMode
 use fides_workloads::{LrConfig, LrTrainer};
 
 const OUT_PATH: &str = "BENCH_PR5.json";
-/// The A/B workload is the BENCH_PR4 serve mix scaled to `2^15` ring
+/// The serve workload is the BENCH_PR4 serve mix scaled to `2^15` ring
 /// degree and run **cost-only** (like every paper-scale bench in this
 /// repo): at `2^11` every kernel sits on the simulator's 1.6 µs latency
 /// floor, which pins stream occupancy to `floor / (streams ×
 /// launch_overhead)` no matter what the scheduler does. At `2^15` kernel
 /// execution exceeds the floor, so the schedule — not the floor —
 /// determines occupancy.
-const LOG_N_AB: usize = 15;
+const LOG_N_SERVE: usize = 15;
 /// The steady-state cache run keeps BENCH_PR4's fast functional `2^11`
 /// scale (cache behaviour is scale-independent).
 const LOG_N_STEADY: usize = 11;
@@ -54,21 +48,18 @@ const NUM_STREAMS: usize = 8;
 const STEADY_TICKS: usize = 16;
 
 struct ServeRow {
-    sched_v2: bool,
     sim_us: f64,
     launches: u64,
     fused: u64,
     occupancy_pct: f64,
     peak_device_bytes: u64,
     allocations: u64,
-    frames: Vec<Vec<u8>>,
 }
 
-fn serve_params(sched_v2: bool, log_n: usize) -> CkksParameters {
+fn serve_params(log_n: usize) -> CkksParameters {
     CkksParameters::new(log_n, LEVELS, 40, 3)
         .expect("bench params")
         .with_num_streams(NUM_STREAMS)
-        .with_sched_v2(sched_v2)
 }
 
 fn tenants(log_n: usize) -> Vec<(ServeLrModel, fides_api::Session)> {
@@ -110,13 +101,12 @@ fn requests(server: &Server, tenants: &[(ServeLrModel, fides_api::Session)]) -> 
     reqs
 }
 
-fn run_serve(sched_v2: bool) -> ServeRow {
+fn run_serve() -> ServeRow {
     // Cost-only: kernel bodies never run (CKKS server kernels are
     // data-oblivious, so the schedule is identical), which makes the
-    // paper-scale ring affordable. Bit-identity of scheduler v2 is pinned
-    // functionally by the determinism suites and the throughput bench.
+    // paper-scale ring affordable.
     let server = Server::new(
-        ServerConfig::new(serve_params(sched_v2, LOG_N_AB))
+        ServerConfig::new(serve_params(LOG_N_SERVE))
             .backend(fides_serve::ServeBackend::GpuSim {
                 device: DeviceSpec::rtx_4090(),
                 mode: ExecMode::CostOnly,
@@ -124,7 +114,7 @@ fn run_serve(sched_v2: bool) -> ServeRow {
             .batch_size(16),
     )
     .expect("server");
-    let tenants = tenants(LOG_N_AB);
+    let tenants = tenants(LOG_N_SERVE);
     let reqs = requests(&server, &tenants);
 
     let sync_before = server.sync_us().unwrap();
@@ -138,32 +128,26 @@ fn run_serve(sched_v2: bool) -> ServeRow {
     let sim_us = server.sync_us().unwrap() - sync_before;
     let stats = server.stats();
 
-    let frames: Vec<Vec<u8>> = tickets
-        .iter()
-        .map(|t| {
-            let resp = t.try_take().expect("tick served every request");
-            assert!(resp.error.is_none(), "request failed: {:?}", resp.error);
-            resp.outputs[0].to_bytes()
-        })
-        .collect();
+    for t in &tickets {
+        let resp = t.try_take().expect("tick served every request");
+        assert!(resp.error.is_none(), "request failed: {:?}", resp.error);
+    }
 
     ServeRow {
-        sched_v2,
         sim_us,
         launches: sim.kernel_launches,
         fused: stats.fused_kernels,
         occupancy_pct: sim.stream_occupancy() * 100.0,
         peak_device_bytes: sim.peak_device_bytes,
         allocations: sim.allocations,
-        frames,
     }
 }
 
 /// Steady-state plan-cache measurement: the same batch of 16 requests
-/// submitted for `STEADY_TICKS` consecutive ticks on one v2 server.
+/// submitted for `STEADY_TICKS` consecutive ticks on one server.
 fn run_steady_state() -> (u64, u64, f64) {
-    let server = Server::new(ServerConfig::new(serve_params(true, LOG_N_STEADY)).batch_size(16))
-        .expect("server");
+    let server =
+        Server::new(ServerConfig::new(serve_params(LOG_N_STEADY)).batch_size(16)).expect("server");
     let tenants = tenants(LOG_N_STEADY);
     let reqs = requests(&server, &tenants);
     for _ in 0..STEADY_TICKS {
@@ -185,10 +169,8 @@ fn run_steady_state() -> (u64, u64, f64) {
 }
 
 /// The PR 2 LR-iteration graph at paper scale, cost-only.
-fn run_lr_iteration(sched_v2: bool) -> (f64, f64) {
-    let params = CkksParameters::paper_lr()
-        .with_limb_batch(12)
-        .with_sched_v2(sched_v2);
+fn run_lr_iteration() -> (f64, f64) {
+    let params = CkksParameters::paper_lr().with_limb_batch(12);
     let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
     let ctx = CkksContext::new(params, Arc::clone(&gpu));
     let client = fides_client::ClientContext::new(ctx.raw_params().clone());
@@ -207,7 +189,7 @@ fn run_lr_iteration(sched_v2: bool) -> (f64, f64) {
     });
     let s = gpu.stats();
     println!(
-        "  lr sched_v2={sched_v2}: sim {us:.1} us, occ {:.3}%, launches {}, dram {} MB, l2hit {} MB",
+        "  lr: sim {us:.1} us, occ {:.3}%, launches {}, dram {} MB, l2hit {} MB",
         s.stream_occupancy() * 100.0,
         s.kernel_launches,
         s.dram_read_bytes >> 20,
@@ -221,39 +203,8 @@ fn run_lr_iteration(sched_v2: bool) -> (f64, f64) {
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| OUT_PATH.into());
 
-    println!("serve batch-16 workload, scheduler v2 on/off...");
-    let v2 = run_serve(true);
-    let v1 = run_serve(false);
-    println!(
-        "v2: sim {:.2} us, occ {:.4}%, launches {}, fused {}, peak {} B, allocs {}",
-        v2.sim_us, v2.occupancy_pct, v2.launches, v2.fused, v2.peak_device_bytes, v2.allocations
-    );
-    println!(
-        "v1: sim {:.2} us, occ {:.4}%, launches {}, fused {}, peak {} B, allocs {}",
-        v1.sim_us, v1.occupancy_pct, v1.launches, v1.fused, v1.peak_device_bytes, v1.allocations
-    );
-    assert_eq!(
-        v2.frames, v1.frames,
-        "scheduler v2 must not change output frames"
-    );
-    assert!(
-        v2.sim_us < v1.sim_us,
-        "scheduler v2 must strictly lower serve sim time: {:.1} vs {:.1} µs",
-        v2.sim_us,
-        v1.sim_us
-    );
-    assert!(
-        v2.occupancy_pct > v1.occupancy_pct,
-        "scheduler v2 must strictly raise stream occupancy: {:.2}% vs {:.2}%",
-        v2.occupancy_pct,
-        v1.occupancy_pct
-    );
-    assert!(
-        v2.peak_device_bytes < v1.peak_device_bytes,
-        "liveness pooling must strictly lower peak device bytes: {} vs {}",
-        v2.peak_device_bytes,
-        v1.peak_device_bytes
-    );
+    println!("serve batch-16 workload...");
+    let serve = run_serve();
 
     println!("steady-state plan-cache run ({STEADY_TICKS} ticks)...");
     let (hits, misses, hit_rate_pct) = run_steady_state();
@@ -262,39 +213,30 @@ fn main() {
         "steady-state plan-cache hit rate must be ≥ 90%: {hit_rate_pct:.1}% ({hits} hits / {misses} misses)"
     );
 
-    println!("LR-iteration graph at paper scale, scheduler v2 on/off...");
-    let (lr_v2_us, lr_v2_occ) = run_lr_iteration(true);
-    let (lr_v1_us, lr_v1_occ) = run_lr_iteration(false);
-    assert!(
-        lr_v2_us < lr_v1_us,
-        "scheduler v2 must strictly lower LR-iteration sim time: {lr_v2_us:.1} vs {lr_v1_us:.1} µs"
-    );
+    println!("LR-iteration graph at paper scale...");
+    let (lr_us, lr_occ) = run_lr_iteration();
 
     print_table(
-        "scheduler v2 vs v1 (batch-16 serve workload + LR iteration)",
+        "scheduler (batch-16 serve workload + LR iteration)",
         &[
-            "workload", "sched", "sim ms", "launches", "fused", "occup %", "peak MB", "allocs",
+            "workload", "sim ms", "launches", "fused", "occup %", "peak MB", "allocs",
         ],
         &[
-            row("serve b16", &v2),
-            row("serve b16", &v1),
             vec![
-                "lr_iter".into(),
-                "v2".into(),
-                format!("{:.2}", lr_v2_us / 1e3),
-                "-".into(),
-                "-".into(),
-                format!("{lr_v2_occ:.1}"),
-                "-".into(),
-                "-".into(),
+                "serve b16".into(),
+                format!("{:.2}", serve.sim_us / 1e3),
+                serve.launches.to_string(),
+                serve.fused.to_string(),
+                format!("{:.1}", serve.occupancy_pct),
+                format!("{:.2}", serve.peak_device_bytes as f64 / 1e6),
+                serve.allocations.to_string(),
             ],
             vec![
                 "lr_iter".into(),
-                "v1".into(),
-                format!("{:.2}", lr_v1_us / 1e3),
+                format!("{:.2}", lr_us / 1e3),
                 "-".into(),
                 "-".into(),
-                format!("{lr_v1_occ:.1}"),
+                format!("{lr_occ:.1}"),
                 "-".into(),
                 "-".into(),
             ],
@@ -312,36 +254,27 @@ fn main() {
     let _ = writeln!(json, "    \"device\": \"RTX 4090 (simulated)\",");
     let _ = writeln!(
         json,
-        "    \"serve_params\": \"[logN, L, dnum] = [{LOG_N_AB}, {LEVELS}, 3], serve_lr dim {DIM}, \
+        "    \"serve_params\": \"[logN, L, dnum] = [{LOG_N_SERVE}, {LEVELS}, 3], serve_lr dim {DIM}, \
          {TENANTS} tenants x {REQS_PER_TENANT} requests, {NUM_STREAMS} streams, batch 16 \
          (steady-state cache run at logN {LOG_N_STEADY})\","
     );
     let _ = writeln!(json, "    \"serve_batch16\": [");
-    for (i, r) in [&v2, &v1].into_iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"sched_v2\": {}, \"sim_us\": {:.2}, \"kernel_launches\": {}, \
-             \"fused_kernels\": {}, \"stream_occupancy_pct\": {:.2}, \
-             \"peak_device_bytes\": {}, \"allocations\": {}}}{}",
-            r.sched_v2,
-            r.sim_us,
-            r.launches,
-            r.fused,
-            r.occupancy_pct,
-            r.peak_device_bytes,
-            r.allocations,
-            if i == 0 { "," } else { "" }
-        );
-    }
+    let _ = writeln!(
+        json,
+        "      {{\"sim_us\": {:.2}, \"kernel_launches\": {}, \"fused_kernels\": {}, \
+         \"stream_occupancy_pct\": {:.2}, \"peak_device_bytes\": {}, \"allocations\": {}}}",
+        serve.sim_us,
+        serve.launches,
+        serve.fused,
+        serve.occupancy_pct,
+        serve.peak_device_bytes,
+        serve.allocations,
+    );
     let _ = writeln!(json, "    ],");
     let _ = writeln!(json, "    \"lr_iteration\": [");
     let _ = writeln!(
         json,
-        "      {{\"sched_v2\": true, \"sim_us\": {lr_v2_us:.2}, \"stream_occupancy_pct\": {lr_v2_occ:.2}}},"
-    );
-    let _ = writeln!(
-        json,
-        "      {{\"sched_v2\": false, \"sim_us\": {lr_v1_us:.2}, \"stream_occupancy_pct\": {lr_v1_occ:.2}}}"
+        "      {{\"sim_us\": {lr_us:.2}, \"stream_occupancy_pct\": {lr_occ:.2}}}"
     );
     let _ = writeln!(json, "    ],");
     let _ = writeln!(json, "    \"plan_cache\": {{");
@@ -349,46 +282,10 @@ fn main() {
     let _ = writeln!(json, "      \"hits\": {hits},");
     let _ = writeln!(json, "      \"misses\": {misses},");
     let _ = writeln!(json, "      \"hit_rate_pct\": {hit_rate_pct:.2}");
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"v2_vs_v1\": {{");
-    let _ = writeln!(
-        json,
-        "      \"serve_time_reduction_pct\": {:.2},",
-        100.0 * (v1.sim_us - v2.sim_us) / v1.sim_us
-    );
-    let _ = writeln!(
-        json,
-        "      \"serve_occupancy_gain_pct\": {:.2},",
-        v2.occupancy_pct - v1.occupancy_pct
-    );
-    let _ = writeln!(
-        json,
-        "      \"serve_memory_reduction_pct\": {:.2},",
-        100.0 * (v1.peak_device_bytes - v2.peak_device_bytes) as f64 / v1.peak_device_bytes as f64
-    );
-    let _ = writeln!(
-        json,
-        "      \"lr_time_reduction_pct\": {:.2},",
-        100.0 * (lr_v1_us - lr_v2_us) / lr_v1_us
-    );
-    let _ = writeln!(json, "      \"bit_identical\": true");
     let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 
     std::fs::write(&out_path, &json).expect("write BENCH_PR5.json");
     println!("wrote {out_path}");
-}
-
-fn row(workload: &str, r: &ServeRow) -> Vec<String> {
-    vec![
-        workload.into(),
-        if r.sched_v2 { "v2" } else { "v1" }.into(),
-        format!("{:.2}", r.sim_us / 1e3),
-        r.launches.to_string(),
-        r.fused.to_string(),
-        format!("{:.1}", r.occupancy_pct),
-        format!("{:.2}", r.peak_device_bytes as f64 / 1e6),
-        r.allocations.to_string(),
-    ]
 }

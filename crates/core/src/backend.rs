@@ -555,7 +555,8 @@ impl EvalBackend for GpuSimBackend {
     }
 
     fn graph_begin(&self) -> bool {
-        self.ctx.graph_scope_begin()
+        self.ctx.graph_scope_begin();
+        true
     }
 
     fn graph_end(&self) {

@@ -351,14 +351,11 @@ impl CkksContext {
     /// outermost graph, so wrapping a whole circuit fuses across op
     /// boundaries.
     ///
-    /// With [`CkksParameters::graph_exec`](crate::CkksParameters) off, `f`
-    /// runs with the legacy eager dispatch. Capture is per-thread (see
-    /// [`GpuSim::begin_capture`]); if `f` unwinds, the region is closed and
-    /// its recording discarded rather than leaked.
+    /// Capture is per-thread (see [`GpuSim::begin_capture`]); if `f`
+    /// unwinds, the region is closed and its recording discarded rather
+    /// than leaked.
     pub fn scheduled<R>(&self, f: impl FnOnce() -> R) -> R {
-        if !self.graph_scope_begin() {
-            return f();
-        }
+        self.graph_scope_begin();
         // Close-on-unwind guard: a panicking op must not leave the capture
         // region open (every later launch would record forever).
         struct CloseGuard<'a> {
@@ -384,14 +381,10 @@ impl CkksContext {
 
     /// Opens a scheduled region without a closure (for callers holding
     /// borrows a closure cannot capture, e.g. the engine's batch API).
-    /// Returns `false` when graph execution is disabled — in that case
-    /// [`Self::graph_scope_end`] must not be called.
-    pub fn graph_scope_begin(&self) -> bool {
-        if !self.params.graph_exec {
-            return false;
-        }
+    /// Pair with [`Self::graph_scope_end`] (or [`Self::graph_scope_abort`]
+    /// on the unwind path).
+    pub fn graph_scope_begin(&self) {
         self.gpu.begin_capture();
-        true
     }
 
     /// Closes a scheduled region opened by [`Self::graph_scope_begin`]. The
@@ -450,7 +443,6 @@ impl CkksContext {
         PlanConfig {
             fuse_elementwise: self.params.fusion.elementwise,
             num_streams: self.params.num_streams,
-            dep_schedule: self.params.sched_v2,
             cost: CostModel::from_spec(&self.gpu.spec()),
             devices: self.params.num_devices,
             ..PlanConfig::default()
@@ -524,16 +516,16 @@ mod tests {
     fn scheduled_region_fuses_elementwise_chains() {
         use crate::poly::RNSPoly;
         use fides_client::Domain;
-        let c = ctx(); // limb_batch 2, fusion on, graph exec on
+        let c = ctx(); // limb_batch 2, fusion on
         let gpu = Arc::clone(c.gpu());
         let mut a = RNSPoly::zero(&c, 4, false, Domain::Eval); // 5 limbs → 3 batches
         let b = RNSPoly::zero(&c, 4, false, Domain::Eval);
         gpu.reset_stats();
         c.reset_sched_stats();
-        // Two chained adds per batch stream: eager dispatch would launch 6
-        // elementwise kernels. Stage-1 fusion collapses each stream's
-        // pair, and — the kernels being far below the host submission
-        // interval at toy scale — scheduler v2 packs the three
+        // Two chained adds per batch stream: 6 recorded elementwise
+        // kernels. Stage-1 fusion collapses each stream's pair, and — the
+        // kernels being far below the host submission interval at toy
+        // scale — the scheduler packs the three
         // independent chains onto one stream and merges them too (their
         // slice traffic is alias-light), so the whole region is a single
         // launch.
@@ -562,30 +554,6 @@ mod tests {
         });
         // One graph owned by the outermost region; inner regions contribute.
         assert_eq!(c.sched_stats().graphs, 1);
-    }
-
-    #[test]
-    fn graph_exec_off_dispatches_eagerly() {
-        let params = CkksParameters::toy().with_graph_exec(false);
-        let c = CkksContext::new(
-            params,
-            GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::Functional),
-        );
-        use crate::poly::RNSPoly;
-        use fides_client::Domain;
-        let mut a = RNSPoly::zero(&c, 4, false, Domain::Eval);
-        let b = RNSPoly::zero(&c, 4, false, Domain::Eval);
-        c.gpu().reset_stats();
-        c.scheduled(|| {
-            a.add_assign_poly(&b);
-            a.add_assign_poly(&b);
-        });
-        assert_eq!(c.sched_stats().graphs, 0, "no planning pass");
-        assert_eq!(
-            c.gpu().stats().kernel_launches,
-            6,
-            "eager per-batch launches"
-        );
     }
 
     #[test]

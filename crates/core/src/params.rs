@@ -71,22 +71,10 @@ pub struct CkksParameters {
     pub limb_batch: usize,
     /// Kernel fusion toggles.
     pub fusion: FusionConfig,
-    /// CUDA streams limb batches cycle over (round-robin). The scheduling
-    /// pass remaps recorded launches onto this many streams.
+    /// CUDA streams limb batches cycle over (round-robin). The planning
+    /// pass ([`sched`](crate::sched)) schedules recorded launches onto this
+    /// many streams.
     pub num_streams: usize,
-    /// Route server ops through the recorded-graph execution engine
-    /// ([`sched`](crate::sched)): ops record kernel nodes, a planning pass
-    /// fuses/streams them, and an executor replays the plan. `false`
-    /// restores the eager per-op dispatch (A/B baseline).
-    pub graph_exec: bool,
-    /// Scheduler v2 (default on): the planning pass derives a dependency
-    /// DAG from buffer read/write sets and barriers, critical-path
-    /// list-schedules it onto `num_streams`, and binds buffers to
-    /// liveness-colored pool slots. `false` restores the v1 modulo stream
-    /// remap without memory pooling (the A/B baseline `BENCH_PR5.json`
-    /// gates against). Either way results are bit-identical — only the
-    /// replayed schedule and the memory plan change.
-    pub sched_v2: bool,
     /// Fraction of peak memory bandwidth the NTT access pattern achieves
     /// (1.0 for FIDESlib's coalesced hierarchical scheme; lower for
     /// Phantom-style monolithic strided kernels).
@@ -123,8 +111,6 @@ impl CkksParameters {
             limb_batch: 4,
             fusion: FusionConfig::default(),
             num_streams: crate::context::NUM_STREAMS,
-            graph_exec: true,
-            sched_v2: true,
             access_efficiency: 1.0,
             ntt_op_factor: 1.0,
             num_devices: 1,
@@ -154,20 +140,6 @@ impl CkksParameters {
     /// Overrides the stream count (builder style; clamped to ≥ 1).
     pub fn with_num_streams(mut self, streams: usize) -> Self {
         self.num_streams = streams.max(1);
-        self
-    }
-
-    /// Enables or disables the recorded-graph execution engine (builder
-    /// style).
-    pub fn with_graph_exec(mut self, enabled: bool) -> Self {
-        self.graph_exec = enabled;
-        self
-    }
-
-    /// Enables or disables scheduler v2 — dependency-aware stream
-    /// scheduling plus the memory liveness pass (builder style).
-    pub fn with_sched_v2(mut self, enabled: bool) -> Self {
-        self.sched_v2 = enabled;
         self
     }
 
@@ -341,11 +313,9 @@ mod tests {
     fn scheduling_knobs() {
         let p = CkksParameters::toy();
         assert_eq!(p.num_streams, crate::context::NUM_STREAMS);
-        assert!(p.graph_exec, "graph engine is the default path");
         assert!(p.fusion.elementwise);
-        let p = p.with_num_streams(0).with_graph_exec(false);
+        let p = p.with_num_streams(0);
         assert_eq!(p.num_streams, 1, "stream count clamped to 1");
-        assert!(!p.graph_exec);
         let p = p.with_num_streams(4);
         assert_eq!(p.num_streams, 4);
         assert_eq!(p.num_devices, 1, "single device is the default");

@@ -52,7 +52,9 @@ impl Fnv {
 pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) {
     let mut h = Fnv::new();
     h.u64(cfg.fuse_elementwise as u64);
-    h.u64(cfg.dep_schedule as u64);
+    // The retired scheduler-version word: persisted plan caches were keyed
+    // with a 1 here, and dropping it would turn their restores cold.
+    h.u64(1);
     h.u64(cfg.num_streams as u64);
     h.u64(cfg.max_fuse as u64);
     // Topology is part of the key: a plan ranked under one device model or
@@ -388,6 +390,36 @@ mod tests {
         assert_eq!(fa, fb, "buffer identity must not affect the fingerprint");
         assert_eq!(ba, vec![BufferId(10), BufferId(11)]);
         assert_eq!(bb, vec![BufferId(77), BufferId(93)]);
+    }
+
+    #[test]
+    fn fingerprint_is_stable_across_releases() {
+        // Persisted plan caches (server snapshots, the golden v1 fixture)
+        // are keyed by this value: changing what `fingerprint` hashes turns
+        // every warm restore into a cold one.
+        let g = ExecGraph::from_events(vec![
+            GraphEvent::Launch {
+                stream: 0,
+                desc: KernelDesc::new(KernelKind::Elementwise)
+                    .read(BufferId(5), 4096)
+                    .write(BufferId(6), 4096)
+                    .ops(100),
+            },
+            GraphEvent::Fence {
+                signals: vec![0],
+                waiters: vec![1],
+            },
+            GraphEvent::Launch {
+                stream: 1,
+                desc: KernelDesc::new(KernelKind::NttPhase1)
+                    .read(BufferId(6), 4096)
+                    .write(BufferId(5), 4096)
+                    .ops(700),
+            },
+        ]);
+        let (fp, binding) = fingerprint(&g, &PlanConfig::default());
+        assert_eq!(fp, 13_596_441_969_631_865_959, "pinned fingerprint");
+        assert_eq!(binding, vec![BufferId(5), BufferId(6)]);
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Scheduler v2: dependency-aware critical-path list scheduling.
+//! The scheduler: dependency-aware critical-path list scheduling.
 //!
-//! The v1 planner assigned streams by modulo remap of the *recorded* stream
-//! index — whatever round-robin the recording happened to use is what
-//! replays, so independent work that recorded onto the same stream
-//! serializes and the device idles (BENCH_PR4 measured ~10% stream
-//! occupancy on the serve workload). This module instead derives a true
-//! dependency DAG from the recorded events and schedules it:
+//! Recorded stream indices are whatever round-robin the recording happened
+//! to use; replaying them as-is would serialize independent work that
+//! recorded onto one stream and leave the device idle. This module instead
+//! derives a true dependency DAG from the recorded events and schedules it:
 //!
 //! 1. **Chain pre-fusion.** Consecutive same-recorded-stream
 //!    elementwise-class launches within a barrier segment collapse into
-//!    fused *units* first (the §III-F.5 fusion, unchanged), so scheduling
+//!    fused *units* first (the §III-F.5 fusion), so scheduling
 //!    never splits a profitable chain across streams.
 //! 2. **Dependency edges.** Per-recorded-stream program order is always an
 //!    edge (recorded intra-stream order is semantic — see the module-level
@@ -27,8 +25,8 @@
 //!    together so emission-time fusion still applies.
 //! 4. **Emission.** Launches are issued in *recorded* order (preserving
 //!    the producer→consumer temporal locality the L2 residency model
-//!    rewards), with chains flushing at the same positions the v1 planner
-//!    would. A dependency whose endpoints landed on different streams
+//!    rewards), with chains flushing at recorded barriers that cover their
+//!    streams. A dependency whose endpoints landed on different streams
 //!    becomes an event fence (`signals` → `waiters`); same-stream
 //!    dependencies ride stream serialization for free. Co-located
 //!    *alias-free* fusible chains merge (bounded by `max_fuse`), which is
@@ -83,12 +81,11 @@ pub(crate) fn dedup_overlap_bytes(into: &KernelDesc, next: &KernelDesc) -> u64 {
 }
 
 /// Stage 1: collapse same-recorded-stream elementwise chains into units
-/// (identical fusion rule to the v1 planner, applied before scheduling so
-/// chains are never split across streams). Returns the units in recorded
-/// chain-head order — a topological order of every edge stage 2 can add —
-/// plus, per barrier, the set of recorded streams it covers (barrier `k`
-/// separates segment `k` from `k + 1`; emission uses the sets to flush
-/// chains at the same positions the v1 planner would).
+/// (the §III-F.5 fusion rule, applied before scheduling so chains are never
+/// split across streams). Returns the units in recorded chain-head order —
+/// a topological order of every edge stage 2 can add — plus, per barrier,
+/// the set of recorded streams it covers (barrier `k` separates segment `k`
+/// from `k + 1`; emission flushes exactly the chains a barrier covers).
 pub(crate) fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize>>) {
     let mut units: Vec<Unit> = Vec::new();
     let mut barriers: Vec<Vec<usize>> = Vec::new();
@@ -256,15 +253,15 @@ struct PendingChain {
 /// different recorded streams the scheduler co-located — can be open at
 /// once, so an unrelated launch never forces a foreign chain to flush
 /// early (which would scramble the issue order the L2 residency model
-/// sees relative to the v1 planner).
+/// sees).
 #[derive(Default)]
 struct StreamEmit {
     launched: usize,
     open: Vec<PendingChain>,
 }
 
-/// Scheduler v2 entry point: plans `graph` with dependency-aware list
-/// scheduling (see the module docs for the pipeline).
+/// Plans `graph` with dependency-aware list scheduling (see the module
+/// docs for the pipeline).
 pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
     let (units, barriers) = build_units(graph, cfg);
     let n = units.len();
@@ -336,9 +333,8 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
     // the stream *assignment* and the precise fences, not from
     // reshuffling issue order, because the host launch clock serializes
     // submissions anyway. Several chains can stay open per final stream,
-    // a chain flushes exactly where v1 would flush it (a recorded barrier
-    // covering its streams, a successor of its members, or a dependent
-    // fence), and co-located alias-free chains — different tenants'
+    // a chain flushes at a recorded barrier covering its streams, a
+    // successor of its members, or a dependent fence, and co-located alias-free chains — different tenants'
     // requests — merge.
     let mut steps: Vec<PlanStep> = Vec::new();
     let mut emit: Vec<StreamEmit> = (0..streams).map(|_| StreamEmit::default()).collect();
@@ -369,10 +365,9 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
     for u in 0..n {
         let s = assigned[u];
         // Recorded barriers crossed since the last unit flush exactly the
-        // chains whose recorded streams they cover — the same positions
-        // the v1 planner flushes at, so a single-graph issue order is
-        // unchanged while another request's (uncovered) tail chain stays
-        // open for cross-request merging.
+        // chains whose recorded streams they cover, so one request's issue
+        // order follows its recording while another request's (uncovered)
+        // tail chain stays open for cross-request merging.
         while cur_seg < units[u].segment {
             let covered = &barriers[cur_seg];
             for t in 0..streams {
@@ -454,7 +449,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
             // tenants, different limb ranges — merge freely; a chain
             // re-touching its own working set does not. (Within a segment
             // stage 1 already applied the §III-F.5 fusion rule
-            // unconditionally, matching v1.)
+            // unconditionally.)
             let target = emit[s].open.iter().position(|c| {
                 c.count + units[u].count <= cfg.max_fuse
                     && (dedup_overlap_bytes(&c.desc, &units[u].desc) as f64 / cm.bytes_per_us)
@@ -515,7 +510,6 @@ mod tests {
             fuse_elementwise: fuse,
             num_streams: streams,
             max_fuse: 8,
-            dep_schedule: true,
             ..PlanConfig::default()
         }
     }
@@ -730,7 +724,7 @@ mod tests {
     fn same_segment_shared_buffer_stays_concurrent() {
         // Two limb batches of one op write disjoint slices of the same
         // poly buffer from different recorded streams, with no fence: the
-        // recording had them concurrent, and scheduler v2 must keep them
+        // recording had them concurrent, and the scheduler must keep them
         // concurrent (no fence between them). The kernels are large
         // enough (32 MB ≫ the host submission interval) that the
         // placement chooses to overlap rather than pack.

@@ -22,7 +22,7 @@ pub trait PlanExecutor {
 /// the functional math already ran while recording), and each fence applies
 /// the recorded cross-limb sync point.
 ///
-/// When the plan carries a liveness slot binding (scheduler v2), launches
+/// When the plan carries a liveness slot binding, launches
 /// present **slot-canonical** buffer ids to the device: every plan-created
 /// temporary bound to pool slot `s` is replayed as buffer
 /// `SLOT_ID_BASE | s`, so temporaries that time-share a slot alias the
@@ -169,7 +169,7 @@ mod tests {
         let plan = Planner::new(PlanConfig::default()).plan(&ExecGraph::from_events(events));
         assert!(
             !plan.slot_binding().is_empty(),
-            "scheduler v2 plans carry a slot binding"
+            "planned temporaries carry a slot binding"
         );
         assert!(
             plan.mem().reuse_rate() > 0.0,

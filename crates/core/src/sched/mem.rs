@@ -17,13 +17,10 @@
 //! * the **allocation count** ([`MemPlan::allocations`]) the pool performs
 //!   (slots created, not buffers bound).
 //!
-//! With scheduler v2 off the pass still runs but performs no reuse — every
-//! buffer is its own slot — which is what makes the memory win a gated
-//! A/B metric in `BENCH_PR5.json`. Issue-order liveness idealizes
-//! cross-stream overlap (a slot handoff between unordered launches would
-//! need the allocator's internal event dependency, which the stream-ordered
-//! pool inserts on demand); the metric models the pool's steady-state
-//! footprint, not a worst-case racy bound.
+//! Issue-order liveness idealizes cross-stream overlap (a slot handoff
+//! between unordered launches would need the allocator's internal event
+//! dependency, which the stream-ordered pool inserts on demand); the metric
+//! models the pool's steady-state footprint, not a worst-case racy bound.
 //!
 //! One distinction matters for the replay binding: a buffer whose **first
 //! touch is a read** was populated before the plan ran (a ciphertext limb,
@@ -66,19 +63,18 @@ impl MemPlan {
     }
 }
 
-/// Runs the liveness pass over planned steps. With `pool` set, expired
-/// slots are reused best-fit; otherwise every buffer allocates its own
-/// slot (the v1 baseline the gate compares against).
+/// Runs the liveness pass over planned steps, reusing expired slots
+/// best-fit.
 ///
 /// Besides the [`MemPlan`] counters this returns the **buffer → slot
-/// binding** the coloring produced (empty without pooling): the replay
+/// binding** the coloring produced: the replay
 /// executor presents slot-canonical buffer ids to the device so that slot
 /// reuse shows up as L2 residency — two buffers time-sharing one slot alias
 /// the same physical lines, exactly as a stream-ordered allocator's pool
 /// behaves. Buffers whose first touch is a read are external (born before
 /// the plan) and stay out of the binding: rewriting their ids would sever
 /// the L2 residency they carry across plan executions.
-pub(crate) fn analyze(steps: &[PlanStep], pool: bool) -> (MemPlan, HashMap<BufferId, u64>) {
+pub(crate) fn analyze(steps: &[PlanStep]) -> (MemPlan, HashMap<BufferId, u64>) {
     // Footprints and live intervals in launch issue order. Reads are
     // scanned before writes within a launch so an in-place operand whose
     // first appearance is `read + write` classifies as external.
@@ -106,16 +102,6 @@ pub(crate) fn analyze(steps: &[PlanStep], pool: bool) -> (MemPlan, HashMap<Buffe
         }
     }
     let buffers = footprint.len() as u64;
-    if !pool {
-        return (
-            MemPlan {
-                peak_device_bytes: footprint.values().sum(),
-                allocations: buffers,
-                buffers,
-            },
-            HashMap::new(),
-        );
-    }
 
     // Deterministic event lists per launch index.
     let mut births: Vec<Vec<BufferId>> = vec![Vec::new(); launch_idx];
@@ -204,18 +190,13 @@ mod tests {
             launch(&[], &[(2, 512)]),
             launch(&[], &[(3, 256)]),
         ];
-        let (pooled, binding) = analyze(&steps, true);
+        let (pooled, binding) = analyze(&steps);
         assert_eq!(pooled.buffers, 3);
         assert_eq!(pooled.allocations, 1, "all three reuse the first slot");
         assert_eq!(pooled.peak_device_bytes, 1024);
         for b in [1u64, 2, 3] {
             assert_eq!(binding[&BufferId(b)], 0, "all three bound to slot 0");
         }
-        let (raw, raw_binding) = analyze(&steps, false);
-        assert_eq!(raw.allocations, 3);
-        assert_eq!(raw.peak_device_bytes, 1024 + 512 + 256);
-        assert!(raw_binding.is_empty(), "no binding without pooling");
-        assert!(pooled.peak_device_bytes < raw.peak_device_bytes);
         assert!(pooled.reuse_rate() > 0.6);
     }
 
@@ -226,7 +207,7 @@ mod tests {
             launch(&[], &[(1, 1024), (2, 1024)]),
             launch(&[(2, 1024), (1, 1024)], &[]),
         ];
-        let (m, binding) = analyze(&steps, true);
+        let (m, binding) = analyze(&steps);
         assert_eq!(m.allocations, 2);
         assert_eq!(m.peak_device_bytes, 2048);
         assert_ne!(binding[&BufferId(1)], binding[&BufferId(2)]);
@@ -240,7 +221,7 @@ mod tests {
             launch(&[], &[(1, 1024)]),
             launch(&[(1, 1024)], &[(2, 1024)]),
         ];
-        let (m, binding) = analyze(&steps, true);
+        let (m, binding) = analyze(&steps);
         assert_eq!(m.allocations, 2);
         assert_ne!(
             binding[&BufferId(1)],
@@ -258,7 +239,7 @@ mod tests {
             launch(&[], &[(3, 150)]),
             launch(&[], &[(4, 90)]),
         ];
-        let (m, binding) = analyze(&steps, true);
+        let (m, binding) = analyze(&steps);
         assert_eq!(
             m.allocations, 2,
             "150 reuses the 1000 slot, 90 the 100 slot"
@@ -279,7 +260,7 @@ mod tests {
             launch(&[(7, 1024)], &[(8, 1024)]),
             launch(&[(8, 1024)], &[]),
         ];
-        let (m, binding) = analyze(&steps, true);
+        let (m, binding) = analyze(&steps);
         assert_eq!(m.buffers, 2, "external buffers still count");
         assert_eq!(m.allocations, 2, "and still occupy a pool slot");
         assert!(
@@ -293,13 +274,13 @@ mod tests {
         // An in-place first touch (read + write of the same buffer in one
         // launch) classifies as external too: the data pre-existed.
         let steps = vec![launch(&[(9, 64)], &[(9, 64)])];
-        let (_, binding) = analyze(&steps, true);
+        let (_, binding) = analyze(&steps);
         assert!(!binding.contains_key(&BufferId(9)));
     }
 
     #[test]
     fn empty_plan_is_zero() {
-        let (m, binding) = analyze(&[], true);
+        let (m, binding) = analyze(&[]);
         assert_eq!(m, MemPlan::default());
         assert_eq!(m.reuse_rate(), 0.0);
         assert!(binding.is_empty());
@@ -308,7 +289,7 @@ mod tests {
     #[test]
     fn footprint_is_max_single_access() {
         let steps = vec![launch(&[(1, 100)], &[]), launch(&[(1, 900)], &[])];
-        let (m, _) = analyze(&steps, true);
+        let (m, _) = analyze(&steps);
         assert_eq!(m.peak_device_bytes, 900);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! # Layering (paper Fig. 2 / §III-F)
 //!
-//! Before this module, every `RNSPoly` method fired its kernels eagerly: one
+//! A raw `RNSPoly` method fires its kernels eagerly: one
 //! [`GpuSim::launch`](fides_gpu_sim::GpuSim::launch) per limb batch, timed on
 //! the spot. The paper's performance story, however, is about what happens
 //! *between* kernels — launch overhead amortized by limb batching (§III-F.1),
@@ -38,38 +38,35 @@
 //! CKKS server kernels are data-oblivious, so the *results* never depend on
 //! the schedule, only the timing does.
 //!
-//! **Planning.** [`Planner`] runs one of two passes. **Scheduler v2** (the
-//! default, [`CkksParameters::sched_v2`](crate::CkksParameters)) derives a
-//! dependency DAG from the recording — per-recorded-stream program order,
-//! plus precise buffer-conflict edges across barrier segments — and
-//! critical-path list-schedules it onto the configured stream count
+//! **Planning.** [`Planner`] derives a dependency DAG from the recording —
+//! per-recorded-stream program order, plus precise buffer-conflict edges
+//! across barrier segments — and critical-path list-schedules it onto the
+//! configured stream count
 //! ([`CkksParameters::num_streams`](crate::CkksParameters)), so
 //! independent work (other tenants' requests, independent limb chains)
-//! genuinely overlaps; see `dag.rs`'s docs for the pipeline. The **v1
-//! pass** (`sched_v2` off, the A/B baseline) instead remaps recorded
-//! streams modulo the stream count. Both passes apply the `elementwise`
-//! fusion knob ([`FusionConfig::elementwise`](crate::FusionConfig)):
-//! consecutive same-stream elementwise-class launches (elementwise
-//! arithmetic, fills, modulus switches, automorphism pre-permutes) within a
-//! segment fuse into single launches — the graph-level generalization of
-//! the paper's §III-F.5 kernel fusions — and v2 additionally merges
-//! independent chains that land adjacently on one final stream. Fused
-//! launches keep the exact byte and op totals of their constituents; only
-//! the per-launch overheads (`kernel_launch_us`, the minimum-kernel floor)
-//! amortize, which is precisely the effect the paper measures.
+//! genuinely overlaps; see `dag.rs`'s docs for the pipeline. The pass
+//! applies the `elementwise` fusion knob
+//! ([`FusionConfig::elementwise`](crate::FusionConfig)): consecutive
+//! same-stream elementwise-class launches (elementwise arithmetic, fills,
+//! modulus switches, automorphism pre-permutes) within a segment fuse into
+//! single launches — the graph-level generalization of the paper's
+//! §III-F.5 kernel fusions — and independent chains that land adjacently
+//! on one final stream merge as well. Fused launches keep the exact byte
+//! and op totals of their constituents; only the per-launch overheads
+//! (`kernel_launch_us`, the minimum-kernel floor) amortize, which is
+//! precisely the effect the paper measures.
 //!
-//! **Reordering invariant.** Whatever pass runs, the plan preserves:
-//! (1) *per-recorded-stream program order* — two launches recorded on the
-//! same stream replay in recorded order, always; and (2) *barrier
-//! ordering over shared buffers* — if a recorded fence separates two
-//! accesses to the same buffer (e.g. two writes, or rescale's cross-limb
-//! write→read handoff), the plan orders them, by stream serialization or
-//! by an emitted fence. What a pass **may** reorder is exactly the rest:
-//! launches on *different* recorded streams with no fence-separated buffer
-//! conflict were concurrent in the recording (limb batches touch disjoint
-//! slices of one poly buffer), and scheduler v2 exploits that freedom
-//! where v1 froze the recorded round-robin. Results never depend on any of
-//! this: functional math runs at record time and only timing replays
+//! **Reordering invariant.** The plan preserves: (1) *per-recorded-stream
+//! program order* — two launches recorded on the same stream replay in
+//! recorded order, always; and (2) *barrier ordering over shared buffers* —
+//! if a recorded fence separates two accesses to the same buffer (e.g. two
+//! writes, or rescale's cross-limb write→read handoff), the plan orders
+//! them, by stream serialization or by an emitted fence. What the planner **may** reorder is exactly the
+//! rest: launches on *different* recorded streams with no fence-separated
+//! buffer conflict were concurrent in the recording (limb batches touch
+//! disjoint slices of one poly buffer), and the scheduler exploits that
+//! freedom. Results never depend on any of this: functional math runs at
+//! record time and only timing replays
 //! (`dag::fence_between_writes_to_same_buffer_is_never_reordered` pins the
 //! barrier half of the invariant).
 //!
@@ -96,7 +93,7 @@
 //! records the pooled high-water mark and allocation count on the plan
 //! ([`ExecPlan::mem`]) and the device ledger
 //! ([`SimStats::peak_device_bytes`](fides_gpu_sim::SimStats)), making
-//! device-memory footprint a gated A/B metric alongside launches and
+//! device-memory footprint a gated metric alongside launches and
 //! simulated time.
 //!
 //! **Execution.** [`PlanExecutor::execute`] replays the planned launches
@@ -122,9 +119,7 @@
 //! * stream count — `CkksParameters::with_num_streams` /
 //!   `CkksEngineBuilder::num_streams`;
 //! * graph fusion on/off — `FusionConfig::elementwise` (driven by the
-//!   `ablate_fusion` benchmark);
-//! * the whole graph path on/off — `CkksParameters::with_graph_exec`
-//!   (off = the old eager per-op dispatch, kept for A/B timing).
+//!   `ablate_fusion` benchmark).
 
 mod cache;
 mod dag;

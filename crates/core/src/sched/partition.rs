@@ -396,7 +396,7 @@ pub fn partition(graph: &ExecGraph, cfg: &PlanConfig, topo: &Topology) -> DistPl
 
     let mem: Vec<MemPlan> = devs
         .iter()
-        .map(|d| super::mem::analyze(&d.all_steps, true).0)
+        .map(|d| super::mem::analyze(&d.all_steps).0)
         .collect();
     let launches_per_device: Vec<u64> = devs
         .iter()

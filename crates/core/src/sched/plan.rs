@@ -1,10 +1,8 @@
-//! The planning pass: elementwise-chain fusion and stream assignment.
-
-use std::collections::BTreeMap;
+//! The planning pass's configuration, plan representation and entry point.
 
 use fides_gpu_sim::{KernelDesc, KernelKind};
 
-use super::graph::{ExecGraph, GraphOp};
+use super::graph::ExecGraph;
 
 /// Planner configuration, derived from
 /// [`CkksParameters`](crate::CkksParameters).
@@ -13,20 +11,13 @@ pub struct PlanConfig {
     /// Fuse consecutive same-stream elementwise-class launches into single
     /// launches (the graph-level §III-F.5 fusion; `FusionConfig::elementwise`).
     pub fuse_elementwise: bool,
-    /// Stream count the plan targets; recorded streams are remapped modulo
-    /// this.
+    /// Stream count the plan targets; the scheduler places recorded work
+    /// onto this many device streams.
     pub num_streams: usize,
     /// Longest elementwise chain one fused launch may absorb (a real fused
     /// kernel is bounded by registers/occupancy; 8 matches the deepest
     /// chain FIDESlib fuses).
     pub max_fuse: usize,
-    /// Scheduler v2: derive a dependency DAG (buffer read/write sets +
-    /// barriers) and critical-path list-schedule it onto the stream count
-    /// (see [`sched`](crate::sched) module docs). `false` restores the v1
-    /// modulo stream remap (the A/B baseline `BENCH_PR5.json` gates
-    /// against). Driven by
-    /// [`CkksParameters::sched_v2`](crate::CkksParameters).
-    pub dep_schedule: bool,
     /// First-order cost constants used to rank and place units, calibrated
     /// from the active [`DeviceSpec`](fides_gpu_sim::DeviceSpec) via
     /// [`CostModel::from_spec`](super::CostModel::from_spec) (the default
@@ -44,7 +35,6 @@ impl Default for PlanConfig {
             fuse_elementwise: true,
             num_streams: crate::context::NUM_STREAMS,
             max_fuse: 8,
-            dep_schedule: true,
             cost: super::CostModel::default(),
             devices: 1,
         }
@@ -86,7 +76,7 @@ impl SchedStats {
 pub enum PlanStep {
     /// Launch `desc` on `stream`.
     Launch {
-        /// Target stream (already remapped to the plan's stream count).
+        /// Target device stream (below the plan's stream count).
         stream: usize,
         /// Possibly-fused descriptor.
         desc: KernelDesc,
@@ -107,9 +97,8 @@ pub struct ExecPlan {
     pub(crate) steps: Vec<PlanStep>,
     pub(crate) stats: SchedStats,
     pub(crate) mem: super::mem::MemPlan,
-    /// Buffer → liveness-pool slot binding (empty without the pooling
-    /// pass); lets the replay executor alias slot-sharing buffers in the
-    /// device's L2 residency model.
+    /// Buffer → liveness-pool slot binding; lets the replay executor alias
+    /// slot-sharing buffers in the device's L2 residency model.
     pub(crate) slots: std::collections::HashMap<fides_gpu_sim::BufferId, u64>,
 }
 
@@ -119,14 +108,12 @@ impl ExecPlan {
         &self.stats
     }
 
-    /// The memory plan the liveness pass derived (slot-pooled footprint
-    /// with scheduler v2, raw per-buffer footprint without).
+    /// The memory plan the liveness pass derived (slot-pooled footprint).
     pub fn mem(&self) -> &super::mem::MemPlan {
         &self.mem
     }
 
-    /// The buffer → pool-slot binding the liveness pass colored (empty
-    /// when the plan was produced without pooling, i.e. scheduler v1).
+    /// The buffer → pool-slot binding the liveness pass colored.
     pub fn slot_binding(&self) -> &std::collections::HashMap<fides_gpu_sim::BufferId, u64> {
         &self.slots
     }
@@ -151,29 +138,15 @@ pub struct Planner {
     cfg: PlanConfig,
 }
 
-/// An elementwise chain being grown on one stream.
-struct Pending {
-    desc: KernelDesc,
-    chain_len: usize,
-    /// Segment the chain belongs to — fusion across segments would cross a
-    /// recorded cross-limb sync point.
-    segment: usize,
-}
-
 impl Planner {
     /// Creates a planner with the given configuration.
     pub fn new(cfg: PlanConfig) -> Self {
         Self { cfg }
     }
 
-    /// Plans a recorded graph.
-    ///
-    /// With [`PlanConfig::dep_schedule`] set (scheduler v2, the default)
-    /// this derives a dependency DAG and critical-path list-schedules it —
-    /// see `sched/dag.rs`'s module docs. Otherwise the v1 pass
-    /// runs: streams remap modulo the configured count, elementwise chains
-    /// fuse (when enabled), and every barrier is preserved. Either way the
-    /// liveness pass then derives the plan's memory footprint
+    /// Plans a recorded graph: derives a dependency DAG and critical-path
+    /// list-schedules it (see `sched/dag.rs`'s module docs), then runs the
+    /// liveness pass that derives the plan's memory footprint
     /// ([`ExecPlan::mem`]).
     ///
     /// Per-*recorded*-stream program order is preserved exactly; only
@@ -186,107 +159,11 @@ impl Planner {
     /// saving of §III-F.5), so the intermediate write→read roundtrips
     /// disappear.
     pub fn plan(&self, graph: &ExecGraph) -> ExecPlan {
-        let mut plan = if self.cfg.dep_schedule {
-            super::dag::plan_dag(graph, &self.cfg)
-        } else {
-            self.plan_modulo(graph)
-        };
-        let (mem, slots) = super::mem::analyze(&plan.steps, self.cfg.dep_schedule);
+        let mut plan = super::dag::plan_dag(graph, &self.cfg);
+        let (mem, slots) = super::mem::analyze(&plan.steps);
         plan.mem = mem;
         plan.slots = slots;
         plan
-    }
-
-    /// The v1 planning pass: modulo stream remap + in-order chain fusion.
-    fn plan_modulo(&self, graph: &ExecGraph) -> ExecPlan {
-        let streams = self.cfg.num_streams.max(1);
-        let mut steps = Vec::with_capacity(graph.ops.len());
-        // Chain being grown per stream (BTreeMap: deterministic flush order).
-        let mut pending: BTreeMap<usize, Pending> = BTreeMap::new();
-        let mut recorded = 0u64;
-        let mut fused = 0u64;
-
-        let flush =
-            |pending: &mut BTreeMap<usize, Pending>, steps: &mut Vec<PlanStep>, stream: usize| {
-                if let Some(p) = pending.remove(&stream) {
-                    steps.push(PlanStep::Launch {
-                        stream,
-                        desc: p.desc,
-                    });
-                }
-            };
-
-        for op in &graph.ops {
-            match op {
-                GraphOp::Kernel(node) => {
-                    recorded += 1;
-                    let stream = node.stream % streams;
-                    if self.cfg.fuse_elementwise && node.is_fusible() {
-                        if let Some(p) = pending.get_mut(&stream) {
-                            // Barriers flush every chain, so a surviving
-                            // chain is always in the current segment.
-                            debug_assert_eq!(
-                                p.segment, node.segment,
-                                "pending chain crossed a barrier"
-                            );
-                            if p.chain_len < self.cfg.max_fuse {
-                                merge(&mut p.desc, &node.desc);
-                                p.chain_len += 1;
-                                fused += 1;
-                                continue;
-                            }
-                            flush(&mut pending, &mut steps, stream);
-                        }
-                        pending.insert(
-                            stream,
-                            Pending {
-                                desc: node.desc.clone(),
-                                chain_len: 1,
-                                segment: node.segment,
-                            },
-                        );
-                    } else {
-                        flush(&mut pending, &mut steps, stream);
-                        steps.push(PlanStep::Launch {
-                            stream,
-                            desc: node.desc.clone(),
-                        });
-                    }
-                }
-                GraphOp::Barrier { signals, waiters } => {
-                    // A barrier orders every stream: flush all chains first.
-                    let open: Vec<usize> = pending.keys().copied().collect();
-                    for s in open {
-                        flush(&mut pending, &mut steps, s);
-                    }
-                    steps.push(PlanStep::Fence {
-                        signals: remap_streams(signals, streams),
-                        waiters: remap_streams(waiters, streams),
-                    });
-                }
-            }
-        }
-        let open: Vec<usize> = pending.keys().copied().collect();
-        for s in open {
-            flush(&mut pending, &mut steps, s);
-        }
-
-        let planned = steps
-            .iter()
-            .filter(|s| matches!(s, PlanStep::Launch { .. }))
-            .count() as u64;
-        ExecPlan {
-            steps,
-            stats: SchedStats {
-                graphs: 1,
-                recorded_kernels: recorded,
-                planned_launches: planned,
-                fused_kernels: fused,
-                ..SchedStats::default()
-            },
-            mem: Default::default(),
-            slots: Default::default(),
-        }
     }
 }
 
@@ -296,7 +173,7 @@ impl Planner {
 /// written is live in registers when the follower reads it, and a buffer
 /// written twice is stored once at the end, so the intermediate roundtrips
 /// are elided. This is the bandwidth saving that makes elementwise fusion
-/// profitable on a memory-bound device. (Shared with the v2 scheduler's
+/// profitable on a memory-bound device. (Shared by the scheduler's
 /// pre-fusion and emission-fusion stages.)
 pub(crate) fn merge(into: &mut KernelDesc, next: &KernelDesc) {
     for &(buf, bytes) in &next.reads {
@@ -320,24 +197,18 @@ pub(crate) fn merge(into: &mut KernelDesc, next: &KernelDesc) {
     }
 }
 
-fn remap_streams(streams: &[usize], n: usize) -> Vec<usize> {
-    let mut out: Vec<usize> = streams.iter().map(|s| s % n).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fides_gpu_sim::{BufferId, GraphEvent};
 
-    fn ew(stream: usize, buf: u64, ops: u64) -> GraphEvent {
+    /// An in-place elementwise launch over `bytes` of `buf`.
+    fn ew(stream: usize, buf: u64, bytes: u64, ops: u64) -> GraphEvent {
         GraphEvent::Launch {
             stream,
             desc: KernelDesc::new(KernelKind::Elementwise)
-                .read(BufferId(buf), 1024)
-                .write(BufferId(buf), 1024)
+                .read(BufferId(buf), bytes)
+                .write(BufferId(buf), bytes)
                 .ops(ops),
         }
     }
@@ -349,94 +220,96 @@ mod tests {
         }
     }
 
-    // The tests below pin the v1 (modulo-remap) pass; scheduler v2 has its
-    // own suite in `dag.rs`.
-    fn planner(fuse: bool) -> Planner {
+    fn planner(fuse: bool, max_fuse: usize) -> Planner {
         Planner::new(PlanConfig {
             fuse_elementwise: fuse,
             num_streams: 4,
-            max_fuse: 8,
-            dep_schedule: false,
+            max_fuse,
             ..PlanConfig::default()
         })
     }
 
-    #[test]
-    fn fuses_same_stream_elementwise_chains() {
-        let g = ExecGraph::from_events(vec![ew(0, 1, 5), ew(0, 2, 7), ew(1, 3, 11)]);
-        let plan = planner(true).plan(&g);
-        assert_eq!(plan.launch_count(), 2, "stream-0 chain fused");
-        assert_eq!(plan.stats().recorded_kernels, 3);
-        assert_eq!(plan.stats().fused_kernels, 1);
-        // Byte/op totals preserved in the fused launch.
-        let fused_desc = plan
-            .steps()
+    fn launches(plan: &ExecPlan) -> Vec<&KernelDesc> {
+        plan.steps()
             .iter()
-            .find_map(|s| match s {
-                PlanStep::Launch { stream: 0, desc } => Some(desc),
+            .filter_map(|s| match s {
+                PlanStep::Launch { desc, .. } => Some(desc),
                 _ => None,
             })
-            .expect("stream-0 launch");
-        assert_eq!(fused_desc.int32_ops, 12);
-        assert_eq!(fused_desc.bytes_read(), 2048);
+            .collect()
+    }
+
+    #[test]
+    fn fuses_same_stream_elementwise_chains() {
+        // Stream 0 touches buffer 1 twice, then buffer 2; stream 1 is a
+        // long independent launch the scheduler keeps on its own stream.
+        let g = ExecGraph::from_events(vec![
+            ew(0, 1, 1024, 5),
+            ew(0, 1, 1024, 7),
+            ew(0, 2, 1024, 3),
+            ew(1, 3, 64 << 20, 11),
+        ]);
+        let plan = planner(true, 8).plan(&g);
+        assert_eq!(plan.launch_count(), 2, "stream-0 chain fused");
+        assert_eq!(plan.stats().recorded_kernels, 4);
+        assert_eq!(plan.stats().fused_kernels, 2);
+        let fused = launches(&plan)
+            .into_iter()
+            .find(|d| d.int32_ops == 15)
+            .expect("fused launch keeps the chain's op total");
+        // Buffer 1's second read and write stay in registers: each buffer
+        // is loaded once and stored once.
+        assert_eq!(fused.bytes_read(), 2048);
+        assert_eq!(fused.bytes_written(), 2048);
+        // The liveness pass ran over the planned steps.
+        assert_eq!(plan.mem().buffers, 3);
     }
 
     #[test]
     fn fusion_off_replays_verbatim() {
-        let g = ExecGraph::from_events(vec![ew(0, 1, 5), ew(0, 2, 7), ntt(0), ew(0, 3, 1)]);
-        let plan = planner(false).plan(&g);
-        assert_eq!(plan.launch_count(), 4);
+        let g = ExecGraph::from_events(vec![
+            ew(0, 1, 1024, 5),
+            ew(0, 2, 1024, 7),
+            ntt(0),
+            ew(0, 3, 1024, 1),
+        ]);
+        let plan = planner(false, 8).plan(&g);
+        let ops: Vec<u64> = launches(&plan).iter().map(|d| d.int32_ops).collect();
+        assert_eq!(ops, vec![5, 7, 10, 1], "recorded order, nothing merged");
         assert_eq!(plan.stats().fused_kernels, 0);
     }
 
     #[test]
     fn barriers_break_chains() {
+        // The second launch reads what the first wrote, across a recorded
+        // barrier covering both streams: the open chain flushes at the
+        // barrier instead of absorbing its dependent.
         let g = ExecGraph::from_events(vec![
-            ew(0, 1, 5),
+            ew(0, 1, 1024, 5),
             GraphEvent::Fence {
-                signals: vec![0],
-                waiters: vec![0],
+                signals: vec![0, 1],
+                waiters: vec![0, 1],
             },
-            ew(0, 2, 5),
+            ew(1, 1, 1024, 5),
         ]);
-        let plan = planner(true).plan(&g);
+        let plan = planner(true, 8).plan(&g);
         assert_eq!(plan.launch_count(), 2, "no fusion across a barrier");
-        assert!(matches!(plan.steps()[1], PlanStep::Fence { .. }));
+        assert_eq!(plan.stats().fused_kernels, 0);
     }
 
     #[test]
     fn non_fusible_kinds_break_chains() {
-        let g = ExecGraph::from_events(vec![ew(0, 1, 5), ntt(0), ew(0, 2, 5)]);
-        let plan = planner(true).plan(&g);
-        assert_eq!(plan.launch_count(), 3);
-    }
-
-    #[test]
-    fn streams_remap_modulo_configured_count() {
-        let g = ExecGraph::from_events(vec![ntt(9), ntt(2)]);
-        let plan = planner(true).plan(&g);
-        let streams: Vec<usize> = plan
-            .steps()
-            .iter()
-            .filter_map(|s| match s {
-                PlanStep::Launch { stream, .. } => Some(*stream),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(streams, vec![1, 2], "stream 9 remaps to 9 % 4 = 1");
+        let g = ExecGraph::from_events(vec![ew(0, 1, 1024, 5), ntt(0), ew(0, 2, 1024, 5)]);
+        let plan = planner(true, 8).plan(&g);
+        let ops: Vec<u64> = launches(&plan).iter().map(|d| d.int32_ops).collect();
+        assert_eq!(ops, vec![5, 10, 5], "the NTT splits the chain in two");
     }
 
     #[test]
     fn max_fuse_caps_chain_length() {
-        let events: Vec<GraphEvent> = (0..10).map(|i| ew(0, i, 1)).collect();
-        let plan = Planner::new(PlanConfig {
-            fuse_elementwise: true,
-            num_streams: 4,
-            max_fuse: 4,
-            dep_schedule: false,
-            ..PlanConfig::default()
-        })
-        .plan(&ExecGraph::from_events(events));
-        assert_eq!(plan.launch_count(), 3, "10 kernels at cap 4 → 4+4+2");
+        let events: Vec<GraphEvent> = (0..10).map(|i| ew(0, i, 1024, 1)).collect();
+        let plan = planner(true, 4).plan(&ExecGraph::from_events(events));
+        let ops: Vec<u64> = launches(&plan).iter().map(|d| d.int32_ops).collect();
+        assert_eq!(ops, vec![4, 4, 2], "10 kernels at cap 4 → 4+4+2");
     }
 }

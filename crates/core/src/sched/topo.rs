@@ -29,7 +29,7 @@ pub struct CostModel {
 }
 
 impl Default for CostModel {
-    /// The historical scheduler-v2 constants (rounded RTX 4090 figures):
+    /// The historical scheduler constants (rounded RTX 4090 figures):
     /// 2 µs launch, 1.6 µs floor, ~1 TB/s DRAM, ~13.6 G int32 ops/µs.
     fn default() -> Self {
         Self {

@@ -303,33 +303,6 @@ fn fusion_off_produces_identical_results() {
 }
 
 #[test]
-fn graph_exec_is_bit_identical_to_eager_dispatch() {
-    // The stream-graph engine defers timing, never math: the same circuit
-    // run with graph execution on and off must produce identical limb data.
-    let mut h_graph = Harness::with_params(CkksParameters::toy(), &[1]);
-    let mut h_eager = Harness::with_params(CkksParameters::toy().with_graph_exec(false), &[1]);
-    let a = ramp(32);
-    let b: Vec<f64> = a.iter().map(|x| 0.25 - x).collect();
-    let mut frames = Vec::new();
-    for h in [&mut h_graph, &mut h_eager] {
-        let ca = h.encrypt(&a);
-        let cb = h.encrypt(&b);
-        let mut prod = ca.mul(&cb, &h.keys).unwrap();
-        prod.rescale_in_place().unwrap();
-        let rot = prod.rotate(1, &h.keys).unwrap();
-        frames.push(adapter::store_ciphertext(&rot));
-    }
-    assert_eq!(
-        frames[0].c0.limbs, frames[1].c0.limbs,
-        "graph replay changed c0"
-    );
-    assert_eq!(
-        frames[0].c1.limbs, frames[1].c1.limbs,
-        "graph replay changed c1"
-    );
-}
-
-#[test]
 fn graph_fusion_reduces_launches_without_changing_results() {
     let fusion_off = fides_core::FusionConfig {
         elementwise: false,

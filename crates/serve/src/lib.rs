@@ -80,5 +80,5 @@ pub use error::ServeError;
 pub use net::{NetServer, NetServerConfig};
 pub use qos::{AdmissionQueue, QosPolicy};
 pub use router::{Migration, ShardRouter};
-pub use server::{PipelineConfig, ServeBackend, Server, ServerConfig, Ticket, WarmupShape};
+pub use server::{ServeBackend, Server, ServerConfig, Ticket, WarmupShape};
 pub use stats::ServeStats;

@@ -19,7 +19,7 @@
 //! * **No tick lock is ever held while touching a socket.** Frames are
 //!   decoded and responses written from the event loop; batch execution
 //!   happens inside [`Server::run_tick`], which acquires and releases the
-//!   epoch locks itself and fills tickets only after both are released.
+//!   tick lock itself and fills tickets only after it is released.
 //!   Response frames are then serialized and enqueued here, entirely
 //!   off-lock (the time shows up in `ServeStats::flush_us`). A slow or
 //!   stalled peer therefore cannot extend a batch tick, and a long tick
@@ -248,8 +248,8 @@ impl NetServer {
                 }
             }
             // Admitted work outstanding? Drive a batch tick. run_tick
-            // takes (and releases) the epoch locks internally — no
-            // socket is touched while either is held.
+            // takes (and releases) the tick lock internally — no socket
+            // is touched while it is held.
             if self.conns.values().any(|c| !c.inflight.is_empty()) {
                 self.server.run_tick();
             }

@@ -149,9 +149,8 @@ impl<T> AdmissionQueue<T> {
     /// Releases up to `max` requests for one batch tick, in policy order.
     ///
     /// The server calls this once per tick at the start of the admission
-    /// epoch (under its `prep_lock`), so DRR lane credits are charged and
-    /// carried at epoch boundaries — pipelined ticks draw exactly the
-    /// batches a serial tick sequence would, in the same order.
+    /// phase (under its tick lock), so DRR lane credits are charged and
+    /// carried at tick boundaries.
     pub fn pop_batch(&mut self, max: usize) -> Vec<T> {
         match self.policy {
             QosPolicy::Fifo => self.pop_fifo(max),

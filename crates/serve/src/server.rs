@@ -62,8 +62,8 @@ impl Default for ServeBackend {
 /// execution substrate, and the serving knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// The CKKS parameter set (including `num_streams`, fusion toggles and
-    /// `graph_exec`, which drive the batch scheduler).
+    /// The CKKS parameter set (including `num_streams` and the fusion
+    /// toggles, which drive the batch scheduler).
     pub params: CkksParameters,
     /// Execution substrate.
     pub backend: ServeBackend,
@@ -76,9 +76,6 @@ pub struct ServerConfig {
     pub admission_capacity: usize,
     /// How queued requests are released into batch ticks.
     pub qos: QosPolicy,
-    /// Tick-pipelining knobs (plan-ahead double buffering, planning
-    /// fan-out width). Defaults to [`PipelineConfig::from_env`].
-    pub pipeline: PipelineConfig,
 }
 
 impl ServerConfig {
@@ -93,7 +90,6 @@ impl ServerConfig {
             max_sessions: 64,
             admission_capacity: 1024,
             qos: QosPolicy::default(),
-            pipeline: PipelineConfig::from_env(),
         }
     }
 
@@ -124,72 +120,6 @@ impl ServerConfig {
     /// Cross-tenant scheduling policy for the admission queue.
     pub fn qos(mut self, qos: QosPolicy) -> Self {
         self.qos = qos;
-        self
-    }
-
-    /// Tick-pipelining knobs.
-    pub fn pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-}
-
-/// Knobs for the pipelined tick engine.
-///
-/// Every tick runs as two epochs — an **admission epoch** (drain the
-/// queue, resolve sessions, record the batch graphs, plan or look up
-/// cached plans) and an **execution epoch** (replay the planned launches
-/// on the simulated devices) — each under its own lock. With
-/// `plan_ahead` off the epochs run back to back inside one `run_tick`
-/// call, which is byte-for-byte the classic serial tick (plus the
-/// response flush moving off-lock). With `plan_ahead` on, `run_tick`
-/// overlaps tick *N*'s execution epoch with tick *N+1*'s admission
-/// epoch: planning for the next batch runs while the current one
-/// replays, and the prepared tick is staged for whoever ticks next.
-///
-/// Responses cannot change: functional CKKS math runs at record time
-/// inside the admission epoch, and the execution epoch only advances the
-/// simulated timeline — so frames are byte-identical at every setting
-/// (the determinism suite pins this).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Overlap tick *N*'s execution epoch with tick *N+1*'s admission
-    /// epoch (plan-ahead double buffering). Off by default — opt in per
-    /// server, or set `FIDES_PLAN_AHEAD=1`.
-    pub plan_ahead: bool,
-    /// Worker cap for the parallel planning fan-out when several device
-    /// shards miss the plan cache in one tick (`0`: the ambient rayon
-    /// width, which honors `FIDES_WORKERS`). Cache lookups always stay
-    /// on the calling thread; only misses fan out.
-    pub plan_workers: usize,
-}
-
-impl PipelineConfig {
-    /// The default configuration with `plan_ahead` taken from the
-    /// `FIDES_PLAN_AHEAD` environment variable (`1`/`true`/`on`), so CI
-    /// matrices and benches flip the knob without plumbing config.
-    pub fn from_env() -> Self {
-        let plan_ahead = std::env::var("FIDES_PLAN_AHEAD")
-            .map(|v| {
-                let v = v.trim();
-                v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-            })
-            .unwrap_or(false);
-        Self {
-            plan_ahead,
-            ..Self::default()
-        }
-    }
-
-    /// Enables plan-ahead double buffering.
-    pub fn plan_ahead(mut self, on: bool) -> Self {
-        self.plan_ahead = on;
-        self
-    }
-
-    /// Caps the planning fan-out width (`0`: ambient rayon width).
-    pub fn plan_workers(mut self, workers: usize) -> Self {
-        self.plan_workers = workers;
         self
     }
 }
@@ -241,10 +171,10 @@ struct ShardExec {
     hit: bool,
 }
 
-/// A tick that has finished its admission epoch: requests drained and
+/// A tick that has finished its admission phase: requests drained and
 /// resolved, functional math already run at record time, responses
 /// computed, and every shard's graph planned (or fetched from the plan
-/// cache). All that remains is the execution epoch — replaying the
+/// cache). All that remains is the execution phase — replaying the
 /// shard plans onto the simulated timeline — and the off-lock response
 /// flush.
 struct PreparedTick {
@@ -273,28 +203,18 @@ struct ServerInner {
     raw: RawParams,
     params_hash: u64,
     plan_cfg: PlanConfig,
-    graph_exec: bool,
     batch_size: usize,
     registry: Mutex<Registry>,
     /// Tenant → device-shard placement (consistent hashing; migrates on
     /// sustained imbalance).
     router: Mutex<ShardRouter>,
     queue: Mutex<AdmissionQueue<Pending>>,
-    pipeline: PipelineConfig,
-    /// Serializes **admission epochs**: queue draining (so DRR credits
-    /// snapshot at epoch boundaries), session resolution, graph capture
-    /// and planning. Exactly one tick is being prepared at a time.
-    prep_lock: Mutex<()>,
-    /// Serializes **execution epochs**: replay of planned launches onto
-    /// the simulated devices, the served-request counters, and migration
-    /// decisions. Always acquired *after* `prep_lock` when a caller needs
-    /// both (serial ticks, snapshot, restore, warmup) — plan-ahead's
-    /// overlap takes them from sibling closures, never nested the other
-    /// way, so the order is deadlock-free.
-    exec_lock: Mutex<()>,
-    /// Plan-ahead's double buffer: the tick prepared during the previous
-    /// execution epoch, waiting for whoever runs the next tick.
-    staged: Mutex<Option<PreparedTick>>,
+    /// Serializes ticks: queue draining (so DRR credits snapshot at tick
+    /// boundaries), session resolution, graph capture, planning, replay
+    /// onto the simulated devices, the served-request counters and
+    /// migration decisions. Snapshot, restore and warmup take it too, so
+    /// they always land between ticks.
+    tick_lock: Mutex<()>,
     stats: Mutex<ServeStats>,
     /// Bounded LRU of planned batch graphs: steady-state ticks (same
     /// request mix, same programs) replay a cached plan with zero
@@ -341,11 +261,9 @@ impl Server {
         let raw = params.to_raw();
         let params_hash = params_fingerprint(&raw);
         let num_devices = params.num_devices.max(1);
-        let graph_exec = params.graph_exec;
         let mut plan_cfg = PlanConfig {
             fuse_elementwise: params.fusion.elementwise,
             num_streams: params.num_streams,
-            dep_schedule: params.sched_v2,
             devices: num_devices,
             ..PlanConfig::default()
         };
@@ -375,7 +293,6 @@ impl Server {
                 raw,
                 params_hash,
                 plan_cfg,
-                graph_exec,
                 batch_size: config.batch_size.max(1),
                 registry: Mutex::new(Registry::new(config.max_sessions)),
                 router: Mutex::new(ShardRouter::new(num_devices)),
@@ -383,10 +300,7 @@ impl Server {
                     config.qos,
                     config.admission_capacity.max(1),
                 )),
-                pipeline: config.pipeline,
-                prep_lock: Mutex::new(()),
-                exec_lock: Mutex::new(()),
-                staged: Mutex::new(None),
+                tick_lock: Mutex::new(()),
                 stats: Mutex::new(ServeStats::default()),
                 plan_cache: Mutex::new(PlanCache::default()),
             }),
@@ -647,16 +561,13 @@ impl Server {
     /// stream: the parameter fingerprint, the tenant registry (session
     /// ids, device homes, DRR weights, full key uploads) in LRU order,
     /// the shard router's committed placements, and every cached batch
-    /// plan. Taken under both epoch locks, so the snapshot is a
-    /// consistent point between batch ticks — never mid-admission and
-    /// never mid-replay.
+    /// plan. Taken under the tick lock, so the snapshot is a consistent
+    /// point between batch ticks — never mid-admission and never
+    /// mid-replay.
     ///
     /// Queued-but-unserved requests are deliberately *not* captured:
     /// clients hold their tickets and resubmit after a restart, exactly
-    /// as they do after a load-shed. Under plan-ahead a *staged* tick
-    /// (prepared but not yet executed) is the same story — its requests
-    /// are unserved, its plans are already in the cache and therefore in
-    /// the snapshot.
+    /// as they do after a load-shed.
     ///
     /// # Errors
     ///
@@ -664,8 +575,7 @@ impl Server {
     /// [`ServeError::Snapshot`] when a resident session retains no key
     /// upload to serialize.
     pub fn snapshot<W: Write>(&self, w: W) -> Result<(), ServeError> {
-        let _prep = self.inner.prep_lock.lock();
-        let _exec = self.inner.exec_lock.lock();
+        let _tick = self.inner.tick_lock.lock();
         let (sessions, next_session_id) = {
             let registry = self.inner.registry.lock();
             (registry.export(), registry.next_id())
@@ -756,8 +666,7 @@ impl Server {
     /// or index mismatch, duplicate session ids, or record counts that
     /// disagree with the stream's own metadata.
     pub fn restore<R: Read>(&self, r: R) -> Result<u64, ServeError> {
-        let _prep = self.inner.prep_lock.lock();
-        let _exec = self.inner.exec_lock.lock();
+        let _tick = self.inner.tick_lock.lock();
         let mut reader = RecordReader::new(r)?;
         let params = match reader.next_record()? {
             Some(rec) if rec.kind == kind::PARAMS => ParamsRecord::decode(&rec.payload)?,
@@ -889,8 +798,8 @@ impl Server {
     /// shape-identical to a live tick of the same mix). Primed entries are
     /// marked warm; a matching live tick hits the cache immediately and
     /// counts in [`ServeStats::warm_plan_hits`]. Returns the number of
-    /// plans newly built; the CPU substrate and eager (non-graph)
-    /// execution have nothing to prime and return 0.
+    /// plans newly built; the CPU substrate has nothing to prime and
+    /// returns 0.
     ///
     /// # Errors
     ///
@@ -899,14 +808,10 @@ impl Server {
     /// validation; [`ServeError::Snapshot`] when a shape's synthetic batch
     /// fails to execute.
     pub fn warmup(&self, shapes: &[WarmupShape]) -> Result<usize, ServeError> {
-        let _prep = self.inner.prep_lock.lock();
-        let _exec = self.inner.exec_lock.lock();
+        let _tick = self.inner.tick_lock.lock();
         let Substrate::Gpu { .. } = &self.inner.substrate else {
             return Ok(0);
         };
-        if !self.inner.graph_exec {
-            return Ok(0);
-        }
         let planned_before = self.inner.plan_cache.lock().misses();
         for shape in shapes {
             let resolved: Vec<(Pending, Option<Arc<SessionState>>)> = {
@@ -944,8 +849,8 @@ impl Server {
                     })
                     .collect::<Result<_, ServeError>>()?
             };
-            // Synthetic ticks ride the same two epochs as live traffic
-            // (both locks are held across the whole warmup): prepare
+            // Synthetic ticks ride the same two phases as live traffic
+            // (the tick lock is held across the whole warmup): prepare
             // records and plans the batch, execute replays it so the
             // primed timeline matches a live tick's.
             let tick = self.prepare_resolved(resolved, true);
@@ -975,79 +880,22 @@ impl Server {
 
     /// Runs one batch tick: drains up to `batch_size` queued requests,
     /// executes them as one merged graph per device shard (gpu-sim
-    /// substrate with graph execution on), and fills their tickets.
-    /// Returns how many requests the tick served.
+    /// substrate), and fills their tickets. Returns how many requests the
+    /// tick served.
     ///
-    /// The tick runs as two epochs — admission (drain + record + plan)
-    /// under `prep_lock`, execution (replay) under `exec_lock` — and the
-    /// response flush happens after both locks release. With
-    /// [`PipelineConfig::plan_ahead`] on, the two epochs of *consecutive*
-    /// ticks overlap: while this call replays its batch, a sibling
-    /// closure prepares the next one and stages it for the next caller.
+    /// The tick runs as three phases: admission (drain + record + plan)
+    /// and execution (replay) under the tick lock, then the response
+    /// flush after the lock releases.
     pub fn run_tick(&self) -> usize {
-        if !self.inner.pipeline.plan_ahead {
-            // Serial tick: both epochs back to back under their locks —
-            // exactly the classic single-lock tick, with the response
-            // flush moved off-lock.
-            let prep = self.inner.prep_lock.lock();
+        let tick = {
+            let _tick = self.inner.tick_lock.lock();
             let Some(tick) = self.prepare_tick() else {
                 return 0;
             };
-            {
-                let _exec = self.inner.exec_lock.lock();
-                self.execute_tick(&tick);
-            }
-            drop(prep);
-            return self.flush_tick(tick);
-        }
-        // Plan-ahead: take the staged tick (or prepare one inline on the
-        // first call), then overlap its execution epoch with the next
-        // tick's admission epoch.
-        let tick = {
-            let _prep = self.inner.prep_lock.lock();
-            match self.inner.staged.lock().take() {
-                Some(staged) => Some(staged),
-                None => self.prepare_tick(),
-            }
+            self.execute_tick(&tick);
+            tick
         };
-        let Some(tick) = tick else {
-            return 0;
-        };
-        let ((), next) = rayon::join(
-            || {
-                let _exec = self.inner.exec_lock.lock();
-                self.execute_tick(&tick);
-            },
-            || {
-                let _prep = self.inner.prep_lock.lock();
-                self.prepare_tick()
-            },
-        );
-        if next.is_some() {
-            self.inner.stats.lock().overlapped_ticks += 1;
-        }
-        let mut served = self.flush_tick(tick);
-        if let Some(next_tick) = next {
-            let spare = {
-                let mut staged = self.inner.staged.lock();
-                if staged.is_none() {
-                    *staged = Some(next_tick);
-                    None
-                } else {
-                    Some(next_tick)
-                }
-            };
-            // A racing caller staged its own tick first: execute the
-            // spare immediately instead of dropping prepared work.
-            if let Some(spare) = spare {
-                {
-                    let _exec = self.inner.exec_lock.lock();
-                    self.execute_tick(&spare);
-                }
-                served += self.flush_tick(spare);
-            }
-        }
-        served
+        self.flush_tick(tick)
     }
 
     /// Blocking evaluation: enqueues the request and drives batch ticks
@@ -1072,10 +920,10 @@ impl Server {
             }
             if self.run_tick() == 0 {
                 // Nothing left to drain, so our request is inside
-                // another caller's in-flight tick: wait for that
-                // execution epoch to finish (its flush fills our slot
-                // just after the lock releases), then re-check.
-                drop(self.inner.exec_lock.lock());
+                // another caller's in-flight tick: wait for that tick to
+                // finish (its flush fills our slot just after the lock
+                // releases), then re-check.
+                drop(self.inner.tick_lock.lock());
                 std::thread::yield_now();
             }
         }
@@ -1097,11 +945,10 @@ impl Server {
         }
     }
 
-    /// Admission epoch (caller holds `prep_lock`): drains up to
+    /// Admission phase (caller holds `tick_lock`): drains up to
     /// `batch_size` queued requests — DRR lane credits snapshot at this
-    /// epoch boundary, exactly as they did at the old tick boundary —
-    /// resolves their sessions, and runs the record/plan pass. Returns
-    /// `None` for an empty queue.
+    /// tick boundary — resolves their sessions, and runs the record/plan
+    /// pass. Returns `None` for an empty queue.
     fn prepare_tick(&self) -> Option<PreparedTick> {
         let batch: Vec<Pending> = self.inner.queue.lock().pop_batch(self.inner.batch_size);
         if batch.is_empty() {
@@ -1123,17 +970,15 @@ impl Server {
     }
 
     /// Runs a resolved batch's record/plan pass. Functional math runs
-    /// here — on the graphed path kernels are recorded, not timed — so
-    /// every response is final before the execution epoch even starts;
-    /// that is what makes overlapping execution with the next tick's
-    /// preparation response-invariant.
+    /// here — on the gpu-sim substrate kernels are recorded, not timed —
+    /// so every response is final before the execution phase starts.
     fn prepare_resolved(
         &self,
         resolved: Vec<(Pending, Option<Arc<SessionState>>)>,
         synthetic: bool,
     ) -> PreparedTick {
         match &self.inner.substrate {
-            Substrate::Gpu { contexts, .. } if self.inner.graph_exec => {
+            Substrate::Gpu { contexts, .. } => {
                 let (responses, shards) = self.capture_and_plan(contexts, &resolved, synthetic);
                 PreparedTick {
                     resolved,
@@ -1142,7 +987,7 @@ impl Server {
                     synthetic,
                 }
             }
-            _ => {
+            Substrate::Cpu { .. } => {
                 let responses = resolved
                     .iter()
                     .map(|(p, session)| Self::serve_one(session.as_deref(), &p.req))
@@ -1259,11 +1104,7 @@ impl Server {
         if !misses.is_empty() {
             let miss_graphs: Vec<&ExecGraph> =
                 misses.iter().map(|m| &graphs[m.slot].graph).collect();
-            let planned = plan_parallel(
-                &self.inner.plan_cfg,
-                &miss_graphs,
-                self.inner.pipeline.plan_workers,
-            );
+            let planned = plan_parallel(&self.inner.plan_cfg, &miss_graphs, 0);
             let mut cache = self.inner.plan_cache.lock();
             for (m, (plan, us)) in misses.into_iter().zip(planned) {
                 cache.insert(m.fp, &plan, m.binding);
@@ -1314,10 +1155,10 @@ impl Server {
         (responses, execs)
     }
 
-    /// Execution epoch (caller holds `exec_lock`): replays every shard's
+    /// Execution phase (caller holds `tick_lock`): replays every shard's
     /// planned launches onto its simulated device and accounts the tick's
     /// served traffic. Replay only advances the simulated timeline —
-    /// responses were finalized in the admission epoch — so nothing here
+    /// responses were finalized in the admission phase — so nothing here
     /// can change a frame.
     fn execute_tick(&self, tick: &PreparedTick) {
         let replay_us = match &self.inner.substrate {
@@ -1348,7 +1189,7 @@ impl Server {
         self.maybe_migrate(&tick.resolved);
     }
 
-    /// Fills the tick's tickets — **off-lock**: both epoch locks are
+    /// Fills the tick's tickets — **off-lock**: the tick lock is
     /// released before any slot is written, so response delivery (and,
     /// behind the socket front, frame serialization) never extends a
     /// tick's critical section. Returns how many requests the tick
@@ -1437,7 +1278,7 @@ impl Server {
     }
 
     /// Serves one request against its session (functional math runs here;
-    /// on the graphed path the kernels are being recorded, not timed).
+    /// on the gpu-sim substrate the kernels are being recorded, not timed).
     fn serve_one(session: Option<&SessionState>, req: &EvalRequest) -> EvalResponse {
         let Some(session) = session else {
             return EvalResponse::failed(ServeError::UnknownSession(req.session_id).to_string());
@@ -1460,9 +1301,9 @@ impl Server {
 }
 
 /// Shifts every recorded stream (and fence endpoint) by the request's batch
-/// index. The planner remaps streams modulo `num_streams`, so this is the
-/// round-robin that spreads concurrent tenants across the device streams
-/// instead of stacking every request's first limb batch on stream 0.
+/// index. The planner preserves program order per *recorded* stream, so
+/// this round-robin keeps concurrent tenants from chaining every request's
+/// first limb batch behind one another on recorded stream 0.
 fn offset_streams(events: Vec<GraphEvent>, offset: usize) -> Vec<GraphEvent> {
     if offset == 0 {
         return events;

@@ -54,7 +54,7 @@ pub struct ServeStats {
     /// Key-material bytes re-uploaded over the interconnect by those
     /// migrations.
     pub migration_bytes: u64,
-    /// Wall microseconds the admission epochs spent in planning sections
+    /// Wall microseconds the admission phases spent in planning sections
     /// (fingerprint, cache lookup, and the planning passes for misses).
     /// With parallel per-shard planning this is the *elapsed* time of the
     /// fan-out, not the sum of the workers' time — compare against
@@ -65,18 +65,14 @@ pub struct ServeStats {
     /// the sequential-equivalent planning cost; the per-tick max is the
     /// parallel critical path.
     pub per_device_plan_us: Vec<u64>,
-    /// Wall microseconds execution epochs spent replaying planned
+    /// Wall microseconds execution phases spent replaying planned
     /// launches onto the simulated devices.
     pub replay_us: u64,
     /// Wall microseconds spent flushing responses — filling ticket slots
-    /// after the execution epoch released its lock, plus (behind the
-    /// socket front) serializing and writing response frames. Never
-    /// overlaps a tick lock by construction.
+    /// after the tick lock is released, plus (behind the socket front)
+    /// serializing and writing response frames. Never overlaps the tick
+    /// lock by construction.
     pub flush_us: u64,
-    /// Plan-ahead ticks whose execution epoch overlapped the *next*
-    /// tick's admission epoch with real work on both sides — the
-    /// double-buffering actually pipelining, not just enabled.
-    pub overlapped_ticks: u64,
 }
 
 impl ServeStats {

@@ -372,6 +372,7 @@ fn plan_cache_steady_state_hits_and_invalidation() {
     let reqs = requests(&tenants, &sids, 4); // 8 requests per tick
 
     let mut reference: Option<Vec<Vec<u8>>> = None;
+    let mut cold = None;
     for tick in 0..16 {
         let tickets: Vec<_> = reqs
             .iter()
@@ -382,6 +383,13 @@ fn plan_cache_steady_state_hits_and_invalidation() {
             reqs.len(),
             "tick {tick} drains the batch"
         );
+        if tick == 0 {
+            // The phase timers the benchmark's per-tick attribution reads.
+            let stats = server.stats();
+            assert!(stats.plan_us > 0, "the cold tick's planning is timed");
+            assert!(stats.replay_us > 0, "the cold tick's replay is timed");
+            cold = Some(stats);
+        }
         let frames: Vec<Vec<u8>> = tickets
             .iter()
             .map(|t| {
@@ -399,6 +407,13 @@ fn plan_cache_steady_state_hits_and_invalidation() {
         }
     }
     let stats = server.stats();
+    let cold = cold.expect("the cold tick ran");
+    assert_eq!(stats.batches, cold.batches + 15, "one batch per tick");
+    assert_eq!(
+        stats.per_device_plan_us.iter().sum::<u64>(),
+        cold.per_device_plan_us.iter().sum::<u64>(),
+        "cache hits run no planning pass"
+    );
     assert_eq!(stats.plan_cache_misses, 1, "only the first tick plans");
     assert_eq!(
         stats.plan_cache_hits, 15,
@@ -460,45 +475,6 @@ fn plan_cache_steady_state_hits_and_invalidation() {
 }
 
 #[test]
-fn sched_v2_off_matches_v2_on_frames() {
-    // The v1 (modulo-remap) scheduler is the A/B baseline: disabling
-    // scheduler v2 changes only the replayed timing, never the frames.
-    // Requests are encrypted once (encryption is randomized) and replayed
-    // against both servers with rewritten session ids.
-    let tenants = tenants(2);
-    let seed_server = Server::new(ServerConfig::new(params()).batch_size(16)).unwrap();
-    let seed_sids = open_all(&seed_server, &tenants);
-    let reqs = requests(&tenants, &seed_sids, 2);
-    let mut frames = Vec::new();
-    for sched_v2 in [true, false] {
-        let server =
-            Server::new(ServerConfig::new(params().with_sched_v2(sched_v2)).batch_size(16))
-                .unwrap();
-        let sids = open_all(&server, &tenants);
-        let mut my_reqs = reqs.clone();
-        for (t, _, req) in &mut my_reqs {
-            req.session_id = sids[*t];
-        }
-        let tickets: Vec<_> = my_reqs
-            .iter()
-            .map(|(_, _, req)| server.submit(req.clone()).unwrap())
-            .collect();
-        assert_eq!(server.run_tick(), reqs.len());
-        frames.push(
-            tickets
-                .iter()
-                .map(|t| {
-                    let resp = t.try_take().unwrap();
-                    assert!(resp.error.is_none());
-                    resp.outputs[0].to_bytes()
-                })
-                .collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(frames[0], frames[1], "scheduler v2 on/off frames diverged");
-}
-
-#[test]
 fn registry_evicts_lru_and_rejects_foreign_chains() {
     let tenants = tenants(3);
     let server = Server::new(ServerConfig::new(params()).max_sessions(2)).unwrap();
@@ -532,105 +508,6 @@ fn registry_evicts_lru_and_rejects_foreign_chains() {
         Err(fides_serve::ServeError::ParamsMismatch { .. })
     ));
     assert_eq!(server.stats().sessions_evicted, 1);
-}
-
-/// Plan-ahead double buffering is frame-invariant: overlapping tick N's
-/// execution epoch with tick N+1's admission epoch must leave every
-/// response frame byte-identical to the serial tick engine — under
-/// single-threaded tick driving and under racing eval threads, at every
-/// point of the FIDES_WORKERS × FIDES_DEVICES matrix. (The QoS suite
-/// pins the flood scenario's tick-for-tick schedule separately.)
-#[test]
-fn plan_ahead_frames_match_serial_ticks() {
-    use fides_serve::PipelineConfig;
-    let tenants = tenants(3);
-    let per_tenant = 3;
-
-    // Serial reference: plan-ahead explicitly off (immune to the
-    // FIDES_PLAN_AHEAD matrix axis).
-    let serial = Server::new(
-        ServerConfig::new(params())
-            .batch_size(4)
-            .pipeline(PipelineConfig::default().plan_ahead(false)),
-    )
-    .unwrap();
-    let s_sids = open_all(&serial, &tenants);
-    let reqs = requests(&tenants, &s_sids, per_tenant);
-    let mut expected = BTreeMap::new();
-    for (t, r, req) in &reqs {
-        let resp = serial.eval(req.clone()).unwrap();
-        assert!(resp.error.is_none());
-        expected.insert(
-            (*t, *r),
-            resp.outputs
-                .iter()
-                .map(|ct| ct.to_bytes())
-                .collect::<Vec<_>>(),
-        );
-    }
-
-    // Pipelined, single driver: queue everything, then drain — the first
-    // run_tick stages tick N+1 while tick N replays, so with 9 requests
-    // at batch 4 the double buffer is exercised on every call.
-    let pipelined = Server::new(
-        ServerConfig::new(params())
-            .batch_size(4)
-            .pipeline(PipelineConfig::default().plan_ahead(true)),
-    )
-    .unwrap();
-    let p_sids = open_all(&pipelined, &tenants);
-    let mut my_reqs = reqs.clone();
-    for (t, _, req) in &mut my_reqs {
-        req.session_id = p_sids[*t];
-    }
-    let tickets: Vec<_> = my_reqs
-        .iter()
-        .map(|(t, r, req)| (*t, *r, pipelined.submit(req.clone()).unwrap()))
-        .collect();
-    let mut served = 0;
-    while served < my_reqs.len() {
-        served += pipelined.run_tick();
-    }
-    assert_eq!(
-        served,
-        my_reqs.len(),
-        "plan-ahead drained exactly the queue"
-    );
-    for (t, r, ticket) in &tickets {
-        let resp = ticket.try_take().expect("ticket filled after the drain");
-        assert!(resp.error.is_none());
-        let frames: Vec<Vec<u8>> = resp.outputs.iter().map(|ct| ct.to_bytes()).collect();
-        assert_eq!(
-            Some(&frames),
-            expected.get(&(*t, *r)),
-            "plan-ahead changed frames (tenant {t} request {r})"
-        );
-    }
-    let stats = pipelined.stats();
-    assert_eq!(stats.requests, my_reqs.len() as u64);
-    assert!(
-        stats.overlapped_ticks >= 1,
-        "a multi-tick drain must engage the double buffer"
-    );
-
-    // Pipelined, racing eval threads: the staged-tick handoff under
-    // contention must not reorder or alter results either.
-    let racing = Server::new(
-        ServerConfig::new(params())
-            .batch_size(4)
-            .pipeline(PipelineConfig::default().plan_ahead(true)),
-    )
-    .unwrap();
-    let r_sids = open_all(&racing, &tenants);
-    let mut race_reqs = reqs.clone();
-    for (t, _, req) in &mut race_reqs {
-        req.session_id = r_sids[*t];
-    }
-    let got = serve_threaded(&racing, &race_reqs, 4);
-    assert_eq!(
-        got, expected,
-        "racing plan-ahead frames drifted from serial"
-    );
 }
 
 /// The network front preserves the determinism bar end to end: N client

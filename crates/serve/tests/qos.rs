@@ -8,7 +8,7 @@
 use fides_api::CkksEngine;
 use fides_client::wire::{EvalRequest, OpProgram, ProgramOp};
 use fides_core::CkksParameters;
-use fides_serve::{PipelineConfig, QosPolicy, Server, ServerConfig, Ticket};
+use fides_serve::{QosPolicy, Server, ServerConfig, Ticket};
 
 const LOG_N: usize = 10;
 const LEVELS: usize = 3;
@@ -79,28 +79,18 @@ fn server_with(qos: QosPolicy) -> Server {
 /// `(per-tenant completion ticks, per-tenant response frames)`.
 #[allow(clippy::type_complexity)]
 fn run_to_completion(server: &Server, tenants: &[Tenant]) -> (Vec<Vec<usize>>, Vec<Vec<Vec<u8>>>) {
-    let lanes: Vec<&[EvalRequest]> = tenants.iter().map(|t| t.reqs.as_slice()).collect();
-    run_lanes_to_completion(server, &lanes)
-}
-
-/// [`run_to_completion`] over bare request lanes (one per tenant), for
-/// runs that replay another server's pre-encrypted requests.
-#[allow(clippy::type_complexity)]
-fn run_lanes_to_completion(
-    server: &Server,
-    lanes: &[&[EvalRequest]],
-) -> (Vec<Vec<usize>>, Vec<Vec<Vec<u8>>>) {
-    let mut tickets: Vec<Vec<Ticket>> = lanes
+    let mut tickets: Vec<Vec<Ticket>> = tenants
         .iter()
-        .map(|reqs| {
-            reqs.iter()
+        .map(|t| {
+            t.reqs
+                .iter()
                 .map(|r| server.submit(r.clone()).unwrap())
                 .collect()
         })
         .collect();
-    let total: usize = lanes.iter().map(|reqs| reqs.len()).sum();
-    let mut ticks = vec![Vec::new(); lanes.len()];
-    let mut frames = vec![Vec::new(); lanes.len()];
+    let total: usize = tenants.iter().map(|t| t.reqs.len()).sum();
+    let mut ticks = vec![Vec::new(); tenants.len()];
+    let mut frames = vec![Vec::new(); tenants.len()];
     let mut done = 0;
     let mut tick = 0;
     while done < total {
@@ -224,61 +214,6 @@ fn weights_shape_per_tick_shares() {
         first_tick,
         vec![BATCH / 4, 3 * BATCH / 4],
         "weight 1 vs 3 must split the tick 1:3"
-    );
-}
-
-/// Plan-ahead double buffering must not move a single completion: DRR
-/// lane credits are charged when the admission epoch drains the queue,
-/// so the epoch boundary *is* the old tick boundary — the flood scenario
-/// completes tick-for-tick, and frame-for-frame, exactly as on the
-/// serial tick engine.
-#[test]
-fn drr_flood_identical_under_plan_ahead() {
-    let serial = Server::new(
-        ServerConfig::new(CkksParameters::new(LOG_N, LEVELS, 40, 3).unwrap())
-            .batch_size(BATCH)
-            .admission_capacity(4096)
-            .qos(QosPolicy::Drr { quantum: 1 })
-            .pipeline(PipelineConfig::default().plan_ahead(false)),
-    )
-    .unwrap();
-    let tenants = setup(&serial, QUIET);
-    let (serial_ticks, serial_frames) = run_to_completion(&serial, &tenants);
-
-    let pipelined = Server::new(
-        ServerConfig::new(CkksParameters::new(LOG_N, LEVELS, 40, 3).unwrap())
-            .batch_size(BATCH)
-            .admission_capacity(4096)
-            .qos(QosPolicy::Drr { quantum: 1 })
-            .pipeline(PipelineConfig::default().plan_ahead(true)),
-    )
-    .unwrap();
-    // Replay the same pre-encrypted bursts under fresh session ids.
-    let lanes: Vec<Vec<EvalRequest>> = tenants
-        .iter()
-        .map(|t| {
-            let sid = pipelined
-                .open_session(t.session.session_request(&[]).unwrap())
-                .unwrap();
-            t.reqs
-                .iter()
-                .map(|r| {
-                    let mut r = r.clone();
-                    r.session_id = sid;
-                    r
-                })
-                .collect()
-        })
-        .collect();
-    let lane_refs: Vec<&[EvalRequest]> = lanes.iter().map(|l| l.as_slice()).collect();
-    let (ticks, frames) = run_lanes_to_completion(&pipelined, &lane_refs);
-    assert_eq!(
-        ticks, serial_ticks,
-        "plan-ahead moved completions across ticks"
-    );
-    assert_eq!(
-        frames, serial_frames,
-        "plan-ahead changed response bytes under flood"
     );
 }
 

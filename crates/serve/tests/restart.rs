@@ -206,131 +206,6 @@ fn kill_and_restore_mid_workload_is_invisible_in_frames() {
     );
 }
 
-/// A snapshot taken while a plan-ahead server holds a *staged* tick —
-/// the double buffer has tick N+1 prepared but not executed — is still a
-/// consistent epoch boundary. Staged requests are unserved work: like
-/// queued requests they are not part of the image (their clients
-/// resubmit after the restart, exactly as after a load-shed), while the
-/// plans built while preparing them are already in the cache and restore
-/// warm. Post-restore frames continue byte-identical to an uninterrupted
-/// run.
-#[test]
-fn snapshot_between_epochs_restores_warm() {
-    use fides_serve::PipelineConfig;
-    let tenants = tenants(2);
-    let per_tenant = 2; // 4 requests at batch 2 → two ticks per round
-
-    // Uninterrupted serial reference: same pop order, same tick shapes.
-    let reference = Server::new(
-        ServerConfig::new(params())
-            .batch_size(2)
-            .pipeline(PipelineConfig::default().plan_ahead(false)),
-    )
-    .unwrap();
-    let ref_sids = open_all(&reference, &tenants);
-    let reqs = requests(&tenants, &ref_sids, per_tenant);
-    let expected: BTreeMap<(usize, usize), Vec<Vec<u8>>> = {
-        let tickets: Vec<_> = reqs
-            .iter()
-            .map(|(t, r, req)| (*t, *r, reference.submit(req.clone()).unwrap()))
-            .collect();
-        let mut served = 0;
-        while served < reqs.len() {
-            served += reference.run_tick();
-        }
-        tickets
-            .iter()
-            .map(|(t, r, ticket)| {
-                let resp = ticket.try_take().expect("served");
-                assert!(resp.error.is_none());
-                (
-                    (*t, *r),
-                    resp.outputs.iter().map(|ct| ct.to_bytes()).collect(),
-                )
-            })
-            .collect()
-    };
-
-    // The victim: plan-ahead on. One run_tick executes the first batch
-    // of 2 AND stages the second — then the "kill" lands between epochs.
-    let config = || {
-        ServerConfig::new(params())
-            .batch_size(2)
-            .pipeline(PipelineConfig::default().plan_ahead(true))
-    };
-    let victim = Server::new(config()).unwrap();
-    let victim_sids = open_all(&victim, &tenants);
-    let my_reqs = rewrite_sids(&reqs, &victim_sids);
-    let tickets: Vec<_> = my_reqs
-        .iter()
-        .map(|(t, r, req)| (*t, *r, victim.submit(req.clone()).unwrap()))
-        .collect();
-    assert_eq!(victim.run_tick(), 2, "one tick executes one batch");
-    let stats = victim.stats();
-    assert!(
-        stats.overlapped_ticks >= 1,
-        "the second batch must have been prepared during the first's replay"
-    );
-    assert_eq!(victim.queued(), 0, "the staged batch left the queue");
-    let filled = tickets
-        .iter()
-        .filter_map(|(t, r, ticket)| ticket.try_take().map(|resp| (*t, *r, resp)))
-        .collect::<Vec<_>>();
-    assert_eq!(filled.len(), 2, "only the executed batch's tickets fill");
-    for (t, r, resp) in &filled {
-        assert!(resp.error.is_none());
-        let frames: Vec<Vec<u8>> = resp.outputs.iter().map(|ct| ct.to_bytes()).collect();
-        assert_eq!(
-            Some(&frames),
-            expected.get(&(*t, *r)),
-            "pre-snapshot frames must match the reference"
-        );
-    }
-    let mut image = Vec::new();
-    victim
-        .snapshot(&mut image)
-        .expect("snapshot with a staged tick");
-    drop(victim); // the staged tick dies with the process, unserved
-
-    // A fresh same-config server restores warm; the staged requests'
-    // clients resubmit everything still outstanding. Resubmitting the
-    // full round reproduces the reference pop order.
-    let restored = Server::new(config()).unwrap();
-    assert_eq!(restored.restore(&image[..]).unwrap(), tenants.len() as u64);
-    assert_eq!(
-        restored.stats().plan_cache_misses,
-        0,
-        "restore itself plans nothing"
-    );
-    let tickets: Vec<_> = my_reqs
-        .iter()
-        .map(|(t, r, req)| (*t, *r, restored.submit(req.clone()).unwrap()))
-        .collect();
-    let mut served = 0;
-    while served < my_reqs.len() {
-        served += restored.run_tick();
-    }
-    for (t, r, ticket) in &tickets {
-        let resp = ticket.try_take().expect("served after restore");
-        assert!(resp.error.is_none());
-        let frames: Vec<Vec<u8>> = resp.outputs.iter().map(|ct| ct.to_bytes()).collect();
-        assert_eq!(
-            Some(&frames),
-            expected.get(&(*t, *r)),
-            "post-restore frames drifted (tenant {t} request {r})"
-        );
-    }
-    let stats = restored.stats();
-    assert_eq!(
-        stats.plan_cache_misses, 0,
-        "both tick shapes — executed and staged — were in the snapshot"
-    );
-    assert!(
-        stats.warm_plan_hits >= 1,
-        "post-restore ticks hit restored (warm) entries"
-    );
-}
-
 #[test]
 fn cpu_substrate_snapshot_restores_across_worker_counts() {
     let tenants = tenants(2);

@@ -1,21 +1,19 @@
 //! Determinism under parallelism: the stream-graph engine and the
 //! limb-parallel CPU worker pool must never change ciphertext *bits*.
 //!
-//! Three invariants, property-tested over random seeds and circuits built
+//! Two invariants, property-tested over random seeds and circuits built
 //! from the operations whose schedules actually differ between execution
 //! substrates (rotate = automorphism + key switch, HMult = tensor + key
 //! switch, rescale = cross-limb sync):
 //!
 //! 1. the CPU backend is bit-identical at worker counts 1 and 8;
-//! 2. the simulated-GPU backend (functional mode, graph execution on) is
-//!    bit-identical to the CPU backend at every worker count;
-//! 3. graph execution and eager dispatch are bit-identical on the
-//!    simulated-GPU backend.
+//! 2. the simulated-GPU backend (functional mode) is bit-identical to the
+//!    CPU backend at every worker count.
 
 use fideslib::{BackendChoice, CkksEngine, Ct};
 use proptest::prelude::*;
 
-fn engine(backend: BackendChoice, workers: usize, graph: bool, seed: u64) -> CkksEngine {
+fn engine(backend: BackendChoice, workers: usize, seed: u64) -> CkksEngine {
     CkksEngine::builder()
         .log_n(10)
         .levels(4)
@@ -23,7 +21,6 @@ fn engine(backend: BackendChoice, workers: usize, graph: bool, seed: u64) -> Ckk
         .dnum(2)
         .backend(backend)
         .workers(workers)
-        .graph_exec(graph)
         .rotations(&[1, 2, -1])
         .seed(seed)
         .build()
@@ -89,8 +86,8 @@ proptest! {
     /// invisible to the math.
     #[test]
     fn cpu_workers_bit_identical(seed in any::<u64>(), pick in any::<u8>()) {
-        let w1 = circuit(&engine(BackendChoice::Cpu, 1, true, seed), seed, pick);
-        let w8 = circuit(&engine(BackendChoice::Cpu, 8, true, seed), seed, pick);
+        let w1 = circuit(&engine(BackendChoice::Cpu, 1, seed), seed, pick);
+        let w8 = circuit(&engine(BackendChoice::Cpu, 8, seed), seed, pick);
         assert_frames_equal(&w1, &w8, "cpu workers 1 vs 8");
     }
 
@@ -98,49 +95,10 @@ proptest! {
     /// parallel CPU backend agree bit for bit at any worker count.
     #[test]
     fn gpu_sim_matches_cpu_bitwise(seed in any::<u64>(), pick in any::<u8>()) {
-        let gpu = circuit(&engine(BackendChoice::GpuSim, 1, true, seed), seed, pick);
+        let gpu = circuit(&engine(BackendChoice::GpuSim, 1, seed), seed, pick);
         for workers in [1usize, 8] {
-            let cpu = circuit(&engine(BackendChoice::Cpu, workers, true, seed), seed, pick);
+            let cpu = circuit(&engine(BackendChoice::Cpu, workers, seed), seed, pick);
             assert_frames_equal(&gpu, &cpu, &format!("gpu-sim vs cpu({workers})"));
-        }
-    }
-
-    /// Graph execution vs eager dispatch: recording + planned replay never
-    /// touches ciphertext data.
-    #[test]
-    fn graph_exec_matches_eager_bitwise(seed in any::<u64>(), pick in any::<u8>()) {
-        let lazy = circuit(&engine(BackendChoice::GpuSim, 1, true, seed), seed, pick);
-        let eager = circuit(&engine(BackendChoice::GpuSim, 1, false, seed), seed, pick);
-        assert_frames_equal(&lazy, &eager, "graph vs eager");
-    }
-}
-
-/// Scheduler v2 (dependency-aware list scheduling + plan cache + memory
-/// liveness) vs the v1 modulo remap: planning only ever changes replayed
-/// timing, never ciphertext bits — across every circuit shape and on both
-/// backends.
-#[test]
-fn sched_v2_on_off_bit_identical() {
-    for pick in 0..3u8 {
-        for seed in [7u64, 1234, 987654321] {
-            let v2 = circuit(&engine(BackendChoice::GpuSim, 1, true, seed), seed, pick);
-            let v1_engine = CkksEngine::builder()
-                .log_n(10)
-                .levels(4)
-                .scale_bits(40)
-                .dnum(2)
-                .backend(BackendChoice::GpuSim)
-                .graph_exec(true)
-                .sched_v2(false)
-                .rotations(&[1, 2, -1])
-                .seed(seed)
-                .build()
-                .expect("test parameters are valid");
-            let v1 = circuit(&v1_engine, seed, pick);
-            assert_frames_equal(&v2, &v1, &format!("sched v2 vs v1 (pick {pick})"));
-            // And the CPU reference agrees with both.
-            let cpu = circuit(&engine(BackendChoice::Cpu, 8, true, seed), seed, pick);
-            assert_frames_equal(&v2, &cpu, &format!("sched v2 vs cpu (pick {pick})"));
         }
     }
 }
@@ -156,7 +114,7 @@ fn sched_v2_on_off_bit_identical() {
 fn simd_on_off_bit_identical() {
     let run = |simd: bool, backend: BackendChoice, workers: usize, seed: u64, pick: u8| {
         fideslib::set_simd_enabled(Some(simd));
-        circuit(&engine(backend, workers, true, seed), seed, pick)
+        circuit(&engine(backend, workers, seed), seed, pick)
     };
     for pick in 0..3u8 {
         for seed in [7u64, 1234, 987654321] {
@@ -181,7 +139,7 @@ fn simd_on_off_bit_identical() {
 /// drift between the planned run and the cached-replay run.
 #[test]
 fn plan_cache_replay_bit_identical() {
-    let e = engine(BackendChoice::GpuSim, 1, true, 55);
+    let e = engine(BackendChoice::GpuSim, 1, 55);
     let x = e.encrypt(&message(55, 16)).unwrap();
     let y = e.encrypt(&message(56, 16)).unwrap();
     let first = x.try_mul(&y).unwrap().rotate(1).unwrap();
@@ -193,7 +151,7 @@ fn plan_cache_replay_bit_identical() {
 /// op-by-op evaluation.
 #[test]
 fn eval_batch_bit_identical_to_sequential() {
-    let e = engine(BackendChoice::GpuSim, 1, true, 123);
+    let e = engine(BackendChoice::GpuSim, 1, 123);
     let cts: Vec<Ct> = (0..4)
         .map(|i| e.encrypt(&message(100 + i, 16)).unwrap())
         .collect();
