@@ -20,8 +20,8 @@ use parking_lot::Mutex;
 
 use crate::params::CkksParameters;
 use crate::sched::{
-    fingerprint, CostModel, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, PlanExecutor,
-    Planner, SchedStats,
+    fingerprint, CostModel, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, Planner,
+    SchedStats,
 };
 
 /// Index into the combined modulus chain.
@@ -91,6 +91,13 @@ pub struct CkksContext {
     /// Bounded LRU of finished plans, keyed by structural graph
     /// fingerprint: repeated `eval_scope` bodies replay without planning.
     plan_cache: Mutex<PlanCache>,
+    /// What [`Self::plan_config`] hands out. Parameters and device spec are
+    /// fixed for the context's lifetime, so this is derived once, not per
+    /// scheduled region.
+    plan_cfg: PlanConfig,
+    /// `0..num_streams`: the signal and waiter list of every
+    /// [`Self::sync_batch_streams`] barrier.
+    batch_streams: Vec<usize>,
 }
 
 impl CkksContext {
@@ -181,6 +188,15 @@ impl CkksContext {
             })
             .collect();
 
+        let plan_cfg = PlanConfig {
+            fuse_elementwise: params.fusion.elementwise,
+            num_streams: params.num_streams,
+            cost: CostModel::from_spec(&gpu.spec()),
+            devices: params.num_devices,
+            ..PlanConfig::default()
+        };
+        let batch_streams: Vec<usize> = (0..params.num_streams.max(1)).collect();
+
         Arc::new(Self {
             params,
             raw,
@@ -200,6 +216,8 @@ impl CkksContext {
             monomial_half,
             sched_ledger: Mutex::new(SchedStats::default()),
             plan_cache: Mutex::new(PlanCache::default()),
+            plan_cfg,
+            batch_streams,
         })
     }
 
@@ -339,8 +357,7 @@ impl CkksContext {
     /// dependency barrier). Inside a scheduled region this records a graph
     /// barrier instead of fencing immediately.
     pub fn sync_batch_streams(&self) {
-        let streams: Vec<usize> = (0..self.params.num_streams.max(1)).collect();
-        self.gpu.fence(&streams, &streams);
+        self.gpu.fence(&self.batch_streams, &self.batch_streams);
     }
 
     /// Runs `f` as one scheduled region of the stream-graph engine: kernel
@@ -394,9 +411,9 @@ impl CkksContext {
     /// Planning consults the context's [`PlanCache`] first: a region whose
     /// structural fingerprint matches an already-planned graph (same op
     /// descriptors, streams, barrier shapes and buffer aliasing — buffer
-    /// *identities* are rebound) replays the cached plan with zero
-    /// planning work. Hits and misses land in [`Self::sched_stats`] and
-    /// the device ledger.
+    /// *identities* are translated during replay) replays the shared cached
+    /// plan with zero planning work and no copy. Hits and misses land in
+    /// [`Self::sched_stats`] and the device ledger.
     pub fn graph_scope_end(&self) {
         let events = self.gpu.end_capture();
         if events.is_empty() {
@@ -405,22 +422,20 @@ impl CkksContext {
         let graph = ExecGraph::from_events(events);
         let cfg = self.plan_config();
         let (fp, binding) = fingerprint(&graph, &cfg);
-        let (plan, hit) = {
+        let bound = {
             let mut cache = self.plan_cache.lock();
             match cache.lookup(fp, &binding) {
-                Some(plan) => (plan, true),
+                Some(bound) => bound,
                 None => {
                     let plan = Planner::new(cfg).plan(&graph);
-                    cache.insert(fp, &plan, binding);
-                    (plan, false)
+                    cache.insert(fp, plan, binding)
                 }
             }
         };
-        self.gpu.record_plan_cache(hit);
-        GpuReplayExecutor::new(&self.gpu).execute(&plan);
+        GpuReplayExecutor::new(&self.gpu).execute_bound(&bound);
         let mut ledger = self.sched_ledger.lock();
-        ledger.absorb(plan.stats());
-        if hit {
+        ledger.absorb(bound.plan().stats());
+        if bound.is_hit() {
             ledger.plan_cache_hits += 1;
         } else {
             ledger.plan_cache_misses += 1;
@@ -440,13 +455,7 @@ impl CkksContext {
     /// configured device count — both feed the plan-cache fingerprint, so
     /// changing the device or the topology invalidates cached plans.
     pub fn plan_config(&self) -> PlanConfig {
-        PlanConfig {
-            fuse_elementwise: self.params.fusion.elementwise,
-            num_streams: self.params.num_streams,
-            cost: CostModel::from_spec(&self.gpu.spec()),
-            devices: self.params.num_devices,
-            ..PlanConfig::default()
-        }
+        self.plan_cfg
     }
 
     /// Snapshot of the cumulative scheduling counters.

@@ -14,17 +14,25 @@
 //! first-occurrence index), plus the planner configuration. Two graphs
 //! with equal fingerprints have isomorphic dependency DAGs with equal
 //! costs, so a cached plan is valid for both once its buffer references
-//! are rebound through the first-occurrence correspondence — an O(plan)
-//! copy instead of an O(V + E + V·log V) planning pass.
+//! are read through the first-occurrence correspondence.
+//!
+//! A hit copies nothing. The cache keeps each plan behind an [`Arc`], in
+//! the buffer ids of the graph it was planned from, next to that graph's
+//! binding; [`PlanCache::lookup`] hands both back as a [`BoundPlan`], and
+//! the executor translates ids *while replaying* (one small
+//! `old id → current id` table per region — see
+//! [`GpuReplayExecutor`](super::GpuReplayExecutor)). Persisted entries are
+//! the same triple `(fingerprint, plan, binding)`, which is why a snapshot
+//! restores warm onto a device whose allocations it has never seen.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fides_gpu_sim::BufferId;
+use fides_gpu_sim::{BufferId, BufferMap};
 
 use super::graph::{ExecGraph, GraphOp};
-use super::plan::{ExecPlan, PlanConfig, PlanStep, Planner};
+use super::plan::{ExecPlan, PlanConfig, Planner};
 
 /// FNV-1a, 64-bit: tiny, deterministic across processes, and collision-
 /// safe enough for a bounded cache (a collision costs timing fidelity on
@@ -47,8 +55,8 @@ impl Fnv {
 /// Computes the structural fingerprint of `graph` under `cfg` and the
 /// first-occurrence buffer binding the canonical renaming is relative to.
 ///
-/// The binding is what [`PlanCache::lookup`] uses to rebind a cached
-/// plan's buffer references onto the current graph's buffers.
+/// The binding is what a [`BoundPlan`] carries to translate a cached plan's
+/// buffer references onto the current graph's buffers.
 pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) {
     let mut h = Fnv::new();
     h.u64(cfg.fuse_elementwise as u64);
@@ -58,14 +66,14 @@ pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) 
     h.u64(cfg.num_streams as u64);
     h.u64(cfg.max_fuse as u64);
     // Topology is part of the key: a plan ranked under one device model or
-    // partitioned for one device count must never rebind onto another.
+    // partitioned for one device count must never replay on another.
     h.u64(cfg.devices as u64);
     for w in cfg.cost.fingerprint_words() {
         h.u64(w);
     }
-    let mut canon: HashMap<BufferId, u64> = HashMap::new();
+    let mut canon: BufferMap<u64> = BufferMap::default();
     let mut binding: Vec<BufferId> = Vec::new();
-    let mut canon_of = |buf: BufferId, canon: &mut HashMap<BufferId, u64>| -> u64 {
+    let mut canon_of = |buf: BufferId, canon: &mut BufferMap<u64>| -> u64 {
         *canon.entry(buf).or_insert_with(|| {
             binding.push(buf);
             binding.len() as u64 - 1
@@ -130,9 +138,49 @@ pub fn plan_parallel(
     })
 }
 
+/// A plan paired with the two bindings that place it on the graph about to
+/// replay: what [`PlanCache::lookup`] (a hit) and [`PlanCache::insert`] (a
+/// fresh plan) hand to
+/// [`GpuReplayExecutor::execute_bound`](super::GpuReplayExecutor::execute_bound).
+///
+/// The plan is shared with the cache and stays in the buffer ids of the
+/// graph it was planned from (`planned`); `current` is the first-occurrence
+/// binding of the graph being replayed. Position `i` of one corresponds to
+/// position `i` of the other.
+#[derive(Clone, Debug)]
+pub struct BoundPlan {
+    plan: Arc<ExecPlan>,
+    planned: Arc<[BufferId]>,
+    current: Arc<[BufferId]>,
+    hit: bool,
+}
+
+impl BoundPlan {
+    /// The shared plan, in the ids of [`Self::planned_binding`].
+    pub fn plan(&self) -> &ExecPlan {
+        &self.plan
+    }
+
+    /// First-occurrence binding of the graph the plan was planned from.
+    pub fn planned_binding(&self) -> &[BufferId] {
+        &self.planned
+    }
+
+    /// First-occurrence binding of the graph being replayed (the same
+    /// allocation as the planned one when the plan is fresh).
+    pub fn current_binding(&self) -> &[BufferId] {
+        &self.current
+    }
+
+    /// Whether the plan came out of the cache rather than a planning pass.
+    pub fn is_hit(&self) -> bool {
+        self.hit
+    }
+}
+
 struct CacheEntry {
     plan: Arc<ExecPlan>,
-    binding: Vec<BufferId>,
+    binding: Arc<[BufferId]>,
     last_used: u64,
     /// Entered the cache pre-planned (snapshot restore or an explicit
     /// warmup pass) rather than from live traffic — lets the serving
@@ -225,15 +273,20 @@ impl PlanCache {
         self.plan_us += us;
     }
 
-    /// Returns the cached plan for `fp`, rebound onto `binding`'s buffers,
-    /// or `None` (counting a miss) when the shape has not been planned.
-    pub fn lookup(&mut self, fp: u64, binding: &[BufferId]) -> Option<ExecPlan> {
+    /// Returns the cached plan for `fp` bound onto `binding`'s buffers, or
+    /// `None` (counting a miss) when the shape has not been planned.
+    pub fn lookup(&mut self, fp: u64, binding: &[BufferId]) -> Option<BoundPlan> {
         self.clock += 1;
         match self.entries.get_mut(&fp) {
             Some(e) if e.binding.len() == binding.len() => {
                 e.last_used = self.clock;
                 self.hits += 1;
-                Some(rebind(&e.plan, &e.binding, binding))
+                Some(BoundPlan {
+                    plan: Arc::clone(&e.plan),
+                    planned: Arc::clone(&e.binding),
+                    current: binding.into(),
+                    hit: true,
+                })
             }
             _ => {
                 self.misses += 1;
@@ -251,7 +304,10 @@ impl PlanCache {
     /// Churn therefore evicts among itself first; a warm entry only
     /// leaves once every resident entry is warm (plain LRU then, so the
     /// cache can still turn over fully).
-    pub fn insert(&mut self, fp: u64, plan: &ExecPlan, binding: Vec<BufferId>) {
+    ///
+    /// Returns the plan bound to the graph it was just planned from, ready
+    /// to replay (not a hit).
+    pub fn insert(&mut self, fp: u64, plan: ExecPlan, binding: Vec<BufferId>) -> BoundPlan {
         self.clock += 1;
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&fp) {
             // `last_used` values are unique (the clock ticks per call), so
@@ -267,15 +323,23 @@ impl PlanCache {
                 self.entries.remove(&victim);
             }
         }
+        let plan = Arc::new(plan);
+        let binding: Arc<[BufferId]> = binding.into();
         self.entries.insert(
             fp,
             CacheEntry {
-                plan: Arc::new(plan.clone()),
-                binding,
+                plan: Arc::clone(&plan),
+                binding: Arc::clone(&binding),
                 last_used: self.clock,
                 warm: false,
             },
         );
+        BoundPlan {
+            plan,
+            planned: Arc::clone(&binding),
+            current: binding,
+            hit: false,
+        }
     }
 
     /// Re-inserts a deserialized entry and marks it warm. Same LRU
@@ -287,7 +351,7 @@ impl PlanCache {
     /// burst of new shapes churns among itself instead of silently
     /// undoing the restore.
     pub fn restore_entry(&mut self, fp: u64, plan: ExecPlan, binding: Vec<BufferId>) {
-        self.insert(fp, &plan, binding);
+        self.insert(fp, plan, binding);
         self.mark_warm(fp);
     }
 
@@ -309,50 +373,14 @@ impl PlanCache {
     /// recently used first — the serialization order that lets a restore
     /// replay [`PlanCache::restore_entry`] calls and land in the same LRU
     /// state.
-    pub fn export_entries(&self) -> Vec<(u64, Arc<ExecPlan>, Vec<BufferId>)> {
+    pub fn export_entries(&self) -> Vec<(u64, Arc<ExecPlan>, Arc<[BufferId]>)> {
         let mut entries: Vec<(&u64, &CacheEntry)> = self.entries.iter().collect();
         entries.sort_by_key(|(_, e)| e.last_used);
         entries
             .into_iter()
-            .map(|(&fp, e)| (fp, Arc::clone(&e.plan), e.binding.clone()))
+            .map(|(&fp, e)| (fp, Arc::clone(&e.plan), Arc::clone(&e.binding)))
             .collect()
     }
-}
-
-/// Clones `plan` with every buffer reference translated from the cached
-/// graph's first-occurrence binding to the current graph's.
-fn rebind(plan: &Arc<ExecPlan>, old: &[BufferId], new: &[BufferId]) -> ExecPlan {
-    let mut out = (**plan).clone();
-    if old == new {
-        return out;
-    }
-    let map: HashMap<BufferId, BufferId> = old
-        .iter()
-        .zip(new)
-        .filter(|(a, b)| a != b)
-        .map(|(&a, &b)| (a, b))
-        .collect();
-    if map.is_empty() {
-        return out;
-    }
-    for step in &mut out.steps {
-        if let PlanStep::Launch { desc, .. } = step {
-            for (buf, _) in desc.reads.iter_mut().chain(desc.writes.iter_mut()) {
-                if let Some(&nb) = map.get(buf) {
-                    *buf = nb;
-                }
-            }
-        }
-    }
-    // The liveness slot binding is keyed by buffer id, so it must follow
-    // the same translation — a stale key could collide with a *different*
-    // current buffer and alias two live buffers onto one slot.
-    out.slots = out
-        .slots
-        .into_iter()
-        .map(|(buf, slot)| (*map.get(&buf).unwrap_or(&buf), slot))
-        .collect();
-    out
 }
 
 #[cfg(test)]
@@ -490,14 +518,14 @@ mod tests {
 
         let (fp1, b1) = fingerprint(&g, &n1);
         assert!(cache.lookup(fp1, &b1).is_none(), "cold N=1 miss");
-        cache.insert(fp1, &Planner::new(n1).plan(&g), b1.clone());
+        cache.insert(fp1, Planner::new(n1).plan(&g), b1.clone());
 
         let (fp2, b2) = fingerprint(&g, &n2);
         assert!(
             cache.lookup(fp2, &b2).is_none(),
             "N=2 must not reuse the N=1 plan"
         );
-        cache.insert(fp2, &Planner::new(n2).plan(&g), b2.clone());
+        cache.insert(fp2, Planner::new(n2).plan(&g), b2.clone());
 
         assert!(cache.lookup(fp1, &b1).is_some(), "re-run at N=1 hits");
         assert!(cache.lookup(fp2, &b2).is_some(), "re-run at N=2 hits");
@@ -518,36 +546,44 @@ mod tests {
 
     #[test]
     fn hit_rebinds_buffers_onto_current_graph() {
+        use crate::sched::GpuReplayExecutor;
+        use fides_gpu_sim::{DeviceSpec, ExecMode, GpuSim};
+
         let mut cache = PlanCache::new(4);
         let ga = graph(&[10, 11, 10]);
         let (fp, binding) = fingerprint(&ga, &cfg());
-        let plan = Planner::new(cfg()).plan(&ga);
-        cache.insert(fp, &plan, binding);
+        let fresh = cache.insert(fp, Planner::new(cfg()).plan(&ga), binding);
+        assert!(!fresh.is_hit());
+        assert_eq!(fresh.planned_binding(), fresh.current_binding());
 
         let gb = graph(&[77, 93, 77]);
         let (fp_b, binding_b) = fingerprint(&gb, &cfg());
         assert_eq!(fp, fp_b);
-        let rebound = cache.lookup(fp_b, &binding_b).expect("cache hit");
-        assert_eq!(rebound.launch_count(), plan.launch_count());
-        let touched: Vec<BufferId> = rebound
-            .steps()
-            .iter()
-            .filter_map(|s| match s {
-                PlanStep::Launch { desc, .. } => Some(desc.reads.iter().map(|&(b, _)| b)),
-                _ => None,
-            })
-            .flatten()
-            .collect();
+        let bound = cache.lookup(fp_b, &binding_b).expect("cache hit");
+        assert!(bound.is_hit());
         assert!(
-            touched.contains(&BufferId(77)),
-            "reads rebound: {touched:?}"
+            std::ptr::eq(bound.plan(), fresh.plan()),
+            "a hit shares the cached plan instead of copying it"
         );
-        assert!(
-            !touched.contains(&BufferId(10)),
-            "stale ids gone: {touched:?}"
-        );
+        assert_eq!(bound.planned_binding(), [BufferId(10), BufferId(11)]);
+        assert_eq!(bound.current_binding(), [BufferId(77), BufferId(93)]);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 0);
+
+        // Replaying the hit touches the *current* graph's buffers: 77 is
+        // L2-resident afterwards, the id the plan was recorded under is not.
+        let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        GpuReplayExecutor::new(&gpu).execute_bound(&bound);
+        assert_eq!(
+            gpu.stats().kernel_launches as usize,
+            bound.plan().launch_count()
+        );
+        gpu.reset_stats();
+        let probe = |b: u64| KernelDesc::new(KernelKind::Elementwise).read(BufferId(b), 4096);
+        gpu.launch(0, probe(77), || {});
+        assert_eq!(gpu.stats().l2_hit_bytes, 4096, "reads rebound onto 77");
+        gpu.launch(0, probe(10), || {});
+        assert_eq!(gpu.stats().l2_hit_bytes, 4096, "stale id 10 never touched");
     }
 
     #[test]
@@ -572,7 +608,7 @@ mod tests {
         ];
         for g in &burst {
             let (fp, binding) = fingerprint(g, &cfg());
-            cache.insert(fp, &Planner::new(cfg()).plan(g), binding);
+            cache.insert(fp, Planner::new(cfg()).plan(g), binding);
         }
         assert_eq!(cache.len(), 4, "still bounded");
         for g in &warm_shapes {
@@ -600,7 +636,7 @@ mod tests {
             cache.restore_entry(fp, Planner::new(cfg()).plan(g), binding);
         }
         let (fp2, b2) = fingerprint(&shapes[2], &cfg());
-        cache.insert(fp2, &Planner::new(cfg()).plan(&shapes[2]), b2.clone());
+        cache.insert(fp2, Planner::new(cfg()).plan(&shapes[2]), b2.clone());
         assert_eq!(cache.len(), 2);
         let (fp0, b0) = fingerprint(&shapes[0], &cfg());
         assert!(
@@ -652,7 +688,7 @@ mod tests {
             let (fp, binding) = fingerprint(g, &cfg());
             assert!(cache.lookup(fp, &binding).is_none());
             let plan = Planner::new(cfg()).plan(g);
-            cache.insert(fp, &plan, binding);
+            cache.insert(fp, plan, binding);
         }
         assert_eq!(cache.len(), 2, "bounded at capacity");
         // The first shape was LRU and got evicted; the last two are hits.

@@ -2,9 +2,10 @@
 
 use std::sync::Arc;
 
-use fides_gpu_sim::GpuSim;
+use fides_gpu_sim::{BufferId, BufferMap, GpuSim};
 
-use super::plan::{ExecPlan, PlanStep};
+use super::cache::BoundPlan;
+use super::plan::ExecPlan;
 
 /// An execution substrate for [`ExecPlan`]s.
 ///
@@ -20,20 +21,28 @@ pub trait PlanExecutor {
 /// Replays a plan onto the simulated device: each launch advances the
 /// timeline and ledger exactly as an eager launch would (bodies are empty —
 /// the functional math already ran while recording), and each fence applies
-/// the recorded cross-limb sync point.
+/// the recorded cross-limb sync point. The plan is only *read*: its steps go
+/// to [`GpuSim::replay`] by reference, under one acquisition of the device
+/// lock, and every buffer id is translated on the way through one
+/// per-region table.
 ///
-/// When the plan carries a liveness slot binding, launches
-/// present **slot-canonical** buffer ids to the device: every plan-created
-/// temporary bound to pool slot `s` is replayed as buffer
-/// `SLOT_ID_BASE | s`, so temporaries that time-share a slot alias the
-/// same lines in the device's L2 residency model — a later tenant of a
-/// slot inherits whatever residency its predecessor left behind, exactly
-/// as a stream-ordered allocator's physical reuse behaves. External
-/// buffers (first touch is a read — caller-owned ciphertext and key
-/// storage) are absent from the binding and keep their recorded ids, so
-/// residency they accumulated in earlier plan executions still hits.
-/// Liveness guarantees no two buffers touched by one launch share a slot,
-/// so the rewrite never self-aliases a launch.
+/// That table does two jobs:
+///
+/// * **Slot aliasing.** When the plan carries a liveness slot binding,
+///   every plan-created temporary bound to pool slot `s` is presented as
+///   buffer `SLOT_ID_BASE | s`, so temporaries that time-share a slot alias
+///   the same lines in the device's L2 residency model — a later tenant of
+///   a slot inherits whatever residency its predecessor left behind,
+///   exactly as a stream-ordered allocator's physical reuse behaves.
+///   Liveness guarantees no two buffers touched by one launch share a slot,
+///   so the rewrite never self-aliases a launch.
+/// * **Rebinding.** A cached plan names the buffers of the graph it was
+///   planned from. External buffers (first touch is a read — caller-owned
+///   ciphertext and key storage) are absent from the slot binding, so they
+///   map to the *current* graph's buffer at the same first-occurrence
+///   position ([`BoundPlan`]) and residency they accumulated in earlier
+///   plan executions still hits. A fresh plan, or one executed unbound
+///   through [`PlanExecutor::execute`], keeps its own ids.
 #[derive(Debug)]
 pub struct GpuReplayExecutor<'a> {
     gpu: &'a Arc<GpuSim>,
@@ -48,36 +57,41 @@ impl<'a> GpuReplayExecutor<'a> {
     pub fn new(gpu: &'a Arc<GpuSim>) -> Self {
         Self { gpu }
     }
+
+    /// Replays a plan-cache result — a hit or a freshly inserted plan — onto
+    /// the buffers of the graph it is bound to, and books the lookup's
+    /// outcome in the device's plan-cache ledger.
+    pub fn execute_bound(&self, bound: &BoundPlan) {
+        self.gpu.record_plan_cache(bound.is_hit());
+        self.replay(
+            bound.plan(),
+            bound.planned_binding(),
+            bound.current_binding(),
+        );
+    }
+
+    /// `from`/`to`: position-matched bindings (`from` in the plan's ids).
+    fn replay(&self, plan: &ExecPlan, from: &[BufferId], to: &[BufferId]) {
+        let mem = plan.mem();
+        self.gpu
+            .record_plan_memory(mem.peak_device_bytes, mem.allocations);
+        let mut map: BufferMap<BufferId> = plan
+            .slot_binding()
+            .iter()
+            .map(|(&buf, &slot)| (buf, BufferId(SLOT_ID_BASE | slot)))
+            .collect();
+        for (&old, &new) in from.iter().zip(to) {
+            if old != new {
+                map.entry(old).or_insert(new);
+            }
+        }
+        self.gpu.replay(plan.steps(), &map);
+    }
 }
 
 impl PlanExecutor for GpuReplayExecutor<'_> {
     fn execute(&self, plan: &ExecPlan) {
-        debug_assert!(
-            !self.gpu.capturing_on_current_thread(),
-            "replaying into this thread's open capture would re-record the plan"
-        );
-        let mem = plan.mem();
-        self.gpu
-            .record_plan_memory(mem.peak_device_bytes, mem.allocations);
-        let binding = plan.slot_binding();
-        for step in plan.steps() {
-            match step {
-                PlanStep::Launch { stream, desc } => {
-                    let mut desc = desc.clone();
-                    if !binding.is_empty() {
-                        for (buf, _) in desc.reads.iter_mut().chain(desc.writes.iter_mut()) {
-                            if let Some(&slot) = binding.get(buf) {
-                                *buf = fides_gpu_sim::BufferId(SLOT_ID_BASE | slot);
-                            }
-                        }
-                    }
-                    self.gpu.launch(*stream, desc, || {});
-                }
-                PlanStep::Fence { signals, waiters } => {
-                    self.gpu.fence(signals, waiters);
-                }
-            }
-        }
+        self.replay(plan, &[], &[]);
     }
 }
 

@@ -76,17 +76,23 @@
 //! config) keys a bounded-LRU [`PlanCache`] in
 //! [`CkksContext`](crate::CkksContext) and the serve layer's `Server`.
 //! Repeated `eval_scope` bodies and steady-state serve ticks hit the
-//! cache and replay a rebound copy of the cached [`ExecPlan`] with zero
-//! planning work; changing the graph shape, `FusionConfig`, or stream
-//! count misses. Hit/miss counters surface in
-//! [`SchedStats`], [`SimStats`](fides_gpu_sim::SimStats) and the serve
-//! layer's `ServeStats`. When several *independent* graphs miss at once
-//! (the serve layer's per-device batch shards), [`plan_parallel`] fans
-//! the planning passes out over a bounded rayon pool — `Planner::plan`
-//! is a pure function of `(config, graph)`, so the plans are identical
-//! to the sequential ones at every worker count, and each pass's wall
-//! microseconds come back for the owner's planning-latency ledger
-//! ([`PlanCache::note_plan_us`]).
+//! cache; changing the graph shape, `FusionConfig`, or stream count
+//! misses. A hit costs one pass over the cached plan and copies none of
+//! it: the cache keeps each [`ExecPlan`] behind an `Arc`, in the buffer
+//! ids of the graph it was planned from, and hands it out as a
+//! [`BoundPlan`] — the shared plan plus that graph's first-occurrence
+//! binding and the current graph's. Both owners run the same three steps
+//! per region: [`fingerprint`] → [`PlanCache::lookup`] (or
+//! [`Planner::plan`] + [`PlanCache::insert`], which returns the same
+//! type) → [`GpuReplayExecutor::execute_bound`]. Hit/miss counters
+//! surface in [`SchedStats`], [`SimStats`](fides_gpu_sim::SimStats) and
+//! the serve layer's `ServeStats`. When several *independent* graphs miss
+//! at once (the serve layer's per-device batch shards), [`plan_parallel`]
+//! fans the planning passes out over a bounded rayon pool —
+//! `Planner::plan` is a pure function of `(config, graph)`, so the plans
+//! are identical to the sequential ones at every worker count, and each
+//! pass's wall microseconds come back for the owner's planning-latency
+//! ledger ([`PlanCache::note_plan_us`]).
 //!
 //! **Memory planning.** A liveness pass (`mem.rs`) colors buffer lifetimes
 //! onto reusable pool slots (best-fit, stream-ordered-allocator style) and
@@ -96,12 +102,22 @@
 //! device-memory footprint a gated metric alongside launches and
 //! simulated time.
 //!
-//! **Execution.** [`PlanExecutor::execute`] replays the planned launches
-//! onto the device. The stock executor,
-//! [`GpuReplayExecutor`], drives the multi-stream gpu-sim timeline: per-
-//! stream occupancy is tracked by the simulator
+//! **Execution.** The stock executor, [`GpuReplayExecutor`], drives the
+//! multi-stream gpu-sim timeline. It builds one small table per region —
+//! every plan-created temporary to the slot-canonical id of its liveness
+//! slot, every other buffer of a cached plan to the current graph's buffer
+//! at the same binding position — and passes the plan's steps, borrowed,
+//! to [`GpuSim::replay`](fides_gpu_sim::GpuSim::replay), which translates
+//! ids on the way into the L2 model under a single acquisition of the
+//! device lock. Nothing is allocated per launch, so host time per replayed
+//! launch is the ledger arithmetic itself. Per-stream occupancy is tracked
+//! by the simulator
 //! ([`SimStats::stream_occupancy`](fides_gpu_sim::SimStats::stream_occupancy))
 //! and fences are applied only at the recorded cross-limb sync points.
+//! Replay refuses (panics) to run inside the calling thread's own open
+//! capture region, where it would re-record the plan instead of timing it.
+//! [`PlanExecutor::execute`] is the unbound form — a plan replayed in its
+//! own ids — used for distributed shards and by other substrates.
 //!
 //! **Distribution.** The same graph can be cut across a simulated
 //! multi-device topology instead of replaying on one device: [`partition`]
@@ -131,7 +147,7 @@ mod persist;
 mod plan;
 mod topo;
 
-pub use cache::{fingerprint, plan_parallel, PlanCache};
+pub use cache::{fingerprint, plan_parallel, BoundPlan, PlanCache};
 pub use exec::{GpuReplayExecutor, PlanExecutor};
 pub use graph::{ExecGraph, GraphOp, KernelNode};
 pub use mem::MemPlan;

@@ -9,10 +9,11 @@
 //! A serialized entry is `(fingerprint, plan, binding)` — exactly what
 //! [`PlanCache`](super::PlanCache) holds. Buffer ids in the plan are the
 //! *recording-time* ids; they are only meaningful relative to the stored
-//! binding, and [`PlanCache::lookup`](super::PlanCache::lookup) rebinds
-//! them onto the post-restore graph's fresh buffers through the
-//! first-occurrence correspondence. That is what makes a restored plan
-//! valid on a brand-new device context.
+//! binding, and a hit ([`PlanCache::lookup`](super::PlanCache::lookup))
+//! replays them onto the post-restore graph's fresh buffers through the
+//! first-occurrence correspondence — the cached plan itself is never
+//! rewritten. That is what makes a restored plan valid on a brand-new
+//! device context.
 //!
 //! Decoding mirrors the wire layer's hostile-input discipline: every
 //! length is bounds-checked before use, allocations are capped, kernel

@@ -25,7 +25,7 @@ pub struct PlanConfig {
     pub cost: super::CostModel,
     /// Devices the plan targets. `1` plans a single-device graph; larger
     /// values feed the partitioner and — crucially — the fingerprint, so a
-    /// cached plan never rebinds across a topology change.
+    /// cached plan never replays across a topology change.
     pub devices: usize,
 }
 
@@ -71,24 +71,12 @@ impl SchedStats {
     }
 }
 
-/// One planned step.
-#[derive(Clone, Debug)]
-pub enum PlanStep {
-    /// Launch `desc` on `stream`.
-    Launch {
-        /// Target device stream (below the plan's stream count).
-        stream: usize,
-        /// Possibly-fused descriptor.
-        desc: KernelDesc,
-    },
-    /// Apply an event fence.
-    Fence {
-        /// Streams waited upon.
-        signals: Vec<usize>,
-        /// Streams that wait.
-        waiters: Vec<usize>,
-    },
-}
+/// One planned step: a launch (`stream` below the plan's stream count,
+/// `desc` possibly fused) or an event fence. Plans speak the capture's own
+/// launch/fence vocabulary, so a plan's step list is exactly what
+/// [`GpuSim::replay`](fides_gpu_sim::GpuSim::replay) consumes — borrowed,
+/// never copied.
+pub type PlanStep = fides_gpu_sim::GraphEvent;
 
 /// The scheduled form of an [`ExecGraph`]: launches (possibly fused) plus
 /// fences, ready for a [`PlanExecutor`](super::PlanExecutor).

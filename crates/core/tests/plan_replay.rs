@@ -1,0 +1,286 @@
+//! A plan-cache hit must be indistinguishable, on the device, from planning
+//! the graph from scratch.
+//!
+//! A hit replays the *shared* cached plan — still in the buffer ids of the
+//! graph it was planned from — through one translation table
+//! (`old id → slot-canonical id | current id`). A miss replays a fresh plan
+//! in its own ids. These tests run the same sequence of structurally equal
+//! graphs down both paths on two fresh devices and require every ledger
+//! field and the simulated clock to agree to the bit.
+
+use fides_core::sched::{
+    fingerprint, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, PlanExecutor, Planner,
+};
+use fides_gpu_sim::{
+    BufferId, DeviceSpec, ExecMode, GpuSim, GraphEvent, KernelDesc, KernelKind, SimStats,
+};
+
+/// Buffers of one generation of the graph: two caller-owned ciphertext
+/// limbs and a key (external: first touch is a read) and three temporaries
+/// the graph creates (first touch is a write — the liveness pass binds
+/// them to pool slots).
+#[derive(Clone, Copy)]
+struct Ids {
+    x: u64,
+    y: u64,
+    key: u64,
+    t0: u64,
+    t1: u64,
+    t2: u64,
+}
+
+/// Successive generations shift ids *onto* ids the previous generation
+/// used for something else (`[5, 6, 7] → [6, 7, 9] → [7, 9, 12]`): a
+/// translation applied in place, pair by pair, would chain 5 → 6 → 7. The
+/// key keeps its id, so its L2 residency carries across graphs. Relative
+/// id order is the same in every generation, as it is for real allocations
+/// (ids only grow), so fresh planning colors slots identically.
+const GENERATIONS: [Ids; 3] = [
+    Ids {
+        x: 5,
+        y: 6,
+        key: 100,
+        t0: 7,
+        t1: 8,
+        t2: 9,
+    },
+    Ids {
+        x: 6,
+        y: 7,
+        key: 100,
+        t0: 9,
+        t1: 10,
+        t2: 12,
+    },
+    Ids {
+        x: 7,
+        y: 9,
+        key: 100,
+        t0: 12,
+        t1: 13,
+        t2: 14,
+    },
+];
+
+/// Sizes against a 72 MB L2. One generation touches 88 MB, so buffers are
+/// evicted mid-graph; the 8 MB temporaries are the most recently used lines
+/// when a graph ends, so whether the next generation's temporaries alias
+/// them (slot-canonical ids) or arrive as new lines decides what gets
+/// evicted next. Every hit/miss/write-back byte therefore depends on
+/// exactly which ids the replay presents, and in which order.
+const EXT: u64 = 24 << 20;
+const KEY: u64 = 16 << 20;
+const TMP: u64 = 8 << 20;
+
+fn graph(ids: Ids) -> ExecGraph {
+    let b = BufferId;
+    let launch = |stream: usize, desc: KernelDesc| GraphEvent::Launch { stream, desc };
+    let fence = || GraphEvent::Fence {
+        signals: vec![0, 1],
+        waiters: vec![0, 1],
+    };
+    ExecGraph::from_events(vec![
+        launch(
+            0,
+            KernelDesc::new(KernelKind::NttPhase1)
+                .read(b(ids.x), EXT)
+                .write(b(ids.t0), TMP)
+                .ops(4_000_000),
+        ),
+        launch(
+            1,
+            KernelDesc::new(KernelKind::NttPhase1)
+                .read(b(ids.y), EXT)
+                .write(b(ids.t1), TMP)
+                .ops(4_000_000),
+        ),
+        fence(),
+        // A fusible same-stream chain over the temporaries and the key.
+        launch(
+            0,
+            KernelDesc::new(KernelKind::Elementwise)
+                .read(b(ids.t0), TMP)
+                .read(b(ids.key), KEY)
+                .write(b(ids.t0), TMP)
+                .ops(1_000_000),
+        ),
+        launch(
+            0,
+            KernelDesc::new(KernelKind::Elementwise)
+                .read(b(ids.t0), TMP)
+                .read(b(ids.t1), TMP)
+                .write(b(ids.t2), TMP)
+                .ops(1_000_000),
+        ),
+        launch(
+            1,
+            KernelDesc::new(KernelKind::BaseConv)
+                .read(b(ids.t1), TMP)
+                .read(b(ids.key), KEY / 2)
+                .write(b(ids.t1), TMP)
+                .ops(9_000_000)
+                .access_efficiency(0.5),
+        ),
+        fence(),
+        // Results land back in the caller's buffers.
+        launch(
+            0,
+            KernelDesc::new(KernelKind::InttPhase2)
+                .read(b(ids.t2), TMP)
+                .write(b(ids.x), EXT)
+                .ops(4_000_000),
+        ),
+        launch(
+            1,
+            KernelDesc::new(KernelKind::SwitchModulus)
+                .read(b(ids.t1), TMP)
+                .write(b(ids.y), EXT)
+                .ops(500_000),
+        ),
+    ])
+}
+
+fn cfg() -> PlanConfig {
+    PlanConfig {
+        num_streams: 4,
+        ..PlanConfig::default()
+    }
+}
+
+fn device() -> std::sync::Arc<GpuSim> {
+    GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly)
+}
+
+/// Every ledger field except the plan-cache counters (the planned-from-
+/// scratch device runs no cache), floats compared by bit pattern.
+fn assert_same_ledger(hit: &SimStats, fresh: &SimStats, when: &str) {
+    assert_eq!(hit.kernel_launches, fresh.kernel_launches, "{when}");
+    assert_eq!(hit.dram_read_bytes, fresh.dram_read_bytes, "{when}");
+    assert_eq!(hit.l2_hit_bytes, fresh.l2_hit_bytes, "{when}");
+    assert_eq!(hit.write_bytes, fresh.write_bytes, "{when}");
+    assert_eq!(hit.int32_ops, fresh.int32_ops, "{when}");
+    assert_eq!(hit.h2d_bytes, fresh.h2d_bytes, "{when}");
+    assert_eq!(hit.d2h_bytes, fresh.d2h_bytes, "{when}");
+    assert_eq!(
+        hit.per_kind.keys().collect::<Vec<_>>(),
+        fresh.per_kind.keys().collect::<Vec<_>>(),
+        "{when}"
+    );
+    for (kind, a) in &hit.per_kind {
+        let b = &fresh.per_kind[kind];
+        assert_eq!(
+            (a.count, a.busy_us.to_bits(), a.bytes),
+            (b.count, b.busy_us.to_bits(), b.bytes),
+            "{when}: per_kind[{kind}]"
+        );
+    }
+    assert_eq!(hit.per_stream.len(), fresh.per_stream.len(), "{when}");
+    for (s, (a, b)) in hit.per_stream.iter().zip(&fresh.per_stream).enumerate() {
+        assert_eq!(
+            (a.launches, a.busy_us.to_bits()),
+            (b.launches, b.busy_us.to_bits()),
+            "{when}: per_stream[{s}]"
+        );
+    }
+    assert_eq!(
+        hit.makespan_us.to_bits(),
+        fresh.makespan_us.to_bits(),
+        "{when}"
+    );
+    assert_eq!(hit.current_alloc_bytes, fresh.current_alloc_bytes, "{when}");
+    assert_eq!(hit.peak_alloc_bytes, fresh.peak_alloc_bytes, "{when}");
+    assert_eq!(hit.peak_device_bytes, fresh.peak_device_bytes, "{when}");
+    assert_eq!(hit.allocations, fresh.allocations, "{when}");
+}
+
+#[test]
+fn cache_hit_replay_equals_fresh_plan_replay_on_shifted_buffers() {
+    let cached_dev = device();
+    let fresh_dev = device();
+    let mut cache = PlanCache::new(4);
+
+    for (generation, &ids) in GENERATIONS.iter().enumerate() {
+        let g = graph(ids);
+
+        // Path 1: fingerprint → cache → bound replay (miss, then hits).
+        let (fp, binding) = fingerprint(&g, &cfg());
+        let bound = match cache.lookup(fp, &binding) {
+            Some(bound) => bound,
+            None => cache.insert(fp, Planner::new(cfg()).plan(&g), binding),
+        };
+        assert_eq!(bound.is_hit(), generation > 0, "generation {generation}");
+        GpuReplayExecutor::new(&cached_dev).execute_bound(&bound);
+
+        // Path 2: plan this generation from scratch, replay it in its own ids.
+        let plan = Planner::new(cfg()).plan(&g);
+        if generation == 0 {
+            let slots = plan.slot_binding();
+            assert!(
+                [ids.t0, ids.t1, ids.t2]
+                    .iter()
+                    .all(|&t| slots.contains_key(&BufferId(t))),
+                "temporaries are slot-bound: {slots:?}"
+            );
+            assert!(
+                [ids.x, ids.y, ids.key]
+                    .iter()
+                    .all(|&e| !slots.contains_key(&BufferId(e))),
+                "external reads keep their ids: {slots:?}"
+            );
+            assert!(plan.stats().fused_kernels > 0, "the chain fused");
+        }
+        GpuReplayExecutor::new(&fresh_dev).execute(&plan);
+
+        let when = format!("after generation {generation}");
+        assert_same_ledger(&cached_dev.stats(), &fresh_dev.stats(), &when);
+        assert_eq!(
+            cached_dev.sync().to_bits(),
+            fresh_dev.sync().to_bits(),
+            "{when}: simulated clock"
+        );
+    }
+
+    assert_eq!((cache.hits(), cache.misses()), (2, 1));
+    let stats = cached_dev.stats();
+    assert_eq!((stats.plan_cache_hits, stats.plan_cache_misses), (2, 1));
+    assert!(
+        stats.l2_hit_bytes > 0 && stats.dram_read_bytes > stats.l2_hit_bytes / 8,
+        "the shape must exercise both hits and evictions to test anything: {stats:?}"
+    );
+}
+
+#[test]
+fn hit_leaves_the_cached_plan_in_its_original_ids() {
+    // Snapshots serialize cache entries as `(fingerprint, plan, binding)`;
+    // a hit on shifted buffers must not rewrite either.
+    let mut cache = PlanCache::new(4);
+    let g0 = graph(GENERATIONS[0]);
+    let (fp, binding0) = fingerprint(&g0, &cfg());
+    cache.insert(fp, Planner::new(cfg()).plan(&g0), binding0.clone());
+
+    let (fp1, binding1) = fingerprint(&graph(GENERATIONS[1]), &cfg());
+    assert_eq!(fp, fp1, "generations are structurally equal");
+    assert_ne!(binding0, binding1);
+    let bound = cache.lookup(fp1, &binding1).expect("hit");
+    GpuReplayExecutor::new(&device()).execute_bound(&bound);
+
+    let entries = cache.export_entries();
+    assert_eq!(entries.len(), 1);
+    let (_, plan, binding) = &entries[0];
+    assert_eq!(&binding[..], &binding0[..], "binding untouched by the hit");
+    let touched: std::collections::BTreeSet<u64> = plan
+        .steps()
+        .iter()
+        .filter_map(|s| match s {
+            GraphEvent::Launch { desc, .. } => Some(desc),
+            GraphEvent::Fence { .. } => None,
+        })
+        .flat_map(|d| d.reads.iter().chain(&d.writes))
+        .map(|&(b, _)| b.0)
+        .collect();
+    assert_eq!(
+        touched.into_iter().collect::<Vec<_>>(),
+        vec![5, 6, 7, 8, 9, 100],
+        "plan still names generation 0's buffers"
+    );
+}

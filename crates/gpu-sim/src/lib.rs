@@ -51,7 +51,7 @@ pub use kernel::{
     KernelDesc, KernelKind, ADD_OPS, BARRETT_MULMOD_OPS, BUTTERFLY_OPS, LOW_MUL_OPS, MODADD_OPS,
     SHOUP_MULMOD_OPS, WIDE_MUL_OPS,
 };
-pub use mem::BufferId;
+pub use mem::{BufferId, BufferIdHasher, BufferMap};
 pub use timeline::{KindStats, SimStats, StreamStats};
 
 use mem::PoolState;
@@ -72,7 +72,8 @@ pub enum ExecMode {
 /// active (see [`GpuSim::begin_capture`]).
 ///
 /// Captured launches carry the exact descriptor and stream eager execution
-/// would have used; a scheduling layer may fuse, re-stream and replay them.
+/// would have used; a scheduling layer may fuse and re-stream them, and hands
+/// the result back in the same vocabulary to [`GpuSim::replay`].
 #[derive(Clone, Debug)]
 pub enum GraphEvent {
     /// A kernel launch deferred from the timeline.
@@ -112,6 +113,14 @@ struct SimState {
     /// the pre-graph behaviour), so concurrent sessions sharing one device
     /// can never corrupt each other's graphs.
     capture_owner: Option<std::thread::ThreadId>,
+}
+
+impl SimState {
+    /// True while the calling thread owns an open capture region. The
+    /// thread id is only read when some capture is open.
+    fn captured_by_current_thread(&self) -> bool {
+        self.capture_depth > 0 && self.capture_owner == Some(std::thread::current().id())
+    }
 }
 
 impl GpuSim {
@@ -156,7 +165,7 @@ impl GpuSim {
     pub fn launch<F: FnOnce()>(&self, stream: usize, desc: KernelDesc, body: F) {
         {
             let mut st = self.state.lock();
-            if st.capture_depth > 0 && st.capture_owner == Some(std::thread::current().id()) {
+            if st.captured_by_current_thread() {
                 st.capture.push(GraphEvent::Launch { stream, desc });
             } else {
                 st.timeline.launch(stream, &desc);
@@ -177,7 +186,7 @@ impl GpuSim {
     ) -> Option<T> {
         {
             let mut st = self.state.lock();
-            if st.capture_depth > 0 && st.capture_owner == Some(std::thread::current().id()) {
+            if st.captured_by_current_thread() {
                 st.capture.push(GraphEvent::Launch { stream, desc });
             } else {
                 st.timeline.launch(stream, &desc);
@@ -187,6 +196,40 @@ impl GpuSim {
             Some(body())
         } else {
             None
+        }
+    }
+
+    /// Replays a planned step list onto the timeline: every
+    /// [`GraphEvent::Launch`] advances the clocks and the ledger exactly as
+    /// [`Self::launch`] with an empty body would, every
+    /// [`GraphEvent::Fence`] as [`Self::fence`] would — under **one**
+    /// acquisition of the device lock, from borrowed descriptors.
+    ///
+    /// Each buffer a launch touches is presented to the L2 model as
+    /// `map[buffer]` (buffers absent from `map` keep their id), which is
+    /// how a cached plan recorded against one generation of allocations
+    /// replays onto the next without being copied and rewritten.
+    ///
+    /// # Panics
+    ///
+    /// If the calling thread owns an open capture region. Replay times work
+    /// that was already recorded; feeding it back into a capture would
+    /// record the plan a second time instead of timing it, so the caller
+    /// must close its region ([`Self::end_capture`]) first.
+    pub fn replay(&self, steps: &[GraphEvent], map: &BufferMap<BufferId>) {
+        let mut st = self.state.lock();
+        assert!(
+            !st.captured_by_current_thread(),
+            "GpuSim::replay inside the calling thread's open capture region"
+        );
+        for step in steps {
+            match step {
+                GraphEvent::Launch { stream, desc } => {
+                    st.timeline
+                        .launch_mapped(*stream, desc, |buf| *map.get(&buf).unwrap_or(&buf));
+                }
+                GraphEvent::Fence { signals, waiters } => st.timeline.fence(signals, waiters),
+            }
         }
     }
 
@@ -219,7 +262,7 @@ impl GpuSim {
     /// untouched — replaying the events (fused or not) is the caller's job.
     pub fn end_capture(&self) -> Vec<GraphEvent> {
         let mut st = self.state.lock();
-        if st.capture_depth == 0 || st.capture_owner != Some(std::thread::current().id()) {
+        if !st.captured_by_current_thread() {
             return Vec::new();
         }
         st.capture_depth -= 1;
@@ -238,8 +281,7 @@ impl GpuSim {
 
     /// True while the **calling thread** owns an open capture region.
     pub fn capturing_on_current_thread(&self) -> bool {
-        let st = self.state.lock();
-        st.capture_depth > 0 && st.capture_owner == Some(std::thread::current().id())
+        self.state.lock().captured_by_current_thread()
     }
 
     /// Records a host→device transfer of `bytes`.
@@ -264,7 +306,7 @@ impl GpuSim {
     /// `signals`. Recorded instead of applied while a capture is active.
     pub fn fence(&self, signals: &[usize], waiters: &[usize]) {
         let mut st = self.state.lock();
-        if st.capture_depth > 0 && st.capture_owner == Some(std::thread::current().id()) {
+        if st.captured_by_current_thread() {
             st.capture.push(GraphEvent::Fence {
                 signals: signals.to_vec(),
                 waiters: waiters.to_vec(),
@@ -632,6 +674,95 @@ mod tests {
             }
         }
         assert_eq!(gpu.stats().kernel_launches, 1);
+    }
+
+    fn replay_steps() -> Vec<GraphEvent> {
+        let mb = 1u64 << 20;
+        vec![
+            GraphEvent::Launch {
+                stream: 0,
+                desc: KernelDesc::new(KernelKind::NttPhase1)
+                    .read(BufferId(1), mb)
+                    .write(BufferId(2), mb)
+                    .ops(1000),
+            },
+            GraphEvent::Fence {
+                signals: vec![0],
+                waiters: vec![1],
+            },
+            GraphEvent::Launch {
+                stream: 1,
+                desc: KernelDesc::new(KernelKind::Elementwise)
+                    .read(BufferId(2), mb)
+                    .read(BufferId(3), mb)
+                    .write(BufferId(1), mb)
+                    .ops(500),
+            },
+        ]
+    }
+
+    #[test]
+    fn replay_equals_launching_the_translated_steps_one_by_one() {
+        let steps = replay_steps();
+        // 2 → 7 and 3 → 1 (aliasing an id the plan also uses untranslated);
+        // 1 is absent from the map and keeps its id.
+        let mut map = BufferMap::default();
+        map.insert(BufferId(2), BufferId(7));
+        map.insert(BufferId(3), BufferId(1));
+
+        let replayed = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        replayed.replay(&steps, &map);
+
+        let eager = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        for step in &steps {
+            match step {
+                GraphEvent::Launch { stream, desc } => {
+                    let mut desc = desc.clone();
+                    for (buf, _) in desc.reads.iter_mut().chain(desc.writes.iter_mut()) {
+                        *buf = *map.get(buf).unwrap_or(buf);
+                    }
+                    eager.launch(*stream, desc, || {});
+                }
+                GraphEvent::Fence { signals, waiters } => eager.fence(signals, waiters),
+            }
+        }
+
+        let (a, b) = (replayed.stats(), eager.stats());
+        assert_eq!(a.kernel_launches, 2);
+        assert_eq!(
+            a.l2_hit_bytes,
+            2 << 20,
+            "launch two hits twice: 7 was just written, and 3 → 1 is what launch one read"
+        );
+        assert_eq!(a.l2_hit_bytes, b.l2_hit_bytes);
+        assert_eq!(a.dram_read_bytes, b.dram_read_bytes);
+        assert_eq!(a.per_kind, b.per_kind);
+        assert_eq!(a.per_stream, b.per_stream);
+        assert_eq!(replayed.sync().to_bits(), eager.sync().to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "open capture region")]
+    fn replay_refuses_the_calling_threads_open_capture() {
+        // Replaying into one's own capture would re-record the plan instead
+        // of timing it — in release builds too, not only under debug
+        // assertions.
+        let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        assert!(gpu.begin_capture());
+        gpu.replay(&replay_steps(), &BufferMap::default());
+    }
+
+    #[test]
+    fn replay_ignores_another_threads_capture() {
+        // Capture is per-thread: a foreign region neither blocks replay nor
+        // swallows its launches.
+        let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        assert!(gpu.begin_capture());
+        std::thread::scope(|s| {
+            s.spawn(|| gpu.replay(&replay_steps(), &BufferMap::default()));
+        });
+        assert_eq!(gpu.stats().kernel_launches, 2);
+        assert!(gpu.end_capture().is_empty(), "nothing was recorded");
     }
 
     #[test]

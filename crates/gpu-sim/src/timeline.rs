@@ -17,15 +17,22 @@
 //!
 //! L2 residency is a byte-accurate LRU over [`BufferId`]s: a read hits iff
 //! the buffer was touched recently enough that it has not been evicted, which
-//! is what produces the working-set knees of Figs. 4, 5 and 7.
+//! is what produces the working-set knees of Figs. 4, 5 and 7. The model is
+//! write-back: a touch that overflows the capacity evicts from the cold end
+//! and charges the evicted *dirty* bytes to DRAM. Recency lives in an
+//! intrusive doubly-linked list over a slab, indexed by an integer-hashed
+//! [`BufferMap`], so a touch is O(1) and — like the rest of
+//! [`Timeline::launch`] — allocates nothing in steady state: a paper-scale
+//! bootstrap is ~1.25 M touches per replayed op. The tests keep the older
+//! ordered-map formulation as a reference and compare the two step by step.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceSpec;
 use crate::kernel::{KernelDesc, KernelKind};
-use crate::mem::BufferId;
+use crate::mem::{BufferId, BufferMap};
 
 /// Aggregated statistics for one kernel kind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -125,75 +132,152 @@ impl SimStats {
     }
 }
 
+/// Sentinel slab index: "no node".
+const NIL: u32 = u32::MAX;
+
+/// One resident buffer: a node of the recency list, stored in the slab.
 #[derive(Debug)]
-struct Resident {
+struct Node {
+    buf: BufferId,
     bytes: u64,
-    seq: u64,
     dirty: bool,
+    /// Neighbour towards the LRU end (`NIL` at the head).
+    prev: u32,
+    /// Neighbour towards the MRU end (`NIL` at the tail); doubles as the
+    /// free-list link while the node is vacant.
+    next: u32,
 }
 
 /// L2 residency model: an exact LRU over buffers by byte size.
-#[derive(Debug, Default)]
+///
+/// Recency is an intrusive doubly-linked list threaded through a slab of
+/// nodes (`head` = least recently used, `tail` = most), with an index from
+/// buffer to slab position: a touch is one hash probe plus a constant number
+/// of link updates, and allocates nothing once the slab has grown to the
+/// peak resident count.
+#[derive(Debug)]
 pub(crate) struct L2Model {
     capacity: u64,
-    resident: HashMap<BufferId, Resident>,
-    lru: BTreeMap<u64, BufferId>,
+    index: BufferMap<u32>,
+    nodes: Vec<Node>,
+    head: u32,
+    tail: u32,
+    /// Head of the vacant-node list (linked through `Node::next`).
+    free: u32,
     total: u64,
-    next_seq: u64,
 }
 
 impl L2Model {
     pub(crate) fn new(capacity: u64) -> Self {
         Self {
             capacity,
-            ..Default::default()
+            index: BufferMap::default(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+            total: 0,
         }
     }
 
-    /// Returns `(hit, writebacks)`: whether `buf` was resident, and the
+    fn unlink(&mut self, i: u32) {
+        let (prev, next) = {
+            let n = &self.nodes[i as usize];
+            (n.prev, n.next)
+        };
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    fn push_mru(&mut self, i: u32) {
+        let old_tail = self.tail;
+        let n = &mut self.nodes[i as usize];
+        n.prev = old_tail;
+        n.next = NIL;
+        match old_tail {
+            NIL => self.head = i,
+            t => self.nodes[t as usize].next = i,
+        }
+        self.tail = i;
+    }
+
+    /// Removes node `i` from the list, the index and the byte total, and
+    /// puts it on the free list. Returns `(bytes, dirty)`.
+    fn remove(&mut self, i: u32) -> (u64, bool) {
+        self.unlink(i);
+        let free = self.free;
+        let n = &mut self.nodes[i as usize];
+        n.next = free;
+        self.free = i;
+        let (buf, bytes, dirty) = (n.buf, n.bytes, n.dirty);
+        self.index.remove(&buf);
+        self.total -= bytes;
+        (bytes, dirty)
+    }
+
+    /// Returns `(hit, writeback_bytes)`: whether `buf` was resident, and the
     /// dirty bytes of every buffer evicted to make room (write-back model).
     /// Marks the buffer dirty when `write` is set.
-    fn touch(&mut self, buf: BufferId, bytes: u64, write: bool) -> (bool, Vec<u64>) {
-        let (hit, was_dirty) = if let Some(r) = self.resident.get_mut(&buf) {
-            self.lru.remove(&r.seq);
-            self.total -= r.bytes;
-            (true, r.dirty)
-        } else {
-            (false, false)
-        };
+    fn touch(&mut self, buf: BufferId, bytes: u64, write: bool) -> (bool, u64) {
         let bytes = bytes.min(self.capacity);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.resident.insert(
-            buf,
-            Resident {
-                bytes,
-                seq,
-                dirty: write || (hit && was_dirty),
-            },
-        );
-        self.lru.insert(seq, buf);
+        let (hit, i) = match self.index.get(&buf) {
+            Some(&i) => {
+                self.unlink(i);
+                let n = &mut self.nodes[i as usize];
+                self.total -= n.bytes;
+                n.bytes = bytes;
+                n.dirty |= write;
+                (true, i)
+            }
+            None => {
+                let node = Node {
+                    buf,
+                    bytes,
+                    dirty: write,
+                    prev: NIL,
+                    next: NIL,
+                };
+                let i = match self.free {
+                    NIL => {
+                        assert!(self.nodes.len() < NIL as usize, "L2 slab index overflow");
+                        self.nodes.push(node);
+                        (self.nodes.len() - 1) as u32
+                    }
+                    i => {
+                        self.free = self.nodes[i as usize].next;
+                        self.nodes[i as usize] = node;
+                        i
+                    }
+                };
+                self.index.insert(buf, i);
+                (false, i)
+            }
+        };
+        self.push_mru(i);
         self.total += bytes;
-        let mut writebacks = Vec::new();
+        let mut writeback_bytes = 0u64;
         while self.total > self.capacity {
-            let (&victim_seq, &victim) = self.lru.iter().next().expect("lru non-empty");
-            if victim == buf {
+            let victim = self.head;
+            if victim == i {
                 break; // never evict the buffer being touched
             }
-            self.lru.remove(&victim_seq);
-            let r = self.resident.remove(&victim).expect("resident entry");
-            self.total -= r.bytes;
-            if r.dirty {
-                writebacks.push(r.bytes);
+            let (evicted, dirty) = self.remove(victim);
+            if dirty {
+                writeback_bytes += evicted;
             }
         }
-        (hit, writebacks)
+        (hit, writeback_bytes)
     }
 
     fn evict(&mut self, buf: BufferId) {
-        if let Some(r) = self.resident.remove(&buf) {
-            self.lru.remove(&r.seq);
-            self.total -= r.bytes;
+        if let Some(&i) = self.index.get(&buf) {
+            self.remove(i);
         }
     }
 }
@@ -245,9 +329,25 @@ impl Timeline {
 
     /// Models one kernel launch; returns its completion time (µs).
     pub(crate) fn launch(&mut self, stream: usize, desc: &KernelDesc) -> f64 {
-        let spec = self.spec.clone();
+        self.launch_mapped(stream, desc, |buf| buf)
+    }
+
+    /// [`Self::launch`] with every buffer the descriptor touches presented
+    /// to the L2 model as `map(buffer)` — how a cached plan replays onto the
+    /// current graph's buffers without a rewritten copy of its descriptors.
+    pub(crate) fn launch_mapped(
+        &mut self,
+        stream: usize,
+        desc: &KernelDesc,
+        map: impl Fn(BufferId) -> BufferId,
+    ) -> f64 {
+        let kernel_launch_us = self.spec.kernel_launch_us;
+        let min_kernel_us = self.spec.min_kernel_us;
+        let dram_bytes_per_us = self.spec.dram_bytes_per_us();
+        let l2_bytes_per_us = self.spec.l2_bytes_per_us();
+        let int32_ops_per_us = self.spec.effective_int32_ops_per_us();
         // Host-side submission cost.
-        self.cpu_clock += spec.kernel_launch_us;
+        self.cpu_clock += kernel_launch_us;
         let start = self.stream_slot(stream).max(self.cpu_clock);
 
         // Classify read/write traffic through the write-back L2 model.
@@ -255,27 +355,27 @@ impl Timeline {
         let mut miss_bytes = 0u64;
         let mut writeback_bytes = 0u64;
         for &(buf, bytes) in &desc.reads {
-            let (hit, wb) = self.l2.touch(buf, bytes, false);
+            let (hit, wb) = self.l2.touch(map(buf), bytes, false);
             if hit {
                 hit_bytes += bytes;
             } else {
                 miss_bytes += bytes;
             }
-            writeback_bytes += wb.iter().sum::<u64>();
+            writeback_bytes += wb;
         }
         let mut write_bytes = 0u64;
         for &(buf, bytes) in &desc.writes {
-            let (_, wb) = self.l2.touch(buf, bytes, true);
+            let (_, wb) = self.l2.touch(map(buf), bytes, true);
             write_bytes += bytes;
-            writeback_bytes += wb.iter().sum::<u64>();
+            writeback_bytes += wb;
         }
 
         let eff = desc.access_efficiency;
         // Write-back model: writes land in L2; DRAM sees misses plus dirty
         // evictions.
-        let dram_time = (miss_bytes + writeback_bytes) as f64 / (spec.dram_bytes_per_us() * eff);
-        let l2_time = (hit_bytes + write_bytes) as f64 / (spec.l2_bytes_per_us() * eff);
-        let compute_time = desc.int32_ops as f64 / spec.effective_int32_ops_per_us();
+        let dram_time = (miss_bytes + writeback_bytes) as f64 / (dram_bytes_per_us * eff);
+        let l2_time = (hit_bytes + write_bytes) as f64 / (l2_bytes_per_us * eff);
+        let compute_time = desc.int32_ops as f64 / int32_ops_per_us;
 
         let dram_at = self.dram_free.max(start);
         let dram_end = dram_at + dram_time;
@@ -287,7 +387,7 @@ impl Timeline {
         let comp_end = comp_at + compute_time;
         self.compute_free = comp_end;
 
-        let end = (start + spec.min_kernel_us)
+        let end = (start + min_kernel_us)
             .max(dram_end)
             .max(l2_end)
             .max(comp_end);
@@ -296,11 +396,7 @@ impl Timeline {
         // with on an uncontended device. `end − start` additionally
         // contains queueing behind *other* streams' resource traffic,
         // which is idle time for this stream, not busy time.
-        let service = spec
-            .min_kernel_us
-            .max(dram_time)
-            .max(l2_time)
-            .max(compute_time);
+        let service = min_kernel_us.max(dram_time).max(l2_time).max(compute_time);
 
         // Ledger.
         self.stats.kernel_launches += 1;
@@ -309,10 +405,21 @@ impl Timeline {
         self.stats.write_bytes += write_bytes;
         self.stats.int32_ops += desc.int32_ops;
         let label = desc.kind.unwrap_or(KernelKind::Elementwise).label();
-        let entry = self.stats.per_kind.entry(label.to_string()).or_default();
-        entry.count += 1;
-        entry.busy_us += service;
-        entry.bytes += miss_bytes + hit_bytes + write_bytes;
+        let kind_bytes = miss_bytes + hit_bytes + write_bytes;
+        if let Some(entry) = self.stats.per_kind.get_mut(label) {
+            entry.count += 1;
+            entry.busy_us += service;
+            entry.bytes += kind_bytes;
+        } else {
+            // First launch of this kind in the window: the only allocation
+            // on the launch path.
+            let first = KindStats {
+                count: 1,
+                busy_us: service,
+                bytes: kind_bytes,
+            };
+            self.stats.per_kind.insert(label.to_string(), first);
+        }
         if stream >= self.stats.per_stream.len() {
             self.stats
                 .per_stream
@@ -416,10 +523,201 @@ impl Timeline {
     }
 }
 
+/// The ordered-map LRU the slab model replaced, kept as the reference the
+/// differential test holds [`L2Model`] to: recency is a sequence number per
+/// resident buffer, the victim is the smallest one.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, HashMap};
+
+    use crate::mem::BufferId;
+
+    struct Resident {
+        bytes: u64,
+        seq: u64,
+        dirty: bool,
+    }
+
+    pub(super) struct SeqLru {
+        capacity: u64,
+        resident: HashMap<BufferId, Resident>,
+        lru: BTreeMap<u64, BufferId>,
+        pub(super) total: u64,
+        next_seq: u64,
+    }
+
+    impl SeqLru {
+        pub(super) fn new(capacity: u64) -> Self {
+            Self {
+                capacity,
+                resident: HashMap::new(),
+                lru: BTreeMap::new(),
+                total: 0,
+                next_seq: 0,
+            }
+        }
+
+        pub(super) fn touch(&mut self, buf: BufferId, bytes: u64, write: bool) -> (bool, u64) {
+            let (hit, was_dirty) = if let Some(r) = self.resident.get_mut(&buf) {
+                self.lru.remove(&r.seq);
+                self.total -= r.bytes;
+                (true, r.dirty)
+            } else {
+                (false, false)
+            };
+            let bytes = bytes.min(self.capacity);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.resident.insert(
+                buf,
+                Resident {
+                    bytes,
+                    seq,
+                    dirty: write || (hit && was_dirty),
+                },
+            );
+            self.lru.insert(seq, buf);
+            self.total += bytes;
+            let mut writeback_bytes = 0;
+            while self.total > self.capacity {
+                let (&victim_seq, &victim) = self.lru.iter().next().expect("lru non-empty");
+                if victim == buf {
+                    break; // never evict the buffer being touched
+                }
+                self.lru.remove(&victim_seq);
+                let r = self.resident.remove(&victim).expect("resident entry");
+                self.total -= r.bytes;
+                if r.dirty {
+                    writeback_bytes += r.bytes;
+                }
+            }
+            (hit, writeback_bytes)
+        }
+
+        pub(super) fn evict(&mut self, buf: BufferId) {
+            if let Some(r) = self.resident.remove(&buf) {
+                self.lru.remove(&r.seq);
+                self.total -= r.bytes;
+            }
+        }
+
+        /// Resident `(buffer, bytes, dirty)` from least to most recent.
+        pub(super) fn residents(&self) -> Vec<(BufferId, u64, bool)> {
+            self.lru
+                .values()
+                .map(|b| (*b, self.resident[b].bytes, self.resident[b].dirty))
+                .collect()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::KernelKind;
+    use proptest::prelude::*;
+
+    impl L2Model {
+        /// Resident `(buffer, bytes, dirty)` from least to most recent.
+        fn residents(&self) -> Vec<(BufferId, u64, bool)> {
+            let mut out = Vec::new();
+            let mut i = self.head;
+            while i != NIL {
+                let n = &self.nodes[i as usize];
+                out.push((n.buf, n.bytes, n.dirty));
+                i = n.next;
+            }
+            assert_eq!(out.len(), self.index.len(), "list and index agree");
+            out
+        }
+    }
+
+    /// Drives the slab LRU and the reference through one op stream; every
+    /// touch must classify identically and both must end in the same state.
+    /// An op is `(selector, buffer, bytes)`: selector 0 evicts, 1 reads,
+    /// 2 writes.
+    fn assert_same_lru(capacity: u64, ops: &[(u8, u64, u64)]) {
+        let mut fast = L2Model::new(capacity);
+        let mut slow = reference::SeqLru::new(capacity);
+        for (step, &(sel, buf, bytes)) in ops.iter().enumerate() {
+            let buf = BufferId(buf);
+            if sel == 0 {
+                fast.evict(buf);
+                slow.evict(buf);
+            } else {
+                let write = sel == 2;
+                assert_eq!(
+                    fast.touch(buf, bytes, write),
+                    slow.touch(buf, bytes, write),
+                    "step {step}: touch({buf:?}, {bytes}, write={write}) at capacity {capacity}"
+                );
+            }
+            assert_eq!(fast.total, slow.total, "step {step}: resident bytes");
+        }
+        assert_eq!(fast.residents(), slow.residents(), "recency order");
+        assert!(
+            fast.nodes.len() <= ops.len().min(8),
+            "vacated slab nodes are reused"
+        );
+    }
+
+    #[test]
+    fn slab_lru_matches_reference_on_corner_sequences() {
+        // bytes > capacity, then the sole resident touched again and again.
+        assert_same_lru(10, &[(1, 0, 100), (2, 0, 100), (1, 0, 3), (1, 0, 100)]);
+        // Evict-then-retouch (a miss again), dirty state forgotten.
+        assert_same_lru(100, &[(2, 1, 60), (0, 1, 0), (1, 1, 60), (1, 2, 60)]);
+        // Evicting an absent buffer and the head/tail/middle of the list.
+        assert_same_lru(
+            100,
+            &[
+                (0, 9, 0),
+                (1, 1, 10),
+                (1, 2, 10),
+                (1, 3, 10),
+                (0, 2, 0),
+                (0, 1, 0),
+                (0, 3, 0),
+                (2, 4, 10),
+            ],
+        );
+        // A growing re-touch evicts everything else, dirty bytes written back.
+        assert_same_lru(100, &[(2, 1, 40), (2, 2, 40), (1, 3, 10), (1, 3, 100)]);
+        // Zero-byte residents ride along until the cold end reaches them.
+        assert_same_lru(50, &[(1, 1, 0), (2, 2, 50), (1, 3, 0), (1, 4, 30)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn slab_lru_matches_reference(
+            capacity in 1u64..200,
+            seed in any::<u64>(),
+            len in 1usize..400,
+        ) {
+            // A small id space so sequences revisit, evict and refill; sizes
+            // from 0 to past the capacity.
+            let mut rng = seed | 1;
+            let mut next = || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let ops: Vec<(u8, u64, u64)> = (0..len)
+                .map(|_| {
+                    let sel = match next() % 8 {
+                        0 => 0,
+                        1..=4 => 1,
+                        _ => 2,
+                    };
+                    (sel, next() % 8, next() % (capacity + capacity / 2 + 2))
+                })
+                .collect();
+            assert_same_lru(capacity, &ops);
+        }
+    }
 
     fn tl() -> Timeline {
         Timeline::new(DeviceSpec::rtx_4090())
@@ -559,10 +857,10 @@ mod tests {
         l2.touch(BufferId(1), 60, true); // dirty
         l2.touch(BufferId(2), 60, false); // evicts 1
         let (_, wb) = l2.touch(BufferId(3), 60, false); // evicts 2 (clean)
-        assert!(wb.is_empty(), "clean eviction has no write-back");
+        assert_eq!(wb, 0, "clean eviction has no write-back");
         let mut l2 = L2Model::new(100);
         l2.touch(BufferId(1), 60, true);
         let (_, wb) = l2.touch(BufferId(2), 60, false);
-        assert_eq!(wb, vec![60], "dirty eviction writes back");
+        assert_eq!(wb, 60, "dirty eviction writes back");
     }
 }

@@ -14,8 +14,8 @@ use fides_client::wire::{
 use fides_client::{Domain, RawCiphertext, RawParams, RawPoly};
 use fides_core::backend::{BackendPt, EvalBackend};
 use fides_core::sched::{
-    decode_plan_entry, encode_plan_entry, fingerprint, plan_parallel, CostModel, ExecGraph,
-    ExecPlan, GpuReplayExecutor, PlanCache, PlanConfig, PlanExecutor,
+    decode_plan_entry, encode_plan_entry, fingerprint, plan_parallel, BoundPlan, CostModel,
+    ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig,
 };
 use fides_core::{adapter, CkksContext, CkksParameters, CpuBackend, GpuSimBackend};
 use fides_gpu_sim::{
@@ -162,13 +162,11 @@ struct Pending {
     slot: Arc<Slot>,
 }
 
-/// One device shard's planned replay work for a prepared tick.
+/// One device shard's planned replay work for a prepared tick: the plan
+/// (shared with the plan cache) bound to this tick's buffers.
 struct ShardExec {
     device: usize,
-    plan: ExecPlan,
-    /// Whether the plan came out of the cache (feeds the device's
-    /// plan-cache ledger at replay time).
-    hit: bool,
+    bound: BoundPlan,
 }
 
 /// A tick that has finished its admission phase: requests drained and
@@ -1065,7 +1063,8 @@ impl Server {
 
         // Plan the shard graphs. Steady-state ticks repeat the same graph
         // *shapes* with fresh buffers: the structural fingerprint finds
-        // the cached plan and rebinding replaces planning entirely.
+        // the cached plan, and binding it to this tick's buffers replaces
+        // planning entirely.
         let plan_t0 = Instant::now();
         let mut execs: Vec<Option<ShardExec>> = graphs.iter().map(|_| None).collect();
         struct Miss {
@@ -1084,15 +1083,14 @@ impl Server {
                 let (fp, binding) = fingerprint(&sg.graph, &self.inner.plan_cfg);
                 let warm = cache.is_warm(fp);
                 match cache.lookup(fp, &binding) {
-                    Some(plan) => {
+                    Some(bound) => {
                         hits += 1;
                         if warm {
                             warm_hits += 1;
                         }
                         execs[slot] = Some(ShardExec {
                             device: sg.device,
-                            plan,
-                            hit: true,
+                            bound,
                         });
                     }
                     None => misses.push(Miss { slot, fp, binding }),
@@ -1107,7 +1105,7 @@ impl Server {
             let planned = plan_parallel(&self.inner.plan_cfg, &miss_graphs, 0);
             let mut cache = self.inner.plan_cache.lock();
             for (m, (plan, us)) in misses.into_iter().zip(planned) {
-                cache.insert(m.fp, &plan, m.binding);
+                let bound = cache.insert(m.fp, plan, m.binding);
                 if synthetic {
                     cache.mark_warm(m.fp);
                 }
@@ -1115,8 +1113,7 @@ impl Server {
                 per_device_plan.push((graphs[m.slot].device, us));
                 execs[m.slot] = Some(ShardExec {
                     device: graphs[m.slot].device,
-                    plan,
-                    hit: false,
+                    bound,
                 });
             }
         }
@@ -1139,13 +1136,14 @@ impl Server {
                 stats.per_device_plan_us[device] += us;
             }
             for exec in &execs {
-                stats.recorded_kernels += exec.plan.stats().recorded_kernels;
-                stats.planned_launches += exec.plan.stats().planned_launches;
-                stats.fused_kernels += exec.plan.stats().fused_kernels;
+                let planned = exec.bound.plan().stats();
+                stats.recorded_kernels += planned.recorded_kernels;
+                stats.planned_launches += planned.planned_launches;
+                stats.fused_kernels += planned.fused_kernels;
                 if stats.per_device_launches.len() <= exec.device {
                     stats.per_device_launches.resize(exec.device + 1, 0);
                 }
-                stats.per_device_launches[exec.device] += exec.plan.stats().planned_launches;
+                stats.per_device_launches[exec.device] += planned.planned_launches;
             }
         }
         let responses = responses
@@ -1165,9 +1163,8 @@ impl Server {
             Substrate::Gpu { contexts, .. } => {
                 let t0 = Instant::now();
                 for shard in &tick.shards {
-                    let gpu = contexts[shard.device].gpu();
-                    gpu.record_plan_cache(shard.hit);
-                    GpuReplayExecutor::new(gpu).execute(&shard.plan);
+                    GpuReplayExecutor::new(contexts[shard.device].gpu())
+                        .execute_bound(&shard.bound);
                 }
                 t0.elapsed().as_micros() as u64
             }
