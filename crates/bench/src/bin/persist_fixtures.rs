@@ -23,7 +23,7 @@
 //!   the plan cache holds the tick's plan.
 //!
 //! ```text
-//! cargo run --release --bin persist_fixtures [FIXTURES_DIR]
+//! cargo run --release -p fides-bench --bin persist_fixtures [FIXTURES_DIR]
 //! ```
 
 use std::path::Path;

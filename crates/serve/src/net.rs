@@ -77,16 +77,49 @@ impl Default for NetServerConfig {
     }
 }
 
+/// Encoded response bytes the socket has not accepted yet. A peer that
+/// reads slower than responses arrive never fully drains it, so the
+/// written prefix is dropped as soon as it is at least half the buffer
+/// (all of it, once the socket catches up): each compaction moves no more
+/// bytes than were written since the last one, and the buffer never holds
+/// more than twice its unwritten bytes.
+#[derive(Default)]
+struct Outbox {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already written.
+    written: usize,
+}
+
+impl Outbox {
+    fn queue(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.written..]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pending().is_empty()
+    }
+
+    /// Records that the socket accepted the first `n` pending bytes.
+    fn advance(&mut self, n: usize) {
+        self.written += n;
+        if self.written >= self.buf.len() / 2 {
+            self.buf.drain(..self.written);
+            self.written = 0;
+        }
+    }
+}
+
 /// One accepted connection's state.
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
     /// Admitted requests awaiting their batch tick, by client seq.
     inflight: Vec<(u64, Ticket)>,
-    /// Encoded response bytes not yet accepted by the socket.
-    outbox: Vec<u8>,
-    /// Bytes of `outbox` already written.
-    written: usize,
+    outbox: Outbox,
     /// Stop reading (peer EOF or a framing error); close once the
     /// outbox flushes and no admitted request is still in flight.
     draining: bool,
@@ -94,15 +127,11 @@ struct Conn {
 
 impl Conn {
     fn queue_frame(&mut self, frame: &Frame) {
-        self.outbox.extend_from_slice(&frame.encode());
-    }
-
-    fn outbox_empty(&self) -> bool {
-        self.written == self.outbox.len()
+        self.outbox.queue(&frame.encode());
     }
 
     fn finished(&self) -> bool {
-        self.draining && self.outbox_empty() && self.inflight.is_empty()
+        self.draining && self.outbox.is_empty() && self.inflight.is_empty()
     }
 }
 
@@ -290,8 +319,7 @@ impl NetServer {
                             stream,
                             decoder: FrameDecoder::with_max_len(self.config.max_frame_len),
                             inflight: Vec::new(),
-                            outbox: Vec::new(),
-                            written: 0,
+                            outbox: Outbox::default(),
                             draining: false,
                         },
                     );
@@ -431,24 +459,20 @@ impl NetServer {
     /// (writability is level-triggered; leftovers retry next iteration).
     fn flush_all(&mut self) {
         for conn in self.conns.values_mut() {
-            while conn.written < conn.outbox.len() {
-                match conn.stream.write(&conn.outbox[conn.written..]) {
+            while !conn.outbox.is_empty() {
+                match conn.stream.write(conn.outbox.pending()) {
                     Ok(0) => {
                         conn.draining = true;
                         break;
                     }
-                    Ok(n) => conn.written += n,
+                    Ok(n) => conn.outbox.advance(n),
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(_) => {
                         conn.draining = true;
-                        conn.written = conn.outbox.len();
+                        conn.outbox = Outbox::default();
                         break;
                     }
                 }
-            }
-            if conn.outbox_empty() && !conn.outbox.is_empty() {
-                conn.outbox.clear();
-                conn.written = 0;
             }
         }
     }
@@ -484,3 +508,54 @@ const _: () = {
         ServeError::from(e)
     }
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reader slower than the responses: the outbox is never fully
+    /// drained, yet the written prefix must not stay resident and the
+    /// byte stream must come out unbroken.
+    #[test]
+    fn outbox_drops_written_prefix_of_a_slow_reader() {
+        let frames: Vec<Vec<u8>> = (0..8u64)
+            .map(|seq| Frame::new(FrameKind::EvalDone, seq, vec![seq as u8; 100]).encode())
+            .collect();
+        let stream: Vec<u8> = frames.concat();
+        let mut outbox = Outbox::default();
+        for frame in &frames {
+            outbox.queue(frame);
+        }
+        assert_eq!(outbox.pending(), &stream[..]);
+
+        // One partial write past the midpoint.
+        let mut sent = stream.len() / 2 + 7;
+        outbox.advance(sent);
+        assert!(!outbox.is_empty());
+        assert!(
+            outbox.buf.len() <= 2 * outbox.pending().len(),
+            "{} bytes resident for {} unwritten",
+            outbox.buf.len(),
+            outbox.pending().len()
+        );
+        assert_eq!(outbox.pending(), &stream[sent..]);
+
+        // Small writes interleaved with new frames: the bound and the
+        // stream order hold at every step.
+        let mut expected = stream;
+        for seq in 8..200u64 {
+            let frame = Frame::new(FrameKind::EvalDone, seq, vec![seq as u8; 100]).encode();
+            expected.extend_from_slice(&frame);
+            outbox.queue(&frame);
+            outbox.advance(90);
+            sent += 90;
+            assert_eq!(outbox.pending(), &expected[sent..]);
+            assert!(outbox.buf.len() <= 2 * outbox.pending().len());
+        }
+
+        let rest = outbox.pending().len();
+        outbox.advance(rest);
+        assert!(outbox.is_empty());
+        assert!(outbox.buf.is_empty());
+    }
+}

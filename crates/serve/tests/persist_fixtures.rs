@@ -4,8 +4,8 @@
 //! committed bytes must surface as a typed error, never a panic or
 //! garbage state.
 //!
-//! The fixtures were produced by `cargo run --bin persist_fixtures`
-//! (fides-bench); regenerate them only on a deliberate `FORMAT_VERSION`
+//! The fixtures were produced by `cargo run --release -p fides-bench --bin
+//! persist_fixtures`; regenerate them only on a deliberate `FORMAT_VERSION`
 //! bump. If this suite fails after a codec change, the change broke
 //! format v1 on disk and would orphan every existing snapshot.
 

@@ -1,8 +1,6 @@
-//! The serving layer's scheduling invariants as `cargo test`s: the two
-//! assertions that used to live only inside bench binaries (`sched_bench`'s
-//! steady-state plan-cache hit rate, `throughput`'s batch-16 launch
-//! reduction with bit-identical frames), on the bins' own workload — 4
-//! tenants × 4 `serve_lr` requests over 8 streams — at a test-sized ring.
+//! The serving layer's scheduling invariants: the steady-state plan-cache
+//! hit rate, and batch-16's launch reduction with bit-identical frames —
+//! 4 tenants × 4 `serve_lr` requests over 8 streams at a test-sized ring.
 
 use fides_api::CkksEngine;
 use fides_client::wire::EvalRequest;

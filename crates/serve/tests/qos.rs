@@ -245,3 +245,85 @@ fn quiet_tenant_frames_unchanged_by_flood() {
         }
     }
 }
+
+/// Open-loop generator at `load_pct` percent of the batch capacity per
+/// tick for `ROUNDS` ticks, then a drain: every tick each quiet tenant
+/// submits one request and the flooder the rest of the offered load
+/// (both cycling through a few pre-encrypted requests — only the clock is
+/// read here). Nothing is shed — the queue is deep enough — so overload
+/// shows up as queueing delay.
+/// Returns the p99 simulated latency (cluster makespan at completion
+/// minus at submission) over `(all, quiet-tenant)` requests.
+fn open_loop_sim_p99(policy: QosPolicy, load_pct: usize) -> (f64, f64) {
+    const ROUNDS: usize = 4;
+    let server = server_with(policy);
+    let tenants = setup(&server, 1);
+    let flood_per_tick = (BATCH * load_pct)
+        .div_ceil(100)
+        .saturating_sub(QUIET)
+        .max(1);
+    let mut inflight: Vec<(usize, f64, Ticket)> = Vec::new();
+    let mut latencies = [Vec::new(), Vec::new()];
+    let mut round = 0;
+    while round < ROUNDS || !inflight.is_empty() {
+        if round < ROUNDS {
+            let submitted_us = server.sync_us().unwrap();
+            for (t, tenant) in tenants.iter().enumerate() {
+                let per_tick = if t == 0 { flood_per_tick } else { 1 };
+                for req in tenant.reqs.iter().cycle().take(per_tick) {
+                    inflight.push((t, submitted_us, server.submit(req.clone()).unwrap()));
+                }
+            }
+        }
+        round += 1;
+        assert!(round < 256, "scheduler stopped making progress");
+        server.run_tick();
+        let now_us = server.sync_us().unwrap();
+        inflight.retain(|(t, submitted_us, ticket)| match ticket.try_take() {
+            Some(resp) => {
+                assert!(resp.error.is_none(), "request failed: {:?}", resp.error);
+                latencies[0].push(now_us - submitted_us);
+                if *t > 0 {
+                    latencies[1].push(now_us - submitted_us);
+                }
+                false
+            }
+            None => true,
+        });
+    }
+    let [all, quiet] = latencies.map(|mut l| {
+        l.sort_by(f64::total_cmp);
+        l[((l.len() - 1) as f64 * 0.99).round() as usize]
+    });
+    (all, quiet)
+}
+
+/// Latency under load on the simulated clock: p99 never improves as the
+/// offered load rises, and at 2× overload DRR keeps the quiet tenants'
+/// p99 at most 0.7× what arrival-order scheduling gives them.
+#[test]
+fn sim_latency_is_monotone_in_load_and_drr_shields_quiet_tenants() {
+    let mut quiet_at_200 = Vec::new();
+    for policy in [QosPolicy::Drr { quantum: 1 }, QosPolicy::Fifo] {
+        let curve: Vec<(f64, f64)> = [50, 100, 150, 200]
+            .iter()
+            .map(|&load_pct| open_loop_sim_p99(policy, load_pct))
+            .collect();
+        // Latencies are differences of a growing f64 clock: allow the last
+        // bits to differ where two loads queue identically.
+        for pair in curve.windows(2) {
+            assert!(
+                pair[1].0 >= pair[0].0 * 0.999,
+                "{policy:?}: p99 fell as offered load rose: {curve:?}"
+            );
+        }
+        quiet_at_200.push(curve[3].1);
+    }
+    let ratio = quiet_at_200[0] / quiet_at_200[1];
+    assert!(
+        ratio <= 0.7,
+        "DRR must shield quiet tenants at 200% load: quiet p99 {:.0} vs FIFO {:.0} sim us ({ratio:.3})",
+        quiet_at_200[0],
+        quiet_at_200[1]
+    );
+}

@@ -53,7 +53,7 @@ fn assert_frames_equal(a: &Ct, b: &Ct, what: &str) {
     assert_eq!(fa.c1.limbs, fb.c1.limbs, "{what}: c1 limbs diverged");
 }
 
-/// The acceptance criterion in one test: round-trip precision after
+/// The acceptance bar in one test: round-trip precision after
 /// bootstrap + 2 multiplications, bit-identical across gpu-sim and the CPU
 /// backend at worker counts 1 and 8.
 #[test]
