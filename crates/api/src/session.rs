@@ -9,8 +9,9 @@
 use std::sync::Arc;
 
 use fides_client::wire::{
-    params_fingerprint, EvalRequest, EvalResponse, OpProgram, SessionRequest,
+    params_fingerprint, EvalRequest, EvalResponse, OpProgram, SessionRequest, SessionUpload,
 };
+use fides_client::RawPlaintext;
 use fides_core::{FidesError, Result};
 
 use crate::engine::CkksEngine;
@@ -73,20 +74,28 @@ impl Session {
     /// [`FidesError::Client`] when plaintext values exceed the ring's slot
     /// capacity.
     pub fn session_request(&self, plains: &[(&[f64], usize)]) -> Result<SessionRequest> {
-        let inner = &self.engine.inner;
-        let backend = inner.backend.as_ref();
-        let mut plaintexts = Vec::with_capacity(plains.len());
-        for (values, level) in plains {
-            let scale = fides_core::const_scale_for(backend, *level)?;
-            plaintexts.push(inner.encode_padded_real(values, scale, *level)?);
-        }
+        let keys = &self.engine.inner.raw_keys;
         Ok(SessionRequest {
             params_hash: self.params_hash(),
-            relin: inner.raw_keys.relin.clone(),
-            rotations: inner.raw_keys.rotations.clone(),
-            conjugation: inner.raw_keys.conj.clone(),
-            plaintexts,
+            relin: keys.relin.clone(),
+            rotations: keys.rotations.clone(),
+            conjugation: keys.conj.clone(),
+            plaintexts: self.encode_plains(plains)?,
         })
+    }
+
+    /// Encodes upload plaintexts at the ladder-exact constant scale for
+    /// their levels.
+    fn encode_plains(&self, plains: &[(&[f64], usize)]) -> Result<Vec<RawPlaintext>> {
+        let inner = &self.engine.inner;
+        let backend = inner.backend.as_ref();
+        plains
+            .iter()
+            .map(|(values, level)| {
+                let scale = fides_core::const_scale_for(backend, *level)?;
+                inner.encode_padded_real(values, scale, *level)
+            })
+            .collect()
     }
 
     /// Encrypts `inputs` (each a value vector, padded to the engine's
@@ -203,37 +212,38 @@ impl Session {
     /// its keys can re-attach to a restarted server without regenerating
     /// them — [`Session::import_keys`] reads the stream back into a
     /// [`SessionRequest`] for `open_session`. The secret key never
-    /// appears in the stream.
+    /// appears in the stream. The keys are encoded in place, from the
+    /// engine's own copies, straight into `w` (wrap a file in a
+    /// `BufWriter`).
     ///
     /// # Errors
     ///
     /// As [`Session::session_request`] for `plains`;
     /// [`FidesError::Client`] when the sink fails.
     pub fn export_keys<W: std::io::Write>(&self, w: W, plains: &[(&[f64], usize)]) -> Result<()> {
-        use fides_client::persist::{kind, ParamsRecord, RecordWriter, SessionRecord};
-        let upload = self.session_request(plains)?;
+        use fides_client::persist::{kind, ParamsRecord, RecordWriter, SessionRecordRef};
+        let keys = &self.engine.inner.raw_keys;
+        let plaintexts = self.encode_plains(plains)?;
+        let params_hash = self.params_hash();
+        let rec = SessionRecordRef {
+            id: 0,
+            device: 0,
+            weight: 1,
+            upload: SessionUpload {
+                params_hash,
+                relin: keys.relin.as_ref(),
+                rotations: &keys.rotations,
+                conjugation: keys.conj.as_ref(),
+                plaintexts: &plaintexts,
+            },
+        };
         let to_client = |e: fides_client::ClientError| FidesError::Client(e.to_string());
         let mut writer = RecordWriter::new(w).map_err(to_client)?;
         writer
-            .record(
-                kind::PARAMS,
-                &ParamsRecord {
-                    params_hash: upload.params_hash,
-                }
-                .encode(),
-            )
+            .record(kind::PARAMS, &ParamsRecord { params_hash }.encode())
             .map_err(to_client)?;
         writer
-            .record(
-                kind::SESSION,
-                &SessionRecord {
-                    id: 0,
-                    device: 0,
-                    weight: 1,
-                    upload,
-                }
-                .encode(),
-            )
+            .record_with(kind::SESSION, rec.encoded_len(), |out| rec.write_into(out))
             .map_err(to_client)?;
         writer.finish().map_err(to_client)?;
         Ok(())
@@ -255,13 +265,13 @@ impl Session {
         let mut reader = RecordReader::new(r).map_err(to_client)?;
         let mut params: Option<ParamsRecord> = None;
         let mut upload: Option<SessionRequest> = None;
-        while let Some(rec) = reader.next_record().map_err(to_client)? {
+        while let Some(rec) = reader.read_record().map_err(to_client)? {
             match rec.kind {
                 kind::PARAMS => {
-                    params = Some(ParamsRecord::decode(&rec.payload).map_err(to_client)?);
+                    params = Some(ParamsRecord::decode(rec.payload).map_err(to_client)?);
                 }
                 kind::SESSION => {
-                    let sess = SessionRecord::decode(&rec.payload).map_err(to_client)?;
+                    let sess = SessionRecord::decode(rec.payload).map_err(to_client)?;
                     upload = Some(sess.upload);
                 }
                 other => {

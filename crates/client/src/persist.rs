@@ -41,7 +41,8 @@ use bytes::{Buf, BufMut};
 use crate::error::ClientError;
 use crate::raw::{RawPlaintext, RawSwitchingKey};
 use crate::wire::{
-    get_key, get_opt_key, get_plaintext, need, put_key, put_opt_key, put_plaintext, SessionRequest,
+    get_key, get_opt_key, get_plaintext, key_set_encoded_len, need, plaintext_encoded_len,
+    put_key_set, put_plaintext, SessionRequest, SessionUpload,
 };
 
 /// Stream magic: distinguishes a persist stream from every wire frame.
@@ -87,21 +88,94 @@ pub mod kind {
 
 const CRC_POLY: u32 = 0xEDB8_8320;
 
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (CRC_POLY & mask);
+/// Input bytes one table-driven CRC step consumes.
+const CRC_SLICES: usize = 16;
+
+/// Slicing-by-16 lookup tables: `CRC_TABLES[k][b]` is the CRC state after
+/// byte `b` followed by `k` zero bytes, so sixteen input bytes fold in
+/// with sixteen independent lookups instead of 128 dependent shifts.
+static CRC_TABLES: [[u32; 256]; CRC_SLICES] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; CRC_SLICES] {
+    let mut tables = [[0u32; 256]; CRC_SLICES];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
     }
-    crc
+    let mut k = 1;
+    while k < CRC_SLICES {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Incremental CRC-32 (IEEE 802.3, reflected — the zlib/PNG checksum):
+/// [`Crc32::update`] any split of the input, then [`Crc32::finish`].
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// The checksum of no bytes yet.
+    pub const fn new() -> Self {
+        Self { state: !0 }
+    }
+
+    /// Folds `data` in.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut blocks = data.chunks_exact(CRC_SLICES);
+        for block in &mut blocks {
+            // The running state only mixes into the block's first four
+            // bytes; byte `i` then sits `CRC_SLICES - 1 - i` bytes from
+            // the block's end.
+            let head = crc.to_le_bytes();
+            crc = 0;
+            for (i, &b) in block.iter().enumerate() {
+                let b = if i < 4 { b ^ head[i] } else { b };
+                crc ^= t[CRC_SLICES - 1 - i][b as usize];
+            }
+        }
+        for &b in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of everything folded in so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
 }
 
 /// CRC-32 (IEEE, reflected) of a record's kind byte followed by its
 /// payload.
 pub fn record_crc(kind: u8, payload: &[u8]) -> u32 {
-    !crc32_update(crc32_update(!0, &[kind]), payload)
+    let mut crc = Crc32::new();
+    crc.update(&[kind]);
+    crc.update(payload);
+    crc.finish()
 }
 
 fn io_err(e: std::io::Error) -> ClientError {
@@ -132,8 +206,34 @@ fn expect_consumed(buf: &[u8], what: &str) -> Result<(), ClientError> {
 
 /// Writes a persist stream: header, then CRC-guarded records, then the
 /// END terminator on [`RecordWriter::finish`].
+///
+/// Payload bytes go to the sink as the encoder produces them — nothing is
+/// staged per record — so hand a file or socket over inside a `BufWriter`.
 pub struct RecordWriter<W: Write> {
     w: W,
+}
+
+/// Where a record's encoder writes ([`RecordWriter::record_with`]): every
+/// byte goes straight to the stream's sink and into the record's CRC in
+/// the same pass. `put_*` cannot fail mid-encoder, so the sink's first
+/// I/O error is kept (later bytes are dropped) and `record_with` returns
+/// it.
+pub struct RecordSink<'a, W: Write> {
+    w: &'a mut W,
+    crc: Crc32,
+    written: usize,
+    failed: Option<std::io::Error>,
+}
+
+impl<W: Write> BufMut for RecordSink<'_, W> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.written += src.len();
+        if self.failed.is_some() {
+            return;
+        }
+        self.crc.update(src);
+        self.failed = self.w.write_all(src).err();
+    }
 }
 
 impl<W: Write> RecordWriter<W> {
@@ -143,35 +243,73 @@ impl<W: Write> RecordWriter<W> {
     ///
     /// [`ClientError::Io`] when the sink fails.
     pub fn new(mut w: W) -> Result<Self, ClientError> {
-        let mut hdr = Vec::with_capacity(8);
-        hdr.put_u32(PERSIST_MAGIC);
-        hdr.put_u32(FORMAT_VERSION);
+        let mut hdr = [0u8; 8];
+        hdr[..4].copy_from_slice(&PERSIST_MAGIC.to_be_bytes());
+        hdr[4..].copy_from_slice(&FORMAT_VERSION.to_be_bytes());
         w.write_all(&hdr).map_err(io_err)?;
         Ok(Self { w })
     }
 
-    /// Appends one record.
+    /// Appends one record whose `len`-byte payload `encode` writes into
+    /// the stream directly (see [`RecordSink`]): one pass over the source
+    /// data, no intermediate payload buffer. `len` comes from the payload
+    /// type's `encoded_len`.
     ///
     /// # Errors
     ///
     /// [`ClientError::FrameTooLarge`] past [`MAX_RECORD_LEN`];
-    /// [`ClientError::Io`] when the sink fails.
-    pub fn record(&mut self, kind: u8, payload: &[u8]) -> Result<(), ClientError> {
-        if payload.len() > MAX_RECORD_LEN {
+    /// [`ClientError::Io`] when the sink fails;
+    /// [`ClientError::Serialization`] when `encode` wrote a different
+    /// number of bytes than `len` declared (the stream is then unusable).
+    pub fn record_with(
+        &mut self,
+        kind: u8,
+        len: usize,
+        encode: impl FnOnce(&mut RecordSink<'_, W>),
+    ) -> Result<(), ClientError> {
+        if len > MAX_RECORD_LEN {
             return Err(ClientError::FrameTooLarge {
-                len: payload.len() as u64,
+                len: len as u64,
                 max: MAX_RECORD_LEN as u64,
             });
         }
-        let mut hdr = Vec::with_capacity(5);
-        hdr.put_u8(kind);
-        hdr.put_u32(payload.len() as u32);
+        let mut hdr = [kind, 0, 0, 0, 0];
+        hdr[1..].copy_from_slice(&(len as u32).to_be_bytes());
         self.w.write_all(&hdr).map_err(io_err)?;
-        self.w.write_all(payload).map_err(io_err)?;
+        let mut sink = RecordSink {
+            w: &mut self.w,
+            crc: Crc32::new(),
+            written: 0,
+            failed: None,
+        };
+        sink.crc.update(&[kind]);
+        encode(&mut sink);
+        let RecordSink {
+            crc,
+            written,
+            failed,
+            ..
+        } = sink;
+        if let Some(e) = failed {
+            return Err(io_err(e));
+        }
+        if written != len {
+            return Err(ClientError::Serialization(format!(
+                "record kind {kind} declared {len} payload bytes, its encoder wrote {written}"
+            )));
+        }
         self.w
-            .write_all(&record_crc(kind, payload).to_be_bytes())
-            .map_err(io_err)?;
-        Ok(())
+            .write_all(&crc.finish().to_be_bytes())
+            .map_err(io_err)
+    }
+
+    /// Appends one record from an already encoded payload.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordWriter::record_with`].
+    pub fn record(&mut self, kind: u8, payload: &[u8]) -> Result<(), ClientError> {
+        self.record_with(kind, payload.len(), |out| out.put_slice(payload))
     }
 
     /// Writes the END terminator, flushes, and returns the sink. A stream
@@ -197,11 +335,24 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
+/// A decoded record borrowing the reader's payload buffer
+/// ([`RecordReader::read_record`]); valid until the next read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// The [`kind`] tag.
+    pub kind: u8,
+    /// The payload bytes (interpret per kind).
+    pub payload: &'a [u8],
+}
+
 /// Reads a persist stream, validating the header once and each record's
 /// length and CRC as it goes.
 pub struct RecordReader<R: Read> {
     r: R,
     done: bool,
+    /// The current record's payload; its allocation is reused from record
+    /// to record.
+    payload: Vec<u8>,
 }
 
 impl<R: Read> RecordReader<R> {
@@ -228,10 +379,15 @@ impl<R: Read> RecordReader<R> {
                 supported: FORMAT_VERSION,
             });
         }
-        Ok(Self { r, done: false })
+        Ok(Self {
+            r,
+            done: false,
+            payload: Vec::new(),
+        })
     }
 
-    /// The next record, or `None` once the END terminator has been read.
+    /// The next record, borrowed from the reader's one payload buffer, or
+    /// `None` once the END terminator has been read.
     ///
     /// # Errors
     ///
@@ -239,7 +395,7 @@ impl<R: Read> RecordReader<R> {
     /// [`ClientError::FrameTooLarge`] for an oversized declared length
     /// (checked before allocation), [`ClientError::ChecksumMismatch`]
     /// for CRC failures, [`ClientError::Io`] for source failures.
-    pub fn next_record(&mut self) -> Result<Option<Record>, ClientError> {
+    pub fn read_record(&mut self) -> Result<Option<RecordRef<'_>>, ClientError> {
         if self.done {
             return Ok(None);
         }
@@ -254,11 +410,13 @@ impl<R: Read> RecordReader<R> {
             });
         }
         // Bounded-capacity growth: a lying length prefix costs at most one
-        // read buffer, never a `len`-sized allocation up front.
-        let mut payload = Vec::with_capacity(len.min(1 << 16));
+        // read buffer beyond what earlier records really carried, never a
+        // `len`-sized allocation up front.
+        self.payload.clear();
+        self.payload.reserve(len.min(1 << 16));
         let got = (&mut self.r)
             .take(len as u64)
-            .read_to_end(&mut payload)
+            .read_to_end(&mut self.payload)
             .map_err(io_err)?;
         if got < len {
             return Err(ClientError::Serialization(format!(
@@ -267,11 +425,11 @@ impl<R: Read> RecordReader<R> {
         }
         let mut crc_buf = [0u8; 4];
         read_exact(&mut self.r, &mut crc_buf, "record checksum")?;
-        if u32::from_be_bytes(crc_buf) != record_crc(kind, &payload) {
+        if u32::from_be_bytes(crc_buf) != record_crc(kind, &self.payload) {
             return Err(ClientError::ChecksumMismatch { kind });
         }
         if kind == kind::END {
-            if !payload.is_empty() {
+            if !self.payload.is_empty() {
                 return Err(ClientError::Serialization(
                     "end record carries a payload".into(),
                 ));
@@ -279,7 +437,26 @@ impl<R: Read> RecordReader<R> {
             self.done = true;
             return Ok(None);
         }
-        Ok(Some(Record { kind, payload }))
+        Ok(Some(RecordRef {
+            kind,
+            payload: &self.payload,
+        }))
+    }
+
+    /// [`RecordReader::read_record`], with the payload moved out into an
+    /// owned [`Record`] (the next record then starts a fresh buffer).
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordReader::read_record`].
+    pub fn next_record(&mut self) -> Result<Option<Record>, ClientError> {
+        let Some(kind) = self.read_record()?.map(|rec| rec.kind) else {
+            return Ok(None);
+        };
+        Ok(Some(Record {
+            kind,
+            payload: std::mem::take(&mut self.payload),
+        }))
     }
 
     /// Whether the END terminator has been consumed (a clean stream).
@@ -382,16 +559,30 @@ pub struct KeySetRecord {
 }
 
 impl KeySetRecord {
+    /// Length of the [`Self::encode`] payload, from the limb counts alone.
+    pub fn encoded_len(&self) -> usize {
+        key_set_encoded_len(
+            self.relin.as_ref(),
+            &self.rotations,
+            self.conjugation.as_ref(),
+        )
+    }
+
+    /// Appends the payload to `buf` (a `Vec`, or a
+    /// [`RecordWriter::record_with`] sink).
+    pub fn write_into(&self, buf: &mut impl BufMut) {
+        put_key_set(
+            buf,
+            self.relin.as_ref(),
+            &self.rotations,
+            self.conjugation.as_ref(),
+        );
+    }
+
     /// Serializes the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_opt_key(&mut buf, &self.relin);
-        buf.put_u32(self.rotations.len() as u32);
-        for (shift, key) in &self.rotations {
-            buf.put_u32(*shift as u32);
-            put_key(&mut buf, key);
-        }
-        put_opt_key(&mut buf, &self.conjugation);
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.write_into(&mut buf);
         buf
     }
 
@@ -432,7 +623,7 @@ pub struct PlaintextRecord {
 impl PlaintextRecord {
     /// Serializes the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(plaintext_encoded_len(&self.plaintext));
         put_plaintext(&mut buf, &self.plaintext);
         buf
     }
@@ -468,16 +659,56 @@ pub struct SessionRecord {
     pub upload: SessionRequest,
 }
 
-impl SessionRecord {
-    /// Serializes the payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+/// A [`SessionRecord`] **by reference** — the one encoder of the
+/// [`kind::SESSION`] payload. A snapshot writes each resident tenant's
+/// record straight from the registry's retained upload through
+/// [`RecordWriter::record_with`], never cloning or staging the key
+/// material.
+#[derive(Clone, Copy, Debug)]
+pub struct SessionRecordRef<'a> {
+    /// See [`SessionRecord::id`].
+    pub id: u64,
+    /// See [`SessionRecord::device`].
+    pub device: u32,
+    /// See [`SessionRecord::weight`].
+    pub weight: u32,
+    /// See [`SessionRecord::upload`].
+    pub upload: SessionUpload<'a>,
+}
+
+impl SessionRecordRef<'_> {
+    /// Length of the payload, from the limb counts alone.
+    pub fn encoded_len(&self) -> usize {
+        24 + self.upload.encoded_len()
+    }
+
+    /// Appends the payload to `buf` (a `Vec`, or a
+    /// [`RecordWriter::record_with`] sink).
+    pub fn write_into(&self, buf: &mut impl BufMut) {
         buf.put_u64_le(self.id);
         buf.put_u32(self.device);
         buf.put_u32(self.weight);
-        let upload = self.upload.to_bytes();
-        buf.put_u64_le(upload.len() as u64);
-        buf.extend_from_slice(&upload);
+        buf.put_u64_le(self.upload.encoded_len() as u64);
+        self.upload.write_into(buf);
+    }
+}
+
+impl SessionRecord {
+    /// This record, borrowed — the form the encoder takes.
+    pub fn borrowed(&self) -> SessionRecordRef<'_> {
+        SessionRecordRef {
+            id: self.id,
+            device: self.device,
+            weight: self.weight,
+            upload: self.upload.as_upload(),
+        }
+    }
+
+    /// Serializes the payload.
+    pub fn encode(&self) -> Vec<u8> {
+        let rec = self.borrowed();
+        let mut buf = Vec::with_capacity(rec.encoded_len());
+        rec.write_into(&mut buf);
         buf
     }
 
@@ -549,10 +780,131 @@ impl PlacementRecord {
     }
 }
 
+/// The bit-at-a-time CRC-32 the table-driven [`Crc32`] replaced — kept as
+/// the independent definition the differential test holds it to.
+#[cfg(test)]
+mod reference {
+    /// Folds one byte into a raw (un-inverted) CRC state.
+    pub(super) fn crc32_bitwise_step(mut crc: u32, byte: u8) -> u32 {
+        crc ^= byte as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (super::CRC_POLY & mask);
+        }
+        crc
+    }
+
+    pub(super) fn crc32_bitwise(data: &[u8]) -> u32 {
+        !data.iter().fold(!0, |crc, &b| crc32_bitwise_step(crc, b))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::raw::{Domain, RawKeyDigit, RawPoly};
+    use proptest::prelude::*;
+
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    #[test]
+    fn crc32_check_value() {
+        // The catalogue check value of CRC-32/ISO-HDLC (zlib, PNG).
+        let mut crc = Crc32::new();
+        crc.update(b"123456789");
+        assert_eq!(crc.finish(), 0xCBF4_3926);
+        assert_eq!(reference::crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(Crc32::new().finish(), 0, "empty input");
+    }
+
+    /// Table-driven vs bit-at-a-time at every length below 4096 from every
+    /// start alignment within a word (the bitwise state after `len` bytes
+    /// is every prefix's reference, so one pass per alignment covers all
+    /// lengths).
+    #[test]
+    fn table_crc_matches_bitwise_at_every_length_and_alignment() {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let backing: Vec<u8> = (0..4096 + 8).map(|_| xorshift(&mut s) as u8).collect();
+        for align in 0..8 {
+            let data = &backing[align..];
+            let mut bitwise = !0u32;
+            for len in 0..4096 {
+                let mut table = Crc32::new();
+                table.update(&data[..len]);
+                assert_eq!(table.finish(), !bitwise, "align {align}, len {len}");
+                bitwise = reference::crc32_bitwise_step(bitwise, data[len]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any split of the input across incremental `update` calls folds
+        /// to the one-shot (and the bitwise) checksum.
+        #[test]
+        fn crc_update_is_split_invariant(
+            seed in any::<u64>(),
+            len in 0usize..4096,
+            align in 0usize..8,
+            splits in 0usize..6,
+        ) {
+            let mut s = seed | 1;
+            let backing: Vec<u8> = (0..len + align).map(|_| xorshift(&mut s) as u8).collect();
+            let data = &backing[align..];
+            let mut cuts: Vec<usize> = (0..splits)
+                .map(|_| xorshift(&mut s) as usize % (len + 1))
+                .collect();
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                crc.update(&data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(crc.finish(), reference::crc32_bitwise(data));
+        }
+    }
+
+    #[test]
+    fn record_with_streams_the_bytes_record_buffers() {
+        let key = sample_key(23);
+        let keys = KeySetRecord {
+            relin: Some(key.clone()),
+            rotations: vec![(3, key)],
+            conjugation: None,
+        };
+        let mut streamed = RecordWriter::new(Vec::new()).unwrap();
+        streamed
+            .record_with(kind::KEY_SET, keys.encoded_len(), |out| {
+                keys.write_into(out)
+            })
+            .unwrap();
+        let buffered = roundtrip_stream(&[(kind::KEY_SET, keys.encode())]);
+        assert_eq!(streamed.finish().unwrap(), buffered);
+    }
+
+    #[test]
+    fn record_with_rejects_a_lying_length() {
+        for declared in [3usize, 5] {
+            let mut w = RecordWriter::new(Vec::new()).unwrap();
+            assert!(matches!(
+                w.record_with(kind::PARAMS, declared, |out| out.put_u32(7)),
+                Err(ClientError::Serialization(_))
+            ));
+        }
+        let mut w = RecordWriter::new(Vec::new()).unwrap();
+        assert!(matches!(
+            w.record_with(kind::PLAN, MAX_RECORD_LEN + 1, |_| {}),
+            Err(ClientError::FrameTooLarge { .. })
+        ));
+        assert_eq!(w.w.len(), 8, "rejected before a byte of the record");
+    }
 
     fn sample_key(seed: u64) -> RawSwitchingKey {
         let mut x = seed | 1;

@@ -189,7 +189,12 @@ pub struct RawPublicKey {
 
 const MAGIC: u32 = 0xF1DE_517B;
 
-pub(crate) fn put_poly(buf: &mut Vec<u8>, poly: &RawPoly) {
+/// Bytes [`put_poly`] writes: a 9-byte header plus 8 per coefficient.
+pub(crate) fn poly_encoded_len(poly: &RawPoly) -> usize {
+    9 + 8 * poly.limbs.iter().map(Vec::len).sum::<usize>()
+}
+
+pub(crate) fn put_poly(buf: &mut impl BufMut, poly: &RawPoly) {
     buf.put_u8(match poly.domain {
         Domain::Coeff => 0,
         Domain::Eval => 1,
@@ -197,9 +202,7 @@ pub(crate) fn put_poly(buf: &mut Vec<u8>, poly: &RawPoly) {
     buf.put_u32(poly.limbs.len() as u32);
     buf.put_u32(poly.n() as u32);
     for limb in &poly.limbs {
-        for &w in limb {
-            buf.put_u64_le(w);
-        }
+        buf.put_u64_le_slice(limb);
     }
 }
 
@@ -231,27 +234,39 @@ pub(crate) fn get_poly(buf: &mut &[u8]) -> Result<RawPoly, ClientError> {
     }
     let mut limbs = Vec::with_capacity(count);
     for _ in 0..count {
-        let mut limb = Vec::with_capacity(n);
-        for _ in 0..n {
-            limb.push(buf.get_u64_le());
-        }
-        limbs.push(limb);
+        let (body, rest) = buf.split_at(n * 8);
+        *buf = rest;
+        limbs.push(
+            body.chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")))
+                .collect(),
+        );
     }
     Ok(RawPoly { limbs, domain })
 }
 
 impl RawCiphertext {
+    /// Length of the [`Self::to_bytes`] frame, from the limb counts alone.
+    pub fn encoded_len(&self) -> usize {
+        28 + poly_encoded_len(&self.c0) + poly_encoded_len(&self.c1)
+    }
+
     /// Serializes into a compact binary frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32 + 16 * self.c0.limbs.len() * self.c0.n());
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.write_into(&mut buf);
+        buf
+    }
+
+    /// Appends the [`Self::to_bytes`] frame to `buf`.
+    pub(crate) fn write_into(&self, buf: &mut impl BufMut) {
         buf.put_u32(MAGIC);
         buf.put_u32(self.level as u32);
         buf.put_f64(self.scale);
         buf.put_u32(self.slots as u32);
         buf.put_f64(self.noise_log2);
-        put_poly(&mut buf, &self.c0);
-        put_poly(&mut buf, &self.c1);
-        buf
+        put_poly(buf, &self.c0);
+        put_poly(buf, &self.c1);
     }
 
     /// Deserializes a frame produced by [`Self::to_bytes`].

@@ -23,7 +23,8 @@ use bytes::{Buf, BufMut};
 
 use crate::error::ClientError;
 use crate::raw::{
-    get_poly, put_poly, RawCiphertext, RawKeyDigit, RawParams, RawPlaintext, RawSwitchingKey,
+    get_poly, poly_encoded_len, put_poly, RawCiphertext, RawKeyDigit, RawParams, RawPlaintext,
+    RawSwitchingKey,
 };
 
 /// Stable fingerprint of a parameter set (FNV-1a over the canonical
@@ -264,6 +265,26 @@ pub struct SessionRequest {
     pub plaintexts: Vec<RawPlaintext>,
 }
 
+/// A keygen upload **by reference**: the fields of a [`SessionRequest`],
+/// borrowed. This is the one encoder of the session frame — a holder of key
+/// material (the server's registry, an engine's key set) serializes it in
+/// place instead of cloning ~MBs of switching keys into an owned
+/// [`SessionRequest`] first; [`SessionRequest::to_bytes`] goes through it
+/// too.
+#[derive(Clone, Copy, Debug)]
+pub struct SessionUpload<'a> {
+    /// See [`SessionRequest::params_hash`].
+    pub params_hash: u64,
+    /// See [`SessionRequest::relin`].
+    pub relin: Option<&'a RawSwitchingKey>,
+    /// See [`SessionRequest::rotations`].
+    pub rotations: &'a [(i32, RawSwitchingKey)],
+    /// See [`SessionRequest::conjugation`].
+    pub conjugation: Option<&'a RawSwitchingKey>,
+    /// See [`SessionRequest::plaintexts`].
+    pub plaintexts: &'a [RawPlaintext],
+}
+
 /// One evaluation request: encrypted operands plus the circuit to run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EvalRequest {
@@ -295,9 +316,9 @@ pub(crate) fn need(buf: &[u8], bytes: usize, what: &str) -> Result<(), ClientErr
     Ok(())
 }
 
-fn put_string(buf: &mut Vec<u8>, s: &str) {
+fn put_string(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+    buf.put_slice(s.as_bytes());
 }
 
 fn get_string(buf: &mut &[u8]) -> Result<String, ClientError> {
@@ -312,7 +333,11 @@ fn get_string(buf: &mut &[u8]) -> Result<String, ClientError> {
     Ok(s)
 }
 
-pub(crate) fn put_plaintext(buf: &mut Vec<u8>, pt: &RawPlaintext) {
+pub(crate) fn plaintext_encoded_len(pt: &RawPlaintext) -> usize {
+    16 + poly_encoded_len(&pt.poly)
+}
+
+pub(crate) fn put_plaintext(buf: &mut impl BufMut, pt: &RawPlaintext) {
     buf.put_u32(pt.level as u32);
     buf.put_f64(pt.scale);
     buf.put_u32(pt.slots as u32);
@@ -333,7 +358,14 @@ pub(crate) fn get_plaintext(buf: &mut &[u8]) -> Result<RawPlaintext, ClientError
     })
 }
 
-pub(crate) fn put_key(buf: &mut Vec<u8>, key: &RawSwitchingKey) {
+fn key_encoded_len(key: &RawSwitchingKey) -> usize {
+    let digits = key.digits.iter();
+    4 + digits
+        .map(|d| poly_encoded_len(&d.b) + poly_encoded_len(&d.a))
+        .sum::<usize>()
+}
+
+fn put_key(buf: &mut impl BufMut, key: &RawSwitchingKey) {
     buf.put_u32(key.digits.len() as u32);
     for d in &key.digits {
         put_poly(buf, &d.b);
@@ -353,7 +385,11 @@ pub(crate) fn get_key(buf: &mut &[u8]) -> Result<RawSwitchingKey, ClientError> {
     Ok(RawSwitchingKey { digits })
 }
 
-pub(crate) fn put_opt_key(buf: &mut Vec<u8>, key: &Option<RawSwitchingKey>) {
+fn opt_key_encoded_len(key: Option<&RawSwitchingKey>) -> usize {
+    1 + key.map_or(0, key_encoded_len)
+}
+
+fn put_opt_key(buf: &mut impl BufMut, key: Option<&RawSwitchingKey>) {
     match key {
         None => buf.put_u8(0),
         Some(k) => {
@@ -374,10 +410,35 @@ pub(crate) fn get_opt_key(buf: &mut &[u8]) -> Result<Option<RawSwitchingKey>, Cl
     }
 }
 
-fn put_ciphertext(buf: &mut Vec<u8>, ct: &RawCiphertext) {
-    let frame = ct.to_bytes();
-    buf.put_u64_le(frame.len() as u64);
-    buf.extend_from_slice(&frame);
+/// The evaluation-key block a session frame and a key-set record share:
+/// relin key, `(shift, key)` rotations, conjugation key.
+pub(crate) fn key_set_encoded_len(
+    relin: Option<&RawSwitchingKey>,
+    rotations: &[(i32, RawSwitchingKey)],
+    conjugation: Option<&RawSwitchingKey>,
+) -> usize {
+    let rotations = rotations.iter().map(|(_, key)| 4 + key_encoded_len(key));
+    opt_key_encoded_len(relin) + 4 + rotations.sum::<usize>() + opt_key_encoded_len(conjugation)
+}
+
+pub(crate) fn put_key_set(
+    buf: &mut impl BufMut,
+    relin: Option<&RawSwitchingKey>,
+    rotations: &[(i32, RawSwitchingKey)],
+    conjugation: Option<&RawSwitchingKey>,
+) {
+    put_opt_key(buf, relin);
+    buf.put_u32(rotations.len() as u32);
+    for (shift, key) in rotations {
+        buf.put_u32(*shift as u32);
+        put_key(buf, key);
+    }
+    put_opt_key(buf, conjugation);
+}
+
+fn put_ciphertext(buf: &mut impl BufMut, ct: &RawCiphertext) {
+    buf.put_u64_le(ct.encoded_len() as u64);
+    ct.write_into(buf);
 }
 
 fn get_ciphertext(buf: &mut &[u8]) -> Result<RawCiphertext, ClientError> {
@@ -390,7 +451,19 @@ fn get_ciphertext(buf: &mut &[u8]) -> Result<RawCiphertext, ClientError> {
     Ok(ct)
 }
 
-fn put_op(buf: &mut Vec<u8>, op: &ProgramOp) {
+fn op_encoded_len(op: &ProgramOp) -> usize {
+    match op {
+        ProgramOp::Square { .. } | ProgramOp::Negate { .. } | ProgramOp::Conjugate { .. } => 5,
+        ProgramOp::Add { .. }
+        | ProgramOp::Sub { .. }
+        | ProgramOp::Mul { .. }
+        | ProgramOp::Rotate { .. }
+        | ProgramOp::MulPlain { .. } => 9,
+        ProgramOp::AddScalar { .. } | ProgramOp::MulScalar { .. } | ProgramOp::MulInt { .. } => 13,
+    }
+}
+
+fn put_op(buf: &mut impl BufMut, op: &ProgramOp) {
     match *op {
         ProgramOp::Add { a, b } => {
             buf.put_u8(0);
@@ -520,7 +593,11 @@ fn get_op(buf: &mut &[u8]) -> Result<ProgramOp, ClientError> {
 }
 
 impl OpProgram {
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn encoded_len(&self) -> usize {
+        12 + self.ops.iter().map(op_encoded_len).sum::<usize>() + 4 * self.outputs.len()
+    }
+
+    fn put(&self, buf: &mut impl BufMut) {
         buf.put_u32(self.inputs);
         buf.put_u32(self.ops.len() as u32);
         for op in &self.ops {
@@ -555,23 +632,52 @@ impl OpProgram {
     }
 }
 
-impl SessionRequest {
-    /// Serializes into a compact binary frame.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+impl SessionUpload<'_> {
+    /// Length of the session frame, from the limb counts alone — no
+    /// coefficient is touched.
+    pub fn encoded_len(&self) -> usize {
+        let plaintexts = self.plaintexts.iter().map(plaintext_encoded_len);
+        12 + key_set_encoded_len(self.relin, self.rotations, self.conjugation)
+            + 4
+            + plaintexts.sum::<usize>()
+    }
+
+    /// Appends the session frame ([`SessionRequest::to_bytes`]' bytes) to
+    /// `buf`.
+    pub fn write_into(&self, buf: &mut impl BufMut) {
         buf.put_u32(SESSION_MAGIC);
         buf.put_u64_le(self.params_hash);
-        put_opt_key(&mut buf, &self.relin);
-        buf.put_u32(self.rotations.len() as u32);
-        for (shift, key) in &self.rotations {
-            buf.put_u32(*shift as u32);
-            put_key(&mut buf, key);
-        }
-        put_opt_key(&mut buf, &self.conjugation);
+        put_key_set(buf, self.relin, self.rotations, self.conjugation);
         buf.put_u32(self.plaintexts.len() as u32);
-        for pt in &self.plaintexts {
-            put_plaintext(&mut buf, pt);
+        for pt in self.plaintexts {
+            put_plaintext(buf, pt);
         }
+    }
+}
+
+impl SessionRequest {
+    /// This upload, borrowed — the form every encoder takes.
+    pub fn as_upload(&self) -> SessionUpload<'_> {
+        SessionUpload {
+            params_hash: self.params_hash,
+            relin: self.relin.as_ref(),
+            rotations: &self.rotations,
+            conjugation: self.conjugation.as_ref(),
+            plaintexts: &self.plaintexts,
+        }
+    }
+
+    /// Length of the [`Self::to_bytes`] frame
+    /// ([`SessionUpload::encoded_len`]).
+    pub fn encoded_len(&self) -> usize {
+        self.as_upload().encoded_len()
+    }
+
+    /// Serializes into a compact binary frame.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let upload = self.as_upload();
+        let mut buf = Vec::with_capacity(upload.encoded_len());
+        upload.write_into(&mut buf);
         buf
     }
 
@@ -614,9 +720,15 @@ impl SessionRequest {
 }
 
 impl EvalRequest {
+    /// Length of the [`Self::to_bytes`] frame, from the limb counts alone.
+    pub fn encoded_len(&self) -> usize {
+        let inputs = self.inputs.iter();
+        16 + inputs.map(|ct| 8 + ct.encoded_len()).sum::<usize>() + self.program.encoded_len()
+    }
+
     /// Serializes into a compact binary frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         buf.put_u32(EVAL_MAGIC);
         buf.put_u64_le(self.session_id);
         buf.put_u32(self.inputs.len() as u32);
@@ -670,9 +782,17 @@ impl EvalResponse {
         }
     }
 
+    /// Length of the [`Self::to_bytes`] frame, from the limb counts alone.
+    pub fn encoded_len(&self) -> usize {
+        let outputs = self.outputs.iter();
+        5 + self.error.as_ref().map_or(0, |msg| 4 + msg.len())
+            + 4
+            + outputs.map(|ct| 8 + ct.encoded_len()).sum::<usize>()
+    }
+
     /// Serializes into a compact binary frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         buf.put_u32(RESP_MAGIC);
         match &self.error {
             None => buf.put_u8(0),

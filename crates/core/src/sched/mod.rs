@@ -152,6 +152,6 @@ pub use exec::{GpuReplayExecutor, PlanExecutor};
 pub use graph::{ExecGraph, GraphOp, KernelNode};
 pub use mem::MemPlan;
 pub use partition::{partition, DistExecutor, DistPlan, DistStats, DistStep};
-pub use persist::{decode_plan_entry, encode_plan_entry};
+pub use persist::{decode_plan_entry, encode_plan_entry, plan_entry_len, write_plan_entry};
 pub use plan::{ExecPlan, PlanConfig, PlanStep, Planner, SchedStats};
 pub use topo::{CostModel, Topology};

@@ -76,7 +76,7 @@ fn kind_from_tag(tag: u8) -> Result<Option<KernelKind>, ClientError> {
     })
 }
 
-fn put_access_list(buf: &mut Vec<u8>, list: &[(BufferId, u64)]) {
+fn put_access_list(buf: &mut impl BufMut, list: &[(BufferId, u64)]) {
     buf.put_u32(list.len() as u32);
     for &(BufferId(id), bytes) in list {
         buf.put_u64_le(id);
@@ -97,7 +97,7 @@ fn get_access_list(buf: &mut &[u8]) -> Result<Vec<(BufferId, u64)>, ClientError>
     Ok(list)
 }
 
-fn put_desc(buf: &mut Vec<u8>, desc: &KernelDesc) {
+fn put_desc(buf: &mut impl BufMut, desc: &KernelDesc) {
     buf.put_u8(kind_tag(desc.kind));
     put_access_list(buf, &desc.reads);
     put_access_list(buf, &desc.writes);
@@ -128,7 +128,7 @@ fn get_desc(buf: &mut &[u8]) -> Result<KernelDesc, ClientError> {
     })
 }
 
-fn put_stream_list(buf: &mut Vec<u8>, list: &[usize]) {
+fn put_stream_list(buf: &mut impl BufMut, list: &[usize]) {
     buf.put_u32(list.len() as u32);
     for &s in list {
         buf.put_u32(s as u32);
@@ -146,10 +146,27 @@ fn get_stream_list(buf: &mut &[u8]) -> Result<Vec<usize>, ClientError> {
     Ok(list)
 }
 
-/// Serializes one plan-cache entry (`fingerprint`, plan, first-occurrence
-/// buffer binding) into a `PLAN` record payload.
-pub fn encode_plan_entry(fp: u64, plan: &ExecPlan, binding: &[BufferId]) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// Length of the [`write_plan_entry`] payload, from the step and list
+/// counts alone.
+pub fn plan_entry_len(plan: &ExecPlan, binding: &[BufferId]) -> usize {
+    let steps = plan.steps.iter();
+    let steps_len: usize = steps
+        .map(|step| match step {
+            PlanStep::Launch { desc, .. } => {
+                1 + 4 + 1 + (4 + 16 * desc.reads.len()) + (4 + 16 * desc.writes.len()) + 16
+            }
+            PlanStep::Fence { signals, waiters } => {
+                1 + (4 + 4 * signals.len()) + (4 + 4 * waiters.len())
+            }
+        })
+        .sum();
+    (8 + 4 + 8 * binding.len()) + (4 + steps_len) + 8 * (6 + 3) + (4 + 16 * plan.slots.len())
+}
+
+/// Appends one plan-cache entry (`fingerprint`, plan, first-occurrence
+/// buffer binding) as a `PLAN` record payload to `buf` — a `Vec`, or the
+/// persist layer's `RecordWriter::record_with` sink.
+pub fn write_plan_entry(buf: &mut impl BufMut, fp: u64, plan: &ExecPlan, binding: &[BufferId]) {
     buf.put_u64_le(fp);
     buf.put_u32(binding.len() as u32);
     for &BufferId(id) in binding {
@@ -161,12 +178,12 @@ pub fn encode_plan_entry(fp: u64, plan: &ExecPlan, binding: &[BufferId]) -> Vec<
             PlanStep::Launch { stream, desc } => {
                 buf.put_u8(STEP_LAUNCH);
                 buf.put_u32(*stream as u32);
-                put_desc(&mut buf, desc);
+                put_desc(buf, desc);
             }
             PlanStep::Fence { signals, waiters } => {
                 buf.put_u8(STEP_FENCE);
-                put_stream_list(&mut buf, signals);
-                put_stream_list(&mut buf, waiters);
+                put_stream_list(buf, signals);
+                put_stream_list(buf, waiters);
             }
         }
     }
@@ -195,6 +212,13 @@ pub fn encode_plan_entry(fp: u64, plan: &ExecPlan, binding: &[BufferId]) -> Vec<
         buf.put_u64_le(b);
         buf.put_u64_le(s);
     }
+}
+
+/// Serializes one plan-cache entry into a `PLAN` record payload
+/// ([`write_plan_entry`] into a fresh, exactly sized `Vec`).
+pub fn encode_plan_entry(fp: u64, plan: &ExecPlan, binding: &[BufferId]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(plan_entry_len(plan, binding));
+    write_plan_entry(&mut buf, fp, plan, binding);
     buf
 }
 
@@ -317,6 +341,7 @@ mod tests {
         let (fp, binding) = fingerprint(&graph, &cfg);
         let plan = Planner::new(cfg).plan(&graph);
         let payload = encode_plan_entry(fp, &plan, &binding);
+        assert_eq!(payload.len(), plan_entry_len(&plan, &binding));
         let (fp2, plan2, binding2) = decode_plan_entry(&payload).unwrap();
         assert_eq!(fp, fp2);
         assert_eq!(binding, binding2);

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use fides_client::persist::{
     kind, ParamsRecord, PlacementRecord, RecordReader, RecordWriter, ServerMetaRecord,
-    SessionRecord,
+    SessionRecord, SessionRecordRef,
 };
 use fides_client::wire::{
     params_fingerprint, EvalRequest, EvalResponse, OpProgram, SessionRequest,
@@ -14,8 +14,8 @@ use fides_client::wire::{
 use fides_client::{Domain, RawCiphertext, RawParams, RawPoly};
 use fides_core::backend::{BackendPt, EvalBackend};
 use fides_core::sched::{
-    decode_plan_entry, encode_plan_entry, fingerprint, plan_parallel, BoundPlan, CostModel,
-    ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig,
+    decode_plan_entry, fingerprint, plan_entry_len, plan_parallel, write_plan_entry, BoundPlan,
+    CostModel, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig,
 };
 use fides_core::{adapter, CkksContext, CkksParameters, CpuBackend, GpuSimBackend};
 use fides_gpu_sim::{
@@ -403,7 +403,7 @@ impl Server {
                 // shard's context. The upcoming session id keys the
                 // consistent hash, and the key-frame size is the
                 // placement's future migration cost.
-                let key_bytes = req.to_bytes().len() as u64;
+                let key_bytes = req.encoded_len() as u64;
                 let registry = self.inner.registry.lock();
                 self.inner
                     .router
@@ -559,9 +559,16 @@ impl Server {
     /// stream: the parameter fingerprint, the tenant registry (session
     /// ids, device homes, DRR weights, full key uploads) in LRU order,
     /// the shard router's committed placements, and every cached batch
-    /// plan. Taken under the tick lock, so the snapshot is a consistent
-    /// point between batch ticks — never mid-admission and never
-    /// mid-replay.
+    /// plan. The state is *collected* under the tick lock, so the snapshot
+    /// is a consistent point between batch ticks — never mid-admission
+    /// and never mid-replay — but everything collected is a shared handle
+    /// or a value, so the lock is released before the first byte is
+    /// written: a slow sink never stalls serving, and ticks that run
+    /// during the write are not in the image.
+    ///
+    /// Each record is encoded once, from the registry's own key material,
+    /// straight into `w` with its CRC folded in the same pass (wrap a file
+    /// in a `BufWriter`).
     ///
     /// Queued-but-unserved requests are deliberately *not* captured:
     /// clients hold their tickets and resubmit after a restart, exactly
@@ -573,20 +580,23 @@ impl Server {
     /// [`ServeError::Snapshot`] when a resident session retains no key
     /// upload to serialize.
     pub fn snapshot<W: Write>(&self, w: W) -> Result<(), ServeError> {
-        let _tick = self.inner.tick_lock.lock();
-        let (sessions, next_session_id) = {
-            let registry = self.inner.registry.lock();
-            (registry.export(), registry.next_id())
+        let (sessions, next_session_id, weights, placements, plans) = {
+            let _tick = self.inner.tick_lock.lock();
+            let (sessions, next_session_id) = {
+                let registry = self.inner.registry.lock();
+                (registry.export(), registry.next_id())
+            };
+            let weights: Vec<u32> = {
+                let queue = self.inner.queue.lock();
+                sessions
+                    .iter()
+                    .map(|(id, _)| queue.weight_of(*id))
+                    .collect()
+            };
+            let placements = self.inner.router.lock().export_placements();
+            let plans = self.inner.plan_cache.lock().export_entries();
+            (sessions, next_session_id, weights, placements, plans)
         };
-        let weights: Vec<u32> = {
-            let queue = self.inner.queue.lock();
-            sessions
-                .iter()
-                .map(|(id, _)| queue.weight_of(*id))
-                .collect()
-        };
-        let placements = self.inner.router.lock().export_placements();
-        let plans = self.inner.plan_cache.lock().export_entries();
 
         let mut writer = RecordWriter::new(w)?;
         writer.record(
@@ -607,19 +617,16 @@ impl Server {
             .encode(),
         )?;
         for ((id, state), weight) in sessions.iter().zip(&weights) {
-            let upload = state.upload.clone().ok_or_else(|| {
+            let upload = state.upload.as_ref().ok_or_else(|| {
                 ServeError::Snapshot(format!("session {id} retains no key upload"))
             })?;
-            writer.record(
-                kind::SESSION,
-                &SessionRecord {
-                    id: *id,
-                    device: state.device as u32,
-                    weight: *weight,
-                    upload,
-                }
-                .encode(),
-            )?;
+            let rec = SessionRecordRef {
+                id: *id,
+                device: state.device as u32,
+                weight: *weight,
+                upload: upload.as_upload(),
+            };
+            writer.record_with(kind::SESSION, rec.encoded_len(), |out| rec.write_into(out))?;
         }
         for (tenant, device, key_bytes) in placements {
             writer.record(
@@ -633,7 +640,9 @@ impl Server {
             )?;
         }
         for (fp, plan, binding) in plans {
-            writer.record(kind::PLAN, &encode_plan_entry(fp, &plan, &binding))?;
+            writer.record_with(kind::PLAN, plan_entry_len(&plan, &binding), |out| {
+                write_plan_entry(out, fp, &plan, &binding)
+            })?;
         }
         writer.finish()?;
         Ok(())
@@ -666,8 +675,8 @@ impl Server {
     pub fn restore<R: Read>(&self, r: R) -> Result<u64, ServeError> {
         let _tick = self.inner.tick_lock.lock();
         let mut reader = RecordReader::new(r)?;
-        let params = match reader.next_record()? {
-            Some(rec) if rec.kind == kind::PARAMS => ParamsRecord::decode(&rec.payload)?,
+        let params = match reader.read_record()? {
+            Some(rec) if rec.kind == kind::PARAMS => ParamsRecord::decode(rec.payload)?,
             Some(rec) => {
                 return Err(ServeError::Snapshot(format!(
                     "expected params record first, found kind {}",
@@ -677,8 +686,8 @@ impl Server {
             None => return Err(ServeError::Snapshot("empty snapshot stream".into())),
         };
         check_params_hash(self.inner.params_hash, params.params_hash)?;
-        let meta = match reader.next_record()? {
-            Some(rec) if rec.kind == kind::SERVER => ServerMetaRecord::decode(&rec.payload)?,
+        let meta = match reader.read_record()? {
+            Some(rec) if rec.kind == kind::SERVER => ServerMetaRecord::decode(rec.payload)?,
             Some(rec) => {
                 return Err(ServeError::Snapshot(format!(
                     "expected server metadata second, found kind {}",
@@ -705,10 +714,10 @@ impl Server {
         let mut staged_sessions: Vec<(u64, u32, SessionState)> = Vec::new();
         let mut staged_placements: Vec<(u64, usize, u64)> = Vec::new();
         let mut staged_plans = Vec::new();
-        while let Some(rec) = reader.next_record()? {
+        while let Some(rec) = reader.read_record()? {
             match rec.kind {
                 kind::SESSION => {
-                    let sess = SessionRecord::decode(&rec.payload)?;
+                    let sess = SessionRecord::decode(rec.payload)?;
                     check_params_hash(self.inner.params_hash, sess.upload.params_hash)?;
                     let device = sess.device as usize;
                     if device >= self.num_devices() {
@@ -730,7 +739,7 @@ impl Server {
                     staged_sessions.push((sess.id, sess.weight, state));
                 }
                 kind::PLACEMENT => {
-                    let p = PlacementRecord::decode(&rec.payload)?;
+                    let p = PlacementRecord::decode(rec.payload)?;
                     let device = p.device as usize;
                     if device >= self.num_devices() {
                         return Err(ServeError::Snapshot(format!(
@@ -742,7 +751,7 @@ impl Server {
                     staged_placements.push((p.tenant, device, p.key_bytes));
                 }
                 kind::PLAN => {
-                    staged_plans.push(decode_plan_entry(&rec.payload)?);
+                    staged_plans.push(decode_plan_entry(rec.payload)?);
                 }
                 other => {
                     return Err(ServeError::Snapshot(format!(
