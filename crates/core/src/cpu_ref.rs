@@ -393,7 +393,7 @@ impl HostContext {
             self.ntt_q[i].forward_inplace(&mut t);
             let m = &self.moduli_q[i];
             let inv = &self.p_inv_mod_q[i];
-            fides_math::simd::sub_shoup_mul_assign(m, inv, limb, &t);
+            m.sub_shoup_mul_assign_slices(inv, limb, &t);
             self.pool.put(t);
         });
         drop(p_refs);
@@ -474,7 +474,7 @@ impl HostContext {
             }
             self.ntt_q[i].forward_inplace(&mut t);
             let inv = ShoupPrecomp::new(m.inv_mod(m.reduce_u64(q_last.value())), m);
-            fides_math::simd::sub_shoup_mul_assign(m, &inv, limb, &t);
+            m.sub_shoup_mul_assign_slices(&inv, limb, &t);
             self.pool.put(t);
         });
         self.pool.put(last);

@@ -32,10 +32,9 @@ mod ntt2d;
 mod poly;
 mod prime;
 mod sampling;
-pub mod simd;
 
 pub use cplx::{special_fft, special_ifft, Complex64};
-pub use modular::{Modulus, MontgomeryOps, ShoupPrecomp};
+pub use modular::{Modulus, ShoupPrecomp};
 pub use ntt::{bit_reverse, reverse_bits, NttTable};
 pub use ntt2d::Ntt2d;
 pub use poly::{
@@ -46,4 +45,3 @@ pub use prime::{generate_ntt_primes, generate_scaling_primes, is_prime_u64, next
 pub use sampling::{
     sample_gaussian_coeffs, sample_ternary_coeffs, sample_uniform_poly, signed_to_residues,
 };
-pub use simd::{set_simd_enabled, simd_enabled};

@@ -1,23 +1,24 @@
 //! Word-sized modular arithmetic.
 //!
-//! Implements the three fast modular reduction families compared in Table III
-//! of the FIDESlib paper:
+//! Implements the two reduction families of Table III of the FIDESlib paper
+//! that the library computes with:
 //!
 //! * **Improved Barrett** reduction/multiplication — the library default,
 //!   requiring no special operand encoding ([`Modulus::reduce_u128`],
 //!   [`Modulus::mul_mod`]).
 //! * **Shoup** multiplication — used when one operand is a precomputed
 //!   constant, e.g. NTT twiddle factors ([`ShoupPrecomp`]).
-//! * **Montgomery** reduction/multiplication — provided for the Table III
-//!   ablation benchmark ([`MontgomeryOps`]).
+//!
+//! Table III's third family, Montgomery, needs every operand converted into
+//! Montgomery form first; FIDESlib defaults to Barrett for that reason, and
+//! this crate does not implement it.
 //!
 //! All moduli are odd primes `p < 2^62`, matching FIDESlib's word-sized RNS
 //! limbs.
 
 use serde::{Deserialize, Serialize};
 
-/// An odd prime modulus `p < 2^62` with precomputed Barrett and Montgomery
-/// constants.
+/// An odd prime modulus `p < 2^62` with its precomputed Barrett constant.
 ///
 /// The Barrett constant is `⌊2^128 / p⌋` stored as two 64-bit words; a 128-bit
 /// value is reduced with three wide multiplications and at most one
@@ -34,10 +35,6 @@ pub struct Modulus {
     value: u64,
     /// `⌊2^128 / value⌋` as (low, high) words.
     ratio: (u64, u64),
-    /// `-value^{-1} mod 2^64` (Montgomery).
-    mont_neg_inv: u64,
-    /// `2^128 mod value` (Montgomery conversion constant).
-    mont_r2: u64,
     bits: u32,
 }
 
@@ -53,23 +50,8 @@ impl Modulus {
         assert!(value < (1u64 << 62), "modulus must be below 2^62");
         let ratio128 = u128::MAX / value as u128; // == floor(2^128 / value) for odd value
         let ratio = (ratio128 as u64, (ratio128 >> 64) as u64);
-
-        // Newton iteration for value^{-1} mod 2^64.
-        let mut inv: u64 = value;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(value.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(value.wrapping_mul(inv), 1);
-        let mont_neg_inv = inv.wrapping_neg();
-        let mont_r2 = ((u128::MAX % value as u128 + 1) % value as u128) as u64;
         let bits = 64 - value.leading_zeros();
-        Self {
-            value,
-            ratio,
-            mont_neg_inv,
-            mont_r2,
-            bits,
-        }
+        Self { value, ratio, bits }
     }
 
     /// The modulus value `p`.
@@ -215,101 +197,6 @@ impl Modulus {
             v as i64
         }
     }
-
-    /// Four-lane [`Self::reduce_u128`]: the identical improved-Barrett
-    /// reduction applied independently per lane, with the final conditional
-    /// subtraction expressed branchlessly so the four lanes stay straight-line
-    /// code the autovectorizer can fuse. Bit-identical to the scalar form.
-    #[inline(always)]
-    pub fn reduce_u128_x4(&self, x: [u128; 4]) -> [u64; 4] {
-        let p = self.value;
-        let (r0, r1) = self.ratio;
-        let mut out = [0u64; 4];
-        for l in 0..4 {
-            let x0 = x[l] as u64;
-            let x1 = (x[l] >> 64) as u64;
-            let a_hi = ((x0 as u128 * r0 as u128) >> 64) as u64;
-            let b = x0 as u128 * r1 as u128;
-            let c = x1 as u128 * r0 as u128;
-            let s1 = a_hi as u128 + (b as u64) as u128 + (c as u64) as u128;
-            let q_lo = ((b >> 64) as u64)
-                .wrapping_add((c >> 64) as u64)
-                .wrapping_add((s1 >> 64) as u64)
-                .wrapping_add(x1.wrapping_mul(r1));
-            let r = x0.wrapping_sub(q_lo.wrapping_mul(p));
-            out[l] = csub(r, p);
-        }
-        out
-    }
-
-    /// Four-lane [`Self::add_mod`] (operands already in `[0, p)`).
-    #[inline(always)]
-    pub fn add_mod_x4(&self, a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
-        let p = self.value;
-        let mut out = [0u64; 4];
-        for l in 0..4 {
-            debug_assert!(a[l] < p && b[l] < p);
-            out[l] = csub(a[l] + b[l], p);
-        }
-        out
-    }
-
-    /// Four-lane [`Self::sub_mod`] (operands already in `[0, p)`).
-    #[inline(always)]
-    pub fn sub_mod_x4(&self, a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
-        let p = self.value;
-        let mut out = [0u64; 4];
-        for l in 0..4 {
-            debug_assert!(a[l] < p && b[l] < p);
-            // `a - b`, lending `p` back when the subtraction borrows — the
-            // branchless twin of the scalar `if a >= b` form.
-            let d = a[l].wrapping_sub(b[l]);
-            out[l] = d.wrapping_add(((a[l] < b[l]) as u64).wrapping_neg() & p);
-        }
-        out
-    }
-
-    /// Four-lane [`Self::neg_mod`] (operands already in `[0, p)`).
-    #[inline(always)]
-    pub fn neg_mod_x4(&self, a: [u64; 4]) -> [u64; 4] {
-        let p = self.value;
-        let mut out = [0u64; 4];
-        for l in 0..4 {
-            debug_assert!(a[l] < p);
-            out[l] = (p - a[l]) & ((a[l] != 0) as u64).wrapping_neg();
-        }
-        out
-    }
-
-    /// Four-lane Barrett [`Self::mul_mod`].
-    #[inline(always)]
-    pub fn mul_mod_x4(&self, a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
-        let mut wide = [0u128; 4];
-        for l in 0..4 {
-            wide[l] = a[l] as u128 * b[l] as u128;
-        }
-        self.reduce_u128_x4(wide)
-    }
-
-    /// Four-lane fused multiply-add [`Self::mul_add_mod`]:
-    /// `a[l] * b[l] + c[l] mod p` per lane.
-    #[inline(always)]
-    pub fn mul_add_mod_x4(&self, a: [u64; 4], b: [u64; 4], c: [u64; 4]) -> [u64; 4] {
-        let mut wide = [0u128; 4];
-        for l in 0..4 {
-            wide[l] = a[l] as u128 * b[l] as u128 + c[l] as u128;
-        }
-        self.reduce_u128_x4(wide)
-    }
-}
-
-/// Branchless conditional subtraction: `if r >= p { r - p } else { r }`.
-///
-/// Same bits as the branchy form for every input; the mask shape is what lets
-/// the compiler keep four lanes in flight without a cmov per lane.
-#[inline(always)]
-fn csub(r: u64, p: u64) -> u64 {
-    r.wrapping_sub(((r >= p) as u64).wrapping_neg() & p)
 }
 
 /// Shoup precomputation for multiplying by a fixed constant `w < p`.
@@ -356,98 +243,6 @@ impl ShoupPrecomp {
         } else {
             r
         }
-    }
-
-    /// Four-lane [`Self::mul`]: the same Shoup multiplication per lane
-    /// (accepting any `u64` per lane, like the scalar form), branchless final
-    /// subtraction. Bit-identical to four scalar calls.
-    #[inline(always)]
-    pub fn mul_x4(&self, x: [u64; 4], modulus: &Modulus) -> [u64; 4] {
-        let p = modulus.value();
-        let mut out = [0u64; 4];
-        for l in 0..4 {
-            let q = ((self.quotient as u128 * x[l] as u128) >> 64) as u64;
-            let r = self
-                .operand
-                .wrapping_mul(x[l])
-                .wrapping_sub(q.wrapping_mul(p));
-            out[l] = csub(r, p);
-        }
-        out
-    }
-}
-
-/// Montgomery-form modular operations, included for the Table III reduction
-/// method comparison.
-///
-/// Operands must be converted into Montgomery form ([`MontgomeryOps::to_mont`])
-/// before multiplying, which is why FIDESlib prefers Barrett as the default.
-#[derive(Clone, Copy, Debug)]
-pub struct MontgomeryOps<'a> {
-    modulus: &'a Modulus,
-}
-
-impl<'a> MontgomeryOps<'a> {
-    /// Wraps a modulus for Montgomery-domain computation.
-    pub fn new(modulus: &'a Modulus) -> Self {
-        Self { modulus }
-    }
-
-    /// REDC: reduces `t < p·2^64` to `t · 2^{-64} mod p`.
-    #[inline(always)]
-    pub fn redc(&self, t: u128) -> u64 {
-        let p = self.modulus.value();
-        let m = (t as u64).wrapping_mul(self.modulus.mont_neg_inv);
-        let u = ((t + m as u128 * p as u128) >> 64) as u64;
-        if u >= p {
-            u - p
-        } else {
-            u
-        }
-    }
-
-    /// Converts into Montgomery form: `a · 2^64 mod p`.
-    #[inline(always)]
-    pub fn to_mont(&self, a: u64) -> u64 {
-        self.redc(a as u128 * self.modulus.mont_r2 as u128)
-    }
-
-    /// Converts out of Montgomery form.
-    #[inline(always)]
-    pub fn from_mont(&self, a: u64) -> u64 {
-        self.redc(a as u128)
-    }
-
-    /// Multiplies two Montgomery-form operands; result stays in Montgomery
-    /// form. One wide plus one low multiplication (Table III).
-    #[inline(always)]
-    pub fn mul(&self, a: u64, b: u64) -> u64 {
-        self.redc(a as u128 * b as u128)
-    }
-
-    /// Four-lane [`Self::redc`]: identical REDC per lane, branchless final
-    /// subtraction. Bit-identical to four scalar calls.
-    #[inline(always)]
-    pub fn redc_x4(&self, t: [u128; 4]) -> [u64; 4] {
-        let p = self.modulus.value();
-        let neg_inv = self.modulus.mont_neg_inv;
-        let mut out = [0u64; 4];
-        for l in 0..4 {
-            let m = (t[l] as u64).wrapping_mul(neg_inv);
-            let u = ((t[l] + m as u128 * p as u128) >> 64) as u64;
-            out[l] = csub(u, p);
-        }
-        out
-    }
-
-    /// Four-lane Montgomery [`Self::mul`].
-    #[inline(always)]
-    pub fn mul_x4(&self, a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
-        let mut wide = [0u128; 4];
-        for l in 0..4 {
-            wide[l] = a[l] as u128 * b[l] as u128;
-        }
-        self.redc_x4(wide)
     }
 }
 
@@ -530,22 +325,6 @@ mod tests {
         let sp = ShoupPrecomp::new(12345, &m);
         for x in [u64::MAX, u64::MAX - 1, 1u64 << 63] {
             assert_eq!(sp.mul(x, &m), m.mul_mod(12345, m.reduce_u64(x)));
-        }
-    }
-
-    #[test]
-    fn montgomery_roundtrip_and_mul() {
-        for &p in PRIMES {
-            let m = Modulus::new(p);
-            let mont = MontgomeryOps::new(&m);
-            for a in [0u64, 1, 2, p / 2, p - 1] {
-                assert_eq!(mont.from_mont(mont.to_mont(a)), a);
-                for b in [0u64, 1, p - 1, p / 3] {
-                    let am = mont.to_mont(a);
-                    let bm = mont.to_mont(b);
-                    assert_eq!(mont.from_mont(mont.mul(am, bm)), m.mul_mod(a, b));
-                }
-            }
         }
     }
 

@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::modular::{Modulus, ShoupPrecomp};
+use crate::poly::PolyOps;
 
 /// Reverses the lowest `bits` bits of `x`.
 #[inline(always)]
@@ -45,24 +46,18 @@ pub fn bit_reverse<T>(a: &mut [T]) {
 
 /// Precomputed NTT tables for one `(modulus, ring degree)` pair.
 ///
-/// Holds the primitive `2N`-th root of unity `ψ`, the forward twiddle factors
-/// `ψ^{brv(i)}` in Cooley–Tukey traversal order, their inverses for the
-/// Gentleman–Sande inverse transform, `N^{-1}`, and Shoup companions for all
-/// of them.
+/// Holds the primitive `2N`-th root of unity `ψ` and, as Shoup constants, the
+/// forward twiddle factors `ψ^{brv(i)}` in Cooley–Tukey traversal order,
+/// their inverses for the Gentleman–Sande inverse transform, and `N^{-1}`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NttTable {
     n: usize,
     log_n: u32,
     modulus: Modulus,
     psi: u64,
-    /// Flat ψ-power tables: retained alongside the per-stage Shoup tables
-    /// for verification tooling even though the transform kernels below
-    /// only consume the Shoup forms.
-    #[allow(dead_code)]
-    root_powers: Vec<u64>,
+    /// `ψ^{brv(i)}` in Cooley–Tukey traversal order, as Shoup constants.
     root_powers_shoup: Vec<ShoupPrecomp>,
-    #[allow(dead_code)]
-    inv_root_powers: Vec<u64>,
+    /// `ψ^{-brv(i)}` for the Gentleman–Sande inverse, as Shoup constants.
     inv_root_powers_shoup: Vec<ShoupPrecomp>,
     n_inv: ShoupPrecomp,
 }
@@ -89,32 +84,25 @@ impl NttTable {
         let log_n = n.trailing_zeros();
         let psi = find_primitive_2n_root(n, &modulus);
 
-        let mut root_powers = vec![0u64; n];
-        let mut inv_root_powers = vec![0u64; n];
         // Forward powers psi^0..psi^{n-1}; the CT loop then walks
-        // root_powers[i] = psi^{brv(i)} sequentially. The inverse table uses
-        // psi^{-k} = -psi^{n-k} (since psi^n ≡ -1), avoiding n inversions.
+        // root_powers_shoup[i] = psi^{brv(i)} sequentially. The inverse table
+        // uses psi^{-k} = -psi^{n-k} (since psi^n ≡ -1), avoiding n inversions.
         let mut fwd = vec![0u64; n];
         let mut acc = 1u64;
         for item in fwd.iter_mut() {
             *item = acc;
             acc = modulus.mul_mod(acc, psi);
         }
+        let mut root_powers_shoup = Vec::with_capacity(n);
+        let mut inv_root_powers_shoup = Vec::with_capacity(n);
         for i in 0..n {
             let r = reverse_bits(i, log_n);
-            root_powers[i] = fwd[r];
-            inv_root_powers[i] = if r == 0 { 1 } else { p - fwd[n - r] };
-            debug_assert_eq!(modulus.mul_mod(root_powers[i], inv_root_powers[i]), 1);
+            let w = fwd[r];
+            let w_inv = if r == 0 { 1 } else { p - fwd[n - r] };
+            debug_assert_eq!(modulus.mul_mod(w, w_inv), 1);
+            root_powers_shoup.push(ShoupPrecomp::new(w, &modulus));
+            inv_root_powers_shoup.push(ShoupPrecomp::new(w_inv, &modulus));
         }
-
-        let root_powers_shoup = root_powers
-            .iter()
-            .map(|&w| ShoupPrecomp::new(w, &modulus))
-            .collect();
-        let inv_root_powers_shoup = inv_root_powers
-            .iter()
-            .map(|&w| ShoupPrecomp::new(w, &modulus))
-            .collect();
         let n_inv = ShoupPrecomp::new(modulus.inv_mod(n as u64), &modulus);
 
         Self {
@@ -122,9 +110,7 @@ impl NttTable {
             log_n,
             modulus,
             psi,
-            root_powers,
             root_powers_shoup,
-            inv_root_powers,
             inv_root_powers_shoup,
             n_inv,
         }
@@ -167,8 +153,9 @@ impl NttTable {
     /// Forward NTT restricted to the butterfly stages `[stage_begin,
     /// stage_end)` (stage 0 is the first CT stage). Used by the
     /// hierarchical/2D NTT to split the transform into two memory passes.
-    /// The full in-place transform delegates here, so the butterfly kernel —
-    /// including its `u64x4` slab form — lives in exactly one place.
+    /// The full in-place transform delegates here, so the Cooley–Tukey
+    /// butterfly `(lo, hi) = (lo + w·hi, lo - w·hi)` lives in exactly one
+    /// place.
     pub(crate) fn forward_stages(&self, a: &mut [u64], stage_begin: u32, stage_end: u32) {
         assert_eq!(a.len(), self.n);
         assert!(stage_end <= self.log_n && stage_begin <= stage_end);
@@ -180,7 +167,12 @@ impl NttTable {
                 let w = &self.root_powers_shoup[groups + i];
                 let base = 2 * i * half;
                 let (lo, hi) = a[base..base + 2 * half].split_at_mut(half);
-                crate::simd::ct_butterfly(m, w, lo, hi);
+                for (l, h) in lo.iter_mut().zip(hi) {
+                    let u = *l;
+                    let v = w.mul(*h, m);
+                    *l = m.add_mod(u, v);
+                    *h = m.sub_mod(u, v);
+                }
             }
             groups <<= 1;
             half >>= 1;
@@ -191,7 +183,8 @@ impl NttTable {
     /// stage_end)`, where stage 0 is the **first** GS stage (group count
     /// `N/2`). Used by the hierarchical/2D iNTT. No `N^{-1}` scaling.
     /// The full in-place transforms delegate here, mirroring
-    /// [`Self::forward_stages`].
+    /// [`Self::forward_stages`]: the Gentleman–Sande butterfly
+    /// `(lo, hi) = (lo + hi, w·(lo - hi))` lives only here.
     pub(crate) fn inverse_stages(&self, a: &mut [u64], stage_begin: u32, stage_end: u32) {
         assert_eq!(a.len(), self.n);
         assert!(stage_end <= self.log_n && stage_begin <= stage_end);
@@ -203,7 +196,12 @@ impl NttTable {
                 let w = &self.inv_root_powers_shoup[groups + i];
                 let base = 2 * i * half;
                 let (lo, hi) = a[base..base + 2 * half].split_at_mut(half);
-                crate::simd::gs_butterfly(m, w, lo, hi);
+                for (l, h) in lo.iter_mut().zip(hi) {
+                    let u = *l;
+                    let v = *h;
+                    *l = m.add_mod(u, v);
+                    *h = w.mul(m.sub_mod(u, v), m);
+                }
             }
             half <<= 1;
             groups >>= 1;
@@ -219,7 +217,7 @@ impl NttTable {
     /// Panics if `a.len() != N`.
     pub fn inverse_inplace(&self, a: &mut [u64]) {
         self.inverse_stages(a, 0, self.log_n);
-        crate::simd::shoup_mul_assign(&self.modulus, &self.n_inv, a);
+        self.modulus.shoup_mul_assign_slices(&self.n_inv, a);
     }
 
     /// Inverse NTT without the trailing `N^{-1}` scaling (callers can fuse the

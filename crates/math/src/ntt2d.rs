@@ -17,6 +17,7 @@
 
 use crate::modular::Modulus;
 use crate::ntt::NttTable;
+use crate::poly::PolyOps;
 
 /// Two-pass hierarchical NTT driver built on top of an [`NttTable`].
 #[derive(Clone, Debug)]
@@ -92,11 +93,9 @@ impl Ntt2d {
     pub fn inverse_pass2(&self, a: &mut [u64]) {
         let split = self.table.log_n() - self.split_stage;
         self.table.inverse_stages(a, split, self.table.log_n());
-        let m = self.table.modulus();
-        let n_inv = self.table.n_inv();
-        for x in a.iter_mut() {
-            *x = n_inv.mul(*x, m);
-        }
+        self.table
+            .modulus()
+            .shoup_mul_assign_slices(self.table.n_inv(), a);
     }
 
     /// Full inverse transform as the two hierarchical passes. Identical

@@ -5,7 +5,7 @@
 //! them in simulated kernel launches. Everything operates on plain `&[u64]`
 //! residue slices so a single limb is exactly one contiguous device buffer.
 
-use crate::modular::Modulus;
+use crate::modular::{Modulus, ShoupPrecomp};
 use crate::ntt::reverse_bits;
 
 /// Elementwise slice operations under a common modulus.
@@ -33,62 +33,108 @@ pub trait PolyOps {
     fn scalar_add_assign(&self, a: &mut [u64], c: u64);
     /// `a[i] = -a[i] mod p`.
     fn neg_assign(&self, a: &mut [u64]);
+    /// `out[i] = w * x[i] mod p` for a Shoup-precomputed constant `w` (the
+    /// base-conversion input scaling).
+    fn shoup_mul_slices(&self, w: &ShoupPrecomp, x: &[u64], out: &mut [u64]);
+    /// `x[i] = w * x[i] mod p` for a Shoup-precomputed constant `w` (the
+    /// `N^{-1}` and base-conversion scaling).
+    fn shoup_mul_assign_slices(&self, w: &ShoupPrecomp, x: &mut [u64]);
+    /// `x[i] = w * (x[i] - c[i]) mod p` — the fused Rescale/ModDown tail:
+    /// subtract the switched last-limb contribution, then multiply by the
+    /// Shoup-precomputed `q_last^{-1}`.
+    fn sub_shoup_mul_assign_slices(&self, w: &ShoupPrecomp, x: &mut [u64], c: &[u64]);
 }
 
-// Every elementwise loop routes through the `simd` slab module, which holds
-// both the scalar reference loop and (behind the `simd` feature +
-// `FIDES_SIMD` kill-switch) the bit-identical `u64x4` slab form.
+// The one home of the elementwise limb loops. The binary forms assert their
+// lengths because `zip` would otherwise truncate a mismatched pair silently.
 impl PolyOps for Modulus {
-    #[inline]
     fn add_slices(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        crate::simd::add_into(self, a, b, out);
+        assert!(a.len() == b.len() && a.len() == out.len());
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = self.add_mod(x, y);
+        }
     }
 
-    #[inline]
     fn add_assign_slices(&self, a: &mut [u64], b: &[u64]) {
-        crate::simd::add_assign(self, a, b);
+        assert_eq!(a.len(), b.len());
+        for (x, &y) in a.iter_mut().zip(b) {
+            *x = self.add_mod(*x, y);
+        }
     }
 
-    #[inline]
     fn sub_slices(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        crate::simd::sub_into(self, a, b, out);
+        assert!(a.len() == b.len() && a.len() == out.len());
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = self.sub_mod(x, y);
+        }
     }
 
-    #[inline]
     fn sub_assign_slices(&self, a: &mut [u64], b: &[u64]) {
-        crate::simd::sub_assign(self, a, b);
+        assert_eq!(a.len(), b.len());
+        for (x, &y) in a.iter_mut().zip(b) {
+            *x = self.sub_mod(*x, y);
+        }
     }
 
-    #[inline]
     fn mul_slices(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        crate::simd::mul_into(self, a, b, out);
+        assert!(a.len() == b.len() && a.len() == out.len());
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = self.mul_mod(x, y);
+        }
     }
 
-    #[inline]
     fn mul_assign_slices(&self, a: &mut [u64], b: &[u64]) {
-        crate::simd::mul_assign(self, a, b);
+        assert_eq!(a.len(), b.len());
+        for (x, &y) in a.iter_mut().zip(b) {
+            *x = self.mul_mod(*x, y);
+        }
     }
 
-    #[inline]
     fn mul_add_assign_slices(&self, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        crate::simd::mul_add_assign(self, acc, a, b);
+        assert!(acc.len() == a.len() && a.len() == b.len());
+        for ((x, &y), &z) in acc.iter_mut().zip(a).zip(b) {
+            *x = self.mul_add_mod(y, z, *x);
+        }
     }
 
-    #[inline]
     fn scalar_mul_assign(&self, a: &mut [u64], c: u64) {
         let c = self.reduce_u64(c);
-        crate::simd::scalar_mul_assign(self, a, c);
+        for x in a.iter_mut() {
+            *x = self.mul_mod(*x, c);
+        }
     }
 
-    #[inline]
     fn scalar_add_assign(&self, a: &mut [u64], c: u64) {
         let c = self.reduce_u64(c);
-        crate::simd::scalar_add_assign(self, a, c);
+        for x in a.iter_mut() {
+            *x = self.add_mod(*x, c);
+        }
     }
 
-    #[inline]
     fn neg_assign(&self, a: &mut [u64]) {
-        crate::simd::neg_assign(self, a);
+        for x in a.iter_mut() {
+            *x = self.neg_mod(*x);
+        }
+    }
+
+    fn shoup_mul_slices(&self, w: &ShoupPrecomp, x: &[u64], out: &mut [u64]) {
+        assert_eq!(x.len(), out.len());
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = w.mul(v, self);
+        }
+    }
+
+    fn shoup_mul_assign_slices(&self, w: &ShoupPrecomp, x: &mut [u64]) {
+        for v in x.iter_mut() {
+            *v = w.mul(*v, self);
+        }
+    }
+
+    fn sub_shoup_mul_assign_slices(&self, w: &ShoupPrecomp, x: &mut [u64], c: &[u64]) {
+        assert_eq!(x.len(), c.len());
+        for (v, &y) in x.iter_mut().zip(c) {
+            *v = w.mul(self.sub_mod(*v, y), self);
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! kernel exploits, including 128-bit accumulation with a single deferred
 //! reduction per output element.
 
-use fides_math::{Modulus, ShoupPrecomp};
+use fides_math::{Modulus, PolyOps, ShoupPrecomp};
 use serde::{Deserialize, Serialize};
 
 /// Precomputed tables converting from source base `C = {c_i}` to destination
@@ -99,22 +99,17 @@ impl BaseConverter {
     /// FIDESlib fuses this into the iNTT that precedes conversion; exposing
     /// it separately lets the server library do the same.
     pub fn scale_input(&self, i: usize, x: &[u64], out: &mut [u64]) {
-        fides_math::simd::shoup_mul_into(&self.src[i], &self.src_hat_inv[i], x, out);
+        self.src[i].shoup_mul_slices(&self.src_hat_inv[i], x, out);
     }
 
     /// In-place variant of [`Self::scale_input`].
     pub fn scale_input_inplace(&self, i: usize, x: &mut [u64]) {
-        fides_math::simd::shoup_mul_assign(&self.src[i], &self.src_hat_inv[i], x);
+        self.src[i].shoup_mul_assign_slices(&self.src_hat_inv[i], x);
     }
 
     /// Computes destination limb `j` from the **pre-scaled** source limbs:
     /// `out[k] = Σ_i scaled[i][k] · [C/c_i]_{t_j} mod t_j`, accumulating in
     /// 128 bits with one deferred reduction.
-    ///
-    /// The slab path runs four coefficients at a time; the deferred-reduction
-    /// schedule is counted per source limb (never per value), so the four
-    /// lanes reduce at the same points as the scalar loop and stay
-    /// bit-identical.
     pub fn convert_scaled_limb(&self, scaled: &[&[u64]], j: usize, out: &mut [u64]) {
         assert_eq!(scaled.len(), self.src.len());
         let t = &self.dst[j];
@@ -122,30 +117,7 @@ impl BaseConverter {
         for s in scaled {
             assert_eq!(s.len(), n);
         }
-        let mut k = 0usize;
-        if fides_math::simd_enabled() {
-            while k + 4 <= n {
-                let mut acc = [0u128; 4];
-                let mut since_reduce = 0usize;
-                for (i, s) in scaled.iter().enumerate() {
-                    let hat = self.src_hat_mod_dst[i][j] as u128;
-                    for l in 0..4 {
-                        acc[l] += s[k + l] as u128 * hat;
-                    }
-                    since_reduce += 1;
-                    if since_reduce == self.chunk {
-                        let r = t.reduce_u128_x4(acc);
-                        for l in 0..4 {
-                            acc[l] = r[l] as u128;
-                        }
-                        since_reduce = 0;
-                    }
-                }
-                out[k..k + 4].copy_from_slice(&t.reduce_u128_x4(acc));
-                k += 4;
-            }
-        }
-        for (k, o) in out.iter_mut().enumerate().skip(k) {
+        for (k, o) in out.iter_mut().enumerate() {
             let mut acc = 0u128;
             let mut since_reduce = 0usize;
             for (i, s) in scaled.iter().enumerate() {
@@ -347,16 +319,15 @@ mod tests {
         assert_eq!(out[0], refs[0]);
     }
 
-    /// The x4 block in [`BaseConverter::convert_scaled_limb`] must be
-    /// bit-identical to the scalar loop: same count-based deferred-reduction
-    /// schedule, same Barrett, same bits — with lengths hitting both the
-    /// 4-lane body and the scalar tail, and wide (59-bit) primes so the
-    /// accumulators run close to the deferred-reduction headroom.
+    /// Nine 59-bit sources fill the 128-bit accumulators with full-width
+    /// partial products, which the 30-bit oracle test above never does; the
+    /// deferred reduction must still leave `x + u·C` for a small `u`.
     #[test]
-    fn convert_scaled_limb_identical_with_simd_on_and_off() {
+    fn convert_scaled_limb_matches_crt_oracle_with_wide_sources() {
         let src = moduli(59, 9, 64);
         let dst = moduli(58, 3, 64);
         let conv = BaseConverter::new(&src, &dst);
+        let c_prod = UBig::product_of(&src.iter().map(|m| m.value()).collect::<Vec<_>>());
         for n in [1usize, 4, 7, 64, 67] {
             let mut state = 0xfeed_u64 ^ n as u64;
             let mut next = || {
@@ -370,15 +341,21 @@ mod tests {
                 .map(|m| (0..n).map(|_| next() % m.value()).collect())
                 .collect();
             let refs: Vec<&[u64]> = src_limbs.iter().map(|v| v.as_slice()).collect();
-            let run = |enabled: bool| {
-                fides_math::set_simd_enabled(Some(enabled));
-                let mut out = vec![Vec::new(); dst.len()];
-                conv.convert(&refs, &mut out);
-                out
-            };
-            let off = run(false);
-            let on = run(true);
-            assert_eq!(off, on, "n={n}: simd on/off outputs diverge");
+            let mut out = vec![Vec::new(); dst.len()];
+            conv.convert(&refs, &mut out);
+            for k in 0..n {
+                let residues: Vec<u64> = src_limbs.iter().map(|l| l[k]).collect();
+                let x = crt_exact(&residues, &src);
+                for (j, t) in dst.iter().enumerate() {
+                    let (x_t, c_t) = (x.rem_u64(t.value()), c_prod.rem_u64(t.value()));
+                    let explained = (0..=src.len() as u64)
+                        .any(|u| t.add_mod(x_t, t.mul_mod(u, c_t)) == out[j][k]);
+                    assert!(
+                        explained,
+                        "n={n} coeff {k} dst {j}: no small u explains the output"
+                    );
+                }
+            }
         }
     }
 

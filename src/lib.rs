@@ -68,5 +68,4 @@ pub use fides_api::{
     BackendChoice, BootstrapConfig, CkksEngine, Ct, FidesError, FusionConfig, Result, SchedStats,
     Session,
 };
-pub use fides_math::{set_simd_enabled, simd_enabled};
 pub use fides_serve::{ServeBackend, ServeStats, Server, ServerConfig};

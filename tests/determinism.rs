@@ -103,37 +103,6 @@ proptest! {
     }
 }
 
-/// The `u64x4` SIMD slabs vs the scalar limb loops: the lane kernels use
-/// the same reduction algorithm per lane (branchless conditional-subtract
-/// rewrites are exact), so flipping the kill-switch must never change
-/// ciphertext bits — across circuit shapes, both backends, and worker
-/// counts 1 and 8 (slab dispatch composes with the limb-parallel pool).
-/// Without the `simd` cargo feature both states run the scalar path and
-/// the test degenerates to trivially-true, which is the intended contract.
-#[test]
-fn simd_on_off_bit_identical() {
-    let run = |simd: bool, backend: BackendChoice, workers: usize, seed: u64, pick: u8| {
-        fideslib::set_simd_enabled(Some(simd));
-        circuit(&engine(backend, workers, seed), seed, pick)
-    };
-    for pick in 0..3u8 {
-        for seed in [7u64, 1234, 987654321] {
-            for backend in [BackendChoice::Cpu, BackendChoice::GpuSim] {
-                for workers in [1usize, 8] {
-                    let off = run(false, backend, workers, seed, pick);
-                    let on = run(true, backend, workers, seed, pick);
-                    assert_frames_equal(
-                        &off,
-                        &on,
-                        &format!("simd off vs on ({backend:?}, workers {workers}, pick {pick})"),
-                    );
-                }
-            }
-        }
-    }
-    fideslib::set_simd_enabled(None);
-}
-
 /// Repeating an evaluation on one engine replays cached plans (same graph
 /// shape, fresh device buffers rebound into the plan) — results must not
 /// drift between the planned run and the cached-replay run.
