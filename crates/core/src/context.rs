@@ -19,10 +19,7 @@ use fides_rns::{product_inv_mod, product_mod, BaseConverter, DigitPartition};
 use parking_lot::Mutex;
 
 use crate::params::CkksParameters;
-use crate::sched::{
-    fingerprint, CostModel, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, Planner,
-    SchedStats,
-};
+use crate::sched::{CostModel, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, SchedStats};
 
 /// Index into the combined modulus chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -408,30 +405,24 @@ impl CkksContext {
     /// outermost close plans and replays the recorded graph; nested closes
     /// (and closes from threads that own no capture) are no-ops.
     ///
-    /// Planning consults the context's [`PlanCache`] first: a region whose
-    /// structural fingerprint matches an already-planned graph (same op
+    /// Planning goes through the context's [`PlanCache`] first: a region
+    /// whose structural shape matches an already-planned graph (same op
     /// descriptors, streams, barrier shapes and buffer aliasing — buffer
     /// *identities* are translated during replay) replays the shared cached
     /// plan with zero planning work and no copy. Hits and misses land in
     /// [`Self::sched_stats`] and the device ledger.
     pub fn graph_scope_end(&self) {
-        let events = self.gpu.end_capture();
-        if events.is_empty() {
+        let capture = self.gpu.end_capture();
+        if capture.events.is_empty() {
             return;
         }
-        let graph = ExecGraph::from_events(events);
-        let cfg = self.plan_config();
-        let (fp, binding) = fingerprint(&graph, &cfg);
-        let bound = {
-            let mut cache = self.plan_cache.lock();
-            match cache.lookup(fp, &binding) {
-                Some(bound) => bound,
-                None => {
-                    let plan = Planner::new(cfg).plan(&graph);
-                    cache.insert(fp, plan, binding)
-                }
-            }
-        };
+        let graph = ExecGraph::from_capture(capture);
+        let bound = self
+            .plan_cache
+            .lock()
+            .bind(&self.plan_cfg, &[&graph], false)
+            .pop()
+            .expect("one region, one plan");
         GpuReplayExecutor::new(&self.gpu).execute_bound(&bound);
         let mut ledger = self.sched_ledger.lock();
         ledger.absorb(bound.plan().stats());

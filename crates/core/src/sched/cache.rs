@@ -1,5 +1,5 @@
-//! Plan caching: structural graph fingerprints and a bounded LRU of
-//! finished [`ExecPlan`]s.
+//! Plan caching: structural graph keys and a bounded LRU of finished
+//! [`ExecPlan`]s.
 //!
 //! Planning a steady-state graph from scratch every tick is pure waste:
 //! the serve batcher records the *same* graph shape tick after tick (same
@@ -8,21 +8,41 @@
 //! that changes between repetitions is buffer *identity* — fresh device
 //! allocations get fresh [`BufferId`]s.
 //!
-//! The fingerprint therefore hashes the graph's **structure**: kernel
-//! kinds, recorded streams, byte/op totals, barrier shapes and the
-//! *aliasing pattern* of buffers (each buffer renamed to its
-//! first-occurrence index), plus the planner configuration. Two graphs
-//! with equal fingerprints have isomorphic dependency DAGs with equal
-//! costs, so a cached plan is valid for both once its buffer references
-//! are read through the first-occurrence correspondence.
+//! A graph is therefore keyed by its **structure**: kernel kinds, recorded
+//! streams, byte/op totals, barrier shapes and the *aliasing pattern* of
+//! buffers (each buffer renamed to its first-occurrence index), plus the
+//! planner configuration — one canonical word stream per graph. Two graphs
+//! with equal streams have isomorphic dependency DAGs with equal costs, so
+//! a cached plan is valid for both once its buffer references are read
+//! through the first-occurrence correspondence.
+//!
+//! The stream is hashed two ways:
+//!
+//! * the **shape key**, one multiply per word, is what a lookup computes.
+//!   It lives only in memory, keyed to its entry;
+//! * the **fingerprint** ([`fingerprint`]), byte-serial FNV-1a, is the
+//!   entry's persisted name — snapshots store it, and
+//!   `fingerprint_is_stable_across_releases` pins its value.
+//!
+//! [`PlanCache::bind`] computes the fingerprint only on a miss and the first
+//! time a restored entry's shape is seen; debug builds also recompute it on
+//! every shape-key hit and assert it matches. Either hash colliding costs
+//! timing fidelity on one plan, never ciphertext bits: functional math runs
+//! at record time.
+//!
+//! Canonicalisation is one pass per buffer reference. The ids the device
+//! pool handed out while the region recorded
+//! ([`Capture::fresh_ids`](fides_gpu_sim::Capture)) — the region's own
+//! temporaries, nearly every buffer it names — index a reused dense table;
+//! only the few older buffers it reads (ciphertext inputs, keys) go through
+//! a hash map.
 //!
 //! A hit copies nothing. The cache keeps each plan behind an [`Arc`], in
 //! the buffer ids of the graph it was planned from, next to that graph's
-//! binding; [`PlanCache::lookup`] hands both back as a [`BoundPlan`], and
-//! the executor translates ids *while replaying* (one small
-//! `old id → current id` table per region — see
+//! binding, and hands both back as a [`BoundPlan`]; the executor translates
+//! ids *while replaying* (see
 //! [`GpuReplayExecutor`](super::GpuReplayExecutor)). Persisted entries are
-//! the same triple `(fingerprint, plan, binding)`, which is why a snapshot
+//! the triple `(fingerprint, plan, binding)`, which is why a snapshot
 //! restores warm onto a device whose allocations it has never seen.
 
 use std::collections::HashMap;
@@ -34,84 +54,146 @@ use fides_gpu_sim::{BufferId, BufferMap};
 use super::graph::{ExecGraph, GraphOp};
 use super::plan::{ExecPlan, PlanConfig, Planner};
 
-/// FNV-1a, 64-bit: tiny, deterministic across processes, and collision-
-/// safe enough for a bounded cache (a collision costs timing fidelity on
-/// one plan, never ciphertext bits — functional math runs at record time).
+/// A consumer of a graph's canonical word stream.
+trait WordSink {
+    fn word(&mut self, w: u64);
+}
+
+/// FNV-1a, 64-bit, fed byte by byte: the persisted fingerprint. Tiny and
+/// deterministic across processes and releases.
 struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+impl WordSink for Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 }
 
-/// Computes the structural fingerprint of `graph` under `cfg` and the
-/// first-occurrence buffer binding the canonical renaming is relative to.
-///
-/// The binding is what a [`BoundPlan`] carries to translate a cached plan's
-/// buffer references onto the current graph's buffers.
-pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) {
-    let mut h = Fnv::new();
-    h.u64(cfg.fuse_elementwise as u64);
-    // The retired scheduler-version word: persisted plan caches were keyed
-    // with a 1 here, and dropping it would turn their restores cold.
-    h.u64(1);
-    h.u64(cfg.num_streams as u64);
-    h.u64(cfg.max_fuse as u64);
-    // Topology is part of the key: a plan ranked under one device model or
-    // partitioned for one device count must never replay on another.
-    h.u64(cfg.devices as u64);
-    for w in cfg.cost.fingerprint_words() {
-        h.u64(w);
+/// The in-memory shape key: one rotate-xor-multiply per word. Each step is
+/// a bijection of the state for any fixed word, so two streams of equal
+/// length that differ in one word never collide.
+struct ShapeHash(u64);
+
+impl WordSink for ShapeHash {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
-    let mut canon: BufferMap<u64> = BufferMap::default();
-    let mut binding: Vec<BufferId> = Vec::new();
-    let mut canon_of = |buf: BufferId, canon: &mut BufferMap<u64>| -> u64 {
-        *canon.entry(buf).or_insert_with(|| {
-            binding.push(buf);
-            binding.len() as u64 - 1
-        })
-    };
-    for op in &graph.ops {
-        match op {
-            GraphOp::Kernel(node) => {
-                h.u64(1);
-                h.u64(node.stream as u64);
-                h.u64(node.desc.kind.map_or(u64::MAX, |k| k as u64));
-                h.u64(node.desc.int32_ops);
-                h.u64(node.desc.access_efficiency.to_bits());
-                h.u64(node.desc.reads.len() as u64);
-                for &(buf, bytes) in &node.desc.reads {
-                    h.u64(canon_of(buf, &mut canon));
-                    h.u64(bytes);
-                }
-                h.u64(node.desc.writes.len() as u64);
-                for &(buf, bytes) in &node.desc.writes {
-                    h.u64(canon_of(buf, &mut canon));
-                    h.u64(bytes);
-                }
+}
+
+/// Marks a [`Canon`] table slot no buffer has claimed in the current walk.
+const UNSEEN: u32 = u32::MAX;
+
+/// Most fresh ids the dense table covers (4 MB of indices); ids past it
+/// fall back to the hash map.
+const MAX_DENSE_IDS: u64 = 1 << 20;
+
+/// Reusable canonicalisation scratch: buffer → first-occurrence index,
+/// through `dense` for the graph's fresh ids and `sparse` for the rest.
+/// Every slot is [`UNSEEN`] (and `sparse` empty) between walks.
+#[derive(Default)]
+struct Canon {
+    dense: Vec<u32>,
+    sparse: BufferMap<u32>,
+}
+
+impl Canon {
+    /// Streams the canonical words of `graph` under `cfg` into `sink` and
+    /// returns the first-occurrence buffer binding.
+    fn walk(
+        &mut self,
+        graph: &ExecGraph,
+        cfg: &PlanConfig,
+        sink: &mut impl WordSink,
+    ) -> Vec<BufferId> {
+        sink.word(cfg.fuse_elementwise as u64);
+        // The retired scheduler-version word: persisted plan caches were keyed
+        // with a 1 here, and dropping it would turn their restores cold.
+        sink.word(1);
+        sink.word(cfg.num_streams as u64);
+        sink.word(cfg.max_fuse as u64);
+        // Topology is part of the key: a plan ranked under one device model or
+        // partitioned for one device count must never replay on another.
+        sink.word(cfg.devices as u64);
+        for w in cfg.cost.fingerprint_words() {
+            sink.word(w);
+        }
+
+        let base = graph.fresh_ids.start;
+        let span = graph.fresh_ids.end.saturating_sub(base).min(MAX_DENSE_IDS) as usize;
+        if self.dense.len() < span {
+            self.dense.resize(span, UNSEEN);
+        }
+        let dense = &mut self.dense[..span];
+        let sparse = &mut self.sparse;
+        let mut binding: Vec<BufferId> = Vec::new();
+        let mut canon = |buf: BufferId| -> u64 {
+            let index = match dense.get_mut(buf.offset_from(base)) {
+                Some(index) => index,
+                None => sparse.entry(buf).or_insert(UNSEEN),
+            };
+            if *index == UNSEEN {
+                let next = binding.len() as u32;
+                assert_ne!(next, UNSEEN, "a region naming 2^32 buffers");
+                *index = next;
+                binding.push(buf);
             }
-            GraphOp::Barrier { signals, waiters } => {
-                h.u64(2);
-                h.u64(signals.len() as u64);
-                for &s in signals {
-                    h.u64(s as u64);
+            u64::from(*index)
+        };
+        for op in &graph.ops {
+            match op {
+                GraphOp::Kernel(node) => {
+                    sink.word(1);
+                    sink.word(node.stream as u64);
+                    sink.word(node.desc.kind.map_or(u64::MAX, |k| k as u64));
+                    sink.word(node.desc.int32_ops);
+                    sink.word(node.desc.access_efficiency.to_bits());
+                    for list in [&node.desc.reads, &node.desc.writes] {
+                        sink.word(list.len() as u64);
+                        for &(buf, bytes) in list {
+                            sink.word(canon(buf));
+                            sink.word(bytes);
+                        }
+                    }
                 }
-                h.u64(waiters.len() as u64);
-                for &w in waiters {
-                    h.u64(w as u64);
+                GraphOp::Barrier { signals, waiters } => {
+                    sink.word(2);
+                    for list in [signals, waiters] {
+                        sink.word(list.len() as u64);
+                        for &s in list {
+                            sink.word(s as u64);
+                        }
+                    }
                 }
             }
         }
+
+        for buf in &binding {
+            if let Some(index) = dense.get_mut(buf.offset_from(base)) {
+                *index = UNSEEN;
+            }
+        }
+        sparse.clear();
+        binding
     }
-    (h.0, binding)
+}
+
+/// Computes the persisted structural fingerprint of `graph` under `cfg` and
+/// the first-occurrence buffer binding the canonical renaming is relative
+/// to — the `(fingerprint, binding)` half of a persisted cache entry.
+pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) {
+    let mut fnv = Fnv::new();
+    let binding = Canon::default().walk(graph, cfg, &mut fnv);
+    (fnv.0, binding)
 }
 
 /// Plans every graph in `graphs` under `cfg`, fanning the planning passes
@@ -119,12 +201,11 @@ pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) 
 /// worker count). Returns, in input order, each graph's plan paired with
 /// the wall microseconds its own planning pass took.
 ///
-/// This is the cache-miss fan-out for batch servers whose per-shard
-/// graphs are independent by construction: `Planner::plan` is a pure
-/// function of `(cfg, graph)`, so the plans are byte-identical to the
-/// sequential ones at every worker count — only the wall time changes.
-/// Fingerprinting and cache bookkeeping stay on the calling thread; only
-/// the planning passes themselves run in parallel.
+/// This is the cache-miss fan-out behind [`PlanCache::bind`]: a batch
+/// server's per-shard graphs are independent by construction, and
+/// `Planner::plan` is a pure function of `(cfg, graph)`, so the plans are
+/// byte-identical to the sequential ones at every worker count — only the
+/// wall time changes.
 pub fn plan_parallel(
     cfg: &PlanConfig,
     graphs: &[&ExecGraph],
@@ -139,9 +220,9 @@ pub fn plan_parallel(
 }
 
 /// A plan paired with the two bindings that place it on the graph about to
-/// replay: what [`PlanCache::lookup`] (a hit) and [`PlanCache::insert`] (a
-/// fresh plan) hand to
-/// [`GpuReplayExecutor::execute_bound`](super::GpuReplayExecutor::execute_bound).
+/// replay: what [`PlanCache::bind`] returns per graph and
+/// [`GpuReplayExecutor::execute_bound`](super::GpuReplayExecutor::execute_bound)
+/// replays.
 ///
 /// The plan is shared with the cache and stays in the buffer ids of the
 /// graph it was planned from (`planned`); `current` is the first-occurrence
@@ -153,6 +234,8 @@ pub struct BoundPlan {
     planned: Arc<[BufferId]>,
     current: Arc<[BufferId]>,
     hit: bool,
+    warm: bool,
+    plan_us: u64,
 }
 
 impl BoundPlan {
@@ -176,6 +259,17 @@ impl BoundPlan {
     pub fn is_hit(&self) -> bool {
         self.hit
     }
+
+    /// Whether the plan is a hit on an entry a snapshot restore or a
+    /// warmup pass pre-planned.
+    pub fn is_warm_hit(&self) -> bool {
+        self.hit && self.warm
+    }
+
+    /// Wall microseconds this plan's planning pass took (0 for a hit).
+    pub fn plan_us(&self) -> u64 {
+        self.plan_us
+    }
 }
 
 struct CacheEntry {
@@ -186,22 +280,37 @@ struct CacheEntry {
     /// warmup pass) rather than from live traffic — lets the serving
     /// layer count warm-start hits separately.
     warm: bool,
+    /// The shape key that resolves to this entry; `None` for a restored
+    /// entry until its shape is first seen.
+    shape: Option<u64>,
 }
 
-/// A bounded LRU of planned graphs, keyed by structural fingerprint.
+/// A lookup that found no usable entry: everything [`PlanCache::bind`]
+/// needs to insert the plan it is about to build.
+struct Miss {
+    shape: u64,
+    fp: u64,
+    binding: Vec<BufferId>,
+}
+
+/// A bounded LRU of planned graphs, keyed by structural fingerprint and
+/// reached through shape keys.
 ///
 /// [`CkksContext`](crate::CkksContext) holds one for `eval_scope`-style
-/// regions; the serve layer holds one per server for batch ticks. Lookups
-/// and insertions are `&mut self` — owners wrap the cache in their own
-/// lock.
+/// regions; the serve layer holds one per server for batch ticks. Both go
+/// through [`PlanCache::bind`], the one lookup-or-plan path, which is
+/// `&mut self` — owners wrap the cache in their own lock.
 pub struct PlanCache {
     capacity: usize,
     entries: HashMap<u64, CacheEntry>,
+    /// Shape key → fingerprint of the entry it resolves to.
+    shapes: HashMap<u64, u64>,
+    canon: Canon,
     clock: u64,
     hits: u64,
     misses: u64,
     /// Wall microseconds spent in planning passes on behalf of this
-    /// cache's misses (owners report it via [`PlanCache::note_plan_us`]).
+    /// cache's misses.
     plan_us: u64,
 }
 
@@ -210,6 +319,7 @@ impl std::fmt::Debug for PlanCache {
         f.debug_struct("PlanCache")
             .field("capacity", &self.capacity)
             .field("len", &self.entries.len())
+            .field("shapes", &self.shapes.len())
             .field("hits", &self.hits)
             .field("misses", &self.misses)
             .finish()
@@ -232,6 +342,8 @@ impl PlanCache {
         Self {
             capacity: capacity.max(1),
             entries: HashMap::new(),
+            shapes: HashMap::new(),
+            canon: Canon::default(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -249,6 +361,12 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
+    /// Resident plans a shape key already resolves to — all but the
+    /// restored entries no lookup has reached yet.
+    pub fn shapes(&self) -> usize {
+        self.shapes.len()
+    }
+
     /// Lookups served from cache.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -259,43 +377,96 @@ impl PlanCache {
         self.misses
     }
 
-    /// Cumulative wall microseconds the owner spent planning this cache's
-    /// misses (see [`PlanCache::note_plan_us`]).
+    /// Cumulative wall microseconds spent planning this cache's misses.
     pub fn plan_us(&self) -> u64 {
         self.plan_us
     }
 
-    /// Accounts `us` wall microseconds of planning work into this cache's
-    /// ledger. Owners call this with the per-plan timings
-    /// [`plan_parallel`] measures (or their own), so "how much planning
-    /// latency did the cache fail to absorb" is answerable per cache.
-    pub fn note_plan_us(&mut self, us: u64) {
-        self.plan_us += us;
+    /// The one lookup path: returns, in input order, each graph's plan
+    /// bound onto its buffers — the cached plan for a known shape, else a
+    /// fresh one, which is cached.
+    ///
+    /// Every graph is looked up before any miss is planned; the misses'
+    /// planning passes fan out over [`plan_parallel`] and are then
+    /// inserted in input order. `warm` marks the inserted entries as
+    /// pre-planned (a warmup pass) — see [`PlanCache::restore_entry`].
+    pub fn bind(&mut self, cfg: &PlanConfig, graphs: &[&ExecGraph], warm: bool) -> Vec<BoundPlan> {
+        let mut bound: Vec<Option<BoundPlan>> = Vec::with_capacity(graphs.len());
+        let mut misses: Vec<(usize, Miss)> = Vec::new();
+        for (i, graph) in graphs.iter().enumerate() {
+            match self.lookup(graph, cfg) {
+                Ok(hit) => bound.push(Some(hit)),
+                Err(miss) => {
+                    bound.push(None);
+                    misses.push((i, miss));
+                }
+            }
+        }
+        if !misses.is_empty() {
+            let miss_graphs: Vec<&ExecGraph> = misses.iter().map(|&(i, _)| graphs[i]).collect();
+            let planned = plan_parallel(cfg, &miss_graphs, 0);
+            for ((i, miss), (plan, us)) in misses.into_iter().zip(planned) {
+                self.plan_us += us;
+                let mut fresh = self.insert(miss.fp, Some(miss.shape), plan, miss.binding, warm);
+                fresh.plan_us = us;
+                bound[i] = Some(fresh);
+            }
+        }
+        bound
+            .into_iter()
+            .map(|b| b.expect("every graph was looked up or planned"))
+            .collect()
     }
 
-    /// Returns the cached plan for `fp` bound onto `binding`'s buffers, or
-    /// `None` (counting a miss) when the shape has not been planned.
-    pub fn lookup(&mut self, fp: u64, binding: &[BufferId]) -> Option<BoundPlan> {
+    /// Resolves `graph` to a resident entry — by shape key, else (a
+    /// restored entry's first sighting) by fingerprint — and binds it, or
+    /// counts a miss.
+    fn lookup(&mut self, graph: &ExecGraph, cfg: &PlanConfig) -> Result<BoundPlan, Miss> {
         self.clock += 1;
+        let mut shape = ShapeHash(0);
+        let binding = self.canon.walk(graph, cfg, &mut shape);
+        let shape = shape.0;
+        let fnv = |canon: &mut Canon| {
+            let mut fnv = Fnv::new();
+            canon.walk(graph, cfg, &mut fnv);
+            fnv.0
+        };
+        let fp = match self.shapes.get(&shape) {
+            Some(&fp) => {
+                if cfg!(debug_assertions) {
+                    assert_eq!(fnv(&mut self.canon), fp, "shape key {shape:#x} collided");
+                }
+                fp
+            }
+            None => fnv(&mut self.canon),
+        };
         match self.entries.get_mut(&fp) {
             Some(e) if e.binding.len() == binding.len() => {
+                if e.shape != Some(shape) {
+                    if let Some(old) = e.shape.replace(shape) {
+                        self.shapes.remove(&old);
+                    }
+                    self.shapes.insert(shape, fp);
+                }
                 e.last_used = self.clock;
                 self.hits += 1;
-                Some(BoundPlan {
+                Ok(BoundPlan {
                     plan: Arc::clone(&e.plan),
                     planned: Arc::clone(&e.binding),
                     current: binding.into(),
                     hit: true,
+                    warm: e.warm,
+                    plan_us: 0,
                 })
             }
             _ => {
                 self.misses += 1;
-                None
+                Err(Miss { shape, fp, binding })
             }
         }
     }
 
-    /// Caches `plan` for `fp`, evicting the least-recently-used entry at
+    /// Caches `plan` under `fp`, evicting the least-recently-used entry at
     /// capacity — preferring **non-warm** victims. Warm entries (snapshot
     /// restore, warmup pass) sit at the cold end of the LRU order the
     /// moment they land, because nothing has hit them yet; plain LRU
@@ -307,7 +478,14 @@ impl PlanCache {
     ///
     /// Returns the plan bound to the graph it was just planned from, ready
     /// to replay (not a hit).
-    pub fn insert(&mut self, fp: u64, plan: ExecPlan, binding: Vec<BufferId>) -> BoundPlan {
+    fn insert(
+        &mut self,
+        fp: u64,
+        shape: Option<u64>,
+        plan: ExecPlan,
+        binding: Vec<BufferId>,
+        warm: bool,
+    ) -> BoundPlan {
         self.clock += 1;
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&fp) {
             // `last_used` values are unique (the clock ticks per call), so
@@ -320,53 +498,54 @@ impl PlanCache {
                     .map(|(&k, _)| k)
             };
             if let Some(victim) = lru_of(false).or_else(|| lru_of(true)) {
-                self.entries.remove(&victim);
+                self.forget(victim);
             }
         }
         let plan = Arc::new(plan);
         let binding: Arc<[BufferId]> = binding.into();
+        self.forget(fp);
         self.entries.insert(
             fp,
             CacheEntry {
                 plan: Arc::clone(&plan),
                 binding: Arc::clone(&binding),
                 last_used: self.clock,
-                warm: false,
+                warm,
+                shape,
             },
         );
+        if let Some(shape) = shape {
+            self.shapes.insert(shape, fp);
+        }
         BoundPlan {
             plan,
             planned: Arc::clone(&binding),
             current: binding,
             hit: false,
+            warm,
+            plan_us: 0,
+        }
+    }
+
+    /// Drops `fp`'s entry and the shape key resolving to it.
+    fn forget(&mut self, fp: u64) {
+        if let Some(shape) = self.entries.remove(&fp).and_then(|e| e.shape) {
+            self.shapes.remove(&shape);
         }
     }
 
     /// Re-inserts a deserialized entry and marks it warm. Same LRU
-    /// bookkeeping as [`PlanCache::insert`]; callers restore entries in
+    /// bookkeeping as a fresh plan; callers restore entries in
     /// least-recently-used-first order to reproduce eviction behavior.
     /// The warm mark is also eviction protection: restored entries land
     /// at the cold end of the LRU order (nothing has hit them yet), and
-    /// [`PlanCache::insert`] prefers non-warm victims, so a post-restore
-    /// burst of new shapes churns among itself instead of silently
-    /// undoing the restore.
+    /// insertion prefers non-warm victims, so a post-restore burst of new
+    /// shapes churns among itself instead of silently undoing the restore.
+    ///
+    /// The entry has no shape key yet: the first lookup of its shape finds
+    /// it by fingerprint and records the key.
     pub fn restore_entry(&mut self, fp: u64, plan: ExecPlan, binding: Vec<BufferId>) {
-        self.insert(fp, plan, binding);
-        self.mark_warm(fp);
-    }
-
-    /// Flags a resident fingerprint as pre-planned (warmup pass); no-op
-    /// when absent.
-    pub fn mark_warm(&mut self, fp: u64) {
-        if let Some(e) = self.entries.get_mut(&fp) {
-            e.warm = true;
-        }
-    }
-
-    /// Whether `fp` is resident *and* was pre-planned by a restore or
-    /// warmup rather than live traffic.
-    pub fn is_warm(&self, fp: u64) -> bool {
-        self.entries.get(&fp).is_some_and(|e| e.warm)
+        self.insert(fp, None, plan, binding, true);
     }
 
     /// Every resident entry as `(fingerprint, plan, binding)`, least
@@ -411,6 +590,21 @@ mod tests {
         )
     }
 
+    fn shape_key(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) {
+        let mut shape = ShapeHash(0);
+        let binding = Canon::default().walk(graph, cfg, &mut shape);
+        (shape.0, binding)
+    }
+
+    fn bind1(cache: &mut PlanCache, cfg: &PlanConfig, graph: &ExecGraph) -> BoundPlan {
+        cache.bind(cfg, &[graph], false).pop().expect("one plan")
+    }
+
+    /// Fingerprints of the resident entries, least recently used first.
+    fn resident(cache: &PlanCache) -> Vec<u64> {
+        cache.export_entries().iter().map(|e| e.0).collect()
+    }
+
     #[test]
     fn identical_structure_same_fingerprint_despite_buffers() {
         let (fa, ba) = fingerprint(&graph(&[10, 11, 10]), &cfg());
@@ -418,6 +612,11 @@ mod tests {
         assert_eq!(fa, fb, "buffer identity must not affect the fingerprint");
         assert_eq!(ba, vec![BufferId(10), BufferId(11)]);
         assert_eq!(bb, vec![BufferId(77), BufferId(93)]);
+        let (sa, sba) = shape_key(&graph(&[10, 11, 10]), &cfg());
+        let (sb, sbb) = shape_key(&graph(&[77, 93, 77]), &cfg());
+        assert_eq!(sa, sb, "buffer identity must not affect the shape key");
+        assert_ne!(sa, fa, "the shape key is its own hash");
+        assert_eq!((sba, sbb), (ba, bb), "one canonicalisation, one binding");
     }
 
     #[test]
@@ -456,6 +655,30 @@ mod tests {
         let (fa, _) = fingerprint(&graph(&[1, 2, 1]), &cfg());
         let (fb, _) = fingerprint(&graph(&[1, 2, 2]), &cfg());
         assert_ne!(fa, fb, "aliasing changes the dependency DAG");
+        let (sa, _) = shape_key(&graph(&[1, 2, 1]), &cfg());
+        let (sb, _) = shape_key(&graph(&[1, 2, 2]), &cfg());
+        assert_ne!(sa, sb, "aliasing changes the shape key too");
+    }
+
+    #[test]
+    fn fresh_id_window_never_changes_the_key_or_binding() {
+        // Ids 100..104 are fresh, 7 predates the region; windows covering
+        // all, some, none or past the fresh ids must canonicalise alike,
+        // through one reused scratch table.
+        let mut g = graph(&[100, 7, 101, 100, 103, 7, 102]);
+        let expect = shape_key(&g, &cfg());
+        let mut canon = Canon::default();
+        for window in [100..104, 101..103, 0..0, 0..101, 103..200, 100..100] {
+            g.fresh_ids = window.clone();
+            let mut shape = ShapeHash(0);
+            let binding = canon.walk(&g, &cfg(), &mut shape);
+            assert_eq!((shape.0, binding), expect, "window {window:?}");
+            assert!(
+                canon.dense.iter().all(|&i| i == UNSEEN),
+                "dense table left clean"
+            );
+            assert!(canon.sparse.is_empty(), "sparse map left clean");
+        }
     }
 
     #[test]
@@ -506,8 +729,8 @@ mod tests {
 
     #[test]
     fn cache_invalidates_across_topologies_and_hits_within_one() {
-        // ISSUE 6 satellite: the same graph planned at N=1 must miss when
-        // looked up for N=2, and re-running at the same N must hit.
+        // The same graph planned at N=1 must miss when looked up for N=2,
+        // and re-running at the same N must hit.
         let mut cache = PlanCache::new(4);
         let g = graph(&[10, 11, 10]);
         let n1 = cfg();
@@ -515,20 +738,13 @@ mod tests {
             devices: 2,
             ..cfg()
         };
-
-        let (fp1, b1) = fingerprint(&g, &n1);
-        assert!(cache.lookup(fp1, &b1).is_none(), "cold N=1 miss");
-        cache.insert(fp1, Planner::new(n1).plan(&g), b1.clone());
-
-        let (fp2, b2) = fingerprint(&g, &n2);
+        assert!(!bind1(&mut cache, &n1, &g).is_hit(), "cold N=1 miss");
         assert!(
-            cache.lookup(fp2, &b2).is_none(),
+            !bind1(&mut cache, &n2, &g).is_hit(),
             "N=2 must not reuse the N=1 plan"
         );
-        cache.insert(fp2, Planner::new(n2).plan(&g), b2.clone());
-
-        assert!(cache.lookup(fp1, &b1).is_some(), "re-run at N=1 hits");
-        assert!(cache.lookup(fp2, &b2).is_some(), "re-run at N=2 hits");
+        assert!(bind1(&mut cache, &n1, &g).is_hit(), "re-run at N=1 hits");
+        assert!(bind1(&mut cache, &n2, &g).is_hit(), "re-run at N=2 hits");
     }
 
     #[test]
@@ -550,16 +766,11 @@ mod tests {
         use fides_gpu_sim::{DeviceSpec, ExecMode, GpuSim};
 
         let mut cache = PlanCache::new(4);
-        let ga = graph(&[10, 11, 10]);
-        let (fp, binding) = fingerprint(&ga, &cfg());
-        let fresh = cache.insert(fp, Planner::new(cfg()).plan(&ga), binding);
+        let fresh = bind1(&mut cache, &cfg(), &graph(&[10, 11, 10]));
         assert!(!fresh.is_hit());
         assert_eq!(fresh.planned_binding(), fresh.current_binding());
 
-        let gb = graph(&[77, 93, 77]);
-        let (fp_b, binding_b) = fingerprint(&gb, &cfg());
-        assert_eq!(fp, fp_b);
-        let bound = cache.lookup(fp_b, &binding_b).expect("cache hit");
+        let bound = bind1(&mut cache, &cfg(), &graph(&[77, 93, 77]));
         assert!(bound.is_hit());
         assert!(
             std::ptr::eq(bound.plan(), fresh.plan()),
@@ -568,7 +779,7 @@ mod tests {
         assert_eq!(bound.planned_binding(), [BufferId(10), BufferId(11)]);
         assert_eq!(bound.current_binding(), [BufferId(77), BufferId(93)]);
         assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 0);
+        assert_eq!(cache.misses(), 1);
 
         // Replaying the hit touches the *current* graph's buffers: 77 is
         // L2-resident afterwards, the id the plan was recorded under is not.
@@ -588,10 +799,9 @@ mod tests {
 
     #[test]
     fn warm_restored_entries_survive_a_post_restore_burst() {
-        // ISSUE 10 satellite: restored entries are the oldest in LRU
-        // order, so plain LRU would evict the whole warm set before any
-        // member of a new-shape burst. Eviction must prefer non-warm
-        // victims instead.
+        // Restored entries are the oldest in LRU order, so plain LRU would
+        // evict the whole warm set before any member of a new-shape burst.
+        // Eviction must prefer non-warm victims instead.
         let mut cache = PlanCache::new(4);
         let warm_shapes = [graph(&[1]), graph(&[1, 2])];
         for g in &warm_shapes {
@@ -607,43 +817,38 @@ mod tests {
             graph(&[1, 2, 3, 4, 5, 6]),
         ];
         for g in &burst {
-            let (fp, binding) = fingerprint(g, &cfg());
-            cache.insert(fp, Planner::new(cfg()).plan(g), binding);
+            assert!(!bind1(&mut cache, &cfg(), g).is_hit());
         }
         assert_eq!(cache.len(), 4, "still bounded");
-        for g in &warm_shapes {
-            let (fp, b) = fingerprint(g, &cfg());
-            assert!(
-                cache.lookup(fp, &b).is_some(),
-                "warm entry evicted by a transient burst"
-            );
-            assert!(cache.is_warm(fp), "warm mark survives the burst");
-        }
         // The burst churned among itself: its two oldest members are the
         // ones that left.
-        let (fp_old, b_old) = fingerprint(&burst[0], &cfg());
-        assert!(cache.lookup(fp_old, &b_old).is_none());
-        let (fp_new, b_new) = fingerprint(&burst[3], &cfg());
-        assert!(cache.lookup(fp_new, &b_new).is_some());
+        let fp = |g: &ExecGraph| fingerprint(g, &cfg()).0;
+        let mut survivors = resident(&cache);
+        survivors.sort_unstable();
+        let mut expect: Vec<u64> = warm_shapes.iter().chain(&burst[2..]).map(fp).collect();
+        expect.sort_unstable();
+        assert_eq!(survivors, expect, "warm entry evicted by a transient burst");
+        for g in &warm_shapes {
+            assert!(bind1(&mut cache, &cfg(), g).is_warm_hit());
+            assert!(cache.entries[&fp(g)].warm, "warm mark survives the burst");
+        }
     }
 
     #[test]
     fn all_warm_cache_still_turns_over_by_plain_lru() {
         let mut cache = PlanCache::new(2);
         let shapes = [graph(&[1]), graph(&[1, 2]), graph(&[1, 2, 3])];
+        let fp = |g: &ExecGraph| fingerprint(g, &cfg()).0;
         for g in &shapes[..2] {
             let (fp, binding) = fingerprint(g, &cfg());
             cache.restore_entry(fp, Planner::new(cfg()).plan(g), binding);
         }
-        let (fp2, b2) = fingerprint(&shapes[2], &cfg());
-        cache.insert(fp2, Planner::new(cfg()).plan(&shapes[2]), b2.clone());
-        assert_eq!(cache.len(), 2);
-        let (fp0, b0) = fingerprint(&shapes[0], &cfg());
-        assert!(
-            cache.lookup(fp0, &b0).is_none(),
+        bind1(&mut cache, &cfg(), &shapes[2]);
+        assert_eq!(
+            resident(&cache),
+            [fp(&shapes[1]), fp(&shapes[2])],
             "with every entry warm, the oldest warm entry is the victim"
         );
-        assert!(cache.lookup(fp2, &b2).is_some());
     }
 
     #[test]
@@ -675,9 +880,19 @@ mod tests {
     fn plan_us_ledger_accumulates() {
         let mut cache = PlanCache::new(4);
         assert_eq!(cache.plan_us(), 0);
-        cache.note_plan_us(120);
-        cache.note_plan_us(30);
-        assert_eq!(cache.plan_us(), 150);
+        let bound = cache.bind(&cfg(), &[&graph(&[1, 2]), &graph(&[1, 2, 3])], false);
+        assert_eq!(
+            cache.plan_us(),
+            bound.iter().map(BoundPlan::plan_us).sum::<u64>()
+        );
+        let before = cache.plan_us();
+        let hit = bind1(&mut cache, &cfg(), &graph(&[5, 6]));
+        assert!(hit.is_hit());
+        assert_eq!(
+            (hit.plan_us(), cache.plan_us()),
+            (0, before),
+            "hits plan nothing"
+        );
     }
 
     #[test]
@@ -685,20 +900,29 @@ mod tests {
         let mut cache = PlanCache::new(2);
         let shapes = [graph(&[1]), graph(&[1, 2]), graph(&[1, 2, 3])];
         for g in &shapes {
-            let (fp, binding) = fingerprint(g, &cfg());
-            assert!(cache.lookup(fp, &binding).is_none());
-            let plan = Planner::new(cfg()).plan(g);
-            cache.insert(fp, plan, binding);
+            assert!(!bind1(&mut cache, &cfg(), g).is_hit());
         }
         assert_eq!(cache.len(), 2, "bounded at capacity");
+        assert_eq!(cache.shapes(), 2, "evicting an entry forgets its shape key");
         // The first shape was LRU and got evicted; the last two are hits.
-        let (fp0, b0) = fingerprint(&shapes[0], &cfg());
-        assert!(cache.lookup(fp0, &b0).is_none());
+        let fp = |g: &ExecGraph| fingerprint(g, &cfg()).0;
+        assert_eq!(resident(&cache), [fp(&shapes[1]), fp(&shapes[2])]);
         for g in &shapes[1..] {
-            let (fp, b) = fingerprint(g, &cfg());
-            assert!(cache.lookup(fp, &b).is_some());
+            assert!(bind1(&mut cache, &cfg(), g).is_hit());
         }
-        assert_eq!(cache.misses(), 4);
+        assert_eq!(cache.misses(), 3);
         assert_eq!(cache.hits(), 2);
+    }
+
+    #[test]
+    fn one_bind_looks_up_every_graph_before_planning() {
+        // Two graphs of one new shape in one call both miss (nothing is
+        // inserted until every lookup is done) and share the key after.
+        let mut cache = PlanCache::new(4);
+        let bound = cache.bind(&cfg(), &[&graph(&[1, 2]), &graph(&[8, 9])], true);
+        assert!(bound.iter().all(|b| !b.is_hit()));
+        assert_eq!((cache.len(), cache.shapes(), cache.misses()), (1, 1, 2));
+        let again = bind1(&mut cache, &cfg(), &graph(&[3, 4]));
+        assert!(again.is_warm_hit(), "a warmup bind marks its entries warm");
     }
 }

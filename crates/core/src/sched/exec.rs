@@ -1,8 +1,10 @@
 //! Plan executors: where a scheduled plan actually runs.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use fides_gpu_sim::{BufferId, BufferMap, GpuSim};
+use fides_gpu_sim::{BufferId, GpuSim, Rebinding};
 
 use super::cache::BoundPlan;
 use super::plan::ExecPlan;
@@ -24,7 +26,9 @@ pub trait PlanExecutor {
 /// the recorded cross-limb sync point. The plan is only *read*: its steps go
 /// to [`GpuSim::replay`] by reference, under one acquisition of the device
 /// lock, and every buffer id is translated on the way through one
-/// per-region table.
+/// per-region [`Rebinding`]. Its dense window spans the ids of the plan's
+/// temporaries, which the device pool handed out in one run while the
+/// region recorded, so nearly every translation is an array read.
 ///
 /// That table does two jobs:
 ///
@@ -75,18 +79,32 @@ impl<'a> GpuReplayExecutor<'a> {
         let mem = plan.mem();
         self.gpu
             .record_plan_memory(mem.peak_device_bytes, mem.allocations);
-        let mut map: BufferMap<BufferId> = plan
-            .slot_binding()
-            .iter()
-            .map(|(&buf, &slot)| (buf, BufferId(SLOT_ID_BASE | slot)))
-            .collect();
+        let slots = plan.slot_binding();
+        let mut rebind = Rebinding::with_window(slot_window(slots));
         for (&old, &new) in from.iter().zip(to) {
             if old != new {
-                map.entry(old).or_insert(new);
+                rebind.set(old, new);
             }
         }
-        self.gpu.replay(plan.steps(), &map);
+        // Slot aliasing wins over position rebinding for temporaries.
+        for (&buf, &slot) in slots {
+            rebind.set(buf, BufferId(SLOT_ID_BASE | slot));
+        }
+        self.gpu.replay(plan.steps(), &rebind);
     }
+}
+
+/// The dense window for a plan's rebinding: the id range of its
+/// slot-bound temporaries, capped at twice their count so a stray far id
+/// costs one sparse entry rather than a huge table.
+fn slot_window(slots: &HashMap<BufferId, u64>) -> Range<u64> {
+    let Some(lo) = slots.keys().map(|b| b.0).min() else {
+        return 0..0;
+    };
+    let hi = slots.keys().map(|b| b.0).max().unwrap_or(lo);
+    lo..hi
+        .saturating_add(1)
+        .min(lo.saturating_add(2 * slots.len() as u64))
 }
 
 impl PlanExecutor for GpuReplayExecutor<'_> {

@@ -1,6 +1,8 @@
 //! The recorded kernel graph: what the ops *would have launched*, as data.
 
-use fides_gpu_sim::{GraphEvent, KernelDesc, KernelKind};
+use std::ops::Range;
+
+use fides_gpu_sim::{Capture, GraphEvent, KernelDesc, KernelKind};
 
 /// One recorded kernel launch with its scheduling metadata.
 #[derive(Clone, Debug)]
@@ -63,9 +65,22 @@ pub enum GraphOp {
 pub struct ExecGraph {
     pub(crate) ops: Vec<GraphOp>,
     segments: usize,
+    /// Buffer ids the device pool handed out while the region recorded
+    /// (see [`Capture::fresh_ids`]); a lookup hint for the plan cache's
+    /// canonicalisation, never part of the graph's identity.
+    pub(crate) fresh_ids: Range<u64>,
 }
 
 impl ExecGraph {
+    /// Builds the graph from a closed capture region: its events, plus the
+    /// range of buffer ids the region's allocations came from.
+    pub fn from_capture(capture: Capture) -> Self {
+        Self {
+            fresh_ids: capture.fresh_ids,
+            ..Self::from_events(capture.events)
+        }
+    }
+
     /// Builds the graph from a capture-event stream, assigning segment
     /// indices at each fence.
     pub fn from_events(events: Vec<GraphEvent>) -> Self {
@@ -87,6 +102,7 @@ impl ExecGraph {
         Self {
             ops,
             segments: segment + 1,
+            fresh_ids: 0..0,
         }
     }
 

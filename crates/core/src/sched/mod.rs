@@ -71,28 +71,30 @@
 //! barrier half of the invariant).
 //!
 //! **Plan caching.** Planning itself disappears in steady state: a
-//! structural [`fingerprint`] (descriptors, streams, barrier shapes and
-//! the buffer *aliasing pattern* — not buffer identities — plus the plan
-//! config) keys a bounded-LRU [`PlanCache`] in
+//! structural key (descriptors, streams, barrier shapes and the buffer
+//! *aliasing pattern* — not buffer identities — plus the plan config)
+//! indexes a bounded-LRU [`PlanCache`] in
 //! [`CkksContext`](crate::CkksContext) and the serve layer's `Server`.
 //! Repeated `eval_scope` bodies and steady-state serve ticks hit the
 //! cache; changing the graph shape, `FusionConfig`, or stream count
-//! misses. A hit costs one pass over the cached plan and copies none of
-//! it: the cache keeps each [`ExecPlan`] behind an `Arc`, in the buffer
-//! ids of the graph it was planned from, and hands it out as a
-//! [`BoundPlan`] — the shared plan plus that graph's first-occurrence
-//! binding and the current graph's. Both owners run the same three steps
-//! per region: [`fingerprint`] → [`PlanCache::lookup`] (or
-//! [`Planner::plan`] + [`PlanCache::insert`], which returns the same
-//! type) → [`GpuReplayExecutor::execute_bound`]. Hit/miss counters
-//! surface in [`SchedStats`], [`SimStats`](fides_gpu_sim::SimStats) and
-//! the serve layer's `ServeStats`. When several *independent* graphs miss
-//! at once (the serve layer's per-device batch shards), [`plan_parallel`]
-//! fans the planning passes out over a bounded rayon pool —
+//! misses. A lookup hashes the key into an in-memory shape key; each
+//! entry's persisted name is its FNV [`fingerprint`], computed only on a
+//! miss or a restored entry's first hit. A hit costs one pass over the
+//! graph and one over the cached plan, and copies none of it: the cache
+//! keeps each [`ExecPlan`] behind an `Arc`, in the buffer ids of the graph
+//! it was planned from, and hands it out as a [`BoundPlan`] — the shared
+//! plan plus that graph's first-occurrence binding and the current
+//! graph's. Both owners run the same two steps per region:
+//! [`PlanCache::bind`] (lookup, or plan and insert) →
+//! [`GpuReplayExecutor::execute_bound`]. Hit/miss counters surface in
+//! [`SchedStats`], [`SimStats`](fides_gpu_sim::SimStats) and the serve
+//! layer's `ServeStats`. When several *independent* graphs miss at once
+//! (the serve layer's per-device batch shards), `bind` fans the planning
+//! passes out over a bounded rayon pool ([`plan_parallel`]) —
 //! `Planner::plan` is a pure function of `(config, graph)`, so the plans
 //! are identical to the sequential ones at every worker count, and each
-//! pass's wall microseconds come back for the owner's planning-latency
-//! ledger ([`PlanCache::note_plan_us`]).
+//! pass's wall microseconds land in the cache's planning-latency ledger
+//! ([`PlanCache::plan_us`]).
 //!
 //! **Memory planning.** A liveness pass (`mem.rs`) colors buffer lifetimes
 //! onto reusable pool slots (best-fit, stream-ordered-allocator style) and
@@ -103,14 +105,16 @@
 //! simulated time.
 //!
 //! **Execution.** The stock executor, [`GpuReplayExecutor`], drives the
-//! multi-stream gpu-sim timeline. It builds one small table per region —
-//! every plan-created temporary to the slot-canonical id of its liveness
-//! slot, every other buffer of a cached plan to the current graph's buffer
-//! at the same binding position — and passes the plan's steps, borrowed,
-//! to [`GpuSim::replay`](fides_gpu_sim::GpuSim::replay), which translates
-//! ids on the way into the L2 model under a single acquisition of the
-//! device lock. Nothing is allocated per launch, so host time per replayed
-//! launch is the ledger arithmetic itself. Per-stream occupancy is tracked
+//! multi-stream gpu-sim timeline. It builds one
+//! [`Rebinding`](fides_gpu_sim::Rebinding) per region — every
+//! plan-created temporary to the slot-canonical id of its liveness slot,
+//! every other buffer of a cached plan to the current graph's buffer at the
+//! same binding position, the temporaries through a dense table — and
+//! passes the plan's steps, borrowed, to
+//! [`GpuSim::replay`](fides_gpu_sim::GpuSim::replay), which translates ids
+//! on the way into the L2 model under a single acquisition of the device
+//! lock. Nothing is allocated per launch, so host time per replayed launch
+//! is the ledger arithmetic itself. Per-stream occupancy is tracked
 //! by the simulator
 //! ([`SimStats::stream_occupancy`](fides_gpu_sim::SimStats::stream_occupancy))
 //! and fences are applied only at the recorded cross-limb sync points.

@@ -9,7 +9,7 @@
 //! A serialized entry is `(fingerprint, plan, binding)` — exactly what
 //! [`PlanCache`](super::PlanCache) holds. Buffer ids in the plan are the
 //! *recording-time* ids; they are only meaningful relative to the stored
-//! binding, and a hit ([`PlanCache::lookup`](super::PlanCache::lookup))
+//! binding, and a hit ([`PlanCache::bind`](super::PlanCache::bind))
 //! replays them onto the post-restore graph's fresh buffers through the
 //! first-occurrence correspondence — the cached plan itself is never
 //! rewritten. That is what makes a restored plan valid on a brand-new

@@ -9,10 +9,11 @@
 //! field and the simulated clock to agree to the bit.
 
 use fides_core::sched::{
-    fingerprint, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, PlanExecutor, Planner,
+    fingerprint, BoundPlan, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, PlanExecutor,
+    Planner,
 };
 use fides_gpu_sim::{
-    BufferId, DeviceSpec, ExecMode, GpuSim, GraphEvent, KernelDesc, KernelKind, SimStats,
+    BufferId, Capture, DeviceSpec, ExecMode, GpuSim, GraphEvent, KernelDesc, KernelKind, SimStats,
 };
 
 /// Buffers of one generation of the graph: two caller-owned ciphertext
@@ -73,13 +74,17 @@ const KEY: u64 = 16 << 20;
 const TMP: u64 = 8 << 20;
 
 fn graph(ids: Ids) -> ExecGraph {
+    ExecGraph::from_events(events(ids))
+}
+
+fn events(ids: Ids) -> Vec<GraphEvent> {
     let b = BufferId;
     let launch = |stream: usize, desc: KernelDesc| GraphEvent::Launch { stream, desc };
     let fence = || GraphEvent::Fence {
         signals: vec![0, 1],
         waiters: vec![0, 1],
     };
-    ExecGraph::from_events(vec![
+    vec![
         launch(
             0,
             KernelDesc::new(KernelKind::NttPhase1)
@@ -137,7 +142,7 @@ fn graph(ids: Ids) -> ExecGraph {
                 .write(b(ids.y), EXT)
                 .ops(500_000),
         ),
-    ])
+    ]
 }
 
 fn cfg() -> PlanConfig {
@@ -149,6 +154,11 @@ fn cfg() -> PlanConfig {
 
 fn device() -> std::sync::Arc<GpuSim> {
     GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly)
+}
+
+/// One graph down the plan cache's lookup-or-plan path.
+fn bind1(cache: &mut PlanCache, g: &ExecGraph) -> BoundPlan {
+    cache.bind(&cfg(), &[g], false).pop().expect("one plan")
 }
 
 /// Every ledger field except the plan-cache counters (the planned-from-
@@ -202,12 +212,8 @@ fn cache_hit_replay_equals_fresh_plan_replay_on_shifted_buffers() {
     for (generation, &ids) in GENERATIONS.iter().enumerate() {
         let g = graph(ids);
 
-        // Path 1: fingerprint → cache → bound replay (miss, then hits).
-        let (fp, binding) = fingerprint(&g, &cfg());
-        let bound = match cache.lookup(fp, &binding) {
-            Some(bound) => bound,
-            None => cache.insert(fp, Planner::new(cfg()).plan(&g), binding),
-        };
+        // Path 1: cache → bound replay (miss, then hits).
+        let bound = bind1(&mut cache, &g);
         assert_eq!(bound.is_hit(), generation > 0, "generation {generation}");
         GpuReplayExecutor::new(&cached_dev).execute_bound(&bound);
 
@@ -256,12 +262,14 @@ fn hit_leaves_the_cached_plan_in_its_original_ids() {
     let mut cache = PlanCache::new(4);
     let g0 = graph(GENERATIONS[0]);
     let (fp, binding0) = fingerprint(&g0, &cfg());
-    cache.insert(fp, Planner::new(cfg()).plan(&g0), binding0.clone());
+    bind1(&mut cache, &g0);
 
-    let (fp1, binding1) = fingerprint(&graph(GENERATIONS[1]), &cfg());
+    let g1 = graph(GENERATIONS[1]);
+    let (fp1, binding1) = fingerprint(&g1, &cfg());
     assert_eq!(fp, fp1, "generations are structurally equal");
     assert_ne!(binding0, binding1);
-    let bound = cache.lookup(fp1, &binding1).expect("hit");
+    let bound = bind1(&mut cache, &g1);
+    assert!(bound.is_hit());
     GpuReplayExecutor::new(&device()).execute_bound(&bound);
 
     let entries = cache.export_entries();
@@ -283,4 +291,49 @@ fn hit_leaves_the_cached_plan_in_its_original_ids() {
         vec![5, 6, 7, 8, 9, 100],
         "plan still names generation 0's buffers"
     );
+}
+
+#[test]
+fn restored_entry_hits_by_fingerprint_first_then_by_shape_key() {
+    // A restored entry carries its persisted fingerprint but no shape key:
+    // the first lookup of its shape must find it by fingerprint (and learn
+    // the key), every later one by the key alone. Neither may plan.
+    let g0 = graph(GENERATIONS[0]);
+    let (fp, binding) = fingerprint(&g0, &cfg());
+    let mut cache = PlanCache::new(4);
+    cache.restore_entry(fp, Planner::new(cfg()).plan(&g0), binding);
+    assert_eq!((cache.len(), cache.shapes()), (1, 0));
+
+    let first = bind1(&mut cache, &graph(GENERATIONS[1]));
+    assert!(
+        first.is_warm_hit(),
+        "found through the fingerprint fallback"
+    );
+    assert_eq!(cache.shapes(), 1, "the hit recorded the shape key");
+
+    let second = bind1(&mut cache, &graph(GENERATIONS[2]));
+    assert!(second.is_warm_hit(), "found through the shape key");
+    assert!(std::ptr::eq(first.plan(), second.plan()));
+    assert_eq!((cache.hits(), cache.misses()), (2, 0));
+    assert_eq!((cache.len(), cache.shapes()), (1, 1));
+}
+
+#[test]
+fn fresh_id_range_is_a_hint_not_part_of_the_key() {
+    // Generation 1's temporaries are ids 9..=12; the range covers them,
+    // part of the externals (6, 7) and the gap id 11. With or without it,
+    // canonicalisation must agree, and so must the cache.
+    let ids = GENERATIONS[1];
+    let plain = ExecGraph::from_events(events(ids));
+    let hinted = ExecGraph::from_capture(Capture {
+        events: events(ids),
+        fresh_ids: 6..13,
+    });
+    assert_eq!(fingerprint(&plain, &cfg()), fingerprint(&hinted, &cfg()));
+
+    let mut cache = PlanCache::new(4);
+    let a = bind1(&mut cache, &hinted);
+    let b = bind1(&mut cache, &plain);
+    assert!(!a.is_hit() && b.is_hit(), "one shape key for both");
+    assert_eq!(a.current_binding(), b.current_binding());
 }

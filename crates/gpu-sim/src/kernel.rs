@@ -56,6 +56,20 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
+    /// Every kind, in declaration order (`ALL[k as usize] == k`).
+    pub const ALL: [KernelKind; 10] = [
+        KernelKind::Elementwise,
+        KernelKind::NttPhase1,
+        KernelKind::NttPhase2,
+        KernelKind::InttPhase1,
+        KernelKind::InttPhase2,
+        KernelKind::BaseConv,
+        KernelKind::Automorphism,
+        KernelKind::SwitchModulus,
+        KernelKind::Transfer,
+        KernelKind::Fill,
+    ];
+
     /// Short stable label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -153,6 +167,13 @@ mod tests {
         assert!(SHOUP_MULMOD_OPS < BARRETT_MULMOD_OPS);
         assert!(MODADD_OPS < SHOUP_MULMOD_OPS);
         assert!(BUTTERFLY_OPS > SHOUP_MULMOD_OPS);
+    }
+
+    #[test]
+    fn all_kinds_index_by_discriminant() {
+        for (i, k) in KernelKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i, "{}", k.label());
+        }
     }
 
     #[test]

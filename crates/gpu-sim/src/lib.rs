@@ -51,7 +51,7 @@ pub use kernel::{
     KernelDesc, KernelKind, ADD_OPS, BARRETT_MULMOD_OPS, BUTTERFLY_OPS, LOW_MUL_OPS, MODADD_OPS,
     SHOUP_MULMOD_OPS, WIDE_MUL_OPS,
 };
-pub use mem::{BufferId, BufferIdHasher, BufferMap};
+pub use mem::{BufferId, BufferIdHasher, BufferMap, Rebinding};
 pub use timeline::{KindStats, SimStats, StreamStats};
 
 use mem::PoolState;
@@ -92,6 +92,18 @@ pub enum GraphEvent {
     },
 }
 
+/// What one closed capture region recorded (see [`GpuSim::end_capture`]).
+#[derive(Clone, Debug, Default)]
+pub struct Capture {
+    /// The recorded launches and fences, in program order.
+    pub events: Vec<GraphEvent>,
+    /// The [`BufferId`] values the device pool handed out while the region
+    /// was open — the region's own allocations, plus any other thread's
+    /// that landed in the same window. Buffers a region creates come from
+    /// here; buffers it only reads mostly predate it.
+    pub fresh_ids: std::ops::Range<u64>,
+}
+
 /// A simulated GPU: device model, timeline, memory pool and execution mode.
 ///
 /// Cheap to share: wrap in [`Arc`] (construction already returns one).
@@ -113,6 +125,8 @@ struct SimState {
     /// the pre-graph behaviour), so concurrent sessions sharing one device
     /// can never corrupt each other's graphs.
     capture_owner: Option<std::thread::ThreadId>,
+    /// The pool's next id when the open capture began.
+    capture_first_id: u64,
 }
 
 impl SimState {
@@ -134,6 +148,7 @@ impl GpuSim {
                 capture: Vec::new(),
                 capture_depth: 0,
                 capture_owner: None,
+                capture_first_id: 0,
             }),
         })
     }
@@ -206,9 +221,9 @@ impl GpuSim {
     /// acquisition of the device lock, from borrowed descriptors.
     ///
     /// Each buffer a launch touches is presented to the L2 model as
-    /// `map[buffer]` (buffers absent from `map` keep their id), which is
-    /// how a cached plan recorded against one generation of allocations
-    /// replays onto the next without being copied and rewritten.
+    /// `rebind.get(buffer)`, which is how a cached plan recorded against
+    /// one generation of allocations replays onto the next without being
+    /// copied and rewritten.
     ///
     /// # Panics
     ///
@@ -216,7 +231,7 @@ impl GpuSim {
     /// that was already recorded; feeding it back into a capture would
     /// record the plan a second time instead of timing it, so the caller
     /// must close its region ([`Self::end_capture`]) first.
-    pub fn replay(&self, steps: &[GraphEvent], map: &BufferMap<BufferId>) {
+    pub fn replay(&self, steps: &[GraphEvent], rebind: &Rebinding) {
         let mut st = self.state.lock();
         assert!(
             !st.captured_by_current_thread(),
@@ -226,7 +241,7 @@ impl GpuSim {
             match step {
                 GraphEvent::Launch { stream, desc } => {
                     st.timeline
-                        .launch_mapped(*stream, desc, |buf| *map.get(&buf).unwrap_or(&buf));
+                        .launch_mapped(*stream, desc, |buf| rebind.get(buf));
                 }
                 GraphEvent::Fence { signals, waiters } => st.timeline.fence(signals, waiters),
             }
@@ -247,6 +262,7 @@ impl GpuSim {
         if st.capture_depth == 0 {
             st.capture_owner = Some(me);
             st.capture_depth = 1;
+            st.capture_first_id = st.pool.next_id();
             true
         } else {
             if st.capture_owner == Some(me) {
@@ -257,20 +273,25 @@ impl GpuSim {
     }
 
     /// Closes one capture region of the calling thread. The outermost close
-    /// drains and returns the recorded event list (empty vector for nested
-    /// closes and for threads that own no capture), leaving the timeline
-    /// untouched — replaying the events (fused or not) is the caller's job.
-    pub fn end_capture(&self) -> Vec<GraphEvent> {
+    /// drains and returns the recording with the range of buffer ids the
+    /// pool handed out while the region was open (an empty [`Capture`] for
+    /// nested closes and for threads that own no capture), leaving the
+    /// timeline untouched — replaying the events (fused or not) is the
+    /// caller's job.
+    pub fn end_capture(&self) -> Capture {
         let mut st = self.state.lock();
         if !st.captured_by_current_thread() {
-            return Vec::new();
+            return Capture::default();
         }
         st.capture_depth -= 1;
         if st.capture_depth == 0 {
             st.capture_owner = None;
-            std::mem::take(&mut st.capture)
+            Capture {
+                events: std::mem::take(&mut st.capture),
+                fresh_ids: st.capture_first_id..st.pool.next_id(),
+            }
         } else {
-            Vec::new()
+            Capture::default()
         }
     }
 
@@ -339,8 +360,7 @@ impl GpuSim {
     /// Snapshot of the statistics ledger.
     pub fn stats(&self) -> SimStats {
         let st = self.state.lock();
-        let mut s = st.timeline.stats.clone();
-        s.makespan_us = st.timeline.makespan() - st.timeline.stats_epoch;
+        let mut s = st.timeline.stats();
         s.current_alloc_bytes = st.pool.current_bytes;
         s.peak_alloc_bytes = st.pool.peak_bytes;
         s
@@ -349,9 +369,7 @@ impl GpuSim {
     /// Clears the statistics ledger and starts a new measurement window
     /// (clocks keep advancing monotonically).
     pub fn reset_stats(&self) {
-        let mut st = self.state.lock();
-        st.timeline.stats = SimStats::default();
-        st.timeline.stats_epoch = st.timeline.makespan();
+        self.state.lock().timeline.reset_stats();
     }
 
     /// When `stream`'s submitted work completes, in absolute simulated µs.
@@ -645,7 +663,45 @@ mod tests {
         let t1 = gpu.sync();
         gpu.reset_stats();
         assert_eq!(gpu.stats().kernel_launches, 0);
+        assert!(gpu.stats().per_kind.is_empty());
         assert!(gpu.sync() >= t1, "clocks stay monotonic");
+    }
+
+    #[test]
+    fn per_kind_ledger_is_keyed_by_label() {
+        let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        let ntt = KernelDesc::new(KernelKind::NttPhase1).read(BufferId(1), 4096);
+        gpu.launch(0, ntt.clone(), || {});
+        gpu.launch(1, ntt, || {});
+        // A descriptor without a kind books as elementwise.
+        let mut unlabelled = KernelDesc::new(KernelKind::Fill).ops(7);
+        unlabelled.kind = None;
+        gpu.launch(0, unlabelled, || {});
+        let s = gpu.stats();
+        let counts: Vec<(&str, u64)> = s
+            .per_kind
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.count))
+            .collect();
+        assert_eq!(counts, [("elementwise", 1), ("ntt_phase1", 2)]);
+        assert_eq!(s.per_kind["ntt_phase1"].bytes, 8192);
+        assert!(s.per_kind["ntt_phase1"].busy_us > 0.0);
+    }
+
+    #[test]
+    fn capture_reports_the_ids_the_pool_handed_out() {
+        let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        let before = VectorGpu::<u64>::new(&gpu, 4);
+        assert!(gpu.begin_capture());
+        let a = VectorGpu::<u64>::new(&gpu, 4);
+        assert!(!gpu.begin_capture(), "nested");
+        let b = VectorGpu::<u64>::new(&gpu, 4);
+        let nested = gpu.end_capture();
+        assert!(nested.events.is_empty() && nested.fresh_ids.is_empty());
+        let c = gpu.end_capture();
+        assert_eq!(c.fresh_ids, a.buffer().0..b.buffer().0 + 1);
+        assert!(!c.fresh_ids.contains(&before.buffer().0));
+        assert!(gpu.end_capture().fresh_ids.is_empty(), "no region open");
     }
 
     #[test]
@@ -661,7 +717,7 @@ mod tests {
         gpu.fence(&[2], &[3]);
         assert_eq!(hits, 1, "body runs during capture");
         assert_eq!(gpu.stats().kernel_launches, 0, "timing deferred");
-        let events = gpu.end_capture();
+        let events = gpu.end_capture().events;
         assert_eq!(events.len(), 2);
         assert!(matches!(events[0], GraphEvent::Launch { stream: 2, .. }));
         assert!(matches!(events[1], GraphEvent::Fence { .. }));
@@ -704,14 +760,15 @@ mod tests {
     #[test]
     fn replay_equals_launching_the_translated_steps_one_by_one() {
         let steps = replay_steps();
-        // 2 → 7 and 3 → 1 (aliasing an id the plan also uses untranslated);
-        // 1 is absent from the map and keeps its id.
-        let mut map = BufferMap::default();
-        map.insert(BufferId(2), BufferId(7));
-        map.insert(BufferId(3), BufferId(1));
+        // 2 → 7 (through the dense window) and 3 → 1 (through the sparse
+        // map, aliasing an id the plan also uses untranslated); 1 is never
+        // mentioned and keeps its id.
+        let mut rebind = Rebinding::with_window(2..3);
+        rebind.set(BufferId(2), BufferId(7));
+        rebind.set(BufferId(3), BufferId(1));
 
         let replayed = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
-        replayed.replay(&steps, &map);
+        replayed.replay(&steps, &rebind);
 
         let eager = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
         for step in &steps {
@@ -719,7 +776,7 @@ mod tests {
                 GraphEvent::Launch { stream, desc } => {
                     let mut desc = desc.clone();
                     for (buf, _) in desc.reads.iter_mut().chain(desc.writes.iter_mut()) {
-                        *buf = *map.get(buf).unwrap_or(buf);
+                        *buf = rebind.get(*buf);
                     }
                     eager.launch(*stream, desc, || {});
                 }
@@ -749,7 +806,7 @@ mod tests {
         // assertions.
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
         assert!(gpu.begin_capture());
-        gpu.replay(&replay_steps(), &BufferMap::default());
+        gpu.replay(&replay_steps(), &Rebinding::default());
     }
 
     #[test]
@@ -759,10 +816,10 @@ mod tests {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
         assert!(gpu.begin_capture());
         std::thread::scope(|s| {
-            s.spawn(|| gpu.replay(&replay_steps(), &BufferMap::default()));
+            s.spawn(|| gpu.replay(&replay_steps(), &Rebinding::default()));
         });
         assert_eq!(gpu.stats().kernel_launches, 2);
-        assert!(gpu.end_capture().is_empty(), "nothing was recorded");
+        assert!(gpu.end_capture().events.is_empty(), "nothing was recorded");
     }
 
     #[test]
@@ -771,8 +828,11 @@ mod tests {
         assert!(gpu.begin_capture());
         assert!(!gpu.begin_capture(), "nested region is not the owner");
         gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), || {});
-        assert!(gpu.end_capture().is_empty(), "nested close returns nothing");
-        let events = gpu.end_capture();
+        assert!(
+            gpu.end_capture().events.is_empty(),
+            "nested close returns nothing"
+        );
+        let events = gpu.end_capture().events;
         assert_eq!(events.len(), 1, "outermost close drains everything");
     }
 
@@ -788,7 +848,7 @@ mod tests {
             s.spawn(|| {
                 assert!(!gpu.begin_capture(), "foreign thread cannot own");
                 gpu.launch(1, KernelDesc::new(KernelKind::Elementwise), || {});
-                assert!(gpu.end_capture().is_empty());
+                assert!(gpu.end_capture().events.is_empty());
                 assert!(!gpu.capturing_on_current_thread());
             });
         });
@@ -798,7 +858,7 @@ mod tests {
             "foreign launch executed eagerly"
         );
         assert!(gpu.capturing_on_current_thread());
-        let events = gpu.end_capture();
+        let events = gpu.end_capture().events;
         assert_eq!(events.len(), 1, "owner's recording unaffected");
     }
 

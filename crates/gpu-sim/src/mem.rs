@@ -17,11 +17,21 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct BufferId(pub u64);
 
+impl BufferId {
+    /// This id's index in a dense table whose first entry is id `base`.
+    /// Ids below `base` (and offsets no `usize` holds) land past the end
+    /// of any table, so a bounds-checked `get` sends them elsewhere.
+    #[inline]
+    pub fn offset_from(self, base: u64) -> usize {
+        usize::try_from(self.0.wrapping_sub(base)).unwrap_or(usize::MAX)
+    }
+}
+
 /// A hash map keyed by [`BufferId`] with a one-multiply integer hasher.
 ///
 /// Buffer ids are handed out by the device pool (small, dense integers), so
 /// the per-lookup cost of the default SipHash buys nothing on the replay
-/// path, where every launch translates and L2-classifies ~35 limb buffers.
+/// path, where every launch L2-classifies ~35 limb buffers.
 /// Not for keys an adversary chooses: the hash is trivially invertible.
 pub type BufferMap<V> = HashMap<BufferId, V, BuildHasherDefault<BufferIdHasher>>;
 
@@ -52,6 +62,51 @@ impl Hasher for BufferIdHasher {
     }
 }
 
+/// The buffer-id translation [`GpuSim::replay`](crate::GpuSim::replay)
+/// presents a plan's buffers through: ids inside one dense window index a
+/// table, every other id goes through a [`BufferMap`], and an id the
+/// translation never mentions keeps its identity.
+///
+/// The window is meant for ids the pool handed out in one run — a recorded
+/// region's temporaries — so the per-launch translation of almost every
+/// buffer is a subtraction and an array read instead of a hash probe.
+#[derive(Clone, Debug, Default)]
+pub struct Rebinding {
+    base: u64,
+    dense: Vec<BufferId>,
+    sparse: BufferMap<BufferId>,
+}
+
+impl Rebinding {
+    /// The identity translation, with its dense table covering `window`.
+    pub fn with_window(window: std::ops::Range<u64>) -> Self {
+        Self {
+            base: window.start,
+            dense: window.map(BufferId).collect(),
+            sparse: BufferMap::default(),
+        }
+    }
+
+    /// Presents `from` as `to` from now on (replacing any earlier target).
+    pub fn set(&mut self, from: BufferId, to: BufferId) {
+        match self.dense.get_mut(from.offset_from(self.base)) {
+            Some(slot) => *slot = to,
+            None => {
+                self.sparse.insert(from, to);
+            }
+        }
+    }
+
+    /// What `buf` is presented as.
+    #[inline]
+    pub fn get(&self, buf: BufferId) -> BufferId {
+        match self.dense.get(buf.offset_from(self.base)) {
+            Some(&to) => to,
+            None => self.sparse.get(&buf).copied().unwrap_or(buf),
+        }
+    }
+}
+
 /// Pool accounting state (guarded by the simulator lock).
 #[derive(Debug, Default)]
 pub(crate) struct PoolState {
@@ -63,6 +118,11 @@ pub(crate) struct PoolState {
 }
 
 impl PoolState {
+    /// The id the next allocation receives (ids only grow).
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
     pub(crate) fn alloc(&mut self, bytes: u64) -> BufferId {
         let id = BufferId(self.next_id);
         self.next_id += 1;
@@ -95,5 +155,25 @@ mod tests {
         assert_eq!(p.peak_bytes, 300);
         assert_eq!(p.alloc_count, 3);
         assert_eq!(p.free_count, 1);
+        assert_eq!(p.next_id(), 3);
+    }
+
+    #[test]
+    fn rebinding_translates_inside_and_outside_its_window() {
+        let mut r = Rebinding::with_window(10..14);
+        r.set(BufferId(11), BufferId(99));
+        r.set(BufferId(3), BufferId(12));
+        r.set(BufferId(3), BufferId(13));
+        assert_eq!(r.get(BufferId(11)), BufferId(99), "dense entry");
+        assert_eq!(r.get(BufferId(12)), BufferId(12), "dense identity");
+        assert_eq!(
+            r.get(BufferId(3)),
+            BufferId(13),
+            "sparse entry, last set wins"
+        );
+        assert_eq!(r.get(BufferId(14)), BufferId(14), "past the window");
+        assert_eq!(r.get(BufferId(u64::MAX)), BufferId(u64::MAX));
+        let empty = Rebinding::default();
+        assert_eq!(empty.get(BufferId(0)), BufferId(0));
     }
 }

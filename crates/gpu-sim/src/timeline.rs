@@ -295,9 +295,13 @@ pub(crate) struct Timeline {
     compute_free: f64,
     pcie_free: f64,
     l2: L2Model,
+    /// The window's ledger, except `per_kind`: launches accumulate into
+    /// `kinds` and [`Timeline::stats`] builds the map on demand.
     pub(crate) stats: SimStats,
+    /// Per-kind ledger, indexed by `KernelKind as usize`.
+    kinds: [KindStats; KernelKind::ALL.len()],
     /// Makespan at the last stats reset: start of the measurement window.
-    pub(crate) stats_epoch: f64,
+    stats_epoch: f64,
 }
 
 /// PCIe gen4 x16 effective bandwidth, bytes/µs (≈ 24 GB/s achieved).
@@ -316,8 +320,31 @@ impl Timeline {
             pcie_free: 0.0,
             l2,
             stats: SimStats::default(),
+            kinds: Default::default(),
             stats_epoch: 0.0,
         }
+    }
+
+    /// Snapshot of the window's ledger, `per_kind` and `makespan_us`
+    /// included (pool fields are the caller's).
+    pub(crate) fn stats(&self) -> SimStats {
+        let mut s = self.stats.clone();
+        s.per_kind = KernelKind::ALL
+            .iter()
+            .zip(&self.kinds)
+            .filter(|(_, k)| k.count > 0)
+            .map(|(kind, k)| (kind.label().to_string(), *k))
+            .collect();
+        s.makespan_us = self.makespan() - self.stats_epoch;
+        s
+    }
+
+    /// Clears the ledger and starts a new measurement window at the
+    /// current makespan (clocks keep advancing monotonically).
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats = SimStats::default();
+        self.kinds = Default::default();
+        self.stats_epoch = self.makespan();
     }
 
     fn stream_slot(&mut self, stream: usize) -> &mut f64 {
@@ -404,22 +431,10 @@ impl Timeline {
         self.stats.l2_hit_bytes += hit_bytes;
         self.stats.write_bytes += write_bytes;
         self.stats.int32_ops += desc.int32_ops;
-        let label = desc.kind.unwrap_or(KernelKind::Elementwise).label();
-        let kind_bytes = miss_bytes + hit_bytes + write_bytes;
-        if let Some(entry) = self.stats.per_kind.get_mut(label) {
-            entry.count += 1;
-            entry.busy_us += service;
-            entry.bytes += kind_bytes;
-        } else {
-            // First launch of this kind in the window: the only allocation
-            // on the launch path.
-            let first = KindStats {
-                count: 1,
-                busy_us: service,
-                bytes: kind_bytes,
-            };
-            self.stats.per_kind.insert(label.to_string(), first);
-        }
+        let kind = &mut self.kinds[desc.kind.unwrap_or(KernelKind::Elementwise) as usize];
+        kind.count += 1;
+        kind.busy_us += service;
+        kind.bytes += miss_bytes + hit_bytes + write_bytes;
         if stream >= self.stats.per_stream.len() {
             self.stats
                 .per_stream

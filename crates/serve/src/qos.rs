@@ -118,6 +118,12 @@ impl<T> AdmissionQueue<T> {
         self.weights.get(&session).copied().unwrap_or(1)
     }
 
+    /// Drops a closed session's configured weight. A lane still holding
+    /// its queued requests keeps serving them at the weight it had.
+    pub fn forget_weight(&mut self, session: u64) {
+        self.weights.remove(&session);
+    }
+
     /// Admits a request into its session's lane, or returns it when the
     /// queue is at capacity (the load-shed path — the caller owes the
     /// client a retry hint, not silence).
@@ -274,6 +280,20 @@ mod tests {
         let heavy = batch.iter().filter(|(s, _)| *s == 1).count();
         // Weight 3 vs 1 → 3:1 split of an 8-slot tick.
         assert_eq!(heavy, 6);
+    }
+
+    #[test]
+    fn closed_sessions_leave_no_weight_behind() {
+        let mut q = AdmissionQueue::new(QosPolicy::Drr { quantum: 1 }, 64);
+        for session in 0..100 {
+            q.set_weight(session, 3);
+            q.push(session, session).unwrap();
+            assert_eq!(q.pop_batch(1), vec![session]);
+            q.forget_weight(session);
+            assert_eq!(q.weight_of(session), 1, "back to the default share");
+        }
+        assert!(q.weights.is_empty());
+        assert!(q.lanes.is_empty());
     }
 
     #[test]

@@ -14,12 +14,12 @@ use fides_client::wire::{
 use fides_client::{Domain, RawCiphertext, RawParams, RawPoly};
 use fides_core::backend::{BackendPt, EvalBackend};
 use fides_core::sched::{
-    decode_plan_entry, fingerprint, plan_entry_len, plan_parallel, write_plan_entry, BoundPlan,
-    CostModel, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig,
+    decode_plan_entry, plan_entry_len, write_plan_entry, BoundPlan, CostModel, ExecGraph,
+    GpuReplayExecutor, PlanCache, PlanConfig,
 };
 use fides_core::{adapter, CkksContext, CkksParameters, CpuBackend, GpuSimBackend};
 use fides_gpu_sim::{
-    BufferId, DeviceSpec, ExecMode, GpuCluster, GpuSim, GraphEvent, InterconnectSpec, SimStats,
+    Capture, DeviceSpec, ExecMode, GpuCluster, GpuSim, GraphEvent, InterconnectSpec, SimStats,
 };
 use parking_lot::Mutex;
 
@@ -501,6 +501,7 @@ impl Server {
     /// Closes a session, freeing its keys. Returns whether it was resident.
     pub fn close_session(&self, id: u64) -> bool {
         self.inner.router.lock().remove(id);
+        self.inner.queue.lock().forget_weight(id);
         self.inner.registry.lock().remove(id)
     }
 
@@ -1012,10 +1013,10 @@ impl Server {
     /// Splits a resolved batch into per-device shards (each request goes
     /// to the device its session's keys live on), records every non-empty
     /// shard as its own merged graph — with a shard-local round-robin
-    /// stream offset — on its own context, then plans the shards: cache
-    /// lookups stay on the calling thread, and only misses fan out over
-    /// the bounded rayon pool ([`plan_parallel`]). `Planner::plan` is a
-    /// pure function of `(config, graph)`, so the fan-out produces plans
+    /// stream offset — on its own context, then plans the shards in one
+    /// [`PlanCache::bind`]: cache lookups stay on the calling thread, and
+    /// only misses fan out over the bounded rayon pool. `Planner::plan` is
+    /// a pure function of `(config, graph)`, so the fan-out produces plans
     /// identical to sequential planning at every worker count.
     /// Single-device servers take this path too — with one shard it is
     /// exactly the classic batched tick.
@@ -1043,13 +1044,21 @@ impl Server {
                 continue;
             }
             let gpu = contexts[device].gpu();
-            let mut merged: Vec<GraphEvent> = Vec::new();
+            let mut merged = Capture::default();
             for (pos, &i) in shard.iter().enumerate() {
                 let (p, session) = &batch[i];
                 let began = gpu.begin_capture();
                 let resp = Self::serve_one(session.as_deref(), &p.req);
                 if began {
-                    merged.extend(offset_streams(gpu.end_capture(), pos));
+                    let capture = gpu.end_capture();
+                    merged.events.extend(offset_streams(capture.events, pos));
+                    // One device pool, regions in sequence: the shard's
+                    // fresh ids run from the first region's to the last's.
+                    if merged.fresh_ids.is_empty() {
+                        merged.fresh_ids = capture.fresh_ids;
+                    } else {
+                        merged.fresh_ids.end = merged.fresh_ids.end.max(capture.fresh_ids.end);
+                    }
                 }
                 responses[i] = Some(resp);
             }
@@ -1062,90 +1071,52 @@ impl Server {
                 }
                 stats.per_device_requests[device] += shard.len() as u64;
             }
-            if !merged.is_empty() {
+            if !merged.events.is_empty() {
                 graphs.push(ShardGraph {
                     device,
-                    graph: ExecGraph::from_events(merged),
+                    graph: ExecGraph::from_capture(merged),
                 });
             }
         }
 
         // Plan the shard graphs. Steady-state ticks repeat the same graph
-        // *shapes* with fresh buffers: the structural fingerprint finds
-        // the cached plan, and binding it to this tick's buffers replaces
-        // planning entirely.
+        // *shapes* with fresh buffers: the shape key finds the cached plan,
+        // and binding it to this tick's buffers replaces planning entirely.
+        // Misses fan out over the bounded rayon pool with the cache lock
+        // held, which blocks no one: every other user of the cache
+        // (snapshot, restore, warmup) holds the tick lock first.
         let plan_t0 = Instant::now();
-        let mut execs: Vec<Option<ShardExec>> = graphs.iter().map(|_| None).collect();
-        struct Miss {
-            slot: usize,
-            fp: u64,
-            binding: Vec<BufferId>,
-        }
-        let mut misses: Vec<Miss> = Vec::new();
-        let mut hits = 0u64;
-        let mut warm_hits = 0u64;
-        {
-            // Cache lock released before the fan-out: planning a miss can
-            // dwarf every lookup combined.
-            let mut cache = self.inner.plan_cache.lock();
-            for (slot, sg) in graphs.iter().enumerate() {
-                let (fp, binding) = fingerprint(&sg.graph, &self.inner.plan_cfg);
-                let warm = cache.is_warm(fp);
-                match cache.lookup(fp, &binding) {
-                    Some(bound) => {
-                        hits += 1;
-                        if warm {
-                            warm_hits += 1;
-                        }
-                        execs[slot] = Some(ShardExec {
-                            device: sg.device,
-                            bound,
-                        });
-                    }
-                    None => misses.push(Miss { slot, fp, binding }),
-                }
-            }
-        }
-        let miss_count = misses.len() as u64;
-        let mut per_device_plan: Vec<(usize, u64)> = Vec::new();
-        if !misses.is_empty() {
-            let miss_graphs: Vec<&ExecGraph> =
-                misses.iter().map(|m| &graphs[m.slot].graph).collect();
-            let planned = plan_parallel(&self.inner.plan_cfg, &miss_graphs, 0);
-            let mut cache = self.inner.plan_cache.lock();
-            for (m, (plan, us)) in misses.into_iter().zip(planned) {
-                let bound = cache.insert(m.fp, plan, m.binding);
-                if synthetic {
-                    cache.mark_warm(m.fp);
-                }
-                cache.note_plan_us(us);
-                per_device_plan.push((graphs[m.slot].device, us));
-                execs[m.slot] = Some(ShardExec {
-                    device: graphs[m.slot].device,
-                    bound,
-                });
-            }
-        }
+        let refs: Vec<&ExecGraph> = graphs.iter().map(|sg| &sg.graph).collect();
+        let bound = self
+            .inner
+            .plan_cache
+            .lock()
+            .bind(&self.inner.plan_cfg, &refs, synthetic);
         let plan_us = plan_t0.elapsed().as_micros() as u64;
-
-        let execs: Vec<ShardExec> = execs
-            .into_iter()
-            .map(|e| e.expect("every shard graph was planned or fetched"))
+        let execs: Vec<ShardExec> = graphs
+            .iter()
+            .zip(bound)
+            .map(|(sg, bound)| ShardExec {
+                device: sg.device,
+                bound,
+            })
             .collect();
         {
             let mut stats = self.inner.stats.lock();
-            stats.plan_cache_hits += hits;
-            stats.warm_plan_hits += warm_hits;
-            stats.plan_cache_misses += miss_count;
             stats.plan_us += plan_us;
-            for (device, us) in per_device_plan {
-                if stats.per_device_plan_us.len() <= device {
-                    stats.per_device_plan_us.resize(device + 1, 0);
-                }
-                stats.per_device_plan_us[device] += us;
-            }
             for exec in &execs {
-                let planned = exec.bound.plan().stats();
+                let bound = &exec.bound;
+                if bound.is_hit() {
+                    stats.plan_cache_hits += 1;
+                    stats.warm_plan_hits += u64::from(bound.is_warm_hit());
+                } else {
+                    stats.plan_cache_misses += 1;
+                    if stats.per_device_plan_us.len() <= exec.device {
+                        stats.per_device_plan_us.resize(exec.device + 1, 0);
+                    }
+                    stats.per_device_plan_us[exec.device] += bound.plan_us();
+                }
+                let planned = bound.plan().stats();
                 stats.recorded_kernels += planned.recorded_kernels;
                 stats.planned_launches += planned.planned_launches;
                 stats.fused_kernels += planned.fused_kernels;

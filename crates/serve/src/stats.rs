@@ -55,7 +55,7 @@ pub struct ServeStats {
     /// migrations.
     pub migration_bytes: u64,
     /// Wall microseconds the admission phases spent in planning sections
-    /// (fingerprint, cache lookup, and the planning passes for misses).
+    /// (canonicalisation, cache lookup, and the planning passes for misses).
     /// With parallel per-shard planning this is the *elapsed* time of the
     /// fan-out, not the sum of the workers' time — compare against
     /// [`ServeStats::per_device_plan_us`] to see the overlap.
