@@ -83,10 +83,9 @@ pub struct CkksParameters {
     /// Radix-8, whose computational complexity the paper identifies as the
     /// primary NTT bottleneck, §III-F.4).
     pub ntt_op_factor: f64,
-    /// Simulated devices the serving layer shards tenants across (the
-    /// distributed path — [`sched::partition`](crate::sched::partition)
-    /// and the serve layer's device workers). `1` (the default) is the
-    /// classic single-device pipeline.
+    /// Simulated devices the serving layer shards tenants across, one
+    /// context per device. `1` (the default) is the classic single-device
+    /// pipeline.
     pub num_devices: usize,
 }
 

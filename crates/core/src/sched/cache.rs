@@ -121,8 +121,8 @@ impl Canon {
         sink.word(1);
         sink.word(cfg.num_streams as u64);
         sink.word(cfg.max_fuse as u64);
-        // Topology is part of the key: a plan ranked under one device model or
-        // partitioned for one device count must never replay on another.
+        // The fleet's device count: planning never reads it, but persisted
+        // fingerprints carry it, so it stays a word of the key.
         sink.word(cfg.devices as u64);
         for w in cfg.cost.fingerprint_words() {
             sink.word(w);

@@ -47,16 +47,16 @@ use super::plan::{merge, ExecPlan, PlanConfig, PlanStep, SchedStats};
 
 /// One schedulable unit: a recorded kernel, possibly carrying a pre-fused
 /// chain of same-stream elementwise followers.
-pub(crate) struct Unit {
-    pub(crate) desc: KernelDesc,
-    pub(crate) rec_stream: usize,
-    pub(crate) segment: usize,
+struct Unit {
+    desc: KernelDesc,
+    rec_stream: usize,
+    segment: usize,
     /// Recorded kernels absorbed into this unit (chain length ≥ 1).
-    pub(crate) count: usize,
+    count: usize,
 }
 
 impl Unit {
-    pub(crate) fn is_fusible(&self) -> bool {
+    fn is_fusible(&self) -> bool {
         super::graph::fusible_kind(self.desc.kind)
     }
 }
@@ -86,7 +86,7 @@ pub(crate) fn dedup_overlap_bytes(into: &KernelDesc, next: &KernelDesc) -> u64 {
 /// a topological order of every edge stage 2 can add — plus, per barrier,
 /// the set of recorded streams it covers (barrier `k` separates segment `k`
 /// from `k + 1`; emission flushes exactly the chains a barrier covers).
-pub(crate) fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize>>) {
+fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize>>) {
     let mut units: Vec<Unit> = Vec::new();
     let mut barriers: Vec<Vec<usize>> = Vec::new();
     // Open chain per recorded stream: index into `units`.
@@ -159,7 +159,7 @@ struct BufState {
 /// Stage 2: dependency edges. Returns `(preds, succs)` adjacency, with
 /// every edge pointing from a lower to a higher unit index (unit order is
 /// recorded order, so segments are nondecreasing along it).
-pub(crate) fn build_edges(units: &[Unit]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+fn build_edges(units: &[Unit]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
     let n = units.len();
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];

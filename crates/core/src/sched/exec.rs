@@ -1,4 +1,4 @@
-//! Plan executors: where a scheduled plan actually runs.
+//! The replay executor: where a scheduled plan actually runs.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -8,17 +8,6 @@ use fides_gpu_sim::{BufferId, GpuSim, Rebinding};
 
 use super::cache::BoundPlan;
 use super::plan::ExecPlan;
-
-/// An execution substrate for [`ExecPlan`]s.
-///
-/// The gpu-sim backend replays plans onto the multi-stream timeline
-/// ([`GpuReplayExecutor`]); a real CUDA backend would issue the same steps
-/// as graph launches, and a multi-GPU backend would partition the plan
-/// across devices before executing each shard.
-pub trait PlanExecutor {
-    /// Runs every step of the plan in issue order.
-    fn execute(&self, plan: &ExecPlan);
-}
 
 /// Replays a plan onto the simulated device: each launch advances the
 /// timeline and ledger exactly as an eager launch would (bodies are empty —
@@ -46,7 +35,7 @@ pub trait PlanExecutor {
 ///   map to the *current* graph's buffer at the same first-occurrence
 ///   position ([`BoundPlan`]) and residency they accumulated in earlier
 ///   plan executions still hits. A fresh plan, or one executed unbound
-///   through [`PlanExecutor::execute`], keeps its own ids.
+///   through [`Self::execute`], keeps its own ids.
 #[derive(Debug)]
 pub struct GpuReplayExecutor<'a> {
     gpu: &'a Arc<GpuSim>,
@@ -60,6 +49,12 @@ impl<'a> GpuReplayExecutor<'a> {
     /// Creates an executor over a device.
     pub fn new(gpu: &'a Arc<GpuSim>) -> Self {
         Self { gpu }
+    }
+
+    /// Replays every step of a plan in issue order, in the plan's own
+    /// buffer ids.
+    pub fn execute(&self, plan: &ExecPlan) {
+        self.replay(plan, &[], &[]);
     }
 
     /// Replays a plan-cache result — a hit or a freshly inserted plan — onto
@@ -105,12 +100,6 @@ fn slot_window(slots: &HashMap<BufferId, u64>) -> Range<u64> {
     lo..hi
         .saturating_add(1)
         .min(lo.saturating_add(2 * slots.len() as u64))
-}
-
-impl PlanExecutor for GpuReplayExecutor<'_> {
-    fn execute(&self, plan: &ExecPlan) {
-        self.replay(plan, &[], &[]);
-    }
 }
 
 #[cfg(test)]

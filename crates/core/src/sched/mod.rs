@@ -1,5 +1,5 @@
 //! The stream-graph execution engine: lazy kernel graphs, a fusion/stream
-//! planning pass, and pluggable executors.
+//! planning pass, and the replay executor.
 //!
 //! # Layering (paper Fig. 2 / §III-F)
 //!
@@ -20,9 +20,9 @@
 //!        │  planning pass ([`Planner`])
 //!        ▼
 //!   [`ExecPlan`]    — fused launches, streams reassigned
-//!        │  pluggable executor ([`PlanExecutor`])
+//!        │  replay ([`GpuReplayExecutor`])
 //!        ▼
-//!   [`GpuReplayExecutor`] → multi-stream timeline (gpu-sim backend)
+//!   multi-stream timeline (gpu-sim backend)
 //!   (the CPU reference backend executes limb batches on a worker pool
 //!    instead — see [`cpu_ref`](crate::cpu_ref))
 //! ```
@@ -120,19 +120,8 @@
 //! and fences are applied only at the recorded cross-limb sync points.
 //! Replay refuses (panics) to run inside the calling thread's own open
 //! capture region, where it would re-record the plan instead of timing it.
-//! [`PlanExecutor::execute`] is the unbound form — a plan replayed in its
-//! own ids — used for distributed shards and by other substrates.
-//!
-//! **Distribution.** The same graph can be cut across a simulated
-//! multi-device topology instead of replaying on one device: [`partition`]
-//! weighs kernel nodes with a per-device [`CostModel`], prices dependency
-//! edges as transfer time over the modeled interconnect
-//! ([`Topology`]), seeds a cost-balanced contiguous split and refines it
-//! with KL-style boundary sweeps, then emits per-device [`ExecPlan`]
-//! shards interleaved with explicit [`DistStep::Transfer`] hops.
-//! [`DistExecutor`] drives one [`GpuReplayExecutor`] per device of a
-//! [`GpuCluster`](fides_gpu_sim::GpuCluster) off a shared host clock,
-//! serializing cut-edge payloads on the link.
+//! [`GpuReplayExecutor::execute`] is the unbound form — a plan replayed in
+//! its own ids.
 //!
 //! # Knobs
 //!
@@ -146,16 +135,14 @@ mod dag;
 mod exec;
 mod graph;
 mod mem;
-mod partition;
 mod persist;
 mod plan;
 mod topo;
 
 pub use cache::{fingerprint, plan_parallel, BoundPlan, PlanCache};
-pub use exec::{GpuReplayExecutor, PlanExecutor};
+pub use exec::GpuReplayExecutor;
 pub use graph::{ExecGraph, GraphOp, KernelNode};
 pub use mem::MemPlan;
-pub use partition::{partition, DistExecutor, DistPlan, DistStats, DistStep};
 pub use persist::{decode_plan_entry, encode_plan_entry, plan_entry_len, write_plan_entry};
 pub use plan::{ExecPlan, PlanConfig, PlanStep, Planner, SchedStats};
-pub use topo::{CostModel, Topology};
+pub use topo::CostModel;

@@ -23,9 +23,9 @@ pub struct PlanConfig {
     /// [`CostModel::from_spec`](super::CostModel::from_spec) (the default
     /// keeps the historical hard-coded figures for device-free callers).
     pub cost: super::CostModel,
-    /// Devices the plan targets. `1` plans a single-device graph; larger
-    /// values feed the partitioner and — crucially — the fingerprint, so a
-    /// cached plan never replays across a topology change.
+    /// Devices in the fleet the plan runs on. Planning ignores it; it stays
+    /// a word of the fingerprint, so fingerprints and the plan caches
+    /// persisted under them remain stable across releases.
     pub devices: usize,
 }
 
@@ -79,7 +79,7 @@ impl SchedStats {
 pub type PlanStep = fides_gpu_sim::GraphEvent;
 
 /// The scheduled form of an [`ExecGraph`]: launches (possibly fused) plus
-/// fences, ready for a [`PlanExecutor`](super::PlanExecutor).
+/// fences, ready for the [`GpuReplayExecutor`](super::GpuReplayExecutor).
 #[derive(Clone, Debug, Default)]
 pub struct ExecPlan {
     pub(crate) steps: Vec<PlanStep>,

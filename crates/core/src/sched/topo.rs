@@ -1,14 +1,13 @@
-//! Device topology and the scheduler's first-order cost model.
+//! The scheduler's first-order cost model.
 //!
-//! Scheduling decisions — unit ranking, stream placement, graph
-//! partitioning — need *estimates* of kernel service time and transfer
-//! cost before anything executes. The single source of truth for real
-//! timing stays the gpu-sim replay; this module only prices choices, and
-//! it prices them from the **active device model** instead of hard-coded
-//! RTX 4090 numbers, so cost estimates stay honest when the simulated
-//! fleet is an A4500, a V100, or a heterogeneous mix.
+//! Scheduling decisions — unit ranking and stream placement — need
+//! *estimates* of kernel service time before anything executes. The single
+//! source of truth for real timing stays the gpu-sim replay; this module
+//! only prices choices, and it prices them from the **active device model**
+//! instead of hard-coded RTX 4090 numbers, so cost estimates stay honest
+//! when the simulated device is an A4500 or a V100.
 
-use fides_gpu_sim::{DeviceSpec, InterconnectSpec, KernelDesc};
+use fides_gpu_sim::{DeviceSpec, KernelDesc};
 
 /// First-order per-device cost constants used to rank and place units.
 ///
@@ -75,52 +74,6 @@ impl CostModel {
     }
 }
 
-/// An N-device execution topology: per-device specs plus the shared
-/// interconnect they exchange data over.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Topology {
-    /// Device models, in device-index order.
-    pub devices: Vec<DeviceSpec>,
-    /// The shared device-to-device link.
-    pub interconnect: InterconnectSpec,
-}
-
-impl Topology {
-    /// A single-device topology (the interconnect is never exercised but
-    /// keeps the type uniform).
-    pub fn single(spec: DeviceSpec) -> Self {
-        Self {
-            devices: vec![spec],
-            interconnect: InterconnectSpec::pcie_gen4(),
-        }
-    }
-
-    /// `n` identical devices joined by `link`.
-    pub fn homogeneous(n: usize, spec: DeviceSpec, link: InterconnectSpec) -> Self {
-        assert!(n >= 1, "a topology needs at least one device");
-        Self {
-            devices: vec![spec; n],
-            interconnect: link,
-        }
-    }
-
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Per-device cost models, calibrated from each device's spec.
-    pub fn cost_models(&self) -> Vec<CostModel> {
-        self.devices.iter().map(CostModel::from_spec).collect()
-    }
-
-    /// Interconnect transfer time for `bytes`, µs (latency + wire time) —
-    /// the partitioner's edge-weight scale.
-    pub fn transfer_us(&self, bytes: u64) -> f64 {
-        self.interconnect.latency_us + bytes as f64 / self.interconnect.bytes_per_us()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,16 +114,5 @@ mod tests {
         // Compute-bound kernel: ops over throughput.
         let compk = KernelDesc::new(KernelKind::NttPhase1).ops(1_000_000_000);
         assert!((c.unit_cost(&compk) - 1.0e9 / c.ops_per_us).abs() < 1e-9);
-    }
-
-    #[test]
-    fn topology_shapes() {
-        let t = Topology::single(DeviceSpec::rtx_4090());
-        assert_eq!(t.num_devices(), 1);
-        let t = Topology::homogeneous(4, DeviceSpec::rtx_4090(), InterconnectSpec::pcie_gen4());
-        assert_eq!(t.num_devices(), 4);
-        assert_eq!(t.cost_models().len(), 4);
-        assert!(t.transfer_us(0) >= t.interconnect.latency_us);
-        assert!(t.transfer_us(1 << 20) > t.transfer_us(0));
     }
 }

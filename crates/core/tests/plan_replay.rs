@@ -9,8 +9,7 @@
 //! field and the simulated clock to agree to the bit.
 
 use fides_core::sched::{
-    fingerprint, BoundPlan, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, PlanExecutor,
-    Planner,
+    fingerprint, BoundPlan, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, Planner,
 };
 use fides_gpu_sim::{
     BufferId, Capture, DeviceSpec, ExecMode, GpuSim, GraphEvent, KernelDesc, KernelKind, SimStats,

@@ -1,31 +1,30 @@
 //! Multi-device simulation: a fleet of [`GpuSim`] devices sharing one
 //! interconnect.
 //!
-//! The single-device simulator models a card in isolation; scaling out
-//! (ISPASS §VI's "what would N cards buy us" question) needs two more
-//! ingredients, both modelled here:
+//! The single-device simulator models a card in isolation; a sharded fleet
+//! needs two more ingredients, both modelled here:
 //!
 //! 1. **A shared time origin.** Every device timeline in a cluster starts at
 //!    t = 0 and advances in the same simulated microseconds, so a makespan
-//!    taken as `max` over devices is meaningful, and a scheduler can impose
-//!    one host submission clock across all of them
+//!    taken as `max` over devices is meaningful, and a caller can carry one
+//!    device's host clock over to another
 //!    ([`GpuSim::advance_host_to`] / [`GpuSim::host_clock`]).
 //! 2. **A shared link.** Device-to-device traffic serializes on one
-//!    [`InterconnectSpec`]-modelled resource (PCIe switch or NVLink
-//!    bridge): a transfer occupies the link from `max(link_free, ready)`
-//!    for `latency + bytes/bandwidth`, exactly the serialization rule the
+//!    [`InterconnectSpec`]-modelled resource (a PCIe switch): a transfer
+//!    occupies the link from `max(link_free, ready)` for
+//!    `latency + bytes/bandwidth`, exactly the serialization rule the
 //!    single-device [`Timeline`](crate::SimStats) applies to DRAM.
 //!
-//! The cluster does **not** schedule anything — partitioning a kernel graph
-//! across devices and deciding what crosses the link is the planning
-//! layer's job (`fides-core::sched`). This module only prices the choices.
+//! The cluster does **not** schedule anything. The serve layer shards
+//! tenants across its devices and moves a migrated tenant's key material
+//! over the link; this module only prices those moves.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::{DeviceSpec, ExecMode, GpuSim};
+use crate::GpuSim;
 
 /// The shared device-to-device interconnect model: a single serialized
 /// resource with fixed per-transfer latency and a flat bandwidth.
@@ -50,37 +49,10 @@ impl InterconnectSpec {
         }
     }
 
-    /// NVLink 4 bridge: ~300 GB/s effective, ~2 µs per-transfer setup.
-    pub fn nvlink4() -> Self {
-        Self {
-            name: "nvlink4".into(),
-            gbps: 300.0,
-            latency_us: 2.0,
-        }
-    }
-
     /// Bandwidth in bytes per simulated µs.
     pub fn bytes_per_us(&self) -> f64 {
         self.gbps * 1e3
     }
-}
-
-/// Cumulative interconnect counters for one cluster.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct LinkStats {
-    /// Device-to-device transfers issued.
-    pub transfers: u64,
-    /// Total bytes moved across the link.
-    pub bytes: u64,
-    /// Total µs the link was busy (latency + wire time).
-    pub busy_us: f64,
-}
-
-#[derive(Debug, Default)]
-struct LinkState {
-    /// When the link is next free (absolute simulated µs).
-    free_us: f64,
-    stats: LinkStats,
 }
 
 /// A fleet of simulated devices sharing one interconnect and one time
@@ -89,38 +61,11 @@ struct LinkState {
 pub struct GpuCluster {
     devices: Vec<Arc<GpuSim>>,
     interconnect: InterconnectSpec,
-    link: Mutex<LinkState>,
+    /// When the link is next free (absolute simulated µs).
+    link_free_us: Mutex<f64>,
 }
 
 impl GpuCluster {
-    /// Builds a cluster of `n` identical devices (n ≥ 1) joined by `link`.
-    pub fn homogeneous(
-        n: usize,
-        spec: DeviceSpec,
-        mode: ExecMode,
-        link: InterconnectSpec,
-    ) -> Arc<Self> {
-        assert!(n >= 1, "a cluster needs at least one device");
-        let devices = (0..n).map(|_| GpuSim::new(spec.clone(), mode)).collect();
-        Arc::new(Self {
-            devices,
-            interconnect: link,
-            link: Mutex::new(LinkState::default()),
-        })
-    }
-
-    /// Builds a (possibly heterogeneous) cluster from explicit per-device
-    /// specs.
-    pub fn new(specs: Vec<DeviceSpec>, mode: ExecMode, link: InterconnectSpec) -> Arc<Self> {
-        assert!(!specs.is_empty(), "a cluster needs at least one device");
-        let devices = specs.into_iter().map(|s| GpuSim::new(s, mode)).collect();
-        Arc::new(Self {
-            devices,
-            interconnect: link,
-            link: Mutex::new(LinkState::default()),
-        })
-    }
-
     /// Builds a cluster around pre-existing devices (e.g. devices already
     /// owned by per-device contexts), joining them with `link`.
     pub fn from_devices(devices: Vec<Arc<GpuSim>>, link: InterconnectSpec) -> Arc<Self> {
@@ -128,13 +73,8 @@ impl GpuCluster {
         Arc::new(Self {
             devices,
             interconnect: link,
-            link: Mutex::new(LinkState::default()),
+            link_free_us: Mutex::new(0.0),
         })
-    }
-
-    /// Number of devices in the cluster.
-    pub fn num_devices(&self) -> usize {
-        self.devices.len()
     }
 
     /// Device `i` (panics when out of range).
@@ -142,43 +82,23 @@ impl GpuCluster {
         &self.devices[i]
     }
 
-    /// All devices, in index order.
-    pub fn devices(&self) -> &[Arc<GpuSim>] {
-        &self.devices
-    }
-
-    /// The interconnect model.
-    pub fn interconnect(&self) -> &InterconnectSpec {
-        &self.interconnect
-    }
-
     /// Prices one device-to-device transfer of `bytes` whose source data is
     /// ready at absolute time `ready_us`. The link is a serialized
     /// resource: the transfer starts at `max(link_free, ready_us)` and
     /// holds the link for `latency + bytes/bandwidth`. Returns the absolute
-    /// completion time; the caller couples it into the destination stream
-    /// via [`GpuSim::wait_stream_until`].
+    /// completion time; the caller carries it to the destination device
+    /// via [`GpuSim::advance_host_to`].
     pub fn transfer(&self, bytes: u64, ready_us: f64) -> f64 {
-        let mut link = self.link.lock();
-        let start = link.free_us.max(ready_us);
+        let mut free_us = self.link_free_us.lock();
+        let start = free_us.max(ready_us);
         let wire = self.interconnect.latency_us + bytes as f64 / self.interconnect.bytes_per_us();
-        let done = start + wire;
-        link.free_us = done;
-        link.stats.transfers += 1;
-        link.stats.bytes += bytes;
-        link.stats.busy_us += wire;
-        done
+        *free_us = start + wire;
+        *free_us
     }
 
-    /// Snapshot of the interconnect counters.
-    pub fn link_stats(&self) -> LinkStats {
-        self.link.lock().stats
-    }
-
-    /// Clears the interconnect counters (the link-free clock keeps
-    /// advancing monotonically) and resets every device's stats window.
+    /// Resets every device's stats window (the link-free clock keeps
+    /// advancing monotonically).
     pub fn reset_stats(&self) {
-        self.link.lock().stats = LinkStats::default();
         for d in &self.devices {
             d.reset_stats();
         }
@@ -187,7 +107,7 @@ impl GpuCluster {
     /// Cluster-wide synchronize: the fleet makespan, `max` over device
     /// makespans and the link-free clock.
     pub fn sync_all(&self) -> f64 {
-        let link = self.link.lock().free_us;
+        let link = *self.link_free_us.lock();
         self.devices.iter().map(|d| d.sync()).fold(link, f64::max)
     }
 }
@@ -195,17 +115,18 @@ impl GpuCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufferId, KernelDesc, KernelKind};
+    use crate::{BufferId, DeviceSpec, ExecMode, KernelDesc, KernelKind};
+
+    fn cluster(n: usize) -> Arc<GpuCluster> {
+        let devices = (0..n)
+            .map(|_| GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly))
+            .collect();
+        GpuCluster::from_devices(devices, InterconnectSpec::pcie_gen4())
+    }
 
     #[test]
     fn homogeneous_cluster_shares_time_origin() {
-        let c = GpuCluster::homogeneous(
-            2,
-            DeviceSpec::rtx_4090(),
-            ExecMode::CostOnly,
-            InterconnectSpec::pcie_gen4(),
-        );
-        assert_eq!(c.num_devices(), 2);
+        let c = cluster(2);
         // Devices start at the same origin: identical work gives identical
         // makespans.
         let desc = KernelDesc::new(KernelKind::Elementwise)
@@ -219,49 +140,28 @@ mod tests {
 
     #[test]
     fn link_serializes_transfers() {
-        let c = GpuCluster::homogeneous(
-            2,
-            DeviceSpec::rtx_4090(),
-            ExecMode::CostOnly,
-            InterconnectSpec::pcie_gen4(),
-        );
-        let bw = c.interconnect().bytes_per_us();
-        let lat = c.interconnect().latency_us;
+        let c = cluster(2);
+        let link = InterconnectSpec::pcie_gen4();
+        let bw = link.bytes_per_us();
+        let lat = link.latency_us;
         // Two transfers ready at t=0: the second queues behind the first.
         let t1 = c.transfer(24_000, 0.0);
         assert!((t1 - (lat + 24_000.0 / bw)).abs() < 1e-9);
         let t2 = c.transfer(24_000, 0.0);
         assert!((t2 - 2.0 * (lat + 24_000.0 / bw)).abs() < 1e-9);
-        let s = c.link_stats();
-        assert_eq!(s.transfers, 2);
-        assert_eq!(s.bytes, 48_000);
-        assert!(s.busy_us > 0.0);
     }
 
     #[test]
     fn transfer_waits_for_source_readiness() {
-        let c = GpuCluster::homogeneous(
-            2,
-            DeviceSpec::rtx_4090(),
-            ExecMode::CostOnly,
-            InterconnectSpec::nvlink4(),
-        );
+        let c = cluster(2);
         // Source data ready late: the transfer cannot start before it.
         let done = c.transfer(1000, 100.0);
         assert!(done > 100.0);
-        // The destination stream stalls until the transfer lands.
-        c.device(1).wait_stream_until(3, done);
-        assert!(c.device(1).stream_ready(3) >= done);
     }
 
     #[test]
     fn shared_host_clock_round_trips() {
-        let c = GpuCluster::homogeneous(
-            2,
-            DeviceSpec::rtx_4090(),
-            ExecMode::CostOnly,
-            InterconnectSpec::pcie_gen4(),
-        );
+        let c = cluster(2);
         let d0 = c.device(0);
         let d1 = c.device(1);
         d0.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(100), || {});
@@ -273,18 +173,5 @@ mod tests {
         assert!(d1.host_clock() >= host);
         d1.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(100), || {});
         assert!(d1.host_clock() > host);
-    }
-
-    #[test]
-    fn reset_stats_clears_link_counters() {
-        let c = GpuCluster::homogeneous(
-            1,
-            DeviceSpec::rtx_4090(),
-            ExecMode::CostOnly,
-            InterconnectSpec::pcie_gen4(),
-        );
-        c.transfer(1000, 0.0);
-        c.reset_stats();
-        assert_eq!(c.link_stats(), LinkStats::default());
     }
 }

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-pub use cluster::{GpuCluster, InterconnectSpec, LinkStats};
+pub use cluster::{GpuCluster, InterconnectSpec};
 pub use device::{DeviceKind, DeviceSpec};
 pub use kernel::{
     KernelDesc, KernelKind, ADD_OPS, BARRETT_MULMOD_OPS, BUTTERFLY_OPS, LOW_MUL_OPS, MODADD_OPS,
@@ -372,30 +372,16 @@ impl GpuSim {
         self.state.lock().timeline.reset_stats();
     }
 
-    /// When `stream`'s submitted work completes, in absolute simulated µs.
-    /// Read-only peek used by cross-device coupling (see [`GpuCluster`]):
-    /// the producer side of a device-to-device transfer is ready at this
-    /// instant.
-    pub fn stream_ready(&self, stream: usize) -> f64 {
-        self.state.lock().timeline.stream_ready(stream)
-    }
-
-    /// Delays `stream` until absolute simulated time `t` µs — the receiving
-    /// end of a cross-device transfer. Monotonic (never rewinds a stream).
-    pub fn wait_stream_until(&self, stream: usize, t: f64) {
-        self.state.lock().timeline.wait_stream_until(stream, t);
-    }
-
     /// The host submission clock in absolute simulated µs.
     pub fn host_clock(&self) -> f64 {
         self.state.lock().timeline.host_clock()
     }
 
     /// Advances the host submission clock to at least `t` µs. Together with
-    /// [`Self::host_clock`] this lets a distributed executor drive several
-    /// device timelines off **one shared host clock**: impose the shared
-    /// clock before submitting to a device, read the advanced clock back
-    /// after.
+    /// [`Self::host_clock`] this carries time across devices of a
+    /// [`GpuCluster`]: a tenant migration reads the source device's clock,
+    /// prices the key transfer on the link, and imposes its completion
+    /// time on the destination device.
     pub fn advance_host_to(&self, t: f64) {
         self.state.lock().timeline.advance_host_to(t);
     }

@@ -506,20 +506,6 @@ impl Timeline {
         self.l2.evict(buf);
     }
 
-    /// When `stream`'s recorded work completes (µs). Read-only peek for
-    /// cross-device coupling: the cluster layer asks when a producer
-    /// stream's data is ready before charging the interconnect.
-    pub(crate) fn stream_ready(&self, stream: usize) -> f64 {
-        self.stream_ready.get(stream).copied().unwrap_or(0.0)
-    }
-
-    /// Delays `stream` until absolute time `t` (µs) — the receiving end of
-    /// a cross-device transfer. Monotonic: never moves a stream backwards.
-    pub(crate) fn wait_stream_until(&mut self, stream: usize, t: f64) {
-        let slot = self.stream_slot(stream);
-        *slot = slot.max(t);
-    }
-
     /// The host submission clock (µs).
     pub(crate) fn host_clock(&self) -> f64 {
         self.cpu_clock

@@ -118,8 +118,8 @@ impl<T> AdmissionQueue<T> {
         self.weights.get(&session).copied().unwrap_or(1)
     }
 
-    /// Drops a closed session's configured weight. A lane still holding
-    /// its queued requests keeps serving them at the weight it had.
+    /// Drops a closed or evicted session's configured weight. A lane still
+    /// holding its queued requests keeps serving them at the weight it had.
     pub fn forget_weight(&mut self, session: u64) {
         self.weights.remove(&session);
     }

@@ -59,30 +59,12 @@ impl Registry {
     }
 
     /// Inserts a session, evicting the least-recently-used entry when at
-    /// capacity. Returns the fresh session id.
-    pub(crate) fn insert(&mut self, state: SessionState) -> u64 {
-        if self.entries.len() >= self.capacity {
-            if let Some(&victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(id, e)| (e.last_used, **id))
-                .map(|(id, _)| id)
-            {
-                self.entries.remove(&victim);
-                self.evicted += 1;
-            }
-        }
+    /// capacity. Returns the fresh session id and the evicted id, if any —
+    /// the caller owes the evicted tenant's per-session state elsewhere
+    /// (its DRR weight) a cleanup.
+    pub(crate) fn insert(&mut self, state: SessionState) -> (u64, Option<u64>) {
         let id = self.next_id;
-        self.next_id += 1;
-        self.clock += 1;
-        self.entries.insert(
-            id,
-            Entry {
-                state: Arc::new(state),
-                last_used: self.clock,
-            },
-        );
-        id
+        (id, self.insert_with_id(id, state))
     }
 
     /// Looks a session up, marking it most-recently-used. The returned
@@ -116,24 +98,25 @@ impl Registry {
     }
 
     /// Inserts a session under a snapshot-assigned id (restore path),
-    /// evicting the LRU entry when at capacity. Rejects a duplicate id
-    /// with `false` — a snapshot stream never legitimately repeats one.
-    /// Bumps `next_id` past `id` so post-restore opens never collide
-    /// with restored sessions.
-    pub(crate) fn insert_with_id(&mut self, id: u64, state: SessionState) -> bool {
+    /// evicting the LRU entry when at capacity, and returns the evicted id.
+    /// A duplicate id is ignored — restore rejects a stream that repeats
+    /// one before it commits. Bumps `next_id` past `id` so post-restore
+    /// opens never collide with restored sessions.
+    pub(crate) fn insert_with_id(&mut self, id: u64, state: SessionState) -> Option<u64> {
         if self.entries.contains_key(&id) {
-            return false;
+            return None;
         }
-        if self.entries.len() >= self.capacity {
-            if let Some(&victim) = self
-                .entries
+        let victim = if self.entries.len() >= self.capacity {
+            self.entries
                 .iter()
                 .min_by_key(|(id, e)| (e.last_used, **id))
-                .map(|(id, _)| id)
-            {
-                self.entries.remove(&victim);
-                self.evicted += 1;
-            }
+                .map(|(&id, _)| id)
+        } else {
+            None
+        };
+        if let Some(victim) = victim {
+            self.entries.remove(&victim);
+            self.evicted += 1;
         }
         self.clock += 1;
         self.entries.insert(
@@ -144,7 +127,7 @@ impl Registry {
             },
         );
         self.next_id = self.next_id.max(id + 1);
-        true
+        victim
     }
 
     /// Whether a session with this id is resident (restore stages its
@@ -204,7 +187,7 @@ mod tests {
     #[test]
     fn replace_preserves_identity_and_lru_position() {
         let mut r = Registry::new(2);
-        let a = r.insert(state());
+        let (a, _) = r.insert(state());
         assert_eq!(r.next_id(), a + 1);
         let mut moved = state();
         moved.device = 1;
@@ -216,12 +199,14 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut r = Registry::new(2);
-        let a = r.insert(state());
-        let b = r.insert(state());
+        let (a, _) = r.insert(state());
+        let (b, evicted) = r.insert(state());
+        assert_eq!(evicted, None, "no eviction below capacity");
         assert_eq!(r.len(), 2);
         // Touch `a`, so `b` is now the LRU victim.
         assert!(r.touch(a).is_some());
-        let c = r.insert(state());
+        let (c, victim) = r.insert(state());
+        assert_eq!(victim, Some(b), "eviction reports the victim");
         assert_eq!(r.len(), 2);
         assert_eq!(r.evicted(), 1);
         assert!(r.touch(b).is_none(), "b was evicted");
@@ -232,8 +217,8 @@ mod tests {
     #[test]
     fn ids_are_never_reused() {
         let mut r = Registry::new(1);
-        let a = r.insert(state());
-        let b = r.insert(state()); // evicts a
+        let (a, _) = r.insert(state());
+        let (b, _) = r.insert(state()); // evicts a
         assert_ne!(a, b);
         assert!(r.touch(a).is_none());
         assert!(!r.remove(a));
@@ -244,9 +229,9 @@ mod tests {
     #[test]
     fn capacity_floor_is_one() {
         let mut r = Registry::new(0);
-        let a = r.insert(state());
+        let (a, _) = r.insert(state());
         assert!(r.touch(a).is_some());
-        let b = r.insert(state());
+        let (b, _) = r.insert(state());
         assert!(r.touch(a).is_none());
         assert!(r.touch(b).is_some());
     }

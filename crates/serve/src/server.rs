@@ -413,7 +413,10 @@ impl Server {
             Substrate::Cpu { .. } => 0,
         };
         let state = self.build_session(device, req)?;
-        let id = self.inner.registry.lock().insert(state);
+        let (id, evicted) = self.inner.registry.lock().insert(state);
+        if let Some(victim) = evicted {
+            self.inner.queue.lock().forget_weight(victim);
+        }
         self.inner.stats.lock().sessions_opened += 1;
         Ok(id)
     }
@@ -777,7 +780,10 @@ impl Server {
         // state in snapshot order. Duplicate ids were rejected above, so
         // every insert lands.
         for (id, weight, state) in staged_sessions {
-            self.inner.registry.lock().insert_with_id(id, state);
+            let evicted = self.inner.registry.lock().insert_with_id(id, state);
+            if let Some(victim) = evicted {
+                self.inner.queue.lock().forget_weight(victim);
+            }
             if weight != 1 {
                 self.inner.queue.lock().set_weight(id, weight);
             }
@@ -1329,6 +1335,61 @@ mod tests {
             }
             _ => panic!("expected fence"),
         }
+    }
+
+    /// A capacity-1 server at the smallest serving parameters.
+    fn one_slot_server() -> Server {
+        let params = CkksParameters::new(10, 3, 40, 3).unwrap();
+        Server::new(ServerConfig::new(params).max_sessions(1)).unwrap()
+    }
+
+    fn session_request(seed: u64) -> SessionRequest {
+        let engine = fides_api::CkksEngine::builder()
+            .log_n(10)
+            .levels(3)
+            .scale_bits(40)
+            .seed(seed)
+            .build()
+            .unwrap();
+        engine.session().session_request(&[]).unwrap()
+    }
+
+    fn weight_of(server: &Server, session: u64) -> u32 {
+        server.inner.queue.lock().weight_of(session)
+    }
+
+    #[test]
+    fn eviction_on_open_forgets_the_victims_weight() {
+        let server = one_slot_server();
+        let a = server.open_session(session_request(1)).unwrap();
+        server.set_session_weight(a, 3);
+        assert_eq!(weight_of(&server, a), 3);
+        let b = server.open_session(session_request(2)).unwrap();
+        assert_ne!(a, b);
+        assert_eq!(server.session_count(), 1, "opening b evicted a");
+        assert_eq!(weight_of(&server, a), 1, "evicted tenant's weight leaked");
+    }
+
+    #[test]
+    fn eviction_on_restore_forgets_the_victims_weight() {
+        // The image holds one weighted tenant under id 2 (id 1 was
+        // evicted before the snapshot), so it cannot collide with the
+        // target's resident id 1.
+        let source = one_slot_server();
+        source.open_session(session_request(1)).unwrap();
+        let b = source.open_session(session_request(2)).unwrap();
+        source.set_session_weight(b, 2);
+        let mut image = Vec::new();
+        source.snapshot(&mut image).unwrap();
+
+        let target = one_slot_server();
+        let a = target.open_session(session_request(3)).unwrap();
+        target.set_session_weight(a, 3);
+        assert_ne!(a, b);
+        assert_eq!(target.restore(image.as_slice()).unwrap(), 1);
+        assert_eq!(target.session_count(), 1, "restoring b evicted a");
+        assert_eq!(weight_of(&target, a), 1, "evicted tenant's weight leaked");
+        assert_eq!(weight_of(&target, b), 2, "restored weight kept");
     }
 
     #[test]
