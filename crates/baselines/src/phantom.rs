@@ -12,14 +12,10 @@
 //!   partially-coalesced global accesses, modeled as a derated
 //!   memory-access efficiency (the Fig. 4 divergence);
 //! * **reduced API** (Table VIII): no ScalarAdd/ScalarMult/HSquare, no
-//!   hoisted rotations, no bootstrapping.
+//!   hoisted rotations, no bootstrapping (`table5` prints its ScalarAdd and
+//!   ScalarMult rows N/A).
 
-use std::sync::Arc;
-
-use fides_core::{
-    Ciphertext, CkksContext, CkksParameters, EvalKeySet, FusionConfig, Plaintext, Result,
-};
-use fides_gpu_sim::{ExecMode, GpuSim};
+use fides_core::{CkksParameters, FusionConfig};
 
 /// Memory-access efficiency of Phantom's strided NTT kernels relative to
 /// FIDESlib's hierarchical scheme (calibrated against Fig. 4's high-limb
@@ -40,106 +36,14 @@ pub fn phantom_params(base: &CkksParameters) -> CkksParameters {
         .with_ntt_op_factor(PHANTOM_NTT_OP_FACTOR)
 }
 
-/// A Phantom-configured CKKS server exposing only the operations Phantom
-/// implements (Table VIII).
-#[derive(Debug)]
-pub struct PhantomCkks {
-    ctx: Arc<CkksContext>,
-}
-
-impl PhantomCkks {
-    /// Builds the Phantom comparator on a simulated device.
-    pub fn new(base: &CkksParameters, gpu: Arc<GpuSim>) -> Self {
-        Self {
-            ctx: CkksContext::new(phantom_params(base), gpu),
-        }
-    }
-
-    /// Builds on a device in the given execution mode.
-    pub fn with_device(
-        base: &CkksParameters,
-        spec: fides_gpu_sim::DeviceSpec,
-        mode: ExecMode,
-    ) -> Self {
-        Self::new(base, GpuSim::new(spec, mode))
-    }
-
-    /// The underlying context (Phantom-configured).
-    pub fn context(&self) -> &Arc<CkksContext> {
-        &self.ctx
-    }
-
-    /// HAdd.
-    ///
-    /// # Errors
-    ///
-    /// Level/scale/slot mismatches.
-    pub fn hadd(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        a.add(b)
-    }
-
-    /// PtAdd.
-    ///
-    /// # Errors
-    ///
-    /// Level/scale mismatches.
-    pub fn ptadd(&self, a: &Ciphertext, p: &Plaintext) -> Result<Ciphertext> {
-        a.add_plain(p)
-    }
-
-    /// PtMult.
-    ///
-    /// # Errors
-    ///
-    /// Level mismatch.
-    pub fn ptmult(&self, a: &Ciphertext, p: &Plaintext) -> Result<Ciphertext> {
-        a.mul_plain(p)
-    }
-
-    /// HMult (with relinearization).
-    ///
-    /// # Errors
-    ///
-    /// Mismatches or missing relinearization key.
-    pub fn hmult(&self, a: &Ciphertext, b: &Ciphertext, keys: &EvalKeySet) -> Result<Ciphertext> {
-        a.mul(b, keys)
-    }
-
-    /// Rescale.
-    ///
-    /// # Errors
-    ///
-    /// Not enough levels.
-    pub fn rescale(&self, a: &mut Ciphertext) -> Result<()> {
-        a.rescale_in_place()
-    }
-
-    /// HRotate.
-    ///
-    /// # Errors
-    ///
-    /// Missing rotation key.
-    pub fn hrotate(&self, a: &Ciphertext, k: i32, keys: &EvalKeySet) -> Result<Ciphertext> {
-        a.rotate(k, keys)
-    }
-
-    /// Operations Phantom does **not** provide (Table VIII); listed so
-    /// benchmark tables can print `N/A` rows faithfully.
-    pub fn unsupported_ops() -> &'static [&'static str] {
-        &[
-            "ScalarAdd",
-            "ScalarMult",
-            "HSquare",
-            "HoistedRotate",
-            "Bootstrap",
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use fides_gpu_sim::DeviceSpec;
+    use crate::util::synth_keys;
+    use fides_core::CkksContext;
+    use fides_gpu_sim::{DeviceSpec, ExecMode, GpuSim};
 
     #[test]
     fn phantom_config_is_ablated() {
@@ -153,39 +57,27 @@ mod tests {
     fn phantom_is_slower_than_fideslib_on_hmult() {
         // The ablation must reproduce the paper's ordering: Phantom behind
         // FIDESlib on the same simulated 4090.
+        let hmult_us = |params: CkksParameters| {
+            let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+            let ctx = CkksContext::new(params, Arc::clone(&gpu));
+            let keys = synth_keys(&ctx);
+            let a = fides_core::adapter::placeholder_ciphertext(
+                &ctx,
+                ctx.max_level(),
+                ctx.fresh_scale(),
+                1 << 15,
+            );
+            let t0 = gpu.sync();
+            let _ = a.mul(&a, &keys).unwrap();
+            gpu.sync() - t0
+        };
         let params = CkksParameters::paper_default();
-
-        let gpu_f = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
-        let ctx_f = CkksContext::new(params.clone(), Arc::clone(&gpu_f));
-        let keys_f = synth_keys(&ctx_f);
-        let a = fides_core::adapter::placeholder_ciphertext(
-            &ctx_f,
-            ctx_f.max_level(),
-            ctx_f.fresh_scale(),
-            1 << 15,
-        );
-        let t0 = gpu_f.sync();
-        let _ = a.mul(&a, &keys_f).unwrap();
-        let fides_us = gpu_f.sync() - t0;
-
-        let gpu_p = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
-        let phantom = PhantomCkks::new(&params, Arc::clone(&gpu_p));
-        let keys_p = synth_keys(phantom.context());
-        let b = fides_core::adapter::placeholder_ciphertext(
-            phantom.context(),
-            phantom.context().max_level(),
-            phantom.context().fresh_scale(),
-            1 << 15,
-        );
-        let t0 = gpu_p.sync();
-        let _ = phantom.hmult(&b, &b, &keys_p).unwrap();
-        let phantom_us = gpu_p.sync() - t0;
+        let fides_us = hmult_us(params.clone());
+        let phantom_us = hmult_us(phantom_params(&params));
 
         assert!(
             phantom_us > fides_us,
             "Phantom ({phantom_us} µs) must trail FIDESlib ({fides_us} µs)"
         );
     }
-
-    use crate::util::synth_keys;
 }

@@ -75,6 +75,6 @@ fn main() {
     println!("primitive incl. bootstrapping, OpenFHE-style client interoperation through");
     println!("the adapter layer, the LR benchmark, per-table microbenchmarks, unit tests");
     println!("in every module, and client⇄server integration tests. The Phantom column's");
-    println!("op coverage is enforced by `fides_baselines::PhantomCkks` (ScalarAdd,");
-    println!("ScalarMult, HSquare, HoistedRotate and Bootstrap are absent, as published).");
+    println!("op coverage shows in `table5`, whose Phantom ScalarAdd and ScalarMult rows");
+    println!("read N/A; Phantom has no HSquare, HoistedRotate or Bootstrap, as published.");
 }

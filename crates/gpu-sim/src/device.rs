@@ -2,15 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Whether a device model represents a GPU or a CPU socket.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DeviceKind {
-    /// Discrete GPU executing kernels launched from a host CPU.
-    Gpu,
-    /// CPU executing the same operation graph inline (no launch overhead).
-    Cpu,
-}
-
 /// A compute-platform model: the Table IV columns plus the handful of derived
 /// microarchitectural constants the timeline model needs.
 ///
@@ -21,15 +12,13 @@ pub enum DeviceKind {
 pub struct DeviceSpec {
     /// Marketing name, e.g. `"RTX 4090"`.
     pub name: String,
-    /// GPU or CPU.
-    pub kind: DeviceKind,
-    /// Streaming multiprocessors (GPU) or cores (CPU).
+    /// Streaming multiprocessors.
     pub sm_count: u32,
     /// Boost clock in GHz.
     pub freq_ghz: f64,
     /// Peak 32-bit integer TOPS (Table IV).
     pub int32_tops: f64,
-    /// Shared (L2 / LLC) cache capacity in bytes.
+    /// Shared L2 cache capacity in bytes.
     pub l2_bytes: u64,
     /// Off-chip memory bandwidth in GB/s.
     pub dram_gbps: f64,
@@ -53,7 +42,6 @@ impl DeviceSpec {
     pub fn rtx_4090() -> Self {
         Self {
             name: "RTX 4090".into(),
-            kind: DeviceKind::Gpu,
             sm_count: 128,
             freq_ghz: 2.24,
             int32_tops: 41.29,
@@ -72,7 +60,6 @@ impl DeviceSpec {
     pub fn rtx_4060_ti() -> Self {
         Self {
             name: "RTX 4060 Ti".into(),
-            kind: DeviceKind::Gpu,
             sm_count: 34,
             freq_ghz: 2.31,
             int32_tops: 11.03,
@@ -91,7 +78,6 @@ impl DeviceSpec {
     pub fn rtx_a4500() -> Self {
         Self {
             name: "RTX A4500".into(),
-            kind: DeviceKind::Gpu,
             sm_count: 56,
             freq_ghz: 1.05,
             int32_tops: 11.83,
@@ -110,7 +96,6 @@ impl DeviceSpec {
     pub fn v100() -> Self {
         Self {
             name: "V100".into(),
-            kind: DeviceKind::Gpu,
             sm_count: 80,
             freq_ghz: 1.25,
             int32_tops: 14.13,
@@ -121,27 +106,6 @@ impl DeviceSpec {
             kernel_launch_us: 2.0,
             min_kernel_us: 2.6,
             compute_efficiency: 0.33,
-        }
-    }
-
-    /// AMD Ryzen 9 7900 (Table IV): 12 cores @ 3.7 GHz, 2.13 INT32 TOPS,
-    /// 64 MB LLC, 81 GB/s DDR5-5200.
-    pub fn ryzen_9_7900() -> Self {
-        Self {
-            name: "Ryzen 9 7900".into(),
-            kind: DeviceKind::Cpu,
-            sm_count: 12,
-            freq_ghz: 3.70,
-            int32_tops: 2.13,
-            l2_bytes: 64 << 20,
-            dram_gbps: 81.0,
-            dram_bytes: 64 << 30,
-            l2_gbps: 400.0,
-            kernel_launch_us: 0.0,
-            min_kernel_us: 0.0,
-            // Scalar (non-SIMD) modular arithmetic reaches only a small slice
-            // of the packed-SIMD peak the TOPS figure assumes.
-            compute_efficiency: 0.02,
         }
     }
 
@@ -185,9 +149,6 @@ mod tests {
         assert_eq!(g.sm_count, 128);
         assert_eq!(g.l2_bytes, 72 << 20);
         assert!((g.int32_tops - 41.29).abs() < 1e-9);
-        let c = DeviceSpec::ryzen_9_7900();
-        assert_eq!(c.kind, DeviceKind::Cpu);
-        assert_eq!(c.sm_count, 12);
         assert_eq!(DeviceSpec::all_gpus().len(), 4);
     }
 

@@ -46,7 +46,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 pub use cluster::{GpuCluster, InterconnectSpec};
-pub use device::{DeviceKind, DeviceSpec};
+pub use device::DeviceSpec;
 pub use kernel::{
     KernelDesc, KernelKind, ADD_OPS, BARRETT_MULMOD_OPS, BUTTERFLY_OPS, LOW_MUL_OPS, MODADD_OPS,
     SHOUP_MULMOD_OPS, WIDE_MUL_OPS,

@@ -51,7 +51,7 @@
 //! * [`math`] / [`rns`] — modular arithmetic, NTT, RNS substrates.
 //! * [`serve`] — the multi-tenant session server: bounded LRU session
 //!   registry, cross-request graph batching (see `examples/serve.rs`).
-//! * [`baselines`] — Phantom and OpenFHE-CPU comparators.
+//! * [`baselines`] — Phantom comparator + placeholder keys.
 //! * [`workloads`] — encrypted logistic-regression training and serving.
 
 pub use fides_api as api;
