@@ -47,13 +47,15 @@ fn ntt_us_per_limb(
                     (true, 0) => KernelKind::InttPhase1,
                     (true, _) => KernelKind::InttPhase2,
                 };
-                let mut desc = KernelDesc::new(kind)
+                let desc = KernelDesc::new(kind)
                     .ops(phase_ops(op_factor) * range.len() as u64)
                     .access_efficiency(access_eff);
-                for i in range.clone() {
-                    desc = desc.read(bufs[i].buffer(), lb).write(bufs[i].buffer(), lb);
-                }
-                gpu.launch(stream, desc, || {});
+                gpu.launch(stream, desc, |d| {
+                    for buf in &bufs[range.clone()] {
+                        d.read(buf.buffer(), lb).write(buf.buffer(), lb);
+                    }
+                })
+                .run(|| {});
             }
         }
     };

@@ -35,7 +35,7 @@ use fides_client::persist::{
 use fides_client::wire::{OpProgram, ProgramOp, SessionRequest};
 use fides_core::sched::{encode_plan_entry, fingerprint, ExecGraph, PlanConfig, Planner};
 use fides_core::CkksParameters;
-use fides_gpu_sim::{BufferId, GraphEvent, KernelDesc, KernelKind};
+use fides_gpu_sim::{BufferId, EventLog, KernelDesc, KernelKind};
 use fides_serve::{Server, ServerConfig};
 
 const FIXTURES_DIR: &str = "crates/baselines/fixtures";
@@ -120,33 +120,17 @@ fn plaintext_fixture(dir: &Path) {
 }
 
 fn plan_fixture(dir: &Path) {
-    let graph = ExecGraph::from_events(vec![
-        GraphEvent::Launch {
-            stream: 0,
-            desc: KernelDesc::new(KernelKind::Elementwise)
-                .read(BufferId(100), 8192)
-                .write(BufferId(101), 8192)
-                .ops(4096),
-        },
-        GraphEvent::Launch {
-            stream: 0,
-            desc: KernelDesc::new(KernelKind::Elementwise)
-                .read(BufferId(101), 8192)
-                .write(BufferId(102), 8192)
-                .ops(4096),
-        },
-        GraphEvent::Fence {
-            signals: vec![0],
-            waiters: vec![1],
-        },
-        GraphEvent::Launch {
-            stream: 1,
-            desc: KernelDesc::new(KernelKind::NttPhase1)
-                .read(BufferId(102), 16384)
-                .write(BufferId(103), 16384)
-                .ops(65536),
-        },
-    ]);
+    let mut log = EventLog::default();
+    for (src, dst) in [(100, 101), (101, 102)] {
+        log.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(4096), |d| {
+            d.read(BufferId(src), 8192).write(BufferId(dst), 8192);
+        });
+    }
+    log.fence([0], [1]);
+    log.launch(1, KernelDesc::new(KernelKind::NttPhase1).ops(65536), |d| {
+        d.read(BufferId(102), 16384).write(BufferId(103), 16384);
+    });
+    let graph = ExecGraph::from(log);
     let cfg = PlanConfig::default();
     let (fp, binding) = fingerprint(&graph, &cfg);
     let plan = Planner::new(cfg).plan(&graph);

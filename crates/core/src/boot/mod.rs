@@ -35,7 +35,7 @@ use crate::context::ChainIdx;
 use crate::error::{FidesError, Result};
 use crate::kernels;
 use crate::ops::linear::{fold_rotations, BsgsPlan};
-use crate::poly::{Limb, LimbPartition, RNSPoly};
+use crate::poly::{in_place, Limb, LimbPartition, RNSPoly};
 
 /// Bootstrapping configuration.
 #[derive(Clone, Debug)]
@@ -434,33 +434,32 @@ fn raise_to_top(poly: &RNSPoly) -> RNSPoly {
     assert_eq!(poly.format(), Domain::Eval);
     assert_eq!(poly.num_q(), 1, "ModRaise expects a level-0 polynomial");
     let ctx = Arc::clone(poly.context());
-    let gpu = Arc::clone(ctx.gpu());
+    let gpu = ctx.gpu();
     let n = ctx.n();
     let lb = kernels::limb_bytes(n);
     let target = ctx.max_level();
     let q0 = ctx.moduli_q()[0];
+    let src = poly.limb(0).data.buffer();
 
     // Coefficient form of limb 0.
-    let mut coeff0 = VectorGpu::<u64>::new(ctx.gpu(), n);
+    let mut coeff0 = VectorGpu::<u64>::new(gpu, n);
     {
         let stream = ctx.stream_for_batch(0);
-        let copy = KernelDesc::new(KernelKind::Fill)
-            .read(poly.limb(0).data.buffer(), lb)
-            .write(coeff0.buffer(), lb);
-        gpu.launch(stream, copy, || {
-            coeff0.copy_from_slice(poly.limb(0).data.as_slice());
-        });
+        gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
+            d.read(src, lb).write(coeff0.buffer(), lb);
+        })
+        .run(|| coeff0.copy_from_slice(poly.limb(0).data.as_slice()));
         for pass in 0..2u8 {
             let kind = if pass == 0 {
                 KernelKind::InttPhase1
             } else {
                 KernelKind::InttPhase2
             };
-            let desc = KernelDesc::new(kind)
-                .ops(ctx.ntt_phase_ops_scaled())
-                .read(coeff0.buffer(), lb)
-                .write(coeff0.buffer(), lb);
-            gpu.launch(stream, desc, || {
+            let desc = KernelDesc::new(kind).ops(ctx.ntt_phase_ops_scaled());
+            gpu.launch(stream, desc, |d| {
+                d.read(coeff0.buffer(), lb).write(coeff0.buffer(), lb);
+            })
+            .run(|| {
                 let t = ctx.ntt(ChainIdx::Q(0));
                 if pass == 0 {
                     t.inverse_pass1(coeff0.as_mut_slice());
@@ -472,75 +471,69 @@ fn raise_to_top(poly: &RNSPoly) -> RNSPoly {
     }
     ctx.sync_batch_streams();
 
-    let mut slots: Vec<Option<Limb>> = (0..=target).map(|_| None).collect();
+    let mut limbs: Vec<Limb> = Vec::with_capacity(target + 1);
     // Limb 0: the original evaluation-form data.
     {
         let stream = ctx.stream_for_batch(0);
-        let mut dst = VectorGpu::new(ctx.gpu(), n);
-        let copy = KernelDesc::new(KernelKind::Fill)
-            .read(poly.limb(0).data.buffer(), lb)
-            .write(dst.buffer(), lb);
-        gpu.launch(stream, copy, || {
-            dst.copy_from_slice(poly.limb(0).data.as_slice());
-        });
-        slots[0] = Some(Limb {
+        let mut dst = VectorGpu::new(gpu, n);
+        gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
+            d.read(src, lb).write(dst.buffer(), lb);
+        })
+        .run(|| dst.copy_from_slice(poly.limb(0).data.as_slice()));
+        limbs.push(Limb {
             data: dst,
             chain: ChainIdx::Q(0),
         });
     }
-    // Remaining limbs: centered switch + NTT.
-    let upper: Vec<usize> = (1..=target).collect();
-    for (k, range) in ctx.batch_ranges(upper.len()).into_iter().enumerate() {
+    // Remaining limbs 1..=target: centered switch + NTT.
+    for (k, range) in ctx.batch_ranges(target).enumerate() {
         let stream = ctx.stream_for_batch(k);
-        let mut fresh: Vec<(usize, VectorGpu<u64>)> = Vec::with_capacity(range.len());
-        let mut sw = KernelDesc::new(KernelKind::SwitchModulus)
-            .ops(kernels::switch_modulus_ops(n) * range.len() as u64)
-            .read(coeff0.buffer(), lb);
-        for off in range.clone() {
-            let i = upper[off];
-            let dst = VectorGpu::new(ctx.gpu(), n);
-            sw = sw.write(dst.buffer(), lb);
-            fresh.push((i, dst));
-        }
-        gpu.launch(stream, sw, || {
-            for (i, dst) in fresh.iter_mut() {
-                let m = &ctx.moduli_q()[*i];
-                for (o, &v) in dst.as_mut_slice().iter_mut().zip(coeff0.as_slice()) {
+        let (first, len) = (range.start + 1, range.len());
+        limbs.extend((first..first + len).map(|i| Limb {
+            data: VectorGpu::new(gpu, n),
+            chain: ChainIdx::Q(i),
+        }));
+        let fresh = &mut limbs[first..];
+        let sw = KernelDesc::new(KernelKind::SwitchModulus)
+            .ops(kernels::switch_modulus_ops(n) * len as u64);
+        gpu.launch(stream, sw, |d| {
+            d.read(coeff0.buffer(), lb);
+            for limb in fresh.iter() {
+                d.write(limb.data.buffer(), lb);
+            }
+        })
+        .run(|| {
+            for limb in fresh.iter_mut() {
+                let m = ctx.modulus(limb.chain);
+                for (o, &v) in limb.data.as_mut_slice().iter_mut().zip(coeff0.as_slice()) {
                     *o = switch_modulus_centered(v, &q0, m);
                 }
             }
         });
-        let phase_ops = ctx.ntt_phase_ops_scaled() * range.len() as u64;
+        let phase_ops = ctx.ntt_phase_ops_scaled() * len as u64;
         for pass in 0..2u8 {
             let kind = if pass == 0 {
                 KernelKind::NttPhase1
             } else {
                 KernelKind::NttPhase2
             };
-            let mut desc = KernelDesc::new(kind).ops(phase_ops);
-            for (_, dst) in &fresh {
-                desc = desc.read(dst.buffer(), lb).write(dst.buffer(), lb);
-            }
-            gpu.launch(stream, desc, || {
-                for (i, dst) in fresh.iter_mut() {
-                    let t = ctx.ntt(ChainIdx::Q(*i));
+            let desc = KernelDesc::new(kind).ops(phase_ops);
+            gpu.launch(stream, desc, |d| {
+                in_place(d, fresh.iter().map(|l| &l.data), lb)
+            })
+            .run(|| {
+                for limb in fresh.iter_mut() {
+                    let t = ctx.ntt(limb.chain);
                     if pass == 0 {
-                        t.forward_pass1(dst.as_mut_slice());
+                        t.forward_pass1(limb.data.as_mut_slice());
                     } else {
-                        t.forward_pass2(dst.as_mut_slice());
+                        t.forward_pass2(limb.data.as_mut_slice());
                     }
                 }
             });
         }
-        for (i, dst) in fresh {
-            slots[i] = Some(Limb {
-                data: dst,
-                chain: ChainIdx::Q(i),
-            });
-        }
     }
     ctx.sync_batch_streams();
-    let limbs: Vec<Limb> = slots.into_iter().map(|s| s.expect("limb filled")).collect();
     RNSPoly {
         ctx: Arc::clone(&ctx),
         part: LimbPartition { limbs },

@@ -337,11 +337,12 @@ impl CkksContext {
     }
 
     /// Limb-batch ranges over `count` limbs (§III-F.1).
-    pub fn batch_ranges(&self, count: usize) -> Vec<Range<usize>> {
+    pub fn batch_ranges(
+        &self,
+        count: usize,
+    ) -> impl ExactSizeIterator<Item = Range<usize>> + Clone {
         let b = self.params.limb_batch.max(1);
-        (0..count.div_ceil(b))
-            .map(|k| (k * b)..((k + 1) * b).min(count))
-            .collect()
+        (0..count.div_ceil(b)).map(move |k| (k * b)..((k + 1) * b).min(count))
     }
 
     /// Stream assignment for batch `k` (round-robin over the configured
@@ -507,7 +508,7 @@ mod tests {
     #[test]
     fn batch_ranges_cover_and_respect_batch() {
         let c = ctx(); // limb_batch = 2
-        let ranges = c.batch_ranges(5);
+        let ranges: Vec<_> = c.batch_ranges(5).collect();
         assert_eq!(ranges, vec![0..2, 2..4, 4..5]);
         assert_eq!(c.batch_ranges(0).len(), 0);
     }

@@ -1,4 +1,4 @@
-//! Kernel-cost helpers: translate CKKS work units into [`KernelDesc`]s.
+//! Kernel-cost helpers: translate CKKS work units into kernel op counts and bytes.
 //!
 //! Centralizing the traffic/compute formulas keeps the simulator charges
 //! consistent across operations and lets the Phantom baseline reuse them with

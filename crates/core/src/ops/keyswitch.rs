@@ -23,7 +23,7 @@ use fides_math::PolyOps;
 use crate::context::ChainIdx;
 use crate::kernels;
 use crate::keys::KeySwitchingKey;
-use crate::poly::{Limb, LimbPartition, RNSPoly};
+use crate::poly::{in_place, Limb, LimbPartition, RNSPoly};
 
 /// Lifts digit `j` of `d2` (evaluation domain, level `ℓ`) to the extended
 /// base `Q_ℓ ∪ P`. Returns an extended polynomial in evaluation domain.
@@ -31,7 +31,7 @@ pub(crate) fn mod_up_digit(d2: &RNSPoly, j: usize) -> RNSPoly {
     assert_eq!(d2.format(), Domain::Eval);
     assert_eq!(d2.num_p(), 0);
     let ctx = Arc::clone(d2.context());
-    let gpu = Arc::clone(ctx.gpu());
+    let gpu = ctx.gpu();
     let n = ctx.n();
     let lb = kernels::limb_bytes(n);
     let level = d2.level();
@@ -40,78 +40,65 @@ pub(crate) fn mod_up_digit(d2: &RNSPoly, j: usize) -> RNSPoly {
     let src_len = src_range.len();
     assert!(src_len > 0, "digit {j} inactive at level {level}");
     let fused = ctx.params().fusion.key_switch;
+    let digit = &d2.part.limbs[src_range.clone()];
+    let eff = ctx.params().access_efficiency;
 
     // Step 1: coefficient-domain, Eq.1-scaled copies of the digit limbs.
     let mut scaled: Vec<VectorGpu<u64>> = Vec::with_capacity(src_len);
-    for (k, range) in ctx.batch_ranges(src_len).into_iter().enumerate() {
+    for (k, range) in ctx.batch_ranges(src_len).enumerate() {
         let stream = ctx.stream_for_batch(k);
+        let src = &digit[range.clone()];
+        scaled.extend(src.iter().map(|_| VectorGpu::new(gpu, n)));
+        let fresh = &mut scaled[range.clone()];
         // Copy kernel.
-        let mut copy_desc = KernelDesc::new(KernelKind::Fill);
-        let mut fresh: Vec<VectorGpu<u64>> = Vec::with_capacity(range.len());
-        for di in range.clone() {
-            let src = d2.limb(src_range.start + di);
-            let dst = VectorGpu::new(ctx.gpu(), n);
-            copy_desc = copy_desc
-                .read(src.data.buffer(), lb)
-                .write(dst.buffer(), lb);
-            fresh.push(dst);
-        }
-        gpu.launch(stream, copy_desc, || {
-            for (off, di) in range.clone().enumerate() {
-                fresh[off].copy_from_slice(d2.limb(src_range.start + di).data.as_slice());
+        gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
+            for (s, t) in src.iter().zip(fresh.iter()) {
+                d.read(s.data.buffer(), lb).write(t.buffer(), lb);
+            }
+        })
+        .run(|| {
+            for (s, t) in src.iter().zip(fresh.iter_mut()) {
+                t.copy_from_slice(s.data.as_slice());
             }
         });
         // iNTT pass 1.
         let phase_ops = ctx.ntt_phase_ops_scaled() * range.len() as u64;
-        let mut d1 = KernelDesc::new(KernelKind::InttPhase1)
+        let d1 = KernelDesc::new(KernelKind::InttPhase1)
             .ops(phase_ops)
-            .access_efficiency(ctx.params().access_efficiency);
-        for f in &fresh {
-            d1 = d1.read(f.buffer(), lb).write(f.buffer(), lb);
-        }
-        gpu.launch(stream, d1, || {
-            for (off, di) in range.clone().enumerate() {
-                let chain = ChainIdx::Q(src_range.start + di);
-                ctx.ntt(chain).inverse_pass1(fresh[off].as_mut_slice());
-            }
-        });
+            .access_efficiency(eff);
+        gpu.launch(stream, d1, |d| in_place(d, fresh.iter(), lb))
+            .run(|| {
+                for (s, t) in src.iter().zip(fresh.iter_mut()) {
+                    ctx.ntt(s.chain).inverse_pass1(t.as_mut_slice());
+                }
+            });
         // iNTT pass 2, with the Eq. 1 scaling fused (or separate).
         let mut ops2 = phase_ops;
         if fused {
             ops2 += kernels::shoup_ops(n) * range.len() as u64;
         }
-        let mut d2k = KernelDesc::new(KernelKind::InttPhase2)
+        let d2k = KernelDesc::new(KernelKind::InttPhase2)
             .ops(ops2)
-            .access_efficiency(ctx.params().access_efficiency);
-        for f in &fresh {
-            d2k = d2k.read(f.buffer(), lb).write(f.buffer(), lb);
-        }
-        gpu.launch(stream, d2k, || {
-            for (off, di) in range.clone().enumerate() {
-                let chain = ChainIdx::Q(src_range.start + di);
-                ctx.ntt(chain).inverse_pass2(fresh[off].as_mut_slice());
-                if fused {
-                    tables
-                        .conv
-                        .scale_input_inplace(di, fresh[off].as_mut_slice());
-                }
-            }
-        });
-        if !fused {
-            let mut ds = KernelDesc::new(KernelKind::Elementwise)
-                .ops(kernels::shoup_ops(n) * range.len() as u64);
-            for f in &fresh {
-                ds = ds.read(f.buffer(), lb).write(f.buffer(), lb);
-            }
-            gpu.launch(stream, ds, || {
-                for (off, di) in range.clone().enumerate() {
-                    tables
-                        .conv
-                        .scale_input_inplace(di, fresh[off].as_mut_slice());
+            .access_efficiency(eff);
+        gpu.launch(stream, d2k, |d| in_place(d, fresh.iter(), lb))
+            .run(|| {
+                for ((di, s), t) in range.clone().zip(src).zip(fresh.iter_mut()) {
+                    ctx.ntt(s.chain).inverse_pass2(t.as_mut_slice());
+                    if fused {
+                        tables.conv.scale_input_inplace(di, t.as_mut_slice());
+                    }
                 }
             });
+        if !fused {
+            let ds = KernelDesc::new(KernelKind::Elementwise)
+                .ops(kernels::shoup_ops(n) * range.len() as u64);
+            gpu.launch(stream, ds, |d| in_place(d, fresh.iter(), lb))
+                .run(|| {
+                    for (di, t) in range.clone().zip(fresh.iter_mut()) {
+                        tables.conv.scale_input_inplace(di, t.as_mut_slice());
+                    }
+                });
         }
-        scaled.extend(fresh);
     }
     ctx.sync_batch_streams();
 
@@ -119,61 +106,68 @@ pub(crate) fn mod_up_digit(d2: &RNSPoly, j: usize) -> RNSPoly {
     let alpha = ctx.alpha();
     let total = level + 1 + alpha;
     let mut slots: Vec<Option<Limb>> = (0..total).map(|_| None).collect();
+    let limb = |slot: &Option<Limb>| slot.as_ref().expect("limb assigned").data.buffer();
     // Own digit limbs: direct evaluation-domain copies.
-    for (k, range) in ctx.batch_ranges(src_len).into_iter().enumerate() {
+    for (k, range) in ctx.batch_ranges(src_len).enumerate() {
         let stream = ctx.stream_for_batch(k);
-        let mut desc = KernelDesc::new(KernelKind::Fill);
-        let mut fresh: Vec<(usize, VectorGpu<u64>)> = Vec::with_capacity(range.len());
-        for di in range.clone() {
-            let i = src_range.start + di;
-            let dst = VectorGpu::new(ctx.gpu(), n);
-            desc = desc
-                .read(d2.limb(i).data.buffer(), lb)
-                .write(dst.buffer(), lb);
-            fresh.push((i, dst));
-        }
-        gpu.launch(stream, desc, || {
-            for (off, di) in range.clone().enumerate() {
-                let i = src_range.start + di;
-                fresh[off].1.copy_from_slice(d2.limb(i).data.as_slice());
-            }
-        });
-        for (i, dst) in fresh {
-            slots[i] = Some(Limb {
-                data: dst,
-                chain: ChainIdx::Q(i),
+        let at = src_range.start + range.start..src_range.start + range.end;
+        let src = &d2.part.limbs[at.clone()];
+        for (slot, s) in slots[at.clone()].iter_mut().zip(src) {
+            *slot = Some(Limb {
+                data: VectorGpu::new(gpu, n),
+                chain: s.chain,
             });
         }
+        let dst = &mut slots[at];
+        gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
+            for (s, t) in src.iter().zip(dst.iter()) {
+                d.read(s.data.buffer(), lb).write(limb(t), lb);
+            }
+        })
+        .run(|| {
+            for (s, t) in src.iter().zip(dst.iter_mut()) {
+                let t = t.as_mut().expect("limb assigned");
+                t.data.copy_from_slice(s.data.as_slice());
+            }
+        });
     }
 
-    // Converted limbs: dst position → chain index.
-    let dst_chains: Vec<ChainIdx> = tables
-        .dst_q_indices
-        .iter()
-        .map(|&i| ChainIdx::Q(i))
-        .chain((0..alpha).map(ChainIdx::P))
-        .collect();
-    let scaled_bufs: Vec<_> = scaled.iter().map(|s| (s.buffer(), lb)).collect();
-    for (k, range) in ctx.batch_ranges(dst_chains.len()).into_iter().enumerate() {
+    // Converted limbs: destination position → chain index and slot.
+    let num_dst_q = tables.dst_q_indices.len();
+    let dst_chain = |dpos: usize| match tables.dst_q_indices.get(dpos) {
+        Some(&i) => ChainIdx::Q(i),
+        None => ChainIdx::P(dpos - num_dst_q),
+    };
+    let slot_of = |dpos: usize| match dst_chain(dpos) {
+        ChainIdx::Q(i) => i,
+        ChainIdx::P(kk) => level + 1 + kk,
+    };
+    for (k, range) in ctx.batch_ranges(num_dst_q + alpha).enumerate() {
         let stream = ctx.stream_for_batch(k);
-        // Base-conversion kernel for this batch of destination limbs.
-        let mut conv_desc = KernelDesc::new(KernelKind::BaseConv)
-            .ops(kernels::base_conv_ops(n, src_len) * range.len() as u64);
-        for &(b, bytes) in &scaled_bufs {
-            conv_desc = conv_desc.read(b, bytes);
-        }
-        let mut fresh: Vec<(usize, VectorGpu<u64>)> = Vec::with_capacity(range.len());
         for dpos in range.clone() {
-            let dst = VectorGpu::new(ctx.gpu(), n);
-            conv_desc = conv_desc.write(dst.buffer(), lb);
-            fresh.push((dpos, dst));
+            slots[slot_of(dpos)] = Some(Limb {
+                data: VectorGpu::new(gpu, n),
+                chain: dst_chain(dpos),
+            });
         }
-        gpu.launch(stream, conv_desc, || {
+        // Base-conversion kernel for this batch of destination limbs.
+        let conv_desc = KernelDesc::new(KernelKind::BaseConv)
+            .ops(kernels::base_conv_ops(n, src_len) * range.len() as u64);
+        gpu.launch(stream, conv_desc, |d| {
+            for s in &scaled {
+                d.read(s.buffer(), lb);
+            }
+            for dpos in range.clone() {
+                d.write(limb(&slots[slot_of(dpos)]), lb);
+            }
+        })
+        .run(|| {
             let scaled_refs: Vec<&[u64]> = scaled.iter().map(|s| s.as_slice()).collect();
-            for (off, dpos) in range.clone().enumerate() {
+            for dpos in range.clone() {
+                let dst = slots[slot_of(dpos)].as_mut().expect("limb assigned");
                 tables
                     .conv
-                    .convert_scaled_limb(&scaled_refs, dpos, fresh[off].1.as_mut_slice());
+                    .convert_scaled_limb(&scaled_refs, dpos, dst.data.as_mut_slice());
             }
         });
         // NTT the converted limbs back to evaluation domain.
@@ -184,31 +178,24 @@ pub(crate) fn mod_up_digit(d2: &RNSPoly, j: usize) -> RNSPoly {
             } else {
                 KernelKind::NttPhase2
             };
-            let mut nd = KernelDesc::new(kind)
-                .ops(phase_ops)
-                .access_efficiency(ctx.params().access_efficiency);
-            for (_, dst) in &fresh {
-                nd = nd.read(dst.buffer(), lb).write(dst.buffer(), lb);
-            }
-            gpu.launch(stream, nd, || {
-                for (off, dpos) in range.clone().enumerate() {
-                    let t = ctx.ntt(dst_chains[dpos]);
-                    let data = fresh[off].1.as_mut_slice();
+            let nd = KernelDesc::new(kind).ops(phase_ops).access_efficiency(eff);
+            gpu.launch(stream, nd, |d| {
+                for dpos in range.clone() {
+                    let b = limb(&slots[slot_of(dpos)]);
+                    d.read(b, lb).write(b, lb);
+                }
+            })
+            .run(|| {
+                for dpos in range.clone() {
+                    let dst = slots[slot_of(dpos)].as_mut().expect("limb assigned");
+                    let t = ctx.ntt(dst.chain);
                     if pass == 0 {
-                        t.forward_pass1(data);
+                        t.forward_pass1(dst.data.as_mut_slice());
                     } else {
-                        t.forward_pass2(data);
+                        t.forward_pass2(dst.data.as_mut_slice());
                     }
                 }
             });
-        }
-        for (dpos, dst) in fresh {
-            let chain = dst_chains[dpos];
-            let slot = match chain {
-                ChainIdx::Q(i) => i,
-                ChainIdx::P(kk) => level + 1 + kk,
-            };
-            slots[slot] = Some(Limb { data: dst, chain });
         }
     }
     ctx.sync_batch_streams();
@@ -236,7 +223,7 @@ pub(crate) fn ksk_inner_product(
     digit: usize,
 ) {
     let ctx = Arc::clone(lifted.context());
-    let gpu = Arc::clone(ctx.gpu());
+    let gpu = ctx.gpu();
     let n = ctx.n();
     let lb = kernels::limb_bytes(n);
     let num_q_full = ctx.max_level() + 1;
@@ -245,30 +232,31 @@ pub(crate) fn ksk_inner_product(
     assert_eq!(acc0.num_limbs(), total);
     assert_eq!(acc1.num_limbs(), total);
 
-    for (k, range) in ctx.batch_ranges(total).into_iter().enumerate() {
+    for (k, range) in ctx.batch_ranges(total).enumerate() {
         let stream = ctx.stream_for_batch(k);
         let launches: usize = if fused { 1 } else { 2 };
         for li in 0..launches {
             let ops = kernels::mul_add_ops(n) * range.len() as u64 * if fused { 2 } else { 1 };
-            let mut desc = KernelDesc::new(KernelKind::Elementwise).ops(ops);
-            for i in range.clone() {
-                let chain = lifted.limb(i).chain;
-                let (kb, ka) = ksk.limbs_for(digit, chain, num_q_full);
-                desc = desc.read(lifted.limb(i).data.buffer(), lb);
-                if fused || li == 0 {
-                    desc = desc
-                        .read(kb.data.buffer(), lb)
-                        .read(acc0.limb(i).data.buffer(), lb)
-                        .write(acc0.limb(i).data.buffer(), lb);
-                }
-                if fused || li == 1 {
-                    desc = desc
-                        .read(ka.data.buffer(), lb)
-                        .read(acc1.limb(i).data.buffer(), lb)
-                        .write(acc1.limb(i).data.buffer(), lb);
-                }
-            }
-            gpu.launch(stream, desc, || {
+            gpu.launch(
+                stream,
+                KernelDesc::new(KernelKind::Elementwise).ops(ops),
+                |d| {
+                    for i in range.clone() {
+                        let chain = lifted.limb(i).chain;
+                        let (kb, ka) = ksk.limbs_for(digit, chain, num_q_full);
+                        d.read(lifted.limb(i).data.buffer(), lb);
+                        if fused || li == 0 {
+                            let acc = acc0.limb(i).data.buffer();
+                            d.read(kb.data.buffer(), lb).read(acc, lb).write(acc, lb);
+                        }
+                        if fused || li == 1 {
+                            let acc = acc1.limb(i).data.buffer();
+                            d.read(ka.data.buffer(), lb).read(acc, lb).write(acc, lb);
+                        }
+                    }
+                },
+            )
+            .run(|| {
                 for i in range.clone() {
                     let chain = lifted.limb(i).chain;
                     let m = ctx.modulus(chain);
@@ -301,76 +289,73 @@ pub(crate) fn mod_down(poly: &mut RNSPoly) {
     let alpha = poly.num_p();
     assert!(alpha > 0, "mod_down needs extension limbs");
     let ctx = Arc::clone(poly.context());
-    let gpu = Arc::clone(ctx.gpu());
+    let gpu = ctx.gpu();
     let n = ctx.n();
     let lb = kernels::limb_bytes(n);
     let level = poly.level();
     let num_q = poly.num_q();
     let conv = ctx.mod_down_conv(level);
     let fused = ctx.params().fusion.mod_down;
+    let eff = ctx.params().access_efficiency;
+    let (q_limbs, p_limbs) = poly.part.limbs.split_at_mut(num_q);
 
     // Step 1: iNTT the P limbs with the Eq. 1 scaling fused into pass 2.
-    {
-        let (_q_limbs, p_limbs) = poly.part.limbs.split_at_mut(num_q);
-        for (k, range) in ctx.batch_ranges(alpha).into_iter().enumerate() {
-            let stream = ctx.stream_for_batch(k);
-            let phase_ops = ctx.ntt_phase_ops_scaled() * range.len() as u64;
-            for pass in 0..2u8 {
-                let kind = if pass == 0 {
-                    KernelKind::InttPhase1
-                } else {
-                    KernelKind::InttPhase2
-                };
-                let mut ops = phase_ops;
-                if pass == 1 {
-                    ops += kernels::shoup_ops(n) * range.len() as u64;
-                }
-                let mut desc = KernelDesc::new(kind)
-                    .ops(ops)
-                    .access_efficiency(ctx.params().access_efficiency);
-                for i in range.clone() {
-                    desc = desc
-                        .read(p_limbs[i].data.buffer(), lb)
-                        .write(p_limbs[i].data.buffer(), lb);
-                }
-                gpu.launch(stream, desc, || {
-                    for i in range.clone() {
-                        let t = ctx.ntt(ChainIdx::P(i));
-                        let data = p_limbs[i].data.as_mut_slice();
-                        if pass == 0 {
-                            t.inverse_pass1(data);
-                        } else {
-                            t.inverse_pass2(data);
-                            conv.scale_input_inplace(i, data);
-                        }
-                    }
-                });
+    for (k, range) in ctx.batch_ranges(alpha).enumerate() {
+        let stream = ctx.stream_for_batch(k);
+        let phase_ops = ctx.ntt_phase_ops_scaled() * range.len() as u64;
+        let batch = &mut p_limbs[range.clone()];
+        for pass in 0..2u8 {
+            let kind = if pass == 0 {
+                KernelKind::InttPhase1
+            } else {
+                KernelKind::InttPhase2
+            };
+            let mut ops = phase_ops;
+            if pass == 1 {
+                ops += kernels::shoup_ops(n) * range.len() as u64;
             }
+            let desc = KernelDesc::new(kind).ops(ops).access_efficiency(eff);
+            gpu.launch(stream, desc, |d| {
+                in_place(d, batch.iter().map(|l| &l.data), lb)
+            })
+            .run(|| {
+                for (i, limb) in range.clone().zip(batch.iter_mut()) {
+                    let t = ctx.ntt(ChainIdx::P(i));
+                    let data = limb.data.as_mut_slice();
+                    if pass == 0 {
+                        t.inverse_pass1(data);
+                    } else {
+                        t.inverse_pass2(data);
+                        conv.scale_input_inplace(i, data);
+                    }
+                }
+            });
         }
     }
     ctx.sync_batch_streams();
 
     // Step 2: per q limb, convert, NTT, and combine (fused into the NTT
     // kernels when enabled).
-    let (q_limbs, p_limbs) = poly.part.limbs.split_at_mut(num_q);
-    let p_bufs: Vec<_> = p_limbs.iter().map(|l| (l.data.buffer(), lb)).collect();
-    for (k, range) in ctx.batch_ranges(num_q).into_iter().enumerate() {
+    for (k, range) in ctx.batch_ranges(num_q).enumerate() {
         let stream = ctx.stream_for_batch(k);
-        let mut conv_desc = KernelDesc::new(KernelKind::BaseConv)
+        let conv_desc = KernelDesc::new(KernelKind::BaseConv)
             .ops(kernels::base_conv_ops(n, alpha) * range.len() as u64);
-        for &(b, bytes) in &p_bufs {
-            conv_desc = conv_desc.read(b, bytes);
-        }
-        let mut tmps: Vec<VectorGpu<u64>> = Vec::with_capacity(range.len());
-        for _ in range.clone() {
-            let t = VectorGpu::new(ctx.gpu(), n);
-            conv_desc = conv_desc.write(t.buffer(), lb);
-            tmps.push(t);
-        }
-        gpu.launch(stream, conv_desc, || {
+        // Per-batch temporaries: freed (and evicted from L2) as each batch
+        // ends.
+        let mut tmps: Vec<VectorGpu<u64>> = range.clone().map(|_| VectorGpu::new(gpu, n)).collect();
+        let batch = &mut q_limbs[range.clone()];
+        gpu.launch(stream, conv_desc, |d| {
+            for l in p_limbs.iter() {
+                d.read(l.data.buffer(), lb);
+            }
+            for t in &tmps {
+                d.write(t.buffer(), lb);
+            }
+        })
+        .run(|| {
             let p_refs: Vec<&[u64]> = p_limbs.iter().map(|l| l.data.as_slice()).collect();
-            for (off, i) in range.clone().enumerate() {
-                conv.convert_scaled_limb(&p_refs, i, tmps[off].as_mut_slice());
+            for (i, tmp) in range.clone().zip(tmps.iter_mut()) {
+                conv.convert_scaled_limb(&p_refs, i, tmp.as_mut_slice());
             }
         });
         let phase_ops = ctx.ntt_phase_ops_scaled() * range.len() as u64;
@@ -380,59 +365,47 @@ pub(crate) fn mod_down(poly: &mut RNSPoly) {
             } else {
                 KernelKind::NttPhase2
             };
+            let combine = pass == 1 && fused;
             let mut ops = phase_ops;
-            if pass == 1 && fused {
+            if combine {
                 ops += (kernels::add_ops(n) + kernels::shoup_ops(n)) * range.len() as u64;
             }
-            let mut desc = KernelDesc::new(kind)
-                .ops(ops)
-                .access_efficiency(ctx.params().access_efficiency);
-            for (off, i) in range.clone().enumerate() {
-                desc = desc
-                    .read(tmps[off].buffer(), lb)
-                    .write(tmps[off].buffer(), lb);
-                if pass == 1 && fused {
-                    desc = desc
-                        .read(q_limbs[i].data.buffer(), lb)
-                        .write(q_limbs[i].data.buffer(), lb);
+            let desc = KernelDesc::new(kind).ops(ops).access_efficiency(eff);
+            gpu.launch(stream, desc, |d| {
+                for (tmp, limb) in tmps.iter().zip(batch.iter()) {
+                    d.read(tmp.buffer(), lb).write(tmp.buffer(), lb);
+                    if combine {
+                        let b = limb.data.buffer();
+                        d.read(b, lb).write(b, lb);
+                    }
                 }
-            }
-            gpu.launch(stream, desc, || {
-                for (off, i) in range.clone().enumerate() {
+            })
+            .run(|| {
+                for ((i, tmp), limb) in range.clone().zip(tmps.iter_mut()).zip(batch.iter_mut()) {
                     let t = ctx.ntt(ChainIdx::Q(i));
                     if pass == 0 {
-                        t.forward_pass1(tmps[off].as_mut_slice());
+                        t.forward_pass1(tmp.as_mut_slice());
                     } else {
-                        t.forward_pass2(tmps[off].as_mut_slice());
+                        t.forward_pass2(tmp.as_mut_slice());
                         if fused {
-                            combine_mod_down(
-                                &ctx,
-                                i,
-                                q_limbs[i].data.as_mut_slice(),
-                                tmps[off].as_slice(),
-                            );
+                            combine_mod_down(&ctx, i, limb.data.as_mut_slice(), tmp.as_slice());
                         }
                     }
                 }
             });
         }
         if !fused {
-            let mut desc = KernelDesc::new(KernelKind::Elementwise)
+            let desc = KernelDesc::new(KernelKind::Elementwise)
                 .ops((kernels::add_ops(n) + kernels::shoup_ops(n)) * range.len() as u64);
-            for (off, i) in range.clone().enumerate() {
-                desc = desc
-                    .read(tmps[off].buffer(), lb)
-                    .read(q_limbs[i].data.buffer(), lb)
-                    .write(q_limbs[i].data.buffer(), lb);
-            }
-            gpu.launch(stream, desc, || {
-                for (off, i) in range.clone().enumerate() {
-                    combine_mod_down(
-                        &ctx,
-                        i,
-                        q_limbs[i].data.as_mut_slice(),
-                        tmps[off].as_slice(),
-                    );
+            gpu.launch(stream, desc, |d| {
+                for (tmp, limb) in tmps.iter().zip(batch.iter()) {
+                    let b = limb.data.buffer();
+                    d.read(tmp.buffer(), lb).read(b, lb).write(b, lb);
+                }
+            })
+            .run(|| {
+                for ((i, tmp), limb) in range.clone().zip(tmps.iter()).zip(batch.iter_mut()) {
+                    combine_mod_down(&ctx, i, limb.data.as_mut_slice(), tmp.as_slice());
                 }
             });
         }

@@ -24,7 +24,7 @@ pub(crate) fn rescale_poly(poly: &mut RNSPoly) {
     assert_eq!(poly.num_p(), 0);
     assert!(poly.num_q() >= 2, "cannot rescale at the last level");
     let ctx = Arc::clone(poly.context());
-    let gpu = Arc::clone(ctx.gpu());
+    let gpu = ctx.gpu();
     let n = ctx.n();
     let lb = kernels::limb_bytes(n);
     let l = poly.num_q() - 1;
@@ -32,26 +32,25 @@ pub(crate) fn rescale_poly(poly: &mut RNSPoly) {
     let q_last = ctx.moduli_q()[l];
 
     // iNTT a copy of the dropped limb.
-    let mut last = VectorGpu::<u64>::new(ctx.gpu(), n);
+    let mut last = VectorGpu::<u64>::new(gpu, n);
     {
         let stream = ctx.stream_for_batch(l);
-        let copy = KernelDesc::new(KernelKind::Fill)
-            .read(poly.limb(l).data.buffer(), lb)
-            .write(last.buffer(), lb);
-        gpu.launch(stream, copy, || {
-            last.copy_from_slice(poly.limb(l).data.as_slice());
-        });
+        let top = poly.limb(l).data.buffer();
+        gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
+            d.read(top, lb).write(last.buffer(), lb);
+        })
+        .run(|| last.copy_from_slice(poly.limb(l).data.as_slice()));
         for pass in 0..2u8 {
             let kind = if pass == 0 {
                 KernelKind::InttPhase1
             } else {
                 KernelKind::InttPhase2
             };
-            let desc = KernelDesc::new(kind)
-                .ops(ctx.ntt_phase_ops_scaled())
-                .read(last.buffer(), lb)
-                .write(last.buffer(), lb);
-            gpu.launch(stream, desc, || {
+            let desc = KernelDesc::new(kind).ops(ctx.ntt_phase_ops_scaled());
+            gpu.launch(stream, desc, |d| {
+                d.read(last.buffer(), lb).write(last.buffer(), lb);
+            })
+            .run(|| {
                 let t = ctx.ntt(ChainIdx::Q(l));
                 if pass == 0 {
                     t.inverse_pass1(last.as_mut_slice());
@@ -64,24 +63,26 @@ pub(crate) fn rescale_poly(poly: &mut RNSPoly) {
     ctx.sync_batch_streams();
 
     // Fused per-limb pipeline on the remaining limbs.
-    for (k, range) in ctx.batch_ranges(l).into_iter().enumerate() {
+    for (k, range) in ctx.batch_ranges(l).enumerate() {
         let stream = ctx.stream_for_batch(k);
-        let mut tmps: Vec<VectorGpu<u64>> = Vec::with_capacity(range.len());
-        for _ in range.clone() {
-            tmps.push(VectorGpu::new(ctx.gpu(), n));
-        }
+        // Per-batch temporaries: freed (and evicted from L2) as each batch
+        // ends.
+        let mut tmps: Vec<VectorGpu<u64>> = range.clone().map(|_| VectorGpu::new(gpu, n)).collect();
+        let limbs = &mut poly.part.limbs[range.clone()];
         if !fused {
             // Separate SwitchModulus kernel.
-            let mut desc = KernelDesc::new(KernelKind::SwitchModulus)
-                .ops(kernels::switch_modulus_ops(n) * range.len() as u64)
-                .read(last.buffer(), lb);
-            for t in &tmps {
-                desc = desc.write(t.buffer(), lb);
-            }
-            gpu.launch(stream, desc, || {
-                for (off, i) in range.clone().enumerate() {
+            let desc = KernelDesc::new(KernelKind::SwitchModulus)
+                .ops(kernels::switch_modulus_ops(n) * range.len() as u64);
+            gpu.launch(stream, desc, |d| {
+                d.read(last.buffer(), lb);
+                for t in tmps.iter() {
+                    d.write(t.buffer(), lb);
+                }
+            })
+            .run(|| {
+                for (i, tmp) in range.clone().zip(tmps.iter_mut()) {
                     let m = &ctx.moduli_q()[i];
-                    for (o, &v) in tmps[off].as_mut_slice().iter_mut().zip(last.as_slice()) {
+                    for (o, &v) in tmp.as_mut_slice().iter_mut().zip(last.as_slice()) {
                         *o = switch_modulus_centered(v, &q_last, m);
                     }
                 }
@@ -95,72 +96,58 @@ pub(crate) fn rescale_poly(poly: &mut RNSPoly) {
                 KernelKind::NttPhase2
             };
             let mut ops = phase_ops;
-            let mut desc = KernelDesc::new(kind);
             if pass == 0 && fused {
-                // SwitchModulus fused into the first NTT pass: reads the
-                // dropped limb instead of a precomputed tmp.
                 ops += kernels::switch_modulus_ops(n) * range.len() as u64;
-                desc = desc.read(last.buffer(), lb);
             }
             if pass == 1 && fused {
                 ops += (kernels::add_ops(n) + kernels::shoup_ops(n)) * range.len() as u64;
             }
-            desc = desc.ops(ops);
-            for (off, i) in range.clone().enumerate() {
-                desc = desc
-                    .read(tmps[off].buffer(), lb)
-                    .write(tmps[off].buffer(), lb);
-                if pass == 1 && fused {
-                    desc = desc
-                        .read(poly.limb(i).data.buffer(), lb)
-                        .write(poly.limb(i).data.buffer(), lb);
+            gpu.launch(stream, KernelDesc::new(kind).ops(ops), |d| {
+                if pass == 0 && fused {
+                    // SwitchModulus fused into the first NTT pass: reads the
+                    // dropped limb instead of a precomputed tmp.
+                    d.read(last.buffer(), lb);
                 }
-            }
-            gpu.launch(stream, desc, || {
-                for (off, i) in range.clone().enumerate() {
+                for (tmp, limb) in tmps.iter().zip(limbs.iter()) {
+                    d.read(tmp.buffer(), lb).write(tmp.buffer(), lb);
+                    if pass == 1 && fused {
+                        let b = limb.data.buffer();
+                        d.read(b, lb).write(b, lb);
+                    }
+                }
+            })
+            .run(|| {
+                for ((i, tmp), limb) in range.clone().zip(tmps.iter_mut()).zip(limbs.iter_mut()) {
                     let t = ctx.ntt(ChainIdx::Q(i));
                     if pass == 0 {
                         if fused {
                             let m = &ctx.moduli_q()[i];
-                            for (o, &v) in tmps[off].as_mut_slice().iter_mut().zip(last.as_slice())
-                            {
+                            for (o, &v) in tmp.as_mut_slice().iter_mut().zip(last.as_slice()) {
                                 *o = switch_modulus_centered(v, &q_last, m);
                             }
                         }
-                        t.forward_pass1(tmps[off].as_mut_slice());
+                        t.forward_pass1(tmp.as_mut_slice());
                     } else {
-                        t.forward_pass2(tmps[off].as_mut_slice());
+                        t.forward_pass2(tmp.as_mut_slice());
                         if fused {
-                            combine_rescale(
-                                &ctx,
-                                l,
-                                i,
-                                poly.part.limbs[i].data.as_mut_slice(),
-                                tmps[off].as_slice(),
-                            );
+                            combine_rescale(&ctx, l, i, limb.data.as_mut_slice(), tmp.as_slice());
                         }
                     }
                 }
             });
         }
         if !fused {
-            let mut desc = KernelDesc::new(KernelKind::Elementwise)
+            let desc = KernelDesc::new(KernelKind::Elementwise)
                 .ops((kernels::add_ops(n) + kernels::shoup_ops(n)) * range.len() as u64);
-            for (off, i) in range.clone().enumerate() {
-                desc = desc
-                    .read(tmps[off].buffer(), lb)
-                    .read(poly.limb(i).data.buffer(), lb)
-                    .write(poly.limb(i).data.buffer(), lb);
-            }
-            gpu.launch(stream, desc, || {
-                for (off, i) in range.clone().enumerate() {
-                    combine_rescale(
-                        &ctx,
-                        l,
-                        i,
-                        poly.part.limbs[i].data.as_mut_slice(),
-                        tmps[off].as_slice(),
-                    );
+            gpu.launch(stream, desc, |d| {
+                for (tmp, limb) in tmps.iter().zip(limbs.iter()) {
+                    let b = limb.data.buffer();
+                    d.read(tmp.buffer(), lb).read(b, lb).write(b, lb);
+                }
+            })
+            .run(|| {
+                for ((i, tmp), limb) in range.clone().zip(tmps.iter()).zip(limbs.iter_mut()) {
+                    combine_rescale(&ctx, l, i, limb.data.as_mut_slice(), tmp.as_slice());
                 }
             });
         }

@@ -8,7 +8,7 @@
 //! rescale) fence the batch streams first.
 //!
 //! Inside a scheduled region ([`CkksContext::scheduled`]) these launches are
-//! *recorded* as kernel nodes of the lazy [`ExecGraph`](crate::sched) —
+//! *recorded* into the flat event log of the lazy [`ExecGraph`](crate::sched) —
 //! with the limb batch, stream and fence structure intact — instead of timed
 //! eagerly; the planning pass then fuses elementwise chains and replays the
 //! plan. Functional results are identical either way (the kernels are
@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use fides_client::Domain;
-use fides_gpu_sim::{KernelDesc, KernelKind, VectorGpu};
+use fides_gpu_sim::{Accesses, KernelDesc, KernelKind, VectorGpu};
 use fides_math::{automorphism_eval, Modulus, PolyOps};
 
 use crate::context::{ChainIdx, CkksContext};
@@ -156,41 +156,30 @@ impl RNSPoly {
         self.ctx.n()
     }
 
-    fn modulus_of(&self, i: usize) -> Modulus {
-        *self.ctx.modulus(self.part.limbs[i].chain)
-    }
-
     /// Deep copy through simulated device-to-device copy kernels.
     pub fn duplicate(&self) -> Self {
         let ctx = Arc::clone(&self.ctx);
-        let gpu = Arc::clone(ctx.gpu());
+        let gpu = ctx.gpu();
         let lb = kernels::limb_bytes(self.n());
         let mut limbs = Vec::with_capacity(self.part.limbs.len());
-        for (k, range) in ctx
-            .batch_ranges(self.part.limbs.len())
-            .into_iter()
-            .enumerate()
-        {
+        for (k, range) in ctx.batch_ranges(self.part.limbs.len()).enumerate() {
             let stream = ctx.stream_for_batch(k);
-            let mut desc = KernelDesc::new(KernelKind::Fill);
-            let mut fresh: Vec<Limb> = Vec::with_capacity(range.len());
-            for i in range.clone() {
-                let src = &self.part.limbs[i];
-                let dst = VectorGpu::new(ctx.gpu(), self.n());
-                desc = desc.read(src.data.buffer(), lb).write(dst.buffer(), lb);
-                fresh.push(Limb {
-                    data: dst,
-                    chain: src.chain,
-                });
-            }
-            gpu.launch(stream, desc, || {
-                for (off, i) in range.clone().enumerate() {
-                    fresh[off]
-                        .data
-                        .copy_from_slice(self.part.limbs[i].data.as_slice());
+            let src = &self.part.limbs[range.clone()];
+            limbs.extend(src.iter().map(|l| Limb {
+                data: VectorGpu::new(gpu, self.n()),
+                chain: l.chain,
+            }));
+            let dst = &mut limbs[range];
+            gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
+                for (s, t) in src.iter().zip(dst.iter()) {
+                    d.read(s.data.buffer(), lb).write(t.data.buffer(), lb);
+                }
+            })
+            .run(|| {
+                for (s, t) in src.iter().zip(dst.iter_mut()) {
+                    t.data.copy_from_slice(s.data.as_slice());
                 }
             });
-            limbs.extend(fresh);
         }
         Self {
             ctx,
@@ -218,34 +207,30 @@ impl RNSPoly {
             assert_eq!(o.format, self.format, "format mismatch");
         }
         let ctx = Arc::clone(&self.ctx);
-        let gpu = Arc::clone(ctx.gpu());
+        let gpu = ctx.gpu();
         let lb = kernels::limb_bytes(self.n());
-        for (k, range) in ctx
-            .batch_ranges(self.part.limbs.len())
-            .into_iter()
-            .enumerate()
-        {
+        for (k, range) in ctx.batch_ranges(self.part.limbs.len()).enumerate() {
             let stream = ctx.stream_for_batch(k);
-            let mut desc =
+            let desc =
                 KernelDesc::new(KernelKind::Elementwise).ops(ops_per_limb * range.len() as u64);
-            for i in range.clone() {
-                desc = desc
-                    .read(self.part.limbs[i].data.buffer(), lb)
-                    .write(self.part.limbs[i].data.buffer(), lb);
-                for o in others {
-                    desc = desc.read(o.part.limbs[i].data.buffer(), lb);
+            let limbs = &mut self.part.limbs;
+            gpu.launch(stream, desc, |d| {
+                for i in range.clone() {
+                    let own = limbs[i].data.buffer();
+                    d.read(own, lb).write(own, lb);
+                    for o in others {
+                        d.read(o.part.limbs[i].data.buffer(), lb);
+                    }
                 }
-            }
-            let moduli: Vec<Modulus> = range.clone().map(|i| self.modulus_of(i)).collect();
-            gpu.launch(stream, desc, || {
-                for (off, i) in range.clone().enumerate() {
+            })
+            .run(|| {
+                for i in range.clone() {
                     let srcs: Vec<&[u64]> = others
                         .iter()
                         .map(|o| o.part.limbs[i].data.as_slice())
                         .collect();
-                    // Split borrow: limbs are disjoint, take raw slice.
-                    let dst = self.part.limbs[i].data.as_mut_slice();
-                    f(&moduli[off], dst, &srcs);
+                    let limb = &mut limbs[i];
+                    f(ctx.modulus(limb.chain), limb.data.as_mut_slice(), &srcs);
                 }
             });
         }
@@ -332,25 +317,19 @@ impl RNSPoly {
         f: impl Fn(usize, &Modulus, &mut [u64]),
     ) {
         let ctx = Arc::clone(&self.ctx);
-        let gpu = Arc::clone(ctx.gpu());
+        let gpu = ctx.gpu();
         let lb = kernels::limb_bytes(self.n());
-        for (k, range) in ctx
-            .batch_ranges(self.part.limbs.len())
-            .into_iter()
-            .enumerate()
-        {
+        for (k, range) in ctx.batch_ranges(self.part.limbs.len()).enumerate() {
             let stream = ctx.stream_for_batch(k);
-            let mut desc =
+            let desc =
                 KernelDesc::new(KernelKind::Elementwise).ops(ops_per_limb * range.len() as u64);
-            for i in range.clone() {
-                desc = desc
-                    .read(self.part.limbs[i].data.buffer(), lb)
-                    .write(self.part.limbs[i].data.buffer(), lb);
-            }
-            let moduli: Vec<Modulus> = range.clone().map(|i| self.modulus_of(i)).collect();
-            gpu.launch(stream, desc, || {
-                for (off, i) in range.clone().enumerate() {
-                    f(i, &moduli[off], self.part.limbs[i].data.as_mut_slice());
+            let limbs = &mut self.part.limbs[range.clone()];
+            gpu.launch(stream, desc, |d| {
+                in_place(d, limbs.iter().map(|l| &l.data), lb)
+            })
+            .run(|| {
+                for (i, limb) in range.zip(limbs.iter_mut()) {
+                    f(i, ctx.modulus(limb.chain), limb.data.as_mut_slice());
                 }
             });
         }
@@ -380,16 +359,13 @@ impl RNSPoly {
 
     fn ntt_passes(&mut self, forward: bool) {
         let ctx = Arc::clone(&self.ctx);
-        let gpu = Arc::clone(ctx.gpu());
+        let gpu = ctx.gpu();
         let n = self.n();
         let lb = kernels::limb_bytes(n);
         let phase_ops = ctx.ntt_phase_ops_scaled();
-        for (k, range) in ctx
-            .batch_ranges(self.part.limbs.len())
-            .into_iter()
-            .enumerate()
-        {
+        for (k, range) in ctx.batch_ranges(self.part.limbs.len()).enumerate() {
             let stream = ctx.stream_for_batch(k);
+            let limbs = &mut self.part.limbs[range.clone()];
             for pass in 0..2u8 {
                 let kind = match (forward, pass) {
                     (true, 0) => KernelKind::NttPhase1,
@@ -397,20 +373,16 @@ impl RNSPoly {
                     (false, 0) => KernelKind::InttPhase1,
                     (false, _) => KernelKind::InttPhase2,
                 };
-                let mut desc = KernelDesc::new(kind)
+                let desc = KernelDesc::new(kind)
                     .ops(phase_ops * range.len() as u64)
                     .access_efficiency(ctx.params().access_efficiency);
-                for i in range.clone() {
-                    desc = desc
-                        .read(self.part.limbs[i].data.buffer(), lb)
-                        .write(self.part.limbs[i].data.buffer(), lb);
-                }
-                let chains: Vec<ChainIdx> =
-                    range.clone().map(|i| self.part.limbs[i].chain).collect();
-                gpu.launch(stream, desc, || {
-                    for (off, i) in range.clone().enumerate() {
-                        let t = ctx.ntt(chains[off]);
-                        let data = self.part.limbs[i].data.as_mut_slice();
+                gpu.launch(stream, desc, |d| {
+                    in_place(d, limbs.iter().map(|l| &l.data), lb)
+                })
+                .run(|| {
+                    for limb in limbs.iter_mut() {
+                        let t = ctx.ntt(limb.chain);
+                        let data = limb.data.as_mut_slice();
                         match (forward, pass) {
                             (true, 0) => t.forward_pass1(data),
                             (true, _) => t.forward_pass2(data),
@@ -428,41 +400,32 @@ impl RNSPoly {
     pub fn automorph_eval(&self, g: usize) -> RNSPoly {
         assert_eq!(self.format, Domain::Eval, "eval-domain automorphism");
         let ctx = Arc::clone(&self.ctx);
-        let gpu = Arc::clone(ctx.gpu());
+        let gpu = ctx.gpu();
         let perm = ctx.eval_perm(g);
         let n = self.n();
         let lb = kernels::limb_bytes(n);
         let mut limbs = Vec::with_capacity(self.part.limbs.len());
-        for (k, range) in ctx
-            .batch_ranges(self.part.limbs.len())
-            .into_iter()
-            .enumerate()
-        {
+        for (k, range) in ctx.batch_ranges(self.part.limbs.len()).enumerate() {
             let stream = ctx.stream_for_batch(k);
-            let mut desc = KernelDesc::new(KernelKind::Automorphism)
+            let desc = KernelDesc::new(KernelKind::Automorphism)
                 .ops(kernels::add_ops(n) * range.len() as u64);
-            desc = desc.read(perm.dev.buffer(), (n * 4) as u64);
-            let mut fresh: Vec<Limb> = Vec::with_capacity(range.len());
-            for i in range.clone() {
-                let dst = VectorGpu::new(ctx.gpu(), n);
-                desc = desc
-                    .read(self.part.limbs[i].data.buffer(), lb)
-                    .write(dst.buffer(), lb);
-                fresh.push(Limb {
-                    data: dst,
-                    chain: self.part.limbs[i].chain,
-                });
-            }
-            gpu.launch(stream, desc, || {
-                for (off, i) in range.clone().enumerate() {
-                    automorphism_eval(
-                        self.part.limbs[i].data.as_slice(),
-                        &perm.host,
-                        fresh[off].data.as_mut_slice(),
-                    );
+            let src = &self.part.limbs[range.clone()];
+            limbs.extend(src.iter().map(|l| Limb {
+                data: VectorGpu::new(gpu, n),
+                chain: l.chain,
+            }));
+            let dst = &mut limbs[range];
+            gpu.launch(stream, desc, |d| {
+                d.read(perm.dev.buffer(), (n * 4) as u64);
+                for (s, t) in src.iter().zip(dst.iter()) {
+                    d.read(s.data.buffer(), lb).write(t.data.buffer(), lb);
+                }
+            })
+            .run(|| {
+                for (s, t) in src.iter().zip(dst.iter_mut()) {
+                    automorphism_eval(s.data.as_slice(), &perm.host, t.data.as_mut_slice());
                 }
             });
-            limbs.extend(fresh);
         }
         RNSPoly {
             ctx,
@@ -488,6 +451,17 @@ impl RNSPoly {
     pub(crate) fn truncate_p(&mut self) {
         self.part.limbs.truncate(self.num_q);
         self.num_p = 0;
+    }
+}
+
+/// Records an in-place pass over `vecs`: each read, then written back.
+pub(crate) fn in_place<'a>(
+    d: &mut Accesses<'_>,
+    vecs: impl IntoIterator<Item = &'a VectorGpu<u64>>,
+    limb_bytes: u64,
+) {
+    for v in vecs {
+        d.read(v.buffer(), limb_bytes).write(v.buffer(), limb_bytes);
     }
 }
 

@@ -49,9 +49,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fides_gpu_sim::{BufferId, BufferMap};
+use fides_gpu_sim::{BufferId, BufferMap, Event};
 
-use super::graph::{ExecGraph, GraphOp};
+use super::graph::ExecGraph;
 use super::plan::{ExecPlan, PlanConfig, Planner};
 
 /// A consumer of a graph's canonical word stream.
@@ -149,15 +149,15 @@ impl Canon {
             }
             u64::from(*index)
         };
-        for op in &graph.ops {
-            match op {
-                GraphOp::Kernel(node) => {
+        for event in graph.log.iter() {
+            match event {
+                Event::Launch(launch) => {
                     sink.word(1);
-                    sink.word(node.stream as u64);
-                    sink.word(node.desc.kind.map_or(u64::MAX, |k| k as u64));
-                    sink.word(node.desc.int32_ops);
-                    sink.word(node.desc.access_efficiency.to_bits());
-                    for list in [&node.desc.reads, &node.desc.writes] {
+                    sink.word(launch.stream as u64);
+                    sink.word(launch.desc.kind.map_or(u64::MAX, |k| k as u64));
+                    sink.word(launch.desc.int32_ops);
+                    sink.word(launch.desc.access_efficiency.to_bits());
+                    for list in [launch.reads, launch.writes] {
                         sink.word(list.len() as u64);
                         for &(buf, bytes) in list {
                             sink.word(canon(buf));
@@ -165,12 +165,12 @@ impl Canon {
                         }
                     }
                 }
-                GraphOp::Barrier { signals, waiters } => {
+                Event::Fence { signals, waiters } => {
                     sink.word(2);
                     for list in [signals, waiters] {
                         sink.word(list.len() as u64);
                         for &s in list {
-                            sink.word(s as u64);
+                            sink.word(u64::from(s));
                         }
                     }
                 }
@@ -566,7 +566,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::sched::Planner;
-    use fides_gpu_sim::{GraphEvent, KernelDesc, KernelKind};
+    use fides_gpu_sim::{EventLog, KernelDesc, KernelKind};
 
     fn cfg() -> PlanConfig {
         PlanConfig {
@@ -576,18 +576,17 @@ mod tests {
     }
 
     fn graph(bufs: &[u64]) -> ExecGraph {
-        ExecGraph::from_events(
-            bufs.iter()
-                .enumerate()
-                .map(|(i, &b)| GraphEvent::Launch {
-                    stream: i % 2,
-                    desc: KernelDesc::new(KernelKind::Elementwise)
-                        .read(BufferId(b), 4096)
-                        .write(BufferId(b), 4096)
-                        .ops(100),
-                })
-                .collect(),
-        )
+        let mut log = EventLog::default();
+        for (i, &b) in bufs.iter().enumerate() {
+            log.launch(
+                i % 2,
+                KernelDesc::new(KernelKind::Elementwise).ops(100),
+                |d| {
+                    d.read(BufferId(b), 4096).write(BufferId(b), 4096);
+                },
+            );
+        }
+        ExecGraph::from(log)
     }
 
     fn shape_key(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) {
@@ -624,26 +623,15 @@ mod tests {
         // Persisted plan caches (server snapshots, the golden v1 fixture)
         // are keyed by this value: changing what `fingerprint` hashes turns
         // every warm restore into a cold one.
-        let g = ExecGraph::from_events(vec![
-            GraphEvent::Launch {
-                stream: 0,
-                desc: KernelDesc::new(KernelKind::Elementwise)
-                    .read(BufferId(5), 4096)
-                    .write(BufferId(6), 4096)
-                    .ops(100),
-            },
-            GraphEvent::Fence {
-                signals: vec![0],
-                waiters: vec![1],
-            },
-            GraphEvent::Launch {
-                stream: 1,
-                desc: KernelDesc::new(KernelKind::NttPhase1)
-                    .read(BufferId(6), 4096)
-                    .write(BufferId(5), 4096)
-                    .ops(700),
-            },
-        ]);
+        let mut log = EventLog::default();
+        log.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(100), |d| {
+            d.read(BufferId(5), 4096).write(BufferId(6), 4096);
+        });
+        log.fence([0], [1]);
+        log.launch(1, KernelDesc::new(KernelKind::NttPhase1).ops(700), |d| {
+            d.read(BufferId(6), 4096).write(BufferId(5), 4096);
+        });
+        let g = ExecGraph::from(log);
         let (fp, binding) = fingerprint(&g, &PlanConfig::default());
         assert_eq!(fp, 13_596_441_969_631_865_959, "pinned fingerprint");
         assert_eq!(binding, vec![BufferId(5), BufferId(6)]);
@@ -750,10 +738,9 @@ mod tests {
     #[test]
     fn barrier_shape_affects_fingerprint() {
         let mk = |waiters: Vec<usize>| {
-            ExecGraph::from_events(vec![GraphEvent::Fence {
-                signals: vec![0],
-                waiters,
-            }])
+            let mut log = EventLog::default();
+            log.fence([0], waiters);
+            ExecGraph::from(log)
         };
         let (fa, _) = fingerprint(&mk(vec![1]), &cfg());
         let (fb, _) = fingerprint(&mk(vec![2]), &cfg());
@@ -790,10 +777,15 @@ mod tests {
             bound.plan().launch_count()
         );
         gpu.reset_stats();
-        let probe = |b: u64| KernelDesc::new(KernelKind::Elementwise).read(BufferId(b), 4096);
-        gpu.launch(0, probe(77), || {});
+        let probe = |b: u64| {
+            gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |d| {
+                d.read(BufferId(b), 4096);
+            })
+            .run(|| {})
+        };
+        probe(77);
         assert_eq!(gpu.stats().l2_hit_bytes, 4096, "reads rebound onto 77");
-        gpu.launch(0, probe(10), || {});
+        probe(10);
         assert_eq!(gpu.stats().l2_hit_bytes, 4096, "stale id 10 never touched");
     }
 

@@ -40,15 +40,15 @@
 
 use std::collections::HashMap;
 
-use fides_gpu_sim::{BufferId, KernelDesc};
+use fides_gpu_sim::{BufferId, Event, EventLog, Launch};
 
-use super::graph::{ExecGraph, GraphOp};
-use super::plan::{merge, ExecPlan, PlanConfig, PlanStep, SchedStats};
+use super::graph::{segmented, ExecGraph};
+use super::plan::{merge, ExecPlan, Fused, PlanConfig, SchedStats};
 
 /// One schedulable unit: a recorded kernel, possibly carrying a pre-fused
 /// chain of same-stream elementwise followers.
 struct Unit {
-    desc: KernelDesc,
+    launch: Fused,
     rec_stream: usize,
     segment: usize,
     /// Recorded kernels absorbed into this unit (chain length ≥ 1).
@@ -57,7 +57,7 @@ struct Unit {
 
 impl Unit {
     fn is_fusible(&self) -> bool {
-        super::graph::fusible_kind(self.desc.kind)
+        super::graph::fusible_kind(self.launch.desc.kind)
     }
 }
 
@@ -68,7 +68,7 @@ impl Unit {
 
 /// Bytes `merge(into, next)` would dedup away: traffic on buffers the two
 /// descriptors share. Zero for disjoint chains.
-pub(crate) fn dedup_overlap_bytes(into: &KernelDesc, next: &KernelDesc) -> u64 {
+pub(crate) fn dedup_overlap_bytes(into: &Fused, next: &Fused) -> u64 {
     let touched = |buf: fides_gpu_sim::BufferId| {
         into.reads.iter().any(|&(b, _)| b == buf) || into.writes.iter().any(|&(b, _)| b == buf)
     };
@@ -91,17 +91,17 @@ fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize
     let mut barriers: Vec<Vec<usize>> = Vec::new();
     // Open chain per recorded stream: index into `units`.
     let mut open: HashMap<usize, usize> = HashMap::new();
-    for op in &graph.ops {
-        match op {
-            GraphOp::Kernel(node) => {
-                if cfg.fuse_elementwise && node.is_fusible() {
+    for (segment, event) in segmented(&graph.log) {
+        match event {
+            Event::Launch(node) => {
+                if cfg.fuse_elementwise && super::graph::fusible_kind(node.desc.kind) {
                     if let Some(&idx) = open.get(&node.stream) {
                         debug_assert_eq!(
-                            units[idx].segment, node.segment,
+                            units[idx].segment, segment,
                             "open chain crossed a barrier"
                         );
                         if units[idx].count < cfg.max_fuse {
-                            merge(&mut units[idx].desc, &node.desc);
+                            merge(&mut units[idx].launch, &node);
                             units[idx].count += 1;
                             continue;
                         }
@@ -112,18 +112,19 @@ fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize
                     open.remove(&node.stream);
                 }
                 units.push(Unit {
-                    desc: node.desc.clone(),
+                    launch: Fused::of(&node),
                     rec_stream: node.stream,
-                    segment: node.segment,
+                    segment,
                     count: 1,
                 });
             }
             // Barriers close the chains of the streams they cover (they
             // end the segment); the ordering they encode becomes
             // cross-segment dependency edges in stage 2.
-            GraphOp::Barrier { signals, waiters } => {
+            Event::Fence { signals, waiters } => {
                 open.clear();
-                let mut set: Vec<usize> = signals.iter().chain(waiters).copied().collect();
+                let mut set: Vec<usize> =
+                    signals.iter().chain(waiters).map(|&s| s as usize).collect();
                 set.sort_unstable();
                 set.dedup();
                 barriers.push(set);
@@ -179,7 +180,7 @@ fn build_edges(units: &[Unit]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
         let crossing = |other: usize, other_seg: usize| {
             other_seg != u.segment && units[other].rec_stream != u.rec_stream
         };
-        for &(buf, _) in &u.desc.reads {
+        for &(buf, _) in &u.launch.reads {
             let st = bufs.entry(buf).or_default();
             if !st.writers_cur.is_empty() && st.writers_seg != u.segment {
                 // Read-after-write on the whole newest generation.
@@ -199,7 +200,7 @@ fn build_edges(units: &[Unit]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
             }
             st.readers_cur.push((i, u.segment));
         }
-        for &(buf, _) in &u.desc.writes {
+        for &(buf, _) in &u.launch.writes {
             let st = bufs.entry(buf).or_default();
             if st.writers_cur.is_empty() || st.writers_seg != u.segment {
                 // A new generation begins: it is ordered after every
@@ -243,7 +244,7 @@ fn build_edges(units: &[Unit]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
 /// A chain of fusible launches being grown on one *final* stream during
 /// emission.
 struct PendingChain {
-    desc: KernelDesc,
+    launch: Fused,
     count: usize,
     members: Vec<usize>,
 }
@@ -260,6 +261,52 @@ struct StreamEmit {
     open: Vec<PendingChain>,
 }
 
+/// The plan's step log under construction. The newest fence is held back
+/// until another step follows, so that a later fence with the same single
+/// waiter — no launch in between, hence identical wait positions — can
+/// merge its signals into it instead of emitting another step.
+#[derive(Default)]
+struct Steps {
+    log: EventLog,
+    /// `(signals, waiter)` of the fence not yet appended.
+    fence: Option<(Vec<usize>, usize)>,
+}
+
+impl Steps {
+    fn flush_fence(&mut self) {
+        if let Some((signals, waiter)) = self.fence.take() {
+            self.log.fence(signals, [waiter]);
+        }
+    }
+
+    fn launch(&mut self, launch: Launch<'_>) {
+        self.flush_fence();
+        self.log.push(Event::Launch(launch));
+    }
+
+    /// `signals` sorted and deduplicated.
+    fn fence(&mut self, signals: Vec<usize>, waiter: usize) {
+        match &mut self.fence {
+            Some((pending, w)) if *w == waiter => {
+                pending.extend(signals);
+                pending.sort_unstable();
+                pending.dedup();
+            }
+            _ => {
+                self.flush_fence();
+                self.fence = Some((signals, waiter));
+            }
+        }
+    }
+
+    /// The finished log, trimmed to fit (cached plans live long).
+    fn finish(mut self) -> EventLog {
+        self.flush_fence();
+        self.log.shrink_to_fit();
+        self.log
+    }
+}
+
 /// Plans `graph` with dependency-aware list scheduling (see the module
 /// docs for the pipeline).
 pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
@@ -268,7 +315,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
     let recorded = graph.kernel_count() as u64;
     if n == 0 {
         return ExecPlan {
-            steps: Vec::new(),
+            steps: EventLog::default(),
             stats: SchedStats {
                 graphs: 1,
                 ..SchedStats::default()
@@ -282,7 +329,10 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
     // Upward rank (critical-path length to a sink). Unit index order is
     // topological, so one reverse sweep suffices.
     let cm = cfg.cost;
-    let cost: Vec<f64> = units.iter().map(|u| cm.unit_cost(&u.desc)).collect();
+    let cost: Vec<f64> = units
+        .iter()
+        .map(|u| cm.unit_cost(&u.launch.on(u.rec_stream)))
+        .collect();
     let mut rank = vec![0.0f64; n];
     for i in (0..n).rev() {
         let tail = succs[i].iter().map(|&s| rank[s]).fold(0.0f64, f64::max);
@@ -336,7 +386,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
     // a chain flushes at a recorded barrier covering its streams, a
     // successor of its members, or a dependent fence, and co-located alias-free chains — different tenants'
     // requests — merge.
-    let mut steps: Vec<PlanStep> = Vec::new();
+    let mut steps = Steps::default();
     let mut emit: Vec<StreamEmit> = (0..streams).map(|_| StreamEmit::default()).collect();
     // sync_mark[w][s]: launches on `s` that stream `w` already waits for.
     let mut sync_mark: Vec<Vec<usize>> = vec![vec![0; streams]; streams];
@@ -347,7 +397,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
         s: usize,
         chain_idx: usize,
         emit: &mut [StreamEmit],
-        steps: &mut Vec<PlanStep>,
+        steps: &mut Steps,
         launch_of: &mut [Option<(usize, usize)>],
     ) {
         let chain = emit[s].open.remove(chain_idx);
@@ -355,10 +405,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
             launch_of[m] = Some((s, emit[s].launched));
         }
         emit[s].launched += 1;
-        steps.push(PlanStep::Launch {
-            stream: s,
-            desc: chain.desc,
-        });
+        steps.launch(chain.launch.on(s));
     }
 
     let mut cur_seg = 0usize;
@@ -422,17 +469,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
             for &t in &fence_signals {
                 sync_mark[s][t] = emit[t].launched;
             }
-            match steps.last_mut() {
-                Some(PlanStep::Fence { signals, waiters }) if waiters.as_slice() == [s] => {
-                    signals.extend(fence_signals);
-                    signals.sort_unstable();
-                    signals.dedup();
-                }
-                _ => steps.push(PlanStep::Fence {
-                    signals: fence_signals,
-                    waiters: vec![s],
-                }),
-            }
+            steps.fence(fence_signals, s);
         }
         if cfg.fuse_elementwise && units[u].is_fusible() {
             // Merge into the oldest viable open chain on this stream.
@@ -452,17 +489,17 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
             // unconditionally.)
             let target = emit[s].open.iter().position(|c| {
                 c.count + units[u].count <= cfg.max_fuse
-                    && (dedup_overlap_bytes(&c.desc, &units[u].desc) as f64 / cm.bytes_per_us)
+                    && (dedup_overlap_bytes(&c.launch, &units[u].launch) as f64 / cm.bytes_per_us)
                         <= cm.launch_us
             });
             if let Some(idx) = target {
                 let chain = &mut emit[s].open[idx];
-                merge(&mut chain.desc, &units[u].desc);
+                merge(&mut chain.launch, &units[u].launch.on(s));
                 chain.count += units[u].count;
                 chain.members.push(u);
             } else {
                 emit[s].open.push(PendingChain {
-                    desc: units[u].desc.clone(),
+                    launch: units[u].launch.clone(),
                     count: units[u].count,
                     members: vec![u],
                 });
@@ -470,10 +507,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
         } else {
             launch_of[u] = Some((s, emit[s].launched));
             emit[s].launched += 1;
-            steps.push(PlanStep::Launch {
-                stream: s,
-                desc: units[u].desc.clone(),
-            });
+            steps.launch(units[u].launch.on(s));
         }
     }
     for s in 0..streams {
@@ -482,10 +516,8 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
         }
     }
 
-    let planned = steps
-        .iter()
-        .filter(|s| matches!(s, PlanStep::Launch { .. }))
-        .count() as u64;
+    let steps = steps.finish();
+    let planned = steps.launches() as u64;
     ExecPlan {
         steps,
         stats: SchedStats {
@@ -503,7 +535,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fides_gpu_sim::{GraphEvent, KernelKind};
+    use fides_gpu_sim::{KernelDesc, KernelKind};
 
     fn cfg(streams: usize, fuse: bool) -> PlanConfig {
         PlanConfig {
@@ -514,33 +546,55 @@ mod tests {
         }
     }
 
-    fn launch(stream: usize, kind: KernelKind, reads: &[u64], writes: &[u64]) -> GraphEvent {
-        let mut desc = KernelDesc::new(kind).ops(1000);
-        for &b in reads {
-            desc = desc.read(BufferId(b), 1 << 20);
-        }
-        for &b in writes {
-            desc = desc.write(BufferId(b), 1 << 20);
-        }
-        GraphEvent::Launch { stream, desc }
+    /// Records a launch of `desc` touching `reads` then `writes`.
+    fn push(
+        log: &mut EventLog,
+        stream: usize,
+        desc: KernelDesc,
+        reads: &[(u64, u64)],
+        writes: &[(u64, u64)],
+    ) {
+        log.launch(stream, desc, |d| {
+            for &(b, bytes) in reads {
+                d.read(BufferId(b), bytes);
+            }
+            for &(b, bytes) in writes {
+                d.write(BufferId(b), bytes);
+            }
+        });
     }
 
-    fn fence_all(streams: usize) -> GraphEvent {
-        let all: Vec<usize> = (0..streams).collect();
-        GraphEvent::Fence {
-            signals: all.clone(),
-            waiters: all,
-        }
+    fn launch(log: &mut EventLog, stream: usize, kind: KernelKind, reads: &[u64], writes: &[u64]) {
+        let mb = |bufs: &[u64]| bufs.iter().map(|&b| (b, 1 << 20)).collect::<Vec<_>>();
+        push(
+            log,
+            stream,
+            KernelDesc::new(kind).ops(1000),
+            &mb(reads),
+            &mb(writes),
+        );
+    }
+
+    fn fence_all(log: &mut EventLog, streams: usize) {
+        log.fence(0..streams, 0..streams);
+    }
+
+    fn plan(log: EventLog, cfg: &PlanConfig) -> ExecPlan {
+        plan_dag(&ExecGraph::from(log), cfg)
     }
 
     fn launch_streams(plan: &ExecPlan) -> Vec<usize> {
         plan.steps()
             .iter()
             .filter_map(|s| match s {
-                PlanStep::Launch { stream, .. } => Some(*stream),
+                Event::Launch(l) => Some(l.stream),
                 _ => None,
             })
             .collect()
+    }
+
+    fn is_fence(step: &Event<'_>) -> bool {
+        matches!(step, Event::Fence { .. })
     }
 
     /// Replays the plan symbolically and asserts that for every
@@ -553,27 +607,27 @@ mod tests {
         let mut stream_before = 0;
         let mut stream_after = 0;
         for (i, step) in plan.steps().iter().enumerate() {
-            if let PlanStep::Launch { stream, desc } = step {
+            if let Event::Launch(l) = step {
                 let touches = |b: BufferId| {
-                    desc.reads.iter().any(|&(x, _)| x == b)
-                        || desc.writes.iter().any(|&(x, _)| x == b)
+                    l.reads.iter().any(|&(x, _)| x == b) || l.writes.iter().any(|&(x, _)| x == b)
                 };
                 if touches(before) && pos_before.is_none() {
                     pos_before = Some(i);
-                    stream_before = *stream;
+                    stream_before = l.stream;
                 }
                 if touches(after) {
                     pos_after = Some(i);
-                    stream_after = *stream;
+                    stream_after = l.stream;
                 }
             }
         }
         let (pb, pa) = (pos_before.unwrap(), pos_after.unwrap());
         assert!(pb < pa, "dependency issued out of order");
         if stream_before != stream_after {
-            let fenced = plan.steps()[pb..pa].iter().any(|s| {
-                matches!(s, PlanStep::Fence { signals, waiters }
-                    if signals.contains(&stream_before) && waiters.contains(&stream_after))
+            let fenced = plan.steps().iter().skip(pb).take(pa - pb).any(|s| {
+                matches!(s, Event::Fence { signals, waiters }
+                    if signals.contains(&(stream_before as u32))
+                        && waiters.contains(&(stream_after as u32)))
             });
             assert!(fenced, "cross-stream dependency lacks a fence");
         }
@@ -583,22 +637,18 @@ mod tests {
     fn independent_streams_spread_over_device() {
         // Four independent recorded streams, two device streams: list
         // scheduling balances them without fences.
-        let events = vec![
-            launch(0, KernelKind::NttPhase1, &[1], &[1]),
-            launch(1, KernelKind::NttPhase1, &[2], &[2]),
-            launch(2, KernelKind::NttPhase1, &[3], &[3]),
-            launch(3, KernelKind::NttPhase1, &[4], &[4]),
-        ];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(2, true));
+        let mut log = EventLog::default();
+        launch(&mut log, 0, KernelKind::NttPhase1, &[1], &[1]);
+        launch(&mut log, 1, KernelKind::NttPhase1, &[2], &[2]);
+        launch(&mut log, 2, KernelKind::NttPhase1, &[3], &[3]);
+        launch(&mut log, 3, KernelKind::NttPhase1, &[4], &[4]);
+        let plan = plan(log, &cfg(2, true));
         let streams = launch_streams(&plan);
         assert_eq!(streams.len(), 4);
         assert_eq!(streams.iter().filter(|&&s| s == 0).count(), 2);
         assert_eq!(streams.iter().filter(|&&s| s == 1).count(), 2);
         assert!(
-            !plan
-                .steps()
-                .iter()
-                .any(|s| matches!(s, PlanStep::Fence { .. })),
+            !plan.steps().iter().any(|s| is_fence(&s)),
             "independent work needs no fences"
         );
     }
@@ -607,28 +657,26 @@ mod tests {
     fn cross_segment_raw_dependency_is_fenced() {
         // Writer on recorded stream 0, barrier, reader on recorded stream
         // 1. Whatever streams they land on, the plan must order them.
-        let events = vec![
-            launch(0, KernelKind::NttPhase1, &[], &[10]),
-            fence_all(2),
-            launch(1, KernelKind::NttPhase1, &[10], &[11]),
-        ];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+        let mut log = EventLog::default();
+        launch(&mut log, 0, KernelKind::NttPhase1, &[], &[10]);
+        fence_all(&mut log, 2);
+        launch(&mut log, 1, KernelKind::NttPhase1, &[10], &[11]);
+        let plan = plan(log, &cfg(4, true));
         assert_ordered(&plan, BufferId(10), BufferId(11));
     }
 
     #[test]
     fn fence_between_writes_to_same_buffer_is_never_reordered() {
-        // The barrier-handling invariant (ISSUE 5 satellite): two writes
+        // The barrier-handling invariant: two writes
         // to one buffer separated by a recorded fence must replay in
         // recorded order — list scheduling may not swap or overlap them.
         // The second write also reads a distinct marker buffer so the two
         // launches are distinguishable in the plan.
-        let events = vec![
-            launch(0, KernelKind::NttPhase1, &[20], &[15]),
-            fence_all(4),
-            launch(2, KernelKind::NttPhase2, &[21], &[15]),
-        ];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+        let mut log = EventLog::default();
+        launch(&mut log, 0, KernelKind::NttPhase1, &[20], &[15]);
+        fence_all(&mut log, 4);
+        launch(&mut log, 2, KernelKind::NttPhase2, &[21], &[15]);
+        let plan = plan(log, &cfg(4, true));
         assert_ordered(&plan, BufferId(20), BufferId(21));
     }
 
@@ -641,26 +689,27 @@ mod tests {
         // reads a distinct marker buffer so the launches are
         // distinguishable; big kernels force the writers onto different
         // streams than the reader.
-        let big = |stream: usize, marker: u64, rw: &[u64]| GraphEvent::Launch {
-            stream,
-            desc: KernelDesc::new(KernelKind::NttPhase1)
-                .read(BufferId(marker), 32 << 20)
-                .write(BufferId(rw[0]), 32 << 20)
-                .ops(1000),
+        let mut log = EventLog::default();
+        let big = |log: &mut EventLog, stream: usize, marker: u64, rw: &[u64]| {
+            push(
+                log,
+                stream,
+                KernelDesc::new(KernelKind::NttPhase1).ops(1000),
+                &[(marker, 32 << 20)],
+                &[(rw[0], 32 << 20)],
+            )
         };
-        let events = vec![
-            big(0, 40, &[15]),
-            big(1, 41, &[15]),
-            fence_all(4),
-            GraphEvent::Launch {
-                stream: 2,
-                desc: KernelDesc::new(KernelKind::NttPhase2)
-                    .read(BufferId(15), 32 << 20)
-                    .read(BufferId(42), 32 << 20)
-                    .ops(1000),
-            },
-        ];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+        big(&mut log, 0, 40, &[15]);
+        big(&mut log, 1, 41, &[15]);
+        fence_all(&mut log, 4);
+        push(
+            &mut log,
+            2,
+            KernelDesc::new(KernelKind::NttPhase2).ops(1000),
+            &[(15, 32 << 20), (42, 32 << 20)],
+            &[],
+        );
+        let plan = plan(log, &cfg(4, true));
         assert_ordered(&plan, BufferId(40), BufferId(42));
         assert_ordered(&plan, BufferId(41), BufferId(42));
     }
@@ -669,26 +718,27 @@ mod tests {
     fn fence_orders_writer_after_every_concurrent_reader() {
         // The write-after-read mirror: two concurrent readers, a fence,
         // then a writer — the writer depends on both readers.
-        let rd = |stream: usize, marker: u64| GraphEvent::Launch {
-            stream,
-            desc: KernelDesc::new(KernelKind::NttPhase1)
-                .read(BufferId(marker), 32 << 20)
-                .read(BufferId(16), 32 << 20)
-                .ops(1000),
+        let mut log = EventLog::default();
+        let rd = |log: &mut EventLog, stream: usize, marker: u64| {
+            push(
+                log,
+                stream,
+                KernelDesc::new(KernelKind::NttPhase1).ops(1000),
+                &[(marker, 32 << 20), (16, 32 << 20)],
+                &[],
+            )
         };
-        let events = vec![
-            rd(0, 50),
-            rd(1, 51),
-            fence_all(4),
-            GraphEvent::Launch {
-                stream: 2,
-                desc: KernelDesc::new(KernelKind::NttPhase2)
-                    .read(BufferId(52), 32 << 20)
-                    .write(BufferId(16), 32 << 20)
-                    .ops(1000),
-            },
-        ];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+        rd(&mut log, 0, 50);
+        rd(&mut log, 1, 51);
+        fence_all(&mut log, 4);
+        push(
+            &mut log,
+            2,
+            KernelDesc::new(KernelKind::NttPhase2).ops(1000),
+            &[(52, 32 << 20)],
+            &[(16, 32 << 20)],
+        );
+        let plan = plan(log, &cfg(4, true));
         assert_ordered(&plan, BufferId(50), BufferId(52));
         assert_ordered(&plan, BufferId(51), BufferId(52));
     }
@@ -699,24 +749,22 @@ mod tests {
         // reader concurrent with it (seg 1): the reader has no edge to
         // the concurrent writers, but must still order after generation
         // 1 — through `writers_prev`, not transitivity.
-        let big = |stream: usize, marker: u64, write: bool| {
-            let mut desc = KernelDesc::new(KernelKind::NttPhase1)
-                .read(BufferId(marker), 32 << 20)
-                .ops(1000);
-            desc = if write {
-                desc.write(BufferId(17), 32 << 20)
+        let mut log = EventLog::default();
+        let big = |log: &mut EventLog, stream: usize, marker: u64, write: bool| {
+            let desc = KernelDesc::new(KernelKind::NttPhase1).ops(1000);
+            let marker = (marker, 32 << 20);
+            let shared = (17, 32 << 20);
+            if write {
+                push(log, stream, desc, &[marker], &[shared]);
             } else {
-                desc.read(BufferId(17), 32 << 20)
-            };
-            GraphEvent::Launch { stream, desc }
+                push(log, stream, desc, &[marker, shared], &[]);
+            }
         };
-        let events = vec![
-            big(0, 60, true),
-            fence_all(4),
-            big(1, 61, true),
-            big(2, 62, false),
-        ];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+        big(&mut log, 0, 60, true);
+        fence_all(&mut log, 4);
+        big(&mut log, 1, 61, true);
+        big(&mut log, 2, 62, false);
+        let plan = plan(log, &cfg(4, true));
         assert_ordered(&plan, BufferId(60), BufferId(62));
     }
 
@@ -728,20 +776,20 @@ mod tests {
         // concurrent (no fence between them). The kernels are large
         // enough (32 MB ≫ the host submission interval) that the
         // placement chooses to overlap rather than pack.
-        let big = |stream: usize| GraphEvent::Launch {
-            stream,
-            desc: KernelDesc::new(KernelKind::NttPhase1)
-                .write(BufferId(30), 32 << 20)
-                .ops(1000),
-        };
-        let events = vec![big(0), big(1)];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+        let mut log = EventLog::default();
+        for stream in [0, 1] {
+            push(
+                &mut log,
+                stream,
+                KernelDesc::new(KernelKind::NttPhase1).ops(1000),
+                &[],
+                &[(30, 32 << 20)],
+            );
+        }
+        let plan = plan(log, &cfg(4, true));
         assert_eq!(plan.launch_count(), 2);
         assert!(
-            !plan
-                .steps()
-                .iter()
-                .any(|s| matches!(s, PlanStep::Fence { .. })),
+            !plan.steps().iter().any(|s| is_fence(&s)),
             "same-segment disjoint-slice writes must not serialize"
         );
         let streams = launch_streams(&plan);
@@ -755,15 +803,17 @@ mod tests {
         // second stream fast enough. The placement packs them — keeping
         // chains adjacent for fusion — instead of scattering them across
         // idle streams.
-        let events: Vec<GraphEvent> = (0..6)
-            .map(|i| GraphEvent::Launch {
-                stream: i,
-                desc: KernelDesc::new(KernelKind::NttPhase1)
-                    .read(BufferId(100 + i as u64), 1024)
-                    .ops(10),
-            })
-            .collect();
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+        let mut log = EventLog::default();
+        for i in 0..6 {
+            push(
+                &mut log,
+                i,
+                KernelDesc::new(KernelKind::NttPhase1).ops(10),
+                &[(100 + i as u64, 1024)],
+                &[],
+            );
+        }
+        let plan = plan(log, &cfg(4, true));
         let streams = launch_streams(&plan);
         assert!(
             streams.iter().all(|&s| s == streams[0]),
@@ -771,11 +821,17 @@ mod tests {
         );
     }
 
+    fn ew(log: &mut EventLog, stream: usize, buf: u64) {
+        launch(log, stream, KernelKind::Elementwise, &[buf], &[buf]);
+    }
+
     #[test]
     fn chains_pre_fuse_before_scheduling() {
-        let ew = |stream: usize, buf: u64| launch(stream, KernelKind::Elementwise, &[buf], &[buf]);
-        let events = vec![ew(0, 1), ew(0, 2), ew(1, 3)];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+        let mut log = EventLog::default();
+        ew(&mut log, 0, 1);
+        ew(&mut log, 0, 2);
+        ew(&mut log, 1, 3);
+        let plan = plan(log, &cfg(4, true));
         assert_eq!(plan.launch_count(), 2, "stream-0 chain fused");
         assert_eq!(plan.stats().fused_kernels, 1);
         assert_eq!(plan.stats().recorded_kernels, 3);
@@ -786,9 +842,10 @@ mod tests {
         // Two independent recorded streams of elementwise work, one device
         // stream: after placement they are adjacent on the same stream and
         // merge (the cross-tenant fusion path of the serve batcher).
-        let ew = |stream: usize, buf: u64| launch(stream, KernelKind::Elementwise, &[buf], &[buf]);
-        let events = vec![ew(0, 1), ew(7, 2)];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(1, true));
+        let mut log = EventLog::default();
+        ew(&mut log, 0, 1);
+        ew(&mut log, 7, 2);
+        let plan = plan(log, &cfg(1, true));
         assert_eq!(
             plan.launch_count(),
             1,
@@ -799,18 +856,21 @@ mod tests {
 
     #[test]
     fn fusion_off_emits_every_unit() {
-        let ew = |stream: usize, buf: u64| launch(stream, KernelKind::Elementwise, &[buf], &[buf]);
-        let events = vec![ew(0, 1), ew(0, 2), ew(1, 3)];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, false));
+        let mut log = EventLog::default();
+        ew(&mut log, 0, 1);
+        ew(&mut log, 0, 2);
+        ew(&mut log, 1, 3);
+        let plan = plan(log, &cfg(4, false));
         assert_eq!(plan.launch_count(), 3);
         assert_eq!(plan.stats().fused_kernels, 0);
     }
 
     #[test]
     fn plan_is_deterministic() {
-        let mut events = Vec::new();
+        let mut log = EventLog::default();
         for i in 0..40u64 {
-            events.push(launch(
+            launch(
+                &mut log,
                 (i % 6) as usize,
                 if i % 3 == 0 {
                     KernelKind::NttPhase1
@@ -819,12 +879,12 @@ mod tests {
                 },
                 &[i % 7],
                 &[i % 5 + 100],
-            ));
+            );
             if i % 11 == 10 {
-                events.push(fence_all(6));
+                fence_all(&mut log, 6);
             }
         }
-        let g = ExecGraph::from_events(events);
+        let g = ExecGraph::from(log);
         let a = plan_dag(&g, &cfg(4, true));
         let b = plan_dag(&g, &cfg(4, true));
         assert_eq!(a.launch_count(), b.launch_count());
@@ -837,10 +897,7 @@ mod tests {
     }
 
     fn fence_count(plan: &ExecPlan) -> usize {
-        plan.steps()
-            .iter()
-            .filter(|s| matches!(s, PlanStep::Fence { .. }))
-            .count()
+        plan.steps().iter().filter(is_fence).count()
     }
 
     /// Per-edge fence count: what un-coalesced emission (one fence per
@@ -849,7 +906,7 @@ mod tests {
         plan.steps()
             .iter()
             .filter_map(|s| match s {
-                PlanStep::Fence { signals, waiters } => Some(signals.len() * waiters.len()),
+                Event::Fence { signals, waiters } => Some(signals.len() * waiters.len()),
                 _ => None,
             })
             .sum()
@@ -862,29 +919,30 @@ mod tests {
         // all three. The reader lands on one writer's stream (serialized
         // for free) and its remaining cross-stream waits coalesce into a
         // **single** fence carrying both signal streams.
-        let big = |stream: usize, marker: u64, wbuf: u64| GraphEvent::Launch {
-            stream,
-            desc: KernelDesc::new(KernelKind::NttPhase1)
-                .read(BufferId(marker), 32 << 20)
-                .write(BufferId(wbuf), 32 << 20)
-                .ops(1000),
-        };
-        let events = vec![
-            big(0, 70, 25),
-            big(1, 71, 26),
-            big(2, 72, 27),
-            fence_all(4),
-            GraphEvent::Launch {
-                stream: 3,
-                desc: KernelDesc::new(KernelKind::NttPhase2)
-                    .read(BufferId(25), 32 << 20)
-                    .read(BufferId(26), 32 << 20)
-                    .read(BufferId(27), 32 << 20)
-                    .read(BufferId(73), 32 << 20)
-                    .ops(1000),
-            },
-        ];
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+        let mut log = EventLog::default();
+        for (stream, marker, wbuf) in [(0, 70, 25), (1, 71, 26), (2, 72, 27)] {
+            push(
+                &mut log,
+                stream,
+                KernelDesc::new(KernelKind::NttPhase1).ops(1000),
+                &[(marker, 32 << 20)],
+                &[(wbuf, 32 << 20)],
+            );
+        }
+        fence_all(&mut log, 4);
+        push(
+            &mut log,
+            3,
+            KernelDesc::new(KernelKind::NttPhase2).ops(1000),
+            &[
+                (25, 32 << 20),
+                (26, 32 << 20),
+                (27, 32 << 20),
+                (73, 32 << 20),
+            ],
+            &[],
+        );
+        let plan = plan(log, &cfg(4, true));
         assert_ordered(&plan, BufferId(70), BufferId(73));
         assert_ordered(&plan, BufferId(71), BufferId(73));
         assert_ordered(&plan, BufferId(72), BufferId(73));
@@ -903,31 +961,36 @@ mod tests {
         // Coalescing must emit strictly fewer fence steps than the
         // per-edge count (one per signal×waiter pair) while every
         // dependency stays ordered.
-        let part = |stream: usize, buf: u64| GraphEvent::Launch {
-            stream,
-            desc: KernelDesc::new(KernelKind::NttPhase1)
-                .read(BufferId(200 + buf), 32 << 20)
-                .write(BufferId(buf), 32 << 20)
-                .ops(1000),
-        };
-        let mut events: Vec<GraphEvent> = (0..4).map(|i| part(i as usize, 80 + i)).collect();
-        events.push(fence_all(4));
-        events.push(GraphEvent::Launch {
-            stream: 0,
-            desc: KernelDesc::new(KernelKind::NttPhase2)
-                .read(BufferId(80), 32 << 20)
-                .read(BufferId(81), 32 << 20)
-                .read(BufferId(82), 32 << 20)
-                .read(BufferId(83), 32 << 20)
+        let mut log = EventLog::default();
+        for i in 0..4u64 {
+            let buf = 80 + i;
+            push(
+                &mut log,
+                i as usize,
+                KernelDesc::new(KernelKind::NttPhase1).ops(1000),
+                &[(200 + buf, 32 << 20)],
+                &[(buf, 32 << 20)],
+            );
+        }
+        fence_all(&mut log, 4);
+        push(
+            &mut log,
+            0,
+            KernelDesc::new(KernelKind::NttPhase2).ops(1000),
+            &[
+                (80, 32 << 20),
+                (81, 32 << 20),
+                (82, 32 << 20),
+                (83, 32 << 20),
                 // Unique marker so `assert_ordered` resolves the reduction
                 // (buffer 90 is touched by the tail too).
-                .read(BufferId(301), 32 << 20)
-                .write(BufferId(90), 32 << 20)
-                .ops(1000),
-        });
-        events.push(fence_all(4));
-        events.push(launch(1, KernelKind::Elementwise, &[90], &[91]));
-        let plan = plan_dag(&ExecGraph::from_events(events), &cfg(4, true));
+                (301, 32 << 20),
+            ],
+            &[(90, 32 << 20)],
+        );
+        fence_all(&mut log, 4);
+        launch(&mut log, 1, KernelKind::Elementwise, &[90], &[91]);
+        let plan = plan(log, &cfg(4, true));
         for b in 80..84 {
             assert_ordered(&plan, BufferId(200 + b), BufferId(301));
         }
@@ -942,7 +1005,7 @@ mod tests {
 
     #[test]
     fn empty_graph_plans_empty() {
-        let plan = plan_dag(&ExecGraph::from_events(Vec::new()), &cfg(4, true));
+        let plan = plan(EventLog::default(), &cfg(4, true));
         assert_eq!(plan.launch_count(), 0);
         assert_eq!(plan.stats().graphs, 1);
     }

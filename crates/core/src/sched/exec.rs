@@ -106,30 +106,19 @@ fn slot_window(slots: &HashMap<BufferId, u64>) -> Range<u64> {
 mod tests {
     use super::*;
     use crate::sched::{ExecGraph, PlanConfig, Planner};
-    use fides_gpu_sim::{BufferId, DeviceSpec, ExecMode, GraphEvent, KernelDesc, KernelKind};
+    use fides_gpu_sim::{BufferId, DeviceSpec, EventLog, ExecMode, KernelDesc, KernelKind};
 
     #[test]
     fn replay_advances_ledger_once_per_planned_launch() {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
-        let events = vec![
-            GraphEvent::Launch {
-                stream: 0,
-                desc: KernelDesc::new(KernelKind::Elementwise)
-                    .read(BufferId(1), 4096)
-                    .ops(100),
-            },
-            GraphEvent::Launch {
-                stream: 0,
-                desc: KernelDesc::new(KernelKind::Elementwise)
-                    .read(BufferId(2), 4096)
-                    .ops(100),
-            },
-            GraphEvent::Fence {
-                signals: vec![0],
-                waiters: vec![1],
-            },
-        ];
-        let plan = Planner::new(PlanConfig::default()).plan(&ExecGraph::from_events(events));
+        let mut events = EventLog::default();
+        for b in [1, 2] {
+            events.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(100), |d| {
+                d.read(BufferId(b), 4096);
+            });
+        }
+        events.fence([0], [1]);
+        let plan = Planner::new(PlanConfig::default()).plan(&ExecGraph::from(events));
         assert_eq!(plan.launch_count(), 1, "two elementwise kernels fused");
         let t0 = gpu.sync();
         GpuReplayExecutor::new(&gpu).execute(&plan);
@@ -147,47 +136,35 @@ mod tests {
     #[test]
     fn slot_binding_lowers_modeled_dram_traffic_on_lr_iterations() {
         let mb = 32u64 << 20;
-        let fence_all = || GraphEvent::Fence {
-            signals: vec![0, 1, 2, 3],
-            waiters: vec![0, 1, 2, 3],
-        };
-        let mut events = Vec::new();
+        let fence_all = |events: &mut EventLog| events.fence(0..4, 0..4);
+        let mut events = EventLog::default();
         for it in 1..=3u64 {
             let base = 1000 * it;
             // Partial products: shared weights in, fresh 32 MB partials out.
             for s in 0..4u64 {
-                events.push(GraphEvent::Launch {
-                    stream: s as usize,
-                    desc: KernelDesc::new(KernelKind::Elementwise)
-                        .read(BufferId(10 + s), mb)
-                        .write(BufferId(base + s), mb)
-                        .ops(1000),
+                let desc = KernelDesc::new(KernelKind::Elementwise).ops(1000);
+                events.launch(s as usize, desc, |d| {
+                    d.read(BufferId(10 + s), mb).write(BufferId(base + s), mb);
                 });
             }
-            events.push(fence_all());
+            fence_all(&mut events);
             // Reduction over the four partials.
-            let mut red = KernelDesc::new(KernelKind::BaseConv)
-                .write(BufferId(base + 90), mb)
-                .ops(1000);
-            for s in 0..4u64 {
-                red = red.read(BufferId(base + s), mb);
-            }
-            events.push(GraphEvent::Launch {
-                stream: 0,
-                desc: red,
+            events.launch(0, KernelDesc::new(KernelKind::BaseConv).ops(1000), |d| {
+                d.write(BufferId(base + 90), mb);
+                for s in 0..4u64 {
+                    d.read(BufferId(base + s), mb);
+                }
             });
-            events.push(fence_all());
+            fence_all(&mut events);
             // Elementwise tail producing this iteration's model update.
-            events.push(GraphEvent::Launch {
-                stream: 0,
-                desc: KernelDesc::new(KernelKind::SwitchModulus)
-                    .read(BufferId(base + 90), mb)
-                    .write(BufferId(base + 91), mb)
-                    .ops(1000),
+            let desc = KernelDesc::new(KernelKind::SwitchModulus).ops(1000);
+            events.launch(0, desc, |d| {
+                d.read(BufferId(base + 90), mb)
+                    .write(BufferId(base + 91), mb);
             });
-            events.push(fence_all());
+            fence_all(&mut events);
         }
-        let plan = Planner::new(PlanConfig::default()).plan(&ExecGraph::from_events(events));
+        let plan = Planner::new(PlanConfig::default()).plan(&ExecGraph::from(events));
         assert!(
             !plan.slot_binding().is_empty(),
             "planned temporaries carry a slot binding"

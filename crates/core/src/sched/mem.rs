@@ -36,7 +36,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use fides_gpu_sim::BufferId;
 
-use super::plan::PlanStep;
+use fides_gpu_sim::{Event, EventLog};
 
 /// The memory plan the liveness pass derives for one [`ExecPlan`](super::ExecPlan).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -74,7 +74,7 @@ impl MemPlan {
 /// behaves. Buffers whose first touch is a read are external (born before
 /// the plan) and stay out of the binding: rewriting their ids would sever
 /// the L2 residency they carry across plan executions.
-pub(crate) fn analyze(steps: &[PlanStep]) -> (MemPlan, HashMap<BufferId, u64>) {
+pub(crate) fn analyze(steps: &EventLog) -> (MemPlan, HashMap<BufferId, u64>) {
     // Footprints and live intervals in launch issue order. Reads are
     // scanned before writes within a launch so an in-place operand whose
     // first appearance is `read + write` classifies as external.
@@ -83,9 +83,9 @@ pub(crate) fn analyze(steps: &[PlanStep]) -> (MemPlan, HashMap<BufferId, u64>) {
     let mut last: HashMap<BufferId, usize> = HashMap::new();
     let mut external: HashSet<BufferId> = HashSet::new();
     let mut launch_idx = 0usize;
-    for step in steps {
-        if let PlanStep::Launch { desc, .. } = step {
-            for (is_read, accesses) in [(true, &desc.reads), (false, &desc.writes)] {
+    for step in steps.iter() {
+        if let Event::Launch(launch) = step {
+            for (is_read, accesses) in [(true, launch.reads), (false, launch.writes)] {
                 for &(buf, bytes) in accesses {
                     let f = footprint.entry(buf).or_insert(0);
                     *f = (*f).max(bytes);
@@ -170,26 +170,29 @@ mod tests {
     use super::*;
     use fides_gpu_sim::{KernelDesc, KernelKind};
 
-    fn launch(reads: &[(u64, u64)], writes: &[(u64, u64)]) -> PlanStep {
-        let mut desc = KernelDesc::new(KernelKind::Elementwise);
-        for &(b, bytes) in reads {
-            desc = desc.read(BufferId(b), bytes);
+    type Accesses<'a> = &'a [(u64, u64)];
+
+    /// A log of elementwise launches on stream 0, one per `(reads, writes)`.
+    fn launches(list: &[(Accesses<'_>, Accesses<'_>)]) -> EventLog {
+        let mut log = EventLog::default();
+        for &(reads, writes) in list {
+            log.launch(0, KernelDesc::new(KernelKind::Elementwise), |d| {
+                for &(b, bytes) in reads {
+                    d.read(BufferId(b), bytes);
+                }
+                for &(b, bytes) in writes {
+                    d.write(BufferId(b), bytes);
+                }
+            });
         }
-        for &(b, bytes) in writes {
-            desc = desc.write(BufferId(b), bytes);
-        }
-        PlanStep::Launch { stream: 0, desc }
+        log
     }
 
     #[test]
     fn disjoint_lifetimes_share_one_slot() {
         // Buffer 1 dies at launch 0; buffer 2 is born at launch 1 and fits
         // in its slot. Births are writes so the temporaries are slot-bound.
-        let steps = vec![
-            launch(&[], &[(1, 1024)]),
-            launch(&[], &[(2, 512)]),
-            launch(&[], &[(3, 256)]),
-        ];
+        let steps = launches(&[(&[], &[(1, 1024)]), (&[], &[(2, 512)]), (&[], &[(3, 256)])]);
         let (pooled, binding) = analyze(&steps);
         assert_eq!(pooled.buffers, 3);
         assert_eq!(pooled.allocations, 1, "all three reuse the first slot");
@@ -203,10 +206,10 @@ mod tests {
     #[test]
     fn overlapping_lifetimes_need_distinct_slots() {
         // Both buffers live across both launches: no reuse possible.
-        let steps = vec![
-            launch(&[], &[(1, 1024), (2, 1024)]),
-            launch(&[(2, 1024), (1, 1024)], &[]),
-        ];
+        let steps = launches(&[
+            (&[], &[(1, 1024), (2, 1024)]),
+            (&[(2, 1024), (1, 1024)], &[]),
+        ]);
         let (m, binding) = analyze(&steps);
         assert_eq!(m.allocations, 2);
         assert_eq!(m.peak_device_bytes, 2048);
@@ -217,10 +220,7 @@ mod tests {
     fn same_launch_birth_and_death_does_not_self_alias() {
         // Buffer 1's last touch and buffer 2's first touch are the same
         // launch: they are concurrently live and must not share a slot.
-        let steps = vec![
-            launch(&[], &[(1, 1024)]),
-            launch(&[(1, 1024)], &[(2, 1024)]),
-        ];
+        let steps = launches(&[(&[], &[(1, 1024)]), (&[(1, 1024)], &[(2, 1024)])]);
         let (m, binding) = analyze(&steps);
         assert_eq!(m.allocations, 2);
         assert_ne!(
@@ -234,11 +234,11 @@ mod tests {
     fn best_fit_prefers_smallest_sufficient_slot() {
         // Slots of 100 and 1000 free up; a 150-byte buffer must take the
         // 1000 slot (best fit that holds it), leaving 100 free.
-        let steps = vec![
-            launch(&[], &[(1, 100), (2, 1000)]),
-            launch(&[], &[(3, 150)]),
-            launch(&[], &[(4, 90)]),
-        ];
+        let steps = launches(&[
+            (&[], &[(1, 100), (2, 1000)]),
+            (&[], &[(3, 150)]),
+            (&[], &[(4, 90)]),
+        ]);
         let (m, binding) = analyze(&steps);
         assert_eq!(
             m.allocations, 2,
@@ -256,10 +256,7 @@ mod tests {
         // replay binding must leave its id alone — rewriting it would
         // disconnect the L2 residency it carries across plan executions.
         // Buffer 8 is written first: a plan temporary, slot-bound.
-        let steps = vec![
-            launch(&[(7, 1024)], &[(8, 1024)]),
-            launch(&[(8, 1024)], &[]),
-        ];
+        let steps = launches(&[(&[(7, 1024)], &[(8, 1024)]), (&[(8, 1024)], &[])]);
         let (m, binding) = analyze(&steps);
         assert_eq!(m.buffers, 2, "external buffers still count");
         assert_eq!(m.allocations, 2, "and still occupy a pool slot");
@@ -273,14 +270,14 @@ mod tests {
         );
         // An in-place first touch (read + write of the same buffer in one
         // launch) classifies as external too: the data pre-existed.
-        let steps = vec![launch(&[(9, 64)], &[(9, 64)])];
+        let steps = launches(&[(&[(9, 64)], &[(9, 64)])]);
         let (_, binding) = analyze(&steps);
         assert!(!binding.contains_key(&BufferId(9)));
     }
 
     #[test]
     fn empty_plan_is_zero() {
-        let (m, binding) = analyze(&[]);
+        let (m, binding) = analyze(&EventLog::default());
         assert_eq!(m, MemPlan::default());
         assert_eq!(m.reuse_rate(), 0.0);
         assert!(binding.is_empty());
@@ -288,7 +285,7 @@ mod tests {
 
     #[test]
     fn footprint_is_max_single_access() {
-        let steps = vec![launch(&[(1, 100)], &[]), launch(&[(1, 900)], &[])];
+        let steps = launches(&[(&[(1, 100)], &[]), (&[(1, 900)], &[])]);
         let (m, _) = analyze(&steps);
         assert_eq!(m.peak_device_bytes, 900);
     }

@@ -16,7 +16,7 @@
 //!   engine (api)          Ciphertext ops (ops/*, poly.rs)
 //!        │                        │   record, don't time
 //!        ▼                        ▼
-//!   [`ExecGraph`]   — kernel nodes + fences, as captured
+//!   [`ExecGraph`]   — the capture's flat event log: launches + fences
 //!        │  planning pass ([`Planner`])
 //!        ▼
 //!   [`ExecPlan`]    — fused launches, streams reassigned
@@ -30,11 +30,15 @@
 //! **Recording.** Ops run inside
 //! [`CkksContext::scheduled`](crate::CkksContext::scheduled), which opens a
 //! capture region on the
-//! simulated device: each would-be launch becomes a [`KernelNode`] carrying
-//! its stream, limb-batch descriptor and kind; each
-//! `sync_batch_streams` becomes a barrier, splitting the graph into
+//! simulated device: each would-be launch is appended to the capture's
+//! [`EventLog`](fides_gpu_sim::EventLog) — a header (stream, kind, int32
+//! ops, access efficiency) plus its `(BufferId, bytes)` reads and writes in
+//! one shared arena, so recording allocates nothing per launch; each
+//! `sync_batch_streams` appends a fence, splitting the graph into
 //! segments at the cross-limb sync points (rescale's SwitchModulus handoff,
-//! base conversion in key switching). Functional math still runs eagerly —
+//! base conversion in key switching). The graph, the plan's steps, the
+//! replay input and the persisted `PLAN` payload are all that one log
+//! type. Functional math still runs eagerly —
 //! CKKS server kernels are data-oblivious, so the *results* never depend on
 //! the schedule, only the timing does.
 //!
@@ -141,8 +145,8 @@ mod topo;
 
 pub use cache::{fingerprint, plan_parallel, BoundPlan, PlanCache};
 pub use exec::GpuReplayExecutor;
-pub use graph::{ExecGraph, GraphOp, KernelNode};
+pub use graph::ExecGraph;
 pub use mem::MemPlan;
 pub use persist::{decode_plan_entry, encode_plan_entry, plan_entry_len, write_plan_entry};
-pub use plan::{ExecPlan, PlanConfig, PlanStep, Planner, SchedStats};
+pub use plan::{ExecPlan, PlanConfig, Planner, SchedStats};
 pub use topo::CostModel;

@@ -4,7 +4,7 @@
 //! The record framing (magic, version, per-record CRC) lives in
 //! [`fides_client::persist`]; this module only encodes the payload,
 //! because an [`ExecPlan`] references scheduler and simulator types
-//! (`KernelDesc`, `BufferId`) the client crate deliberately does not know.
+//! (`EventLog`, `BufferId`) the client crate deliberately does not know.
 //!
 //! A serialized entry is `(fingerprint, plan, binding)` — exactly what
 //! [`PlanCache`](super::PlanCache) holds. Buffer ids in the plan are the
@@ -24,9 +24,9 @@ use std::collections::HashMap;
 
 use bytes::{Buf, BufMut};
 use fides_client::ClientError;
-use fides_gpu_sim::{BufferId, KernelDesc, KernelKind};
+use fides_gpu_sim::{Access, BufferId, Event, EventLog, KernelDesc, KernelKind, Launch};
 
-use super::plan::{ExecPlan, PlanStep, SchedStats};
+use super::plan::{ExecPlan, SchedStats};
 
 const STEP_LAUNCH: u8 = 0;
 const STEP_FENCE: u8 = 1;
@@ -76,7 +76,7 @@ fn kind_from_tag(tag: u8) -> Result<Option<KernelKind>, ClientError> {
     })
 }
 
-fn put_access_list(buf: &mut impl BufMut, list: &[(BufferId, u64)]) {
+fn put_access_list(buf: &mut impl BufMut, list: &[Access]) {
     buf.put_u32(list.len() as u32);
     for &(BufferId(id), bytes) in list {
         buf.put_u64_le(id);
@@ -84,82 +84,115 @@ fn put_access_list(buf: &mut impl BufMut, list: &[(BufferId, u64)]) {
     }
 }
 
-fn get_access_list(buf: &mut &[u8]) -> Result<Vec<(BufferId, u64)>, ClientError> {
+/// Checks that a whole access list is present and returns its length.
+fn access_list_len(buf: &[u8]) -> Result<usize, ClientError> {
     need(buf, 4, "access-list header")?;
+    let n = (&buf[..4]).get_u32() as usize;
+    need(&buf[4..], n.saturating_mul(16), "access-list entries")?;
+    Ok(n)
+}
+
+/// Reads one access list whose presence [`access_list_len`] checked.
+fn get_access_list(buf: &mut &[u8], mut entry: impl FnMut(BufferId, u64)) {
     let n = buf.get_u32() as usize;
-    need(buf, n.saturating_mul(16), "access-list entries")?;
-    let mut list = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         let id = buf.get_u64_le();
         let bytes = buf.get_u64_le();
-        list.push((BufferId(id), bytes));
+        entry(BufferId(id), bytes);
     }
-    Ok(list)
 }
 
-fn put_desc(buf: &mut impl BufMut, desc: &KernelDesc) {
-    buf.put_u8(kind_tag(desc.kind));
-    put_access_list(buf, &desc.reads);
-    put_access_list(buf, &desc.writes);
-    buf.put_u64_le(desc.int32_ops);
-    buf.put_f64(desc.access_efficiency);
+fn put_launch(buf: &mut impl BufMut, launch: &Launch<'_>) {
+    buf.put_u8(STEP_LAUNCH);
+    buf.put_u32(launch.stream as u32);
+    buf.put_u8(kind_tag(launch.desc.kind));
+    put_access_list(buf, launch.reads);
+    put_access_list(buf, launch.writes);
+    buf.put_u64_le(launch.desc.int32_ops);
+    buf.put_f64(launch.desc.access_efficiency);
 }
 
-fn get_desc(buf: &mut &[u8]) -> Result<KernelDesc, ClientError> {
-    need(buf, 1, "kernel descriptor")?;
-    let kind = kind_from_tag(buf.get_u8())?;
-    let reads = get_access_list(buf)?;
-    let writes = get_access_list(buf)?;
-    need(buf, 16, "kernel descriptor tail")?;
-    let int32_ops = buf.get_u64_le();
-    let access_efficiency = buf.get_f64();
+/// Decodes one launch (after its step tag) straight into `log`. The whole
+/// record is bounds-checked first, so the log never holds half a launch.
+fn get_launch(buf: &mut &[u8], log: &mut EventLog) -> Result<(), ClientError> {
+    need(buf, 4, "launch stream")?;
+    need(&buf[4..], 1, "kernel descriptor")?;
+    let kind = kind_from_tag(buf[4])?;
+    let reads_at = 5;
+    let n_reads = access_list_len(&buf[reads_at..])?;
+    let writes_at = reads_at + 4 + 16 * n_reads;
+    let n_writes = access_list_len(&buf[writes_at..])?;
+    let tail_at = writes_at + 4 + 16 * n_writes;
+    need(&buf[tail_at..], 16, "kernel descriptor tail")?;
+    let mut tail = &buf[tail_at..tail_at + 16];
+    let int32_ops = tail.get_u64_le();
+    let access_efficiency = tail.get_f64();
     // The builder asserts this invariant; a decoder must reject instead.
     if !(access_efficiency > 0.0 && access_efficiency <= 1.0) {
         return Err(ClientError::Serialization(format!(
             "kernel access efficiency {access_efficiency} outside (0, 1]"
         )));
     }
-    Ok(KernelDesc {
+    let stream = buf.get_u32() as usize;
+    *buf = &buf[1..];
+    let desc = KernelDesc {
         kind,
-        reads,
-        writes,
         int32_ops,
         access_efficiency,
-    })
+    };
+    log.launch(stream, desc, |d| {
+        get_access_list(buf, |b, bytes| {
+            d.read(b, bytes);
+        });
+        get_access_list(buf, |b, bytes| {
+            d.write(b, bytes);
+        });
+    });
+    *buf = &buf[16..];
+    Ok(())
 }
 
-fn put_stream_list(buf: &mut impl BufMut, list: &[usize]) {
+fn put_stream_list(buf: &mut impl BufMut, list: &[u32]) {
     buf.put_u32(list.len() as u32);
     for &s in list {
-        buf.put_u32(s as u32);
+        buf.put_u32(s);
     }
 }
 
-fn get_stream_list(buf: &mut &[u8]) -> Result<Vec<usize>, ClientError> {
+/// Checks that a whole stream list is present and returns its length.
+fn stream_list_len(buf: &[u8]) -> Result<usize, ClientError> {
     need(buf, 4, "stream-list header")?;
-    let n = buf.get_u32() as usize;
-    need(buf, n.saturating_mul(4), "stream-list entries")?;
-    let mut list = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        list.push(buf.get_u32() as usize);
-    }
-    Ok(list)
+    let n = (&buf[..4]).get_u32() as usize;
+    need(&buf[4..], n.saturating_mul(4), "stream-list entries")?;
+    Ok(n)
+}
+
+/// Decodes one fence (after its step tag) straight into `log`.
+fn get_fence(buf: &mut &[u8], log: &mut EventLog) -> Result<(), ClientError> {
+    let bytes: &[u8] = buf;
+    let n_signals = stream_list_len(bytes)?;
+    let waiters_at = 4 + 4 * n_signals;
+    let n_waiters = stream_list_len(&bytes[waiters_at..])?;
+    let ids = |at: usize, n: usize| {
+        bytes[at..at + 4 * n]
+            .chunks_exact(4)
+            .map(|mut id| id.get_u32() as usize)
+    };
+    log.fence(ids(4, n_signals), ids(waiters_at + 4, n_waiters));
+    *buf = &bytes[waiters_at + 4 + 4 * n_waiters..];
+    Ok(())
 }
 
 /// Length of the [`write_plan_entry`] payload, from the step and list
 /// counts alone.
 pub fn plan_entry_len(plan: &ExecPlan, binding: &[BufferId]) -> usize {
-    let steps = plan.steps.iter();
-    let steps_len: usize = steps
-        .map(|step| match step {
-            PlanStep::Launch { desc, .. } => {
-                1 + 4 + 1 + (4 + 16 * desc.reads.len()) + (4 + 16 * desc.writes.len()) + 16
-            }
-            PlanStep::Fence { signals, waiters } => {
-                1 + (4 + 4 * signals.len()) + (4 + 4 * waiters.len())
-            }
-        })
-        .sum();
+    let log = &plan.steps;
+    let launch_len = 1 + 4 + 1 + 4 + 4 + 16;
+    let fence_len = 1 + 4 + 4;
+    let steps_len = launch_len * log.launches()
+        + 16 * log.access_count()
+        + fence_len * log.fences()
+        + 4 * log.fence_stream_count();
     (8 + 4 + 8 * binding.len()) + (4 + steps_len) + 8 * (6 + 3) + (4 + 16 * plan.slots.len())
 }
 
@@ -173,14 +206,10 @@ pub fn write_plan_entry(buf: &mut impl BufMut, fp: u64, plan: &ExecPlan, binding
         buf.put_u64_le(id);
     }
     buf.put_u32(plan.steps.len() as u32);
-    for step in &plan.steps {
+    for step in plan.steps.iter() {
         match step {
-            PlanStep::Launch { stream, desc } => {
-                buf.put_u8(STEP_LAUNCH);
-                buf.put_u32(*stream as u32);
-                put_desc(buf, desc);
-            }
-            PlanStep::Fence { signals, waiters } => {
+            Event::Launch(launch) => put_launch(buf, &launch),
+            Event::Fence { signals, waiters } => {
                 buf.put_u8(STEP_FENCE);
                 put_stream_list(buf, signals);
                 put_stream_list(buf, waiters);
@@ -245,21 +274,12 @@ pub fn decode_plan_entry(
     }
     need(buf, 4, "plan step count")?;
     let n_steps = buf.get_u32() as usize;
-    let mut steps = Vec::with_capacity(n_steps.min(1 << 16));
+    let mut steps = EventLog::default();
     for _ in 0..n_steps {
         need(buf, 1, "plan step tag")?;
         match buf.get_u8() {
-            STEP_LAUNCH => {
-                need(buf, 4, "launch stream")?;
-                let stream = buf.get_u32() as usize;
-                let desc = get_desc(buf)?;
-                steps.push(PlanStep::Launch { stream, desc });
-            }
-            STEP_FENCE => {
-                let signals = get_stream_list(buf)?;
-                let waiters = get_stream_list(buf)?;
-                steps.push(PlanStep::Fence { signals, waiters });
-            }
+            STEP_LAUNCH => get_launch(buf, &mut steps)?,
+            STEP_FENCE => get_fence(buf, &mut steps)?,
             t => {
                 return Err(ClientError::Serialization(format!(
                     "invalid plan step tag {t}"
@@ -309,29 +329,17 @@ pub fn decode_plan_entry(
 mod tests {
     use super::*;
     use crate::sched::{fingerprint, ExecGraph, PlanConfig, Planner};
-    use fides_gpu_sim::GraphEvent;
 
     fn sample_graph() -> ExecGraph {
-        ExecGraph::from_events(vec![
-            GraphEvent::Launch {
-                stream: 0,
-                desc: KernelDesc::new(KernelKind::Elementwise)
-                    .read(BufferId(10), 4096)
-                    .write(BufferId(11), 4096)
-                    .ops(1000),
-            },
-            GraphEvent::Fence {
-                signals: vec![0],
-                waiters: vec![1],
-            },
-            GraphEvent::Launch {
-                stream: 1,
-                desc: KernelDesc::new(KernelKind::NttPhase1)
-                    .read(BufferId(11), 8192)
-                    .write(BufferId(12), 8192)
-                    .ops(5000),
-            },
-        ])
+        let mut log = EventLog::default();
+        log.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(1000), |d| {
+            d.read(BufferId(10), 4096).write(BufferId(11), 4096);
+        });
+        log.fence([0], [1]);
+        log.launch(1, KernelDesc::new(KernelKind::NttPhase1).ops(5000), |d| {
+            d.read(BufferId(11), 8192).write(BufferId(12), 8192);
+        });
+        ExecGraph::from(log)
     }
 
     #[test]
@@ -349,6 +357,75 @@ mod tests {
         assert_eq!(plan.stats(), plan2.stats());
         assert_eq!(plan.mem(), plan2.mem());
         assert_eq!(payload, encode_plan_entry(fp2, &plan2, &binding2));
+    }
+
+    /// A random graph: launches on streams 0..8 with 0..40 aliased
+    /// accesses each, random kinds, op counts and efficiencies, and fences
+    /// over random stream subsets (xorshift from `seed`).
+    fn random_graph(seed: u64) -> ExecGraph {
+        let mut x = seed | 1;
+        let mut below = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut log = EventLog::default();
+        for _ in 0..below(120) {
+            if below(6) == 0 {
+                let signals: Vec<usize> = (0..8).filter(|_| below(3) == 0).collect();
+                let waiters: Vec<usize> = (0..8).filter(|_| below(3) == 0).collect();
+                log.fence(signals, waiters);
+                continue;
+            }
+            let stream = below(8) as usize;
+            let mut desc = KernelDesc::new(KernelKind::ALL[below(10) as usize])
+                .ops(below(1 << 30))
+                .access_efficiency((1 + below(100)) as f64 / 100.0);
+            if below(10) == 0 {
+                desc.kind = None;
+            }
+            let accesses = below(41);
+            log.launch(stream, desc, |d| {
+                for _ in 0..accesses {
+                    let (buf, bytes) = (BufferId(below(24)), 1 << below(28));
+                    if below(2) == 0 {
+                        d.read(buf, bytes);
+                    } else {
+                        d.write(buf, bytes);
+                    }
+                }
+            });
+        }
+        ExecGraph::from(log)
+    }
+
+    #[test]
+    fn random_plans_reencode_byte_identically() {
+        for seed in 0..64u64 {
+            let graph = random_graph(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            for fuse_elementwise in [true, false] {
+                let cfg = PlanConfig {
+                    fuse_elementwise,
+                    ..PlanConfig::default()
+                };
+                let (fp, binding) = fingerprint(&graph, &cfg);
+                let plan = Planner::new(cfg).plan(&graph);
+                let payload = encode_plan_entry(fp, &plan, &binding);
+                assert_eq!(payload.len(), plan_entry_len(&plan, &binding));
+                let (fp2, plan2, binding2) = decode_plan_entry(&payload).unwrap();
+                assert!(plan2.steps().iter().eq(plan.steps().iter()), "seed {seed}");
+                assert_eq!(payload, encode_plan_entry(fp2, &plan2, &binding2));
+                // The recorded graph itself, stored as a plan's steps.
+                let raw = ExecPlan {
+                    steps: graph.log().clone(),
+                    ..ExecPlan::default()
+                };
+                let payload = encode_plan_entry(fp, &raw, &binding);
+                let (_, raw2, _) = decode_plan_entry(&payload).unwrap();
+                assert_eq!(payload, encode_plan_entry(fp, &raw2, &binding));
+            }
+        }
     }
 
     #[test]
@@ -373,17 +450,18 @@ mod tests {
     fn bad_efficiency_and_tags_are_typed_errors() {
         // Hand-build a launch whose efficiency is 0: must be rejected, not
         // asserted on.
+        let mut steps = EventLog::default();
+        steps.launch(
+            0,
+            KernelDesc {
+                kind: Some(KernelKind::Fill),
+                int32_ops: 0,
+                access_efficiency: 1.0,
+            },
+            |_| {},
+        );
         let plan = ExecPlan {
-            steps: vec![PlanStep::Launch {
-                stream: 0,
-                desc: KernelDesc {
-                    kind: Some(KernelKind::Fill),
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                    int32_ops: 0,
-                    access_efficiency: 1.0,
-                },
-            }],
+            steps,
             ..ExecPlan::default()
         };
         let mut payload = encode_plan_entry(1, &plan, &[]);

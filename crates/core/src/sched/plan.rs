@@ -1,6 +1,6 @@
 //! The planning pass's configuration, plan representation and entry point.
 
-use fides_gpu_sim::{KernelDesc, KernelKind};
+use fides_gpu_sim::{Access, EventLog, KernelDesc, KernelKind, Launch};
 
 use super::graph::ExecGraph;
 
@@ -71,18 +71,17 @@ impl SchedStats {
     }
 }
 
-/// One planned step: a launch (`stream` below the plan's stream count,
-/// `desc` possibly fused) or an event fence. Plans speak the capture's own
-/// launch/fence vocabulary, so a plan's step list is exactly what
-/// [`GpuSim::replay`](fides_gpu_sim::GpuSim::replay) consumes — borrowed,
-/// never copied.
-pub type PlanStep = fides_gpu_sim::GraphEvent;
-
 /// The scheduled form of an [`ExecGraph`]: launches (possibly fused) plus
 /// fences, ready for the [`GpuReplayExecutor`](super::GpuReplayExecutor).
+///
+/// The steps are an [`EventLog`], the capture's own representation — every
+/// launch on a stream below the plan's stream count, its descriptor
+/// possibly fused — so they are exactly what
+/// [`GpuSim::replay`](fides_gpu_sim::GpuSim::replay) consumes, borrowed,
+/// never copied.
 #[derive(Clone, Debug, Default)]
 pub struct ExecPlan {
-    pub(crate) steps: Vec<PlanStep>,
+    pub(crate) steps: EventLog,
     pub(crate) stats: SchedStats,
     pub(crate) mem: super::mem::MemPlan,
     /// Buffer → liveness-pool slot binding; lets the replay executor alias
@@ -108,14 +107,11 @@ impl ExecPlan {
 
     /// Number of kernel launches the plan issues.
     pub fn launch_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, PlanStep::Launch { .. }))
-            .count()
+        self.steps.launches()
     }
 
     /// The planned steps in issue order.
-    pub fn steps(&self) -> &[PlanStep] {
+    pub fn steps(&self) -> &EventLog {
         &self.steps
     }
 }
@@ -155,6 +151,37 @@ impl Planner {
     }
 }
 
+/// A launch being assembled by fusion: a descriptor with its own access
+/// lists, grown by [`merge`]. Planner-internal; a finished plan stores its
+/// launches flat in [`ExecPlan::steps`].
+#[derive(Clone, Debug)]
+pub(crate) struct Fused {
+    pub(crate) desc: KernelDesc,
+    pub(crate) reads: Vec<Access>,
+    pub(crate) writes: Vec<Access>,
+}
+
+impl Fused {
+    /// A copy of one recorded launch.
+    pub(crate) fn of(launch: &Launch<'_>) -> Self {
+        Self {
+            desc: launch.desc,
+            reads: launch.reads.to_vec(),
+            writes: launch.writes.to_vec(),
+        }
+    }
+
+    /// The fused launch, issued on `stream`.
+    pub(crate) fn on(&self, stream: usize) -> Launch<'_> {
+        Launch {
+            stream,
+            desc: self.desc,
+            reads: &self.reads,
+            writes: &self.writes,
+        }
+    }
+}
+
 /// Merges a follower launch into a chain head: compute accumulates, the
 /// conservative access efficiency wins, mixed kinds degrade to the generic
 /// elementwise label — and traffic dedups. A buffer the chain has already
@@ -163,19 +190,20 @@ impl Planner {
 /// are elided. This is the bandwidth saving that makes elementwise fusion
 /// profitable on a memory-bound device. (Shared by the scheduler's
 /// pre-fusion and emission-fusion stages.)
-pub(crate) fn merge(into: &mut KernelDesc, next: &KernelDesc) {
-    for &(buf, bytes) in &next.reads {
+pub(crate) fn merge(into: &mut Fused, next: &Launch<'_>) {
+    for &(buf, bytes) in next.reads {
         let written = into.writes.iter().any(|&(b, _)| b == buf);
         let read = into.reads.iter().any(|&(b, _)| b == buf);
         if !written && !read {
             into.reads.push((buf, bytes));
         }
     }
-    for &(buf, bytes) in &next.writes {
+    for &(buf, bytes) in next.writes {
         if !into.writes.iter().any(|&(b, _)| b == buf) {
             into.writes.push((buf, bytes));
         }
     }
+    let (into, next) = (&mut into.desc, &next.desc);
     into.int32_ops += next.int32_ops;
     if next.access_efficiency < into.access_efficiency {
         into.access_efficiency = next.access_efficiency;
@@ -188,24 +216,25 @@ pub(crate) fn merge(into: &mut KernelDesc, next: &KernelDesc) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fides_gpu_sim::{BufferId, GraphEvent};
+    use fides_gpu_sim::{BufferId, Event};
 
     /// An in-place elementwise launch over `bytes` of `buf`.
-    fn ew(stream: usize, buf: u64, bytes: u64, ops: u64) -> GraphEvent {
-        GraphEvent::Launch {
+    fn ew(log: &mut EventLog, stream: usize, buf: u64, bytes: u64, ops: u64) {
+        log.launch(
             stream,
-            desc: KernelDesc::new(KernelKind::Elementwise)
-                .read(BufferId(buf), bytes)
-                .write(BufferId(buf), bytes)
-                .ops(ops),
-        }
+            KernelDesc::new(KernelKind::Elementwise).ops(ops),
+            |d| {
+                d.read(BufferId(buf), bytes).write(BufferId(buf), bytes);
+            },
+        );
     }
 
-    fn ntt(stream: usize) -> GraphEvent {
-        GraphEvent::Launch {
+    fn ntt(log: &mut EventLog, stream: usize) {
+        log.launch(
             stream,
-            desc: KernelDesc::new(KernelKind::NttPhase1).ops(10),
-        }
+            KernelDesc::new(KernelKind::NttPhase1).ops(10),
+            |_| {},
+        );
     }
 
     fn planner(fuse: bool, max_fuse: usize) -> Planner {
@@ -217,11 +246,11 @@ mod tests {
         })
     }
 
-    fn launches(plan: &ExecPlan) -> Vec<&KernelDesc> {
+    fn launches(plan: &ExecPlan) -> Vec<Launch<'_>> {
         plan.steps()
             .iter()
             .filter_map(|s| match s {
-                PlanStep::Launch { desc, .. } => Some(desc),
+                Event::Launch(l) => Some(l),
                 _ => None,
             })
             .collect()
@@ -231,19 +260,18 @@ mod tests {
     fn fuses_same_stream_elementwise_chains() {
         // Stream 0 touches buffer 1 twice, then buffer 2; stream 1 is a
         // long independent launch the scheduler keeps on its own stream.
-        let g = ExecGraph::from_events(vec![
-            ew(0, 1, 1024, 5),
-            ew(0, 1, 1024, 7),
-            ew(0, 2, 1024, 3),
-            ew(1, 3, 64 << 20, 11),
-        ]);
-        let plan = planner(true, 8).plan(&g);
+        let mut log = EventLog::default();
+        ew(&mut log, 0, 1, 1024, 5);
+        ew(&mut log, 0, 1, 1024, 7);
+        ew(&mut log, 0, 2, 1024, 3);
+        ew(&mut log, 1, 3, 64 << 20, 11);
+        let plan = planner(true, 8).plan(&ExecGraph::from(log));
         assert_eq!(plan.launch_count(), 2, "stream-0 chain fused");
         assert_eq!(plan.stats().recorded_kernels, 4);
         assert_eq!(plan.stats().fused_kernels, 2);
         let fused = launches(&plan)
             .into_iter()
-            .find(|d| d.int32_ops == 15)
+            .find(|d| d.desc.int32_ops == 15)
             .expect("fused launch keeps the chain's op total");
         // Buffer 1's second read and write stay in registers: each buffer
         // is loaded once and stored once.
@@ -255,14 +283,13 @@ mod tests {
 
     #[test]
     fn fusion_off_replays_verbatim() {
-        let g = ExecGraph::from_events(vec![
-            ew(0, 1, 1024, 5),
-            ew(0, 2, 1024, 7),
-            ntt(0),
-            ew(0, 3, 1024, 1),
-        ]);
-        let plan = planner(false, 8).plan(&g);
-        let ops: Vec<u64> = launches(&plan).iter().map(|d| d.int32_ops).collect();
+        let mut log = EventLog::default();
+        ew(&mut log, 0, 1, 1024, 5);
+        ew(&mut log, 0, 2, 1024, 7);
+        ntt(&mut log, 0);
+        ew(&mut log, 0, 3, 1024, 1);
+        let plan = planner(false, 8).plan(&ExecGraph::from(log));
+        let ops: Vec<u64> = launches(&plan).iter().map(|d| d.desc.int32_ops).collect();
         assert_eq!(ops, vec![5, 7, 10, 1], "recorded order, nothing merged");
         assert_eq!(plan.stats().fused_kernels, 0);
     }
@@ -272,32 +299,34 @@ mod tests {
         // The second launch reads what the first wrote, across a recorded
         // barrier covering both streams: the open chain flushes at the
         // barrier instead of absorbing its dependent.
-        let g = ExecGraph::from_events(vec![
-            ew(0, 1, 1024, 5),
-            GraphEvent::Fence {
-                signals: vec![0, 1],
-                waiters: vec![0, 1],
-            },
-            ew(1, 1, 1024, 5),
-        ]);
-        let plan = planner(true, 8).plan(&g);
+        let mut log = EventLog::default();
+        ew(&mut log, 0, 1, 1024, 5);
+        log.fence([0, 1], [0, 1]);
+        ew(&mut log, 1, 1, 1024, 5);
+        let plan = planner(true, 8).plan(&ExecGraph::from(log));
         assert_eq!(plan.launch_count(), 2, "no fusion across a barrier");
         assert_eq!(plan.stats().fused_kernels, 0);
     }
 
     #[test]
     fn non_fusible_kinds_break_chains() {
-        let g = ExecGraph::from_events(vec![ew(0, 1, 1024, 5), ntt(0), ew(0, 2, 1024, 5)]);
-        let plan = planner(true, 8).plan(&g);
-        let ops: Vec<u64> = launches(&plan).iter().map(|d| d.int32_ops).collect();
+        let mut log = EventLog::default();
+        ew(&mut log, 0, 1, 1024, 5);
+        ntt(&mut log, 0);
+        ew(&mut log, 0, 2, 1024, 5);
+        let plan = planner(true, 8).plan(&ExecGraph::from(log));
+        let ops: Vec<u64> = launches(&plan).iter().map(|d| d.desc.int32_ops).collect();
         assert_eq!(ops, vec![5, 10, 5], "the NTT splits the chain in two");
     }
 
     #[test]
     fn max_fuse_caps_chain_length() {
-        let events: Vec<GraphEvent> = (0..10).map(|i| ew(0, i, 1024, 1)).collect();
-        let plan = planner(true, 4).plan(&ExecGraph::from_events(events));
-        let ops: Vec<u64> = launches(&plan).iter().map(|d| d.int32_ops).collect();
+        let mut log = EventLog::default();
+        for i in 0..10 {
+            ew(&mut log, 0, i, 1024, 1);
+        }
+        let plan = planner(true, 4).plan(&ExecGraph::from(log));
+        let ops: Vec<u64> = launches(&plan).iter().map(|d| d.desc.int32_ops).collect();
         assert_eq!(ops, vec![4, 4, 2], "10 kernels at cap 4 → 4+4+2");
     }
 }

@@ -7,7 +7,7 @@
 //! instead of hard-coded RTX 4090 numbers, so cost estimates stay honest
 //! when the simulated device is an A4500 or a V100.
 
-use fides_gpu_sim::{DeviceSpec, KernelDesc};
+use fides_gpu_sim::{DeviceSpec, Launch};
 
 /// First-order per-device cost constants used to rank and place units.
 ///
@@ -56,10 +56,10 @@ impl CostModel {
     /// A unit's estimated service time on its stream, µs: the max of its
     /// memory time (scaled by access efficiency), compute time, and the
     /// latency floor — the same roofline shape the timeline charges.
-    pub fn unit_cost(&self, desc: &KernelDesc) -> f64 {
-        let bytes = (desc.bytes_read() + desc.bytes_written()) as f64;
-        let mem = bytes / (self.bytes_per_us * desc.access_efficiency);
-        let compute = desc.int32_ops as f64 / self.ops_per_us;
+    pub fn unit_cost(&self, launch: &Launch<'_>) -> f64 {
+        let bytes = (launch.bytes_read() + launch.bytes_written()) as f64;
+        let mem = bytes / (self.bytes_per_us * launch.desc.access_efficiency);
+        let compute = launch.desc.int32_ops as f64 / self.ops_per_us;
         mem.max(compute).max(self.min_kernel_us)
     }
 
@@ -77,7 +77,16 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fides_gpu_sim::{BufferId, KernelKind};
+    use fides_gpu_sim::{Access, BufferId, KernelDesc, KernelKind};
+
+    fn launch(desc: KernelDesc, reads: &[Access]) -> Launch<'_> {
+        Launch {
+            stream: 0,
+            desc,
+            reads,
+            writes: &[],
+        }
+    }
 
     #[test]
     fn default_matches_historical_constants() {
@@ -106,13 +115,19 @@ mod tests {
     fn unit_cost_is_a_roofline() {
         let c = CostModel::default();
         // Tiny kernel: latency floor.
-        let tiny = KernelDesc::new(KernelKind::Elementwise).ops(10);
+        let tiny = launch(KernelDesc::new(KernelKind::Elementwise).ops(10), &[]);
         assert_eq!(c.unit_cost(&tiny), c.min_kernel_us);
         // Memory-bound kernel: traffic over bandwidth.
-        let memk = KernelDesc::new(KernelKind::Elementwise).read(BufferId(1), 64 << 20);
+        let memk = launch(
+            KernelDesc::new(KernelKind::Elementwise),
+            &[(BufferId(1), 64 << 20)],
+        );
         assert!(c.unit_cost(&memk) > (64 << 20) as f64 / c.bytes_per_us - 1e-9);
         // Compute-bound kernel: ops over throughput.
-        let compk = KernelDesc::new(KernelKind::NttPhase1).ops(1_000_000_000);
+        let compk = launch(
+            KernelDesc::new(KernelKind::NttPhase1).ops(1_000_000_000),
+            &[],
+        );
         assert!((c.unit_cost(&compk) - 1.0e9 / c.ops_per_us).abs() < 1e-9);
     }
 }

@@ -12,7 +12,8 @@ use fides_core::sched::{
     fingerprint, BoundPlan, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, Planner,
 };
 use fides_gpu_sim::{
-    BufferId, Capture, DeviceSpec, ExecMode, GpuSim, GraphEvent, KernelDesc, KernelKind, SimStats,
+    BufferId, Capture, DeviceSpec, Event, EventLog, ExecMode, GpuSim, KernelDesc, KernelKind,
+    SimStats,
 };
 
 /// Buffers of one generation of the graph: two caller-owned ciphertext
@@ -73,75 +74,72 @@ const KEY: u64 = 16 << 20;
 const TMP: u64 = 8 << 20;
 
 fn graph(ids: Ids) -> ExecGraph {
-    ExecGraph::from_events(events(ids))
+    ExecGraph::from(events(ids))
 }
 
-fn events(ids: Ids) -> Vec<GraphEvent> {
+fn events(ids: Ids) -> EventLog {
     let b = BufferId;
-    let launch = |stream: usize, desc: KernelDesc| GraphEvent::Launch { stream, desc };
-    let fence = || GraphEvent::Fence {
-        signals: vec![0, 1],
-        waiters: vec![0, 1],
-    };
-    vec![
-        launch(
-            0,
-            KernelDesc::new(KernelKind::NttPhase1)
-                .read(b(ids.x), EXT)
-                .write(b(ids.t0), TMP)
-                .ops(4_000_000),
-        ),
-        launch(
-            1,
-            KernelDesc::new(KernelKind::NttPhase1)
-                .read(b(ids.y), EXT)
-                .write(b(ids.t1), TMP)
-                .ops(4_000_000),
-        ),
-        fence(),
-        // A fusible same-stream chain over the temporaries and the key.
-        launch(
-            0,
-            KernelDesc::new(KernelKind::Elementwise)
-                .read(b(ids.t0), TMP)
+    let mut log = EventLog::default();
+    let fence = |log: &mut EventLog| log.fence([0, 1], [0, 1]);
+    log.launch(
+        0,
+        KernelDesc::new(KernelKind::NttPhase1).ops(4_000_000),
+        |d| {
+            d.read(b(ids.x), EXT).write(b(ids.t0), TMP);
+        },
+    );
+    log.launch(
+        1,
+        KernelDesc::new(KernelKind::NttPhase1).ops(4_000_000),
+        |d| {
+            d.read(b(ids.y), EXT).write(b(ids.t1), TMP);
+        },
+    );
+    fence(&mut log);
+    // A fusible same-stream chain over the temporaries and the key.
+    log.launch(
+        0,
+        KernelDesc::new(KernelKind::Elementwise).ops(1_000_000),
+        |d| {
+            d.read(b(ids.t0), TMP)
                 .read(b(ids.key), KEY)
-                .write(b(ids.t0), TMP)
-                .ops(1_000_000),
-        ),
-        launch(
-            0,
-            KernelDesc::new(KernelKind::Elementwise)
-                .read(b(ids.t0), TMP)
+                .write(b(ids.t0), TMP);
+        },
+    );
+    log.launch(
+        0,
+        KernelDesc::new(KernelKind::Elementwise).ops(1_000_000),
+        |d| {
+            d.read(b(ids.t0), TMP)
                 .read(b(ids.t1), TMP)
-                .write(b(ids.t2), TMP)
-                .ops(1_000_000),
-        ),
-        launch(
-            1,
-            KernelDesc::new(KernelKind::BaseConv)
-                .read(b(ids.t1), TMP)
-                .read(b(ids.key), KEY / 2)
-                .write(b(ids.t1), TMP)
-                .ops(9_000_000)
-                .access_efficiency(0.5),
-        ),
-        fence(),
-        // Results land back in the caller's buffers.
-        launch(
-            0,
-            KernelDesc::new(KernelKind::InttPhase2)
-                .read(b(ids.t2), TMP)
-                .write(b(ids.x), EXT)
-                .ops(4_000_000),
-        ),
-        launch(
-            1,
-            KernelDesc::new(KernelKind::SwitchModulus)
-                .read(b(ids.t1), TMP)
-                .write(b(ids.y), EXT)
-                .ops(500_000),
-        ),
-    ]
+                .write(b(ids.t2), TMP);
+        },
+    );
+    let base_conv = KernelDesc::new(KernelKind::BaseConv)
+        .ops(9_000_000)
+        .access_efficiency(0.5);
+    log.launch(1, base_conv, |d| {
+        d.read(b(ids.t1), TMP)
+            .read(b(ids.key), KEY / 2)
+            .write(b(ids.t1), TMP);
+    });
+    fence(&mut log);
+    // Results land back in the caller's buffers.
+    log.launch(
+        0,
+        KernelDesc::new(KernelKind::InttPhase2).ops(4_000_000),
+        |d| {
+            d.read(b(ids.t2), TMP).write(b(ids.x), EXT);
+        },
+    );
+    log.launch(
+        1,
+        KernelDesc::new(KernelKind::SwitchModulus).ops(500_000),
+        |d| {
+            d.read(b(ids.t1), TMP).write(b(ids.y), EXT);
+        },
+    );
+    log
 }
 
 fn cfg() -> PlanConfig {
@@ -279,10 +277,10 @@ fn hit_leaves_the_cached_plan_in_its_original_ids() {
         .steps()
         .iter()
         .filter_map(|s| match s {
-            GraphEvent::Launch { desc, .. } => Some(desc),
-            GraphEvent::Fence { .. } => None,
+            Event::Launch(l) => Some(l),
+            Event::Fence { .. } => None,
         })
-        .flat_map(|d| d.reads.iter().chain(&d.writes))
+        .flat_map(|l| l.reads.iter().chain(l.writes))
         .map(|&(b, _)| b.0)
         .collect();
     assert_eq!(
@@ -323,7 +321,7 @@ fn fresh_id_range_is_a_hint_not_part_of_the_key() {
     // part of the externals (6, 7) and the gap id 11. With or without it,
     // canonicalisation must agree, and so must the cache.
     let ids = GENERATIONS[1];
-    let plain = ExecGraph::from_events(events(ids));
+    let plain = ExecGraph::from(events(ids));
     let hinted = ExecGraph::from_capture(Capture {
         events: events(ids),
         fresh_ids: 6..13,

@@ -129,11 +129,12 @@ mod tests {
         let c = cluster(2);
         // Devices start at the same origin: identical work gives identical
         // makespans.
-        let desc = KernelDesc::new(KernelKind::Elementwise)
-            .read(BufferId(1), 1 << 20)
-            .ops(1_000_000);
-        c.device(0).launch(0, desc.clone(), || {});
-        c.device(1).launch(0, desc, || {});
+        let desc = KernelDesc::new(KernelKind::Elementwise).ops(1_000_000);
+        let reads = |d: &mut crate::Accesses<'_>| {
+            d.read(BufferId(1), 1 << 20);
+        };
+        c.device(0).launch(0, desc, reads).run(|| {});
+        c.device(1).launch(0, desc, reads).run(|| {});
         assert!((c.device(0).sync() - c.device(1).sync()).abs() < 1e-9);
         assert!(c.sync_all() >= c.device(0).sync());
     }
@@ -164,14 +165,16 @@ mod tests {
         let c = cluster(2);
         let d0 = c.device(0);
         let d1 = c.device(1);
-        d0.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(100), || {});
+        d0.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(100), |_| {})
+            .run(|| {});
         let host = d0.host_clock();
         assert!(host > 0.0, "launch charges the host clock");
         // Impose device 0's host clock on device 1 (shared submission
         // thread): device 1's next launch cannot be submitted earlier.
         d1.advance_host_to(host);
         assert!(d1.host_clock() >= host);
-        d1.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(100), || {});
+        d1.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(100), |_| {})
+            .run(|| {});
         assert!(d1.host_clock() > host);
     }
 }

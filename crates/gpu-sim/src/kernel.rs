@@ -9,8 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::mem::BufferId;
-
 /// int32-op cost of a wide (64×64→128) multiply.
 pub const WIDE_MUL_OPS: u64 = 10;
 /// int32-op cost of a low (64×64→64) multiply.
@@ -87,19 +85,18 @@ impl KernelKind {
     }
 }
 
-/// One kernel launch: which buffers it touches and how much work it does.
+/// What one kernel launch costs besides its memory traffic: its kind, its
+/// int32-equivalent op count and its access efficiency.
 ///
-/// `reads`/`writes` carry `(buffer, bytes)` pairs; the timeline model uses
-/// them for the L2 residency (hit/miss) model, so byte counts should reflect
-/// actual per-launch traffic, not allocation sizes.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// The buffers a launch touches are not part of the descriptor: they are
+/// recorded next to it, into the flat arena of an [`EventLog`]
+/// (see [`GpuSim::launch`](crate::GpuSim::launch)).
+///
+/// [`EventLog`]: crate::EventLog
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct KernelDesc {
     /// Kernel classification.
     pub kind: Option<KernelKind>,
-    /// Buffers read, with bytes read from each.
-    pub reads: Vec<(BufferId, u64)>,
-    /// Buffers written, with bytes written to each.
-    pub writes: Vec<(BufferId, u64)>,
     /// Total int32-equivalent operations executed.
     pub int32_ops: u64,
     /// Memory-access efficiency in `(0, 1]`: fraction of peak bandwidth the
@@ -113,23 +110,9 @@ impl KernelDesc {
     pub fn new(kind: KernelKind) -> Self {
         Self {
             kind: Some(kind),
-            reads: Vec::new(),
-            writes: Vec::new(),
             int32_ops: 0,
             access_efficiency: 1.0,
         }
-    }
-
-    /// Adds a read of `bytes` from `buf`.
-    pub fn read(mut self, buf: BufferId, bytes: u64) -> Self {
-        self.reads.push((buf, bytes));
-        self
-    }
-
-    /// Adds a write of `bytes` to `buf`.
-    pub fn write(mut self, buf: BufferId, bytes: u64) -> Self {
-        self.writes.push((buf, bytes));
-        self
     }
 
     /// Sets the int32-equivalent op count.
@@ -144,21 +127,12 @@ impl KernelDesc {
         self.access_efficiency = eff;
         self
     }
-
-    /// Total bytes read.
-    pub fn bytes_read(&self) -> u64 {
-        self.reads.iter().map(|&(_, b)| b).sum()
-    }
-
-    /// Total bytes written.
-    pub fn bytes_written(&self) -> u64 {
-        self.writes.iter().map(|&(_, b)| b).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BufferId, Event, EventLog};
 
     #[test]
     #[allow(clippy::assertions_on_constants)] // the orderings are the documented model
@@ -180,13 +154,16 @@ mod tests {
     fn builder_accumulates() {
         let b0 = BufferId(7);
         let b1 = BufferId(9);
-        let d = KernelDesc::new(KernelKind::Elementwise)
-            .read(b0, 100)
-            .read(b1, 50)
-            .write(b1, 50)
-            .ops(1234);
-        assert_eq!(d.bytes_read(), 150);
-        assert_eq!(d.bytes_written(), 50);
+        let mut log = EventLog::default();
+        let d = KernelDesc::new(KernelKind::Elementwise).ops(1234);
+        log.launch(0, d, |a| {
+            a.read(b0, 100).read(b1, 50).write(b1, 50);
+        });
+        let Some(Event::Launch(l)) = log.iter().next() else {
+            panic!("one launch")
+        };
+        assert_eq!(l.bytes_read(), 150);
+        assert_eq!(l.bytes_written(), 50);
         assert_eq!(d.int32_ops, 1234);
         assert_eq!(d.kind, Some(KernelKind::Elementwise));
         assert_eq!(d.access_efficiency, 1.0);

@@ -5,10 +5,14 @@
 //!
 //! The real FIDESlib expresses every server-side CKKS operation as GPU kernel
 //! launches on CUDA streams. This crate reproduces that execution model in
-//! pure Rust: library code wraps each unit of work in a [`KernelDesc`]
-//! (traffic + compute totals) and a closure with the actual math, and the
-//! simulator both *runs* the math (in [`ExecMode::Functional`]) and *times*
-//! the launch against a device model ([`DeviceSpec`], Table IV of the paper).
+//! pure Rust: library code describes each unit of work by a [`KernelDesc`]
+//! (kind + compute total) and the buffers it touches, plus a closure with the
+//! actual math, and the simulator both *runs* the math (in
+//! [`ExecMode::Functional`]) and *times* the launch against a device model
+//! ([`DeviceSpec`], Table IV of the paper). Launches and fences are recorded
+//! into a flat [`EventLog`] — a scratch one that is timed at once, or the
+//! open capture region's, which a scheduler plans and hands back to
+//! [`GpuSim::replay`].
 //!
 //! Because CKKS server operations are data-oblivious, the kernel schedule is
 //! identical whether or not the math runs — [`ExecMode::CostOnly`] produces
@@ -19,11 +23,11 @@
 //!
 //! let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::Functional);
 //! let mut v = VectorGpu::<u64>::from_vec(&gpu, vec![1, 2, 3, 4]);
-//! let desc = KernelDesc::new(KernelKind::Elementwise)
-//!     .read(v.buffer(), v.bytes())
-//!     .write(v.buffer(), v.bytes())
-//!     .ops(4 * fides_gpu_sim::ADD_OPS);
-//! gpu.launch(0, desc, || {
+//! let desc = KernelDesc::new(KernelKind::Elementwise).ops(4 * fides_gpu_sim::ADD_OPS);
+//! gpu.launch(0, desc, |d| {
+//!     d.read(v.buffer(), v.bytes()).write(v.buffer(), v.bytes());
+//! })
+//! .run(|| {
 //!     for x in v.as_mut_slice() {
 //!         *x += 1;
 //!     }
@@ -37,6 +41,7 @@
 mod cluster;
 mod device;
 mod kernel;
+mod log;
 mod mem;
 mod timeline;
 
@@ -51,6 +56,7 @@ pub use kernel::{
     KernelDesc, KernelKind, ADD_OPS, BARRETT_MULMOD_OPS, BUTTERFLY_OPS, LOW_MUL_OPS, MODADD_OPS,
     SHOUP_MULMOD_OPS, WIDE_MUL_OPS,
 };
+pub use log::{Access, Accesses, Event, EventLog, Launch};
 pub use mem::{BufferId, BufferIdHasher, BufferMap, Rebinding};
 pub use timeline::{KindStats, SimStats, StreamStats};
 
@@ -68,40 +74,44 @@ pub enum ExecMode {
     CostOnly,
 }
 
-/// One recorded device event, produced while a kernel-graph capture is
-/// active (see [`GpuSim::begin_capture`]).
-///
-/// Captured launches carry the exact descriptor and stream eager execution
-/// would have used; a scheduling layer may fuse and re-stream them, and hands
-/// the result back in the same vocabulary to [`GpuSim::replay`].
-#[derive(Clone, Debug)]
-pub enum GraphEvent {
-    /// A kernel launch deferred from the timeline.
-    Launch {
-        /// Stream the recording requested.
-        stream: usize,
-        /// Traffic/compute descriptor.
-        desc: KernelDesc,
-    },
-    /// An event fence: `waiters` wait for work recorded on `signals`.
-    Fence {
-        /// Streams whose recorded work is waited upon.
-        signals: Vec<usize>,
-        /// Streams that wait.
-        waiters: Vec<usize>,
-    },
-}
-
 /// What one closed capture region recorded (see [`GpuSim::end_capture`]).
 #[derive(Clone, Debug, Default)]
 pub struct Capture {
     /// The recorded launches and fences, in program order.
-    pub events: Vec<GraphEvent>,
+    pub events: EventLog,
     /// The [`BufferId`] values the device pool handed out while the region
     /// was open — the region's own allocations, plus any other thread's
     /// that landed in the same window. Buffers a region creates come from
     /// here; buffers it only reads mostly predate it.
     pub fresh_ids: std::ops::Range<u64>,
+}
+
+/// A launch whose timing is recorded; [`Launched::run`] runs its body.
+///
+/// Returned by [`GpuSim::launch`] so that the closure naming the buffers a
+/// kernel touches and the body mutating them never borrow the same data at
+/// once.
+#[must_use = "a launched kernel's body only runs through `run` or `map`"]
+#[derive(Debug)]
+pub struct Launched {
+    functional: bool,
+}
+
+impl Launched {
+    /// Runs `body` in functional mode; skips it in cost-only mode.
+    #[inline]
+    pub fn run(self, body: impl FnOnce()) {
+        if self.functional {
+            body();
+        }
+    }
+
+    /// Runs `body` and returns its value in functional mode, or `None` in
+    /// cost-only mode.
+    #[inline]
+    pub fn map<T>(self, body: impl FnOnce() -> T) -> Option<T> {
+        self.functional.then(body)
+    }
 }
 
 /// A simulated GPU: device model, timeline, memory pool and execution mode.
@@ -118,7 +128,10 @@ struct SimState {
     timeline: Timeline,
     pool: PoolState,
     /// Kernel-graph capture buffer (non-empty depth = capture active).
-    capture: Vec<GraphEvent>,
+    capture: EventLog,
+    /// The reused log eager launches and fences are recorded into and
+    /// timed from; empty between calls.
+    scratch: EventLog,
     capture_depth: usize,
     /// Thread owning the open capture. Capture is **per-thread**: launches
     /// from other threads keep executing eagerly (mutex-serialized, exactly
@@ -135,6 +148,19 @@ impl SimState {
     fn captured_by_current_thread(&self) -> bool {
         self.capture_depth > 0 && self.capture_owner == Some(std::thread::current().id())
     }
+
+    /// Appends one event through `push`: to the calling thread's open
+    /// capture, or to the scratch log, which is timed and cleared at once.
+    #[inline]
+    fn record(&mut self, push: impl FnOnce(&mut EventLog)) {
+        if self.captured_by_current_thread() {
+            push(&mut self.capture);
+        } else {
+            push(&mut self.scratch);
+            self.timeline.replay(&self.scratch, |buf| buf);
+            self.scratch.clear();
+        }
+    }
 }
 
 impl GpuSim {
@@ -145,7 +171,8 @@ impl GpuSim {
             state: Mutex::new(SimState {
                 timeline: Timeline::new(spec),
                 pool: PoolState::default(),
-                capture: Vec::new(),
+                capture: EventLog::default(),
+                scratch: EventLog::default(),
                 capture_depth: 0,
                 capture_owner: None,
                 capture_first_id: 0,
@@ -170,55 +197,37 @@ impl GpuSim {
         self.state.lock().timeline.spec().clone()
     }
 
-    /// Launches a kernel on `stream`: records its timing and, in functional
-    /// mode, runs `body` synchronously.
+    /// Launches a kernel on `stream`: records `desc` and the buffers
+    /// `accesses` names, and times the launch. Run the kernel's body through
+    /// the returned [`Launched`] — it executes in functional mode only.
     ///
     /// Under an active capture ([`Self::begin_capture`]) the timing is
-    /// deferred — the launch is recorded as a [`GraphEvent`] instead of
-    /// advancing the timeline — while the body still runs (CKKS kernels are
-    /// data-oblivious, so functional results never depend on the schedule).
-    pub fn launch<F: FnOnce()>(&self, stream: usize, desc: KernelDesc, body: F) {
-        {
-            let mut st = self.state.lock();
-            if st.captured_by_current_thread() {
-                st.capture.push(GraphEvent::Launch { stream, desc });
-            } else {
-                st.timeline.launch(stream, &desc);
-            }
-        }
-        if self.is_functional() {
-            body();
-        }
-    }
-
-    /// Launches a kernel whose body returns a value (functional mode), or
-    /// `None` in cost-only mode. Capture-aware like [`Self::launch`].
-    pub fn launch_map<T, F: FnOnce() -> T>(
+    /// deferred — the launch is appended to the capture's [`EventLog`]
+    /// instead of advancing the timeline — while the body still runs (CKKS
+    /// kernels are data-oblivious, so functional results never depend on the
+    /// schedule).
+    ///
+    /// `accesses` runs under the device lock: it must only name buffers,
+    /// never call back into this device.
+    #[inline]
+    pub fn launch(
         &self,
         stream: usize,
         desc: KernelDesc,
-        body: F,
-    ) -> Option<T> {
-        {
-            let mut st = self.state.lock();
-            if st.captured_by_current_thread() {
-                st.capture.push(GraphEvent::Launch { stream, desc });
-            } else {
-                st.timeline.launch(stream, &desc);
-            }
-        }
-        if self.is_functional() {
-            Some(body())
-        } else {
-            None
+        accesses: impl FnOnce(&mut Accesses<'_>),
+    ) -> Launched {
+        self.state
+            .lock()
+            .record(|log| log.launch(stream, desc, accesses));
+        Launched {
+            functional: self.is_functional(),
         }
     }
 
-    /// Replays a planned step list onto the timeline: every
-    /// [`GraphEvent::Launch`] advances the clocks and the ledger exactly as
-    /// [`Self::launch`] with an empty body would, every
-    /// [`GraphEvent::Fence`] as [`Self::fence`] would — under **one**
-    /// acquisition of the device lock, from borrowed descriptors.
+    /// Replays a planned log onto the timeline: every launch advances the
+    /// clocks and the ledger exactly as [`Self::launch`] would, every fence
+    /// as [`Self::fence`] would — under **one** acquisition of the device
+    /// lock, from the borrowed log.
     ///
     /// Each buffer a launch touches is presented to the L2 model as
     /// `rebind.get(buffer)`, which is how a cached plan recorded against
@@ -231,21 +240,13 @@ impl GpuSim {
     /// that was already recorded; feeding it back into a capture would
     /// record the plan a second time instead of timing it, so the caller
     /// must close its region ([`Self::end_capture`]) first.
-    pub fn replay(&self, steps: &[GraphEvent], rebind: &Rebinding) {
+    pub fn replay(&self, log: &EventLog, rebind: &Rebinding) {
         let mut st = self.state.lock();
         assert!(
             !st.captured_by_current_thread(),
             "GpuSim::replay inside the calling thread's open capture region"
         );
-        for step in steps {
-            match step {
-                GraphEvent::Launch { stream, desc } => {
-                    st.timeline
-                        .launch_mapped(*stream, desc, |buf| rebind.get(buf));
-                }
-                GraphEvent::Fence { signals, waiters } => st.timeline.fence(signals, waiters),
-            }
-        }
+        st.timeline.replay(log, |buf| rebind.get(buf));
     }
 
     /// Opens a kernel-graph capture region on the **calling thread**:
@@ -326,15 +327,9 @@ impl GpuSim {
     /// Event fence: streams in `waiters` wait for work recorded on
     /// `signals`. Recorded instead of applied while a capture is active.
     pub fn fence(&self, signals: &[usize], waiters: &[usize]) {
-        let mut st = self.state.lock();
-        if st.captured_by_current_thread() {
-            st.capture.push(GraphEvent::Fence {
-                signals: signals.to_vec(),
-                waiters: waiters.to_vec(),
-            });
-        } else {
-            st.timeline.fence(signals, waiters);
-        }
+        self.state
+            .lock()
+            .record(|log| log.fence(signals.iter().copied(), waiters.iter().copied()));
     }
 
     /// Records the memory plan of one scheduled graph: the liveness pass's
@@ -568,7 +563,8 @@ mod tests {
     fn functional_mode_runs_bodies() {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::Functional);
         let mut hits = 0;
-        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), || hits += 1);
+        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
+            .run(|| hits += 1);
         assert_eq!(hits, 1);
         assert!(gpu.is_functional());
     }
@@ -577,7 +573,8 @@ mod tests {
     fn cost_only_mode_skips_bodies_but_counts() {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
         let mut hits = 0;
-        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), || hits += 1);
+        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
+            .run(|| hits += 1);
         assert_eq!(hits, 0);
         assert_eq!(gpu.stats().kernel_launches, 1);
         assert!(gpu.sync() > 0.0);
@@ -586,10 +583,14 @@ mod tests {
     #[test]
     fn launch_map_returns_none_in_cost_only() {
         let gpu = GpuSim::new(DeviceSpec::v100(), ExecMode::CostOnly);
-        let r = gpu.launch_map(0, KernelDesc::new(KernelKind::Elementwise), || 42);
+        let r = gpu
+            .launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
+            .map(|| 42);
         assert_eq!(r, None);
         let gpu = GpuSim::new(DeviceSpec::v100(), ExecMode::Functional);
-        let r = gpu.launch_map(0, KernelDesc::new(KernelKind::Elementwise), || 42);
+        let r = gpu
+            .launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
+            .map(|| 42);
         assert_eq!(r, Some(42));
     }
 
@@ -630,13 +631,10 @@ mod tests {
     fn timing_is_monotonic_and_sync_stable() {
         let gpu = GpuSim::new(DeviceSpec::rtx_a4500(), ExecMode::CostOnly);
         let t0 = gpu.sync();
-        gpu.launch(
-            0,
-            KernelDesc::new(KernelKind::Elementwise)
-                .read(BufferId(1), 1 << 20)
-                .ops(1000),
-            || {},
-        );
+        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(1000), |d| {
+            d.read(BufferId(1), 1 << 20);
+        })
+        .run(|| {});
         let t1 = gpu.sync();
         assert!(t1 > t0);
         assert_eq!(gpu.sync(), t1);
@@ -645,7 +643,8 @@ mod tests {
     #[test]
     fn stats_reset_clears_ledger_only() {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
-        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(5), || {});
+        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise).ops(5), |_| {})
+            .run(|| {});
         let t1 = gpu.sync();
         gpu.reset_stats();
         assert_eq!(gpu.stats().kernel_launches, 0);
@@ -656,13 +655,16 @@ mod tests {
     #[test]
     fn per_kind_ledger_is_keyed_by_label() {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
-        let ntt = KernelDesc::new(KernelKind::NttPhase1).read(BufferId(1), 4096);
-        gpu.launch(0, ntt.clone(), || {});
-        gpu.launch(1, ntt, || {});
+        let ntt = KernelDesc::new(KernelKind::NttPhase1);
+        let reads = |d: &mut Accesses<'_>| {
+            d.read(BufferId(1), 4096);
+        };
+        gpu.launch(0, ntt, reads).run(|| {});
+        gpu.launch(1, ntt, reads).run(|| {});
         // A descriptor without a kind books as elementwise.
         let mut unlabelled = KernelDesc::new(KernelKind::Fill).ops(7);
         unlabelled.kind = None;
-        gpu.launch(0, unlabelled, || {});
+        gpu.launch(0, unlabelled, |_| {}).run(|| {});
         let s = gpu.stats();
         let counts: Vec<(&str, u64)> = s
             .per_kind
@@ -698,49 +700,55 @@ mod tests {
         gpu.launch(
             2,
             KernelDesc::new(KernelKind::Elementwise).ops(1000),
-            || hits += 1,
-        );
+            |_| {},
+        )
+        .run(|| hits += 1);
         gpu.fence(&[2], &[3]);
         assert_eq!(hits, 1, "body runs during capture");
         assert_eq!(gpu.stats().kernel_launches, 0, "timing deferred");
         let events = gpu.end_capture().events;
         assert_eq!(events.len(), 2);
-        assert!(matches!(events[0], GraphEvent::Launch { stream: 2, .. }));
-        assert!(matches!(events[1], GraphEvent::Fence { .. }));
+        assert!(matches!(
+            events.get(0),
+            Event::Launch(Launch { stream: 2, .. })
+        ));
+        assert!(matches!(events.get(1), Event::Fence { .. }));
         assert!(!gpu.is_capturing());
         // Replaying advances the ledger.
-        for ev in events {
+        for ev in events.iter() {
             match ev {
-                GraphEvent::Launch { stream, desc } => gpu.launch(stream, desc, || {}),
-                GraphEvent::Fence { signals, waiters } => gpu.fence(&signals, &waiters),
+                Event::Launch(l) => gpu
+                    .launch(l.stream, l.desc, |d| {
+                        for &(b, bytes) in l.reads {
+                            d.read(b, bytes);
+                        }
+                        for &(b, bytes) in l.writes {
+                            d.write(b, bytes);
+                        }
+                    })
+                    .run(|| {}),
+                Event::Fence { signals, waiters } => {
+                    let streams = |s: &[u32]| s.iter().map(|&s| s as usize).collect::<Vec<_>>();
+                    gpu.fence(&streams(signals), &streams(waiters))
+                }
             }
         }
         assert_eq!(gpu.stats().kernel_launches, 1);
     }
 
-    fn replay_steps() -> Vec<GraphEvent> {
+    fn replay_steps() -> EventLog {
         let mb = 1u64 << 20;
-        vec![
-            GraphEvent::Launch {
-                stream: 0,
-                desc: KernelDesc::new(KernelKind::NttPhase1)
-                    .read(BufferId(1), mb)
-                    .write(BufferId(2), mb)
-                    .ops(1000),
-            },
-            GraphEvent::Fence {
-                signals: vec![0],
-                waiters: vec![1],
-            },
-            GraphEvent::Launch {
-                stream: 1,
-                desc: KernelDesc::new(KernelKind::Elementwise)
-                    .read(BufferId(2), mb)
-                    .read(BufferId(3), mb)
-                    .write(BufferId(1), mb)
-                    .ops(500),
-            },
-        ]
+        let mut log = EventLog::default();
+        log.launch(0, KernelDesc::new(KernelKind::NttPhase1).ops(1000), |d| {
+            d.read(BufferId(1), mb).write(BufferId(2), mb);
+        });
+        log.fence([0], [1]);
+        log.launch(1, KernelDesc::new(KernelKind::Elementwise).ops(500), |d| {
+            d.read(BufferId(2), mb)
+                .read(BufferId(3), mb)
+                .write(BufferId(1), mb);
+        });
+        log
     }
 
     #[test]
@@ -757,16 +765,22 @@ mod tests {
         replayed.replay(&steps, &rebind);
 
         let eager = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
-        for step in &steps {
+        for step in steps.iter() {
             match step {
-                GraphEvent::Launch { stream, desc } => {
-                    let mut desc = desc.clone();
-                    for (buf, _) in desc.reads.iter_mut().chain(desc.writes.iter_mut()) {
-                        *buf = rebind.get(*buf);
-                    }
-                    eager.launch(*stream, desc, || {});
+                Event::Launch(l) => eager
+                    .launch(l.stream, l.desc, |d| {
+                        for &(buf, bytes) in l.reads {
+                            d.read(rebind.get(buf), bytes);
+                        }
+                        for &(buf, bytes) in l.writes {
+                            d.write(rebind.get(buf), bytes);
+                        }
+                    })
+                    .run(|| {}),
+                Event::Fence { signals, waiters } => {
+                    let streams = |s: &[u32]| s.iter().map(|&s| s as usize).collect::<Vec<_>>();
+                    eager.fence(&streams(signals), &streams(waiters))
                 }
-                GraphEvent::Fence { signals, waiters } => eager.fence(signals, waiters),
             }
         }
 
@@ -813,7 +827,8 @@ mod tests {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
         assert!(gpu.begin_capture());
         assert!(!gpu.begin_capture(), "nested region is not the owner");
-        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), || {});
+        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
+            .run(|| {});
         assert!(
             gpu.end_capture().events.is_empty(),
             "nested close returns nothing"
@@ -829,11 +844,13 @@ mod tests {
         // foreign thread's begin/end must not disturb the owner's region.
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
         assert!(gpu.begin_capture());
-        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), || {});
+        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
+            .run(|| {});
         std::thread::scope(|s| {
             s.spawn(|| {
                 assert!(!gpu.begin_capture(), "foreign thread cannot own");
-                gpu.launch(1, KernelDesc::new(KernelKind::Elementwise), || {});
+                gpu.launch(1, KernelDesc::new(KernelKind::Elementwise), |_| {})
+                    .run(|| {});
                 assert!(gpu.end_capture().events.is_empty());
                 assert!(!gpu.capturing_on_current_thread());
             });
@@ -851,20 +868,15 @@ mod tests {
     #[test]
     fn per_stream_stats_and_occupancy() {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
-        gpu.launch(
-            0,
-            KernelDesc::new(KernelKind::Elementwise)
-                .read(BufferId(1), 64 << 20)
-                .ops(1_000_000),
-            || {},
-        );
-        gpu.launch(
-            3,
-            KernelDesc::new(KernelKind::Elementwise)
-                .read(BufferId(2), 64 << 20)
-                .ops(1_000_000),
-            || {},
-        );
+        let desc = KernelDesc::new(KernelKind::Elementwise).ops(1_000_000);
+        gpu.launch(0, desc, |d| {
+            d.read(BufferId(1), 64 << 20);
+        })
+        .run(|| {});
+        gpu.launch(3, desc, |d| {
+            d.read(BufferId(2), 64 << 20);
+        })
+        .run(|| {});
         let s = gpu.stats();
         assert_eq!(s.active_streams(), 2);
         assert_eq!(s.per_stream.len(), 4);
@@ -880,11 +892,10 @@ mod tests {
     #[test]
     fn reset_stats_starts_new_occupancy_window() {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
-        gpu.launch(
-            0,
-            KernelDesc::new(KernelKind::Elementwise).read(BufferId(1), 1 << 20),
-            || {},
-        );
+        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |d| {
+            d.read(BufferId(1), 1 << 20);
+        })
+        .run(|| {});
         gpu.sync();
         gpu.reset_stats();
         let s = gpu.stats();

@@ -31,7 +31,8 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceSpec;
-use crate::kernel::{KernelDesc, KernelKind};
+use crate::kernel::KernelKind;
+use crate::log::{Event, EventLog, Launch};
 use crate::mem::{BufferId, BufferMap};
 
 /// Aggregated statistics for one kernel kind.
@@ -354,20 +355,34 @@ impl Timeline {
         &mut self.stream_ready[stream]
     }
 
-    /// Models one kernel launch; returns its completion time (µs).
-    pub(crate) fn launch(&mut self, stream: usize, desc: &KernelDesc) -> f64 {
-        self.launch_mapped(stream, desc, |buf| buf)
+    /// Times every event of `log` in order, each buffer a launch touches
+    /// presented to the L2 model as `map(buffer)`.
+    pub(crate) fn replay(&mut self, log: &EventLog, map: impl Fn(BufferId) -> BufferId) {
+        for event in log.iter() {
+            match event {
+                Event::Launch(launch) => {
+                    self.launch_mapped(&launch, &map);
+                }
+                Event::Fence { signals, waiters } => self.fence(signals, waiters),
+            }
+        }
     }
 
-    /// [`Self::launch`] with every buffer the descriptor touches presented
-    /// to the L2 model as `map(buffer)` — how a cached plan replays onto the
-    /// current graph's buffers without a rewritten copy of its descriptors.
+    /// Models one kernel launch; returns its completion time (µs).
+    #[cfg(test)]
+    pub(crate) fn launch(&mut self, launch: &Launch<'_>) -> f64 {
+        self.launch_mapped(launch, |buf| buf)
+    }
+
+    /// Models one kernel launch with every buffer it touches presented to
+    /// the L2 model as `map(buffer)` — how a cached plan replays onto the
+    /// current graph's buffers without a rewritten copy of its log.
     pub(crate) fn launch_mapped(
         &mut self,
-        stream: usize,
-        desc: &KernelDesc,
+        launch: &Launch<'_>,
         map: impl Fn(BufferId) -> BufferId,
     ) -> f64 {
+        let (stream, desc) = (launch.stream, &launch.desc);
         let kernel_launch_us = self.spec.kernel_launch_us;
         let min_kernel_us = self.spec.min_kernel_us;
         let dram_bytes_per_us = self.spec.dram_bytes_per_us();
@@ -381,7 +396,7 @@ impl Timeline {
         let mut hit_bytes = 0u64;
         let mut miss_bytes = 0u64;
         let mut writeback_bytes = 0u64;
-        for &(buf, bytes) in &desc.reads {
+        for &(buf, bytes) in launch.reads {
             let (hit, wb) = self.l2.touch(map(buf), bytes, false);
             if hit {
                 hit_bytes += bytes;
@@ -391,7 +406,7 @@ impl Timeline {
             writeback_bytes += wb;
         }
         let mut write_bytes = 0u64;
-        for &(buf, bytes) in &desc.writes {
+        for &(buf, bytes) in launch.writes {
             let (_, wb) = self.l2.touch(map(buf), bytes, true);
             write_bytes += bytes;
             writeback_bytes += wb;
@@ -491,13 +506,13 @@ impl Timeline {
 
     /// Makes streams in `waiters` wait for everything recorded on `signals`
     /// (event semantics).
-    pub(crate) fn fence(&mut self, signals: &[usize], waiters: &[usize]) {
+    pub(crate) fn fence(&mut self, signals: &[u32], waiters: &[u32]) {
         let mut t = 0.0f64;
         for &s in signals {
-            t = t.max(*self.stream_slot(s));
+            t = t.max(*self.stream_slot(s as usize));
         }
         for &w in waiters {
-            let slot = self.stream_slot(w);
+            let slot = self.stream_slot(w as usize);
             *slot = slot.max(t);
         }
     }
@@ -615,7 +630,8 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelKind;
+    use crate::kernel::KernelDesc;
+    use crate::log::Access;
     use proptest::prelude::*;
 
     impl L2Model {
@@ -724,14 +740,28 @@ mod tests {
         Timeline::new(DeviceSpec::rtx_4090())
     }
 
+    fn launch(
+        t: &mut Timeline,
+        stream: usize,
+        desc: KernelDesc,
+        reads: &[Access],
+        writes: &[Access],
+    ) -> f64 {
+        t.launch(&Launch {
+            stream,
+            desc,
+            reads,
+            writes,
+        })
+    }
+
     #[test]
     fn serial_kernels_on_one_stream() {
         let mut t = tl();
-        let d = KernelDesc::new(KernelKind::Elementwise)
-            .read(BufferId(1), 1 << 20)
-            .write(BufferId(2), 1 << 20);
-        let e1 = t.launch(0, &d);
-        let e2 = t.launch(0, &d);
+        let d = KernelDesc::new(KernelKind::Elementwise);
+        let (r, w) = ([(BufferId(1), 1 << 20)], [(BufferId(2), 1 << 20)]);
+        let e1 = launch(&mut t, 0, d, &r, &w);
+        let e2 = launch(&mut t, 0, d, &r, &w);
         assert!(e2 > e1);
     }
 
@@ -741,9 +771,9 @@ mod tests {
         // respect aggregate DRAM bandwidth (no free parallel speedup).
         let mut t = tl();
         let bytes = 512u64 << 20; // 512 MB reads, distinct buffers => misses
-        let mk = |i: u64| KernelDesc::new(KernelKind::Elementwise).read(BufferId(100 + i), bytes);
-        t.launch(0, &mk(0));
-        t.launch(1, &mk(1));
+        let d = KernelDesc::new(KernelKind::Elementwise);
+        launch(&mut t, 0, d, &[(BufferId(100), bytes)], &[]);
+        launch(&mut t, 1, d, &[(BufferId(101), bytes)], &[]);
         let spec = DeviceSpec::rtx_4090();
         let lower_bound = 2.0 * bytes as f64 / spec.dram_bytes_per_us();
         assert!(
@@ -759,10 +789,10 @@ mod tests {
         let mut t = tl();
         let buf = BufferId(5);
         let bytes = 4u64 << 20; // fits in 72MB L2
-        let d = KernelDesc::new(KernelKind::Elementwise).read(buf, bytes);
-        t.launch(0, &d);
+        let d = KernelDesc::new(KernelKind::Elementwise);
+        launch(&mut t, 0, d, &[(buf, bytes)], &[]);
         let miss_stats = t.stats.dram_read_bytes;
-        t.launch(0, &d);
+        launch(&mut t, 0, d, &[(buf, bytes)], &[]);
         assert_eq!(
             t.stats.dram_read_bytes, miss_stats,
             "second read should hit L2"
@@ -774,17 +804,12 @@ mod tests {
     fn working_set_beyond_l2_misses() {
         let mut t = tl();
         // Touch 100 buffers of 1MB each (100MB > 72MB), then re-read the first.
+        let d = KernelDesc::new(KernelKind::Elementwise);
         for i in 0..100 {
-            t.launch(
-                0,
-                &KernelDesc::new(KernelKind::Elementwise).read(BufferId(i), 1 << 20),
-            );
+            launch(&mut t, 0, d, &[(BufferId(i), 1 << 20)], &[]);
         }
         let before = t.stats.dram_read_bytes;
-        t.launch(
-            0,
-            &KernelDesc::new(KernelKind::Elementwise).read(BufferId(0), 1 << 20),
-        );
+        launch(&mut t, 0, d, &[(BufferId(0), 1 << 20)], &[]);
         assert_eq!(
             t.stats.dram_read_bytes,
             before + (1 << 20),
@@ -795,11 +820,9 @@ mod tests {
     #[test]
     fn launch_overhead_bounds_many_tiny_kernels() {
         let mut t = tl();
+        let d = KernelDesc::new(KernelKind::Elementwise);
         for i in 0..1000u64 {
-            t.launch(
-                (i % 8) as usize,
-                &KernelDesc::new(KernelKind::Elementwise).read(BufferId(i), 64),
-            );
+            launch(&mut t, (i % 8) as usize, d, &[(BufferId(i), 64)], &[]);
         }
         // 1000 launches × 2 µs host time ≥ 2000 µs regardless of stream count.
         assert!(t.makespan() >= 1000.0 * DeviceSpec::rtx_4090().kernel_launch_us);
@@ -808,22 +831,19 @@ mod tests {
     #[test]
     fn fence_orders_streams() {
         let mut t = tl();
-        let big = KernelDesc::new(KernelKind::Elementwise).read(BufferId(1), 256 << 20);
-        t.launch(0, &big);
+        let d = KernelDesc::new(KernelKind::Elementwise);
+        launch(&mut t, 0, d, &[(BufferId(1), 256 << 20)], &[]);
         let before = t.makespan();
         t.fence(&[0], &[3]);
-        let tiny = KernelDesc::new(KernelKind::Elementwise).read(BufferId(2), 64);
-        let end = t.launch(3, &tiny);
+        let end = launch(&mut t, 3, d, &[(BufferId(2), 64)], &[]);
         assert!(end >= before, "stream 3 must wait for stream 0");
     }
 
     #[test]
     fn sync_aligns_clocks() {
         let mut t = tl();
-        t.launch(
-            0,
-            &KernelDesc::new(KernelKind::Elementwise).read(BufferId(1), 1 << 20),
-        );
+        let d = KernelDesc::new(KernelKind::Elementwise);
+        launch(&mut t, 0, d, &[(BufferId(1), 1 << 20)], &[]);
         let m = t.sync_all();
         assert_eq!(t.makespan(), m);
         let m2 = t.sync_all();
@@ -834,7 +854,7 @@ mod tests {
     fn compute_bound_kernel_charged_by_ops() {
         let mut t = tl();
         let d = KernelDesc::new(KernelKind::BaseConv).ops(10_000_000_000); // 10 G int32 ops
-        let end = t.launch(0, &d);
+        let end = launch(&mut t, 0, d, &[], &[]);
         let spec = DeviceSpec::rtx_4090();
         let expect = 1e10 / spec.effective_int32_ops_per_us();
         assert!(

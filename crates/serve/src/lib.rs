@@ -27,9 +27,9 @@
 //!    matrices); a session adds only its own evaluation keys and preloaded
 //!    plaintext cache.
 //! 2. **Batches share one graph.** Each request records its kernels into
-//!    its own capture region; the tick merges the regions into a single
-//!    server-owned [`ExecGraph`](fides_core::ExecGraph) with a per-request
-//!    stream offset, so the planner's elementwise fusion applies across
+//!    its own capture region; the tick appends each region's event log onto
+//!    a single server-owned [`ExecGraph`](fides_core::ExecGraph) with a
+//!    per-request stream offset, so the planner's elementwise fusion applies across
 //!    request boundaries and the replay interleaves tenants over all
 //!    device streams.
 //! 3. **Results don't depend on the schedule.** Server-side CKKS kernels

@@ -19,7 +19,7 @@ use fides_core::sched::{
 };
 use fides_core::{adapter, CkksContext, CkksParameters, CpuBackend, GpuSimBackend};
 use fides_gpu_sim::{
-    Capture, DeviceSpec, ExecMode, GpuCluster, GpuSim, GraphEvent, InterconnectSpec, SimStats,
+    Capture, DeviceSpec, ExecMode, GpuCluster, GpuSim, InterconnectSpec, SimStats,
 };
 use parking_lot::Mutex;
 
@@ -755,7 +755,19 @@ impl Server {
                     staged_placements.push((p.tenant, device, p.key_bytes));
                 }
                 kind::PLAN => {
-                    staged_plans.push(decode_plan_entry(rec.payload)?);
+                    let (fp, plan, binding) = decode_plan_entry(rec.payload)?;
+                    // The planner only issues streams below the configured
+                    // count; replay sizes its per-stream tables by the ids
+                    // it meets, so a larger one must not get that far.
+                    let streams = self.inner.plan_cfg.num_streams;
+                    let bound = plan.steps().stream_bound();
+                    if bound > streams {
+                        return Err(ServeError::Snapshot(format!(
+                            "plan {fp:#x} names stream {}, this server plans onto {streams}",
+                            bound - 1
+                        )));
+                    }
+                    staged_plans.push((fp, plan, binding));
                 }
                 other => {
                     return Err(ServeError::Snapshot(format!(
@@ -1057,7 +1069,12 @@ impl Server {
                 let resp = Self::serve_one(session.as_deref(), &p.req);
                 if began {
                     let capture = gpu.end_capture();
-                    merged.events.extend(offset_streams(capture.events, pos));
+                    // Each request's recorded streams shift by its batch
+                    // index: the planner preserves program order per
+                    // *recorded* stream, so this round-robin keeps
+                    // concurrent tenants from chaining every request's
+                    // first limb batch behind one another on stream 0.
+                    merged.events.append_offset(&capture.events, pos);
                     // One device pool, regions in sequence: the shard's
                     // fresh ids run from the first region's to the last's.
                     if merged.fresh_ids.is_empty() {
@@ -1283,58 +1300,45 @@ impl Server {
     }
 }
 
-/// Shifts every recorded stream (and fence endpoint) by the request's batch
-/// index. The planner preserves program order per *recorded* stream, so
-/// this round-robin keeps concurrent tenants from chaining every request's
-/// first limb batch behind one another on recorded stream 0.
-fn offset_streams(events: Vec<GraphEvent>, offset: usize) -> Vec<GraphEvent> {
-    if offset == 0 {
-        return events;
-    }
-    events
-        .into_iter()
-        .map(|ev| match ev {
-            GraphEvent::Launch { stream, desc } => GraphEvent::Launch {
-                stream: stream + offset,
-                desc,
-            },
-            GraphEvent::Fence { signals, waiters } => GraphEvent::Fence {
-                signals: signals.into_iter().map(|s| s + offset).collect(),
-                waiters: waiters.into_iter().map(|s| s + offset).collect(),
-            },
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fides_gpu_sim::{KernelDesc, KernelKind};
+    use fides_gpu_sim::{Event, KernelDesc, KernelKind};
+
+    /// One launch on stream 1 and one fence, appended the way a tick merges
+    /// a request's capture at batch index `offset`.
+    fn merged_at(offset: usize) -> fides_gpu_sim::EventLog {
+        let mut capture = fides_gpu_sim::EventLog::default();
+        capture.launch(1, KernelDesc::new(KernelKind::Elementwise), |_| {});
+        capture.fence([0, 1], [2]);
+        let mut merged = fides_gpu_sim::EventLog::default();
+        merged.append_offset(&capture, offset);
+        merged
+    }
 
     #[test]
     fn offset_shifts_launches_and_fences() {
-        let events = vec![
-            GraphEvent::Launch {
-                stream: 1,
-                desc: KernelDesc::new(KernelKind::Elementwise),
-            },
-            GraphEvent::Fence {
-                signals: vec![0, 1],
-                waiters: vec![2],
-            },
-        ];
-        let out = offset_streams(events, 3);
-        match &out[0] {
-            GraphEvent::Launch { stream, .. } => assert_eq!(*stream, 4),
+        let out = merged_at(3);
+        match out.get(0) {
+            Event::Launch(l) => assert_eq!(l.stream, 4),
             _ => panic!("expected launch"),
         }
-        match &out[1] {
-            GraphEvent::Fence { signals, waiters } => {
+        match out.get(1) {
+            Event::Fence { signals, waiters } => {
                 assert_eq!(signals, &[3, 4]);
                 assert_eq!(waiters, &[5]);
             }
             _ => panic!("expected fence"),
         }
+    }
+
+    #[test]
+    fn zero_offset_is_identity() {
+        let mut capture = fides_gpu_sim::EventLog::default();
+        capture.launch(7, KernelDesc::new(KernelKind::Fill), |_| {});
+        let mut out = fides_gpu_sim::EventLog::default();
+        out.append_offset(&capture, 0);
+        assert!(matches!(out.get(0), Event::Launch(l) if l.stream == 7));
     }
 
     /// A capacity-1 server at the smallest serving parameters.
@@ -1390,15 +1394,5 @@ mod tests {
         assert_eq!(target.session_count(), 1, "restoring b evicted a");
         assert_eq!(weight_of(&target, a), 1, "evicted tenant's weight leaked");
         assert_eq!(weight_of(&target, b), 2, "restored weight kept");
-    }
-
-    #[test]
-    fn zero_offset_is_identity() {
-        let events = vec![GraphEvent::Launch {
-            stream: 7,
-            desc: KernelDesc::new(KernelKind::Fill),
-        }];
-        let out = offset_streams(events, 0);
-        assert!(matches!(out[0], GraphEvent::Launch { stream: 7, .. }));
     }
 }

@@ -363,8 +363,9 @@ fn plan_cache_steady_state_hits_and_invalidation() {
     // Pinned to one device: each shard plans its own merged graph, so the
     // miss/hit counts below are per-shard quantities. Topology keying of
     // the cache (N=1 plan never replays at N=2) is pinned by fides-core's
-    // partition fingerprint tests; cross-placement frame identity by the
-    // `placement` suite.
+    // `cache_invalidates_across_topologies_and_hits_within_one`, the key's
+    // value by `fingerprint_is_stable_across_releases`; cross-placement
+    // frame identity by the `placement` suite.
     let tenants = tenants(2);
     let server =
         Server::new(ServerConfig::new(params().with_num_devices(1)).batch_size(16)).unwrap();

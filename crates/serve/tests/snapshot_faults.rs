@@ -12,6 +12,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use fides_api::{CkksEngine, Session};
+use fides_client::persist::{kind, RecordReader, RecordWriter};
 use fides_client::wire::{EvalRequest, OpProgram, ProgramOp};
 use fides_client::ClientError;
 use fides_core::CkksParameters;
@@ -331,4 +332,66 @@ fn failing_sources_are_typed_errors_and_restore_stays_atomic() {
     assert_eq!(fresh.restore(&image[..]).expect("clean restore"), 1);
     tenant.assert_serves(&fresh, sid);
     assert_eq!(fresh.stats().plan_cache_misses, 0);
+}
+
+/// `image` with the first launch of its plan record moved onto `stream`,
+/// re-framed so every record's CRC still checks out.
+fn with_plan_stream(image: &[u8], stream: u32) -> Vec<u8> {
+    let mut r = RecordReader::new(image).expect("stream header");
+    let mut w = RecordWriter::new(Vec::new()).expect("stream header");
+    let mut patched = false;
+    while let Some(rec) = r.read_record().expect("record") {
+        let mut payload = rec.payload.to_vec();
+        if rec.kind == kind::PLAN && !patched {
+            // fingerprint u64, binding count u32 + 8 bytes per id, step
+            // count u32, then the first step: tag, stream u32.
+            let n_binding = u32::from_be_bytes(payload[8..12].try_into().unwrap()) as usize;
+            let step = 12 + 8 * n_binding + 4;
+            assert_eq!(payload[step], 0, "the plan opens with a launch");
+            payload[step + 1..step + 5].copy_from_slice(&stream.to_be_bytes());
+            patched = true;
+        }
+        w.record(rec.kind, &payload).expect("record");
+    }
+    assert!(patched, "the image holds a plan");
+    w.finish().expect("stream end")
+}
+
+#[test]
+fn a_plan_naming_a_stream_past_the_config_is_a_typed_error() {
+    let (_, tenant, sid, image) = served();
+    let live = server();
+    let live_tenant = Tenant::new();
+    assert!(live.close_session(live_tenant.open(&live)));
+    let live_sid = live_tenant.open(&live);
+    assert_ne!(live_sid, sid);
+    live_tenant.assert_serves(&live, live_sid);
+    let live_before = live.stats();
+    let streams = CkksParameters::new(LOG_N, LEVELS, 40, 3)
+        .unwrap()
+        .num_streams as u32;
+
+    // One past the planner's range, and the id that once sent replay into
+    // a 2^32-entry table resize.
+    for stream in [streams, u32::MAX] {
+        let crafted = with_plan_stream(&image, stream);
+        match live.restore(crafted.as_slice()) {
+            Err(ServeError::Snapshot(msg)) => assert!(msg.contains("stream"), "{msg}"),
+            other => panic!("plan on stream {stream}: {other:?}"),
+        }
+        assert_eq!(live.session_count(), 1, "half-restored registry");
+        assert_eq!(live.stats().restored_sessions, 0);
+    }
+    live_tenant.assert_serves(&live, live_sid);
+    assert_eq!(
+        live.stats().plan_cache_misses,
+        live_before.plan_cache_misses,
+        "a refused plan must not reach the live plan cache"
+    );
+
+    // The same image with the launch kept in range restores warm.
+    let fresh = server();
+    let in_range = with_plan_stream(&image, streams - 1);
+    assert_eq!(fresh.restore(in_range.as_slice()).expect("restore"), 1);
+    tenant.assert_serves(&fresh, sid);
 }
