@@ -702,6 +702,21 @@ mod tests {
     }
 
     #[test]
+    fn bootstrap_rejects_fewer_than_two_slots_on_both_backends() {
+        // One slot has no transform stage; the builder must return the typed
+        // error rather than panic while sizing the CoeffToSlot stages.
+        for backend in [BackendChoice::GpuSim, BackendChoice::Cpu] {
+            let r = CkksEngine::builder()
+                .log_n(10)
+                .levels(20)
+                .backend(backend)
+                .bootstrap_slots(1)
+                .build();
+            assert!(matches!(r, Err(FidesError::InvalidParams(_))));
+        }
+    }
+
+    #[test]
     fn eval_batch_runs_one_graph_across_ops() {
         let e = CkksEngine::builder()
             .log_n(10)

@@ -61,11 +61,10 @@ fn fusion_strictly_reduces_launches_and_time() {
 
 /// The full bootstrap circuit under the planner: simulated time, launch
 /// count, and fused-kernel ledger at one fusion setting.
-fn measure_bootstrap(params: &CkksParameters) -> (f64, u64, u64) {
+fn measure_bootstrap(params: &CkksParameters, slots: usize) -> (f64, u64, u64) {
     let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
     let ctx = CkksContext::new(params.clone(), Arc::clone(&gpu));
     let client = ClientContext::new(ctx.raw_params().clone());
-    let slots = 8usize;
     let config = BootstrapConfig::for_slots(slots);
     let shifts = boot::required_rotations(ctx.n(), &config);
     let keys = synth_keys_with_rotations(&ctx, &shifts);
@@ -99,9 +98,9 @@ fn measure_bootstrap(params: &CkksParameters) -> (f64, u64, u64) {
 fn bootstrap_circuit_fusion_strictly_reduces_launches() {
     let base = CkksParameters::toy_boot();
     let (fused_us, fused_launches, fused_away) =
-        measure_bootstrap(&base.clone().with_fusion(FusionConfig::default()));
+        measure_bootstrap(&base.clone().with_fusion(FusionConfig::default()), 8);
     let (plain_us, plain_launches, none_away) =
-        measure_bootstrap(&base.with_fusion(FusionConfig::none()));
+        measure_bootstrap(&base.with_fusion(FusionConfig::none()), 8);
 
     assert!(
         fused_launches < plain_launches,
@@ -119,6 +118,22 @@ fn bootstrap_circuit_fusion_strictly_reduces_launches() {
     assert_eq!(
         none_away, 0,
         "FusionConfig::none() must disable graph fusion"
+    );
+}
+
+/// The fully packed bootstrap (`slots == N/2`, Table VI's 32768 row) keeps
+/// the two-half ApproxModEval path: its simulated time and launch count at
+/// the paper's parameters stay bit-identical. Only sparse slot counts can
+/// take the one-EvalMod path.
+#[test]
+fn full_slot_bootstrap_is_bit_identical() {
+    let params = CkksParameters::paper_default().with_limb_batch(12);
+    let (us, launches, _) = measure_bootstrap(&params, 1 << 15);
+    assert_eq!(launches, 16_819, "kernel launches");
+    assert_eq!(
+        us.to_bits(),
+        0x4108_072e_4137_8e1c,
+        "simulated µs {us} (pinned: 196837.78184424422)"
     );
 }
 

@@ -7,6 +7,21 @@
 //! 3-diagonal matrix (shifts `{0, ±len/2}` in rotation space); consecutive
 //! levels are composed into `level budget` stages of higher diagonal count —
 //! the sparsity/level trade-off of \[44\] the paper adopts.
+//!
+//! Sparse configurations (`n < N/2` slots) with two or more CoeffToSlot
+//! stages run ApproxModEval once on both real coefficient halves, as
+//! OpenFHE's sparse branch does (`boot/mod.rs` says why single-stage ones
+//! do not). The input to CoeffToSlot is `n`-periodic, so a stage can be
+//! [lifted](DiagMatrix::lift) to dimension `2n` at no extra rotation. The
+//! last CoeffToSlot stage writes
+//! `u = t_lo + i·t_hi` to rows `[0, n)` and `−i·u` to rows `[n, 2n)`; then
+//! `c + conj(c)` is `2·t_lo | 2·t_hi`, real, in `2n`-periodic slots. The
+//! first SlotToCoeff stage `S` undoes that packing: the repack
+//! `[1|i]⊙t′ + [i|1]⊙rotate(t′, n)` (= `t′_lo + i·t′_hi` in both halves)
+//! followed by `S` equals `y + rotate(y, n)` with `y = D·t′`, where
+//! `D = S·diag([1|i])`, because a lifted stage commutes with `rotate(·, n)`.
+//! ApproxModEval's output `t′` is real up to noise, so the bootstrapper
+//! applies [`lift_first_stc_stage`]'s `D/2` to `t′ + conj(t′)`.
 
 use std::collections::BTreeMap;
 
@@ -101,6 +116,31 @@ impl DiagMatrix {
                 }
             }
         }
+    }
+
+    /// `self` as a `2n`-dimensional matrix for inputs that are `2n`-periodic
+    /// in the ciphertext's slots, with output row `k` scaled by `row(k)` and
+    /// input entry `j` by `col(j)`. With both factors 1 it acts on an
+    /// `n`-periodic input exactly as `self` does. The shifts stay the same,
+    /// so the BSGS application needs the same rotation keys.
+    pub(crate) fn lift(
+        &self,
+        row: impl Fn(usize) -> Complex64,
+        col: impl Fn(usize) -> Complex64,
+    ) -> DiagMatrix {
+        let (n, n2) = (self.n, 2 * self.n);
+        let mut out = DiagMatrix::empty(n2, self.numeric);
+        for (&s, d) in &self.diags {
+            let lifted = if self.numeric {
+                (0..n2)
+                    .map(|k| row(k) * d[k % n] * col((k + s) % n2))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            out.diags.insert(s, lifted);
+        }
+        out
     }
 
     /// Diagonal count.
@@ -232,6 +272,28 @@ pub(crate) fn build_stc_stages(
     stages
 }
 
+/// Lifts the last-applied CoeffToSlot stage for the one-EvalMod path: rows
+/// `[n, 2n)` repeat rows `[0, n)` scaled by `−i`.
+pub(crate) fn lift_last_cts_stage(stage: &DiagMatrix) -> DiagMatrix {
+    let n = stage.n;
+    stage.lift(
+        |k| if k < n { Complex64::ONE } else { -Complex64::I },
+        |_| Complex64::ONE,
+    )
+}
+
+/// Lifts the first-applied SlotToCoeff stage `S` for the one-EvalMod path
+/// to `D = S·diag([1|i])/2`: for a real `2n`-periodic `t′ = t′_lo | t′_hi`
+/// and `y = D·(t′ + conj(t′))`, `y + rotate(y, n) = S·(t′_lo + i·t′_hi)` in
+/// both halves.
+pub(crate) fn lift_first_stc_stage(stage: &DiagMatrix) -> DiagMatrix {
+    let n = stage.n;
+    stage.lift(
+        |_| Complex64::ONE,
+        |j| if j < n { Complex64::ONE } else { Complex64::I }.scale(0.5),
+    )
+}
+
 /// Baby-step count for a stage with `num_diags` diagonals (shared by
 /// encoding and the structure-only rotation-shift computation).
 fn baby_count_for(num_diags: usize) -> usize {
@@ -263,13 +325,12 @@ pub(crate) fn stage_shifts(stage: &DiagMatrix) -> Vec<i32> {
 }
 
 /// Encodes one stage matrix into a [`BsgsPlan`] of backend-preloaded
-/// plaintexts at the given application level.
+/// plaintexts at the given application level, with `stage.n` slots.
 pub(crate) fn encode_stage(
     backend: &dyn EvalBackend,
     client: &ClientContext,
     stage: &DiagMatrix,
     level: usize,
-    slots: usize,
 ) -> Result<BsgsPlan> {
     // FLEXIBLEAUTO-exact plaintext scale: after the post-apply rescale the
     // ciphertext lands back on the standard ladder.
@@ -290,7 +351,7 @@ pub(crate) fn encode_stage(
             let raw = client.encode(&rotated, pt_scale, level)?;
             backend.load_plain(&raw)?
         } else {
-            backend.placeholder_plain(level, pt_scale, slots)?
+            backend.placeholder_plain(level, pt_scale, stage.n)?
         };
         entries.push(BsgsEntry { giant, baby, pt });
     }
@@ -382,6 +443,62 @@ mod tests {
             let sb: Vec<usize> = b.diags.keys().copied().collect();
             assert_eq!(sa, sb);
             assert!(!b.numeric);
+        }
+    }
+
+    /// The one-EvalMod transform pair is exact in plaintext: lifted CtS →
+    /// conjugate extraction (`2·Re`) → identity in place of ApproxModEval →
+    /// `t + conj(t)` → lifted first StC stage → `y + rotate(y, n)` →
+    /// remaining StC stages returns the input, scaled by the extraction's 2.
+    #[test]
+    fn packed_transform_pair_is_exact() {
+        for n_s in [2usize, 4, 16, 64] {
+            for budget in 1..=3 {
+                let mut cts = build_cts_stages(n_s, budget, 1.0, true);
+                let last = cts.last_mut().expect("at least one stage");
+                *last = lift_last_cts_stage(last);
+                let stc = build_stc_stages(n_s, budget, 1.0, true);
+                let first_stc = lift_first_stc_stage(&stc[0]);
+                let z: Vec<Complex64> = (0..n_s)
+                    .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 0.3 + 0.1).cos()))
+                    .collect();
+                let (lifted, first) = cts.split_last().expect("at least one stage");
+                let mut x = z.clone();
+                for s in first {
+                    x = s.apply_plain(&x);
+                }
+                // The n-periodic input seen in 2n slots.
+                let x: Vec<Complex64> = x.iter().chain(&x).copied().collect();
+                let t: Vec<Complex64> = lifted
+                    .apply_plain(&x)
+                    .iter()
+                    .map(|&v| v + v.conj())
+                    .collect();
+                let what = format!("n_s={n_s} budget={budget}");
+                assert!(t.iter().all(|v| v.im.abs() < 1e-12), "{what}: 2·Re is real");
+                assert!(
+                    t[n_s..].iter().any(|v| v.abs() > 0.1),
+                    "{what}: t_hi must be non-zero"
+                );
+                let t: Vec<Complex64> = t.iter().map(|&v| v + v.conj()).collect();
+                let y = first_stc.apply_plain(&t);
+                let c: Vec<Complex64> = (0..2 * n_s)
+                    .map(|k| y[k] + y[(k + n_s) % (2 * n_s)])
+                    .collect();
+                for k in 0..n_s {
+                    assert!(
+                        close(c[k], c[k + n_s], 1e-9),
+                        "{what}: n-periodic after repack"
+                    );
+                }
+                let mut out = c[..n_s].to_vec();
+                for s in &stc[1..] {
+                    out = s.apply_plain(&out);
+                }
+                for (a, b) in out.iter().zip(&z) {
+                    assert!(close(*a, b.scale(2.0), 1e-9), "{what}: {a:?} vs 2·{b:?}");
+                }
+            }
         }
     }
 

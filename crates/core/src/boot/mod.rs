@@ -2,6 +2,18 @@
 //! conjugate extraction → ApproxModEval (Chebyshev cosine + BSGS/PS +
 //! double-angle) → SlotToCoeff.
 //!
+//! Fully packed ciphertexts (`slots == N/2`) split CoeffToSlot's output into
+//! its real and imaginary halves and run ApproxModEval on each. Sparse ones
+//! (`slots < N/2`) run it once, as OpenFHE's sparse branch does: the last
+//! CoeffToSlot stage packs both real coefficient halves into `2·slots`
+//! slots, and the first SlotToCoeff stage unpacks them (see `boot/cts.rs`).
+//! The one exception is a CoeffToSlot of a single stage (at most 8 slots by
+//! default): that stage also carries the `1/(g·K·q_0)` scaling, whose
+//! plaintexts are the least precise of the transform, and a `2·slots`-slot
+//! encoding doubles their rounding-noise variance, so those configurations
+//! keep the two-half path. The configuration alone picks the path; levels
+//! and rotation keys are the same for both.
+//!
 //! The flow follows OpenFHE's EvalBootstrap as adapted by FIDESlib:
 //! CoeffToSlot/SlotToCoeff are generalized into one routine over decomposed
 //! DFT stage matrices applied through BSGS ciphertext×plaintext-matrix
@@ -86,7 +98,7 @@ impl BootstrapConfig {
 /// backend) — the engine builder calls this before key generation.
 pub fn required_rotations(n: usize, config: &BootstrapConfig) -> Vec<i32> {
     let n_s = config.slots;
-    if !n_s.is_power_of_two() || n_s > n / 2 {
+    if n_s < 2 || !n_s.is_power_of_two() || n_s > n / 2 {
         return Vec::new(); // invalid configs are rejected by `Bootstrapper::new`
     }
     let (n_cts, n_stc) = config.stage_counts();
@@ -117,7 +129,9 @@ pub struct BootPhases {
     pub fold_us: f64,
     /// CoeffToSlot: BSGS stage-matrix products with hoisted rotations.
     pub coeff_to_slot_us: f64,
-    /// Conjugate extraction + ApproxModEval on both halves + recombination.
+    /// Conjugate extraction + ApproxModEval + recombination. ApproxModEval
+    /// runs on both conjugate halves, or once where
+    /// [`Bootstrapper::approx_mod_runs`] says so.
     pub eval_mod_us: f64,
     /// SlotToCoeff: the inverse transform.
     pub slot_to_coeff_us: f64,
@@ -137,6 +151,9 @@ pub struct Bootstrapper {
     n: usize,
     cts_plans: Vec<BsgsPlan>,
     stc_plans: Vec<BsgsPlan>,
+    /// ApproxModEval runs once on both real coefficient halves, packed into
+    /// `2·slots` slots.
+    one_eval_mod: bool,
     cheby_coeffs: Vec<f64>,
     fold_iters: u32,
     min_output_level: usize,
@@ -161,7 +178,7 @@ impl Bootstrapper {
     ) -> Result<Self> {
         let n = client.n();
         let n_s = config.slots;
-        if !n_s.is_power_of_two() || n_s > n / 2 {
+        if n_s < 2 || !n_s.is_power_of_two() || n_s > n / 2 {
             return Err(FidesError::InvalidParams(format!(
                 "invalid slot count {n_s}"
             )));
@@ -190,22 +207,30 @@ impl Bootstrapper {
         // CtS: α = σ_ref / (g·K·q_0) — yields slots u with t/q_0 = K·u/2
         // after the ×2 of conjugate extraction.
         let alpha = sigma_ref / (g_fold as f64 * config.k_range * q0);
-        let cts_mats = cts::build_cts_stages(n_s, n_cts, alpha, numeric);
+        let mut cts_mats = cts::build_cts_stages(n_s, n_cts, alpha, numeric);
         // StC: β = q_0 / (2π·σ_ref) — converts sin(2πt/q_0) back to m/σ_ref.
         let beta = q0 / (2.0 * std::f64::consts::PI * sigma_ref);
-        let stc_mats = cts::build_stc_stages(n_s, n_stc, beta, numeric);
+        let mut stc_mats = cts::build_stc_stages(n_s, n_stc, beta, numeric);
+        // Sparse: pack both real halves into 2n slots for one ApproxModEval,
+        // unless the lifted stage would be the one carrying α.
+        let one_eval_mod = fold_iters > 0 && cts_mats.len() > 1;
+        if one_eval_mod {
+            let last = cts_mats.last_mut().expect("at least one CtS stage");
+            *last = cts::lift_last_cts_stage(last);
+            stc_mats[0] = cts::lift_first_stc_stage(&stc_mats[0]);
+        }
 
         // Level schedule (worst case; apply() drops to the encoded level).
         let mut lvl = levels_max;
         let mut cts_plans = Vec::with_capacity(cts_mats.len());
         for m in &cts_mats {
-            cts_plans.push(cts::encode_stage(backend, client, m, lvl, n_s)?);
+            cts_plans.push(cts::encode_stage(backend, client, m, lvl)?);
             lvl -= 1;
         }
         lvl -= cheby_depth + config.double_angles as usize;
         let mut stc_plans = Vec::with_capacity(stc_mats.len());
         for m in &stc_mats {
-            stc_plans.push(cts::encode_stage(backend, client, m, lvl, n_s)?);
+            stc_plans.push(cts::encode_stage(backend, client, m, lvl)?);
             lvl -= 1;
         }
 
@@ -228,6 +253,7 @@ impl Bootstrapper {
             n,
             cts_plans,
             stc_plans,
+            one_eval_mod,
             cheby_coeffs,
             fold_iters,
             min_output_level,
@@ -244,6 +270,16 @@ impl Bootstrapper {
     /// bootstrapping" of Table VI).
     pub fn min_output_level(&self) -> usize {
         self.min_output_level
+    }
+
+    /// How many times a bootstrap evaluates ApproxModEval: once when both
+    /// real coefficient halves are packed into `2·slots` slots, else twice.
+    pub fn approx_mod_runs(&self) -> usize {
+        if self.one_eval_mod {
+            1
+        } else {
+            2
+        }
     }
 
     /// Every rotation shift the bootstrap circuit needs keys for (the client
@@ -340,11 +376,18 @@ impl Bootstrapper {
         let t3 = now(timed);
         phases.coeff_to_slot_us = t3 - t2;
 
-        // 4–6. Conjugate extraction, ApproxModEval on both halves,
-        // recombination a + i·b.
+        // 4–6. Conjugate extraction, ApproxModEval, recombination a + i·b.
         let comb = in_graph(backend, || {
-            // re = c + conj(c) = 2a·γ, im = i·(conj(c) − c) = 2b·γ.
             let conj = backend.conjugate(&work)?;
+            if self.one_eval_mod {
+                // CtS left c = [u | −i·u] in 2n slots, so c + conj(c) =
+                // 2a·γ | 2b·γ. The result t′ is real up to noise: t′ + conj(t′)
+                // drops its imaginary noise, and StC's first stage halves it
+                // while recombining.
+                let t = self.approx_mod(backend, &backend.add(&work, &conj)?)?;
+                return backend.add(&t, &backend.conjugate(&t)?);
+            }
+            // re = c + conj(c) = 2a·γ, im = i·(conj(c) − c) = 2b·γ.
             let re = backend.add(&work, &conj)?;
             let im = backend.mul_by_i(&backend.sub(&conj, &work)?)?;
 
@@ -364,8 +407,13 @@ impl Bootstrapper {
         // 7. SlotToCoeff: again one graph across all stages.
         let mut comb = in_graph(backend, || {
             let mut c = comb;
-            for plan in &self.stc_plans {
+            for (i, plan) in self.stc_plans.iter().enumerate() {
                 c = plan.apply(backend, &c)?;
+                if i == 0 && self.one_eval_mod {
+                    // y + rotate(y, n) unpacks t′_lo + i·t′_hi.
+                    let n_s = self.config.slots as i32;
+                    c = backend.add(&c, &backend.rotate(&c, n_s)?)?;
+                }
             }
             Ok(c)
         })?;
@@ -541,4 +589,62 @@ fn raise_to_top(poly: &RNSPoly) -> RNSPoly {
         num_p: 0,
         format: Domain::Eval,
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Rotation-key sets for the default configurations, as printed before
+    /// the one-EvalMod path existed: sparse bootstrapping needs no new key.
+    #[test]
+    fn required_rotations_are_pinned() {
+        let pins: [(usize, usize, &[i32]); 5] = [
+            (2048, 8, &[1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512]),
+            (2048, 16, &[1, 2, 3, 4, 8, 12, 16, 32, 64, 128, 256, 512]),
+            (
+                65536,
+                64,
+                &[
+                    1, 2, 3, 4, 8, 16, 24, 32, 40, 48, 56, 60, 64, 128, 256, 512, 1024, 2048, 4096,
+                    8192, 16384,
+                ],
+            ),
+            (65536, 16384, &ROT_65536_16384),
+            (65536, 32768, &ROT_65536_32768),
+        ];
+        for (n, slots, want) in pins {
+            let got = required_rotations(n, &BootstrapConfig::for_slots(slots));
+            assert_eq!(got, want, "N={n} slots={slots}");
+        }
+    }
+
+    #[test]
+    fn required_rotations_empty_below_two_slots() {
+        for slots in [0, 1] {
+            assert!(required_rotations(2048, &BootstrapConfig::for_slots(slots)).is_empty());
+        }
+    }
+
+    const ROT_65536_16384: [i32; 135] = [
+        1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224,
+        240, 256, 272, 288, 304, 320, 336, 352, 368, 384, 400, 416, 432, 448, 464, 480, 496, 512,
+        544, 576, 608, 640, 672, 704, 736, 768, 800, 832, 864, 896, 928, 960, 992, 1024, 1536,
+        2048, 2560, 3072, 3584, 4096, 4608, 5120, 5632, 6144, 6656, 7168, 7680, 8192, 8704, 9216,
+        9728, 10240, 10752, 11264, 11776, 12288, 12800, 13312, 13824, 14336, 14848, 15360, 15392,
+        15424, 15456, 15488, 15520, 15552, 15584, 15616, 15648, 15680, 15712, 15744, 15776, 15808,
+        15840, 15872, 15888, 15904, 15920, 15936, 15952, 15968, 15984, 16000, 16016, 16032, 16048,
+        16064, 16080, 16096, 16112, 16128, 16144, 16160, 16176, 16192, 16208, 16224, 16240, 16256,
+        16272, 16288, 16304, 16320, 16336, 16352, 16360, 16368, 16376, 16384,
+    ];
+
+    const ROT_65536_32768: [i32; 106] = [
+        1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 64, 96, 128, 160, 192, 224, 256, 288, 320, 352, 384,
+        416, 448, 480, 512, 544, 576, 608, 640, 672, 704, 736, 768, 800, 832, 864, 896, 928, 960,
+        992, 1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192, 9216, 10240, 11264, 12288, 13312,
+        14336, 15360, 16384, 17408, 18432, 19456, 20480, 21504, 22528, 23552, 24576, 25600, 26624,
+        27648, 28672, 29696, 30720, 31744, 31776, 31808, 31840, 31872, 31904, 31936, 31968, 32000,
+        32032, 32064, 32096, 32128, 32160, 32192, 32224, 32256, 32288, 32320, 32352, 32384, 32416,
+        32448, 32480, 32512, 32544, 32576, 32608, 32640, 32672, 32704, 32736, 32744, 32752, 32760,
+    ];
 }

@@ -104,3 +104,43 @@ fn cpu_bootstrap_roundtrip_preserves_message() {
         );
     }
 }
+
+/// Max refresh error of `cpu_bootstrap_roundtrip_preserves_message`'s setup
+/// at 8 and 16 slots, measured when every slot count evaluated ApproxModEval
+/// on both conjugate halves.
+const TWO_HALF_MAX_ERR: [(usize, f64); 2] = [(8, 8.505095362791593e-5), (16, 2.663360011864735e-4)];
+
+/// Sparse slot counts whose CoeffToSlot has two or more stages (16 here) run
+/// ApproxModEval once on both packed coefficient halves; 8 slots, with a
+/// single CoeffToSlot stage, keep the two-half path. Neither may refresh
+/// less precisely than the two-half path did.
+#[test]
+fn sparse_refresh_error_stays_within_two_half_ceiling() {
+    for (slots, ceiling) in TWO_HALF_MAX_ERR {
+        let e = CkksEngine::builder()
+            .log_n(11)
+            .levels(20)
+            .scale_bits(50)
+            .first_mod_bits(55)
+            .dnum(3)
+            .backend(BackendChoice::Cpu)
+            .bootstrap_slots(slots)
+            .seed(0xb007)
+            .build()
+            .expect("bootstrap parameters are valid");
+        let v: Vec<f64> = (0..slots)
+            .map(|i| 0.25 * ((i as f64) * 0.7).cos())
+            .collect();
+        let exhausted = e.encrypt_at(&v, 0).unwrap();
+        let got = e.decrypt(&e.bootstrap(&exhausted).unwrap()).unwrap();
+        let err = v
+            .iter()
+            .zip(&got)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(
+            err <= ceiling,
+            "{slots} slots: max refresh error {err:.4e} vs two-half {ceiling:.4e}"
+        );
+    }
+}
