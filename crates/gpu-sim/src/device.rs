@@ -12,8 +12,6 @@ use serde::{Deserialize, Serialize};
 pub struct DeviceSpec {
     /// Marketing name, e.g. `"RTX 4090"`.
     pub name: String,
-    /// Streaming multiprocessors.
-    pub sm_count: u32,
     /// Boost clock in GHz.
     pub freq_ghz: f64,
     /// Peak 32-bit integer TOPS (Table IV).
@@ -42,7 +40,6 @@ impl DeviceSpec {
     pub fn rtx_4090() -> Self {
         Self {
             name: "RTX 4090".into(),
-            sm_count: 128,
             freq_ghz: 2.24,
             int32_tops: 41.29,
             l2_bytes: 72 << 20,
@@ -60,7 +57,6 @@ impl DeviceSpec {
     pub fn rtx_4060_ti() -> Self {
         Self {
             name: "RTX 4060 Ti".into(),
-            sm_count: 34,
             freq_ghz: 2.31,
             int32_tops: 11.03,
             l2_bytes: 32 << 20,
@@ -78,7 +74,6 @@ impl DeviceSpec {
     pub fn rtx_a4500() -> Self {
         Self {
             name: "RTX A4500".into(),
-            sm_count: 56,
             freq_ghz: 1.05,
             int32_tops: 11.83,
             l2_bytes: 6 << 20,
@@ -96,7 +91,6 @@ impl DeviceSpec {
     pub fn v100() -> Self {
         Self {
             name: "V100".into(),
-            sm_count: 80,
             freq_ghz: 1.25,
             int32_tops: 14.13,
             l2_bytes: 6 << 20,
@@ -146,7 +140,6 @@ mod tests {
     #[test]
     fn presets_match_table_iv() {
         let g = DeviceSpec::rtx_4090();
-        assert_eq!(g.sm_count, 128);
         assert_eq!(g.l2_bytes, 72 << 20);
         assert!((g.int32_tops - 41.29).abs() < 1e-9);
         assert_eq!(DeviceSpec::all_gpus().len(), 4);

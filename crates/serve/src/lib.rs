@@ -7,11 +7,13 @@
 //! device — the ROADMAP's "heavy traffic from millions of users" story.
 //!
 //! ```text
-//!   tenant 0 ─┐                         ┌─ session registry (bounded LRU)
-//!   tenant 1 ─┼─ EvalRequest queue ──►  │   keys + preloaded plaintexts
-//!   tenant N ─┘        │                └─ per tenant, params-hash checked
+//!                                     tenant table (bounded LRU, one lock)
+//!   tenant 0 ─┐                       one entry per tenant: keys, plaintexts,
+//!   tenant 1 ─┼─ EvalRequest queue    home device, DRR weight — evicted or
+//!   tenant N ─┘   one lane per tenant closed as a unit; hash ring: id ─► home
+//!                      │  ◄── DRR weights, sessions resolved from the table
 //!                      ▼  batch tick (≤ batch_size requests)
-//!          per-request capture regions ──► merged ExecGraph
+//!          per-request capture regions ──► merged ExecGraph per device
 //!                      │   round-robin stream offsets per request
 //!                      ▼
 //!          one planning pass (fusion ACROSS tenants) ──► one replay
@@ -79,6 +81,6 @@ mod stats;
 pub use error::ServeError;
 pub use net::{NetServer, NetServerConfig};
 pub use qos::{AdmissionQueue, QosPolicy};
-pub use router::{Migration, ShardRouter};
+pub use router::ShardRouter;
 pub use server::{ServeBackend, Server, ServerConfig, Ticket, WarmupShape};
 pub use stats::ServeStats;

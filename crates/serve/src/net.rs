@@ -201,7 +201,7 @@ impl NetServer {
     }
 
     /// The [`Server`] behind this front (cheap to clone; the clone shares
-    /// registry, queue and device state).
+    /// tenant table, queue and device state).
     pub fn server(&self) -> &Server {
         &self.server
     }

@@ -49,7 +49,6 @@ pub enum QosPolicy {
 
 struct Lane<T> {
     items: VecDeque<T>,
-    weight: u32,
     deficit: u64,
     /// Set when a full batch interrupted this lane mid-service: it
     /// resumes with its unspent credit and must not earn a fresh
@@ -69,8 +68,6 @@ pub struct AdmissionQueue<T> {
     arrivals: VecDeque<u64>,
     /// Drr policy: rotation of sessions with a non-empty lane.
     active: VecDeque<u64>,
-    /// Configured weights, persisted across lane drain/recreate.
-    weights: HashMap<u64, u32>,
 }
 
 impl<T> AdmissionQueue<T> {
@@ -83,7 +80,6 @@ impl<T> AdmissionQueue<T> {
             lanes: HashMap::new(),
             arrivals: VecDeque::new(),
             active: VecDeque::new(),
-            weights: HashMap::new(),
         }
     }
 
@@ -102,28 +98,6 @@ impl<T> AdmissionQueue<T> {
         self.capacity
     }
 
-    /// Sets a session's DRR weight (clamped to ≥ 1; default 1). Takes
-    /// effect from the lane's next rotation round; no-op under Fifo.
-    pub fn set_weight(&mut self, session: u64, weight: u32) {
-        let weight = weight.max(1);
-        self.weights.insert(session, weight);
-        if let Some(lane) = self.lanes.get_mut(&session) {
-            lane.weight = weight;
-        }
-    }
-
-    /// A session's configured DRR weight (1 when never set — the
-    /// default share). Snapshots read this to persist tenant weights.
-    pub fn weight_of(&self, session: u64) -> u32 {
-        self.weights.get(&session).copied().unwrap_or(1)
-    }
-
-    /// Drops a closed or evicted session's configured weight. A lane still
-    /// holding its queued requests keeps serving them at the weight it had.
-    pub fn forget_weight(&mut self, session: u64) {
-        self.weights.remove(&session);
-    }
-
     /// Admits a request into its session's lane, or returns it when the
     /// queue is at capacity (the load-shed path — the caller owes the
     /// client a retry hint, not silence).
@@ -131,10 +105,8 @@ impl<T> AdmissionQueue<T> {
         if self.len >= self.capacity {
             return Err(item);
         }
-        let weight = self.weights.get(&session).copied().unwrap_or(1);
         let lane = self.lanes.entry(session).or_insert_with(|| Lane {
             items: VecDeque::new(),
-            weight,
             deficit: 0,
             carry: false,
         });
@@ -153,14 +125,16 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Releases up to `max` requests for one batch tick, in policy order.
+    /// `weight_of` gives a session's DRR weight (≥ 1), read each time its
+    /// lane earns a round's credit; Fifo never calls it.
     ///
     /// The server calls this once per tick at the start of the admission
     /// phase (under its tick lock), so DRR lane credits are charged and
     /// carried at tick boundaries.
-    pub fn pop_batch(&mut self, max: usize) -> Vec<T> {
+    pub fn pop_batch(&mut self, max: usize, weight_of: impl Fn(u64) -> u32) -> Vec<T> {
         match self.policy {
             QosPolicy::Fifo => self.pop_fifo(max),
-            QosPolicy::Drr { quantum } => self.pop_drr(max, quantum.max(1) as u64),
+            QosPolicy::Drr { quantum } => self.pop_drr(max, quantum.max(1) as u64, weight_of),
         }
     }
 
@@ -183,7 +157,7 @@ impl<T> AdmissionQueue<T> {
         out
     }
 
-    fn pop_drr(&mut self, max: usize, quantum: u64) -> Vec<T> {
+    fn pop_drr(&mut self, max: usize, quantum: u64, weight_of: impl Fn(u64) -> u32) -> Vec<T> {
         let mut out = Vec::new();
         while out.len() < max && !self.active.is_empty() {
             let session = self.active.pop_front().expect("checked non-empty");
@@ -197,7 +171,7 @@ impl<T> AdmissionQueue<T> {
             if lane.carry {
                 lane.carry = false;
             } else {
-                lane.deficit += quantum * lane.weight as u64;
+                lane.deficit += quantum * u64::from(weight_of(session).max(1));
             }
             while out.len() < max && lane.deficit > 0 {
                 let Some(item) = lane.items.pop_front() else {
@@ -236,7 +210,7 @@ mod tests {
         q.push(1, "a0").unwrap();
         q.push(2, "b0").unwrap();
         q.push(1, "a1").unwrap();
-        assert_eq!(q.pop_batch(8), vec!["a0", "b0", "a1"]);
+        assert_eq!(q.pop_batch(8, |_| 1), vec!["a0", "b0", "a1"]);
         assert!(q.is_empty());
     }
 
@@ -246,7 +220,7 @@ mod tests {
         q.push(1, 10).unwrap();
         q.push(1, 11).unwrap();
         assert_eq!(q.push(1, 12), Err(12), "full queue returns the item");
-        assert_eq!(q.pop_batch(1), vec![10]);
+        assert_eq!(q.pop_batch(1, |_| 1), vec![10]);
         q.push(2, 20).unwrap();
         assert_eq!(q.len(), 2);
     }
@@ -262,7 +236,7 @@ mod tests {
         // A 4-slot tick: the flooder gets 1 slot per round, the quiet
         // lanes drain, and the spare slots go back to the flooder
         // (work-conserving).
-        let batch = q.pop_batch(4);
+        let batch = q.pop_batch(4, |_| 1);
         let flood = batch.iter().filter(|(s, _)| *s == 1).count();
         assert_eq!(flood, 2, "flooder limited to rounds, not the whole tick");
         assert!(batch.contains(&(2, 0)) && batch.contains(&(3, 0)));
@@ -271,29 +245,14 @@ mod tests {
     #[test]
     fn drr_weights_scale_share() {
         let mut q = AdmissionQueue::new(QosPolicy::Drr { quantum: 1 }, 64);
-        q.set_weight(1, 3);
         for i in 0..8 {
             q.push(1, (1, i)).unwrap();
             q.push(2, (2, i)).unwrap();
         }
-        let batch = q.pop_batch(8);
+        let batch = q.pop_batch(8, |s| if s == 1 { 3 } else { 1 });
         let heavy = batch.iter().filter(|(s, _)| *s == 1).count();
         // Weight 3 vs 1 → 3:1 split of an 8-slot tick.
         assert_eq!(heavy, 6);
-    }
-
-    #[test]
-    fn closed_sessions_leave_no_weight_behind() {
-        let mut q = AdmissionQueue::new(QosPolicy::Drr { quantum: 1 }, 64);
-        for session in 0..100 {
-            q.set_weight(session, 3);
-            q.push(session, session).unwrap();
-            assert_eq!(q.pop_batch(1), vec![session]);
-            q.forget_weight(session);
-            assert_eq!(q.weight_of(session), 1, "back to the default share");
-        }
-        assert!(q.weights.is_empty());
-        assert!(q.lanes.is_empty());
     }
 
     #[test]
@@ -302,7 +261,11 @@ mod tests {
         for i in 0..6 {
             q.push(7, i).unwrap();
         }
-        assert_eq!(q.pop_batch(6).len(), 6, "sole lane takes the whole tick");
+        assert_eq!(
+            q.pop_batch(6, |_| 1).len(),
+            6,
+            "sole lane takes the whole tick"
+        );
     }
 
     #[test]
@@ -316,8 +279,8 @@ mod tests {
         }
         // Tick of 2 fills mid-service of lane 1; lane 1 resumes first
         // next tick with its credit, then lane 2 gets its round.
-        assert_eq!(q.pop_batch(2), vec![(1, 0), (1, 1)]);
-        let next = q.pop_batch(4);
+        assert_eq!(q.pop_batch(2, |_| 1), vec![(1, 0), (1, 1)]);
+        let next = q.pop_batch(4, |_| 1);
         assert_eq!(next[..2], [(1, 2), (1, 3)]);
         assert_eq!(next[2..], [(2, 0), (2, 1)]);
     }

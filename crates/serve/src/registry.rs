@@ -1,19 +1,23 @@
-//! The bounded LRU session registry.
+//! The tenant table: everything the server holds per tenant, in one place.
 //!
 //! A session is what the server holds **per tenant**: the tenant's
-//! evaluation keys, loaded into the execution substrate's native form, plus
-//! the tenant's preloaded evaluation-domain plaintexts (model weights and
-//! other repeated `MulPlain` operands). The registry is bounded — opening a
-//! session past capacity evicts the least-recently-used tenant, modelling a
-//! server whose device memory cannot hold every tenant's keys at once.
-//! Evicted tenants simply re-upload (the wire `SessionRequest` is the cache
-//! fill).
+//! evaluation keys, loaded into the execution substrate's native form on
+//! its home device, the tenant's preloaded evaluation-domain plaintexts
+//! (model weights and other repeated `MulPlain` operands), and its DRR
+//! weight. One entry holds all of it, so a tenant's keys, home device and
+//! weight are created, evicted and closed together — nothing outlives the
+//! entry. The table is bounded: opening a session past capacity evicts the
+//! least-recently-used tenant, modelling a server whose device memory
+//! cannot hold every tenant's keys at once. Evicted tenants simply
+//! re-upload (the wire `SessionRequest` is the cache fill).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use fides_client::wire::SessionRequest;
 use fides_core::backend::{BackendPt, EvalBackend};
+
+use crate::router::HotStreak;
 
 /// Everything the server holds on behalf of one tenant.
 pub(crate) struct SessionState {
@@ -23,31 +27,43 @@ pub(crate) struct SessionState {
     /// Preloaded evaluation-domain plaintext operands, in upload order
     /// (request programs index into this table).
     pub(crate) plains: Vec<BackendPt>,
-    /// Device shard holding this tenant's keys (always 0 off the
-    /// multi-device path).
+    /// Device shard holding this tenant's keys — its one home (always 0
+    /// off the multi-device path).
     pub(crate) device: usize,
-    /// The tenant's original key upload, retained host-side so a
-    /// migration can rebuild residency on another device without a
-    /// client round-trip (`None` on the CPU substrate, which never
-    /// migrates).
-    pub(crate) upload: Option<SessionRequest>,
+    /// The tenant's original key upload, retained host-side: snapshots
+    /// serialize it, and a migration rebuilds residency on another device
+    /// from it without a client round-trip. Its frame length is the
+    /// tenant's migration cost.
+    pub(crate) upload: SessionRequest,
+}
+
+impl SessionState {
+    /// Wire-frame bytes of the tenant's key upload: what moving its
+    /// residency to another device re-sends over the interconnect.
+    pub(crate) fn key_bytes(&self) -> u64 {
+        self.upload.encoded_len() as u64
+    }
 }
 
 struct Entry {
     state: Arc<SessionState>,
     last_used: u64,
+    weight: u32,
 }
 
-/// Bounded LRU map from session id to session state.
-pub(crate) struct Registry {
+/// Bounded LRU map from session id to the tenant's whole server-side
+/// state, plus the multi-device router's hot-shard streak.
+pub(crate) struct TenantTable {
     entries: HashMap<u64, Entry>,
     capacity: usize,
     next_id: u64,
     clock: u64,
     evicted: u64,
+    /// The router's imbalance detector state between ticks.
+    pub(crate) streak: HotStreak,
 }
 
-impl Registry {
+impl TenantTable {
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
             entries: HashMap::new(),
@@ -55,16 +71,49 @@ impl Registry {
             next_id: 1,
             clock: 0,
             evicted: 0,
+            streak: HotStreak::default(),
         }
     }
 
-    /// Inserts a session, evicting the least-recently-used entry when at
-    /// capacity. Returns the fresh session id and the evicted id, if any —
-    /// the caller owes the evicted tenant's per-session state elsewhere
-    /// (its DRR weight) a cleanup.
-    pub(crate) fn insert(&mut self, state: SessionState) -> (u64, Option<u64>) {
+    /// Hands out a fresh session id before the tenant's keys load (the id
+    /// picks the home device). Ids are never reused, so an open that
+    /// fails after reserving simply burns its id.
+    pub(crate) fn reserve_id(&mut self) -> u64 {
         let id = self.next_id;
-        (id, self.insert_with_id(id, state))
+        self.next_id += 1;
+        id
+    }
+
+    /// Inserts a session under `id` with DRR `weight` (clamped to ≥ 1),
+    /// evicting the least-recently-used entry when at capacity — its keys,
+    /// home and weight go with it. A duplicate id is ignored: restore
+    /// rejects a stream that repeats one before it commits. Bumps the id
+    /// counter past `id` so later opens never collide with it.
+    pub(crate) fn insert(&mut self, id: u64, state: SessionState, weight: u32) {
+        if self.entries.contains_key(&id) {
+            return;
+        }
+        if self.entries.len() >= self.capacity {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(id, e)| (e.last_used, **id))
+                .map(|(&id, _)| id);
+            if let Some(victim) = victim {
+                self.entries.remove(&victim);
+                self.evicted += 1;
+            }
+        }
+        self.clock += 1;
+        self.entries.insert(
+            id,
+            Entry {
+                state: Arc::new(state),
+                last_used: self.clock,
+                weight: weight.max(1),
+            },
+        );
+        self.next_id = self.next_id.max(id + 1);
     }
 
     /// Looks a session up, marking it most-recently-used. The returned
@@ -80,7 +129,8 @@ impl Registry {
     }
 
     /// Replaces a resident session's state in place (migration commit),
-    /// preserving its LRU position. Returns whether the id was resident.
+    /// preserving its LRU position and weight. Returns whether the id was
+    /// resident; a tenant evicted meanwhile stays evicted.
     pub(crate) fn replace(&mut self, id: u64, state: SessionState) -> bool {
         match self.entries.get_mut(&id) {
             Some(e) => {
@@ -91,43 +141,27 @@ impl Registry {
         }
     }
 
-    /// The id the next [`Self::insert`] will assign (placement runs
-    /// before the backend is built, so the server needs the id early).
-    pub(crate) fn next_id(&self) -> u64 {
-        self.next_id
+    /// A session's DRR weight (1 for an id that is not resident).
+    pub(crate) fn weight_of(&self, id: u64) -> u32 {
+        self.entries.get(&id).map_or(1, |e| e.weight)
     }
 
-    /// Inserts a session under a snapshot-assigned id (restore path),
-    /// evicting the LRU entry when at capacity, and returns the evicted id.
-    /// A duplicate id is ignored — restore rejects a stream that repeats
-    /// one before it commits. Bumps `next_id` past `id` so post-restore
-    /// opens never collide with restored sessions.
-    pub(crate) fn insert_with_id(&mut self, id: u64, state: SessionState) -> Option<u64> {
-        if self.entries.contains_key(&id) {
-            return None;
+    /// Sets a resident session's DRR weight (clamped to ≥ 1); no-op for
+    /// an id that is not resident.
+    pub(crate) fn set_weight(&mut self, id: u64, weight: u32) {
+        if let Some(e) = self.entries.get_mut(&id) {
+            e.weight = weight.max(1);
         }
-        let victim = if self.entries.len() >= self.capacity {
-            self.entries
-                .iter()
-                .min_by_key(|(id, e)| (e.last_used, **id))
-                .map(|(&id, _)| id)
-        } else {
-            None
-        };
-        if let Some(victim) = victim {
-            self.entries.remove(&victim);
-            self.evicted += 1;
-        }
-        self.clock += 1;
-        self.entries.insert(
-            id,
-            Entry {
-                state: Arc::new(state),
-                last_used: self.clock,
-            },
-        );
-        self.next_id = self.next_id.max(id + 1);
-        victim
+    }
+
+    /// The cheapest resident tenant to move off `device`: smallest key
+    /// upload, ties to the lowest id.
+    pub(crate) fn cheapest_on(&self, device: usize) -> Option<(u64, Arc<SessionState>)> {
+        self.entries
+            .iter()
+            .filter(|(_, e)| e.state.device == device)
+            .min_by_key(|(&id, e)| (e.state.key_bytes(), id))
+            .map(|(&id, e)| (id, Arc::clone(&e.state)))
     }
 
     /// Whether a session with this id is resident (restore stages its
@@ -137,6 +171,11 @@ impl Registry {
         self.entries.contains_key(&id)
     }
 
+    /// The id the next open will get.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
     /// Raises the next-assigned id to at least `n` (restore replays the
     /// snapshotted counter so ids stay unique across the restart even if
     /// the highest-id session had been closed before the snapshot).
@@ -144,15 +183,15 @@ impl Registry {
         self.next_id = self.next_id.max(n);
     }
 
-    /// Every resident session as `(id, state)`, least recently used
-    /// first — the serialization order that lets a restore replay
-    /// [`Self::insert_with_id`] calls and land in the same LRU state.
-    pub(crate) fn export(&self) -> Vec<(u64, Arc<SessionState>)> {
+    /// Every resident session as `(id, state, weight)`, least recently
+    /// used first — the serialization order that lets a restore replay
+    /// [`Self::insert`] calls and land in the same LRU state.
+    pub(crate) fn export(&self) -> Vec<(u64, Arc<SessionState>, u32)> {
         let mut entries: Vec<(&u64, &Entry)> = self.entries.iter().collect();
         entries.sort_by_key(|(id, e)| (e.last_used, **id));
         entries
             .into_iter()
-            .map(|(&id, e)| (id, Arc::clone(&e.state)))
+            .map(|(&id, e)| (id, Arc::clone(&e.state), e.weight))
             .collect()
     }
 
@@ -170,69 +209,121 @@ impl Registry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use fides_client::RawParams;
+    use fides_client::{Domain, RawParams, RawPlaintext, RawPoly};
     use fides_core::CpuBackend;
 
-    fn state() -> SessionState {
+    /// A session on `device` whose key upload grows with `plaintexts`.
+    pub(crate) fn state_on(device: usize, plaintexts: usize) -> SessionState {
+        let pt = RawPlaintext {
+            poly: RawPoly::zero(8, 1, Domain::Eval),
+            level: 0,
+            scale: 1.0,
+            slots: 1,
+        };
         SessionState {
             backend: Box::new(CpuBackend::new(RawParams::generate(8, 2, 30, 40, 2))),
             plains: Vec::new(),
-            device: 0,
-            upload: None,
+            device,
+            upload: SessionRequest {
+                params_hash: 0,
+                relin: None,
+                rotations: Vec::new(),
+                conjugation: None,
+                plaintexts: vec![pt; plaintexts],
+            },
         }
+    }
+
+    fn state() -> SessionState {
+        state_on(0, 0)
+    }
+
+    fn open(t: &mut TenantTable) -> u64 {
+        let id = t.reserve_id();
+        t.insert(id, state(), 1);
+        id
     }
 
     #[test]
     fn replace_preserves_identity_and_lru_position() {
-        let mut r = Registry::new(2);
-        let (a, _) = r.insert(state());
-        assert_eq!(r.next_id(), a + 1);
-        let mut moved = state();
-        moved.device = 1;
-        assert!(r.replace(a, moved));
-        assert_eq!(r.touch(a).unwrap().device, 1);
-        assert!(!r.replace(999, state()), "unknown id rejected");
+        let mut t = TenantTable::new(2);
+        let a = open(&mut t);
+        assert_eq!(t.next_id(), a + 1);
+        t.set_weight(a, 4);
+        assert!(t.replace(a, state_on(1, 0)));
+        assert_eq!(t.touch(a).unwrap().device, 1);
+        assert_eq!(t.weight_of(a), 4, "weight survives a migration");
+        assert!(!t.replace(999, state()), "unknown id rejected");
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut r = Registry::new(2);
-        let (a, _) = r.insert(state());
-        let (b, evicted) = r.insert(state());
-        assert_eq!(evicted, None, "no eviction below capacity");
-        assert_eq!(r.len(), 2);
+        let mut t = TenantTable::new(2);
+        let a = open(&mut t);
+        let b = open(&mut t);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.evicted(), 0, "no eviction below capacity");
         // Touch `a`, so `b` is now the LRU victim.
-        assert!(r.touch(a).is_some());
-        let (c, victim) = r.insert(state());
-        assert_eq!(victim, Some(b), "eviction reports the victim");
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.evicted(), 1);
-        assert!(r.touch(b).is_none(), "b was evicted");
-        assert!(r.touch(a).is_some());
-        assert!(r.touch(c).is_some());
+        assert!(t.touch(a).is_some());
+        let c = open(&mut t);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.evicted(), 1);
+        assert!(t.touch(b).is_none(), "b was evicted");
+        assert!(t.touch(a).is_some());
+        assert!(t.touch(c).is_some());
     }
 
     #[test]
     fn ids_are_never_reused() {
-        let mut r = Registry::new(1);
-        let (a, _) = r.insert(state());
-        let (b, _) = r.insert(state()); // evicts a
-        assert_ne!(a, b);
-        assert!(r.touch(a).is_none());
-        assert!(!r.remove(a));
-        assert!(r.remove(b));
-        assert_eq!(r.len(), 0);
+        let mut t = TenantTable::new(1);
+        let a = open(&mut t);
+        let burnt = t.reserve_id(); // a failed open
+        let b = open(&mut t); // evicts a
+        assert!(a < burnt && burnt < b);
+        assert!(t.touch(a).is_none());
+        assert!(!t.remove(a));
+        assert!(t.remove(b));
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn capacity_floor_is_one() {
-        let mut r = Registry::new(0);
-        let (a, _) = r.insert(state());
-        assert!(r.touch(a).is_some());
-        let (b, _) = r.insert(state());
-        assert!(r.touch(a).is_none());
-        assert!(r.touch(b).is_some());
+        let mut t = TenantTable::new(0);
+        let a = open(&mut t);
+        assert!(t.touch(a).is_some());
+        let b = open(&mut t);
+        assert!(t.touch(a).is_none());
+        assert!(t.touch(b).is_some());
+    }
+
+    #[test]
+    fn eviction_and_close_take_the_weight_with_the_entry() {
+        let mut t = TenantTable::new(1);
+        let a = open(&mut t);
+        t.set_weight(a, 3);
+        let b = open(&mut t); // evicts a
+        assert_eq!(t.weight_of(a), 1, "evicted tenant's weight leaked");
+        t.set_weight(a, 5);
+        assert_eq!(t.weight_of(a), 1, "weights only attach to residents");
+        t.set_weight(b, 2);
+        assert!(t.remove(b));
+        assert_eq!(t.weight_of(b), 1, "closed tenant's weight leaked");
+        assert!(t.export().is_empty());
+    }
+
+    #[test]
+    fn cheapest_on_picks_the_smallest_resident_upload() {
+        let mut t = TenantTable::new(8);
+        for (device, plaintexts) in [(0, 5), (0, 1), (1, 0), (0, 9)] {
+            let id = t.reserve_id();
+            t.insert(id, state_on(device, plaintexts), 1);
+        }
+        assert_eq!(t.cheapest_on(0).unwrap().0, 2);
+        assert!(t.remove(2));
+        assert_eq!(t.cheapest_on(0).unwrap().0, 1, "only residents are victims");
+        assert_eq!(t.cheapest_on(1).unwrap().0, 3);
+        assert!(t.cheapest_on(2).is_none());
     }
 }

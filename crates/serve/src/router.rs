@@ -1,63 +1,37 @@
-//! Tenant → device-shard placement for the multi-device server.
+//! Tenant → device-shard homes for the multi-device server.
 //!
 //! The distributed serve path (`CkksParameters::num_devices` > 1) runs one
 //! device worker — its own simulated GPU plus CKKS context — per device
 //! and must decide **where each tenant's evaluation keys live**. Keys are
 //! the expensive resident state (tens of MB per tenant at serving
-//! parameters), so placement *is* key residency:
+//! parameters), so a tenant's home *is* its key residency:
 //!
 //! * **Consistent hashing** assigns each tenant a home device: the tenant
 //!   id hashes onto a ring of per-device virtual nodes, and the first
 //!   vnode clockwise wins. Adding a device moves only ~1/N of the
-//!   tenants' homes, so a re-opened (previously evicted) tenant lands
-//!   back where its keys were resident.
-//! * **Eval-key residency is the placement cost.** A placed tenant stays
-//!   put — re-placing it means re-uploading its key material over the
-//!   interconnect — and the router migrates only under *sustained*
-//!   imbalance, choosing the hottest device's cheapest-to-move (smallest
-//!   key frame) tenant, i.e. the one whose residency costs least to
-//!   rebuild.
+//!   tenants' homes.
+//! * **Migration only under sustained imbalance.** Re-homing a tenant
+//!   means re-uploading its key material over the interconnect, so the
+//!   [`HotStreak`] detector names a `(hot, cold)` device pair only after
+//!   the same device has been the hotspot for several consecutive ticks.
+//!   The server then moves the hot device's cheapest resident tenant.
 //!
-//! The router is pure bookkeeping: the server performs the actual key
-//! re-load and prices the frame bytes on the cluster link; the router
-//! only decides *who goes where* — deterministically, so a fixed
-//! open/submit sequence always produces the same placements (the
-//! determinism suite relies on this).
-
-use std::collections::BTreeMap;
+//! Nothing here holds tenant state: the ring is immutable after
+//! construction, and a tenant's current home is its session's `device` in
+//! the server's tenant table. Both functions are deterministic, so a fixed
+//! open/submit sequence always produces the same homes (the determinism
+//! suite relies on this).
 
 /// Virtual nodes per device on the hash ring (smooths the split).
 const VNODES: u64 = 16;
 /// Consecutive imbalanced ticks before a migration fires.
 const SUSTAIN_TICKS: u32 = 4;
 
-/// A migration decision: move `tenant` from `from` to `to`, re-uploading
-/// `key_bytes` of key material.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Migration {
-    /// Session id of the tenant to move.
-    pub tenant: u64,
-    /// Device currently holding the tenant's keys.
-    pub from: usize,
-    /// Destination device.
-    pub to: usize,
-    /// Size of the key material to re-upload (wire-frame bytes).
-    pub key_bytes: u64,
-}
-
-/// Consistent-hash shard router with residency-aware migration.
+/// Consistent-hash ring mapping tenant ids to home devices.
 #[derive(Debug)]
 pub struct ShardRouter {
-    num_devices: usize,
     /// Sorted (hash-point, device) ring.
     ring: Vec<(u64, usize)>,
-    /// tenant id → (device, key frame bytes). BTreeMap: deterministic
-    /// iteration order for victim selection.
-    placed: BTreeMap<u64, (usize, u64)>,
-    /// Consecutive ticks the same device has been the sustained hotspot.
-    hot_streak: u32,
-    hot_device: usize,
-    migrations: u64,
 }
 
 /// SplitMix64 — deterministic, well-mixed 64-bit hash.
@@ -69,101 +43,50 @@ fn mix(mut x: u64) -> u64 {
 }
 
 impl ShardRouter {
-    /// A router over `n` device shards (clamped to ≥ 1).
+    /// A ring over `n` device shards (clamped to ≥ 1).
     pub fn new(n: usize) -> Self {
-        let n = n.max(1);
         // Double-mix domain-separates vnode points from tenant hashes:
         // device 0's vnode keys are the raw ids 0..VNODES, and a single
         // mix would pin every small tenant id onto its own vnode point —
         // i.e. onto device 0.
-        let mut ring: Vec<(u64, usize)> = (0..n)
+        let mut ring: Vec<(u64, usize)> = (0..n.max(1))
             .flat_map(|d| (0..VNODES).map(move |v| (mix(mix((d as u64) << 32 | v)), d)))
             .collect();
         ring.sort_unstable();
-        Self {
-            num_devices: n,
-            ring,
-            placed: BTreeMap::new(),
-            hot_streak: 0,
-            hot_device: 0,
-            migrations: 0,
-        }
+        Self { ring }
     }
 
-    /// Number of device shards.
-    pub fn num_devices(&self) -> usize {
-        self.num_devices
-    }
-
-    /// Places a tenant (idempotent): the first vnode clockwise of
-    /// `hash(tenant)` on the ring. `key_bytes` is the tenant's key-frame
-    /// size, the cost of ever re-placing it.
-    pub fn place(&mut self, tenant: u64, key_bytes: u64) -> usize {
-        if let Some(&(d, _)) = self.placed.get(&tenant) {
-            return d;
-        }
+    /// A tenant's home device: the first vnode clockwise of
+    /// `hash(tenant)` on the ring.
+    pub fn home(&self, tenant: u64) -> usize {
         let h = mix(tenant);
-        let d = self
-            .ring
+        self.ring
             .iter()
             .find(|&&(point, _)| point >= h)
             .or_else(|| self.ring.first())
-            .map(|&(_, d)| d)
-            .unwrap_or(0);
-        self.placed.insert(tenant, (d, key_bytes));
-        d
+            .map_or(0, |&(_, d)| d)
     }
+}
 
-    /// The device currently holding a tenant's keys.
-    pub fn device_of(&self, tenant: u64) -> Option<usize> {
-        self.placed.get(&tenant).map(|&(d, _)| d)
-    }
+/// The sustained-imbalance detector's memory between ticks: which device
+/// has been the hotspot, and for how many consecutive ticks. Transient
+/// tick state — it deliberately resets across a restart.
+#[derive(Debug, Default)]
+pub(crate) struct HotStreak {
+    device: usize,
+    ticks: u32,
+}
 
-    /// Forgets a tenant (session closed or evicted).
-    pub fn remove(&mut self, tenant: u64) {
-        self.placed.remove(&tenant);
-    }
-
-    /// Pins a tenant to a device unconditionally (migration rollback:
-    /// the keys never moved, so the placement must not either).
-    pub fn assign(&mut self, tenant: u64, device: usize, key_bytes: u64) {
-        self.placed
-            .insert(tenant, (device.min(self.num_devices - 1), key_bytes));
-    }
-
-    /// Every committed placement as `(tenant, device, key_bytes)`, in
-    /// tenant-id order. A snapshot serializes these and a restore replays
-    /// them through [`Self::assign`], reproducing post-migration homes
-    /// exactly (the imbalance `hot_streak` is transient tick state and
-    /// deliberately resets across a restart).
-    pub fn export_placements(&self) -> Vec<(u64, usize, u64)> {
-        self.placed
-            .iter()
-            .map(|(&t, &(d, kb))| (t, d, kb))
-            .collect()
-    }
-
-    /// Migrations decided so far.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Feeds one tick's per-device served-request counts and returns a
-    /// migration decision once imbalance has been sustained.
+impl HotStreak {
+    /// Feeds one tick's per-device served-request counts and returns the
+    /// `(hot, cold)` device pair once imbalance has been sustained.
     ///
     /// A tick is *imbalanced* when the busiest device served more than
     /// twice the emptiest device's share plus one (the "+1" keeps
-    /// single-request ticks quiet). Only after four (`SUSTAIN_TICKS`)
-    /// consecutive imbalanced ticks with the **same** hotspot does the
-    /// router move one tenant — the hotspot's smallest-key (cheapest
-    /// residency to rebuild) tenant — to the emptiest device. The move is
-    /// committed in the router immediately; the caller re-uploads the
-    /// keys and prices `key_bytes` on the link.
-    pub fn observe_tick(&mut self, per_device: &[u64]) -> Option<Migration> {
-        assert_eq!(per_device.len(), self.num_devices);
-        if self.num_devices < 2 {
-            return None;
-        }
+    /// single-request ticks quiet). Only the fourth (`SUSTAIN_TICKS`)
+    /// consecutive imbalanced tick with the **same** hotspot fires, and
+    /// firing starts a fresh streak.
+    pub(crate) fn observe(&mut self, per_device: &[u64]) -> Option<(usize, usize)> {
         let (hot, &hi) = per_device
             .iter()
             .enumerate()
@@ -172,64 +95,46 @@ impl ShardRouter {
             .iter()
             .enumerate()
             .min_by_key(|&(d, &c)| (c, d))?;
-        let imbalanced = hi > 2 * lo + 1;
-        if !imbalanced || hot == cold {
-            self.hot_streak = 0;
+        if hi <= 2 * lo + 1 || hot == cold {
+            self.ticks = 0;
             return None;
         }
-        if self.hot_streak > 0 && self.hot_device == hot {
-            self.hot_streak += 1;
+        if self.ticks > 0 && self.device == hot {
+            self.ticks += 1;
         } else {
-            self.hot_device = hot;
-            self.hot_streak = 1;
+            self.device = hot;
+            self.ticks = 1;
         }
-        if self.hot_streak < SUSTAIN_TICKS {
+        if self.ticks < SUSTAIN_TICKS {
             return None;
         }
-        // Cheapest-to-move tenant on the hot device (smallest key frame,
-        // ties to the lowest id via BTreeMap order).
-        let victim = self
-            .placed
-            .iter()
-            .filter(|&(_, &(d, _))| d == hot)
-            .min_by_key(|&(id, &(_, kb))| (kb, *id))
-            .map(|(&id, &(_, kb))| (id, kb));
-        let (tenant, key_bytes) = victim?;
-        self.placed.insert(tenant, (cold, key_bytes));
-        self.hot_streak = 0;
-        self.migrations += 1;
-        Some(Migration {
-            tenant,
-            from: hot,
-            to: cold,
-            key_bytes,
-        })
+        self.ticks = 0;
+        Some((hot, cold))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::tests::state_on;
+    use crate::registry::TenantTable;
 
     #[test]
     fn placement_is_deterministic_and_sticky() {
-        let mut a = ShardRouter::new(4);
-        let mut b = ShardRouter::new(4);
+        let a = ShardRouter::new(4);
+        let b = ShardRouter::new(4);
         for t in 1..64u64 {
-            assert_eq!(a.place(t, 1000), b.place(t, 1000));
-        }
-        for t in 1..64u64 {
-            // Re-placing never moves a resident tenant.
-            assert_eq!(a.place(t, 1000), a.device_of(t).unwrap());
+            assert_eq!(a.home(t), b.home(t));
+            assert_eq!(a.home(t), a.home(t), "a home never moves");
         }
     }
 
     #[test]
     fn hashing_spreads_tenants_across_devices() {
-        let mut r = ShardRouter::new(4);
+        let r = ShardRouter::new(4);
         let mut counts = [0u64; 4];
         for t in 1..=256u64 {
-            counts[r.place(t, 1000)] += 1;
+            counts[r.home(t)] += 1;
         }
         for (d, &c) in counts.iter().enumerate() {
             assert!(c > 0, "device {d} got no tenants");
@@ -238,19 +143,19 @@ mod tests {
 
     #[test]
     fn single_device_routes_everything_to_zero() {
-        let mut r = ShardRouter::new(1);
+        let r = ShardRouter::new(1);
         for t in 1..32u64 {
-            assert_eq!(r.place(t, 1000), 0);
+            assert_eq!(r.home(t), 0);
         }
-        assert_eq!(r.observe_tick(&[100]), None);
+        assert_eq!(HotStreak::default().observe(&[100]), None);
     }
 
     #[test]
     fn ring_growth_moves_few_tenants() {
-        let mut small = ShardRouter::new(2);
-        let mut big = ShardRouter::new(3);
+        let small = ShardRouter::new(2);
+        let big = ShardRouter::new(3);
         let moved = (1..=256u64)
-            .filter(|&t| small.place(t, 1000) != big.place(t, 1000))
+            .filter(|&t| small.home(t) != big.home(t))
             .count();
         // Consistent hashing: growing the ring relocates roughly 1/3 of
         // the tenants, not all of them.
@@ -259,44 +164,37 @@ mod tests {
 
     #[test]
     fn sustained_imbalance_migrates_cheapest_tenant() {
-        let mut r = ShardRouter::new(2);
-        // Force-known placements: find tenants that hash to device 0.
-        let on_zero: Vec<u64> = (1..200u64)
-            .filter(|&t| {
-                let mut probe = ShardRouter::new(2);
-                probe.place(t, 0) == 0
-            })
-            .take(3)
-            .collect();
-        // Place them with distinct key sizes: the middle one is cheapest.
-        r.place(on_zero[0], 5000);
-        r.place(on_zero[1], 100);
-        r.place(on_zero[2], 9000);
+        // Three residents on device 0 with distinct upload sizes: the
+        // middle one is cheapest to move.
+        let mut table = TenantTable::new(8);
+        for plaintexts in [5, 1, 9] {
+            let id = table.reserve_id();
+            table.insert(id, state_on(0, plaintexts), 1);
+        }
+        let mut streak = HotStreak::default();
         // One imbalanced tick is not enough.
-        assert_eq!(r.observe_tick(&[10, 0]), None);
-        assert_eq!(r.observe_tick(&[10, 0]), None);
-        assert_eq!(r.observe_tick(&[10, 0]), None);
-        let m = r.observe_tick(&[10, 0]).expect("4th sustained tick fires");
-        assert_eq!(m.from, 0);
-        assert_eq!(m.to, 1);
-        assert_eq!(m.tenant, on_zero[1], "cheapest key frame moves");
-        assert_eq!(m.key_bytes, 100);
-        assert_eq!(r.device_of(on_zero[1]), Some(1), "router committed");
-        assert_eq!(r.migrations(), 1);
-        // A balanced tick resets the streak.
-        assert_eq!(r.observe_tick(&[5, 5]), None);
-        assert_eq!(r.observe_tick(&[10, 0]), None);
+        assert_eq!(streak.observe(&[10, 0]), None);
+        assert_eq!(streak.observe(&[10, 0]), None);
+        assert_eq!(streak.observe(&[10, 0]), None);
+        let (hot, cold) = streak.observe(&[10, 0]).expect("4th sustained tick fires");
+        assert_eq!((hot, cold), (0, 1));
+        assert_eq!(
+            table.cheapest_on(hot).unwrap().0,
+            2,
+            "cheapest upload moves"
+        );
+        // Firing starts a fresh streak; a balanced tick resets one too.
+        assert_eq!(streak.observe(&[10, 0]), None);
+        assert_eq!(streak.observe(&[5, 5]), None);
+        assert_eq!(streak.observe(&[10, 0]), None);
     }
 
     #[test]
     fn balanced_ticks_never_migrate() {
-        let mut r = ShardRouter::new(2);
-        r.place(1, 100);
-        r.place(2, 100);
+        let mut streak = HotStreak::default();
         for _ in 0..32 {
-            assert_eq!(r.observe_tick(&[8, 8]), None);
-            assert_eq!(r.observe_tick(&[3, 2]), None);
+            assert_eq!(streak.observe(&[8, 8]), None);
+            assert_eq!(streak.observe(&[3, 2]), None);
         }
-        assert_eq!(r.migrations(), 0);
     }
 }

@@ -25,8 +25,8 @@ use parking_lot::Mutex;
 
 use crate::error::{check_params_hash, ServeError};
 use crate::qos::{AdmissionQueue, QosPolicy};
-use crate::registry::{Registry, SessionState};
-use crate::router::{Migration, ShardRouter};
+use crate::registry::{SessionState, TenantTable};
+use crate::router::ShardRouter;
 use crate::stats::ServeStats;
 
 /// Which execution substrate the server runs tenants on.
@@ -69,7 +69,7 @@ pub struct ServerConfig {
     pub backend: ServeBackend,
     /// Most requests one batch tick executes (≥ 1).
     pub batch_size: usize,
-    /// Session-registry capacity; opening past it evicts the LRU tenant.
+    /// Tenant-table capacity; opening past it evicts the LRU tenant.
     pub max_sessions: usize,
     /// Admission-queue capacity (≥ 1): requests past it are load-shed
     /// with [`ServeError::Overloaded`] instead of buffered without bound.
@@ -105,7 +105,7 @@ impl ServerConfig {
         self
     }
 
-    /// Session-registry capacity.
+    /// Tenant-table capacity.
     pub fn max_sessions(mut self, sessions: usize) -> Self {
         self.max_sessions = sessions.max(1);
         self
@@ -125,19 +125,29 @@ impl ServerConfig {
 }
 
 enum Substrate {
-    /// One device context **per shard**; tenants' key sets attach to the
-    /// shard the router places them on, and the cluster models the
-    /// interconnect migrations pay for. `contexts.len() == 1` is the
-    /// classic single-device pipeline.
+    /// One device context **per shard**; a tenant's key set attaches to
+    /// the shard the router's hash ring homes it on, and the cluster
+    /// models the interconnect migrations pay for. `contexts.len() == 1`
+    /// is the classic single-device pipeline.
     Gpu {
         contexts: Vec<Arc<CkksContext>>,
         cluster: Arc<GpuCluster>,
+        router: ShardRouter,
     },
     /// Per-tenant host evaluators over the same chain.
     Cpu {
         raw: RawParams,
         workers: Option<usize>,
     },
+}
+
+impl Substrate {
+    fn num_devices(&self) -> usize {
+        match self {
+            Substrate::Gpu { contexts, .. } => contexts.len(),
+            Substrate::Cpu { .. } => 1,
+        }
+    }
 }
 
 struct Slot {
@@ -202,10 +212,9 @@ struct ServerInner {
     params_hash: u64,
     plan_cfg: PlanConfig,
     batch_size: usize,
-    registry: Mutex<Registry>,
-    /// Tenant → device-shard placement (consistent hashing; migrates on
-    /// sustained imbalance).
-    router: Mutex<ShardRouter>,
+    /// Every tenant's keys, home device and DRR weight, in one entry.
+    /// Lock order: `tenants`, then `queue`.
+    tenants: Mutex<TenantTable>,
     queue: Mutex<AdmissionQueue<Pending>>,
     /// Serializes ticks: queue draining (so DRR credits snapshot at tick
     /// boundaries), session resolution, graph capture, planning, replay
@@ -222,7 +231,7 @@ struct ServerInner {
 
 /// A multi-tenant CKKS session server over one execution substrate.
 ///
-/// Cloning is cheap — clones share the registry, queue and device, so a
+/// Cloning is cheap — clones share the tenant table, queue and device, so a
 /// clone per request thread is the intended usage.
 ///
 /// See the [crate docs](crate) for the serving model and a quick-serve
@@ -240,7 +249,7 @@ impl std::fmt::Debug for Server {
                 &format_args!("{:#018x}", self.inner.params_hash),
             )
             .field("batch_size", &self.inner.batch_size)
-            .field("sessions", &self.inner.registry.lock().len())
+            .field("sessions", &self.inner.tenants.lock().len())
             .field("queued", &self.inner.queue.lock().len())
             .finish_non_exhaustive()
     }
@@ -278,12 +287,23 @@ impl Server {
                     contexts.iter().map(|c| Arc::clone(c.gpu())).collect(),
                     InterconnectSpec::pcie_gen4(),
                 );
-                Substrate::Gpu { contexts, cluster }
+                Substrate::Gpu {
+                    contexts,
+                    cluster,
+                    router: ShardRouter::new(num_devices),
+                }
             }
             ServeBackend::Cpu { workers } => Substrate::Cpu {
                 raw: raw.clone(),
                 workers,
             },
+        };
+        let devices = substrate.num_devices();
+        let stats = ServeStats {
+            per_device_requests: vec![0; devices],
+            per_device_launches: vec![0; devices],
+            per_device_plan_us: vec![0; devices],
+            ..ServeStats::default()
         };
         Ok(Self {
             inner: Arc::new(ServerInner {
@@ -292,14 +312,13 @@ impl Server {
                 params_hash,
                 plan_cfg,
                 batch_size: config.batch_size.max(1),
-                registry: Mutex::new(Registry::new(config.max_sessions)),
-                router: Mutex::new(ShardRouter::new(num_devices)),
+                tenants: Mutex::new(TenantTable::new(config.max_sessions)),
                 queue: Mutex::new(AdmissionQueue::new(
                     config.qos,
                     config.admission_capacity.max(1),
                 )),
                 tick_lock: Mutex::new(()),
-                stats: Mutex::new(ServeStats::default()),
+                stats: Mutex::new(stats),
                 plan_cache: Mutex::new(PlanCache::default()),
             }),
         })
@@ -309,10 +328,7 @@ impl Server {
     /// ([`CkksParameters::num_devices`]; 1 on the CPU substrate's single
     /// worker).
     pub fn num_devices(&self) -> usize {
-        match &self.inner.substrate {
-            Substrate::Gpu { contexts, .. } => contexts.len(),
-            Substrate::Cpu { .. } => 1,
-        }
+        self.inner.substrate.num_devices()
     }
 
     /// The fingerprint of the server's parameter chain (what
@@ -326,23 +342,21 @@ impl Server {
         &self.inner.raw
     }
 
-    /// Number of sessions currently resident in the registry.
+    /// Number of sessions currently resident in the tenant table.
     pub fn session_count(&self) -> usize {
-        self.inner.registry.lock().len()
+        self.inner.tenants.lock().len()
     }
 
     /// Snapshot of the serving counters. Per-device occupancy is sampled
     /// here from each shard's simulator ledger.
     pub fn stats(&self) -> ServeStats {
         let mut s = self.inner.stats.lock().clone();
-        s.sessions_evicted = self.inner.registry.lock().evicted();
+        s.sessions_evicted = self.inner.tenants.lock().evicted();
         if let Substrate::Gpu { contexts, .. } = &self.inner.substrate {
             s.per_device_occupancy = contexts
                 .iter()
                 .map(|c| c.gpu().stats().stream_occupancy())
                 .collect();
-            s.per_device_requests.resize(contexts.len(), 0);
-            s.per_device_launches.resize(contexts.len(), 0);
         }
         s
     }
@@ -385,11 +399,12 @@ impl Server {
     }
 
     /// Opens a session from a keygen upload: validates the tenant's
-    /// parameter fingerprint, loads the evaluation keys into the
+    /// parameter fingerprint, reserves the session id (which picks the
+    /// tenant's home device), loads the evaluation keys there in the
     /// substrate's native form, preloads the uploaded plaintexts into the
     /// evaluation-domain cache, and registers the tenant (evicting the LRU
-    /// session when the registry is full). Returns the session id the
-    /// tenant puts on its evaluation requests.
+    /// session when the table is full). Returns the session id the tenant
+    /// puts on its evaluation requests. A failed open burns its id.
     ///
     /// # Errors
     ///
@@ -397,34 +412,24 @@ impl Server {
     /// [`ServeError::Fides`] when key material fails to load.
     pub fn open_session(&self, req: SessionRequest) -> Result<u64, ServeError> {
         check_params_hash(self.inner.params_hash, req.params_hash)?;
+        // The id is fixed before the keys load: it keys the consistent
+        // hash, so keys load straight into the home shard's context.
+        let id = self.inner.tenants.lock().reserve_id();
         let device = match &self.inner.substrate {
-            Substrate::Gpu { .. } => {
-                // Place before loading: keys load straight into the home
-                // shard's context. The upcoming session id keys the
-                // consistent hash, and the key-frame size is the
-                // placement's future migration cost.
-                let key_bytes = req.encoded_len() as u64;
-                let registry = self.inner.registry.lock();
-                self.inner
-                    .router
-                    .lock()
-                    .place(registry.next_id(), key_bytes)
-            }
+            Substrate::Gpu { router, .. } => router.home(id),
             Substrate::Cpu { .. } => 0,
         };
         let state = self.build_session(device, req)?;
-        let (id, evicted) = self.inner.registry.lock().insert(state);
-        if let Some(victim) = evicted {
-            self.inner.queue.lock().forget_weight(victim);
-        }
+        self.inner.tenants.lock().insert(id, state, 1);
         self.inner.stats.lock().sessions_opened += 1;
         Ok(id)
     }
 
     /// Builds a tenant's session state on a given device shard: loads the
     /// evaluation keys into the substrate's native form and preloads the
-    /// uploaded plaintexts. Shared by [`Server::open_session`] (placement
-    /// chooses `device`) and [`Server::restore`] (the snapshot names it).
+    /// uploaded plaintexts. Shared by [`Server::open_session`] (the hash
+    /// ring chooses `device`) and [`Server::restore`] (the snapshot names
+    /// it).
     fn build_session(
         &self,
         device: usize,
@@ -437,7 +442,7 @@ impl Server {
                     backend,
                     plains,
                     device,
-                    upload: Some(req),
+                    upload: req,
                 })
             }
             Substrate::Cpu { raw, workers } => {
@@ -465,7 +470,7 @@ impl Server {
                     backend,
                     plains,
                     device: 0,
-                    upload: Some(req),
+                    upload: req,
                 })
             }
         }
@@ -501,11 +506,10 @@ impl Server {
         self.open_session(SessionRequest::from_bytes(frame)?)
     }
 
-    /// Closes a session, freeing its keys. Returns whether it was resident.
+    /// Closes a session, freeing its keys, home and weight. Returns
+    /// whether it was resident.
     pub fn close_session(&self, id: u64) -> bool {
-        self.inner.router.lock().remove(id);
-        self.inner.queue.lock().forget_weight(id);
-        self.inner.registry.lock().remove(id)
+        self.inner.tenants.lock().remove(id)
     }
 
     /// Enqueues a request without blocking; a later batch tick (from any
@@ -552,25 +556,27 @@ impl Server {
         self.inner.queue.lock().len()
     }
 
-    /// Sets a session's weight for deficit-round-robin scheduling
-    /// (default 1; no-op under [`QosPolicy::Fifo`]). A weight-`w` lane
-    /// releases `w×` a weight-1 lane's requests per rotation round.
+    /// Sets a resident session's weight for deficit-round-robin
+    /// scheduling (default 1, clamped to ≥ 1; no-op under
+    /// [`QosPolicy::Fifo`] or for a session that is not resident). A
+    /// weight-`w` lane releases `w×` a weight-1 lane's requests per
+    /// rotation round. The weight lives and dies with the session.
     pub fn set_session_weight(&self, session: u64, weight: u32) {
-        self.inner.queue.lock().set_weight(session, weight);
+        self.inner.tenants.lock().set_weight(session, weight);
     }
 
     /// Serializes the server's durable state as a versioned persist
-    /// stream: the parameter fingerprint, the tenant registry (session
-    /// ids, device homes, DRR weights, full key uploads) in LRU order,
-    /// the shard router's committed placements, and every cached batch
-    /// plan. The state is *collected* under the tick lock, so the snapshot
-    /// is a consistent point between batch ticks — never mid-admission
-    /// and never mid-replay — but everything collected is a shared handle
-    /// or a value, so the lock is released before the first byte is
-    /// written: a slow sink never stalls serving, and ticks that run
-    /// during the write are not in the image.
+    /// stream: the parameter fingerprint, the tenant table (session ids,
+    /// device homes, DRR weights, full key uploads) in LRU order, one
+    /// placement record per resident session in id order, and every
+    /// cached batch plan. The state is *collected* under the tick lock,
+    /// so the snapshot is a consistent point between batch ticks — never
+    /// mid-admission and never mid-replay — but everything collected is a
+    /// shared handle or a value, so the lock is released before the first
+    /// byte is written: a slow sink never stalls serving, and ticks that
+    /// run during the write are not in the image.
     ///
-    /// Each record is encoded once, from the registry's own key material,
+    /// Each record is encoded once, from the table's own key material,
     /// straight into `w` with its CRC folded in the same pass (wrap a file
     /// in a `BufWriter`).
     ///
@@ -580,26 +586,16 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Client`] when the sink fails mid-write;
-    /// [`ServeError::Snapshot`] when a resident session retains no key
-    /// upload to serialize.
+    /// [`ServeError::Client`] when the sink fails mid-write.
     pub fn snapshot<W: Write>(&self, w: W) -> Result<(), ServeError> {
-        let (sessions, next_session_id, weights, placements, plans) = {
+        let (sessions, next_session_id, plans) = {
             let _tick = self.inner.tick_lock.lock();
             let (sessions, next_session_id) = {
-                let registry = self.inner.registry.lock();
-                (registry.export(), registry.next_id())
+                let tenants = self.inner.tenants.lock();
+                (tenants.export(), tenants.next_id())
             };
-            let weights: Vec<u32> = {
-                let queue = self.inner.queue.lock();
-                sessions
-                    .iter()
-                    .map(|(id, _)| queue.weight_of(*id))
-                    .collect()
-            };
-            let placements = self.inner.router.lock().export_placements();
             let plans = self.inner.plan_cache.lock().export_entries();
-            (sessions, next_session_id, weights, placements, plans)
+            (sessions, next_session_id, plans)
         };
 
         let mut writer = RecordWriter::new(w)?;
@@ -620,25 +616,26 @@ impl Server {
             }
             .encode(),
         )?;
-        for ((id, state), weight) in sessions.iter().zip(&weights) {
-            let upload = state.upload.as_ref().ok_or_else(|| {
-                ServeError::Snapshot(format!("session {id} retains no key upload"))
-            })?;
+        for (id, state, weight) in &sessions {
             let rec = SessionRecordRef {
                 id: *id,
                 device: state.device as u32,
                 weight: *weight,
-                upload: upload.as_upload(),
+                upload: state.upload.as_upload(),
             };
             writer.record_with(kind::SESSION, rec.encoded_len(), |out| rec.write_into(out))?;
         }
-        for (tenant, device, key_bytes) in placements {
+        // Format v1 carries each home twice: the session's `device` is the
+        // one restore reads; the placement record is derived from it.
+        let mut homes: Vec<_> = sessions.iter().map(|(id, state, _)| (*id, state)).collect();
+        homes.sort_unstable_by_key(|&(id, _)| id);
+        for (tenant, state) in homes {
             writer.record(
                 kind::PLACEMENT,
                 &PlacementRecord {
                     tenant,
-                    device: device as u32,
-                    key_bytes,
+                    device: state.device as u32,
+                    key_bytes: state.key_bytes(),
                 }
                 .encode(),
             )?;
@@ -654,18 +651,17 @@ impl Server {
 
     /// Rebuilds durable state from a [`Server::snapshot`] stream onto
     /// this (typically freshly constructed, same-configuration) server:
-    /// sessions are re-registered under their original ids with their
-    /// keys re-loaded onto their snapshotted device homes, DRR weights
-    /// and router placements are replayed, and cached plans land back in
-    /// the plan cache marked warm — the first post-restore tick of a
-    /// steady-state workload replays a cached plan with zero planning
-    /// work. Returns the number of sessions restored.
+    /// sessions are re-registered under their original ids and DRR
+    /// weights with their keys re-loaded onto their snapshotted device
+    /// homes, and cached plans land back in the plan cache marked warm —
+    /// the first post-restore tick of a steady-state workload replays a
+    /// cached plan with zero planning work. Returns the number of
+    /// sessions restored.
     ///
     /// Restore is **atomic**: the whole stream is decoded and validated
-    /// into staged state first, and nothing touches the registry, queue,
-    /// router or plan cache until every record has checked out — a
-    /// truncated or corrupted snapshot leaves the server exactly as it
-    /// was.
+    /// into staged state first, and nothing touches the tenant table or
+    /// plan cache until every record has checked out — a truncated or
+    /// corrupted snapshot leaves the server exactly as it was.
     ///
     /// # Errors
     ///
@@ -716,7 +712,6 @@ impl Server {
         // plaintexts preloaded) but owned by the stage — on any error
         // they simply drop and the server is untouched.
         let mut staged_sessions: Vec<(u64, u32, SessionState)> = Vec::new();
-        let mut staged_placements: Vec<(u64, usize, u64)> = Vec::new();
         let mut staged_plans = Vec::new();
         while let Some(rec) = reader.read_record()? {
             match rec.kind {
@@ -732,7 +727,7 @@ impl Server {
                         )));
                     }
                     if staged_sessions.iter().any(|(id, _, _)| *id == sess.id)
-                        || self.inner.registry.lock().contains(sess.id)
+                        || self.inner.tenants.lock().contains(sess.id)
                     {
                         return Err(ServeError::Snapshot(format!(
                             "duplicate session id {}",
@@ -743,16 +738,18 @@ impl Server {
                     staged_sessions.push((sess.id, sess.weight, state));
                 }
                 kind::PLACEMENT => {
+                    // Checked, then dropped: the session record's device is
+                    // the tenant's one home, so a placement for a tenant
+                    // that is not in the image leaves nothing behind.
                     let p = PlacementRecord::decode(rec.payload)?;
-                    let device = p.device as usize;
-                    if device >= self.num_devices() {
+                    if p.device as usize >= self.num_devices() {
                         return Err(ServeError::Snapshot(format!(
-                            "placement of tenant {} on device {device}, server has {}",
+                            "placement of tenant {} on device {}, server has {}",
                             p.tenant,
+                            p.device,
                             self.num_devices()
                         )));
                     }
-                    staged_placements.push((p.tenant, device, p.key_bytes));
                 }
                 kind::PLAN => {
                     let (fp, plan, binding) = decode_plan_entry(rec.payload)?;
@@ -791,17 +788,12 @@ impl Server {
         // Commit: the stream checked out end to end; replay the staged
         // state in snapshot order. Duplicate ids were rejected above, so
         // every insert lands.
-        for (id, weight, state) in staged_sessions {
-            let evicted = self.inner.registry.lock().insert_with_id(id, state);
-            if let Some(victim) = evicted {
-                self.inner.queue.lock().forget_weight(victim);
+        {
+            let mut tenants = self.inner.tenants.lock();
+            for (id, weight, state) in staged_sessions {
+                tenants.insert(id, state, weight);
             }
-            if weight != 1 {
-                self.inner.queue.lock().set_weight(id, weight);
-            }
-        }
-        for (tenant, device, key_bytes) in staged_placements {
-            self.inner.router.lock().assign(tenant, device, key_bytes);
+            tenants.ensure_next_id(meta.next_session_id);
         }
         for (fp, plan, binding) in staged_plans {
             self.inner
@@ -809,10 +801,6 @@ impl Server {
                 .lock()
                 .restore_entry(fp, plan, binding);
         }
-        self.inner
-            .registry
-            .lock()
-            .ensure_next_id(meta.next_session_id);
         self.inner.stats.lock().restored_sessions += restored_sessions;
         Ok(restored_sessions)
     }
@@ -841,12 +829,12 @@ impl Server {
         let planned_before = self.inner.plan_cache.lock().misses();
         for shape in shapes {
             let resolved: Vec<(Pending, Option<Arc<SessionState>>)> = {
-                let mut registry = self.inner.registry.lock();
+                let mut tenants = self.inner.tenants.lock();
                 shape
                     .requests
                     .iter()
                     .map(|(session_id, program, slots)| {
-                        let session = registry
+                        let session = tenants
                             .touch(*session_id)
                             .ok_or(ServeError::UnknownSession(*session_id))?;
                         program.validate(session.plains.len())?;
@@ -973,25 +961,31 @@ impl Server {
 
     /// Admission phase (caller holds `tick_lock`): drains up to
     /// `batch_size` queued requests — DRR lane credits snapshot at this
-    /// tick boundary — resolves their sessions, and runs the record/plan
+    /// tick boundary, weighted from the tenant table — resolves their
+    /// sessions under the same table guard, and runs the record/plan
     /// pass. Returns `None` for an empty queue.
     fn prepare_tick(&self) -> Option<PreparedTick> {
-        let batch: Vec<Pending> = self.inner.queue.lock().pop_batch(self.inner.batch_size);
-        if batch.is_empty() {
-            return None;
-        }
-        // Resolve sessions first (touching the LRU clock once per request);
-        // the Arc keeps a session alive even if an open evicts it mid-batch.
+        // Resolve sessions while popping (touching the LRU clock once per
+        // request); the Arc keeps a session alive even if an open evicts
+        // it mid-batch.
         let resolved: Vec<(Pending, Option<Arc<SessionState>>)> = {
-            let mut registry = self.inner.registry.lock();
+            let mut tenants = self.inner.tenants.lock();
+            let batch = self
+                .inner
+                .queue
+                .lock()
+                .pop_batch(self.inner.batch_size, |id| tenants.weight_of(id));
             batch
                 .into_iter()
                 .map(|p| {
-                    let session = registry.touch(p.req.session_id);
+                    let session = tenants.touch(p.req.session_id);
                     (p, session)
                 })
                 .collect()
         };
+        if resolved.is_empty() {
+            return None;
+        }
         Some(self.prepare_resolved(resolved, false))
     }
 
@@ -1046,10 +1040,7 @@ impl Server {
     ) -> (Vec<EvalResponse>, Vec<ShardExec>) {
         let mut shards: Vec<Vec<usize>> = vec![Vec::new(); contexts.len()];
         for (i, (_, session)) in batch.iter().enumerate() {
-            let device = session
-                .as_ref()
-                .map_or(0, |s| s.device.min(contexts.len() - 1));
-            shards[device].push(i);
+            shards[session.as_ref().map_or(0, |s| s.device)].push(i);
         }
         let mut responses: Vec<Option<EvalResponse>> = (0..batch.len()).map(|_| None).collect();
         struct ShardGraph {
@@ -1084,15 +1075,6 @@ impl Server {
                     }
                 }
                 responses[i] = Some(resp);
-            }
-            // Synthetic warmup batches stay out of the live request
-            // counters — they prime plans, they do not serve tenants.
-            if !synthetic {
-                let mut stats = self.inner.stats.lock();
-                if stats.per_device_requests.len() < contexts.len() {
-                    stats.per_device_requests.resize(contexts.len(), 0);
-                }
-                stats.per_device_requests[device] += shard.len() as u64;
             }
             if !merged.events.is_empty() {
                 graphs.push(ShardGraph {
@@ -1134,18 +1116,12 @@ impl Server {
                     stats.warm_plan_hits += u64::from(bound.is_warm_hit());
                 } else {
                     stats.plan_cache_misses += 1;
-                    if stats.per_device_plan_us.len() <= exec.device {
-                        stats.per_device_plan_us.resize(exec.device + 1, 0);
-                    }
                     stats.per_device_plan_us[exec.device] += bound.plan_us();
                 }
                 let planned = bound.plan().stats();
                 stats.recorded_kernels += planned.recorded_kernels;
                 stats.planned_launches += planned.planned_launches;
                 stats.fused_kernels += planned.fused_kernels;
-                if stats.per_device_launches.len() <= exec.device {
-                    stats.per_device_launches.resize(exec.device + 1, 0);
-                }
                 stats.per_device_launches[exec.device] += planned.planned_launches;
             }
         }
@@ -1158,7 +1134,8 @@ impl Server {
 
     /// Execution phase (caller holds `tick_lock`): replays every shard's
     /// planned launches onto its simulated device and accounts the tick's
-    /// served traffic. Replay only advances the simulated timeline —
+    /// served traffic (synthetic warmup batches prime plans and stay out
+    /// of the counters). Replay only advances the simulated timeline —
     /// responses were finalized in the admission phase — so nothing here
     /// can change a frame.
     fn execute_tick(&self, tick: &PreparedTick) {
@@ -1185,6 +1162,11 @@ impl Server {
             stats.max_batch = stats.max_batch.max(tick.resolved.len());
             stats.failed += tick.responses.iter().filter(|r| r.error.is_some()).count() as u64;
             stats.replay_us += replay_us;
+            // A request without a session ran nowhere; it counts on
+            // device 0.
+            for (_, session) in &tick.resolved {
+                stats.per_device_requests[session.as_ref().map_or(0, |s| s.device)] += 1;
+            }
         }
         self.maybe_migrate(&tick.resolved);
     }
@@ -1214,67 +1196,59 @@ impl Server {
         self.inner.stats.lock().flush_us += us;
     }
 
-    /// After a tick, feeds the router the per-device request counts and —
-    /// on a sustained-imbalance decision — re-homes the chosen tenant's
-    /// keys on its new device, pricing the key frame on the interconnect.
+    /// After a tick, feeds the hot-shard detector the per-device counts
+    /// of requests served for resident sessions and — on a
+    /// sustained-imbalance decision — re-homes the hot device's cheapest
+    /// resident tenant on the cold device, pricing its key frame on the
+    /// interconnect.
     fn maybe_migrate(&self, batch: &[(Pending, Option<Arc<SessionState>>)]) {
-        let Substrate::Gpu { contexts, cluster } = &self.inner.substrate else {
+        let Substrate::Gpu {
+            contexts, cluster, ..
+        } = &self.inner.substrate
+        else {
             return;
         };
         if contexts.len() < 2 {
             return;
         }
         let mut counts = vec![0u64; contexts.len()];
-        for (_, session) in batch {
-            if let Some(s) = session {
-                counts[s.device.min(contexts.len() - 1)] += 1;
-            }
+        for s in batch.iter().filter_map(|(_, session)| session.as_ref()) {
+            counts[s.device] += 1;
         }
-        let decision = self.inner.router.lock().observe_tick(&counts);
-        let Some(Migration {
-            tenant,
-            from,
-            to,
-            key_bytes,
-        }) = decision
-        else {
+        let (tenant, from, to, moving) = {
+            let mut tenants = self.inner.tenants.lock();
+            let Some((from, to)) = tenants.streak.observe(&counts) else {
+                return;
+            };
+            let Some((tenant, moving)) = tenants.cheapest_on(from) else {
+                return;
+            };
+            (tenant, from, to, moving)
+        };
+        // Keys that fail to rebuild leave the tenant serving from its old
+        // home; a tenant evicted while its keys were being rebuilt stays
+        // evicted, and the rebuilt state drops.
+        let Ok((backend, plains)) = Self::gpu_session(&contexts[to], &moving.upload) else {
             return;
         };
-        let upload = {
-            let mut registry = self.inner.registry.lock();
-            registry.touch(tenant).and_then(|s| s.upload.clone())
+        let key_bytes = moving.key_bytes();
+        let moved = SessionState {
+            backend,
+            plains,
+            device: to,
+            upload: moving.upload.clone(),
         };
-        let Some(upload) = upload else {
-            // Session vanished (evicted between decision and commit):
-            // forget the placement; a re-open re-places it.
-            self.inner.router.lock().remove(tenant);
+        if !self.inner.tenants.lock().replace(tenant, moved) {
             return;
-        };
-        match Self::gpu_session(&contexts[to], &upload) {
-            Ok((backend, plains)) => {
-                self.inner.registry.lock().replace(
-                    tenant,
-                    SessionState {
-                        backend,
-                        plains,
-                        device: to,
-                        upload: Some(upload),
-                    },
-                );
-                // The key frame crosses the link from the old home; the
-                // new home's submission thread stalls until it lands.
-                let ready = cluster.device(from).host_clock();
-                let done = cluster.transfer(key_bytes, ready);
-                cluster.device(to).advance_host_to(done);
-                let mut stats = self.inner.stats.lock();
-                stats.migrations += 1;
-                stats.migration_bytes += key_bytes;
-            }
-            Err(_) => {
-                // Keys failed to rebuild: keep serving from the old home.
-                self.inner.router.lock().assign(tenant, from, key_bytes);
-            }
         }
+        // The key frame crosses the link from the old home; the new
+        // home's submission thread stalls until it lands.
+        let ready = cluster.device(from).host_clock();
+        let done = cluster.transfer(key_bytes, ready);
+        cluster.device(to).advance_host_to(done);
+        let mut stats = self.inner.stats.lock();
+        stats.migrations += 1;
+        stats.migration_bytes += key_bytes;
     }
 
     /// Serves one request against its session (functional math runs here;
@@ -1359,7 +1333,7 @@ mod tests {
     }
 
     fn weight_of(server: &Server, session: u64) -> u32 {
-        server.inner.queue.lock().weight_of(session)
+        server.inner.tenants.lock().weight_of(session)
     }
 
     #[test]

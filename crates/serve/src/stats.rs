@@ -17,7 +17,7 @@ pub struct ServeStats {
     /// Requests load-shed by the bounded admission queue (returned
     /// `Overloaded`, never queued).
     pub shed: u64,
-    /// Sessions evicted by the registry's LRU bound.
+    /// Sessions evicted by the tenant table's LRU bound.
     pub sessions_evicted: u64,
     /// Kernel nodes recorded across all batch graphs (gpu-sim substrate).
     pub recorded_kernels: u64,

@@ -210,10 +210,10 @@ fn sustained_imbalance_migrates_tenant_without_changing_frames() {
     let sids = open_in_order(&server, &tenants, &identity);
     let reqs = requests(&tenants, &sids);
 
-    // The router is deterministic bookkeeping over session ids, so a
-    // probe router replays the server's placement decisions exactly.
-    let mut probe = ShardRouter::new(2);
-    let homes: Vec<usize> = sids.iter().map(|&sid| probe.place(sid, 0)).collect();
+    // Homes are a pure function of session ids, so a probe ring
+    // replays the server's placement decisions exactly.
+    let probe = ShardRouter::new(2);
+    let homes: Vec<usize> = sids.iter().map(|&sid| probe.home(sid)).collect();
     let hot = usize::from(homes.iter().filter(|&&d| d == 1).count() > TENANTS / 2);
     let hot_tenants: Vec<usize> = (0..TENANTS).filter(|&t| homes[t] == hot).collect();
     assert!(
