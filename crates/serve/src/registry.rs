@@ -11,7 +11,7 @@
 //! cannot hold every tenant's keys at once. Evicted tenants simply
 //! re-upload (the wire `SessionRequest` is the cache fill).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use fides_client::wire::SessionRequest;
@@ -55,6 +55,8 @@ struct Entry {
 /// state, plus the multi-device router's hot-shard streak.
 pub(crate) struct TenantTable {
     entries: HashMap<u64, Entry>,
+    /// Ids handed to opens that are still loading their keys.
+    reserved: HashSet<u64>,
     capacity: usize,
     next_id: u64,
     clock: u64,
@@ -67,6 +69,7 @@ impl TenantTable {
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
             entries: HashMap::new(),
+            reserved: HashSet::new(),
             capacity: capacity.max(1),
             next_id: 1,
             clock: 0,
@@ -76,23 +79,31 @@ impl TenantTable {
     }
 
     /// Hands out a fresh session id before the tenant's keys load (the id
-    /// picks the home device). Ids are never reused, so an open that
-    /// fails after reserving simply burns its id.
+    /// picks the home device). The id stays [`Self::taken`] until the
+    /// open inserts it or [`Self::release`]s it; ids are never reused, so
+    /// an open that fails after reserving simply burns its id.
     pub(crate) fn reserve_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        self.reserved.insert(id);
         id
+    }
+
+    /// Ends a failed open's reservation (the id stays burnt).
+    pub(crate) fn release(&mut self, id: u64) {
+        self.reserved.remove(&id);
     }
 
     /// Inserts a session under `id` with DRR `weight` (clamped to ≥ 1),
     /// evicting the least-recently-used entry when at capacity — its keys,
-    /// home and weight go with it. A duplicate id is ignored: restore
-    /// rejects a stream that repeats one before it commits. Bumps the id
-    /// counter past `id` so later opens never collide with it.
-    pub(crate) fn insert(&mut self, id: u64, state: SessionState, weight: u32) {
+    /// home and weight go with it — and ending any reservation of `id`.
+    /// Returns false, inserting nothing, when `id` is already resident.
+    /// Bumps the id counter past `id` so later opens never collide with it.
+    pub(crate) fn insert(&mut self, id: u64, state: SessionState, weight: u32) -> bool {
         if self.entries.contains_key(&id) {
-            return;
+            return false;
         }
+        self.reserved.remove(&id);
         if self.entries.len() >= self.capacity {
             let victim = self
                 .entries
@@ -114,6 +125,7 @@ impl TenantTable {
             },
         );
         self.next_id = self.next_id.max(id + 1);
+        true
     }
 
     /// Looks a session up, marking it most-recently-used. The returned
@@ -164,11 +176,11 @@ impl TenantTable {
             .map(|(&id, e)| (id, Arc::clone(&e.state)))
     }
 
-    /// Whether a session with this id is resident (restore stages its
-    /// whole stream first and pre-checks staged ids against residents so
-    /// a failed restore never half-commits).
-    pub(crate) fn contains(&self, id: u64) -> bool {
-        self.entries.contains_key(&id)
+    /// Whether `id` is resident or reserved by an open still loading its
+    /// keys: restore checks every staged id under the same guard it
+    /// commits under, so it never half-commits or takes an open's id.
+    pub(crate) fn taken(&self, id: u64) -> bool {
+        self.entries.contains_key(&id) || self.reserved.contains(&id)
     }
 
     /// The id the next open will get.
@@ -242,8 +254,23 @@ pub(crate) mod tests {
 
     fn open(t: &mut TenantTable) -> u64 {
         let id = t.reserve_id();
-        t.insert(id, state(), 1);
+        assert!(t.insert(id, state(), 1));
         id
+    }
+
+    #[test]
+    fn reserved_ids_are_taken_until_inserted_or_released() {
+        let mut t = TenantTable::new(2);
+        let a = t.reserve_id();
+        assert!(t.taken(a) && t.touch(a).is_none(), "reserved, not resident");
+        assert!(t.insert(a, state(), 1));
+        assert!(t.taken(a));
+        assert!(!t.insert(a, state_on(1, 0), 3), "duplicate id refused");
+        assert_eq!(t.touch(a).unwrap().device, 0, "resident state untouched");
+        let burnt = t.reserve_id();
+        t.release(burnt);
+        assert!(!t.taken(burnt));
+        assert_eq!(t.next_id(), burnt + 1, "a released id stays burnt");
     }
 
     #[test]
@@ -318,7 +345,7 @@ pub(crate) mod tests {
         let mut t = TenantTable::new(8);
         for (device, plaintexts) in [(0, 5), (0, 1), (1, 0), (0, 9)] {
             let id = t.reserve_id();
-            t.insert(id, state_on(device, plaintexts), 1);
+            assert!(t.insert(id, state_on(device, plaintexts), 1));
         }
         assert_eq!(t.cheapest_on(0).unwrap().0, 2);
         assert!(t.remove(2));

@@ -419,8 +419,17 @@ impl Server {
             Substrate::Gpu { router, .. } => router.home(id),
             Substrate::Cpu { .. } => 0,
         };
-        let state = self.build_session(device, req)?;
-        self.inner.tenants.lock().insert(id, state, 1);
+        let state = match self.build_session(device, req) {
+            Ok(state) => state,
+            Err(e) => {
+                self.inner.tenants.lock().release(id);
+                return Err(e);
+            }
+        };
+        // A restore never commits a reserved id, so this lands.
+        if !self.inner.tenants.lock().insert(id, state, 1) {
+            return Err(ServeError::Snapshot(format!("session id {id} was taken")));
+        }
         self.inner.stats.lock().sessions_opened += 1;
         Ok(id)
     }
@@ -726,9 +735,7 @@ impl Server {
                             self.num_devices()
                         )));
                     }
-                    if staged_sessions.iter().any(|(id, _, _)| *id == sess.id)
-                        || self.inner.tenants.lock().contains(sess.id)
-                    {
+                    if staged_sessions.iter().any(|(id, _, _)| *id == sess.id) {
                         return Err(ServeError::Snapshot(format!(
                             "duplicate session id {}",
                             sess.id
@@ -786,12 +793,17 @@ impl Server {
             )));
         }
         // Commit: the stream checked out end to end; replay the staged
-        // state in snapshot order. Duplicate ids were rejected above, so
-        // every insert lands.
+        // state in snapshot order. Ids are checked against residents and
+        // in-flight opens under the commit's own guard, so every insert
+        // lands and an open never finds its reserved id taken.
         {
             let mut tenants = self.inner.tenants.lock();
+            if let Some((id, _, _)) = staged_sessions.iter().find(|(id, _, _)| tenants.taken(*id)) {
+                return Err(ServeError::Snapshot(format!("duplicate session id {id}")));
+            }
             for (id, weight, state) in staged_sessions {
-                tenants.insert(id, state, weight);
+                let landed = tenants.insert(id, state, weight);
+                debug_assert!(landed, "staged ids are distinct and untaken");
             }
             tenants.ensure_next_id(meta.next_session_id);
         }
@@ -1368,5 +1380,34 @@ mod tests {
         assert_eq!(target.session_count(), 1, "restoring b evicted a");
         assert_eq!(weight_of(&target, a), 1, "evicted tenant's weight leaked");
         assert_eq!(weight_of(&target, b), 2, "restored weight kept");
+    }
+
+    #[test]
+    fn restore_refuses_the_id_of_an_open_still_loading_keys() {
+        let source = one_slot_server();
+        let id = source.open_session(session_request(1)).unwrap();
+        let mut image = Vec::new();
+        source.snapshot(&mut image).unwrap();
+
+        // An open on the target has reserved the same id and is loading
+        // its keys when the restore arrives.
+        let target = one_slot_server();
+        let reserved = target.inner.tenants.lock().reserve_id();
+        assert_eq!(reserved, id);
+        let err = target.restore(image.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Snapshot(m) if m.contains("duplicate session id")),
+            "{err}"
+        );
+        assert_eq!(target.session_count(), 0, "restore committed nothing");
+        // The open then lands its own tenant under its id.
+        let state = target.build_session(0, session_request(2)).unwrap();
+        let upload = state.upload.clone();
+        assert!(target.inner.tenants.lock().insert(reserved, state, 1));
+        let resident = target.inner.tenants.lock().touch(reserved).unwrap();
+        assert!(resident.upload == upload, "the opener's own keys");
+        // Once that id is resident the image still cannot displace it.
+        assert!(target.restore(image.as_slice()).is_err());
+        assert_eq!(target.session_count(), 1);
     }
 }
