@@ -13,13 +13,15 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use fides_client::RawParams;
-use fides_gpu_sim::{GpuSim, VectorGpu};
+use fides_gpu_sim::{BufferId, GpuSim, VectorGpu};
 use fides_math::{build_eval_permutation, Modulus, Ntt2d, NttTable, ShoupPrecomp};
 use fides_rns::{product_inv_mod, product_mod, BaseConverter, DigitPartition};
 use parking_lot::Mutex;
 
 use crate::params::CkksParameters;
-use crate::sched::{CostModel, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, SchedStats};
+use crate::sched::{
+    CostModel, ExecGraph, ExecPlan, GpuReplayExecutor, PlanCache, PlanConfig, SchedStats,
+};
 
 /// Index into the combined modulus chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -177,12 +179,7 @@ impl CkksContext {
         // NTT(X^{N/2}) per q prime.
         let monomial_half: Vec<Vec<u64>> = ntt_q
             .iter()
-            .map(|t| {
-                let mut v = vec![0u64; n];
-                v[n / 2] = 1;
-                t.table().forward_inplace(&mut v);
-                v
-            })
+            .map(|t| t.table().forward_monomial_half())
             .collect();
 
         let plan_cfg = PlanConfig {
@@ -411,7 +408,10 @@ impl CkksContext {
     /// descriptors, streams, barrier shapes and buffer aliasing — buffer
     /// *identities* are translated during replay) replays the shared cached
     /// plan with zero planning work and no copy. Hits and misses land in
-    /// [`Self::sched_stats`] and the device ledger.
+    /// [`Self::sched_stats`] and the device ledger. The replayed capture
+    /// log goes back to the device
+    /// ([`GpuSim::recycle_capture_log`]), so a repeated region records
+    /// into the capacity the last one grew.
     pub fn graph_scope_end(&self) {
         let capture = self.gpu.end_capture();
         if capture.events.is_empty() {
@@ -425,6 +425,8 @@ impl CkksContext {
             .pop()
             .expect("one region, one plan");
         GpuReplayExecutor::new(&self.gpu).execute_bound(&bound);
+        // The next region records into this one's arenas.
+        self.gpu.recycle_capture_log(graph.log);
         let mut ledger = self.sched_ledger.lock();
         ledger.absorb(bound.plan().stats());
         if bound.is_hit() {
@@ -458,6 +460,12 @@ impl CkksContext {
     /// Clears the scheduling counters.
     pub fn reset_sched_stats(&self) {
         *self.sched_ledger.lock() = SchedStats::default();
+    }
+
+    /// Every plan the context's cache holds, least recently used first
+    /// (see [`PlanCache::export_entries`]).
+    pub fn cached_plans(&self) -> Vec<(u64, Arc<ExecPlan>, Arc<[BufferId]>)> {
+        self.plan_cache.lock().export_entries()
     }
 }
 

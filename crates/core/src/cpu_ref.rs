@@ -265,15 +265,8 @@ impl HostContext {
         }
 
         // NTT(X^{N/2}) per q prime.
-        let monomial_half: Vec<Vec<u64>> = ntt_q
-            .iter()
-            .map(|t| {
-                let mut v = vec![0u64; n];
-                v[n / 2] = 1;
-                t.forward_inplace(&mut v);
-                v
-            })
-            .collect();
+        let monomial_half: Vec<Vec<u64>> =
+            ntt_q.iter().map(|t| t.forward_monomial_half()).collect();
 
         Self {
             raw,

@@ -99,11 +99,14 @@ const MAX_DENSE_IDS: u64 = 1 << 20;
 
 /// Reusable canonicalisation scratch: buffer → first-occurrence index,
 /// through `dense` for the graph's fresh ids and `sparse` for the rest.
-/// Every slot is [`UNSEEN`] (and `sparse` empty) between walks.
+/// Every slot is [`UNSEEN`] (and `sparse` empty) between walks; all three
+/// tables keep their capacity from walk to walk.
 #[derive(Default)]
 struct Canon {
     dense: Vec<u32>,
     sparse: BufferMap<u32>,
+    /// The last walk's first-occurrence binding.
+    binding: Vec<BufferId>,
 }
 
 impl Canon {
@@ -114,7 +117,7 @@ impl Canon {
         graph: &ExecGraph,
         cfg: &PlanConfig,
         sink: &mut impl WordSink,
-    ) -> Vec<BufferId> {
+    ) -> &[BufferId] {
         sink.word(cfg.fuse_elementwise as u64);
         // The retired scheduler-version word: persisted plan caches were keyed
         // with a 1 here, and dropping it would turn their restores cold.
@@ -135,7 +138,8 @@ impl Canon {
         }
         let dense = &mut self.dense[..span];
         let sparse = &mut self.sparse;
-        let mut binding: Vec<BufferId> = Vec::new();
+        let binding = &mut self.binding;
+        binding.clear();
         let mut canon = |buf: BufferId| -> u64 {
             let index = match dense.get_mut(buf.offset_from(base)) {
                 Some(index) => index,
@@ -177,7 +181,7 @@ impl Canon {
             }
         }
 
-        for buf in &binding {
+        for buf in binding.iter() {
             if let Some(index) = dense.get_mut(buf.offset_from(base)) {
                 *index = UNSEEN;
             }
@@ -192,7 +196,7 @@ impl Canon {
 /// to — the `(fingerprint, binding)` half of a persisted cache entry.
 pub fn fingerprint(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) {
     let mut fnv = Fnv::new();
-    let binding = Canon::default().walk(graph, cfg, &mut fnv);
+    let binding = Canon::default().walk(graph, cfg, &mut fnv).to_vec();
     (fnv.0, binding)
 }
 
@@ -232,7 +236,7 @@ pub fn plan_parallel(
 pub struct BoundPlan {
     plan: Arc<ExecPlan>,
     planned: Arc<[BufferId]>,
-    current: Arc<[BufferId]>,
+    current: Arc<Vec<BufferId>>,
     hit: bool,
     warm: bool,
     plan_us: u64,
@@ -249,8 +253,8 @@ impl BoundPlan {
         &self.planned
     }
 
-    /// First-occurrence binding of the graph being replayed (the same
-    /// allocation as the planned one when the plan is fresh).
+    /// First-occurrence binding of the graph being replayed (equal to the
+    /// planned one when the plan is fresh).
     pub fn current_binding(&self) -> &[BufferId] {
         &self.current
     }
@@ -290,7 +294,7 @@ struct CacheEntry {
 struct Miss {
     shape: u64,
     fp: u64,
-    binding: Vec<BufferId>,
+    binding: Arc<Vec<BufferId>>,
 }
 
 /// A bounded LRU of planned graphs, keyed by structural fingerprint and
@@ -306,6 +310,10 @@ pub struct PlanCache {
     /// Shape key → fingerprint of the entry it resolves to.
     shapes: HashMap<u64, u64>,
     canon: Canon,
+    /// The last lookup's current binding. Once its [`BoundPlan`] is
+    /// dropped the allocation is free again, and the next lookup copies its
+    /// binding into it instead of a new one.
+    spare: Arc<Vec<BufferId>>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -344,6 +352,7 @@ impl PlanCache {
             entries: HashMap::new(),
             shapes: HashMap::new(),
             canon: Canon::default(),
+            spare: Arc::default(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -424,7 +433,7 @@ impl PlanCache {
     fn lookup(&mut self, graph: &ExecGraph, cfg: &PlanConfig) -> Result<BoundPlan, Miss> {
         self.clock += 1;
         let mut shape = ShapeHash(0);
-        let binding = self.canon.walk(graph, cfg, &mut shape);
+        let len = self.canon.walk(graph, cfg, &mut shape).len();
         let shape = shape.0;
         let fnv = |canon: &mut Canon| {
             let mut fnv = Fnv::new();
@@ -441,7 +450,7 @@ impl PlanCache {
             None => fnv(&mut self.canon),
         };
         match self.entries.get_mut(&fp) {
-            Some(e) if e.binding.len() == binding.len() => {
+            Some(e) if e.binding.len() == len => {
                 if e.shape != Some(shape) {
                     if let Some(old) = e.shape.replace(shape) {
                         self.shapes.remove(&old);
@@ -449,21 +458,41 @@ impl PlanCache {
                     self.shapes.insert(shape, fp);
                 }
                 e.last_used = self.clock;
+                let (plan, planned, warm) = (Arc::clone(&e.plan), Arc::clone(&e.binding), e.warm);
                 self.hits += 1;
                 Ok(BoundPlan {
-                    plan: Arc::clone(&e.plan),
-                    planned: Arc::clone(&e.binding),
-                    current: binding.into(),
+                    plan,
+                    planned,
+                    current: self.take_binding(),
                     hit: true,
-                    warm: e.warm,
+                    warm,
                     plan_us: 0,
                 })
             }
             _ => {
                 self.misses += 1;
-                Err(Miss { shape, fp, binding })
+                Err(Miss {
+                    shape,
+                    fp,
+                    binding: self.take_binding(),
+                })
             }
         }
+    }
+
+    /// A copy of the last walk's binding, in the spare allocation when no
+    /// [`BoundPlan`] still holds it.
+    fn take_binding(&mut self) -> Arc<Vec<BufferId>> {
+        let mut spare = std::mem::take(&mut self.spare);
+        match Arc::get_mut(&mut spare) {
+            Some(binding) => {
+                binding.clear();
+                binding.extend_from_slice(&self.canon.binding);
+            }
+            None => spare = Arc::new(self.canon.binding.clone()),
+        }
+        self.spare = Arc::clone(&spare);
+        spare
     }
 
     /// Caches `plan` under `fp`, evicting the least-recently-used entry at
@@ -483,7 +512,7 @@ impl PlanCache {
         fp: u64,
         shape: Option<u64>,
         plan: ExecPlan,
-        binding: Vec<BufferId>,
+        binding: Arc<Vec<BufferId>>,
         warm: bool,
     ) -> BoundPlan {
         self.clock += 1;
@@ -502,13 +531,13 @@ impl PlanCache {
             }
         }
         let plan = Arc::new(plan);
-        let binding: Arc<[BufferId]> = binding.into();
+        let planned: Arc<[BufferId]> = Arc::from(&binding[..]);
         self.forget(fp);
         self.entries.insert(
             fp,
             CacheEntry {
                 plan: Arc::clone(&plan),
-                binding: Arc::clone(&binding),
+                binding: Arc::clone(&planned),
                 last_used: self.clock,
                 warm,
                 shape,
@@ -519,7 +548,7 @@ impl PlanCache {
         }
         BoundPlan {
             plan,
-            planned: Arc::clone(&binding),
+            planned,
             current: binding,
             hit: false,
             warm,
@@ -545,7 +574,7 @@ impl PlanCache {
     /// The entry has no shape key yet: the first lookup of its shape finds
     /// it by fingerprint and records the key.
     pub fn restore_entry(&mut self, fp: u64, plan: ExecPlan, binding: Vec<BufferId>) {
-        self.insert(fp, None, plan, binding, true);
+        self.insert(fp, None, plan, Arc::new(binding), true);
     }
 
     /// Every resident entry as `(fingerprint, plan, binding)`, least
@@ -591,7 +620,7 @@ mod tests {
 
     fn shape_key(graph: &ExecGraph, cfg: &PlanConfig) -> (u64, Vec<BufferId>) {
         let mut shape = ShapeHash(0);
-        let binding = Canon::default().walk(graph, cfg, &mut shape);
+        let binding = Canon::default().walk(graph, cfg, &mut shape).to_vec();
         (shape.0, binding)
     }
 
@@ -616,6 +645,24 @@ mod tests {
         assert_eq!(sa, sb, "buffer identity must not affect the shape key");
         assert_ne!(sa, fa, "the shape key is its own hash");
         assert_eq!((sba, sbb), (ba, bb), "one canonicalisation, one binding");
+    }
+
+    #[test]
+    fn a_dropped_binding_lends_its_allocation_to_the_next_lookup() {
+        let mut cache = PlanCache::default();
+        drop(bind1(&mut cache, &cfg(), &graph(&[1, 2, 1])));
+        let first = bind1(&mut cache, &cfg(), &graph(&[3, 4, 3]));
+        let at = first.current_binding().as_ptr();
+        drop(first);
+        let second = bind1(&mut cache, &cfg(), &graph(&[5, 6, 5]));
+        assert!(second.is_hit());
+        assert_eq!(second.current_binding(), [BufferId(5), BufferId(6)]);
+        assert_eq!(second.current_binding().as_ptr(), at, "allocation reused");
+        // Still held: the next lookup gets its own copy.
+        let third = bind1(&mut cache, &cfg(), &graph(&[7, 8, 7]));
+        assert_ne!(third.current_binding().as_ptr(), at);
+        assert_eq!(second.current_binding(), [BufferId(5), BufferId(6)]);
+        assert_eq!(third.current_binding(), [BufferId(7), BufferId(8)]);
     }
 
     #[test]
@@ -659,7 +706,7 @@ mod tests {
         for window in [100..104, 101..103, 0..0, 0..101, 103..200, 100..100] {
             g.fresh_ids = window.clone();
             let mut shape = ShapeHash(0);
-            let binding = canon.walk(&g, &cfg(), &mut shape);
+            let binding = canon.walk(&g, &cfg(), &mut shape).to_vec();
             assert_eq!((shape.0, binding), expect, "window {window:?}");
             assert!(
                 canon.dense.iter().all(|&i| i == UNSEEN),

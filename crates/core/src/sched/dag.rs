@@ -33,14 +33,19 @@
 //!    what fuses independent tenants' chains inside one serve batch
 //!    without costing L2 residency refreshes.
 //!
+//! Stage 1 also interns every buffer into a dense index ([`Interner`]),
+//! so the per-buffer state of stage 2 and the liveness pass (`mem.rs`) are
+//! plain arrays; the steps name buffers by those indices until
+//! [`Planner::plan`](super::Planner::plan) translates them back.
+//!
 //! The result is a plan whose replay overlaps everything the recording
 //! *allows* to overlap, instead of everything the round-robin happened to
 //! separate. Results are bit-identical by construction: functional math
 //! runs at record time, so the plan only ever changes simulated timing.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
-use fides_gpu_sim::{BufferId, Event, EventLog, Launch};
+use fides_gpu_sim::{BufferId, BufferMap, Event, EventLog, Launch};
 
 use super::graph::{segmented, ExecGraph};
 use super::plan::{merge, ExecPlan, Fused, PlanConfig, SchedStats};
@@ -48,6 +53,7 @@ use super::plan::{merge, ExecPlan, Fused, PlanConfig, SchedStats};
 /// One schedulable unit: a recorded kernel, possibly carrying a pre-fused
 /// chain of same-stream elementwise followers.
 struct Unit {
+    /// In dense buffer indices (see [`Interner`]).
     launch: Fused,
     rec_stream: usize,
     segment: usize,
@@ -69,7 +75,7 @@ impl Unit {
 /// Bytes `merge(into, next)` would dedup away: traffic on buffers the two
 /// descriptors share. Zero for disjoint chains.
 pub(crate) fn dedup_overlap_bytes(into: &Fused, next: &Fused) -> u64 {
-    let touched = |buf: fides_gpu_sim::BufferId| {
+    let touched = |buf: BufferId| {
         into.reads.iter().any(|&(b, _)| b == buf) || into.writes.iter().any(|&(b, _)| b == buf)
     };
     next.reads
@@ -80,40 +86,106 @@ pub(crate) fn dedup_overlap_bytes(into: &Fused, next: &Fused) -> u64 {
         .sum()
 }
 
+/// Marks a table entry no buffer (or unit) has claimed.
+const NONE: u32 = u32::MAX;
+
+/// Most fresh ids the interning window covers (4 MB of indices); ids past
+/// it go through the map.
+const MAX_WINDOW: u64 = 1 << 20;
+
+/// Interns a graph's buffers into dense indices `0..n`, in first-occurrence
+/// order. Ids inside the graph's fresh-id window — the region's own
+/// temporaries, nearly every buffer it names — resolve by subtraction into
+/// one table; the few older buffers it reads go through one map. Every
+/// per-buffer table of the planner is then a plain `Vec` indexed by the
+/// dense index, and `ids` maps the plan back to the graph's buffers.
+struct Interner {
+    base: u64,
+    window: Vec<u32>,
+    others: BufferMap<u32>,
+    /// Dense index → buffer id.
+    ids: Vec<BufferId>,
+}
+
+impl Interner {
+    fn new(fresh: &Range<u64>) -> Self {
+        let span = fresh.end.saturating_sub(fresh.start).min(MAX_WINDOW) as usize;
+        Self {
+            base: fresh.start,
+            window: vec![NONE; span],
+            others: BufferMap::default(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// `buf`'s dense index, as a [`BufferId`] so interned launches keep
+    /// the recorded access type.
+    fn index(&mut self, buf: BufferId) -> BufferId {
+        let slot = match self.window.get_mut(buf.offset_from(self.base)) {
+            Some(slot) => slot,
+            None => self.others.entry(buf).or_insert(NONE),
+        };
+        if *slot == NONE {
+            let next = u32::try_from(self.ids.len())
+                .ok()
+                .filter(|&i| i != NONE)
+                .expect("a graph naming 2^32 - 1 buffers");
+            *slot = next;
+            self.ids.push(buf);
+        }
+        BufferId(u64::from(*slot))
+    }
+
+    /// `launch`'s accesses, interned, into `into` (reads before writes —
+    /// the order every first occurrence is taken in).
+    fn launch(&mut self, launch: &Launch<'_>, into: &mut Fused) {
+        into.desc = launch.desc;
+        into.reads.clear();
+        into.writes.clear();
+        for &(buf, bytes) in launch.reads {
+            into.reads.push((self.index(buf), bytes));
+        }
+        for &(buf, bytes) in launch.writes {
+            into.writes.push((self.index(buf), bytes));
+        }
+    }
+}
+
 /// Stage 1: collapse same-recorded-stream elementwise chains into units
 /// (the §III-F.5 fusion rule, applied before scheduling so chains are never
-/// split across streams). Returns the units in recorded chain-head order —
-/// a topological order of every edge stage 2 can add — plus, per barrier,
-/// the set of recorded streams it covers (barrier `k` separates segment `k`
-/// from `k + 1`; emission flushes exactly the chains a barrier covers).
-fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize>>) {
+/// split across streams), interning every buffer on the way. Returns the
+/// units in recorded chain-head order — a topological order of every edge
+/// stage 2 can add — plus, per barrier, the set of recorded streams it
+/// covers (barrier `k` separates segment `k` from `k + 1`; emission flushes
+/// exactly the chains a barrier covers), and the dense index → buffer map.
+fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize>>, Vec<BufferId>) {
     let mut units: Vec<Unit> = Vec::new();
     let mut barriers: Vec<Vec<usize>> = Vec::new();
-    // Open chain per recorded stream: index into `units`.
-    let mut open: HashMap<usize, usize> = HashMap::new();
+    let mut intern = Interner::new(&graph.fresh_ids);
+    let mut node = Fused::default();
+    // Open chain per recorded stream: index into `units`, or `NONE`.
+    let mut open: Vec<u32> = vec![NONE; graph.log.stream_bound()];
     for (segment, event) in segmented(&graph.log) {
         match event {
-            Event::Launch(node) => {
-                if cfg.fuse_elementwise && super::graph::fusible_kind(node.desc.kind) {
-                    if let Some(&idx) = open.get(&node.stream) {
-                        debug_assert_eq!(
-                            units[idx].segment, segment,
-                            "open chain crossed a barrier"
-                        );
-                        if units[idx].count < cfg.max_fuse {
-                            merge(&mut units[idx].launch, &node);
-                            units[idx].count += 1;
+            Event::Launch(launch) => {
+                intern.launch(&launch, &mut node);
+                let stream = launch.stream;
+                if cfg.fuse_elementwise && super::graph::fusible_kind(launch.desc.kind) {
+                    if let Some(unit) = units.get_mut(open[stream] as usize) {
+                        debug_assert_eq!(unit.segment, segment, "open chain crossed a barrier");
+                        if unit.count < cfg.max_fuse {
+                            merge(&mut unit.launch, &node.on(stream));
+                            unit.count += 1;
                             continue;
                         }
-                        open.remove(&node.stream);
                     }
-                    open.insert(node.stream, units.len());
+                    open[stream] = units.len() as u32;
                 } else {
-                    open.remove(&node.stream);
+                    open[stream] = NONE;
                 }
                 units.push(Unit {
-                    launch: Fused::of(&node),
-                    rec_stream: node.stream,
+                    launch: node.clone(),
+                    rec_stream: stream,
                     segment,
                     count: 1,
                 });
@@ -122,7 +194,7 @@ fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize
             // end the segment); the ordering they encode becomes
             // cross-segment dependency edges in stage 2.
             Event::Fence { signals, waiters } => {
-                open.clear();
+                open.fill(NONE);
                 let mut set: Vec<usize> =
                     signals.iter().chain(waiters).map(|&s| s as usize).collect();
                 set.sort_unstable();
@@ -131,10 +203,47 @@ fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize
             }
         }
     }
-    (units, barriers)
+    (units, barriers, intern.ids)
 }
 
-/// Per-buffer conflict-tracking state for edge construction.
+/// Rows of unit indices stored flat: row `i` is
+/// `items[start[i]..start[i + 1]]`.
+struct Csr {
+    start: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Csr {
+    fn row(&self, i: usize) -> &[usize] {
+        &self.items[self.start[i]..self.start[i + 1]]
+    }
+}
+
+/// Singly linked lists of unit indices, every list in one arena: a list is
+/// its head's arena position (`NONE` when empty), and handing a whole list
+/// over is copying that one word.
+struct Lists {
+    /// `(unit, next)` per node.
+    nodes: Vec<(u32, u32)>,
+}
+
+impl Lists {
+    fn push(&mut self, head: &mut u32, unit: usize) {
+        self.nodes.push((unit as u32, *head));
+        *head = u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 accesses");
+    }
+
+    fn iter(&self, mut at: u32) -> impl Iterator<Item = usize> + '_ {
+        std::iter::from_fn(move || {
+            let &(unit, next) = self.nodes.get(at as usize)?;
+            at = next;
+            Some(unit as usize)
+        })
+    }
+}
+
+/// Per-buffer conflict-tracking state for edge construction; each field
+/// but `writers_seg` is a list in the shared [`Lists`] arena.
 ///
 /// Writers come in *generations*: a maximal set of same-segment writers
 /// (concurrent limb batches writing disjoint slices of one poly buffer).
@@ -144,101 +253,127 @@ fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize
 /// generation is kept for accesses that are concurrent with the current
 /// one (anything older is covered transitively, because each current-
 /// generation writer carries edges to the whole previous generation).
-#[derive(Default)]
+/// Every member of a generation shares its segment.
+#[derive(Clone, Copy)]
 struct BufState {
     /// The newest write generation and its segment.
-    writers_cur: Vec<usize>,
+    writers_cur: u32,
     writers_seg: usize,
     /// The complete generation before it (its segment always differs).
-    writers_prev: Vec<usize>,
-    /// Readers since `writers_cur` began, with their segments.
-    readers_cur: Vec<(usize, usize)>,
+    writers_prev: u32,
+    /// Readers since `writers_cur` began.
+    readers_cur: u32,
     /// Readers of the previous generation's data.
-    readers_prev: Vec<(usize, usize)>,
+    readers_prev: u32,
 }
 
-/// Stage 2: dependency edges. Returns `(preds, succs)` adjacency, with
-/// every edge pointing from a lower to a higher unit index (unit order is
-/// recorded order, so segments are nondecreasing along it).
-fn build_edges(units: &[Unit]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+const NO_STATE: BufState = BufState {
+    writers_cur: NONE,
+    writers_seg: 0,
+    writers_prev: NONE,
+    readers_cur: NONE,
+    readers_prev: NONE,
+};
+
+/// Stage 2: dependency edges over `buffers` dense buffer indices. Returns
+/// `(preds, succs)` adjacency, with every edge pointing from a lower to a
+/// higher unit index (unit order is recorded order, so segments are
+/// nondecreasing along it) and every row ascending.
+fn build_edges(units: &[Unit], buffers: usize) -> (Csr, Csr) {
     let n = units.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut last_on_stream: HashMap<usize, usize> = HashMap::new();
-    let mut bufs: HashMap<BufferId, BufState> = HashMap::new();
+    let streams = units.iter().map(|u| u.rec_stream + 1).max().unwrap_or(0);
+    let mut last_on_stream: Vec<u32> = vec![NONE; streams];
+    let mut bufs: Vec<BufState> = vec![NO_STATE; buffers];
+    let accesses = units
+        .iter()
+        .map(|u| u.launch.reads.len() + u.launch.writes.len())
+        .sum();
+    let mut lists = Lists {
+        nodes: Vec::with_capacity(accesses),
+    };
+    let mut preds = Csr {
+        start: Vec::with_capacity(n + 1),
+        items: Vec::new(),
+    };
+    preds.start.push(0);
+    let mut p: Vec<usize> = Vec::new();
 
     for (i, u) in units.iter().enumerate() {
-        let mut p: Vec<usize> = Vec::new();
+        p.clear();
         // Recorded intra-stream program order is always preserved.
-        if let Some(&prev) = last_on_stream.get(&u.rec_stream) {
-            p.push(prev);
+        if last_on_stream[u.rec_stream] != NONE {
+            p.push(last_on_stream[u.rec_stream] as usize);
         }
         // Cross-segment conflicts only: same-segment cross-stream accesses
         // were concurrent in the recording (disjoint limb slices of one
         // poly buffer), and same-stream conflicts ride the program-order
         // edge transitively.
-        let crossing = |other: usize, other_seg: usize| {
-            other_seg != u.segment && units[other].rec_stream != u.rec_stream
+        let crossing = |other: usize| {
+            units[other].segment != u.segment && units[other].rec_stream != u.rec_stream
+        };
+        // Every member of a generation list crossing to `u`.
+        let generation = |lists: &Lists, p: &mut Vec<usize>, head: u32| {
+            p.extend(lists.iter(head).filter(|&w| crossing(w)));
         };
         for &(buf, _) in &u.launch.reads {
-            let st = bufs.entry(buf).or_default();
-            if !st.writers_cur.is_empty() && st.writers_seg != u.segment {
+            let st = &mut bufs[buf.0 as usize];
+            if st.writers_cur != NONE && st.writers_seg != u.segment {
                 // Read-after-write on the whole newest generation.
-                p.extend(
-                    st.writers_cur
-                        .iter()
-                        .copied()
-                        .filter(|&w| crossing(w, st.writers_seg)),
-                );
+                generation(&lists, &mut p, st.writers_cur);
             } else {
                 // Concurrent with (or preceding) the current generation:
                 // the previous one is what this read is ordered after.
-                let prev_seg = st.writers_prev.first().map(|&w| units[w].segment);
-                if let Some(ps) = prev_seg {
-                    p.extend(st.writers_prev.iter().copied().filter(|&w| crossing(w, ps)));
-                }
+                generation(&lists, &mut p, st.writers_prev);
             }
-            st.readers_cur.push((i, u.segment));
+            lists.push(&mut st.readers_cur, i);
         }
         for &(buf, _) in &u.launch.writes {
-            let st = bufs.entry(buf).or_default();
-            if st.writers_cur.is_empty() || st.writers_seg != u.segment {
+            let st = &mut bufs[buf.0 as usize];
+            if st.writers_cur == NONE || st.writers_seg != u.segment {
                 // A new generation begins: it is ordered after every
                 // member of the one it supersedes (write-after-write) and
                 // after everything that read that data (write-after-read).
-                let old_writers = std::mem::take(&mut st.writers_cur);
-                let old_seg = old_writers.first().map(|&w| units[w].segment);
-                st.readers_prev = std::mem::take(&mut st.readers_cur);
-                if let Some(os) = old_seg {
-                    p.extend(old_writers.iter().copied().filter(|&w| crossing(w, os)));
-                }
-                st.writers_prev = old_writers;
+                generation(&lists, &mut p, st.writers_cur);
+                st.writers_prev = std::mem::replace(&mut st.writers_cur, NONE);
+                st.readers_prev = std::mem::replace(&mut st.readers_cur, NONE);
                 st.writers_seg = u.segment;
             }
             // Joining (or having just started) the current generation:
             // ordered after the previous generation and its readers.
-            let prev_seg = st.writers_prev.first().map(|&w| units[w].segment);
-            if let Some(ps) = prev_seg {
-                p.extend(st.writers_prev.iter().copied().filter(|&w| crossing(w, ps)));
-            }
+            generation(&lists, &mut p, st.writers_prev);
             p.extend(
-                st.readers_prev
-                    .iter()
-                    .filter(|&&(r, rseg)| r != i && crossing(r, rseg))
-                    .map(|&(r, _)| r),
+                lists
+                    .iter(st.readers_prev)
+                    .filter(|&r| r != i && crossing(r)),
             );
-            st.writers_cur.push(i);
+            lists.push(&mut st.writers_cur, i);
         }
         p.retain(|&q| q != i);
         p.sort_unstable();
         p.dedup();
-        for &q in &p {
-            succs[q].push(i);
-        }
-        preds[i] = p;
-        last_on_stream.insert(u.rec_stream, i);
+        preds.items.extend_from_slice(&p);
+        preds.start.push(preds.items.len());
+        last_on_stream[u.rec_stream] = i as u32;
     }
-    (preds, succs)
+
+    // Successor rows by counting sort: filling in ascending `i` keeps every
+    // row ascending.
+    let mut start = vec![0usize; n + 1];
+    for &q in &preds.items {
+        start[q + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut items = vec![0usize; preds.items.len()];
+    for i in 0..n {
+        for &q in preds.row(i) {
+            items[fill[q]] = i;
+            fill[q] += 1;
+        }
+    }
+    (preds, Csr { start, items })
 }
 
 /// A chain of fusible launches being grown on one *final* stream during
@@ -308,23 +443,23 @@ impl Steps {
 }
 
 /// Plans `graph` with dependency-aware list scheduling (see the module
-/// docs for the pipeline).
-pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
-    let (units, barriers) = build_units(graph, cfg);
+/// docs for the pipeline). The plan's steps name buffers by their dense
+/// indices; the returned map takes each index back to the graph's buffer.
+pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> (ExecPlan, Vec<BufferId>) {
+    let (mut units, barriers, ids) = build_units(graph, cfg);
     let n = units.len();
     let recorded = graph.kernel_count() as u64;
     if n == 0 {
-        return ExecPlan {
-            steps: EventLog::default(),
+        let plan = ExecPlan {
             stats: SchedStats {
                 graphs: 1,
                 ..SchedStats::default()
             },
-            mem: Default::default(),
-            slots: Default::default(),
+            ..ExecPlan::default()
         };
+        return (plan, ids);
     }
-    let (preds, succs) = build_edges(&units);
+    let (preds, succs) = build_edges(&units, ids.len());
 
     // Upward rank (critical-path length to a sink). Unit index order is
     // topological, so one reverse sweep suffices.
@@ -335,7 +470,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
         .collect();
     let mut rank = vec![0.0f64; n];
     for i in (0..n).rev() {
-        let tail = succs[i].iter().map(|&s| rank[s]).fold(0.0f64, f64::max);
+        let tail = succs.row(i).iter().map(|&s| rank[s]).fold(0.0f64, f64::max);
         rank[i] = cost[i] + tail;
     }
 
@@ -357,14 +492,16 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
     let mut stream_free = vec![0.0f64; streams];
     let mut finish = vec![0.0f64; n];
     let mut assigned = vec![0usize; n];
-    let mut affinity: HashMap<usize, usize> = HashMap::new();
+    // Final stream each recorded stream last landed on, or `usize::MAX`.
+    let rec_streams = units.iter().map(|u| u.rec_stream + 1).max().unwrap_or(0);
+    let mut affinity = vec![usize::MAX; rec_streams];
     let mut host = 0.0f64;
     for &u in &order {
-        let ready = preds[u].iter().map(|&p| finish[p]).fold(host, f64::max);
+        let ready = preds.row(u).iter().map(|&p| finish[p]).fold(host, f64::max);
         let earliest = |s: usize| stream_free[s].max(ready);
         let min_start = (0..streams).map(earliest).fold(f64::INFINITY, f64::min);
-        let chosen = match affinity.get(&units[u].rec_stream) {
-            Some(&h) if earliest(h) == min_start => h,
+        let chosen = match affinity[units[u].rec_stream] {
+            h if h < streams && earliest(h) == min_start => h,
             _ => (0..streams)
                 .find(|&s| earliest(s) == min_start)
                 .expect("some stream attains the minimum"),
@@ -372,7 +509,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
         finish[u] = min_start + cost[u];
         stream_free[chosen] = finish[u];
         assigned[u] = chosen;
-        affinity.insert(units[u].rec_stream, chosen);
+        affinity[units[u].rec_stream] = chosen;
         host += cm.launch_us;
     }
 
@@ -446,7 +583,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
         // ordering is unchanged because a coalesced fence still makes `s`
         // wait for every signalled stream's work issued so far.
         let mut fence_signals: Vec<usize> = Vec::new();
-        for &p in &preds[u] {
+        for &p in preds.row(u) {
             let t = assigned[p];
             if launch_of[p].is_none() {
                 let idx = emit[t]
@@ -499,7 +636,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
                 chain.members.push(u);
             } else {
                 emit[s].open.push(PendingChain {
-                    launch: units[u].launch.clone(),
+                    launch: std::mem::take(&mut units[u].launch),
                     count: units[u].count,
                     members: vec![u],
                 });
@@ -518,7 +655,7 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
 
     let steps = steps.finish();
     let planned = steps.launches() as u64;
-    ExecPlan {
+    let plan = ExecPlan {
         steps,
         stats: SchedStats {
             graphs: 1,
@@ -527,14 +664,15 @@ pub(crate) fn plan_dag(graph: &ExecGraph, cfg: &PlanConfig) -> ExecPlan {
             fused_kernels: recorded - planned,
             ..SchedStats::default()
         },
-        mem: Default::default(),
-        slots: Default::default(),
-    }
+        ..ExecPlan::default()
+    };
+    (plan, ids)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::Planner;
     use fides_gpu_sim::{KernelDesc, KernelKind};
 
     fn cfg(streams: usize, fuse: bool) -> PlanConfig {
@@ -580,7 +718,7 @@ mod tests {
     }
 
     fn plan(log: EventLog, cfg: &PlanConfig) -> ExecPlan {
-        plan_dag(&ExecGraph::from(log), cfg)
+        Planner::new(*cfg).plan(&ExecGraph::from(log))
     }
 
     fn launch_streams(plan: &ExecPlan) -> Vec<usize> {
@@ -885,8 +1023,8 @@ mod tests {
             }
         }
         let g = ExecGraph::from(log);
-        let a = plan_dag(&g, &cfg(4, true));
-        let b = plan_dag(&g, &cfg(4, true));
+        let a = Planner::new(cfg(4, true)).plan(&g);
+        let b = Planner::new(cfg(4, true)).plan(&g);
         assert_eq!(a.launch_count(), b.launch_count());
         let streams_a = launch_streams(&a);
         let streams_b = launch_streams(&b);
@@ -894,6 +1032,41 @@ mod tests {
             streams_a, streams_b,
             "stream assignment must be deterministic"
         );
+    }
+
+    #[test]
+    fn plan_ignores_the_fresh_id_window() {
+        // Whether a buffer is interned through the window or the map never
+        // shows in the plan: windows covering all, some, none or past the
+        // graph's ids plan the same bytes.
+        let mut log = EventLog::default();
+        for i in 0..40u64 {
+            let kind = if i % 3 == 0 {
+                KernelKind::NttPhase1
+            } else {
+                KernelKind::Elementwise
+            };
+            launch(
+                &mut log,
+                (i % 5) as usize,
+                kind,
+                &[100 + i % 7],
+                &[100 + i % 9],
+            );
+            if i % 11 == 10 {
+                fence_all(&mut log, 5);
+            }
+        }
+        let mut g = ExecGraph::from(log);
+        let encode = |g: &ExecGraph| {
+            let plan = Planner::new(cfg(4, true)).plan(g);
+            crate::sched::encode_plan_entry(0, &plan, &[])
+        };
+        let expect = encode(&g);
+        for window in [100..109, 103..106, 0..101, 105..300, 0..0] {
+            g.fresh_ids = window.clone();
+            assert_eq!(encode(&g), expect, "window {window:?}");
+        }
     }
 
     fn fence_count(plan: &ExecPlan) -> usize {

@@ -1,10 +1,9 @@
 //! The replay executor: where a scheduled plan actually runs.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use fides_gpu_sim::{BufferId, GpuSim, Rebinding};
+use fides_gpu_sim::{BufferId, GpuSim};
 
 use super::cache::BoundPlan;
 use super::plan::ExecPlan;
@@ -13,9 +12,10 @@ use super::plan::ExecPlan;
 /// timeline and ledger exactly as an eager launch would (bodies are empty —
 /// the functional math already ran while recording), and each fence applies
 /// the recorded cross-limb sync point. The plan is only *read*: its steps go
-/// to [`GpuSim::replay`] by reference, under one acquisition of the device
-/// lock, and every buffer id is translated on the way through one
-/// per-region [`Rebinding`]. Its dense window spans the ids of the plan's
+/// to [`GpuSim::replay_rebound`] by reference, under one acquisition of the
+/// device lock, and every buffer id is translated on the way through the
+/// device's [`Rebinding`](fides_gpu_sim::Rebinding), refilled per region
+/// and kept for its capacity. Its dense window spans the ids of the plan's
 /// temporaries, which the device pool handed out in one run while the
 /// region recorded, so nearly every translation is an array read.
 ///
@@ -75,31 +75,33 @@ impl<'a> GpuReplayExecutor<'a> {
         self.gpu
             .record_plan_memory(mem.peak_device_bytes, mem.allocations);
         let slots = plan.slot_binding();
-        let mut rebind = Rebinding::with_window(slot_window(slots));
-        for (&old, &new) in from.iter().zip(to) {
-            if old != new {
-                rebind.set(old, new);
-            }
-        }
-        // Slot aliasing wins over position rebinding for temporaries.
-        for (&buf, &slot) in slots {
-            rebind.set(buf, BufferId(SLOT_ID_BASE | slot));
-        }
-        self.gpu.replay(plan.steps(), &rebind);
+        self.gpu
+            .replay_rebound(plan.steps(), slot_window(slots), |rebind| {
+                for (&old, &new) in from.iter().zip(to) {
+                    if old != new {
+                        rebind.set(old, new);
+                    }
+                }
+                // Slot aliasing wins over position rebinding for temporaries.
+                for &(buf, slot) in slots {
+                    rebind.set(buf, BufferId(SLOT_ID_BASE | slot));
+                }
+            });
     }
 }
 
 /// The dense window for a plan's rebinding: the id range of its
-/// slot-bound temporaries, capped at twice their count so a stray far id
-/// costs one sparse entry rather than a huge table.
-fn slot_window(slots: &HashMap<BufferId, u64>) -> Range<u64> {
-    let Some(lo) = slots.keys().map(|b| b.0).min() else {
+/// slot-bound temporaries (the binding is sorted, so its first and last
+/// entries), capped at twice their count so a stray far id costs one
+/// sparse entry rather than a huge table.
+fn slot_window(slots: &[(BufferId, u64)]) -> Range<u64> {
+    let (Some(&(lo, _)), Some(&(hi, _))) = (slots.first(), slots.last()) else {
         return 0..0;
     };
-    let hi = slots.keys().map(|b| b.0).max().unwrap_or(lo);
-    lo..hi
+    lo.0..hi
+        .0
         .saturating_add(1)
-        .min(lo.saturating_add(2 * slots.len() as u64))
+        .min(lo.0.saturating_add(2 * slots.len() as u64))
 }
 
 #[cfg(test)]

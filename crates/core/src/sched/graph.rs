@@ -36,7 +36,8 @@ pub struct ExecGraph {
     pub(crate) log: EventLog,
     /// Buffer ids the device pool handed out while the region recorded
     /// (see [`Capture::fresh_ids`]); a lookup hint for the plan cache's
-    /// canonicalisation, never part of the graph's identity.
+    /// canonicalisation and the planner's buffer interning, never part of
+    /// the graph's identity.
     pub(crate) fresh_ids: Range<u64>,
 }
 

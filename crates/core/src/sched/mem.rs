@@ -32,11 +32,9 @@
 //! plan-created temporaries — first touch is a write — are presented to the
 //! device slot-canonically.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
-use fides_gpu_sim::BufferId;
-
-use fides_gpu_sim::{Event, EventLog};
+use fides_gpu_sim::{BufferId, Event, EventLog};
 
 /// The memory plan the liveness pass derives for one [`ExecPlan`](super::ExecPlan).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,73 +61,92 @@ impl MemPlan {
     }
 }
 
+/// Marks a buffer no launch has touched yet.
+const UNTOUCHED: u32 = u32::MAX;
+
 /// Runs the liveness pass over planned steps, reusing expired slots
 /// best-fit.
 ///
+/// `steps` name buffers by dense index (`BufferId(i)` is buffer `ids[i]`,
+/// see `sched/dag.rs`), so every per-buffer table is a `Vec` indexed by
+/// it, and births and deaths are flat arrays grouped by launch. Ties go by
+/// the buffers' own ids, so the coloring does not depend on the indexing.
+///
 /// Besides the [`MemPlan`] counters this returns the **buffer → slot
-/// binding** the coloring produced: the replay
+/// binding** the coloring produced, sorted by buffer id: the replay
 /// executor presents slot-canonical buffer ids to the device so that slot
 /// reuse shows up as L2 residency — two buffers time-sharing one slot alias
 /// the same physical lines, exactly as a stream-ordered allocator's pool
 /// behaves. Buffers whose first touch is a read are external (born before
 /// the plan) and stay out of the binding: rewriting their ids would sever
 /// the L2 residency they carry across plan executions.
-pub(crate) fn analyze(steps: &EventLog) -> (MemPlan, HashMap<BufferId, u64>) {
+pub(crate) fn analyze(steps: &EventLog, ids: &[BufferId]) -> (MemPlan, Vec<(BufferId, u64)>) {
     // Footprints and live intervals in launch issue order. Reads are
     // scanned before writes within a launch so an in-place operand whose
     // first appearance is `read + write` classifies as external.
-    let mut footprint: HashMap<BufferId, u64> = HashMap::new();
-    let mut first: HashMap<BufferId, usize> = HashMap::new();
-    let mut last: HashMap<BufferId, usize> = HashMap::new();
-    let mut external: HashSet<BufferId> = HashSet::new();
-    let mut launch_idx = 0usize;
+    let n = ids.len();
+    let mut footprint = vec![0u64; n];
+    let mut first = vec![UNTOUCHED; n];
+    let mut last = vec![0u32; n];
+    let mut external = vec![false; n];
+    // Buffers in first-touch order; launch `i` births `births[born[i]..born[i + 1]]`.
+    let mut births: Vec<u32> = Vec::new();
+    let mut born: Vec<usize> = vec![0];
     for step in steps.iter() {
         if let Event::Launch(launch) = step {
+            let at = born.len() as u32 - 1;
             for (is_read, accesses) in [(true, launch.reads), (false, launch.writes)] {
                 for &(buf, bytes) in accesses {
-                    let f = footprint.entry(buf).or_insert(0);
-                    *f = (*f).max(bytes);
-                    if let std::collections::hash_map::Entry::Vacant(e) = first.entry(buf) {
-                        e.insert(launch_idx);
-                        if is_read {
-                            external.insert(buf);
-                        }
+                    let b = buf.0 as usize;
+                    footprint[b] = footprint[b].max(bytes);
+                    if first[b] == UNTOUCHED {
+                        first[b] = at;
+                        external[b] = is_read;
+                        births.push(b as u32);
                     }
-                    last.insert(buf, launch_idx);
+                    last[b] = at;
                 }
             }
-            launch_idx += 1;
+            born.push(births.len());
         }
     }
-    let buffers = footprint.len() as u64;
+    let launches = born.len() - 1;
+    for w in born.windows(2) {
+        births[w[0]..w[1]].sort_unstable_by_key(|&b| ids[b as usize]);
+    }
 
-    // Deterministic event lists per launch index.
-    let mut births: Vec<Vec<BufferId>> = vec![Vec::new(); launch_idx];
-    let mut deaths: Vec<Vec<BufferId>> = vec![Vec::new(); launch_idx];
-    for (&buf, &i) in &first {
-        births[i].push(buf);
+    // Deaths grouped by last-touch launch (counting sort; their order
+    // within a launch is immaterial — they only return slots to the set).
+    let mut died = vec![0usize; launches + 1];
+    for &b in &births {
+        died[last[b as usize] as usize + 1] += 1;
     }
-    for (&buf, &i) in &last {
-        deaths[i].push(buf);
+    for i in 0..launches {
+        died[i + 1] += died[i];
     }
-    for list in births.iter_mut().chain(deaths.iter_mut()) {
-        list.sort_unstable();
+    let mut deaths = vec![0u32; births.len()];
+    let mut fill = died.clone();
+    for &b in &births {
+        let at = &mut fill[last[b as usize] as usize];
+        deaths[*at] = b;
+        *at += 1;
     }
 
     // Greedy best-fit: free slots keyed by (size, slot id) so the smallest
     // slot that fits is found by range query.
     let mut free: BTreeSet<(u64, u64)> = BTreeSet::new();
-    let mut slot_of: HashMap<BufferId, (u64, u64)> = HashMap::new();
-    let mut binding: HashMap<BufferId, u64> = HashMap::new();
+    let mut slot_of = vec![(0u64, 0u64); n];
+    let mut binding: Vec<(BufferId, u64)> = Vec::new();
     let mut next_slot = 0u64;
     let mut allocations = 0u64;
     let mut pool_bytes = 0u64;
-    for i in 0..launch_idx {
+    for i in 0..launches {
         // Bind buffers born at this launch *before* releasing the ones
         // dying here: a buffer first and last touched by the same launch
         // is live during it.
-        for &buf in &births[i] {
-            let need = footprint[&buf];
+        for &b in &births[born[i]..born[i + 1]] {
+            let b = b as usize;
+            let need = footprint[b];
             let reuse = free.range((need, 0)..).next().copied();
             let slot = match reuse {
                 Some(s) => {
@@ -144,22 +161,21 @@ pub(crate) fn analyze(steps: &EventLog) -> (MemPlan, HashMap<BufferId, u64>) {
                     s
                 }
             };
-            if !external.contains(&buf) {
-                binding.insert(buf, slot.1);
+            if !external[b] {
+                binding.push((ids[b], slot.1));
             }
-            slot_of.insert(buf, slot);
+            slot_of[b] = slot;
         }
-        for &buf in &deaths[i] {
-            if let Some(slot) = slot_of.remove(&buf) {
-                free.insert(slot);
-            }
+        for &b in &deaths[died[i]..died[i + 1]] {
+            free.insert(slot_of[b as usize]);
         }
     }
+    binding.sort_unstable_by_key(|&(buf, _)| buf);
     (
         MemPlan {
             peak_device_bytes: pool_bytes,
             allocations,
-            buffers,
+            buffers: births.len() as u64,
         },
         binding,
     )
@@ -171,6 +187,28 @@ mod tests {
     use fides_gpu_sim::{KernelDesc, KernelKind};
 
     type Accesses<'a> = &'a [(u64, u64)];
+
+    /// The pass over steps that name buffers `0..=max` by their own ids.
+    fn analyze(steps: &EventLog) -> (MemPlan, Vec<(BufferId, u64)>) {
+        let mut max = 0;
+        for step in steps.iter() {
+            if let Event::Launch(l) = step {
+                for &(b, _) in l.reads.iter().chain(l.writes) {
+                    max = max.max(b.0 + 1);
+                }
+            }
+        }
+        let ids: Vec<BufferId> = (0..max).map(BufferId).collect();
+        super::analyze(steps, &ids)
+    }
+
+    /// The slot `buf` is bound to, if any.
+    fn slot(binding: &[(BufferId, u64)], buf: u64) -> Option<u64> {
+        binding
+            .iter()
+            .find(|&&(b, _)| b == BufferId(buf))
+            .map(|&(_, s)| s)
+    }
 
     /// A log of elementwise launches on stream 0, one per `(reads, writes)`.
     fn launches(list: &[(Accesses<'_>, Accesses<'_>)]) -> EventLog {
@@ -198,7 +236,7 @@ mod tests {
         assert_eq!(pooled.allocations, 1, "all three reuse the first slot");
         assert_eq!(pooled.peak_device_bytes, 1024);
         for b in [1u64, 2, 3] {
-            assert_eq!(binding[&BufferId(b)], 0, "all three bound to slot 0");
+            assert_eq!(slot(&binding, b), Some(0), "all three bound to slot 0");
         }
         assert!(pooled.reuse_rate() > 0.6);
     }
@@ -213,7 +251,7 @@ mod tests {
         let (m, binding) = analyze(&steps);
         assert_eq!(m.allocations, 2);
         assert_eq!(m.peak_device_bytes, 2048);
-        assert_ne!(binding[&BufferId(1)], binding[&BufferId(2)]);
+        assert_ne!(slot(&binding, 1), slot(&binding, 2));
     }
 
     #[test]
@@ -224,8 +262,8 @@ mod tests {
         let (m, binding) = analyze(&steps);
         assert_eq!(m.allocations, 2);
         assert_ne!(
-            binding[&BufferId(1)],
-            binding[&BufferId(2)],
+            slot(&binding, 1),
+            slot(&binding, 2),
             "concurrently live buffers must not alias one slot"
         );
     }
@@ -245,8 +283,8 @@ mod tests {
             "150 reuses the 1000 slot, 90 the 100 slot"
         );
         assert_eq!(m.peak_device_bytes, 1100);
-        assert_eq!(binding[&BufferId(3)], binding[&BufferId(2)]);
-        assert_eq!(binding[&BufferId(4)], binding[&BufferId(1)]);
+        assert_eq!(slot(&binding, 3), slot(&binding, 2));
+        assert_eq!(slot(&binding, 4), slot(&binding, 1));
     }
 
     #[test]
@@ -260,19 +298,31 @@ mod tests {
         let (m, binding) = analyze(&steps);
         assert_eq!(m.buffers, 2, "external buffers still count");
         assert_eq!(m.allocations, 2, "and still occupy a pool slot");
-        assert!(
-            !binding.contains_key(&BufferId(7)),
+        assert_eq!(
+            slot(&binding, 7),
+            None,
             "read-first (external) buffer must keep its original id"
         );
         assert!(
-            binding.contains_key(&BufferId(8)),
+            slot(&binding, 8).is_some(),
             "write-first temporary is slot-canonical"
         );
         // An in-place first touch (read + write of the same buffer in one
         // launch) classifies as external too: the data pre-existed.
         let steps = launches(&[(&[(9, 64)], &[(9, 64)])]);
         let (_, binding) = analyze(&steps);
-        assert!(!binding.contains_key(&BufferId(9)));
+        assert_eq!(slot(&binding, 9), None);
+    }
+
+    #[test]
+    fn ties_go_by_buffer_id_not_by_dense_index() {
+        // Two temporaries born in one launch take slots in buffer-id order,
+        // whichever dense index each was interned under.
+        let steps = launches(&[(&[], &[(0, 64), (1, 64)])]);
+        let (_, forward) = super::analyze(&steps, &[BufferId(4), BufferId(9)]);
+        let (_, reversed) = super::analyze(&steps, &[BufferId(9), BufferId(4)]);
+        assert_eq!(forward, [(BufferId(4), 0), (BufferId(9), 1)]);
+        assert_eq!(reversed, forward);
     }
 
     #[test]

@@ -60,6 +60,14 @@
 //! (`kernel_launch_us`, the minimum-kernel floor) amortize, which is
 //! precisely the effect the paper measures.
 //!
+//! Planning never hashes a buffer id per table: its first stage interns
+//! each of the graph's buffers once into a dense `u32` index (ids inside
+//! the capture's fresh-id window by subtraction, the rest through one
+//! [`BufferMap`](fides_gpu_sim::BufferMap)), so the conflict state, the
+//! dependency edges and the liveness pass's tables are all `Vec`s or flat
+//! CSR arrays, and the finished steps are translated back to the graph's
+//! ids in one pass.
+//!
 //! **Reordering invariant.** The plan preserves: (1) *per-recorded-stream
 //! program order* — two launches recorded on the same stream replay in
 //! recorded order, always; and (2) *barrier ordering over shared buffers* —
@@ -109,16 +117,20 @@
 //! simulated time.
 //!
 //! **Execution.** The stock executor, [`GpuReplayExecutor`], drives the
-//! multi-stream gpu-sim timeline. It builds one
+//! multi-stream gpu-sim timeline. It refills the device's one
 //! [`Rebinding`](fides_gpu_sim::Rebinding) per region — every
 //! plan-created temporary to the slot-canonical id of its liveness slot,
 //! every other buffer of a cached plan to the current graph's buffer at the
 //! same binding position, the temporaries through a dense table — and
 //! passes the plan's steps, borrowed, to
-//! [`GpuSim::replay`](fides_gpu_sim::GpuSim::replay), which translates ids
-//! on the way into the L2 model under a single acquisition of the device
-//! lock. Nothing is allocated per launch, so host time per replayed launch
-//! is the ledger arithmetic itself. Per-stream occupancy is tracked
+//! [`GpuSim::replay_rebound`](fides_gpu_sim::GpuSim::replay_rebound), which
+//! translates ids on the way into the L2 model under a single acquisition
+//! of the device lock. Nothing is allocated per launch, and the tables a
+//! warm region needs — the translation, the plan cache's canonicalisation
+//! scratch and current binding, the capture log
+//! ([`GpuSim::recycle_capture_log`](fides_gpu_sim::GpuSim::recycle_capture_log))
+//! — keep their capacity from region to region, so host time per replayed
+//! launch is the ledger arithmetic itself. Per-stream occupancy is tracked
 //! by the simulator
 //! ([`SimStats::stream_occupancy`](fides_gpu_sim::SimStats::stream_occupancy))
 //! and fences are applied only at the recorded cross-limb sync points.

@@ -20,8 +20,6 @@
 //! tags and efficiencies are validated, and every failure is a typed
 //! [`ClientError`] — never a panic.
 
-use std::collections::HashMap;
-
 use bytes::{Buf, BufMut};
 use fides_client::ClientError;
 use fides_gpu_sim::{Access, BufferId, Event, EventLog, KernelDesc, KernelKind, Launch};
@@ -233,11 +231,9 @@ pub fn write_plan_entry(buf: &mut impl BufMut, fp: u64, plan: &ExecPlan, binding
     ] {
         buf.put_u64_le(v);
     }
-    // Deterministic slot order: snapshots of the same cache byte-compare.
-    let mut slots: Vec<(u64, u64)> = plan.slots.iter().map(|(&BufferId(b), &s)| (b, s)).collect();
-    slots.sort_unstable();
-    buf.put_u32(slots.len() as u32);
-    for (b, s) in slots {
+    // Stored sorted by buffer id: snapshots of the same cache byte-compare.
+    buf.put_u32(plan.slots.len() as u32);
+    for &(BufferId(b), s) in &plan.slots {
         buf.put_u64_le(b);
         buf.put_u64_le(s);
     }
@@ -258,8 +254,8 @@ pub fn encode_plan_entry(fp: u64, plan: &ExecPlan, binding: &[BufferId]) -> Vec<
 /// # Errors
 ///
 /// [`ClientError::Serialization`] for truncation, trailing bytes, invalid
-/// kernel tags or out-of-range efficiencies — never panics on hostile
-/// bytes.
+/// kernel tags, out-of-range efficiencies or a slot binding whose buffer
+/// ids do not strictly increase — never panics on hostile bytes.
 pub fn decode_plan_entry(
     mut payload: &[u8],
 ) -> Result<(u64, ExecPlan, Vec<BufferId>), ClientError> {
@@ -304,11 +300,17 @@ pub fn decode_plan_entry(
     need(buf, 4, "plan slot count")?;
     let n_slots = buf.get_u32() as usize;
     need(buf, n_slots.saturating_mul(16), "plan slots")?;
-    let mut slots = HashMap::with_capacity(n_slots.min(1 << 16));
+    let mut slots: Vec<(BufferId, u64)> = Vec::with_capacity(n_slots.min(1 << 16));
     for _ in 0..n_slots {
-        let b = buf.get_u64_le();
+        let b = BufferId(buf.get_u64_le());
         let s = buf.get_u64_le();
-        slots.insert(BufferId(b), s);
+        if slots.last().is_some_and(|&(prev, _)| prev >= b) {
+            return Err(ClientError::Serialization(format!(
+                "plan slot binding not strictly increasing at buffer {}",
+                b.0
+            )));
+        }
+        slots.push((b, s));
     }
     if !buf.is_empty() {
         return Err(ClientError::Serialization(format!(
@@ -444,6 +446,32 @@ mod tests {
         let mut garbage = payload.clone();
         garbage.extend_from_slice(&[0u8; 3]);
         assert!(decode_plan_entry(&garbage).is_err(), "trailing bytes error");
+    }
+
+    #[test]
+    fn duplicate_or_unsorted_slot_ids_are_typed_errors() {
+        // A binding naming one buffer twice used to decode by silently
+        // keeping the last slot; the decoder now accepts only the strictly
+        // increasing ids the encoder writes.
+        let plan = |slots: Vec<(BufferId, u64)>| ExecPlan {
+            slots,
+            ..ExecPlan::default()
+        };
+        let ok = encode_plan_entry(1, &plan(vec![(BufferId(3), 0), (BufferId(5), 0)]), &[]);
+        assert_eq!(decode_plan_entry(&ok).unwrap().1.slot_binding().len(), 2);
+        for slots in [
+            vec![(BufferId(3), 0), (BufferId(3), 1)],
+            vec![(BufferId(5), 0), (BufferId(3), 1)],
+        ] {
+            let payload = encode_plan_entry(1, &plan(slots.clone()), &[]);
+            assert!(
+                matches!(
+                    decode_plan_entry(&payload),
+                    Err(ClientError::Serialization(_))
+                ),
+                "{slots:?} must be rejected"
+            );
+        }
     }
 
     #[test]

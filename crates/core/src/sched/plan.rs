@@ -1,6 +1,6 @@
 //! The planning pass's configuration, plan representation and entry point.
 
-use fides_gpu_sim::{Access, EventLog, KernelDesc, KernelKind, Launch};
+use fides_gpu_sim::{Access, BufferId, EventLog, KernelDesc, KernelKind, Launch};
 
 use super::graph::ExecGraph;
 
@@ -84,9 +84,10 @@ pub struct ExecPlan {
     pub(crate) steps: EventLog,
     pub(crate) stats: SchedStats,
     pub(crate) mem: super::mem::MemPlan,
-    /// Buffer → liveness-pool slot binding; lets the replay executor alias
-    /// slot-sharing buffers in the device's L2 residency model.
-    pub(crate) slots: std::collections::HashMap<fides_gpu_sim::BufferId, u64>,
+    /// Buffer → liveness-pool slot binding, sorted by buffer id; lets the
+    /// replay executor alias slot-sharing buffers in the device's L2
+    /// residency model.
+    pub(crate) slots: Vec<(BufferId, u64)>,
 }
 
 impl ExecPlan {
@@ -100,8 +101,9 @@ impl ExecPlan {
         &self.mem
     }
 
-    /// The buffer → pool-slot binding the liveness pass colored.
-    pub fn slot_binding(&self) -> &std::collections::HashMap<fides_gpu_sim::BufferId, u64> {
+    /// The buffer → pool-slot binding the liveness pass colored, sorted by
+    /// buffer id.
+    pub fn slot_binding(&self) -> &[(BufferId, u64)] {
         &self.slots
     }
 
@@ -142,9 +144,14 @@ impl Planner {
     /// stay in registers across the fused stages (the actual bandwidth
     /// saving of §III-F.5), so the intermediate write→read roundtrips
     /// disappear.
+    ///
+    /// Both passes run on the graph's buffers interned into dense indices
+    /// (see `sched/dag.rs`); the finished steps are translated back to the
+    /// graph's buffer ids in one pass.
     pub fn plan(&self, graph: &ExecGraph) -> ExecPlan {
-        let mut plan = super::dag::plan_dag(graph, &self.cfg);
-        let (mem, slots) = super::mem::analyze(&plan.steps);
+        let (mut plan, ids) = super::dag::plan_dag(graph, &self.cfg);
+        let (mem, slots) = super::mem::analyze(&plan.steps, &ids);
+        plan.steps.map_buffers(|b| ids[b.0 as usize]);
         plan.mem = mem;
         plan.slots = slots;
         plan
@@ -161,16 +168,18 @@ pub(crate) struct Fused {
     pub(crate) writes: Vec<Access>,
 }
 
-impl Fused {
-    /// A copy of one recorded launch.
-    pub(crate) fn of(launch: &Launch<'_>) -> Self {
+impl Default for Fused {
+    /// An elementwise launch touching nothing.
+    fn default() -> Self {
         Self {
-            desc: launch.desc,
-            reads: launch.reads.to_vec(),
-            writes: launch.writes.to_vec(),
+            desc: KernelDesc::new(KernelKind::Elementwise),
+            reads: Vec::new(),
+            writes: Vec::new(),
         }
     }
+}
 
+impl Fused {
     /// The fused launch, issued on `stream`.
     pub(crate) fn on(&self, stream: usize) -> Launch<'_> {
         Launch {
@@ -216,7 +225,7 @@ pub(crate) fn merge(into: &mut Fused, next: &Launch<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fides_gpu_sim::{BufferId, Event};
+    use fides_gpu_sim::Event;
 
     /// An in-place elementwise launch over `bytes` of `buf`.
     fn ew(log: &mut EventLog, stream: usize, buf: u64, bytes: u64, ops: u64) {

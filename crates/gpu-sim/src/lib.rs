@@ -140,6 +140,9 @@ struct SimState {
     capture_owner: Option<std::thread::ThreadId>,
     /// The pool's next id when the open capture began.
     capture_first_id: u64,
+    /// The translation table [`GpuSim::replay_rebound`] fills, kept for
+    /// its capacity between replays.
+    rebind: Rebinding,
 }
 
 impl SimState {
@@ -176,6 +179,7 @@ impl GpuSim {
                 capture_depth: 0,
                 capture_owner: None,
                 capture_first_id: 0,
+                rebind: Rebinding::default(),
             }),
         })
     }
@@ -247,6 +251,40 @@ impl GpuSim {
             "GpuSim::replay inside the calling thread's open capture region"
         );
         st.timeline.replay(log, |buf| rebind.get(buf));
+    }
+
+    /// As [`Self::replay`], through the device's reusable translation
+    /// table: `bind` fills it after it is reset to the identity over
+    /// `window` ([`Rebinding::reset`]), and the table keeps its capacity
+    /// for the next replay, so a warm replay allocates none. `bind` runs
+    /// outside the device lock.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::replay`].
+    pub fn replay_rebound(
+        &self,
+        log: &EventLog,
+        window: std::ops::Range<u64>,
+        bind: impl FnOnce(&mut Rebinding),
+    ) {
+        let mut rebind = std::mem::take(&mut self.state.lock().rebind);
+        rebind.reset(window);
+        bind(&mut rebind);
+        self.replay(log, &rebind);
+        self.state.lock().rebind = rebind;
+    }
+
+    /// Hands a drained capture log back for the next capture region to
+    /// record into, so a region that repeats records into the capacity the
+    /// last one grew instead of regrowing it from empty. The log is
+    /// cleared; it is dropped instead while a capture is open.
+    pub fn recycle_capture_log(&self, mut log: EventLog) {
+        log.clear();
+        let mut st = self.state.lock();
+        if st.capture_depth == 0 {
+            st.capture = log;
+        }
     }
 
     /// Opens a kernel-graph capture region on the **calling thread**:
@@ -796,6 +834,58 @@ mod tests {
         assert_eq!(a.per_kind, b.per_kind);
         assert_eq!(a.per_stream, b.per_stream);
         assert_eq!(replayed.sync().to_bits(), eager.sync().to_bits());
+    }
+
+    #[test]
+    fn replay_rebound_equals_replay_through_a_fresh_table() {
+        let bind = |r: &mut Rebinding| {
+            r.set(BufferId(2), BufferId(7));
+            r.set(BufferId(3), BufferId(1));
+        };
+        // Two replays each: the reused table starts the second as the
+        // identity, unpolluted by the first's translation.
+        let first = |r: &mut Rebinding| r.set(BufferId(1), BufferId(5));
+        let fresh = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        let mut rebind = Rebinding::with_window(0..8);
+        first(&mut rebind);
+        fresh.replay(&replay_steps(), &rebind);
+        let mut rebind = Rebinding::with_window(2..3);
+        bind(&mut rebind);
+        fresh.replay(&replay_steps(), &rebind);
+        let reused = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        reused.replay_rebound(&replay_steps(), 0..8, first);
+        reused.replay_rebound(&replay_steps(), 2..3, bind);
+        let (a, b) = (reused.stats(), fresh.stats());
+        assert_eq!(a.kernel_launches, 4);
+        assert_eq!(a.l2_hit_bytes, b.l2_hit_bytes);
+        assert_eq!(a.dram_read_bytes, b.dram_read_bytes);
+        assert_eq!(a.per_stream, b.per_stream);
+    }
+
+    #[test]
+    fn a_recycled_capture_log_records_only_the_next_region() {
+        let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        let record = |ops: u64| {
+            assert!(gpu.begin_capture());
+            gpu.launch(0, KernelDesc::new(KernelKind::Fill).ops(ops), |_| {})
+                .run(|| {});
+            gpu.end_capture().events
+        };
+        let first = record(1);
+        gpu.recycle_capture_log(first);
+        let second = record(2);
+        assert_eq!(second.launches(), 1);
+        let Event::Launch(l) = second.get(0) else {
+            panic!("one launch")
+        };
+        assert_eq!(l.desc.int32_ops, 2);
+        // While a region is open its log is in use: a recycled log is
+        // dropped rather than swapped in under it.
+        assert!(gpu.begin_capture());
+        gpu.launch(0, KernelDesc::new(KernelKind::Fill).ops(3), |_| {})
+            .run(|| {});
+        gpu.recycle_capture_log(second);
+        assert_eq!(gpu.end_capture().events.launches(), 1);
     }
 
     #[test]

@@ -273,6 +273,13 @@ impl EventLog {
         self.launches = 0;
     }
 
+    /// Rewrites the buffer id of every access in place through `f`.
+    pub fn map_buffers(&mut self, mut f: impl FnMut(BufferId) -> BufferId) {
+        for (buf, _) in &mut self.accesses {
+            *buf = f(*buf);
+        }
+    }
+
     /// Releases spare arena capacity (for logs kept long, like cached
     /// plans).
     pub fn shrink_to_fit(&mut self) {
@@ -370,6 +377,18 @@ mod tests {
         );
         assert!(merged.iter().take(3).eq(log.iter()), "prefix untouched");
         assert_eq!(merged.stream_bound(), 6);
+    }
+
+    #[test]
+    fn map_buffers_rewrites_every_access() {
+        let mut log = sample();
+        log.map_buffers(|b| BufferId(b.0 * 10));
+        let Event::Launch(l) = log.get(0) else {
+            panic!("launch first")
+        };
+        assert_eq!(l.reads, [(BufferId(10), 10), (BufferId(30), 30)]);
+        assert_eq!(l.writes, [(BufferId(20), 20)]);
+        assert_eq!(log.get(1), sample().get(1), "fences untouched");
     }
 
     #[test]

@@ -80,11 +80,18 @@ pub struct Rebinding {
 impl Rebinding {
     /// The identity translation, with its dense table covering `window`.
     pub fn with_window(window: std::ops::Range<u64>) -> Self {
-        Self {
-            base: window.start,
-            dense: window.map(BufferId).collect(),
-            sparse: BufferMap::default(),
-        }
+        let mut rebind = Self::default();
+        rebind.reset(window);
+        rebind
+    }
+
+    /// Back to the identity translation, with the dense table covering
+    /// `window`; both tables keep their capacity.
+    pub fn reset(&mut self, window: std::ops::Range<u64>) {
+        self.base = window.start;
+        self.dense.clear();
+        self.dense.extend(window.map(BufferId));
+        self.sparse.clear();
     }
 
     /// Presents `from` as `to` from now on (replacing any earlier target).
@@ -175,5 +182,9 @@ mod tests {
         assert_eq!(r.get(BufferId(u64::MAX)), BufferId(u64::MAX));
         let empty = Rebinding::default();
         assert_eq!(empty.get(BufferId(0)), BufferId(0));
+        r.reset(2..4);
+        for id in [2, 3, 11, 3, 99] {
+            assert_eq!(r.get(BufferId(id)), BufferId(id), "reset is the identity");
+        }
     }
 }

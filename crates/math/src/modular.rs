@@ -224,7 +224,16 @@ impl ShoupPrecomp {
     #[inline]
     pub fn new(w: u64, modulus: &Modulus) -> Self {
         debug_assert!(w < modulus.value());
-        let quotient = (((w as u128) << 64) / modulus.value() as u128) as u64;
+        // ⌊w·2^64/p⌋ from the modulus's stored ⌊2^128/p⌋ = r1·2^64 + r0,
+        // without a 128-bit division: the high words of w·⌊2^128/p⌋
+        // undershoot the quotient by at most one, and the remainder
+        // w·2^64 − q·p (below 2p, so exact in 64 bits) says when to add it.
+        let p = modulus.value();
+        let (r0, r1) = modulus.ratio;
+        let mut quotient = w * r1 + ((w as u128 * r0 as u128) >> 64) as u64;
+        if 0u64.wrapping_sub(quotient.wrapping_mul(p)) >= p {
+            quotient += 1;
+        }
         Self {
             operand: w,
             quotient,
@@ -315,6 +324,26 @@ mod tests {
                 let x = next() % p;
                 let sp = ShoupPrecomp::new(w, &m);
                 assert_eq!(sp.mul(x, &m), m.mul_mod(w, x), "p={p} w={w} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn shoup_quotient_equals_the_wide_division() {
+        let mut state = 0x5151_7e57_0bad_cafeu64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for &p in PRIMES {
+            let m = Modulus::new(p);
+            let edges = [0, 1, p / 2, p - 2, p - 1];
+            let random = (0..2000).map(|_| next() % p);
+            for w in edges.into_iter().filter(|&w| w < p).chain(random) {
+                let wide = (((w as u128) << 64) / p as u128) as u64;
+                assert_eq!(ShoupPrecomp::new(w, &m).quotient, wide, "p={p} w={w}");
             }
         }
     }

@@ -227,6 +227,19 @@ impl NttTable {
         self.inverse_stages(a, 0, self.log_n);
     }
 
+    /// The forward transform of the monomial `X^{N/2}`, in closed form.
+    /// Output `i` evaluates it at `ψ^{2·brv(i)+1}`, giving
+    /// `ψ^{N/2}·(−1)^{brv(i)}` because `ψ^N = −1`, and `brv(i)` is odd
+    /// exactly for the upper half of the outputs. Equal to
+    /// [`Self::forward_inplace`] of the monomial, without the transform.
+    pub fn forward_monomial_half(&self) -> Vec<u64> {
+        // ψ^{brv(1)} = ψ^{N/2}, never zero.
+        let w = self.root_powers_shoup[1].operand;
+        let mut out = vec![w; self.n];
+        out[self.n / 2..].fill(self.modulus.value() - w);
+        out
+    }
+
     /// The Shoup-precomputed `N^{-1}` constant (for fused scaling).
     #[inline]
     pub fn n_inv(&self) -> &ShoupPrecomp {
@@ -399,6 +412,19 @@ mod tests {
         t.forward_stages(&mut b, 0, 3);
         t.forward_stages(&mut b, 3, t.log_n());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn monomial_half_closed_form_equals_the_transform() {
+        for log_n in 1..=12u32 {
+            for bits in [20u32, 30, 40, 50, 55, 59] {
+                let t = table(log_n, bits);
+                let mut a = vec![0u64; t.n()];
+                a[t.n() / 2] = 1;
+                t.forward_inplace(&mut a);
+                assert_eq!(t.forward_monomial_half(), a, "logN {log_n}, {bits} bits");
+            }
+        }
     }
 
     #[test]
