@@ -49,9 +49,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fides_gpu_sim::{BufferId, BufferMap, Event};
+use fides_gpu_sim::{BufferId, Event};
 
-use super::graph::ExecGraph;
+use super::graph::{BufferIndex, ExecGraph};
 use super::plan::{ExecPlan, PlanConfig, Planner};
 
 /// A consumer of a graph's canonical word stream.
@@ -90,23 +90,11 @@ impl WordSink for ShapeHash {
     }
 }
 
-/// Marks a [`Canon`] table slot no buffer has claimed in the current walk.
-const UNSEEN: u32 = u32::MAX;
-
-/// Most fresh ids the dense table covers (4 MB of indices); ids past it
-/// fall back to the hash map.
-const MAX_DENSE_IDS: u64 = 1 << 20;
-
-/// Reusable canonicalisation scratch: buffer → first-occurrence index,
-/// through `dense` for the graph's fresh ids and `sparse` for the rest.
-/// Every slot is [`UNSEEN`] (and `sparse` empty) between walks; all three
-/// tables keep their capacity from walk to walk.
+/// Reusable canonicalisation scratch: the buffer numbering of the last
+/// walk, whose tables keep their capacity from walk to walk.
 #[derive(Default)]
 struct Canon {
-    dense: Vec<u32>,
-    sparse: BufferMap<u32>,
-    /// The last walk's first-occurrence binding.
-    binding: Vec<BufferId>,
+    index: BufferIndex,
 }
 
 impl Canon {
@@ -131,28 +119,8 @@ impl Canon {
             sink.word(w);
         }
 
-        let base = graph.fresh_ids.start;
-        let span = graph.fresh_ids.end.saturating_sub(base).min(MAX_DENSE_IDS) as usize;
-        if self.dense.len() < span {
-            self.dense.resize(span, UNSEEN);
-        }
-        let dense = &mut self.dense[..span];
-        let sparse = &mut self.sparse;
-        let binding = &mut self.binding;
-        binding.clear();
-        let mut canon = |buf: BufferId| -> u64 {
-            let index = match dense.get_mut(buf.offset_from(base)) {
-                Some(index) => index,
-                None => sparse.entry(buf).or_insert(UNSEEN),
-            };
-            if *index == UNSEEN {
-                let next = binding.len() as u32;
-                assert_ne!(next, UNSEEN, "a region naming 2^32 buffers");
-                *index = next;
-                binding.push(buf);
-            }
-            u64::from(*index)
-        };
+        let index = &mut self.index;
+        index.begin(&graph.fresh_ids);
         for event in graph.log.iter() {
             match event {
                 Event::Launch(launch) => {
@@ -164,7 +132,7 @@ impl Canon {
                     for list in [launch.reads, launch.writes] {
                         sink.word(list.len() as u64);
                         for &(buf, bytes) in list {
-                            sink.word(canon(buf));
+                            sink.word(u64::from(index.index(buf)));
                             sink.word(bytes);
                         }
                     }
@@ -180,14 +148,8 @@ impl Canon {
                 }
             }
         }
-
-        for buf in binding.iter() {
-            if let Some(index) = dense.get_mut(buf.offset_from(base)) {
-                *index = UNSEEN;
-            }
-        }
-        sparse.clear();
-        binding
+        index.end();
+        index.ids()
     }
 }
 
@@ -487,9 +449,9 @@ impl PlanCache {
         match Arc::get_mut(&mut spare) {
             Some(binding) => {
                 binding.clear();
-                binding.extend_from_slice(&self.canon.binding);
+                binding.extend_from_slice(self.canon.index.ids());
             }
-            None => spare = Arc::new(self.canon.binding.clone()),
+            None => spare = Arc::new(self.canon.index.ids().to_vec()),
         }
         self.spare = Arc::clone(&spare);
         spare
@@ -708,11 +670,7 @@ mod tests {
             let mut shape = ShapeHash(0);
             let binding = canon.walk(&g, &cfg(), &mut shape).to_vec();
             assert_eq!((shape.0, binding), expect, "window {window:?}");
-            assert!(
-                canon.dense.iter().all(|&i| i == UNSEEN),
-                "dense table left clean"
-            );
-            assert!(canon.sparse.is_empty(), "sparse map left clean");
+            assert!(canon.index.is_clean(), "tables left clean");
         }
     }
 

@@ -33,7 +33,7 @@
 //!    what fuses independent tenants' chains inside one serve batch
 //!    without costing L2 residency refreshes.
 //!
-//! Stage 1 also interns every buffer into a dense index ([`Interner`]),
+//! Stage 1 also interns every buffer into a dense index ([`BufferIndex`]),
 //! so the per-buffer state of stage 2 and the liveness pass (`mem.rs`) are
 //! plain arrays; the steps name buffers by those indices until
 //! [`Planner::plan`](super::Planner::plan) translates them back.
@@ -43,17 +43,15 @@
 //! separate. Results are bit-identical by construction: functional math
 //! runs at record time, so the plan only ever changes simulated timing.
 
-use std::ops::Range;
+use fides_gpu_sim::{BufferId, Event, EventLog, Launch};
 
-use fides_gpu_sim::{BufferId, BufferMap, Event, EventLog, Launch};
-
-use super::graph::{segmented, ExecGraph};
+use super::graph::{segmented, BufferIndex, ExecGraph};
 use super::plan::{merge, ExecPlan, Fused, PlanConfig, SchedStats};
 
 /// One schedulable unit: a recorded kernel, possibly carrying a pre-fused
 /// chain of same-stream elementwise followers.
 struct Unit {
-    /// In dense buffer indices (see [`Interner`]).
+    /// In dense buffer indices (see [`BufferIndex`]).
     launch: Fused,
     rec_stream: usize,
     segment: usize,
@@ -86,69 +84,21 @@ pub(crate) fn dedup_overlap_bytes(into: &Fused, next: &Fused) -> u64 {
         .sum()
 }
 
-/// Marks a table entry no buffer (or unit) has claimed.
+/// Marks a table entry no unit has claimed.
 const NONE: u32 = u32::MAX;
 
-/// Most fresh ids the interning window covers (4 MB of indices); ids past
-/// it go through the map.
-const MAX_WINDOW: u64 = 1 << 20;
-
-/// Interns a graph's buffers into dense indices `0..n`, in first-occurrence
-/// order. Ids inside the graph's fresh-id window — the region's own
-/// temporaries, nearly every buffer it names — resolve by subtraction into
-/// one table; the few older buffers it reads go through one map. Every
-/// per-buffer table of the planner is then a plain `Vec` indexed by the
-/// dense index, and `ids` maps the plan back to the graph's buffers.
-struct Interner {
-    base: u64,
-    window: Vec<u32>,
-    others: BufferMap<u32>,
-    /// Dense index → buffer id.
-    ids: Vec<BufferId>,
-}
-
-impl Interner {
-    fn new(fresh: &Range<u64>) -> Self {
-        let span = fresh.end.saturating_sub(fresh.start).min(MAX_WINDOW) as usize;
-        Self {
-            base: fresh.start,
-            window: vec![NONE; span],
-            others: BufferMap::default(),
-            ids: Vec::new(),
-        }
-    }
-
-    /// `buf`'s dense index, as a [`BufferId`] so interned launches keep
-    /// the recorded access type.
-    fn index(&mut self, buf: BufferId) -> BufferId {
-        let slot = match self.window.get_mut(buf.offset_from(self.base)) {
-            Some(slot) => slot,
-            None => self.others.entry(buf).or_insert(NONE),
-        };
-        if *slot == NONE {
-            let next = u32::try_from(self.ids.len())
-                .ok()
-                .filter(|&i| i != NONE)
-                .expect("a graph naming 2^32 - 1 buffers");
-            *slot = next;
-            self.ids.push(buf);
-        }
-        BufferId(u64::from(*slot))
-    }
-
-    /// `launch`'s accesses, interned, into `into` (reads before writes —
-    /// the order every first occurrence is taken in).
-    fn launch(&mut self, launch: &Launch<'_>, into: &mut Fused) {
-        into.desc = launch.desc;
-        into.reads.clear();
-        into.writes.clear();
-        for &(buf, bytes) in launch.reads {
-            into.reads.push((self.index(buf), bytes));
-        }
-        for &(buf, bytes) in launch.writes {
-            into.writes.push((self.index(buf), bytes));
-        }
-    }
+/// Copies `launch` into `into` with every buffer replaced by its dense
+/// index (as a [`BufferId`], so interned launches keep the recorded access
+/// type). Reads go before writes — the order the plan cache's binding
+/// takes first occurrences in.
+fn intern(index: &mut BufferIndex, launch: &Launch<'_>, into: &mut Fused) {
+    let mut dense =
+        |&(buf, bytes): &(BufferId, u64)| (BufferId(u64::from(index.index(buf))), bytes);
+    into.desc = launch.desc;
+    into.reads.clear();
+    into.reads.extend(launch.reads.iter().map(&mut dense));
+    into.writes.clear();
+    into.writes.extend(launch.writes.iter().map(&mut dense));
 }
 
 /// Stage 1: collapse same-recorded-stream elementwise chains into units
@@ -161,14 +111,15 @@ impl Interner {
 fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize>>, Vec<BufferId>) {
     let mut units: Vec<Unit> = Vec::new();
     let mut barriers: Vec<Vec<usize>> = Vec::new();
-    let mut intern = Interner::new(&graph.fresh_ids);
+    let mut index = BufferIndex::default();
+    index.begin(&graph.fresh_ids);
     let mut node = Fused::default();
     // Open chain per recorded stream: index into `units`, or `NONE`.
     let mut open: Vec<u32> = vec![NONE; graph.log.stream_bound()];
     for (segment, event) in segmented(&graph.log) {
         match event {
             Event::Launch(launch) => {
-                intern.launch(&launch, &mut node);
+                intern(&mut index, &launch, &mut node);
                 let stream = launch.stream;
                 if cfg.fuse_elementwise && super::graph::fusible_kind(launch.desc.kind) {
                     if let Some(unit) = units.get_mut(open[stream] as usize) {
@@ -203,7 +154,7 @@ fn build_units(graph: &ExecGraph, cfg: &PlanConfig) -> (Vec<Unit>, Vec<Vec<usize
             }
         }
     }
-    (units, barriers, intern.ids)
+    (units, barriers, index.into_ids())
 }
 
 /// Rows of unit indices stored flat: row `i` is

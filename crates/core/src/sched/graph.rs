@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use fides_gpu_sim::{Capture, Event, EventLog, KernelKind};
+use fides_gpu_sim::{BufferId, BufferMap, Capture, Event, EventLog, KernelKind};
 
 /// The elementwise kernel class the planner may fuse: pointwise modular
 /// arithmetic, fills/copies, centered modulus switches and the automorphism
@@ -79,6 +79,86 @@ impl From<EventLog> for ExecGraph {
             log,
             fresh_ids: 0..0,
         }
+    }
+}
+
+/// Marks a [`BufferIndex`] table slot no buffer has claimed.
+const UNSEEN: u32 = u32::MAX;
+
+/// Most fresh ids the dense table covers (4 MB of indices); ids past it
+/// fall back to the map.
+const MAX_DENSE_IDS: u64 = 1 << 20;
+
+/// A graph's buffers numbered `0..n` in first-occurrence order — the plan
+/// cache's canonical renaming and the planner's dense index. Ids inside
+/// the graph's fresh-id window (the region's own temporaries, nearly every
+/// buffer it names) resolve by subtraction into one table; the few older
+/// buffers it reads go through one [`BufferMap`].
+///
+/// Reusable: [`Self::begin`] starts a graph, [`Self::end`] returns every
+/// table slot to [`UNSEEN`] (and the map to empty) while the tables keep
+/// their capacity.
+#[derive(Debug, Default)]
+pub(crate) struct BufferIndex {
+    base: u64,
+    dense: Vec<u32>,
+    sparse: BufferMap<u32>,
+    /// Index → buffer: the first-occurrence binding.
+    ids: Vec<BufferId>,
+}
+
+impl BufferIndex {
+    /// Starts numbering the buffers of a graph whose fresh ids are `fresh`.
+    pub(crate) fn begin(&mut self, fresh: &Range<u64>) {
+        self.ids.clear();
+        self.base = fresh.start;
+        let span = fresh.end.saturating_sub(fresh.start).min(MAX_DENSE_IDS) as usize;
+        if self.dense.len() < span {
+            self.dense.resize(span, UNSEEN);
+        }
+    }
+
+    /// `buf`'s index, numbering it next if it is new.
+    #[inline]
+    pub(crate) fn index(&mut self, buf: BufferId) -> u32 {
+        let index = match self.dense.get_mut(buf.offset_from(self.base)) {
+            Some(index) => index,
+            None => self.sparse.entry(buf).or_insert(UNSEEN),
+        };
+        if *index == UNSEEN {
+            let next = self.ids.len() as u32;
+            assert_ne!(next, UNSEEN, "a region naming 2^32 buffers");
+            *index = next;
+            self.ids.push(buf);
+        }
+        *index
+    }
+
+    /// Every buffer numbered since [`Self::begin`], by index.
+    pub(crate) fn ids(&self) -> &[BufferId] {
+        &self.ids
+    }
+
+    /// Forgets the numbering (the binding stays readable until the next
+    /// [`Self::begin`]).
+    pub(crate) fn end(&mut self) {
+        for buf in &self.ids {
+            if let Some(index) = self.dense.get_mut(buf.offset_from(self.base)) {
+                *index = UNSEEN;
+            }
+        }
+        self.sparse.clear();
+    }
+
+    /// The binding, consuming the index.
+    pub(crate) fn into_ids(self) -> Vec<BufferId> {
+        self.ids
+    }
+
+    /// True when no slot is claimed.
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
+        self.dense.iter().all(|&i| i == UNSEEN) && self.sparse.is_empty()
     }
 }
 
