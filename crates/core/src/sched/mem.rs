@@ -61,9 +61,6 @@ impl MemPlan {
     }
 }
 
-/// Marks a buffer no launch has touched yet.
-const UNTOUCHED: u32 = u32::MAX;
-
 /// Runs the liveness pass over planned steps, reusing expired slots
 /// best-fit.
 ///
@@ -86,7 +83,7 @@ pub(crate) fn analyze(steps: &EventLog, ids: &[BufferId]) -> (MemPlan, Vec<(Buff
     // first appearance is `read + write` classifies as external.
     let n = ids.len();
     let mut footprint = vec![0u64; n];
-    let mut first = vec![UNTOUCHED; n];
+    let mut seen = vec![false; n];
     let mut last = vec![0u32; n];
     let mut external = vec![false; n];
     // Buffers in first-touch order; launch `i` births `births[born[i]..born[i + 1]]`.
@@ -99,8 +96,8 @@ pub(crate) fn analyze(steps: &EventLog, ids: &[BufferId]) -> (MemPlan, Vec<(Buff
                 for &(buf, bytes) in accesses {
                     let b = buf.0 as usize;
                     footprint[b] = footprint[b].max(bytes);
-                    if first[b] == UNTOUCHED {
-                        first[b] = at;
+                    if !seen[b] {
+                        seen[b] = true;
                         external[b] = is_read;
                         births.push(b as u32);
                     }
