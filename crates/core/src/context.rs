@@ -408,7 +408,13 @@ impl CkksContext {
     /// descriptors, streams, barrier shapes and buffer aliasing — buffer
     /// *identities* are translated during replay) replays the shared cached
     /// plan with zero planning work and no copy. Hits and misses land in
-    /// [`Self::sched_stats`] and the device ledger. The replayed capture
+    /// [`Self::sched_stats`] and the device ledger. The replay is memoised
+    /// ([`GpuSim::replay_memoised`]): a plan that enters an L2 state it was
+    /// recorded from (a state is recorded the second time an unmatched
+    /// replay enters it) reuses that replay's L2 classification instead of
+    /// re-running the L2 model, counted in
+    /// [`SimStats::replay_memo_hits`](fides_gpu_sim::SimStats::replay_memo_hits).
+    /// The replayed capture
     /// log goes back to the device
     /// ([`GpuSim::recycle_capture_log`]), so a repeated region records
     /// into the capacity the last one grew.
@@ -418,13 +424,15 @@ impl CkksContext {
             return;
         }
         let graph = ExecGraph::from_capture(capture);
-        let bound = self
-            .plan_cache
-            .lock()
+        // The cache stays locked through the replay: the memo belongs to
+        // the bound entry, and names lines through the bind's numbering.
+        let mut cache = self.plan_cache.lock();
+        let bound = cache
             .bind(&self.plan_cfg, &[&graph], false)
             .pop()
             .expect("one region, one plan");
-        GpuReplayExecutor::new(&self.gpu).execute_bound(&bound);
+        GpuReplayExecutor::new(&self.gpu).execute_memoised(&bound, &mut cache);
+        drop(cache);
         // The next region records into this one's arenas.
         self.gpu.recycle_capture_log(graph.log);
         let mut ledger = self.sched_ledger.lock();

@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fides_gpu_sim::{BufferId, Event};
+use fides_gpu_sim::{BufferId, Event, ReplayMemo};
 
 use super::graph::{BufferIndex, ExecGraph};
 use super::plan::{ExecPlan, PlanConfig, Planner};
@@ -91,7 +91,8 @@ impl WordSink for ShapeHash {
 }
 
 /// Reusable canonicalisation scratch: the buffer numbering of the last
-/// walk, whose tables keep their capacity from walk to walk.
+/// walk, readable until the next walk starts, whose tables keep their
+/// capacity from walk to walk.
 #[derive(Default)]
 struct Canon {
     index: BufferIndex,
@@ -148,7 +149,6 @@ impl Canon {
                 }
             }
         }
-        index.end();
         index.ids()
     }
 }
@@ -196,6 +196,8 @@ pub fn plan_parallel(
 /// position `i` of the other.
 #[derive(Clone, Debug)]
 pub struct BoundPlan {
+    /// Fingerprint of the cache entry the plan came from.
+    fp: u64,
     plan: Arc<ExecPlan>,
     planned: Arc<[BufferId]>,
     current: Arc<Vec<BufferId>>,
@@ -249,6 +251,9 @@ struct CacheEntry {
     /// The shape key that resolves to this entry; `None` for a restored
     /// entry until its shape is first seen.
     shape: Option<u64>,
+    /// What memoised replays of this plan recorded (see
+    /// [`PlanCache::memo`]); empty for a plan only ever replayed plainly.
+    memo: ReplayMemo,
 }
 
 /// A lookup that found no usable entry: everything [`PlanCache::bind`]
@@ -423,6 +428,7 @@ impl PlanCache {
                 let (plan, planned, warm) = (Arc::clone(&e.plan), Arc::clone(&e.binding), e.warm);
                 self.hits += 1;
                 Ok(BoundPlan {
+                    fp,
                     plan,
                     planned,
                     current: self.take_binding(),
@@ -440,6 +446,23 @@ impl PlanCache {
                 })
             }
         }
+    }
+
+    /// The replay memo of `bound`'s entry, with the buffer numbering of the
+    /// graph `bound` is bound to — `None` unless `bound` came from this
+    /// cache's last lookup and its entry is still resident.
+    ///
+    /// The numbering is the last canonicalisation walk's, still readable:
+    /// [`BufferIndex::position`] finds a buffer's position in
+    /// [`BoundPlan::current_binding`] in one probe, which is how
+    /// [`GpuReplayExecutor`](super::GpuReplayExecutor) names the L2 lines a
+    /// memoised replay enters from. The memo lives and dies with the entry.
+    pub(crate) fn memo(&mut self, bound: &BoundPlan) -> Option<(&mut ReplayMemo, &BufferIndex)> {
+        if !Arc::ptr_eq(&self.spare, &bound.current) {
+            return None;
+        }
+        let entry = self.entries.get_mut(&bound.fp)?;
+        Arc::ptr_eq(&entry.plan, &bound.plan).then_some((&mut entry.memo, &self.canon.index))
     }
 
     /// A copy of the last walk's binding, in the spare allocation when no
@@ -503,12 +526,14 @@ impl PlanCache {
                 last_used: self.clock,
                 warm,
                 shape,
+                memo: ReplayMemo::default(),
             },
         );
         if let Some(shape) = shape {
             self.shapes.insert(shape, fp);
         }
         BoundPlan {
+            fp,
             plan,
             planned,
             current: binding,
@@ -661,7 +686,8 @@ mod tests {
     fn fresh_id_window_never_changes_the_key_or_binding() {
         // Ids 100..104 are fresh, 7 predates the region; windows covering
         // all, some, none or past the fresh ids must canonicalise alike,
-        // through one reused scratch table.
+        // through one reused scratch table whose numbering stays readable
+        // until the next walk begins.
         let mut g = graph(&[100, 7, 101, 100, 103, 7, 102]);
         let expect = shape_key(&g, &cfg());
         let mut canon = Canon::default();
@@ -669,9 +695,18 @@ mod tests {
             g.fresh_ids = window.clone();
             let mut shape = ShapeHash(0);
             let binding = canon.walk(&g, &cfg(), &mut shape).to_vec();
+            for (i, &buf) in binding.iter().enumerate() {
+                assert_eq!(
+                    canon.index.position(buf),
+                    Some(i as u32),
+                    "window {window:?}"
+                );
+            }
+            assert_eq!(canon.index.position(BufferId(104)), None, "never named");
             assert_eq!((shape.0, binding), expect, "window {window:?}");
-            assert!(canon.index.is_clean(), "tables left clean");
         }
+        canon.index.clear();
+        assert!(canon.index.is_clean(), "every walk's claims were forgotten");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use fides_gpu_sim::{BufferId, GpuSim};
+use fides_gpu_sim::{BufferId, GpuSim, Rebinding};
 
-use super::cache::BoundPlan;
+use super::cache::{BoundPlan, PlanCache};
 use super::plan::ExecPlan;
 
 /// Replays a plan onto the simulated device: each launch advances the
@@ -69,6 +69,43 @@ impl<'a> GpuReplayExecutor<'a> {
         );
     }
 
+    /// As [`Self::execute_bound`], through the replay memo `cache` keeps
+    /// for `bound`'s entry ([`GpuSim::replay_memoised`]); plainly when
+    /// `bound` did not come from `cache`'s last lookup.
+    ///
+    /// Every buffer the plan names is in its planned binding, so every
+    /// buffer a replay touches is a pool slot or the current graph's
+    /// buffer at some binding position. The memo names a slot's lines by
+    /// the slot id, which every plan on the device shares, and any other
+    /// buffer by its binding position, which means the same thing on every
+    /// replay of the plan; a line with neither name is never touched.
+    pub(crate) fn execute_memoised(&self, bound: &BoundPlan, cache: &mut PlanCache) {
+        let Some((memo, index)) = cache.memo(bound) else {
+            return self.execute_bound(bound);
+        };
+        self.gpu.record_plan_cache(bound.is_hit());
+        let plan = bound.plan();
+        let mem = plan.mem();
+        self.gpu
+            .record_plan_memory(mem.peak_device_bytes, mem.allocations);
+        let slots = plan.slot_binding();
+        let (from, to) = (bound.planned_binding(), bound.current_binding());
+        self.gpu.replay_memoised(
+            plan.steps(),
+            slot_window(slots),
+            |rebind| bind(rebind, from, to, slots),
+            |buf| match buf.0 & SLOT_ID_BASE {
+                0 => index.position(buf).map(u64::from),
+                _ => Some(buf.0),
+            },
+            |name| match name & SLOT_ID_BASE {
+                0 => to[name as usize],
+                _ => BufferId(name),
+            },
+            memo,
+        );
+    }
+
     /// `from`/`to`: position-matched bindings (`from` in the plan's ids).
     fn replay(&self, plan: &ExecPlan, from: &[BufferId], to: &[BufferId]) {
         let mem = plan.mem();
@@ -77,16 +114,22 @@ impl<'a> GpuReplayExecutor<'a> {
         let slots = plan.slot_binding();
         self.gpu
             .replay_rebound(plan.steps(), slot_window(slots), |rebind| {
-                for (&old, &new) in from.iter().zip(to) {
-                    if old != new {
-                        rebind.set(old, new);
-                    }
-                }
-                // Slot aliasing wins over position rebinding for temporaries.
-                for &(buf, slot) in slots {
-                    rebind.set(buf, BufferId(SLOT_ID_BASE | slot));
-                }
+                bind(rebind, from, to, slots)
             });
+    }
+}
+
+/// Fills `rebind` for a plan with slot binding `slots`, planned on `from`
+/// and replayed onto `to` (position-matched bindings).
+fn bind(rebind: &mut Rebinding, from: &[BufferId], to: &[BufferId], slots: &[(BufferId, u64)]) {
+    for (&old, &new) in from.iter().zip(to) {
+        if old != new {
+            rebind.set(old, new);
+        }
+    }
+    // Slot aliasing wins over position rebinding for temporaries.
+    for &(buf, slot) in slots {
+        rebind.set(buf, BufferId(SLOT_ID_BASE | slot));
     }
 }
 

@@ -95,9 +95,10 @@ const MAX_DENSE_IDS: u64 = 1 << 20;
 /// buffer it names) resolve by subtraction into one table; the few older
 /// buffers it reads go through one [`BufferMap`].
 ///
-/// Reusable: [`Self::begin`] starts a graph, [`Self::end`] returns every
-/// table slot to [`UNSEEN`] (and the map to empty) while the tables keep
-/// their capacity.
+/// Reusable: [`Self::begin`] forgets the last graph's numbering and starts
+/// the next, the tables keeping their capacity. Between the two the
+/// numbering stays readable through [`Self::position`] — how a memoised
+/// replay names the L2 lines it enters from.
 #[derive(Debug, Default)]
 pub(crate) struct BufferIndex {
     base: u64,
@@ -110,6 +111,7 @@ pub(crate) struct BufferIndex {
 impl BufferIndex {
     /// Starts numbering the buffers of a graph whose fresh ids are `fresh`.
     pub(crate) fn begin(&mut self, fresh: &Range<u64>) {
+        self.clear();
         self.ids.clear();
         self.base = fresh.start;
         let span = fresh.end.saturating_sub(fresh.start).min(MAX_DENSE_IDS) as usize;
@@ -134,14 +136,24 @@ impl BufferIndex {
         *index
     }
 
+    /// `buf`'s index, if the graph names it.
+    #[inline]
+    pub(crate) fn position(&self, buf: BufferId) -> Option<u32> {
+        let index = match self.dense.get(buf.offset_from(self.base)) {
+            Some(&index) => index,
+            None => *self.sparse.get(&buf)?,
+        };
+        (index != UNSEEN).then_some(index)
+    }
+
     /// Every buffer numbered since [`Self::begin`], by index.
     pub(crate) fn ids(&self) -> &[BufferId] {
         &self.ids
     }
 
-    /// Forgets the numbering (the binding stays readable until the next
-    /// [`Self::begin`]).
-    pub(crate) fn end(&mut self) {
+    /// Returns every claimed table slot to [`UNSEEN`] and the map to empty
+    /// (the binding stays readable until the next [`Self::begin`]).
+    pub(crate) fn clear(&mut self) {
         for buf in &self.ids {
             if let Some(index) = self.dense.get_mut(buf.offset_from(self.base)) {
                 *index = UNSEEN;

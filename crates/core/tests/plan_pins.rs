@@ -14,15 +14,18 @@
 //! * every region of one logistic-regression iteration at logN 11;
 //! * every region of one bootstrap at logN 11.
 
+mod common;
+
 use std::sync::Arc;
 
-use fides_client::{ClientContext, Domain, RawKeyDigit, RawPoly, RawSwitchingKey};
+use common::{context, keys};
+use fides_client::ClientContext;
 use fides_core::sched::{encode_plan_entry, fingerprint, ExecGraph, PlanConfig, Planner};
 use fides_core::{
-    adapter, boot, BackendCt, BootstrapConfig, Bootstrapper, CkksContext, CkksParameters,
-    EvalBackend, EvalKeySet, GpuSimBackend,
+    adapter, boot, BackendCt, BootstrapConfig, Bootstrapper, CkksContext, EvalBackend,
+    GpuSimBackend,
 };
-use fides_gpu_sim::{BufferId, DeviceSpec, EventLog, ExecMode, GpuSim, KernelDesc, KernelKind};
+use fides_gpu_sim::{BufferId, EventLog, KernelDesc, KernelKind};
 
 /// 64-bit FNV-1a over a sequence of plan entries, each prefixed by its
 /// length so entry boundaries are part of the digest.
@@ -105,50 +108,6 @@ fn random_graph_plans_are_pinned() {
         }
     }
     assert_eq!(digest.0, RANDOM_PINS, "random-graph plans changed");
-}
-
-/// A logN-11 cost-only context deep enough for an LR iteration plus a
-/// bootstrap (the `lr_boot` test chain).
-fn context() -> Arc<CkksContext> {
-    let params = CkksParameters::new(11, 26, 50, 3)
-        .expect("valid parameters")
-        .with_first_mod_bits(55);
-    CkksContext::new(
-        params,
-        GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly),
-    )
-}
-
-/// A zero-shaped switching key: cost-only kernels never read key data.
-fn placeholder_key(ctx: &Arc<CkksContext>) -> fides_core::KeySwitchingKey {
-    let chain = ctx.max_level() + 1 + ctx.alpha();
-    let poly = || RawPoly {
-        limbs: vec![Vec::new(); chain],
-        domain: Domain::Eval,
-    };
-    let raw = RawSwitchingKey {
-        digits: (0..ctx.raw_params().dnum)
-            .map(|_| RawKeyDigit {
-                b: poly(),
-                a: poly(),
-            })
-            .collect(),
-    };
-    adapter::load_switching_key(ctx, &raw).expect("placeholder key matches the chain")
-}
-
-/// Relinearization, conjugation and one key per rotation shift.
-fn keys(ctx: &Arc<CkksContext>, shifts: &[i32]) -> EvalKeySet {
-    let mut keys = EvalKeySet::new();
-    keys.set_mult(placeholder_key(ctx));
-    keys.set_conj(placeholder_key(ctx));
-    for &s in shifts.iter().filter(|&&s| s != 0) {
-        keys.insert_rotation(
-            fides_client::galois_for_rotation(s, ctx.n()),
-            placeholder_key(ctx),
-        );
-    }
-    keys
 }
 
 /// Digest of every plan the context cached, least recently used first.

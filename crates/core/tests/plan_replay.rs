@@ -7,9 +7,24 @@
 //! in its own ids. These tests run the same sequence of structurally equal
 //! graphs down both paths on two fresh devices and require every ledger
 //! field and the simulated clock to agree to the bit.
+//!
+//! The context goes one step further: its regions replay through a memo
+//! that skips the L2 model when a plan enters an L2 state it has seen
+//! before. Its device must stay bit-identical to a twin that replays the
+//! same bound plans plainly.
 
+mod common;
+
+use std::cell::RefCell;
+use std::sync::Arc;
+
+use fides_client::ClientContext;
 use fides_core::sched::{
     fingerprint, BoundPlan, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, Planner,
+};
+use fides_core::{
+    adapter, boot, BackendCt, BootstrapConfig, Bootstrapper, Ciphertext, CkksContext, EvalBackend,
+    GpuSimBackend,
 };
 use fides_gpu_sim::{
     BufferId, Capture, DeviceSpec, Event, EventLog, ExecMode, GpuSim, KernelDesc, KernelKind,
@@ -330,4 +345,173 @@ fn fresh_id_range_is_a_hint_not_part_of_the_key() {
     let b = bind1(&mut cache, &plain);
     assert!(!a.is_hit() && b.is_hit(), "one shape key for both");
     assert_eq!(a.current_binding(), b.current_binding());
+}
+
+/// One side of the memo test: a logN-11 cost-only context with placeholder
+/// keys, a bootstrapper and three top-level ciphertexts.
+struct Side {
+    ctx: Arc<CkksContext>,
+    backend: GpuSimBackend,
+    w: Ciphertext,
+    x: Ciphertext,
+    y: Ciphertext,
+    /// `None`: each region closes through the context, whose replay is
+    /// memoised. `Some`: the test captures each region itself, binds it
+    /// through this cache as the context would, and replays it through
+    /// plain [`GpuReplayExecutor::execute_bound`].
+    plain: Option<RefCell<PlanCache>>,
+}
+
+/// The LR batch at logN 11: 32 samples × 32 features fill the 1024 slots.
+const FEATURES: i32 = 32;
+const SLOTS: usize = 1024;
+
+impl Side {
+    fn new(plain: bool) -> Self {
+        let ctx = common::context();
+        let client = ClientContext::new(ctx.raw_params().clone());
+        let cfg = BootstrapConfig {
+            slots: ctx.n() / 2,
+            level_budget: (2, 2),
+            k_range: 128.0,
+            double_angles: 6,
+            degree: 31,
+        };
+        let mut shifts = boot::required_rotations(ctx.n(), &cfg);
+        let mut k = 1;
+        while k < SLOTS as i32 {
+            shifts.extend([k, -k]);
+            k <<= 1;
+        }
+        let backend = GpuSimBackend::new(Arc::clone(&ctx), common::keys(&ctx, &shifts));
+        let booter = Bootstrapper::new(&backend, &client, cfg).expect("chain deep enough");
+        let backend = backend.with_bootstrapper(booter);
+        let top = ctx.max_level();
+        let fresh = || adapter::placeholder_ciphertext(&ctx, top, ctx.standard_scale(top), SLOTS);
+        let (w, x, y) = (fresh(), fresh(), fresh());
+        Side {
+            ctx,
+            backend,
+            w,
+            x,
+            y,
+            plain: plain.then(|| RefCell::new(PlanCache::default())),
+        }
+    }
+
+    fn gpu(&self) -> &Arc<GpuSim> {
+        self.ctx.gpu()
+    }
+
+    /// Runs `f` as one scheduled region.
+    fn region<R>(&self, f: impl FnOnce() -> R) -> R {
+        let Some(cache) = &self.plain else {
+            return self.ctx.scheduled(f);
+        };
+        assert!(self.gpu().begin_capture());
+        let r = f();
+        let capture = self.gpu().end_capture();
+        if !capture.events.is_empty() {
+            let graph = ExecGraph::from_capture(capture);
+            let bound = bind1_with(&mut cache.borrow_mut(), &self.ctx.plan_config(), &graph);
+            GpuReplayExecutor::new(self.gpu()).execute_bound(&bound);
+        }
+        r
+    }
+
+    /// `ct += rot(ct, k)` for `k = step, 2·step, …` below `until`, one
+    /// region per rotation.
+    fn fold(&self, ct: &mut Ciphertext, step: i32, until: i32) {
+        let mut k = step;
+        while k.abs() < until {
+            self.region(|| {
+                let rot = ct.rotate(k, self.backend.keys()).unwrap();
+                ct.add_assign_ct(&rot).unwrap();
+            });
+            k <<= 1;
+        }
+    }
+
+    /// The op sequence of one logistic-regression iteration (the cubic
+    /// sigmoid, the error, the gradient folded over samples, the update),
+    /// dropped to level 0 and bootstrapped; one region per op and one for
+    /// the whole bootstrap.
+    fn iteration_and_bootstrap(&self) {
+        let keys = self.backend.keys();
+        let level_scale = |ct: &Ciphertext| self.ctx.standard_scale(ct.level());
+        let mut prod = self.region(|| self.x.mul(&self.w, keys).unwrap());
+        self.region(|| prod.rescale_in_place().unwrap());
+        self.fold(&mut prod, 1, FEATURES);
+        let mask =
+            adapter::placeholder_plaintext(&self.ctx, prod.level(), level_scale(&prod), SLOTS);
+        let mut z = self.region(|| prod.mul_plain(&mask).unwrap());
+        self.region(|| z.rescale_in_place().unwrap());
+        self.fold(&mut z, -1, FEATURES);
+        let mut z2 = self.region(|| z.square(keys).unwrap());
+        self.region(|| z2.rescale_in_place().unwrap());
+        let cz = self.region(|| z.mul_scalar_rescale(0.5).unwrap());
+        let mut p = self.region(|| z2.mul(&cz, keys).unwrap());
+        self.region(|| p.rescale_in_place().unwrap());
+        self.region(|| p.add_scalar_assign(0.5));
+        let mut y_now = self.y.duplicate();
+        y_now.drop_to_level(p.level()).unwrap();
+        let e = self.region(|| y_now.sub(&p).unwrap());
+        let mut x_low = self.x.duplicate();
+        x_low.drop_to_level(e.level()).unwrap();
+        let mut g = self.region(|| e.mul(&x_low, keys).unwrap());
+        self.region(|| g.rescale_in_place().unwrap());
+        self.fold(&mut g, FEATURES, SLOTS as i32);
+        let mut low = self.region(|| g.mul_scalar_rescale(0.125).unwrap());
+        low.drop_to_level(0).unwrap();
+        self.region(|| self.backend.bootstrap(&BackendCt::Device(low)).unwrap());
+    }
+}
+
+fn bind1_with(cache: &mut PlanCache, cfg: &PlanConfig, g: &ExecGraph) -> BoundPlan {
+    cache.bind(cfg, &[g], false).pop().expect("one plan")
+}
+
+#[test]
+fn memoised_context_replay_equals_plain_replay_of_the_same_plans() {
+    let memoised = Side::new(false);
+    let plain = Side::new(true);
+    let mut hits_before = 0;
+    for repeat in 0..4 {
+        memoised.iteration_and_bootstrap();
+        plain.iteration_and_bootstrap();
+
+        let when = format!("after repeat {repeat}");
+        let mut stats = memoised.gpu().stats();
+        let hits = stats.replay_memo_hits - hits_before;
+        hits_before = stats.replay_memo_hits;
+        stats.replay_memo_hits = 0;
+        let twin = plain.gpu().stats();
+        assert_eq!(twin.replay_memo_hits, 0, "{when}: the twin replays plainly");
+        assert_same_ledger(&stats, &twin, &when);
+        assert_eq!(
+            (stats.plan_cache_hits, stats.plan_cache_misses),
+            (twin.plan_cache_hits, twin.plan_cache_misses),
+            "{when}"
+        );
+        assert_eq!(
+            memoised.gpu().l2_residents(),
+            plain.gpu().l2_residents(),
+            "{when}: resident list"
+        );
+        assert_eq!(
+            memoised.gpu().sync().to_bits(),
+            plain.gpu().sync().to_bits(),
+            "{when}: simulated clock"
+        );
+        if repeat == 0 {
+            assert_eq!(hits, 0, "a plan's first replays have nothing to reuse");
+        }
+        if repeat >= 2 {
+            assert!(hits > 0, "{when}: memo hits start by the third repeat");
+        }
+    }
+    assert!(
+        memoised.ctx.sched_stats().plan_cache_hits > 0,
+        "repeats replay cached plans"
+    );
 }

@@ -43,6 +43,7 @@ mod device;
 mod kernel;
 mod log;
 mod mem;
+mod memo;
 mod timeline;
 
 use std::sync::Arc;
@@ -58,9 +59,11 @@ pub use kernel::{
 };
 pub use log::{Access, Accesses, Event, EventLog, Launch};
 pub use mem::{BufferId, BufferIdHasher, BufferMap, Rebinding};
+pub use memo::ReplayMemo;
 pub use timeline::{KindStats, SimStats, StreamStats};
 
 use mem::PoolState;
+use memo::EntryState;
 use timeline::Timeline;
 
 /// Whether kernel bodies execute (functional correctness) or are skipped
@@ -143,6 +146,9 @@ struct SimState {
     /// The translation table [`GpuSim::replay_rebound`] fills, kept for
     /// its capacity between replays.
     rebind: Rebinding,
+    /// The named resident list [`GpuSim::replay_memoised`] compares, kept
+    /// for its capacity between replays.
+    entry: EntryState,
 }
 
 impl SimState {
@@ -180,6 +186,7 @@ impl GpuSim {
                 capture_owner: None,
                 capture_first_id: 0,
                 rebind: Rebinding::default(),
+                entry: EntryState::default(),
             }),
         })
     }
@@ -273,6 +280,74 @@ impl GpuSim {
         bind(&mut rebind);
         self.replay(log, &rebind);
         self.state.lock().rebind = rebind;
+    }
+
+    /// As [`Self::replay_rebound`], reusing what `memo` recorded for this
+    /// log when the device's L2 holds what it held then. Returns whether
+    /// the memo was applied.
+    ///
+    /// `name` names the buffers this replay relates to and `resolve` is
+    /// its inverse: `name` must be one-to-one, must name every buffer the
+    /// log touches as `bind`'s translation presents it, and must give each
+    /// name one meaning across every replay `memo` sees. Under that
+    /// contract a replay's L2 classification depends only on the device's
+    /// resident list with each line reduced to its name (or, unnamed, to
+    /// nothing), bytes and dirty flag — the entry state. When the memo
+    /// holds a replay recorded from an equal entry state, this one skips
+    /// `bind` and every L2 touch: it times each launch from the recorded
+    /// hit, miss and write-back bytes and installs the recorded exit state,
+    /// leaving the device exactly as [`Self::replay_rebound`] would (and
+    /// counting [`SimStats::replay_memo_hits`]). Otherwise it replays
+    /// through the L2 model, and records this replay into `memo` when an
+    /// earlier unmatched replay entered from the same state.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::replay`].
+    pub fn replay_memoised(
+        &self,
+        log: &EventLog,
+        window: std::ops::Range<u64>,
+        bind: impl FnOnce(&mut Rebinding),
+        name: impl Fn(BufferId) -> Option<u64>,
+        resolve: impl Fn(u64) -> BufferId,
+        memo: &mut ReplayMemo,
+    ) -> bool {
+        let mut rebind = {
+            let mut st = self.state.lock();
+            assert!(
+                !st.captured_by_current_thread(),
+                "GpuSim::replay_memoised inside the calling thread's open capture region"
+            );
+            let st = &mut *st;
+            st.entry.fill(&st.timeline.l2, &name);
+            if memo.apply(&mut st.timeline, log, &st.entry, resolve) {
+                st.timeline.stats.replay_memo_hits += 1;
+                return true;
+            }
+            std::mem::take(&mut st.rebind)
+        };
+        rebind.reset(window);
+        bind(&mut rebind);
+        let mut st = self.state.lock();
+        let st = &mut *st;
+        // The lock was let go: name the state the replay really enters.
+        st.entry.fill(&st.timeline.l2, &name);
+        memo.replay(
+            &mut st.timeline,
+            log,
+            |buf| rebind.get(buf),
+            &st.entry,
+            name,
+        );
+        st.rebind = rebind;
+        false
+    }
+
+    /// The L2 model's resident lines `(buffer, bytes, dirty)`, least
+    /// recently used first.
+    pub fn l2_residents(&self) -> Vec<(BufferId, u64, bool)> {
+        self.state.lock().timeline.l2.residents().collect()
     }
 
     /// Hands a drained capture log back for the next capture region to

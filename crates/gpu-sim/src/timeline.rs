@@ -22,9 +22,11 @@
 //! and charges the evicted *dirty* bytes to DRAM. Recency lives in an
 //! intrusive doubly-linked list over a slab, indexed by an integer-hashed
 //! [`BufferMap`], so a touch is O(1) and — like the rest of
-//! [`Timeline::launch`] — allocates nothing in steady state: a paper-scale
-//! bootstrap is ~1.25 M touches per replayed op. The tests keep the older
-//! ordered-map formulation as a reference and compare the two step by step.
+//! [`Timeline::launch`] — allocates nothing in steady state: a plain replay
+//! of a paper-scale LR iteration plus bootstrap is ~1.21 M touches per op,
+//! which a memoised replay ([`crate::ReplayMemo`]) skips. The tests keep
+//! the older ordered-map formulation as a reference and compare the two
+//! step by step.
 
 use std::collections::BTreeMap;
 
@@ -106,6 +108,10 @@ pub struct SimStats {
     pub plan_cache_hits: u64,
     /// Planned graphs that had to run the full planning pass.
     pub plan_cache_misses: u64,
+    /// Replays that reused a [`ReplayMemo`](crate::ReplayMemo)'s recorded
+    /// L2 classification instead of touching the L2 model
+    /// ([`GpuSim::replay_memoised`](crate::GpuSim::replay_memoised)).
+    pub replay_memo_hits: u64,
 }
 
 impl SimStats {
@@ -131,6 +137,19 @@ impl SimStats {
         }
         (self.stream_busy_total_us() / (active as f64 * self.makespan_us)).min(1.0)
     }
+}
+
+/// How the L2 model split one launch's traffic: what
+/// [`Timeline::replay_classifying`] records and
+/// [`Timeline::replay_classified`] times from.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct L2Class {
+    /// Read bytes that hit a resident line.
+    pub(crate) hit_bytes: u64,
+    /// Read bytes that missed.
+    pub(crate) miss_bytes: u64,
+    /// Dirty bytes evicted to make room.
+    pub(crate) writeback_bytes: u64,
 }
 
 /// Sentinel slab index: "no node".
@@ -246,9 +265,9 @@ impl L2Model {
                 };
                 let i = match self.free {
                     NIL => {
-                        assert!(self.nodes.len() < NIL as usize, "L2 slab index overflow");
+                        let i = index_of(self.nodes.len());
                         self.nodes.push(node);
-                        (self.nodes.len() - 1) as u32
+                        i
                     }
                     i => {
                         self.free = self.nodes[i as usize].next;
@@ -281,6 +300,55 @@ impl L2Model {
             self.remove(i);
         }
     }
+
+    /// The resident lines `(buffer, bytes, dirty)`, least recently used
+    /// first.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = (BufferId, u64, bool)> + '_ {
+        let mut i = self.head;
+        std::iter::from_fn(move || {
+            if i == NIL {
+                return None;
+            }
+            let n = &self.nodes[i as usize];
+            i = n.next;
+            Some((n.buf, n.bytes, n.dirty))
+        })
+    }
+
+    /// Replaces the resident list with `lines` (least recently used
+    /// first). The lines are taken as given: distinct buffers whose bytes
+    /// fit the capacity, as a run of touches leaves them.
+    pub(crate) fn install(&mut self, lines: impl Iterator<Item = (BufferId, u64, bool)>) {
+        self.index.clear();
+        self.nodes.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.free = NIL;
+        self.total = 0;
+        for (buf, bytes, dirty) in lines {
+            let i = index_of(self.nodes.len());
+            self.nodes.push(Node {
+                buf,
+                bytes,
+                dirty,
+                prev: NIL,
+                next: NIL,
+            });
+            self.index.insert(buf, i);
+            self.push_mru(i);
+            self.total += bytes;
+        }
+    }
+
+    pub(crate) fn capacity(&self) -> u64 {
+        self.capacity
+    }
+}
+
+/// `len` as a slab index.
+fn index_of(len: usize) -> u32 {
+    assert!(len < NIL as usize, "L2 slab index overflow");
+    len as u32
 }
 
 /// Mutable simulator state (guarded by the [`crate::GpuSim`] lock).
@@ -295,7 +363,7 @@ pub(crate) struct Timeline {
     l2_free: f64,
     compute_free: f64,
     pcie_free: f64,
-    l2: L2Model,
+    pub(crate) l2: L2Model,
     /// The window's ledger, except `per_kind`: launches accumulate into
     /// `kinds` and [`Timeline::stats`] builds the map on demand.
     pub(crate) stats: SimStats,
@@ -358,11 +426,42 @@ impl Timeline {
     /// Times every event of `log` in order, each buffer a launch touches
     /// presented to the L2 model as `map(buffer)`.
     pub(crate) fn replay(&mut self, log: &EventLog, map: impl Fn(BufferId) -> BufferId) {
+        self.replay_with(log, |t, launch| {
+            t.launch_mapped(launch, &map);
+        });
+    }
+
+    /// As [`Self::replay`], pushing each launch's L2 classification onto
+    /// `classes` in launch order.
+    pub(crate) fn replay_classifying(
+        &mut self,
+        log: &EventLog,
+        map: impl Fn(BufferId) -> BufferId,
+        classes: &mut Vec<L2Class>,
+    ) {
+        self.replay_with(log, |t, launch| {
+            let class = t.classify(launch, &map);
+            classes.push(class);
+            t.time_launch(launch, class);
+        });
+    }
+
+    /// Times every event of `log` in order from classifications recorded
+    /// earlier (one per launch, in launch order), touching no L2 line.
+    pub(crate) fn replay_classified(&mut self, log: &EventLog, classes: &[L2Class]) {
+        let mut classes = classes.iter();
+        self.replay_with(log, |t, launch| {
+            let class = *classes.next().expect("one classification per launch");
+            t.time_launch(launch, class);
+        });
+    }
+
+    /// Applies every fence of `log` and hands every launch to `launch`, in
+    /// order.
+    fn replay_with(&mut self, log: &EventLog, mut launch: impl FnMut(&mut Self, &Launch<'_>)) {
         for event in log.iter() {
             match event {
-                Event::Launch(launch) => {
-                    self.launch_mapped(&launch, &map);
-                }
+                Event::Launch(l) => launch(self, &l),
                 Event::Fence { signals, waiters } => self.fence(signals, waiters),
             }
         }
@@ -382,6 +481,35 @@ impl Timeline {
         launch: &Launch<'_>,
         map: impl Fn(BufferId) -> BufferId,
     ) -> f64 {
+        let class = self.classify(launch, map);
+        self.time_launch(launch, class)
+    }
+
+    /// Classifies one launch's traffic through the write-back L2 model:
+    /// the launch's only effect on the residency list, and the only part
+    /// of a launch that depends on it.
+    fn classify(&mut self, launch: &Launch<'_>, map: impl Fn(BufferId) -> BufferId) -> L2Class {
+        let mut class = L2Class::default();
+        for &(buf, bytes) in launch.reads {
+            let (hit, wb) = self.l2.touch(map(buf), bytes, false);
+            if hit {
+                class.hit_bytes += bytes;
+            } else {
+                class.miss_bytes += bytes;
+            }
+            class.writeback_bytes += wb;
+        }
+        for &(buf, bytes) in launch.writes {
+            let (_, wb) = self.l2.touch(map(buf), bytes, true);
+            class.writeback_bytes += wb;
+        }
+        class
+    }
+
+    /// Advances the clocks and the ledger for one launch whose traffic
+    /// [`Self::classify`] split into `class`; returns its completion time
+    /// (µs). Reads nothing of the L2 model.
+    fn time_launch(&mut self, launch: &Launch<'_>, class: L2Class) -> f64 {
         let (stream, desc) = (launch.stream, &launch.desc);
         let kernel_launch_us = self.spec.kernel_launch_us;
         let min_kernel_us = self.spec.min_kernel_us;
@@ -392,25 +520,12 @@ impl Timeline {
         self.cpu_clock += kernel_launch_us;
         let start = self.stream_slot(stream).max(self.cpu_clock);
 
-        // Classify read/write traffic through the write-back L2 model.
-        let mut hit_bytes = 0u64;
-        let mut miss_bytes = 0u64;
-        let mut writeback_bytes = 0u64;
-        for &(buf, bytes) in launch.reads {
-            let (hit, wb) = self.l2.touch(map(buf), bytes, false);
-            if hit {
-                hit_bytes += bytes;
-            } else {
-                miss_bytes += bytes;
-            }
-            writeback_bytes += wb;
-        }
-        let mut write_bytes = 0u64;
-        for &(buf, bytes) in launch.writes {
-            let (_, wb) = self.l2.touch(map(buf), bytes, true);
-            write_bytes += bytes;
-            writeback_bytes += wb;
-        }
+        let L2Class {
+            hit_bytes,
+            miss_bytes,
+            writeback_bytes,
+        } = class;
+        let write_bytes = launch.bytes_written();
 
         let eff = desc.access_efficiency;
         // Write-back model: writes land in L2; DRAM sees misses plus dirty
@@ -636,14 +751,8 @@ mod tests {
 
     impl L2Model {
         /// Resident `(buffer, bytes, dirty)` from least to most recent.
-        fn residents(&self) -> Vec<(BufferId, u64, bool)> {
-            let mut out = Vec::new();
-            let mut i = self.head;
-            while i != NIL {
-                let n = &self.nodes[i as usize];
-                out.push((n.buf, n.bytes, n.dirty));
-                i = n.next;
-            }
+        fn resident_list(&self) -> Vec<(BufferId, u64, bool)> {
+            let out: Vec<_> = self.residents().collect();
             assert_eq!(out.len(), self.index.len(), "list and index agree");
             out
         }
@@ -671,7 +780,7 @@ mod tests {
             }
             assert_eq!(fast.total, slow.total, "step {step}: resident bytes");
         }
-        assert_eq!(fast.residents(), slow.residents(), "recency order");
+        assert_eq!(fast.resident_list(), slow.residents(), "recency order");
         assert!(
             fast.nodes.len() <= ops.len().min(8),
             "vacated slab nodes are reused"
