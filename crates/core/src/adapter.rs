@@ -185,7 +185,7 @@ pub fn load_switching_key(
 fn extended_poly_from_host(ctx: &Arc<CkksContext>, raw: &RawPoly) -> Result<RNSPoly> {
     use crate::context::ChainIdx;
     use crate::poly::{Limb, LimbPartition};
-    use fides_gpu_sim::VectorGpu;
+    use fides_gpu_sim::PoolBuf;
     if raw.domain != Domain::Eval {
         return Err(FidesError::DomainMismatch {
             expected: "evaluation",
@@ -193,25 +193,20 @@ fn extended_poly_from_host(ctx: &Arc<CkksContext>, raw: &RawPoly) -> Result<RNSP
         });
     }
     let num_q = ctx.max_level() + 1;
-    let limbs: Vec<Limb> = raw
-        .limbs
-        .iter()
+    let limbs: Vec<Limb> = PoolBuf::upload_run(ctx.gpu(), raw.limbs.clone())
         .enumerate()
-        .map(|(i, host)| {
+        .map(|(i, data)| {
             let chain = if i < num_q {
                 ChainIdx::Q(i)
             } else {
                 ChainIdx::P(i - num_q)
             };
-            Limb {
-                data: VectorGpu::from_vec(ctx.gpu(), host.clone()),
-                chain,
-            }
+            Limb { data, chain }
         })
         .collect();
     Ok(RNSPoly {
         ctx: Arc::clone(ctx),
-        part: LimbPartition { limbs },
+        part: LimbPartition::from_limbs(ctx.gpu(), limbs),
         num_q,
         num_p: ctx.alpha(),
         format: Domain::Eval,

@@ -35,7 +35,7 @@ pub(crate) mod poly_eval;
 use std::sync::Arc;
 
 use fides_client::{ClientContext, Domain};
-use fides_gpu_sim::{KernelDesc, KernelKind, VectorGpu};
+use fides_gpu_sim::{KernelDesc, KernelKind, PoolSet};
 use fides_math::switch_modulus_centered;
 
 pub use chebyshev::{chebyshev_coefficients, eval_chebyshev_plain, trim_degree};
@@ -47,7 +47,7 @@ use crate::context::ChainIdx;
 use crate::error::{FidesError, Result};
 use crate::kernels;
 use crate::ops::linear::{fold_rotations, BsgsPlan};
-use crate::poly::{in_place, Limb, LimbPartition, RNSPoly};
+use crate::poly::{in_place, LimbPartition, RNSPoly};
 
 /// Bootstrapping configuration.
 #[derive(Clone, Debug)]
@@ -490,7 +490,8 @@ fn raise_to_top(poly: &RNSPoly) -> RNSPoly {
     let src = poly.limb(0).data.buffer();
 
     // Coefficient form of limb 0.
-    let mut coeff0 = VectorGpu::<u64>::new(gpu, n);
+    let mut coeff0_set = PoolSet::<u64>::run(gpu, 1, n);
+    let coeff0 = &mut coeff0_set[0];
     {
         let stream = ctx.stream_for_batch(0);
         gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
@@ -519,29 +520,22 @@ fn raise_to_top(poly: &RNSPoly) -> RNSPoly {
     }
     ctx.sync_batch_streams();
 
-    let mut limbs: Vec<Limb> = Vec::with_capacity(target + 1);
+    let mut part = LimbPartition::with_capacity(gpu, target + 1);
+    part.push_run(n, (0..target + 1).map(ChainIdx::Q));
     // Limb 0: the original evaluation-form data.
     {
         let stream = ctx.stream_for_batch(0);
-        let mut dst = VectorGpu::new(gpu, n);
+        let dst = &mut part.limbs[0].data;
         gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
             d.read(src, lb).write(dst.buffer(), lb);
         })
         .run(|| dst.copy_from_slice(poly.limb(0).data.as_slice()));
-        limbs.push(Limb {
-            data: dst,
-            chain: ChainIdx::Q(0),
-        });
     }
     // Remaining limbs 1..=target: centered switch + NTT.
     for (k, range) in ctx.batch_ranges(target).enumerate() {
         let stream = ctx.stream_for_batch(k);
         let (first, len) = (range.start + 1, range.len());
-        limbs.extend((first..first + len).map(|i| Limb {
-            data: VectorGpu::new(gpu, n),
-            chain: ChainIdx::Q(i),
-        }));
-        let fresh = &mut limbs[first..];
+        let fresh = &mut part.limbs[first..first + len];
         let sw = KernelDesc::new(KernelKind::SwitchModulus)
             .ops(kernels::switch_modulus_ops(n) * len as u64);
         gpu.launch(stream, sw, |d| {
@@ -584,7 +578,7 @@ fn raise_to_top(poly: &RNSPoly) -> RNSPoly {
     ctx.sync_batch_streams();
     RNSPoly {
         ctx: Arc::clone(&ctx),
-        part: LimbPartition { limbs },
+        part,
         num_q: target + 1,
         num_p: 0,
         format: Domain::Eval,

@@ -7,7 +7,7 @@ use fides_client::Domain;
 
 use crate::context::CkksContext;
 use crate::error::{FidesError, Result};
-use crate::poly::RNSPoly;
+use crate::poly::{LimbPartition, RNSPoly};
 
 /// Relative scale drift tolerated when combining operands.
 ///
@@ -102,9 +102,10 @@ impl Ciphertext {
 
     /// Deep copy (device-side copy kernels).
     pub fn duplicate(&self) -> Self {
+        let [c0, c1] = RNSPoly::duplicate_all([&self.c0, &self.c1]);
         Self {
-            c0: self.c0.duplicate(),
-            c1: self.c1.duplicate(),
+            c0,
+            c1,
             scale: self.scale,
             slots: self.slots,
             noise_log2: self.noise_log2,
@@ -145,6 +146,13 @@ impl Ciphertext {
             });
         }
         Ok(())
+    }
+}
+
+impl Drop for Ciphertext {
+    /// Both components' limbs go back to the pool under one device lock.
+    fn drop(&mut self) {
+        LimbPartition::release_pair(&mut self.c0.part, &mut self.c1.part);
     }
 }
 

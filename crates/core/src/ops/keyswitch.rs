@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use fides_client::Domain;
-use fides_gpu_sim::{KernelDesc, KernelKind, VectorGpu};
+use fides_gpu_sim::{KernelDesc, KernelKind, PoolBuf, PoolSet};
 use fides_math::PolyOps;
 
 use crate::context::ChainIdx;
@@ -42,13 +42,18 @@ pub(crate) fn mod_up_digit(d2: &RNSPoly, j: usize) -> RNSPoly {
     let fused = ctx.params().fusion.key_switch;
     let digit = &d2.part.limbs[src_range.clone()];
     let eff = ctx.params().access_efficiency;
+    let alpha = ctx.alpha();
+    let num_dst_q = tables.dst_q_indices.len();
+    // Every id the lift takes, as one run: the scaled copies (released when
+    // the lift returns), then the lifted polynomial's own-digit limbs and
+    // its converted limbs.
+    let mut run = PoolBuf::run(gpu, 2 * src_len + num_dst_q + alpha, n);
 
     // Step 1: coefficient-domain, Eq.1-scaled copies of the digit limbs.
-    let mut scaled: Vec<VectorGpu<u64>> = Vec::with_capacity(src_len);
+    let mut scaled = PoolSet::from_bufs(gpu, run.by_ref().take(src_len));
     for (k, range) in ctx.batch_ranges(src_len).enumerate() {
         let stream = ctx.stream_for_batch(k);
         let src = &digit[range.clone()];
-        scaled.extend(src.iter().map(|_| VectorGpu::new(gpu, n)));
         let fresh = &mut scaled[range.clone()];
         // Copy kernel.
         gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
@@ -103,21 +108,24 @@ pub(crate) fn mod_up_digit(d2: &RNSPoly, j: usize) -> RNSPoly {
     ctx.sync_batch_streams();
 
     // Step 2: assemble the lifted polynomial.
-    let alpha = ctx.alpha();
     let total = level + 1 + alpha;
     let mut slots: Vec<Option<Limb>> = (0..total).map(|_| None).collect();
     let limb = |slot: &Option<Limb>| slot.as_ref().expect("limb assigned").data.buffer();
     // Own digit limbs: direct evaluation-domain copies.
+    for ((slot, s), data) in slots[src_range.clone()]
+        .iter_mut()
+        .zip(digit)
+        .zip(run.by_ref())
+    {
+        *slot = Some(Limb {
+            data,
+            chain: s.chain,
+        });
+    }
     for (k, range) in ctx.batch_ranges(src_len).enumerate() {
         let stream = ctx.stream_for_batch(k);
         let at = src_range.start + range.start..src_range.start + range.end;
         let src = &d2.part.limbs[at.clone()];
-        for (slot, s) in slots[at.clone()].iter_mut().zip(src) {
-            *slot = Some(Limb {
-                data: VectorGpu::new(gpu, n),
-                chain: s.chain,
-            });
-        }
         let dst = &mut slots[at];
         gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
             for (s, t) in src.iter().zip(dst.iter()) {
@@ -133,7 +141,6 @@ pub(crate) fn mod_up_digit(d2: &RNSPoly, j: usize) -> RNSPoly {
     }
 
     // Converted limbs: destination position → chain index and slot.
-    let num_dst_q = tables.dst_q_indices.len();
     let dst_chain = |dpos: usize| match tables.dst_q_indices.get(dpos) {
         Some(&i) => ChainIdx::Q(i),
         None => ChainIdx::P(dpos - num_dst_q),
@@ -142,14 +149,14 @@ pub(crate) fn mod_up_digit(d2: &RNSPoly, j: usize) -> RNSPoly {
         ChainIdx::Q(i) => i,
         ChainIdx::P(kk) => level + 1 + kk,
     };
+    for (dpos, data) in run.enumerate() {
+        slots[slot_of(dpos)] = Some(Limb {
+            data,
+            chain: dst_chain(dpos),
+        });
+    }
     for (k, range) in ctx.batch_ranges(num_dst_q + alpha).enumerate() {
         let stream = ctx.stream_for_batch(k);
-        for dpos in range.clone() {
-            slots[slot_of(dpos)] = Some(Limb {
-                data: VectorGpu::new(gpu, n),
-                chain: dst_chain(dpos),
-            });
-        }
         // Base-conversion kernel for this batch of destination limbs.
         let conv_desc = KernelDesc::new(KernelKind::BaseConv)
             .ops(kernels::base_conv_ops(n, src_len) * range.len() as u64);
@@ -206,7 +213,7 @@ pub(crate) fn mod_up_digit(d2: &RNSPoly, j: usize) -> RNSPoly {
         .collect();
     RNSPoly {
         ctx: Arc::clone(&ctx),
-        part: LimbPartition { limbs },
+        part: LimbPartition::from_limbs(gpu, limbs),
         num_q: level + 1,
         num_p: alpha,
         format: Domain::Eval,
@@ -336,13 +343,15 @@ pub(crate) fn mod_down(poly: &mut RNSPoly) {
 
     // Step 2: per q limb, convert, NTT, and combine (fused into the NTT
     // kernels when enabled).
+    // Per-batch temporaries: freed (and evicted from L2) as each batch
+    // ends, under the lock that takes the next batch's, or the one that
+    // drops the extension limbs.
+    let mut tmps = PoolSet::<u64>::with_capacity(gpu, num_q);
     for (k, range) in ctx.batch_ranges(num_q).enumerate() {
         let stream = ctx.stream_for_batch(k);
         let conv_desc = KernelDesc::new(KernelKind::BaseConv)
             .ops(kernels::base_conv_ops(n, alpha) * range.len() as u64);
-        // Per-batch temporaries: freed (and evicted from L2) as each batch
-        // ends.
-        let mut tmps: Vec<VectorGpu<u64>> = range.clone().map(|_| VectorGpu::new(gpu, n)).collect();
+        tmps.replace_run(range.len(), n);
         let batch = &mut q_limbs[range.clone()];
         gpu.launch(stream, conv_desc, |d| {
             for l in p_limbs.iter() {
@@ -411,7 +420,7 @@ pub(crate) fn mod_down(poly: &mut RNSPoly) {
         }
     }
     ctx.sync_batch_streams();
-    poly.truncate_p();
+    poly.truncate_p(tmps);
 }
 
 fn combine_mod_down(

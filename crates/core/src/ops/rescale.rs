@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use fides_client::Domain;
-use fides_gpu_sim::{KernelDesc, KernelKind, VectorGpu};
+use fides_gpu_sim::{KernelDesc, KernelKind, PoolSet};
 use fides_math::switch_modulus_centered;
 
 use crate::context::ChainIdx;
@@ -32,7 +32,8 @@ pub(crate) fn rescale_poly(poly: &mut RNSPoly) {
     let q_last = ctx.moduli_q()[l];
 
     // iNTT a copy of the dropped limb.
-    let mut last = VectorGpu::<u64>::new(gpu, n);
+    let mut last_set = PoolSet::<u64>::run(gpu, 1, n);
+    let last = &mut last_set[0];
     {
         let stream = ctx.stream_for_batch(l);
         let top = poly.limb(l).data.buffer();
@@ -63,11 +64,13 @@ pub(crate) fn rescale_poly(poly: &mut RNSPoly) {
     ctx.sync_batch_streams();
 
     // Fused per-limb pipeline on the remaining limbs.
+    // Per-batch temporaries: freed (and evicted from L2) as each batch
+    // ends, under the lock that takes the next batch's, or the one that
+    // drops the top limb.
+    let mut tmps = PoolSet::<u64>::with_capacity(gpu, l);
     for (k, range) in ctx.batch_ranges(l).enumerate() {
         let stream = ctx.stream_for_batch(k);
-        // Per-batch temporaries: freed (and evicted from L2) as each batch
-        // ends.
-        let mut tmps: Vec<VectorGpu<u64>> = range.clone().map(|_| VectorGpu::new(gpu, n)).collect();
+        tmps.replace_run(range.len(), n);
         let limbs = &mut poly.part.limbs[range.clone()];
         if !fused {
             // Separate SwitchModulus kernel.
@@ -153,7 +156,7 @@ pub(crate) fn rescale_poly(poly: &mut RNSPoly) {
         }
     }
     ctx.sync_batch_streams();
-    poly.part.limbs.truncate(l);
+    poly.part.truncate_after(tmps.into_release(), l);
     poly.num_q = l;
 }
 

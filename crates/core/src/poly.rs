@@ -13,11 +13,16 @@
 //! eagerly; the planning pass then fuses elementwise chains and replays the
 //! plan. Functional results are identical either way (the kernels are
 //! data-oblivious); only the timing model sees the difference.
+//!
+//! A polynomial's [`LimbPartition`] owns its limbs' device ids as one set:
+//! the limbs hold no device handle, each place that creates a batch of
+//! limbs takes their ids as one run, and every drop or truncation returns
+//! its limbs to the pool under one device lock.
 
 use std::sync::Arc;
 
 use fides_client::Domain;
-use fides_gpu_sim::{Accesses, KernelDesc, KernelKind, VectorGpu};
+use fides_gpu_sim::{Accesses, BufferId, GpuSim, KernelDesc, KernelKind, PoolBuf, PoolSet};
 use fides_math::{automorphism_eval, Modulus, PolyOps};
 
 use crate::context::{ChainIdx, CkksContext};
@@ -27,8 +32,8 @@ use crate::kernels;
 #[derive(Debug)]
 pub struct Limb {
     /// The device buffer (one contiguous array per limb — the
-    /// stack-of-arrays layout of §III-D).
-    pub(crate) data: VectorGpu<u64>,
+    /// stack-of-arrays layout of §III-D), released by its partition.
+    pub(crate) data: PoolBuf<u64>,
     /// Which prime this limb reduces modulo.
     pub(crate) chain: ChainIdx,
 }
@@ -43,9 +48,81 @@ impl Limb {
 /// The portion of a polynomial resident on one device. The current FIDESlib
 /// release is single-GPU, so every [`RNSPoly`] holds exactly one partition
 /// (multi-GPU support would shard limbs across partitions).
+///
+/// The partition holds the one device handle its limbs need and owns their
+/// pool ids: dropping it, or truncating it, releases the limbs it gives up
+/// under one device lock.
 #[derive(Debug)]
 pub struct LimbPartition {
+    gpu: Arc<GpuSim>,
     pub(crate) limbs: Vec<Limb>,
+}
+
+impl LimbPartition {
+    /// An empty partition on `gpu` with room for `capacity` limbs.
+    pub(crate) fn with_capacity(gpu: &Arc<GpuSim>, capacity: usize) -> Self {
+        Self {
+            gpu: Arc::clone(gpu),
+            limbs: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Takes ownership of limbs allocated from `gpu`'s pool.
+    pub(crate) fn from_limbs(gpu: &Arc<GpuSim>, limbs: Vec<Limb>) -> Self {
+        Self {
+            gpu: Arc::clone(gpu),
+            limbs,
+        }
+    }
+
+    /// Appends one zeroed limb of `n` coefficients per chain index, their
+    /// ids taken as one run.
+    pub(crate) fn push_run<I>(&mut self, n: usize, chains: I)
+    where
+        I: IntoIterator<Item = ChainIdx>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let chains = chains.into_iter();
+        let run = PoolBuf::run(&self.gpu, chains.len(), n);
+        self.limbs
+            .extend(run.zip(chains).map(|(data, chain)| Limb { data, chain }));
+    }
+
+    /// Releases every limb of `a`, then every limb of `b`, under one device
+    /// lock (both on `a`'s device).
+    pub(crate) fn release_pair(a: &mut Self, b: &mut Self) {
+        debug_assert!(Arc::ptr_eq(&a.gpu, &b.gpu), "one device");
+        if !(a.limbs.is_empty() && b.limbs.is_empty()) {
+            let limbs = a.limbs.drain(..).chain(b.limbs.drain(..));
+            a.gpu.release(limbs.map(|l| l.data.into_release()));
+        }
+    }
+
+    /// Keeps the first `len` limbs and releases the rest, in order.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.truncate_after(std::iter::empty(), len);
+    }
+
+    /// Releases `first` (an op's last temporaries, freed at the same point),
+    /// then every limb from `len` on, in order, under one device lock.
+    pub(crate) fn truncate_after(
+        &mut self,
+        first: impl IntoIterator<Item = (BufferId, u64)>,
+        len: usize,
+    ) {
+        let mut first = first.into_iter().peekable();
+        let len = len.min(self.limbs.len());
+        if first.peek().is_some() || len < self.limbs.len() {
+            let rest = self.limbs.drain(len..).map(|l| l.data.into_release());
+            self.gpu.release(first.chain(rest));
+        }
+    }
+}
+
+impl Drop for LimbPartition {
+    fn drop(&mut self) {
+        self.truncate(0);
+    }
 }
 
 /// A device-resident RNS polynomial of degree `N` over the active chain
@@ -63,24 +140,16 @@ impl RNSPoly {
     /// Allocates an all-zero polynomial with `level + 1` q-limbs and,
     /// optionally, the `α` extension limbs.
     pub fn zero(ctx: &Arc<CkksContext>, level: usize, with_p: bool, format: Domain) -> Self {
-        let n = ctx.n();
-        let mut limbs = Vec::with_capacity(level + 1 + ctx.alpha());
-        for i in 0..=level {
-            limbs.push(Limb {
-                data: VectorGpu::new(ctx.gpu(), n),
-                chain: ChainIdx::Q(i),
-            });
-        }
         let num_p = if with_p { ctx.alpha() } else { 0 };
-        for k in 0..num_p {
-            limbs.push(Limb {
-                data: VectorGpu::new(ctx.gpu(), n),
-                chain: ChainIdx::P(k),
-            });
-        }
+        let mut part = LimbPartition::with_capacity(ctx.gpu(), level + 1 + ctx.alpha());
+        let chain = |i: usize| match i.checked_sub(level + 1) {
+            None => ChainIdx::Q(i),
+            Some(k) => ChainIdx::P(k),
+        };
+        part.push_run(ctx.n(), (0..level + 1 + num_p).map(chain));
         Self {
             ctx: Arc::clone(ctx),
-            part: LimbPartition { limbs },
+            part,
             num_q: level + 1,
             num_p,
             format,
@@ -91,19 +160,16 @@ impl RNSPoly {
     /// adapter-layer upload; the PCIe transfer is charged separately).
     pub fn from_host_q_limbs(ctx: &Arc<CkksContext>, limbs: Vec<Vec<u64>>, format: Domain) -> Self {
         let num_q = limbs.len();
-        let device_limbs: Vec<Limb> = limbs
-            .into_iter()
+        let device_limbs = PoolBuf::upload_run(ctx.gpu(), limbs)
             .enumerate()
-            .map(|(i, host)| Limb {
-                data: VectorGpu::from_vec(ctx.gpu(), host),
+            .map(|(i, data)| Limb {
+                data,
                 chain: ChainIdx::Q(i),
             })
             .collect();
         Self {
             ctx: Arc::clone(ctx),
-            part: LimbPartition {
-                limbs: device_limbs,
-            },
+            part: LimbPartition::from_limbs(ctx.gpu(), device_limbs),
             num_q,
             num_p: 0,
             format,
@@ -158,18 +224,35 @@ impl RNSPoly {
 
     /// Deep copy through simulated device-to-device copy kernels.
     pub fn duplicate(&self) -> Self {
+        let [copy] = Self::duplicate_all([self]);
+        copy
+    }
+
+    /// Deep copies of `polys` (`K ≥ 1`, one context), in order, every
+    /// copy's limb ids taken as one run (a ciphertext's two components).
+    pub(crate) fn duplicate_all<const K: usize>(polys: [&RNSPoly; K]) -> [RNSPoly; K] {
+        let gpu = polys[0].ctx.gpu();
+        let total = polys.iter().map(|p| p.num_limbs()).sum();
+        let mut run = PoolBuf::run(gpu, total, polys[0].n());
+        polys.map(|p| {
+            let limbs = p.part.limbs.iter().zip(&mut run);
+            let limbs = limbs.map(|(l, data)| Limb {
+                data,
+                chain: l.chain,
+            });
+            p.copy_into(LimbPartition::from_limbs(gpu, limbs.collect()))
+        })
+    }
+
+    /// Copies every limb into `part`'s through per-batch copy kernels.
+    fn copy_into(&self, mut part: LimbPartition) -> Self {
         let ctx = Arc::clone(&self.ctx);
         let gpu = ctx.gpu();
         let lb = kernels::limb_bytes(self.n());
-        let mut limbs = Vec::with_capacity(self.part.limbs.len());
         for (k, range) in ctx.batch_ranges(self.part.limbs.len()).enumerate() {
             let stream = ctx.stream_for_batch(k);
             let src = &self.part.limbs[range.clone()];
-            limbs.extend(src.iter().map(|l| Limb {
-                data: VectorGpu::new(gpu, self.n()),
-                chain: l.chain,
-            }));
-            let dst = &mut limbs[range];
+            let dst = &mut part.limbs[range];
             gpu.launch(stream, KernelDesc::new(KernelKind::Fill), |d| {
                 for (s, t) in src.iter().zip(dst.iter()) {
                     d.read(s.data.buffer(), lb).write(t.data.buffer(), lb);
@@ -183,7 +266,7 @@ impl RNSPoly {
         }
         Self {
             ctx,
-            part: LimbPartition { limbs },
+            part,
             num_q: self.num_q,
             num_p: self.num_p,
             format: self.format,
@@ -404,17 +487,14 @@ impl RNSPoly {
         let perm = ctx.eval_perm(g);
         let n = self.n();
         let lb = kernels::limb_bytes(n);
-        let mut limbs = Vec::with_capacity(self.part.limbs.len());
+        let mut part = LimbPartition::with_capacity(gpu, self.part.limbs.len());
+        part.push_run(n, self.part.limbs.iter().map(|l| l.chain));
         for (k, range) in ctx.batch_ranges(self.part.limbs.len()).enumerate() {
             let stream = ctx.stream_for_batch(k);
             let desc = KernelDesc::new(KernelKind::Automorphism)
                 .ops(kernels::add_ops(n) * range.len() as u64);
             let src = &self.part.limbs[range.clone()];
-            limbs.extend(src.iter().map(|l| Limb {
-                data: VectorGpu::new(gpu, n),
-                chain: l.chain,
-            }));
-            let dst = &mut limbs[range];
+            let dst = &mut part.limbs[range];
             gpu.launch(stream, desc, |d| {
                 d.read(perm.dev.buffer(), (n * 4) as u64);
                 for (s, t) in src.iter().zip(dst.iter()) {
@@ -429,7 +509,7 @@ impl RNSPoly {
         }
         RNSPoly {
             ctx,
-            part: LimbPartition { limbs },
+            part,
             num_q: self.num_q,
             num_p: self.num_p,
             format: self.format,
@@ -443,13 +523,14 @@ impl RNSPoly {
             "cannot drop levels on an extended polynomial"
         );
         assert!(level < self.num_q, "target level must be below current");
-        self.part.limbs.truncate(level + 1);
+        self.part.truncate(level + 1);
         self.num_q = level + 1;
     }
 
-    /// Removes the extension limbs (after ModDown).
-    pub(crate) fn truncate_p(&mut self) {
-        self.part.limbs.truncate(self.num_q);
+    /// Removes the extension limbs (after ModDown), releasing ModDown's
+    /// last temporaries `tmps` first, under the same device lock.
+    pub(crate) fn truncate_p(&mut self, tmps: PoolSet<'_, u64>) {
+        self.part.truncate_after(tmps.into_release(), self.num_q);
         self.num_p = 0;
     }
 }
@@ -457,7 +538,7 @@ impl RNSPoly {
 /// Records an in-place pass over `vecs`: each read, then written back.
 pub(crate) fn in_place<'a>(
     d: &mut Accesses<'_>,
-    vecs: impl IntoIterator<Item = &'a VectorGpu<u64>>,
+    vecs: impl IntoIterator<Item = &'a PoolBuf<u64>>,
     limb_bytes: u64,
 ) {
     for v in vecs {
@@ -614,6 +695,15 @@ mod tests {
             3,
             "5 limbs at batch 2 → 3 elementwise kernels"
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "dropped without being released")]
+    fn a_limb_dropped_outside_its_partition_panics_in_debug_builds() {
+        let c = ctx();
+        let mut p = RNSPoly::zero(&c, 1, false, Domain::Eval);
+        drop(p.part.limbs.pop());
     }
 
     #[test]

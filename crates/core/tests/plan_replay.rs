@@ -360,6 +360,9 @@ struct Side {
     /// through this cache as the context would, and replays it through
     /// plain [`GpuReplayExecutor::execute_bound`].
     plain: Option<RefCell<PlanCache>>,
+    /// How many pool ids each region the test captured itself handed out
+    /// (its [`Capture::fresh_ids`] length), in region order.
+    fresh_ids: RefCell<Vec<u64>>,
 }
 
 /// The LR batch at logN 11: 32 samples × 32 features fill the 1024 slots.
@@ -396,6 +399,7 @@ impl Side {
             x,
             y,
             plain: plain.then(|| RefCell::new(PlanCache::default())),
+            fresh_ids: RefCell::default(),
         }
     }
 
@@ -411,6 +415,9 @@ impl Side {
         assert!(self.gpu().begin_capture());
         let r = f();
         let capture = self.gpu().end_capture();
+        self.fresh_ids
+            .borrow_mut()
+            .push(capture.fresh_ids.end - capture.fresh_ids.start);
         if !capture.events.is_empty() {
             let graph = ExecGraph::from_capture(capture);
             let bound = bind1_with(&mut cache.borrow_mut(), &self.ctx.plan_config(), &graph);
@@ -514,4 +521,45 @@ fn memoised_context_replay_equals_plain_replay_of_the_same_plans() {
         memoised.ctx.sched_stats().plan_cache_hits > 0,
         "repeats replay cached plans"
     );
+}
+
+/// Pool ids each region of [`Side::iteration_and_bootstrap`] hands out, in
+/// region order, as one-id-per-limb allocation handed them out: taking ids
+/// in runs must take exactly as many. The cold pass also builds the
+/// context's Galois permutation tables inside its regions; the bootstrap is
+/// the last region.
+const FRESH_IDS_COLD: [u64; 30] = [
+    342, 54, 306, 306, 306, 306, 306, 52, 52, 296, 296, 296, 296, 296, 345, 50, 100, 309, 48, 0,
+    46, 298, 46, 266, 266, 266, 266, 266, 88, 54_731,
+];
+const FRESH_IDS_WARM: [u64; 30] = [
+    342, 54, 305, 305, 305, 305, 305, 52, 52, 295, 295, 295, 295, 295, 345, 50, 100, 309, 48, 0,
+    46, 298, 46, 265, 265, 265, 265, 265, 88, 54_698,
+];
+/// The permutation tables the cold pass leaves behind: 48 Galois elements,
+/// each an `N = 2048` table of `u32`.
+const PERM_TABLE_BYTES: u64 = 48 * 2048 * 4;
+
+#[test]
+fn limb_sets_release_every_pool_id_and_regions_take_pinned_id_counts() {
+    let side = Side::new(true);
+    for repeat in 0..3 {
+        let before = side.gpu().stats().current_alloc_bytes;
+        side.fresh_ids.borrow_mut().clear();
+        side.iteration_and_bootstrap();
+        let (grown, fresh) = match repeat {
+            0 => (PERM_TABLE_BYTES, FRESH_IDS_COLD),
+            _ => (0, FRESH_IDS_WARM),
+        };
+        assert_eq!(
+            side.gpu().stats().current_alloc_bytes,
+            before + grown,
+            "repeat {repeat}: every limb and temporary went back to the pool"
+        );
+        assert_eq!(
+            side.fresh_ids.borrow()[..],
+            fresh[..],
+            "repeat {repeat}: pool ids per region"
+        );
+    }
 }

@@ -44,6 +44,7 @@ mod kernel;
 mod log;
 mod mem;
 mod memo;
+mod pool;
 mod timeline;
 
 use std::sync::Arc;
@@ -60,6 +61,7 @@ pub use kernel::{
 pub use log::{Access, Accesses, Event, EventLog, Launch};
 pub use mem::{BufferId, BufferIdHasher, BufferMap, Rebinding};
 pub use memo::ReplayMemo;
+pub use pool::{PoolBuf, PoolSet};
 pub use timeline::{KindStats, SimStats, StreamStats};
 
 use mem::PoolState;
@@ -494,10 +496,49 @@ impl GpuSim {
         self.state.lock().timeline.advance_host_to(t);
     }
 
+    /// Hands out one pool id per entry of `bytes`, consecutively and in
+    /// order, under one acquisition of the device lock, and returns them as
+    /// a range. Each id is accounted exactly as a lone allocation would be:
+    /// its bytes join the current total, then the peak is updated.
+    pub fn alloc_run(&self, bytes: impl IntoIterator<Item = u64>) -> std::ops::Range<u64> {
+        self.recycle(std::iter::empty(), bytes)
+    }
+
+    /// Returns every `(id, bytes)` of `bufs` to the pool, in order, under
+    /// one acquisition of the device lock: per buffer its bytes leave the
+    /// current total, then its lines leave the L2.
+    pub fn release(&self, bufs: impl IntoIterator<Item = (BufferId, u64)>) {
+        self.recycle(bufs, std::iter::empty());
+    }
+
+    /// [`Self::release`] of `bufs` followed by [`Self::alloc_run`] of
+    /// `bytes`, both under one acquisition of the device lock.
+    ///
+    /// Both iterators run under the lock, so they must not call back into
+    /// this device.
+    pub fn recycle(
+        &self,
+        bufs: impl IntoIterator<Item = (BufferId, u64)>,
+        bytes: impl IntoIterator<Item = u64>,
+    ) -> std::ops::Range<u64> {
+        let mut st = self.state.lock();
+        for (buf, b) in bufs {
+            st.pool.free(b);
+            st.timeline.evict_buffer(buf);
+        }
+        let first = st.pool.next_id();
+        for b in bytes {
+            st.pool.alloc(b);
+        }
+        first..st.pool.next_id()
+    }
+
+    /// One id for a standalone [`VectorGpu`], under its own lock.
     fn pool_alloc(&self, bytes: u64) -> BufferId {
         self.state.lock().pool.alloc(bytes)
     }
 
+    /// Frees one standalone [`VectorGpu`], under its own lock.
     fn pool_free(&self, buf: BufferId, bytes: u64) {
         let mut st = self.state.lock();
         st.pool.free(bytes);
@@ -506,7 +547,8 @@ impl GpuSim {
 }
 
 /// An RAII device buffer of `T` elements, the Rust counterpart of FIDESlib's
-/// `VectorGPU` (§III-D).
+/// `VectorGPU` (§III-D), for standalone buffers such as the context's
+/// permutation tables. Polynomial limbs live in [`PoolBuf`] sets instead.
 ///
 /// Allocation registers with the device pool at construction and frees at
 /// drop. In cost-only mode the host-side stand-in storage stays empty — only
@@ -518,66 +560,41 @@ pub struct VectorGpu<T: Copy + Default> {
     logical_len: usize,
     buffer: BufferId,
     gpu: Arc<GpuSim>,
-    managed: bool,
 }
 
 impl<T: Copy + Default> VectorGpu<T> {
-    /// Allocates a managed, zero-initialized device vector of `len` elements.
+    /// Allocates a zero-initialized device vector of `len` elements.
     pub fn new(gpu: &Arc<GpuSim>, len: usize) -> Self {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        let buffer = gpu.pool_alloc(bytes);
         let data = if gpu.is_functional() {
             vec![T::default(); len]
         } else {
             Vec::new()
         };
-        Self {
-            data,
-            logical_len: len,
-            buffer,
-            gpu: Arc::clone(gpu),
-            managed: true,
-        }
+        Self::with_data(gpu, data, len)
     }
 
-    /// Allocates an *unmanaged* vector: accounting for its bytes is assumed
-    /// to belong to an enclosing flattened allocation (the 2D-array mode of
-    /// §III-D), so the pool records no separate alloc/free bytes.
-    pub fn unmanaged(gpu: &Arc<GpuSim>, len: usize) -> Self {
-        let buffer = gpu.pool_alloc(0);
-        let data = if gpu.is_functional() {
-            vec![T::default(); len]
-        } else {
-            Vec::new()
-        };
-        Self {
-            data,
-            logical_len: len,
-            buffer,
-            gpu: Arc::clone(gpu),
-            managed: false,
-        }
-    }
-
-    /// Uploads `data` into a fresh managed vector (functional mode keeps the
+    /// Uploads `data` into a fresh device vector (functional mode keeps the
     /// contents; cost-only mode records the allocation only). Does **not**
     /// charge a PCIe transfer — call [`GpuSim::transfer_to_device`] where
     /// modelling the copy matters.
     pub fn from_vec(gpu: &Arc<GpuSim>, data: Vec<T>) -> Self {
         let len = data.len();
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        let buffer = gpu.pool_alloc(bytes);
         let data = if gpu.is_functional() {
             data
         } else {
             Vec::new()
         };
+        Self::with_data(gpu, data, len)
+    }
+
+    fn with_data(gpu: &Arc<GpuSim>, data: Vec<T>, logical_len: usize) -> Self {
+        let bytes = (logical_len * std::mem::size_of::<T>()) as u64;
+        let buffer = gpu.pool_alloc(bytes);
         Self {
             data,
-            logical_len: len,
+            logical_len,
             buffer,
             gpu: Arc::clone(gpu),
-            managed: true,
         }
     }
 
@@ -648,23 +665,13 @@ impl<T: Copy + Default> VectorGpu<T> {
 
 impl<T: Copy + Default> Clone for VectorGpu<T> {
     fn clone(&self) -> Self {
-        let bytes = if self.managed { self.bytes() } else { 0 };
-        let buffer = self.gpu.pool_alloc(bytes);
-        let _ = bytes;
-        Self {
-            data: self.data.clone(),
-            logical_len: self.logical_len,
-            buffer,
-            gpu: Arc::clone(&self.gpu),
-            managed: self.managed,
-        }
+        Self::with_data(&self.gpu, self.data.clone(), self.logical_len)
     }
 }
 
 impl<T: Copy + Default> Drop for VectorGpu<T> {
     fn drop(&mut self) {
-        let bytes = if self.managed { self.bytes() } else { 0 };
-        self.gpu.pool_free(self.buffer, bytes);
+        self.gpu.pool_free(self.buffer, self.bytes());
     }
 }
 
@@ -720,14 +727,6 @@ mod tests {
         }
         assert_eq!(gpu.stats().current_alloc_bytes, 0);
         assert_eq!(gpu.stats().peak_alloc_bytes, 16384);
-    }
-
-    #[test]
-    fn unmanaged_vectors_do_not_count_bytes() {
-        let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::Functional);
-        let v = VectorGpu::<u64>::unmanaged(&gpu, 4096);
-        assert_eq!(gpu.stats().current_alloc_bytes, 0);
-        assert_eq!(v.len(), 4096);
     }
 
     #[test]

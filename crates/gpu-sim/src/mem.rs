@@ -120,8 +120,6 @@ pub(crate) struct PoolState {
     next_id: u64,
     pub(crate) current_bytes: u64,
     pub(crate) peak_bytes: u64,
-    pub(crate) alloc_count: u64,
-    pub(crate) free_count: u64,
 }
 
 impl PoolState {
@@ -133,14 +131,12 @@ impl PoolState {
     pub(crate) fn alloc(&mut self, bytes: u64) -> BufferId {
         let id = BufferId(self.next_id);
         self.next_id += 1;
-        self.alloc_count += 1;
         self.current_bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.current_bytes);
         id
     }
 
     pub(crate) fn free(&mut self, bytes: u64) {
-        self.free_count += 1;
         self.current_bytes = self.current_bytes.saturating_sub(bytes);
     }
 }
@@ -160,8 +156,6 @@ mod tests {
         let _ = p.alloc(50);
         assert_eq!(p.current_bytes, 250);
         assert_eq!(p.peak_bytes, 300);
-        assert_eq!(p.alloc_count, 3);
-        assert_eq!(p.free_count, 1);
         assert_eq!(p.next_id(), 3);
     }
 
