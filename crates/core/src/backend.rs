@@ -32,7 +32,7 @@ use fides_client::{RawCiphertext, RawPlaintext};
 use crate::adapter;
 use crate::boot::Bootstrapper;
 use crate::ciphertext::{Ciphertext, Plaintext};
-use crate::context::CkksContext;
+use crate::context::{CkksContext, RegionInputs, RegionKey};
 use crate::cpu_ref::{HostCiphertext, HostPlaintext};
 use crate::error::{FidesError, Result};
 use crate::keys::EvalKeySet;
@@ -326,6 +326,22 @@ pub trait EvalBackend: fmt::Debug + Send + Sync {
     /// Closes a graph region discarding its recording (the unwind path).
     fn graph_abort(&self) {}
 
+    /// Describes `inputs` for a keyed graph region
+    /// ([`EvalBackend::graph_keyed`]); `None` on backends without keyed
+    /// regions.
+    fn region_inputs(&self, _inputs: &[&BackendCt]) -> Option<RegionInputs> {
+        None
+    }
+
+    /// Runs `body` as one keyed graph region whose kernel schedule is a
+    /// function of `key` and `inputs` alone (see
+    /// [`CkksContext::scheduled_keyed`]): a repeat replays its cached plan
+    /// without recording. Returns `false`, without running `body`, on
+    /// backends without keyed regions.
+    fn graph_keyed(&self, _key: RegionKey, _inputs: RegionInputs, _body: &mut dyn FnMut()) -> bool {
+        false
+    }
+
     /// Scheduling-pass counters, for backends running the graph engine.
     fn sched_stats(&self) -> Option<crate::sched::SchedStats> {
         None
@@ -565,6 +581,19 @@ impl EvalBackend for GpuSimBackend {
 
     fn graph_abort(&self) {
         self.ctx.graph_scope_abort();
+    }
+
+    fn region_inputs(&self, inputs: &[&BackendCt]) -> Option<RegionInputs> {
+        let cts: Vec<&Ciphertext> = inputs
+            .iter()
+            .map(|ct| self.device(ct).ok())
+            .collect::<Option<_>>()?;
+        Some(RegionInputs::new(&cts))
+    }
+
+    fn graph_keyed(&self, key: RegionKey, inputs: RegionInputs, body: &mut dyn FnMut()) -> bool {
+        self.ctx.scheduled_keyed(key, inputs, body);
+        true
     }
 
     fn sched_stats(&self) -> Option<crate::sched::SchedStats> {

@@ -331,11 +331,12 @@ pub(crate) fn encode_stage(
     client: &ClientContext,
     stage: &DiagMatrix,
     level: usize,
+    out_scale: f64,
 ) -> Result<BsgsPlan> {
-    // FLEXIBLEAUTO-exact plaintext scale: after the post-apply rescale the
-    // ciphertext lands back on the standard ladder.
+    // FLEXIBLEAUTO-exact plaintext scale: a ciphertext entering at the
+    // standard scale leaves the post-apply rescale at `out_scale`.
     let q_l = backend.modulus_value(level) as f64;
-    let pt_scale = q_l * backend.standard_scale(level - 1) / backend.standard_scale(level);
+    let pt_scale = q_l * out_scale / backend.standard_scale(level);
     let num_diags = stage.num_diags();
     let n1 = baby_count_for(num_diags);
     let mut entries = Vec::with_capacity(num_diags);

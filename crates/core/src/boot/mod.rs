@@ -31,6 +31,7 @@
 pub(crate) mod chebyshev;
 pub(crate) mod cts;
 pub(crate) mod poly_eval;
+mod trace;
 
 use std::sync::Arc;
 
@@ -43,7 +44,7 @@ pub use poly_eval::ChebyshevEvaluator;
 
 use crate::backend::{BackendCt, EvalBackend};
 use crate::ciphertext::Ciphertext;
-use crate::context::ChainIdx;
+use crate::context::{ChainIdx, RegionInputs, RegionKey};
 use crate::error::{FidesError, Result};
 use crate::kernels;
 use crate::ops::linear::{fold_rotations, BsgsPlan};
@@ -159,6 +160,18 @@ pub struct Bootstrapper {
     min_output_level: usize,
     /// Ladder-consistent scale the raised ciphertext is reinterpreted to.
     sigma_ref: f64,
+    /// Owner of the keyed graph regions this instance's phases run in.
+    regions: u64,
+}
+
+/// The bootstrap's keyed graph regions, in pipeline order.
+#[derive(Clone, Copy)]
+enum Phase {
+    ModRaise,
+    Fold,
+    CoeffToSlot,
+    EvalMod,
+    SlotToCoeff,
 }
 
 impl Bootstrapper {
@@ -224,15 +237,26 @@ impl Bootstrapper {
         let mut lvl = levels_max;
         let mut cts_plans = Vec::with_capacity(cts_mats.len());
         for m in &cts_mats {
-            cts_plans.push(cts::encode_stage(backend, client, m, lvl)?);
+            let out = backend.standard_scale(lvl - 1);
+            cts_plans.push(cts::encode_stage(backend, client, m, lvl, out)?);
             lvl -= 1;
         }
         lvl -= cheby_depth + config.double_angles as usize;
         let mut stc_plans = Vec::with_capacity(stc_mats.len());
-        for m in &stc_mats {
-            stc_plans.push(cts::encode_stage(backend, client, m, lvl)?);
+        let (last_stc, first_stcs) = stc_mats.split_last().expect("at least one StC stage");
+        for m in first_stcs {
+            let out = backend.standard_scale(lvl - 1);
+            stc_plans.push(cts::encode_stage(backend, client, m, lvl, out)?);
             lvl -= 1;
         }
+        // The last stage lands on σ_ref rather than on the ladder, so that
+        // step 8's `s·ρ` is the caller's own scale: repeated bootstraps keep
+        // their output scale instead of scaling it by s/σ_ref each time.
+        // Its input is off the ladder (the level drops of ApproxModEval keep
+        // scales), so the scale it receives is found by tracing the
+        // circuit's scale bookkeeping once with a provisional last stage.
+        let trace = trace::ScaleTrace { inner: backend };
+        stc_plans.push(cts::encode_stage(&trace, client, last_stc, lvl, sigma_ref)?);
 
         // cos((π·K·w − π/2) / 2^r) on w ∈ [−1, 1]: after r double angles this
         // becomes cos(π·K·w − π/2) = sin(2π·t/q_0) with t/q_0 = K·w/2.
@@ -247,8 +271,7 @@ impl Bootstrapper {
             1.0,
             config.degree,
         );
-
-        Ok(Self {
+        let mut boot = Self {
             config,
             n,
             cts_plans,
@@ -258,7 +281,14 @@ impl Bootstrapper {
             fold_iters,
             min_output_level,
             sigma_ref,
-        })
+            regions: RegionKey::new_owner(),
+        };
+        let probe = trace::meta(0, sigma_ref, n_s);
+        let landed = boot.run(&trace, &probe, false)?.0.scale();
+        let out = sigma_ref * sigma_ref / landed;
+        *boot.stc_plans.last_mut().expect("at least one StC stage") =
+            cts::encode_stage(backend, client, last_stc, lvl, out)?;
+        Ok(boot)
     }
 
     /// The configuration.
@@ -344,8 +374,19 @@ impl Bootstrapper {
         let mut phases = BootPhases::default();
         let t0 = now(timed);
 
+        // Each phase is one keyed graph region: its schedule depends only
+        // on this instance and its input's shape, so a repeat replays the
+        // cached plan without recording (`CkksContext::scheduled_keyed`).
+        let region = |phase: Phase, input: &BackendCt| {
+            let key = RegionKey {
+                owner: self.regions,
+                phase: phase as u32,
+            };
+            backend.region_inputs(&[input]).map(|inputs| (key, inputs))
+        };
+
         // 1. ModRaise from the lowest level to the top of the chain.
-        let mut work = in_graph(backend, || {
+        let mut work = in_graph_keyed(backend, region(Phase::ModRaise, ct), || {
             let mut low = ct.duplicate();
             backend.drop_to_level(&mut low, 0)?;
             let mut raised = backend.mod_raise(&low)?;
@@ -358,7 +399,7 @@ impl Bootstrapper {
 
         // 2. Sparse packing: trace-fold onto the subring.
         if self.fold_iters > 0 {
-            work = in_graph(backend, || {
+            work = in_graph_keyed(backend, region(Phase::Fold, &work), || {
                 fold_rotations(backend, &work, self.config.slots as i32, self.fold_iters)
             })?;
         }
@@ -366,7 +407,7 @@ impl Bootstrapper {
         phases.fold_us = t2 - t1;
 
         // 3. CoeffToSlot: one recorded graph across all stages.
-        work = in_graph(backend, || {
+        work = in_graph_keyed(backend, region(Phase::CoeffToSlot, &work), || {
             let mut w = work;
             for plan in &self.cts_plans {
                 w = plan.apply(backend, &w)?;
@@ -377,7 +418,7 @@ impl Bootstrapper {
         phases.coeff_to_slot_us = t3 - t2;
 
         // 4–6. Conjugate extraction, ApproxModEval, recombination a + i·b.
-        let comb = in_graph(backend, || {
+        let comb = in_graph_keyed(backend, region(Phase::EvalMod, &work), || {
             let conj = backend.conjugate(&work)?;
             if self.one_eval_mod {
                 // CtS left c = [u | −i·u] in 2n slots, so c + conj(c) =
@@ -405,7 +446,7 @@ impl Bootstrapper {
         phases.eval_mod_us = t4 - t3;
 
         // 7. SlotToCoeff: again one graph across all stages.
-        let mut comb = in_graph(backend, || {
+        let mut comb = in_graph_keyed(backend, region(Phase::SlotToCoeff, &comb), || {
             let mut c = comb;
             for (i, plan) in self.stc_plans.iter().enumerate() {
                 c = plan.apply(backend, &c)?;
@@ -421,9 +462,17 @@ impl Bootstrapper {
         phases.slot_to_coeff_us = t5 - t4;
         phases.total_us = t5 - t0;
 
-        // 8. Restore the caller's scale interpretation.
+        // 8. Restore the caller's scale interpretation. The last StC stage
+        // lands on σ_ref, so `s·ρ` is the caller's own scale up to the f64
+        // rounding of the stages' scale bookkeeping; dropping that rounding
+        // makes repeated bootstraps return bit-equal scales.
         let s = comb.scale();
-        comb.set_scale(s * rho);
+        let restored = if (s / sigma_ref - 1.0).abs() < 1e-12 {
+            ct.scale()
+        } else {
+            s * rho
+        };
+        comb.set_scale(restored);
         Ok((comb, timed.then_some(phases)))
     }
 
@@ -464,6 +513,23 @@ fn in_graph<R>(backend: &dyn EvalBackend, f: impl FnOnce() -> Result<R>) -> Resu
         backend.graph_end();
     }
     r
+}
+
+/// As [`in_graph`], in the keyed region `keyed` names when the backend has
+/// keyed regions ([`EvalBackend::graph_keyed`]).
+fn in_graph_keyed<R>(
+    backend: &dyn EvalBackend,
+    keyed: Option<(RegionKey, RegionInputs)>,
+    f: impl FnOnce() -> Result<R>,
+) -> Result<R> {
+    let mut f = Some(f);
+    if let Some((key, inputs)) = keyed {
+        let mut out = None;
+        if backend.graph_keyed(key, inputs, &mut || out = f.take().map(|f| f())) {
+            return out.expect("a keyed region runs its body");
+        }
+    }
+    in_graph(backend, f.take().expect("the body runs once"))
 }
 
 /// Device-side ModRaise (the gpu-sim backend's

@@ -10,17 +10,20 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fides_client::RawParams;
-use fides_gpu_sim::{BufferId, GpuSim, VectorGpu};
+use fides_gpu_sim::{BufferId, Capture, GpuSim, OwnWork, VectorGpu};
 use fides_math::{build_eval_permutation, Modulus, Ntt2d, NttTable, ShoupPrecomp};
 use fides_rns::{product_inv_mod, product_mod, BaseConverter, DigitPartition};
 use parking_lot::Mutex;
 
+use crate::ciphertext::Ciphertext;
 use crate::params::CkksParameters;
+use crate::sched::cache::{RegionHit, RegionShape, RunBinding};
 use crate::sched::{
-    CostModel, ExecGraph, ExecPlan, GpuReplayExecutor, PlanCache, PlanConfig, SchedStats,
+    BoundPlan, CostModel, ExecGraph, ExecPlan, GpuReplayExecutor, PlanCache, PlanConfig, SchedStats,
 };
 
 /// Index into the combined modulus chain.
@@ -55,6 +58,60 @@ pub struct EvalPerm {
 /// (override per session with
 /// [`CkksParameters::with_num_streams`](crate::CkksParameters::with_num_streams)).
 pub const NUM_STREAMS: usize = 16;
+
+/// Names a keyed scheduled region ([`CkksContext::scheduled_keyed`]): the
+/// instance that issues it and which of its regions it is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct RegionKey {
+    /// The issuing instance, from [`RegionKey::new_owner`].
+    pub owner: u64,
+    /// Which of the owner's regions.
+    pub phase: u32,
+}
+
+impl RegionKey {
+    /// An owner id no other instance in this process holds.
+    pub fn new_owner() -> u64 {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+/// A keyed region's declared inputs, described before the region runs (so
+/// the region may consume them): each ciphertext's slots, scale bits and
+/// limb counts, their buffers' aliasing pattern, and their distinct
+/// buffers in declaration order (each ciphertext's `c0` limbs, then
+/// `c1`'s).
+#[derive(Clone, Debug)]
+pub struct RegionInputs {
+    shape: Vec<u64>,
+    ids: Vec<BufferId>,
+}
+
+impl RegionInputs {
+    /// Describes `inputs`.
+    pub fn new(inputs: &[&Ciphertext]) -> Self {
+        let mut shape = vec![inputs.len() as u64];
+        let mut ids: Vec<BufferId> = Vec::new();
+        let mut aliasing = Vec::new();
+        for ct in inputs {
+            shape.extend([ct.slots() as u64, ct.scale().to_bits()]);
+            for poly in [ct.c0(), ct.c1()] {
+                shape.extend([poly.num_q() as u64, poly.num_p() as u64]);
+                for limb in &poly.part.limbs {
+                    let buf = limb.data.buffer();
+                    let j = ids.iter().position(|&b| b == buf).unwrap_or_else(|| {
+                        ids.push(buf);
+                        ids.len() - 1
+                    });
+                    aliasing.push(j as u64);
+                }
+            }
+        }
+        shape.extend(aliasing);
+        Self { shape, ids }
+    }
+}
 
 /// The immutable server context.
 #[derive(Debug)]
@@ -368,19 +425,6 @@ impl CkksContext {
     /// than leaked.
     pub fn scheduled<R>(&self, f: impl FnOnce() -> R) -> R {
         self.graph_scope_begin();
-        // Close-on-unwind guard: a panicking op must not leave the capture
-        // region open (every later launch would record forever).
-        struct CloseGuard<'a> {
-            ctx: &'a CkksContext,
-            armed: bool,
-        }
-        impl Drop for CloseGuard<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    self.ctx.graph_scope_abort();
-                }
-            }
-        }
         let mut guard = CloseGuard {
             ctx: self,
             armed: true,
@@ -427,21 +471,32 @@ impl CkksContext {
         // The cache stays locked through the replay: the memo belongs to
         // the bound entry, and names lines through the bind's numbering.
         let mut cache = self.plan_cache.lock();
-        let bound = cache
-            .bind(&self.plan_cfg, &[&graph], false)
-            .pop()
-            .expect("one region, one plan");
+        let bound = self.bind_one(&mut cache, &graph);
         GpuReplayExecutor::new(&self.gpu).execute_memoised(&bound, &mut cache);
         drop(cache);
         // The next region records into this one's arenas.
         self.gpu.recycle_capture_log(graph.log);
+        self.book(bound.plan(), bound.is_hit(), false);
+    }
+
+    /// Looks `graph` up in (or plans it into) the locked `cache`.
+    fn bind_one(&self, cache: &mut PlanCache, graph: &ExecGraph) -> BoundPlan {
+        cache
+            .bind(&self.plan_cfg, &[graph], false)
+            .pop()
+            .expect("one region, one plan")
+    }
+
+    /// Books one replayed region in the scheduling ledger.
+    fn book(&self, plan: &ExecPlan, hit: bool, record_free: bool) {
         let mut ledger = self.sched_ledger.lock();
-        ledger.absorb(bound.plan().stats());
-        if bound.is_hit() {
+        ledger.absorb(plan.stats());
+        if hit {
             ledger.plan_cache_hits += 1;
         } else {
             ledger.plan_cache_misses += 1;
         }
+        ledger.record_free_hits += u64::from(record_free);
     }
 
     /// Closes a scheduled region **discarding** its recording (no plan, no
@@ -449,6 +504,140 @@ impl CkksContext {
     /// panicked midway would be meaningless.
     pub fn graph_scope_abort(&self) {
         let _ = self.gpu.end_capture();
+    }
+
+    /// As [`Self::scheduled`], for a region whose kernel schedule is a
+    /// function of `key` and the shapes of `inputs` alone: every buffer it
+    /// reads is one of `inputs`' limbs, one it allocates itself, or one
+    /// that outlives it (keys, diagonals, permutations). The inputs are
+    /// described before `f` runs, so `f` may consume them.
+    ///
+    /// Such a region is looked up before it runs. Once a recording of it
+    /// has resolved to a plan-cache hit, the cache keeps that entry for the
+    /// region's shape — `key`, each input's level, limb counts, slots and
+    /// scale bits, and how the inputs alias — with each binding position
+    /// classed as own allocation, input buffer or constant. A later run of
+    /// the same shape skips every launch and fence
+    /// ([`GpuSim::begin_capture_skipping`]), builds its binding from its
+    /// own allocations and inputs, and replays the cached plan through the
+    /// same memoised path, counted in
+    /// [`SchedStats::record_free_hits`] and as a plan-cache hit. Nothing is
+    /// recorded and no graph is walked. Any other run records as
+    /// [`Self::scheduled`] does.
+    ///
+    /// Lock order: the plan cache's lock, then the device lock.
+    ///
+    /// # Panics
+    ///
+    /// If a shortcut run made a different number of launches or own
+    /// allocations than the recording it replays. Debug builds also record
+    /// every shortcut run and panic unless its walked fingerprint and
+    /// binding equal what the key produced — the check that catches a
+    /// region reading a buffer it did not declare.
+    pub fn scheduled_keyed<R>(
+        &self,
+        key: RegionKey,
+        inputs: RegionInputs,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        let RegionInputs { shape, ids } = inputs;
+        let mut shape: RegionShape = shape;
+        shape.extend([key.owner, u64::from(key.phase)]);
+        let cache = self.plan_cache.lock();
+        let hit = cache.region(&shape);
+        // Debug builds record every hit, to check it.
+        let skip = hit.is_some() && !cfg!(debug_assertions);
+        let outermost = if skip {
+            self.gpu.begin_capture_skipping()
+        } else {
+            self.gpu.begin_capture()
+        };
+        drop(cache);
+        let mut guard = CloseGuard {
+            ctx: self,
+            armed: true,
+        };
+        let r = f();
+        guard.armed = false;
+        if outermost {
+            let (capture, own) = self.gpu.end_capture_owned();
+            self.close_keyed(shape, &ids, hit, capture, own);
+        } else {
+            // Part of an enclosing region, which plans it.
+            self.graph_scope_end();
+        }
+        r
+    }
+
+    /// The outermost close of a keyed region: replays `hit` onto the run's
+    /// own allocations when `capture` skipped its launches, else plans the
+    /// recording as [`Self::graph_scope_end`] does — checking it against
+    /// `hit`, or registering the shape when it hit the plan cache.
+    fn close_keyed(
+        &self,
+        shape: RegionShape,
+        inputs: &[BufferId],
+        hit: Option<RegionHit>,
+        capture: Capture,
+        work: OwnWork,
+    ) {
+        let check = |hit: &RegionHit, launches: u64, binding: &RunBinding<'_>| {
+            assert!(
+                launches == hit.region.launches && binding.own_ids() == hit.region.own_ids(),
+                "a keyed region did other work than its cached plan: {launches} launches and \
+                 {} own allocations against {} and {}",
+                binding.own_ids(),
+                hit.region.launches,
+                hit.region.own_ids(),
+            );
+        };
+        let mut cache = self.plan_cache.lock();
+        if capture.events.is_empty() {
+            let Some(hit) = hit else { return };
+            let binding = RunBinding::new(&hit.region, &work.own_ids, inputs);
+            check(&hit, work.skipped_launches, &binding);
+            let memo = cache.hit_region(&hit);
+            GpuReplayExecutor::new(&self.gpu).execute_region(
+                hit.plan(),
+                hit.planned(),
+                &binding,
+                memo,
+            );
+            drop(cache);
+            self.book(hit.plan(), true, true);
+            return;
+        }
+        let graph = ExecGraph::from_capture(capture);
+        let launches = graph.kernel_count() as u64;
+        let bound = self.bind_one(&mut cache, &graph);
+        match &hit {
+            Some(hit) => {
+                let binding = RunBinding::new(&hit.region, &work.own_ids, inputs);
+                check(hit, launches, &binding);
+                assert_eq!(
+                    bound.fp(),
+                    hit.fp(),
+                    "a keyed region's key missed its shape"
+                );
+                assert!(
+                    binding.to_vec() == bound.current_binding(),
+                    "a keyed region read a buffer it did not declare"
+                );
+            }
+            None if bound.is_hit() => {
+                let own: Vec<BufferId> = work
+                    .own_ids
+                    .iter()
+                    .flat_map(|run| run.clone().map(BufferId))
+                    .collect();
+                cache.register_region(shape, &bound, launches, &own, inputs);
+            }
+            None => {}
+        }
+        GpuReplayExecutor::new(&self.gpu).execute_memoised(&bound, &mut cache);
+        drop(cache);
+        self.gpu.recycle_capture_log(graph.log);
+        self.book(bound.plan(), bound.is_hit(), hit.is_some());
     }
 
     /// The planning configuration this context schedules with: fusion and
@@ -474,6 +663,21 @@ impl CkksContext {
     /// (see [`PlanCache::export_entries`]).
     pub fn cached_plans(&self) -> Vec<(u64, Arc<ExecPlan>, Arc<[BufferId]>)> {
         self.plan_cache.lock().export_entries()
+    }
+}
+
+/// Close-on-unwind guard: a panicking op must not leave the capture region
+/// open (every later launch would record forever).
+struct CloseGuard<'a> {
+    ctx: &'a CkksContext,
+    armed: bool,
+}
+
+impl Drop for CloseGuard<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.ctx.graph_scope_abort();
+        }
     }
 }
 

@@ -61,7 +61,7 @@ pub mod sched;
 pub use backend::{BackendCt, BackendPt, EvalBackend, GpuSimBackend};
 pub use boot::{BootPhases, BootstrapConfig, Bootstrapper};
 pub use ciphertext::{Ciphertext, Plaintext, SCALE_TOLERANCE};
-pub use context::{ChainIdx, CkksContext, EvalPerm, NUM_STREAMS};
+pub use context::{ChainIdx, CkksContext, EvalPerm, RegionInputs, RegionKey, NUM_STREAMS};
 pub use cpu_ref::{CpuBackend, HostCiphertext, HostPlaintext};
 pub use error::{FidesError, Result};
 pub use keys::{EvalKeySet, KeySwitchingKey};

@@ -44,12 +44,21 @@
 //! [`GpuReplayExecutor`](super::GpuReplayExecutor)). Persisted entries are
 //! the triple `(fingerprint, plan, binding)`, which is why a snapshot
 //! restores warm onto a device whose allocations it has never seen.
+//!
+//! A **keyed region** skips even the walk. Its caller names it by a
+//! [`RegionShape`] before it runs, and the cache maps that shape to the
+//! entry its last recording resolved to, plus what each position of that
+//! recording's binding was (a `Slot`): the region's k-th own allocation,
+//! its j-th input buffer, or a constant. A hit reads the current binding
+//! through those classes (`RunBinding`) and counts as a hit on its entry
+//! ([`PlanCache::hit_region`]); no graph is walked.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fides_gpu_sim::{BufferId, Event, ReplayMemo};
+use fides_gpu_sim::{BufferId, BufferMap, Event, ReplayMemo};
 
 use super::graph::{BufferIndex, ExecGraph};
 use super::plan::{ExecPlan, PlanConfig, Planner};
@@ -207,6 +216,11 @@ pub struct BoundPlan {
 }
 
 impl BoundPlan {
+    /// Fingerprint of the cache entry the plan came from.
+    pub(crate) fn fp(&self) -> u64 {
+        self.fp
+    }
+
     /// The shared plan, in the ids of [`Self::planned_binding`].
     pub fn plan(&self) -> &ExecPlan {
         &self.plan
@@ -256,6 +270,207 @@ struct CacheEntry {
     memo: ReplayMemo,
 }
 
+/// What a keyed region's kernel schedule is a function of, as words: each
+/// input's slots, scale bits and limb counts, the inputs' buffer-aliasing
+/// pattern, then the issuing instance and phase. The planner
+/// configuration is not in it: a cache is only ever bound under one.
+pub(crate) type RegionShape = Vec<u64>;
+
+/// What one position of a keyed region's binding is, across runs, packed
+/// into a word: the top two bits are the class, the low 30 an index.
+/// [`OWN`] `k` is the k-th id the region allocated itself; [`INPUT`] `j`
+/// the j-th distinct buffer of its declared inputs; [`CONST`] `c` the c-th
+/// buffer that outlives it (keys, diagonals, permutations).
+type Slot = u32;
+const OWN: Slot = 0;
+const INPUT: Slot = 1 << 30;
+const CONST: Slot = 2 << 30;
+const INDEX: Slot = INPUT - 1;
+
+/// No binding position (an own id or input the recording never touched).
+const NOWHERE: u32 = u32::MAX;
+
+/// A keyed region's last recording: the entry it resolved to, its
+/// binding as slot classes, and the work it did.
+#[derive(Debug)]
+pub(crate) struct KeyedRegion {
+    fp: u64,
+    slots: Vec<Slot>,
+    consts: Vec<BufferId>,
+    /// Binding position of each own ordinal, input and constant: the
+    /// inverse of `slots`, so one buffer's position is a lookup.
+    own_pos: Vec<u32>,
+    input_pos: Vec<u32>,
+    const_pos: BufferMap<u32>,
+    /// Launches the recording made (before fusion).
+    pub(crate) launches: u64,
+}
+
+impl KeyedRegion {
+    /// Classifies each position of `bound`'s binding: an id of `own` (the
+    /// region's own allocations, ascending), else of `inputs`, else a
+    /// constant.
+    fn new(bound: &BoundPlan, launches: u64, own: &[BufferId], inputs: &[BufferId]) -> Self {
+        let mut region = Self {
+            fp: bound.fp,
+            slots: Vec::with_capacity(bound.current_binding().len()),
+            consts: Vec::new(),
+            own_pos: vec![NOWHERE; own.len()],
+            input_pos: vec![NOWHERE; inputs.len()],
+            const_pos: BufferMap::default(),
+            launches,
+        };
+        for (p, &buf) in bound.current_binding().iter().enumerate() {
+            let p = p as u32;
+            let (class, index) = if let Ok(k) = own.binary_search(&buf) {
+                region.own_pos[k] = p;
+                (OWN, k)
+            } else if let Some(j) = inputs.iter().position(|&b| b == buf) {
+                region.input_pos[j] = p;
+                (INPUT, j)
+            } else {
+                region.const_pos.insert(buf, p);
+                region.consts.push(buf);
+                (CONST, region.consts.len() - 1)
+            };
+            assert!(index <= INDEX as usize, "a keyed region past 2^30 buffers");
+            region.slots.push(class | index as Slot);
+        }
+        region
+    }
+
+    /// Ids the recording allocated itself.
+    pub(crate) fn own_ids(&self) -> usize {
+        self.own_pos.len()
+    }
+}
+
+/// One run's binding of a keyed region, read through the region's slot
+/// classes from the run's own allocation runs and inputs. A memoised replay
+/// names and resolves only the few hundred lines the L2 holds, so it looks
+/// positions up here instead of numbering the whole binding; a replay that
+/// misses the memo materialises it ([`Self::to_vec`]).
+#[derive(Debug)]
+pub(crate) struct RunBinding<'a> {
+    region: &'a KeyedRegion,
+    /// The run's own allocations, ascending.
+    runs: &'a [Range<u64>],
+    /// Own ids allocated before each run.
+    before: Vec<u64>,
+    inputs: &'a [BufferId],
+}
+
+impl<'a> RunBinding<'a> {
+    pub(crate) fn new(
+        region: &'a KeyedRegion,
+        runs: &'a [Range<u64>],
+        inputs: &'a [BufferId],
+    ) -> Self {
+        let mut total = 0;
+        let before = runs
+            .iter()
+            .map(|run| {
+                let at = total;
+                total += run.end - run.start;
+                at
+            })
+            .collect();
+        Self {
+            region,
+            runs,
+            before,
+            inputs,
+        }
+    }
+
+    /// Ids the run allocated itself.
+    pub(crate) fn own_ids(&self) -> usize {
+        self.runs.last().map_or(0, |run| {
+            (self.before[self.before.len() - 1] + run.end - run.start) as usize
+        })
+    }
+
+    /// The run's k-th own id.
+    fn own(&self, k: u64) -> BufferId {
+        let r = self.before.partition_point(|&b| b <= k) - 1;
+        BufferId(self.runs[r].start + (k - self.before[r]))
+    }
+
+    /// The buffer at binding position `p`.
+    pub(crate) fn get(&self, p: usize) -> BufferId {
+        let slot = self.region.slots[p];
+        let index = (slot & INDEX) as usize;
+        match slot & !INDEX {
+            OWN => self.own(index as u64),
+            INPUT => self.inputs[index],
+            _ => self.region.consts[index],
+        }
+    }
+
+    /// `buf`'s binding position, if the binding names it.
+    pub(crate) fn position(&self, buf: BufferId) -> Option<u32> {
+        let r = self.runs.partition_point(|run| run.end <= buf.0);
+        let p = match self.runs.get(r) {
+            Some(run) if run.contains(&buf.0) => {
+                self.region.own_pos[(self.before[r] + buf.0 - run.start) as usize]
+            }
+            _ => match self.inputs.iter().position(|&b| b == buf) {
+                Some(j) => self.region.input_pos[j],
+                None => *self.region.const_pos.get(&buf)?,
+            },
+        };
+        (p != NOWHERE).then_some(p)
+    }
+
+    /// The whole binding, in position order.
+    pub(crate) fn to_vec(&self) -> Vec<BufferId> {
+        let own: Vec<BufferId> = self
+            .runs
+            .iter()
+            .flat_map(|run| run.clone().map(BufferId))
+            .collect();
+        self.region
+            .slots
+            .iter()
+            .map(|&slot| {
+                let index = (slot & INDEX) as usize;
+                match slot & !INDEX {
+                    OWN => own[index],
+                    INPUT => self.inputs[index],
+                    _ => self.region.consts[index],
+                }
+            })
+            .collect()
+    }
+}
+
+/// A keyed region's entry, taken out under the cache lock so that the
+/// region can run unlocked: its plan stays alive even if the entry is
+/// evicted meanwhile.
+#[derive(Debug)]
+pub(crate) struct RegionHit {
+    pub(crate) region: Arc<KeyedRegion>,
+    plan: Arc<ExecPlan>,
+    planned: Arc<[BufferId]>,
+}
+
+impl RegionHit {
+    /// Fingerprint of the entry the region resolved to.
+    pub(crate) fn fp(&self) -> u64 {
+        self.region.fp
+    }
+
+    /// The entry's plan, in the ids of [`Self::planned`].
+    pub(crate) fn plan(&self) -> &ExecPlan {
+        &self.plan
+    }
+
+    /// First-occurrence binding of the graph the plan was planned from.
+    pub(crate) fn planned(&self) -> &[BufferId] {
+        &self.planned
+    }
+}
+
 /// A lookup that found no usable entry: everything [`PlanCache::bind`]
 /// needs to insert the plan it is about to build.
 struct Miss {
@@ -276,6 +491,8 @@ pub struct PlanCache {
     entries: HashMap<u64, CacheEntry>,
     /// Shape key → fingerprint of the entry it resolves to.
     shapes: HashMap<u64, u64>,
+    /// Keyed region shape → its last recording; dropped with its entry.
+    regions: HashMap<RegionShape, Arc<KeyedRegion>>,
     canon: Canon,
     /// The last lookup's current binding. Once its [`BoundPlan`] is
     /// dropped the allocation is free again, and the next lookup copies its
@@ -318,6 +535,7 @@ impl PlanCache {
             capacity: capacity.max(1),
             entries: HashMap::new(),
             shapes: HashMap::new(),
+            regions: HashMap::new(),
             canon: Canon::default(),
             spare: Arc::default(),
             clock: 0,
@@ -448,6 +666,46 @@ impl PlanCache {
         }
     }
 
+    /// The resident entry the keyed region `shape` last resolved to.
+    pub(crate) fn region(&self, shape: &RegionShape) -> Option<RegionHit> {
+        let region = self.regions.get(shape)?;
+        let e = &self.entries[&region.fp];
+        Some(RegionHit {
+            region: Arc::clone(region),
+            plan: Arc::clone(&e.plan),
+            planned: Arc::clone(&e.binding),
+        })
+    }
+
+    /// Records what the keyed region `shape` resolved to: `bound`, bound
+    /// onto a recording that made `launches` launches, allocated `own`
+    /// (ascending) itself and declared `inputs`.
+    pub(crate) fn register_region(
+        &mut self,
+        shape: RegionShape,
+        bound: &BoundPlan,
+        launches: u64,
+        own: &[BufferId],
+        inputs: &[BufferId],
+    ) {
+        if !self.entries.contains_key(&bound.fp) {
+            return;
+        }
+        let region = KeyedRegion::new(bound, launches, own, inputs);
+        self.regions.insert(shape, Arc::new(region));
+    }
+
+    /// Counts `hit` as a hit on its entry without walking a graph, and
+    /// returns the entry's replay memo — `None` once the entry no longer
+    /// holds `hit`'s plan.
+    pub(crate) fn hit_region(&mut self, hit: &RegionHit) -> Option<&mut ReplayMemo> {
+        self.clock += 1;
+        self.hits += 1;
+        let e = self.entries.get_mut(&hit.fp())?;
+        e.last_used = self.clock;
+        Arc::ptr_eq(&e.plan, &hit.plan).then_some(&mut e.memo)
+    }
+
     /// The replay memo of `bound`'s entry, with the buffer numbering of the
     /// graph `bound` is bound to — `None` unless `bound` came from this
     /// cache's last lookup and its entry is still resident.
@@ -543,11 +801,16 @@ impl PlanCache {
         }
     }
 
-    /// Drops `fp`'s entry and the shape key resolving to it.
+    /// Drops `fp`'s entry and the shape key and keyed regions resolving
+    /// to it.
     fn forget(&mut self, fp: u64) {
-        if let Some(shape) = self.entries.remove(&fp).and_then(|e| e.shape) {
+        let Some(entry) = self.entries.remove(&fp) else {
+            return;
+        };
+        if let Some(shape) = entry.shape {
             self.shapes.remove(&shape);
         }
+        self.regions.retain(|_, r| r.fp != fp);
     }
 
     /// Re-inserts a deserialized entry and marks it warm. Same LRU

@@ -3,9 +3,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use fides_gpu_sim::{BufferId, GpuSim, Rebinding};
+use fides_gpu_sim::{BufferId, GpuSim, Rebinding, ReplayMemo};
 
-use super::cache::{BoundPlan, PlanCache};
+use super::cache::{BoundPlan, PlanCache, RunBinding};
 use super::plan::ExecPlan;
 
 /// Replays a plan onto the simulated device: each launch advances the
@@ -84,22 +84,64 @@ impl<'a> GpuReplayExecutor<'a> {
             return self.execute_bound(bound);
         };
         self.gpu.record_plan_cache(bound.is_hit());
-        let plan = bound.plan();
+        let (from, to) = (bound.planned_binding(), bound.current_binding());
+        self.replay_memo(
+            bound.plan(),
+            |rebind, slots| bind(rebind, from, to, slots),
+            |buf| index.position(buf),
+            |p| to[p],
+            memo,
+        );
+    }
+
+    /// Replays a keyed region's cached plan (a plan-cache hit) onto one
+    /// run's `binding`, through the entry's replay memo when it has one.
+    /// The binding is materialised only when the memo misses.
+    pub(crate) fn execute_region(
+        &self,
+        plan: &ExecPlan,
+        planned: &[BufferId],
+        binding: &RunBinding<'_>,
+        memo: Option<&mut ReplayMemo>,
+    ) {
+        self.gpu.record_plan_cache(true);
+        let Some(memo) = memo else {
+            return self.replay(plan, planned, &binding.to_vec());
+        };
+        self.replay_memo(
+            plan,
+            |rebind, slots| bind(rebind, planned, &binding.to_vec(), slots),
+            |buf| binding.position(buf),
+            |p| binding.get(p),
+            memo,
+        );
+    }
+
+    /// The memoised replay of `plan`: `fill` fills the translation table
+    /// (on a memo miss only), and `position`/`at` map the current binding
+    /// between buffers and positions, which is how lines are named.
+    fn replay_memo(
+        &self,
+        plan: &ExecPlan,
+        fill: impl FnOnce(&mut Rebinding, &[(BufferId, u64)]),
+        position: impl Fn(BufferId) -> Option<u32>,
+        at: impl Fn(usize) -> BufferId,
+        memo: &mut ReplayMemo,
+    ) {
         let mem = plan.mem();
         self.gpu
             .record_plan_memory(mem.peak_device_bytes, mem.allocations);
         let slots = plan.slot_binding();
-        let (from, to) = (bound.planned_binding(), bound.current_binding());
         self.gpu.replay_memoised(
             plan.steps(),
             slot_window(slots),
-            |rebind| bind(rebind, from, to, slots),
+            |rebind| fill(rebind, slots),
             |buf| match buf.0 & SLOT_ID_BASE {
-                0 => index.position(buf).map(u64::from),
+                0 => position(buf).map(u64::from),
                 _ => Some(buf.0),
             },
             |name| match name & SLOT_ID_BASE {
-                0 => to[name as usize],
+                0 => at(name as usize),
                 _ => BufferId(name),
             },
             memo,

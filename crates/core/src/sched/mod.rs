@@ -146,7 +146,7 @@
 //! * graph fusion on/off — `FusionConfig::elementwise` (driven by the
 //!   `ablate_fusion` benchmark).
 
-mod cache;
+pub(crate) mod cache;
 mod dag;
 mod exec;
 mod graph;

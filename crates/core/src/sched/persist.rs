@@ -291,6 +291,7 @@ pub fn decode_plan_entry(
         fused_kernels: buf.get_u64_le(),
         plan_cache_hits: buf.get_u64_le(),
         plan_cache_misses: buf.get_u64_le(),
+        record_free_hits: 0,
     };
     let mem = super::mem::MemPlan {
         peak_device_bytes: buf.get_u64_le(),

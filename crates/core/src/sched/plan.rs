@@ -57,6 +57,10 @@ pub struct SchedStats {
     pub plan_cache_hits: u64,
     /// Scheduled regions that ran the full planning pass.
     pub plan_cache_misses: u64,
+    /// Keyed regions ([`CkksContext::scheduled_keyed`](crate::CkksContext::scheduled_keyed))
+    /// that replayed their cached plan without recording or walking their
+    /// work (each also counts as a plan-cache hit).
+    pub record_free_hits: u64,
 }
 
 impl SchedStats {
@@ -68,6 +72,7 @@ impl SchedStats {
         self.fused_kernels += other.fused_kernels;
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
+        self.record_free_hits += other.record_free_hits;
     }
 }
 

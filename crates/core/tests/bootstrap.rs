@@ -6,6 +6,8 @@
 //! simulated-GPU backend (the workspace-level `bootstrap_roundtrip` suite
 //! adds the CPU backend and cross-backend bit-identity).
 
+mod common;
+
 use std::sync::Arc;
 
 use fides_client::{ClientContext, KeyGenerator, RawSwitchingKey, SecretKey};
@@ -271,5 +273,64 @@ fn bootstrap_cost_only_at_paper_scale() {
     assert!(
         dt_us > 20_000.0 && dt_us < 2_000_000.0,
         "simulated bootstrap = {dt_us} µs, outside the plausible window"
+    );
+}
+
+/// Repeated bootstraps keep their output scale. Fed back through an
+/// LR-shaped chain — `w + (y − c·w)`, whose rescale by `q_l` keeps `w`'s
+/// scale and whose `y` is fresh at the ladder's scale — 64 cost-only
+/// bootstraps in a row must return bit-equal scales. A bootstrap that
+/// shrank its output scale by `σ_out/σ_ref` would drift `w` away from `y`
+/// op after op until `y − c·w` failed with a scale mismatch.
+#[test]
+fn repeated_bootstraps_keep_their_output_scale() {
+    let ctx = common::context();
+    let client = ClientContext::new(ctx.raw_params().clone());
+    let slots = 16;
+    let config = BootstrapConfig {
+        slots,
+        level_budget: (2, 2),
+        k_range: 128.0,
+        double_angles: 6,
+        degree: 31,
+    };
+    let shifts = fides_core::boot::required_rotations(ctx.n(), &config);
+    let backend = GpuSimBackend::new(Arc::clone(&ctx), common::keys(&ctx, &shifts));
+    let boot = Bootstrapper::new(&backend, &client, config).unwrap();
+    let fresh = |level: usize| {
+        BackendCt::Device(adapter::placeholder_ciphertext(
+            &ctx,
+            level,
+            ctx.standard_scale(level),
+            slots,
+        ))
+    };
+    // The weights enter at the scale of the level the bootstrap refreshes
+    // to, as LR's do.
+    let mut w = fresh(boot.min_output_level());
+    backend.drop_to_level(&mut w, 0).unwrap();
+    let mut scales = Vec::new();
+    for i in 0..64 {
+        let out = boot.bootstrap(&backend, &w).unwrap();
+        scales.push(out.scale());
+        let q = backend.modulus_value(out.level()) as f64;
+        let mut p = backend.mul_scalar_at(&out, 0.5, q).unwrap();
+        backend.rescale(&mut p).unwrap();
+        let mut y = fresh(out.level());
+        backend.drop_to_level(&mut y, p.level()).unwrap();
+        let g = backend
+            .sub(&y, &p)
+            .unwrap_or_else(|e| panic!("bootstrap {i}: y − c·w: {e}"));
+        let mut next = out;
+        backend.drop_to_level(&mut next, g.level()).unwrap();
+        let mut next = backend.add(&next, &g).unwrap();
+        backend.drop_to_level(&mut next, 0).unwrap();
+        w = next;
+    }
+    assert!(
+        scales.iter().all(|&s| s == scales[0]),
+        "output scales drifted: first {}, last {}",
+        scales[0],
+        scales[63]
     );
 }

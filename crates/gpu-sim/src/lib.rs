@@ -47,6 +47,8 @@ mod memo;
 mod pool;
 mod timeline;
 
+use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -88,7 +90,36 @@ pub struct Capture {
     /// was open — the region's own allocations, plus any other thread's
     /// that landed in the same window. Buffers a region creates come from
     /// here; buffers it only reads mostly predate it.
-    pub fresh_ids: std::ops::Range<u64>,
+    pub fresh_ids: Range<u64>,
+}
+
+/// What the owner of a closed capture region did besides recording (see
+/// [`GpuSim::end_capture_owned`]).
+#[derive(Clone, Debug, Default)]
+pub struct OwnWork {
+    /// The runs of ids the pool handed to the owning thread while the
+    /// region was open, in allocation order: the region's own allocations
+    /// and nothing else, so the k-th of them is the same temporary on every
+    /// run of one schedule.
+    pub own_ids: Vec<Range<u64>>,
+    /// Launches the region skipped instead of recording (a region opened
+    /// by [`GpuSim::begin_capture_skipping`]; 0 otherwise).
+    pub skipped_launches: u64,
+}
+
+thread_local! {
+    /// The device (by address; 0 for none) whose open capture the current
+    /// thread skips launches and fences of, and how many launches it
+    /// skipped. A thread-local, so a skipping launch takes no lock.
+    static SKIPPING: Cell<(usize, u64)> = const { Cell::new((0, 0)) };
+    /// The current thread's id, read without cloning its `Thread` handle.
+    static THREAD_ID: std::thread::ThreadId = std::thread::current().id();
+}
+
+/// The calling thread's id.
+#[inline]
+fn current_thread() -> std::thread::ThreadId {
+    THREAD_ID.with(|id| *id)
 }
 
 /// A launch whose timing is recorded; [`Launched::run`] runs its body.
@@ -145,6 +176,8 @@ struct SimState {
     capture_owner: Option<std::thread::ThreadId>,
     /// The pool's next id when the open capture began.
     capture_first_id: u64,
+    /// The id runs the capture's owner allocated (see [`OwnWork::own_ids`]).
+    own_ids: Vec<Range<u64>>,
     /// The translation table [`GpuSim::replay_rebound`] fills, kept for
     /// its capacity between replays.
     rebind: Rebinding,
@@ -157,7 +190,19 @@ impl SimState {
     /// True while the calling thread owns an open capture region. The
     /// thread id is only read when some capture is open.
     fn captured_by_current_thread(&self) -> bool {
-        self.capture_depth > 0 && self.capture_owner == Some(std::thread::current().id())
+        self.capture_depth > 0 && self.capture_owner == Some(current_thread())
+    }
+
+    /// Notes a run of ids `ids` just handed out: the open capture's own
+    /// when the calling thread owns it.
+    fn note_alloc(&mut self, ids: Range<u64>) {
+        if ids.is_empty() || !self.captured_by_current_thread() {
+            return;
+        }
+        match self.own_ids.last_mut() {
+            Some(last) if last.end == ids.start => last.end = ids.end,
+            _ => self.own_ids.push(ids),
+        }
     }
 
     /// Appends one event through `push`: to the calling thread's open
@@ -187,6 +232,7 @@ impl GpuSim {
                 capture_depth: 0,
                 capture_owner: None,
                 capture_first_id: 0,
+                own_ids: Vec::new(),
                 rebind: Rebinding::default(),
                 entry: EntryState::default(),
             }),
@@ -222,6 +268,9 @@ impl GpuSim {
     ///
     /// `accesses` runs under the device lock: it must only name buffers,
     /// never call back into this device.
+    ///
+    /// Inside a region opened by [`Self::begin_capture_skipping`] the launch
+    /// is only counted, without taking the device lock.
     #[inline]
     pub fn launch(
         &self,
@@ -229,9 +278,11 @@ impl GpuSim {
         desc: KernelDesc,
         accesses: impl FnOnce(&mut Accesses<'_>),
     ) -> Launched {
-        self.state
-            .lock()
-            .record(|log| log.launch(stream, desc, accesses));
+        if !self.skips(1) {
+            self.state
+                .lock()
+                .record(|log| log.launch(stream, desc, accesses));
+        }
         Launched {
             functional: self.is_functional(),
         }
@@ -364,6 +415,20 @@ impl GpuSim {
         }
     }
 
+    /// True (counting `launches`) when the calling thread skips this
+    /// device's launches and fences.
+    #[inline]
+    fn skips(&self, launches: u64) -> bool {
+        SKIPPING.with(|s| {
+            let (dev, n) = s.get();
+            let skip = dev == self as *const Self as usize;
+            if skip {
+                s.set((dev, n + launches));
+            }
+            skip
+        })
+    }
+
     /// Opens a kernel-graph capture region on the **calling thread**:
     /// subsequent [`Self::launch`] and [`Self::fence`] calls from this
     /// thread are recorded instead of timed (other threads keep executing
@@ -374,11 +439,12 @@ impl GpuSim {
     /// eagerly.
     pub fn begin_capture(&self) -> bool {
         let mut st = self.state.lock();
-        let me = std::thread::current().id();
+        let me = current_thread();
         if st.capture_depth == 0 {
             st.capture_owner = Some(me);
             st.capture_depth = 1;
             st.capture_first_id = st.pool.next_id();
+            st.own_ids.clear();
             true
         } else {
             if st.capture_owner == Some(me) {
@@ -388,6 +454,26 @@ impl GpuSim {
         }
     }
 
+    /// As [`Self::begin_capture`], except that when this call opens the
+    /// outermost region, the calling thread's launches and fences on this
+    /// device are dropped until it closes: each launch is counted
+    /// ([`OwnWork::skipped_launches`]) and its body runs as usual, and
+    /// neither takes the device lock. Allocations and releases still go
+    /// through the pool, and [`OwnWork::own_ids`] lists them.
+    ///
+    /// For a caller that already holds the plan of the work the region is
+    /// about to issue, and only needs its allocations to bind it.
+    pub fn begin_capture_skipping(&self) -> bool {
+        let outermost = self.begin_capture();
+        if outermost {
+            SKIPPING.with(|s| {
+                assert_eq!(s.get().0, 0, "one skipping capture per thread");
+                s.set((self as *const Self as usize, 0));
+            });
+        }
+        outermost
+    }
+
     /// Closes one capture region of the calling thread. The outermost close
     /// drains and returns the recording with the range of buffer ids the
     /// pool handed out while the region was open (an empty [`Capture`] for
@@ -395,19 +481,38 @@ impl GpuSim {
     /// timeline untouched — replaying the events (fused or not) is the
     /// caller's job.
     pub fn end_capture(&self) -> Capture {
+        self.end_capture_owned().0
+    }
+
+    /// As [`Self::end_capture`], also returning what the region's owner
+    /// allocated and skipped (empty unless this is the outermost close).
+    pub fn end_capture_owned(&self) -> (Capture, OwnWork) {
         let mut st = self.state.lock();
         if !st.captured_by_current_thread() {
-            return Capture::default();
+            return Default::default();
         }
         st.capture_depth -= 1;
         if st.capture_depth == 0 {
             st.capture_owner = None;
-            Capture {
+            let skipped_launches = SKIPPING.with(|s| {
+                let (dev, n) = s.get();
+                if dev != self as *const Self as usize {
+                    return 0;
+                }
+                s.set((0, 0));
+                n
+            });
+            let capture = Capture {
                 events: std::mem::take(&mut st.capture),
                 fresh_ids: st.capture_first_id..st.pool.next_id(),
-            }
+            };
+            let own = OwnWork {
+                own_ids: std::mem::take(&mut st.own_ids),
+                skipped_launches,
+            };
+            (capture, own)
         } else {
-            Capture::default()
+            Default::default()
         }
     }
 
@@ -442,6 +547,9 @@ impl GpuSim {
     /// Event fence: streams in `waiters` wait for work recorded on
     /// `signals`. Recorded instead of applied while a capture is active.
     pub fn fence(&self, signals: &[usize], waiters: &[usize]) {
+        if self.skips(0) {
+            return;
+        }
         self.state
             .lock()
             .record(|log| log.fence(signals.iter().copied(), waiters.iter().copied()));
@@ -530,12 +638,17 @@ impl GpuSim {
         for b in bytes {
             st.pool.alloc(b);
         }
-        first..st.pool.next_id()
+        let ids = first..st.pool.next_id();
+        st.note_alloc(ids.clone());
+        ids
     }
 
     /// One id for a standalone [`VectorGpu`], under its own lock.
     fn pool_alloc(&self, bytes: u64) -> BufferId {
-        self.state.lock().pool.alloc(bytes)
+        let mut st = self.state.lock();
+        let id = st.pool.alloc(bytes);
+        st.note_alloc(id.0..id.0 + 1);
+        id
     }
 
     /// Frees one standalone [`VectorGpu`], under its own lock.
@@ -802,6 +915,38 @@ mod tests {
         assert_eq!(c.fresh_ids, a.buffer().0..b.buffer().0 + 1);
         assert!(!c.fresh_ids.contains(&before.buffer().0));
         assert!(gpu.end_capture().fresh_ids.is_empty(), "no region open");
+    }
+
+    #[test]
+    fn a_skipping_capture_counts_launches_and_lists_its_own_allocations() {
+        let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::Functional);
+        let before = gpu.alloc_run([8]);
+        assert!(gpu.begin_capture_skipping());
+        let first = gpu.alloc_run([8, 8]);
+        let lone = gpu.pool_alloc(8);
+        assert!(!gpu.begin_capture_skipping(), "nested");
+        let mut hits = 0;
+        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
+            .run(|| hits += 1);
+        gpu.fence(&[0], &[1]);
+        assert!(gpu.end_capture().events.is_empty(), "nested close");
+        // Another thread's allocation lands in the window, not in the list.
+        std::thread::scope(|s| {
+            s.spawn(|| gpu.alloc_run([8]));
+        });
+        let last = gpu.alloc_run([8]);
+        gpu.launch(1, KernelDesc::new(KernelKind::Elementwise), |_| {})
+            .run(|| hits += 1);
+        let (c, own) = gpu.end_capture_owned();
+        assert_eq!(hits, 2, "bodies run");
+        assert!(c.events.is_empty(), "nothing recorded");
+        assert_eq!(own.skipped_launches, 2);
+        assert_eq!(c.fresh_ids, before.end..last.end);
+        assert_eq!(own.own_ids, [first.start..lone.0 + 1, last]);
+        assert_eq!(gpu.stats().kernel_launches, 0, "nothing timed");
+        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
+            .run(|| {});
+        assert_eq!(gpu.stats().kernel_launches, 1, "the close ends the skip");
     }
 
     #[test]
