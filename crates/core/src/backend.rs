@@ -336,9 +336,15 @@ pub trait EvalBackend: fmt::Debug + Send + Sync {
     /// Runs `body` as one keyed graph region whose kernel schedule is a
     /// function of `key` and `inputs` alone (see
     /// [`CkksContext::scheduled_keyed`]): a repeat replays its cached plan
-    /// without recording. Returns `false`, without running `body`, on
-    /// backends without keyed regions.
-    fn graph_keyed(&self, _key: RegionKey, _inputs: RegionInputs, _body: &mut dyn FnMut()) -> bool {
+    /// without recording. `body` reports whether the work it wraps
+    /// succeeded. Returns `false`, without running `body`, on backends
+    /// without keyed regions.
+    fn graph_keyed(
+        &self,
+        _key: RegionKey,
+        _inputs: RegionInputs,
+        _body: &mut dyn FnMut() -> Result<()>,
+    ) -> bool {
         false
     }
 
@@ -591,8 +597,14 @@ impl EvalBackend for GpuSimBackend {
         Some(RegionInputs::new(&cts))
     }
 
-    fn graph_keyed(&self, key: RegionKey, inputs: RegionInputs, body: &mut dyn FnMut()) -> bool {
-        self.ctx.scheduled_keyed(key, inputs, body);
+    fn graph_keyed(
+        &self,
+        key: RegionKey,
+        inputs: RegionInputs,
+        body: &mut dyn FnMut() -> Result<()>,
+    ) -> bool {
+        // The caller holds what `body` produced, its error included.
+        let _ = self.ctx.scheduled_keyed(key, inputs, body);
         true
     }
 

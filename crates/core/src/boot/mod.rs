@@ -525,7 +525,13 @@ fn in_graph_keyed<R>(
     let mut f = Some(f);
     if let Some((key, inputs)) = keyed {
         let mut out = None;
-        if backend.graph_keyed(key, inputs, &mut || out = f.take().map(|f| f())) {
+        let mut body = || {
+            let r = f.take().expect("the body runs once")();
+            let status = r.as_ref().map(|_| ()).map_err(FidesError::clone);
+            out = Some(r);
+            status
+        };
+        if backend.graph_keyed(key, inputs, &mut body) {
             return out.expect("a keyed region runs its body");
         }
     }

@@ -20,6 +20,7 @@ use fides_rns::{product_inv_mod, product_mod, BaseConverter, DigitPartition};
 use parking_lot::Mutex;
 
 use crate::ciphertext::Ciphertext;
+use crate::error::Result;
 use crate::params::CkksParameters;
 use crate::sched::cache::{RegionHit, RegionShape, RunBinding};
 use crate::sched::{
@@ -513,33 +514,35 @@ impl CkksContext {
     /// described before `f` runs, so `f` may consume them.
     ///
     /// Such a region is looked up before it runs. Once a recording of it
-    /// has resolved to a plan-cache hit, the cache keeps that entry for the
-    /// region's shape — `key`, each input's level, limb counts, slots and
-    /// scale bits, and how the inputs alias — with each binding position
-    /// classed as own allocation, input buffer or constant. A later run of
-    /// the same shape skips every launch and fence
+    /// has succeeded and resolved to a plan-cache hit, the cache keeps that
+    /// entry for the region's shape — `key`, each input's level, limb
+    /// counts, slots and scale bits, and how the inputs alias — with each
+    /// binding position classed as own allocation, input buffer or
+    /// constant. A later run of the same shape skips every launch and fence
     /// ([`GpuSim::begin_capture_skipping`]), builds its binding from its
     /// own allocations and inputs, and replays the cached plan through the
     /// same memoised path, counted in
     /// [`SchedStats::record_free_hits`] and as a plan-cache hit. Nothing is
     /// recorded and no graph is walked. Any other run records as
-    /// [`Self::scheduled`] does.
+    /// [`Self::scheduled`] does, and a recording whose `f` failed registers
+    /// nothing. A shortcut run whose `f` fails returns the error with
+    /// nothing replayed: there is no plan of the part it did.
     ///
     /// Lock order: the plan cache's lock, then the device lock.
     ///
     /// # Panics
     ///
-    /// If a shortcut run made a different number of launches or own
-    /// allocations than the recording it replays. Debug builds also record
-    /// every shortcut run and panic unless its walked fingerprint and
-    /// binding equal what the key produced — the check that catches a
+    /// If a successful shortcut run made a different number of launches or
+    /// own allocations than the recording it replays. Debug builds also
+    /// record every shortcut run and panic unless its walked fingerprint
+    /// and binding equal what the key produced — the check that catches a
     /// region reading a buffer it did not declare.
     pub fn scheduled_keyed<R>(
         &self,
         key: RegionKey,
         inputs: RegionInputs,
-        f: impl FnOnce() -> R,
-    ) -> R {
+        f: impl FnOnce() -> Result<R>,
+    ) -> Result<R> {
         let RegionInputs { shape, ids } = inputs;
         let mut shape: RegionShape = shape;
         shape.extend([key.owner, u64::from(key.phase)]);
@@ -561,7 +564,13 @@ impl CkksContext {
         guard.armed = false;
         if outermost {
             let (capture, own) = self.gpu.end_capture_owned();
-            self.close_keyed(shape, &ids, hit, capture, own);
+            let run = KeyedRun {
+                skipped: skip,
+                ok: r.is_ok(),
+                capture,
+                own,
+            };
+            self.close_keyed(shape, &ids, hit, run);
         } else {
             // Part of an enclosing region, which plans it.
             self.graph_scope_end();
@@ -570,7 +579,7 @@ impl CkksContext {
     }
 
     /// The outermost close of a keyed region: replays `hit` onto the run's
-    /// own allocations when `capture` skipped its launches, else plans the
+    /// own allocations when the run skipped its launches, else plans the
     /// recording as [`Self::graph_scope_end`] does — checking it against
     /// `hit`, or registering the shape when it hit the plan cache.
     fn close_keyed(
@@ -578,8 +587,7 @@ impl CkksContext {
         shape: RegionShape,
         inputs: &[BufferId],
         hit: Option<RegionHit>,
-        capture: Capture,
-        work: OwnWork,
+        run: KeyedRun,
     ) {
         let check = |hit: &RegionHit, launches: u64, binding: &RunBinding<'_>| {
             assert!(
@@ -591,11 +599,20 @@ impl CkksContext {
                 hit.region.own_ids(),
             );
         };
-        let mut cache = self.plan_cache.lock();
-        if capture.events.is_empty() {
-            let Some(hit) = hit else { return };
-            let binding = RunBinding::new(&hit.region, &work.own_ids, inputs);
-            check(&hit, work.skipped_launches, &binding);
+        let KeyedRun {
+            skipped,
+            ok,
+            capture,
+            own,
+        } = run;
+        if skipped {
+            let hit = hit.expect("only a hit skips its launches");
+            if !ok {
+                return;
+            }
+            let binding = RunBinding::new(&hit.region, &own.own_ids, inputs);
+            check(&hit, own.skipped_launches, &binding);
+            let mut cache = self.plan_cache.lock();
             let memo = cache.hit_region(&hit);
             GpuReplayExecutor::new(&self.gpu).execute_region(
                 hit.plan(),
@@ -607,12 +624,16 @@ impl CkksContext {
             self.book(hit.plan(), true, true);
             return;
         }
+        if capture.events.is_empty() {
+            return;
+        }
         let graph = ExecGraph::from_capture(capture);
         let launches = graph.kernel_count() as u64;
+        let mut cache = self.plan_cache.lock();
         let bound = self.bind_one(&mut cache, &graph);
-        match &hit {
-            Some(hit) => {
-                let binding = RunBinding::new(&hit.region, &work.own_ids, inputs);
+        let checked = match &hit {
+            Some(hit) if ok => {
+                let binding = RunBinding::new(&hit.region, &own.own_ids, inputs);
                 check(hit, launches, &binding);
                 assert_eq!(
                     bound.fp(),
@@ -623,21 +644,18 @@ impl CkksContext {
                     binding.to_vec() == bound.current_binding(),
                     "a keyed region read a buffer it did not declare"
                 );
+                true
             }
-            None if bound.is_hit() => {
-                let own: Vec<BufferId> = work
-                    .own_ids
-                    .iter()
-                    .flat_map(|run| run.clone().map(BufferId))
-                    .collect();
-                cache.register_region(shape, &bound, launches, &own, inputs);
+            None if ok && bound.is_hit() => {
+                cache.register_region(shape, &bound, launches, &own.own_ids, inputs);
+                false
             }
-            None => {}
-        }
+            _ => false,
+        };
         GpuReplayExecutor::new(&self.gpu).execute_memoised(&bound, &mut cache);
         drop(cache);
         self.gpu.recycle_capture_log(graph.log);
-        self.book(bound.plan(), bound.is_hit(), hit.is_some());
+        self.book(bound.plan(), bound.is_hit(), checked);
     }
 
     /// The planning configuration this context schedules with: fusion and
@@ -664,6 +682,16 @@ impl CkksContext {
     pub fn cached_plans(&self) -> Vec<(u64, Arc<ExecPlan>, Arc<[BufferId]>)> {
         self.plan_cache.lock().export_entries()
     }
+}
+
+/// How one outermost run of a keyed region went: whether it skipped its
+/// launches, whether its body succeeded, and what it recorded and
+/// allocated.
+struct KeyedRun {
+    skipped: bool,
+    ok: bool,
+    capture: Capture,
+    own: OwnWork,
 }
 
 /// Close-on-unwind guard: a panicking op must not leave the capture region

@@ -58,7 +58,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fides_gpu_sim::{BufferId, BufferMap, Event, ReplayMemo};
+use fides_gpu_sim::{BufferId, Event, ReplayMemo};
 
 use super::graph::{BufferIndex, ExecGraph};
 use super::plan::{ExecPlan, PlanConfig, Planner};
@@ -280,7 +280,8 @@ pub(crate) type RegionShape = Vec<u64>;
 /// into a word: the top two bits are the class, the low 30 an index.
 /// [`OWN`] `k` is the k-th id the region allocated itself; [`INPUT`] `j`
 /// the j-th distinct buffer of its declared inputs; [`CONST`] `c` the c-th
-/// buffer that outlives it (keys, diagonals, permutations).
+/// lowest id of the buffers that outlive it (keys, diagonals,
+/// permutations).
 type Slot = u32;
 const OWN: Slot = 0;
 const INPUT: Slot = 1 << 30;
@@ -296,52 +297,118 @@ const NOWHERE: u32 = u32::MAX;
 pub(crate) struct KeyedRegion {
     fp: u64,
     slots: Vec<Slot>,
+    /// The constants' ids, ascending.
     consts: Vec<BufferId>,
     /// Binding position of each own ordinal, input and constant: the
     /// inverse of `slots`, so one buffer's position is a lookup.
     own_pos: Vec<u32>,
     input_pos: Vec<u32>,
-    const_pos: BufferMap<u32>,
+    const_pos: Vec<u32>,
     /// Launches the recording made (before fusion).
     pub(crate) launches: u64,
 }
 
 impl KeyedRegion {
-    /// Classifies each position of `bound`'s binding: an id of `own` (the
-    /// region's own allocations, ascending), else of `inputs`, else a
-    /// constant.
-    fn new(bound: &BoundPlan, launches: u64, own: &[BufferId], inputs: &[BufferId]) -> Self {
-        let mut region = Self {
-            fp: bound.fp,
-            slots: Vec::with_capacity(bound.current_binding().len()),
-            consts: Vec::new(),
-            own_pos: vec![NOWHERE; own.len()],
-            input_pos: vec![NOWHERE; inputs.len()],
-            const_pos: BufferMap::default(),
-            launches,
-        };
-        for (p, &buf) in bound.current_binding().iter().enumerate() {
+    /// Classifies each position of `bound`'s binding: an id of `own`, else
+    /// of `inputs`, else a constant.
+    fn new(bound: &BoundPlan, launches: u64, own: &OwnRuns<'_>, inputs: &[BufferId]) -> Self {
+        let binding = bound.current_binding();
+        assert!(
+            binding.len() <= INDEX as usize,
+            "a keyed region past 2^30 buffers"
+        );
+        let mut by_id: Vec<(BufferId, usize)> = inputs.iter().copied().zip(0..).collect();
+        by_id.sort_unstable();
+        let mut slots = Vec::with_capacity(binding.len());
+        let mut own_pos = vec![NOWHERE; own.len()];
+        let mut input_pos = vec![NOWHERE; inputs.len()];
+        let mut consts = Vec::new();
+        for (p, &buf) in binding.iter().enumerate() {
             let p = p as u32;
-            let (class, index) = if let Ok(k) = own.binary_search(&buf) {
-                region.own_pos[k] = p;
-                (OWN, k)
-            } else if let Some(j) = inputs.iter().position(|&b| b == buf) {
-                region.input_pos[j] = p;
-                (INPUT, j)
+            slots.push(if let Some(k) = own.ordinal(buf) {
+                own_pos[k] = p;
+                OWN | k as Slot
+            } else if let Ok(i) = by_id.binary_search_by_key(&buf, |&(b, _)| b) {
+                let j = by_id[i].1;
+                input_pos[j] = p;
+                INPUT | j as Slot
             } else {
-                region.const_pos.insert(buf, p);
-                region.consts.push(buf);
-                (CONST, region.consts.len() - 1)
-            };
-            assert!(index <= INDEX as usize, "a keyed region past 2^30 buffers");
-            region.slots.push(class | index as Slot);
+                consts.push((buf, p));
+                CONST
+            });
         }
-        region
+        consts.sort_unstable();
+        for (c, &(_, p)) in consts.iter().enumerate() {
+            slots[p as usize] |= c as Slot;
+        }
+        let (consts, const_pos) = consts.into_iter().unzip();
+        Self {
+            fp: bound.fp,
+            slots,
+            consts,
+            own_pos,
+            input_pos,
+            const_pos,
+            launches,
+        }
     }
 
     /// Ids the recording allocated itself.
     pub(crate) fn own_ids(&self) -> usize {
         self.own_pos.len()
+    }
+}
+
+/// A region's own allocations: the id runs it was handed, ascending, and
+/// how many own ids precede each run, so that the k-th own id and an id's
+/// ordinal are binary searches over runs.
+#[derive(Debug)]
+struct OwnRuns<'a> {
+    runs: &'a [Range<u64>],
+    before: Vec<u64>,
+}
+
+impl<'a> OwnRuns<'a> {
+    fn new(runs: &'a [Range<u64>]) -> Self {
+        let mut total = 0;
+        let before = runs
+            .iter()
+            .map(|run| {
+                let at = total;
+                total += run.end - run.start;
+                at
+            })
+            .collect();
+        Self { runs, before }
+    }
+
+    /// Number of own ids.
+    fn len(&self) -> usize {
+        self.runs.last().map_or(0, |run| {
+            (self.before[self.before.len() - 1] + run.end - run.start) as usize
+        })
+    }
+
+    /// The k-th own id.
+    fn id(&self, k: usize) -> BufferId {
+        let k = k as u64;
+        let r = self.before.partition_point(|&b| b <= k) - 1;
+        BufferId(self.runs[r].start + (k - self.before[r]))
+    }
+
+    /// `buf`'s ordinal among the own ids, if it is one.
+    fn ordinal(&self, buf: BufferId) -> Option<usize> {
+        let r = self.runs.partition_point(|run| run.end <= buf.0);
+        let run = self.runs.get(r).filter(|run| run.contains(&buf.0))?;
+        Some((self.before[r] + buf.0 - run.start) as usize)
+    }
+
+    /// Every own id, in order.
+    fn ids(&self) -> Vec<BufferId> {
+        self.runs
+            .iter()
+            .flat_map(|run| run.clone().map(BufferId))
+            .collect()
     }
 }
 
@@ -353,55 +420,40 @@ impl KeyedRegion {
 #[derive(Debug)]
 pub(crate) struct RunBinding<'a> {
     region: &'a KeyedRegion,
-    /// The run's own allocations, ascending.
-    runs: &'a [Range<u64>],
-    /// Own ids allocated before each run.
-    before: Vec<u64>,
+    own: OwnRuns<'a>,
     inputs: &'a [BufferId],
 }
 
 impl<'a> RunBinding<'a> {
+    /// `region`'s binding on a run that allocated the id runs `own`
+    /// (ascending) itself and declared `inputs`.
     pub(crate) fn new(
         region: &'a KeyedRegion,
-        runs: &'a [Range<u64>],
+        own: &'a [Range<u64>],
         inputs: &'a [BufferId],
     ) -> Self {
-        let mut total = 0;
-        let before = runs
-            .iter()
-            .map(|run| {
-                let at = total;
-                total += run.end - run.start;
-                at
-            })
-            .collect();
         Self {
             region,
-            runs,
-            before,
+            own: OwnRuns::new(own),
             inputs,
         }
     }
 
     /// Ids the run allocated itself.
     pub(crate) fn own_ids(&self) -> usize {
-        self.runs.last().map_or(0, |run| {
-            (self.before[self.before.len() - 1] + run.end - run.start) as usize
-        })
-    }
-
-    /// The run's k-th own id.
-    fn own(&self, k: u64) -> BufferId {
-        let r = self.before.partition_point(|&b| b <= k) - 1;
-        BufferId(self.runs[r].start + (k - self.before[r]))
+        self.own.len()
     }
 
     /// The buffer at binding position `p`.
     pub(crate) fn get(&self, p: usize) -> BufferId {
-        let slot = self.region.slots[p];
+        self.resolve(self.region.slots[p], |k| self.own.id(k))
+    }
+
+    /// The buffer `slot` names, with `own` giving the k-th own id.
+    fn resolve(&self, slot: Slot, own: impl FnOnce(usize) -> BufferId) -> BufferId {
         let index = (slot & INDEX) as usize;
         match slot & !INDEX {
-            OWN => self.own(index as u64),
+            OWN => own(index),
             INPUT => self.inputs[index],
             _ => self.region.consts[index],
         }
@@ -409,37 +461,24 @@ impl<'a> RunBinding<'a> {
 
     /// `buf`'s binding position, if the binding names it.
     pub(crate) fn position(&self, buf: BufferId) -> Option<u32> {
-        let r = self.runs.partition_point(|run| run.end <= buf.0);
-        let p = match self.runs.get(r) {
-            Some(run) if run.contains(&buf.0) => {
-                self.region.own_pos[(self.before[r] + buf.0 - run.start) as usize]
-            }
-            _ => match self.inputs.iter().position(|&b| b == buf) {
-                Some(j) => self.region.input_pos[j],
-                None => *self.region.const_pos.get(&buf)?,
-            },
+        let region = self.region;
+        let p = if let Some(k) = self.own.ordinal(buf) {
+            region.own_pos[k]
+        } else if let Some(j) = self.inputs.iter().position(|&b| b == buf) {
+            region.input_pos[j]
+        } else {
+            region.const_pos[region.consts.binary_search(&buf).ok()?]
         };
         (p != NOWHERE).then_some(p)
     }
 
     /// The whole binding, in position order.
     pub(crate) fn to_vec(&self) -> Vec<BufferId> {
-        let own: Vec<BufferId> = self
-            .runs
-            .iter()
-            .flat_map(|run| run.clone().map(BufferId))
-            .collect();
+        let own = self.own.ids();
         self.region
             .slots
             .iter()
-            .map(|&slot| {
-                let index = (slot & INDEX) as usize;
-                match slot & !INDEX {
-                    OWN => own[index],
-                    INPUT => self.inputs[index],
-                    _ => self.region.consts[index],
-                }
-            })
+            .map(|&slot| self.resolve(slot, |k| own[k]))
             .collect()
     }
 }
@@ -678,20 +717,20 @@ impl PlanCache {
     }
 
     /// Records what the keyed region `shape` resolved to: `bound`, bound
-    /// onto a recording that made `launches` launches, allocated `own`
-    /// (ascending) itself and declared `inputs`.
+    /// onto a recording that made `launches` launches, allocated the id
+    /// runs `own` (ascending) itself and declared `inputs`.
     pub(crate) fn register_region(
         &mut self,
         shape: RegionShape,
         bound: &BoundPlan,
         launches: u64,
-        own: &[BufferId],
+        own: &[Range<u64>],
         inputs: &[BufferId],
     ) {
         if !self.entries.contains_key(&bound.fp) {
             return;
         }
-        let region = KeyedRegion::new(bound, launches, own, inputs);
+        let region = KeyedRegion::new(bound, launches, &OwnRuns::new(own), inputs);
         self.regions.insert(shape, Arc::new(region));
     }
 
@@ -1219,5 +1258,40 @@ mod tests {
         assert_eq!((cache.len(), cache.shapes(), cache.misses()), (1, 1, 2));
         let again = bind1(&mut cache, &cfg(), &graph(&[3, 4]));
         assert!(again.is_warm_hit(), "a warmup bind marks its entries warm");
+    }
+
+    #[test]
+    fn a_keyed_region_rebinds_through_its_slot_classes() {
+        // Own ids 100..103 and 110..112, inputs 51 and 50, constants 7, 3
+        // and 9 (out of id order), in first-use order.
+        let ids = |bufs: &[u64]| bufs.iter().map(|&b| BufferId(b)).collect::<Vec<_>>();
+        let recorded = [101, 7, 50, 100, 3, 111, 51, 9, 110, 102];
+        let mut cache = PlanCache::default();
+        let bound = bind1(&mut cache, &cfg(), &graph(&recorded));
+        let shape: RegionShape = vec![1];
+        cache.register_region(
+            shape.clone(),
+            &bound,
+            10,
+            &[100..103, 110..112],
+            &ids(&[51, 50]),
+        );
+        let hit = cache.region(&shape).expect("registered");
+        assert_eq!((hit.fp(), hit.region.own_ids()), (bound.fp(), 5));
+
+        // A later run splits its five own ids differently.
+        let runs = [200..202, 205..208];
+        let inputs = ids(&[61, 60]);
+        let binding = RunBinding::new(&hit.region, &runs, &inputs);
+        let want = ids(&[201, 7, 60, 200, 3, 207, 61, 9, 206, 205]);
+        assert_eq!(binding.own_ids(), 5);
+        assert_eq!(binding.to_vec(), want);
+        for (p, &buf) in want.iter().enumerate() {
+            assert_eq!(binding.get(p), buf);
+            assert_eq!(binding.position(buf), Some(p as u32), "{buf:?}");
+        }
+        for absent in [101, 50, 8, 203, 208] {
+            assert_eq!(binding.position(BufferId(absent)), None, "{absent}");
+        }
     }
 }

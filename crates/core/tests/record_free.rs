@@ -11,7 +11,7 @@ use std::sync::Arc;
 use fides_client::ClientContext;
 use fides_core::{
     adapter, boot, BackendCt, BootstrapConfig, Bootstrapper, Ciphertext, CkksContext,
-    CkksParameters, GpuSimBackend, RegionInputs, RegionKey,
+    CkksParameters, FidesError, GpuSimBackend, RegionInputs, RegionKey,
 };
 use fides_gpu_sim::{DeviceSpec, ExecMode, GpuSim, SimStats};
 
@@ -172,6 +172,44 @@ fn paper_scale_warm_bootstraps_replay_record_free() {
     }
 }
 
+/// A keyed region whose body fails: a failed recording registers nothing,
+/// and a failing shortcut run hands back its error without counting as
+/// record-free.
+#[test]
+fn a_failing_keyed_region_registers_nothing_and_returns_its_error() {
+    let ctx = common::context();
+    let key = RegionKey {
+        owner: RegionKey::new_owner(),
+        phase: 0,
+    };
+    let a = Ciphertext::zero(&ctx, 2, ctx.standard_scale(2), 8);
+    let run = |fail: bool| {
+        ctx.scheduled_keyed(key, RegionInputs::new(&[&a]), || {
+            let sum = a.add(&a)?;
+            match fail {
+                true => Err(FidesError::Unsupported("a failing region".into())),
+                false => Ok(sum),
+            }
+        })
+    };
+    let record_free = || ctx.sched_stats().record_free_hits;
+    // The failed recordings plan the entry (and hit it) but register nothing.
+    for _ in 0..3 {
+        assert!(run(true).is_err());
+    }
+    run(false).expect("registers the key");
+    assert_eq!(record_free(), 0);
+    run(false).expect("record-free");
+    assert_eq!(record_free(), 1);
+    assert_eq!(
+        run(true).unwrap_err(),
+        FidesError::Unsupported("a failing region".into())
+    );
+    assert_eq!(record_free(), 1);
+    run(false).expect("record-free again");
+    assert_eq!(record_free(), 2);
+}
+
 /// A keyed region reading a buffer it did not declare replays stale ids in
 /// release builds; debug builds record every shortcut hit and catch it.
 #[cfg(debug_assertions)]
@@ -190,7 +228,8 @@ fn a_keyed_region_reading_an_undeclared_input_is_caught() {
     for _ in 0..3 {
         let undeclared = fresh();
         ctx.scheduled_keyed(key, RegionInputs::new(&[&declared]), || {
-            declared.add(&undeclared).expect("same shape")
-        });
+            declared.add(&undeclared)
+        })
+        .expect("same shape");
     }
 }
