@@ -250,8 +250,8 @@ impl Bootstrapper {
             lvl -= 1;
         }
         // The last stage lands on σ_ref rather than on the ladder, so that
-        // step 8's `s·ρ` is the caller's own scale: repeated bootstraps keep
-        // their output scale instead of scaling it by s/σ_ref each time.
+        // step 8 can hand back the caller's own scale: repeated bootstraps
+        // keep their output scale instead of scaling it by s/σ_ref each time.
         // Its input is off the ladder (the level drops of ApproxModEval keep
         // scales), so the scale it receives is found by tracing the
         // circuit's scale bookkeeping once with a provisional last stage.
@@ -284,7 +284,7 @@ impl Bootstrapper {
             regions: RegionKey::new_owner(),
         };
         let probe = trace::meta(0, sigma_ref, n_s);
-        let landed = boot.run(&trace, &probe, false)?.0.scale();
+        let landed = boot.circuit(&trace, &probe, false)?.0.scale();
         let out = sigma_ref * sigma_ref / landed;
         *boot.stc_plans.last_mut().expect("at least one StC stage") =
             cts::encode_stage(backend, client, last_stc, lvl, out)?;
@@ -354,6 +354,31 @@ impl Bootstrapper {
         ct: &BackendCt,
         timed: bool,
     ) -> Result<(BackendCt, Option<BootPhases>)> {
+        let (mut out, phases) = self.circuit(backend, ct, timed)?;
+        // 8. Restore the caller's scale interpretation. The last StC stage
+        // lands on σ_ref, so the output's scale is the caller's own up to
+        // the f64 rounding of the stages' scale bookkeeping; dropping that
+        // rounding makes repeated bootstraps return bit-equal scales. A
+        // larger gap means `ScaleTrace` no longer follows the backend's
+        // scale rules.
+        let s = out.scale();
+        debug_assert!(
+            (s / self.sigma_ref - 1.0).abs() < 1e-12,
+            "SlotToCoeff output scale {s} is off the reference scale {}",
+            self.sigma_ref
+        );
+        out.set_scale(ct.scale());
+        Ok((out, phases))
+    }
+
+    /// Steps 1–7: the circuit up to SlotToCoeff's output, at the scale its
+    /// last stage lands on.
+    fn circuit(
+        &self,
+        backend: &dyn EvalBackend,
+        ct: &BackendCt,
+        timed: bool,
+    ) -> Result<(BackendCt, Option<BootPhases>)> {
         if ct.slots() != self.config.slots {
             return Err(FidesError::SlotMismatch {
                 left: ct.slots(),
@@ -361,7 +386,6 @@ impl Bootstrapper {
             });
         }
         let sigma_ref = self.sigma_ref;
-        let rho = ct.scale() / sigma_ref;
         let wall = std::time::Instant::now();
         let now = |on: bool| -> f64 {
             if !on {
@@ -446,7 +470,7 @@ impl Bootstrapper {
         phases.eval_mod_us = t4 - t3;
 
         // 7. SlotToCoeff: again one graph across all stages.
-        let mut comb = in_graph_keyed(backend, region(Phase::SlotToCoeff, &comb), || {
+        let comb = in_graph_keyed(backend, region(Phase::SlotToCoeff, &comb), || {
             let mut c = comb;
             for (i, plan) in self.stc_plans.iter().enumerate() {
                 c = plan.apply(backend, &c)?;
@@ -461,18 +485,6 @@ impl Bootstrapper {
         let t5 = now(timed);
         phases.slot_to_coeff_us = t5 - t4;
         phases.total_us = t5 - t0;
-
-        // 8. Restore the caller's scale interpretation. The last StC stage
-        // lands on σ_ref, so `s·ρ` is the caller's own scale up to the f64
-        // rounding of the stages' scale bookkeeping; dropping that rounding
-        // makes repeated bootstraps return bit-equal scales.
-        let s = comb.scale();
-        let restored = if (s / sigma_ref - 1.0).abs() < 1e-12 {
-            ct.scale()
-        } else {
-            s * rho
-        };
-        comb.set_scale(restored);
         Ok((comb, timed.then_some(phases)))
     }
 

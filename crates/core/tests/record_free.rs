@@ -154,10 +154,11 @@ impl Delta {
     }
 }
 
-/// Paper scale, cost-only: the key↔fingerprint check of debug builds runs
-/// at the size the record-free gain is claimed on.
+/// Paper scale, cost-only: the key↔fingerprint check of debug builds, and
+/// the shortcut of release builds, run at the size the record-free gain is
+/// claimed on.
 #[test]
-#[ignore = "paper scale: run in a debug build with --ignored"]
+#[ignore = "paper scale: run with --ignored, in debug and release builds"]
 fn paper_scale_warm_bootstraps_replay_record_free() {
     let params = CkksParameters::paper_lr().with_limb_batch(12);
     let ctx = CkksContext::new(
