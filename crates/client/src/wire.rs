@@ -205,8 +205,8 @@ impl OpProgram {
 
     /// Structural validation: every register operand must refer to an
     /// already-defined register, every plaintext slot must exist among the
-    /// session's `plains` preloaded plaintexts, and at least one output must
-    /// be requested.
+    /// session's `plains` preloaded plaintexts, every scalar constant must be
+    /// finite, and at least one output must be requested.
     ///
     /// # Errors
     ///
@@ -225,6 +225,13 @@ impl OpProgram {
                     return Err(ClientError::BadProgram(format!(
                         "op {i} reads preloaded plaintext slot {slot} but the session holds \
                          {plains}"
+                    )));
+                }
+            }
+            if let ProgramOp::AddScalar { c, .. } | ProgramOp::MulScalar { c, .. } = *op {
+                if !c.is_finite() {
+                    return Err(ClientError::BadProgram(format!(
+                        "op {i} ({op:?}) has a non-finite scalar"
                     )));
                 }
             }
@@ -1165,6 +1172,20 @@ mod tests {
             matches!(bad_out.validate(0), Err(ClientError::BadProgram(_))),
             "output range"
         );
+        for c in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for op in [
+                ProgramOp::AddScalar { a: 0, c },
+                ProgramOp::MulScalar { a: 0, c },
+            ] {
+                let mut scalar = OpProgram::new(1);
+                let r = scalar.push(op);
+                scalar.output(r);
+                assert!(
+                    matches!(scalar.validate(0), Err(ClientError::BadProgram(_))),
+                    "non-finite scalar {op:?}"
+                );
+            }
+        }
     }
 
     #[test]

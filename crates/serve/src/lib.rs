@@ -82,5 +82,5 @@ pub use error::ServeError;
 pub use net::{NetServer, NetServerConfig};
 pub use qos::{AdmissionQueue, QosPolicy};
 pub use router::ShardRouter;
-pub use server::{ServeBackend, Server, ServerConfig, Ticket, WarmupShape};
+pub use server::{Server, ServerConfig, Ticket, WarmupShape};
 pub use stats::ServeStats;

@@ -1,10 +1,9 @@
 //! The tenant table: everything the server holds per tenant, in one place.
 //!
 //! A session is what the server holds **per tenant**: the tenant's
-//! evaluation keys, loaded into the execution substrate's native form on
-//! its home device, the tenant's preloaded evaluation-domain plaintexts
-//! (model weights and other repeated `MulPlain` operands), and its DRR
-//! weight. One entry holds all of it, so a tenant's keys, home device and
+//! evaluation keys, loaded into its home device shard's context, the
+//! tenant's preloaded evaluation-domain plaintexts (model weights and
+//! other repeated `MulPlain` operands), and its DRR weight. One entry holds all of it, so a tenant's keys, home device and
 //! weight are created, evicted and closed together — nothing outlives the
 //! entry. The table is bounded: opening a session past capacity evicts the
 //! least-recently-used tenant, modelling a server whose device memory
@@ -21,14 +20,14 @@ use crate::router::HotStreak;
 
 /// Everything the server holds on behalf of one tenant.
 pub(crate) struct SessionState {
-    /// The tenant's evaluation substrate: its keys bound to its device
-    /// shard's context (gpu-sim) or a host evaluator (CPU reference).
+    /// The tenant's evaluator: its keys bound to its device shard's
+    /// context.
     pub(crate) backend: Box<dyn EvalBackend>,
     /// Preloaded evaluation-domain plaintext operands, in upload order
     /// (request programs index into this table).
     pub(crate) plains: Vec<BackendPt>,
     /// Device shard holding this tenant's keys — its one home (always 0
-    /// off the multi-device path).
+    /// on a single-device server).
     pub(crate) device: usize,
     /// The tenant's original key upload, retained host-side: snapshots
     /// serialize it, and a migration rebuilds residency on another device

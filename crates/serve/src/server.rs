@@ -12,12 +12,12 @@ use fides_client::wire::{
     params_fingerprint, EvalRequest, EvalResponse, OpProgram, SessionRequest,
 };
 use fides_client::{Domain, RawCiphertext, RawParams, RawPoly};
-use fides_core::backend::{BackendPt, EvalBackend};
+use fides_core::backend::EvalBackend;
 use fides_core::sched::{
     decode_plan_entry, plan_entry_len, write_plan_entry, BoundPlan, CostModel, ExecGraph,
     GpuReplayExecutor, PlanCache, PlanConfig,
 };
-use fides_core::{adapter, CkksContext, CkksParameters, CpuBackend, GpuSimBackend};
+use fides_core::{adapter, CkksContext, CkksParameters, GpuSimBackend};
 use fides_gpu_sim::{
     Capture, DeviceSpec, ExecMode, GpuCluster, GpuSim, InterconnectSpec, SimStats,
 };
@@ -29,44 +29,17 @@ use crate::registry::{SessionState, TenantTable};
 use crate::router::ShardRouter;
 use crate::stats::ServeStats;
 
-/// Which execution substrate the server runs tenants on.
-#[derive(Clone, Debug)]
-pub enum ServeBackend {
-    /// The paper-faithful simulated-GPU pipeline: one device, one shared
-    /// context, cross-request graph batching.
-    GpuSim {
-        /// Simulated device model.
-        device: DeviceSpec,
-        /// Functional (math runs) or cost-only execution.
-        mode: ExecMode,
-    },
-    /// The plain-CPU reference evaluator (no kernel graphs — ticks execute
-    /// requests back to back; exists to cross-check the batched results).
-    Cpu {
-        /// Worker threads for limb-parallel execution (`None`: the
-        /// `FIDES_WORKERS` env or the machine's parallelism).
-        workers: Option<usize>,
-    },
-}
-
-impl Default for ServeBackend {
-    fn default() -> Self {
-        ServeBackend::GpuSim {
-            device: DeviceSpec::rtx_4090(),
-            mode: ExecMode::Functional,
-        }
-    }
-}
-
 /// Server configuration: the parameter chain every tenant must match, the
-/// execution substrate, and the serving knobs.
+/// simulated device every shard runs, and the serving knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// The CKKS parameter set (including `num_streams` and the fusion
-    /// toggles, which drive the batch scheduler).
+    /// The CKKS parameter set (including `num_streams`, `num_devices` and
+    /// the fusion toggles, which drive the batch scheduler).
     pub params: CkksParameters,
-    /// Execution substrate.
-    pub backend: ServeBackend,
+    /// Simulated device model of every shard.
+    pub device: DeviceSpec,
+    /// Functional (math runs) or cost-only execution.
+    pub mode: ExecMode,
     /// Most requests one batch tick executes (≥ 1).
     pub batch_size: usize,
     /// Tenant-table capacity; opening past it evicts the LRU tenant.
@@ -79,24 +52,19 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A configuration with the serving defaults: gpu-sim substrate on a
-    /// simulated RTX 4090, functional execution, batch size 16, at most 64
-    /// resident sessions.
+    /// A configuration with the serving defaults: simulated RTX 4090
+    /// shards, functional execution, batch size 16, at most 64 resident
+    /// sessions.
     pub fn new(params: CkksParameters) -> Self {
         Self {
             params,
-            backend: ServeBackend::default(),
+            device: DeviceSpec::rtx_4090(),
+            mode: ExecMode::Functional,
             batch_size: 16,
             max_sessions: 64,
             admission_capacity: 1024,
             qos: QosPolicy::default(),
         }
-    }
-
-    /// Selects the execution substrate.
-    pub fn backend(mut self, backend: ServeBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Most requests one batch tick executes.
@@ -121,32 +89,6 @@ impl ServerConfig {
     pub fn qos(mut self, qos: QosPolicy) -> Self {
         self.qos = qos;
         self
-    }
-}
-
-enum Substrate {
-    /// One device context **per shard**; a tenant's key set attaches to
-    /// the shard the router's hash ring homes it on, and the cluster
-    /// models the interconnect migrations pay for. `contexts.len() == 1`
-    /// is the classic single-device pipeline.
-    Gpu {
-        contexts: Vec<Arc<CkksContext>>,
-        cluster: Arc<GpuCluster>,
-        router: ShardRouter,
-    },
-    /// Per-tenant host evaluators over the same chain.
-    Cpu {
-        raw: RawParams,
-        workers: Option<usize>,
-    },
-}
-
-impl Substrate {
-    fn num_devices(&self) -> usize {
-        match self {
-            Substrate::Gpu { contexts, .. } => contexts.len(),
-            Substrate::Cpu { .. } => 1,
-        }
     }
 }
 
@@ -207,7 +149,13 @@ pub struct WarmupShape {
 }
 
 struct ServerInner {
-    substrate: Substrate,
+    /// One device context **per shard**; a tenant's key set attaches to
+    /// the shard the router's hash ring homes it on. `contexts.len() == 1`
+    /// is the classic single-device pipeline.
+    contexts: Vec<Arc<CkksContext>>,
+    /// The shards' devices plus the interconnect migrations pay for.
+    cluster: Arc<GpuCluster>,
+    router: ShardRouter,
     raw: RawParams,
     params_hash: u64,
     plan_cfg: PlanConfig,
@@ -229,7 +177,7 @@ struct ServerInner {
     plan_cache: Mutex<PlanCache>,
 }
 
-/// A multi-tenant CKKS session server over one execution substrate.
+/// A multi-tenant CKKS session server over one or more simulated devices.
 ///
 /// Cloning is cheap — clones share the tenant table, queue and device, so a
 /// clone per request thread is the intended usage.
@@ -256,8 +204,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Builds a server: constructs the substrate (device + shared context
-    /// for gpu-sim) and derives the parameter fingerprint tenants must
+    /// Builds a server: one simulated device and shared context per shard,
+    /// the cluster linking them, and the parameter fingerprint tenants must
     /// match.
     ///
     /// # Errors
@@ -268,46 +216,34 @@ impl Server {
         let raw = params.to_raw();
         let params_hash = params_fingerprint(&raw);
         let num_devices = params.num_devices.max(1);
-        let mut plan_cfg = PlanConfig {
+        let plan_cfg = PlanConfig {
             fuse_elementwise: params.fusion.elementwise,
             num_streams: params.num_streams,
             devices: num_devices,
+            cost: CostModel::from_spec(&config.device),
             ..PlanConfig::default()
         };
-        let substrate = match config.backend {
-            ServeBackend::GpuSim { device, mode } => {
-                plan_cfg.cost = CostModel::from_spec(&device);
-                let contexts: Vec<Arc<CkksContext>> = (0..num_devices)
-                    .map(|_| {
-                        let gpu = GpuSim::new(device.clone(), mode);
-                        CkksContext::from_raw(params.clone(), raw.clone(), gpu)
-                    })
-                    .collect();
-                let cluster = GpuCluster::from_devices(
-                    contexts.iter().map(|c| Arc::clone(c.gpu())).collect(),
-                    InterconnectSpec::pcie_gen4(),
-                );
-                Substrate::Gpu {
-                    contexts,
-                    cluster,
-                    router: ShardRouter::new(num_devices),
-                }
-            }
-            ServeBackend::Cpu { workers } => Substrate::Cpu {
-                raw: raw.clone(),
-                workers,
-            },
-        };
-        let devices = substrate.num_devices();
+        let contexts: Vec<Arc<CkksContext>> = (0..num_devices)
+            .map(|_| {
+                let gpu = GpuSim::new(config.device.clone(), config.mode);
+                CkksContext::from_raw(params.clone(), raw.clone(), gpu)
+            })
+            .collect();
+        let cluster = GpuCluster::from_devices(
+            contexts.iter().map(|c| Arc::clone(c.gpu())).collect(),
+            InterconnectSpec::pcie_gen4(),
+        );
         let stats = ServeStats {
-            per_device_requests: vec![0; devices],
-            per_device_launches: vec![0; devices],
-            per_device_plan_us: vec![0; devices],
+            per_device_requests: vec![0; num_devices],
+            per_device_launches: vec![0; num_devices],
+            per_device_plan_us: vec![0; num_devices],
             ..ServeStats::default()
         };
         Ok(Self {
             inner: Arc::new(ServerInner {
-                substrate,
+                contexts,
+                cluster,
+                router: ShardRouter::new(num_devices),
                 raw,
                 params_hash,
                 plan_cfg,
@@ -325,10 +261,9 @@ impl Server {
     }
 
     /// Number of device shards the server runs
-    /// ([`CkksParameters::num_devices`]; 1 on the CPU substrate's single
-    /// worker).
+    /// ([`CkksParameters::num_devices`]).
     pub fn num_devices(&self) -> usize {
-        self.inner.substrate.num_devices()
+        self.inner.contexts.len()
     }
 
     /// The fingerprint of the server's parameter chain (what
@@ -352,56 +287,48 @@ impl Server {
     pub fn stats(&self) -> ServeStats {
         let mut s = self.inner.stats.lock().clone();
         s.sessions_evicted = self.inner.tenants.lock().evicted();
-        if let Substrate::Gpu { contexts, .. } = &self.inner.substrate {
-            s.per_device_occupancy = contexts
-                .iter()
-                .map(|c| c.gpu().stats().stream_occupancy())
-                .collect();
-        }
+        s.per_device_occupancy = self
+            .inner
+            .contexts
+            .iter()
+            .map(|c| c.gpu().stats().stream_occupancy())
+            .collect();
         s
     }
 
-    /// Simulated-device statistics (gpu-sim substrate; `None` on CPU).
-    /// With multiple shards this is **device 0**; see
-    /// [`Server::sim_stats_device`] for the others.
+    /// Simulated-device statistics of **device 0**; see
+    /// [`Server::sim_stats_device`] for the other shards. Always `Some`:
+    /// every server has a device 0.
     pub fn sim_stats(&self) -> Option<SimStats> {
         self.sim_stats_device(0)
     }
 
-    /// Simulated-device statistics for shard `device` (`None` on CPU or
-    /// out of range).
+    /// Simulated-device statistics for shard `device` (`None` only out of
+    /// range).
     pub fn sim_stats_device(&self, device: usize) -> Option<SimStats> {
-        match &self.inner.substrate {
-            Substrate::Gpu { contexts, .. } => contexts.get(device).map(|c| c.gpu().stats()),
-            Substrate::Cpu { .. } => None,
-        }
+        self.inner.contexts.get(device).map(|c| c.gpu().stats())
     }
 
-    /// Simulated makespan in µs (gpu-sim only): the **fleet** makespan —
-    /// max over device syncs and the interconnect's free clock — so
-    /// multi-device throughput divides by the slowest shard, not the
-    /// mean.
+    /// Simulated makespan in µs: the **fleet** makespan — max over device
+    /// syncs and the interconnect's free clock — so multi-device
+    /// throughput divides by the slowest shard, not the mean. Always
+    /// `Some`.
     pub fn sync_us(&self) -> Option<f64> {
-        match &self.inner.substrate {
-            Substrate::Gpu { cluster, .. } => Some(cluster.sync_all()),
-            Substrate::Cpu { .. } => None,
-        }
+        Some(self.inner.cluster.sync_all())
     }
 
     /// Clears the simulated-device statistics ledgers (every shard and
-    /// the link; no-op on the CPU substrate). Benchmarks call this after
-    /// session setup so launch counts and stream occupancy measure the
-    /// serving phase alone, not key loading.
+    /// the link). Benchmarks call this after session setup so launch
+    /// counts and stream occupancy measure the serving phase alone, not
+    /// key loading.
     pub fn reset_sim_stats(&self) {
-        if let Substrate::Gpu { cluster, .. } = &self.inner.substrate {
-            cluster.reset_stats();
-        }
+        self.inner.cluster.reset_stats();
     }
 
     /// Opens a session from a keygen upload: validates the tenant's
     /// parameter fingerprint, reserves the session id (which picks the
-    /// tenant's home device), loads the evaluation keys there in the
-    /// substrate's native form, preloads the uploaded plaintexts into the
+    /// tenant's home device), loads the evaluation keys into that shard's
+    /// context, preloads the uploaded plaintexts into the
     /// evaluation-domain cache, and registers the tenant (evicting the LRU
     /// session when the table is full). Returns the session id the tenant
     /// puts on its evaluation requests. A failed open burns its id.
@@ -415,10 +342,7 @@ impl Server {
         // The id is fixed before the keys load: it keys the consistent
         // hash, so keys load straight into the home shard's context.
         let id = self.inner.tenants.lock().reserve_id();
-        let device = match &self.inner.substrate {
-            Substrate::Gpu { router, .. } => router.home(id),
-            Substrate::Cpu { .. } => 0,
-        };
+        let device = self.inner.router.home(id);
         let state = match self.build_session(device, req) {
             Ok(state) => state,
             Err(e) => {
@@ -435,62 +359,16 @@ impl Server {
     }
 
     /// Builds a tenant's session state on a given device shard: loads the
-    /// evaluation keys into the substrate's native form and preloads the
-    /// uploaded plaintexts. Shared by [`Server::open_session`] (the hash
-    /// ring chooses `device`) and [`Server::restore`] (the snapshot names
-    /// it).
+    /// evaluation keys into that shard's context and preloads the uploaded
+    /// plaintexts. Shared by [`Server::open_session`] (the hash ring
+    /// chooses `device`), [`Server::restore`] (the snapshot names it) and
+    /// migration (the cold shard).
     fn build_session(
         &self,
         device: usize,
         req: SessionRequest,
     ) -> Result<SessionState, ServeError> {
-        match &self.inner.substrate {
-            Substrate::Gpu { contexts, .. } => {
-                let (backend, plains) = Self::gpu_session(&contexts[device], &req)?;
-                Ok(SessionState {
-                    backend,
-                    plains,
-                    device,
-                    upload: req,
-                })
-            }
-            Substrate::Cpu { raw, workers } => {
-                let mut backend = CpuBackend::new(raw.clone());
-                if let Some(workers) = workers {
-                    backend = backend.with_workers(*workers);
-                }
-                if let Some(relin) = req.relin.clone() {
-                    backend.set_relin_key(relin);
-                }
-                for (shift, key) in &req.rotations {
-                    backend.insert_rotation_key(*shift, key.clone());
-                }
-                if let Some(conj) = req.conjugation.clone() {
-                    backend.set_conj_key(conj);
-                }
-                let backend: Box<dyn EvalBackend> = Box::new(backend);
-                let mut plains = Vec::with_capacity(req.plaintexts.len());
-                for pt in &req.plaintexts {
-                    plains.push(backend.load_plain(pt)?);
-                }
-                // The upload is retained on the CPU substrate too — it
-                // never migrates, but snapshots serialize sessions from it.
-                Ok(SessionState {
-                    backend,
-                    plains,
-                    device: 0,
-                    upload: req,
-                })
-            }
-        }
-    }
-
-    /// Loads a tenant's keys and plaintexts into one shard's context
-    /// (shared by session-open and migration).
-    fn gpu_session(
-        ctx: &Arc<CkksContext>,
-        req: &SessionRequest,
-    ) -> Result<(Box<dyn EvalBackend>, Vec<BackendPt>), ServeError> {
+        let ctx = &self.inner.contexts[device];
         let keys = adapter::load_eval_keys(
             ctx,
             req.relin.as_ref(),
@@ -498,11 +376,17 @@ impl Server {
             req.conjugation.as_ref(),
         )?;
         let backend: Box<dyn EvalBackend> = Box::new(GpuSimBackend::new(Arc::clone(ctx), keys));
-        let mut plains = Vec::with_capacity(req.plaintexts.len());
-        for pt in &req.plaintexts {
-            plains.push(backend.load_plain(pt)?);
-        }
-        Ok((backend, plains))
+        let plains = req
+            .plaintexts
+            .iter()
+            .map(|pt| backend.load_plain(pt))
+            .collect::<Result<_, _>>()?;
+        Ok(SessionState {
+            backend,
+            plains,
+            device,
+            upload: req,
+        })
     }
 
     /// [`Server::open_session`] over a serialized wire frame.
@@ -824,8 +708,7 @@ impl Server {
     /// shape-identical to a live tick of the same mix). Primed entries are
     /// marked warm; a matching live tick hits the cache immediately and
     /// counts in [`ServeStats::warm_plan_hits`]. Returns the number of
-    /// plans newly built; the CPU substrate has nothing to prime and
-    /// returns 0.
+    /// plans newly built.
     ///
     /// # Errors
     ///
@@ -835,9 +718,6 @@ impl Server {
     /// fails to execute.
     pub fn warmup(&self, shapes: &[WarmupShape]) -> Result<usize, ServeError> {
         let _tick = self.inner.tick_lock.lock();
-        let Substrate::Gpu { .. } = &self.inner.substrate else {
-            return Ok(0);
-        };
         let planned_before = self.inner.plan_cache.lock().misses();
         for shape in shapes {
             let resolved: Vec<(Pending, Option<Arc<SessionState>>)> = {
@@ -905,8 +785,7 @@ impl Server {
     }
 
     /// Runs one batch tick: drains up to `batch_size` queued requests,
-    /// executes them as one merged graph per device shard (gpu-sim
-    /// substrate), and fills their tickets. Returns how many requests the
+    /// executes them as one merged graph per device shard, and fills their tickets. Returns how many requests the
     /// tick served.
     ///
     /// The tick runs as three phases: admission (drain + record + plan)
@@ -1002,35 +881,19 @@ impl Server {
     }
 
     /// Runs a resolved batch's record/plan pass. Functional math runs
-    /// here — on the gpu-sim substrate kernels are recorded, not timed —
-    /// so every response is final before the execution phase starts.
+    /// here — kernels are recorded, not timed — so every response is final
+    /// before the execution phase starts.
     fn prepare_resolved(
         &self,
         resolved: Vec<(Pending, Option<Arc<SessionState>>)>,
         synthetic: bool,
     ) -> PreparedTick {
-        match &self.inner.substrate {
-            Substrate::Gpu { contexts, .. } => {
-                let (responses, shards) = self.capture_and_plan(contexts, &resolved, synthetic);
-                PreparedTick {
-                    resolved,
-                    responses,
-                    shards,
-                    synthetic,
-                }
-            }
-            Substrate::Cpu { .. } => {
-                let responses = resolved
-                    .iter()
-                    .map(|(p, session)| Self::serve_one(session.as_deref(), &p.req))
-                    .collect();
-                PreparedTick {
-                    resolved,
-                    responses,
-                    shards: Vec::new(),
-                    synthetic,
-                }
-            }
+        let (responses, shards) = self.capture_and_plan(&resolved, synthetic);
+        PreparedTick {
+            resolved,
+            responses,
+            shards,
+            synthetic,
         }
     }
 
@@ -1046,10 +909,10 @@ impl Server {
     /// exactly the classic batched tick.
     fn capture_and_plan(
         &self,
-        contexts: &[Arc<CkksContext>],
         batch: &[(Pending, Option<Arc<SessionState>>)],
         synthetic: bool,
     ) -> (Vec<EvalResponse>, Vec<ShardExec>) {
+        let contexts = &self.inner.contexts;
         let mut shards: Vec<Vec<usize>> = vec![Vec::new(); contexts.len()];
         for (i, (_, session)) in batch.iter().enumerate() {
             shards[session.as_ref().map_or(0, |s| s.device)].push(i);
@@ -1151,19 +1014,12 @@ impl Server {
     /// responses were finalized in the admission phase — so nothing here
     /// can change a frame.
     fn execute_tick(&self, tick: &PreparedTick) {
-        let replay_us = match &self.inner.substrate {
-            Substrate::Gpu { contexts, .. } => {
-                let t0 = Instant::now();
-                for shard in &tick.shards {
-                    GpuReplayExecutor::new(contexts[shard.device].gpu())
-                        .execute_bound(&shard.bound);
-                }
-                t0.elapsed().as_micros() as u64
-            }
-            // CPU substrate: the math already ran at prepare time; there
-            // is no planned timeline to replay.
-            Substrate::Cpu { .. } => 0,
-        };
+        let t0 = Instant::now();
+        for shard in &tick.shards {
+            GpuReplayExecutor::new(self.inner.contexts[shard.device].gpu())
+                .execute_bound(&shard.bound);
+        }
+        let replay_us = t0.elapsed().as_micros() as u64;
         if tick.synthetic {
             return;
         }
@@ -1214,16 +1070,11 @@ impl Server {
     /// resident tenant on the cold device, pricing its key frame on the
     /// interconnect.
     fn maybe_migrate(&self, batch: &[(Pending, Option<Arc<SessionState>>)]) {
-        let Substrate::Gpu {
-            contexts, cluster, ..
-        } = &self.inner.substrate
-        else {
-            return;
-        };
-        if contexts.len() < 2 {
+        let devices = self.num_devices();
+        if devices < 2 {
             return;
         }
-        let mut counts = vec![0u64; contexts.len()];
+        let mut counts = vec![0u64; devices];
         for s in batch.iter().filter_map(|(_, session)| session.as_ref()) {
             counts[s.device] += 1;
         }
@@ -1240,21 +1091,16 @@ impl Server {
         // Keys that fail to rebuild leave the tenant serving from its old
         // home; a tenant evicted while its keys were being rebuilt stays
         // evicted, and the rebuilt state drops.
-        let Ok((backend, plains)) = Self::gpu_session(&contexts[to], &moving.upload) else {
+        let Ok(moved) = self.build_session(to, moving.upload.clone()) else {
             return;
         };
         let key_bytes = moving.key_bytes();
-        let moved = SessionState {
-            backend,
-            plains,
-            device: to,
-            upload: moving.upload.clone(),
-        };
         if !self.inner.tenants.lock().replace(tenant, moved) {
             return;
         }
         // The key frame crosses the link from the old home; the new
         // home's submission thread stalls until it lands.
+        let cluster = &self.inner.cluster;
         let ready = cluster.device(from).host_clock();
         let done = cluster.transfer(key_bytes, ready);
         cluster.device(to).advance_host_to(done);
@@ -1264,7 +1110,7 @@ impl Server {
     }
 
     /// Serves one request against its session (functional math runs here;
-    /// on the gpu-sim substrate the kernels are being recorded, not timed).
+    /// the kernels are being recorded, not timed).
     fn serve_one(session: Option<&SessionState>, req: &EvalRequest) -> EvalResponse {
         let Some(session) = session else {
             return EvalResponse::failed(ServeError::UnknownSession(req.session_id).to_string());

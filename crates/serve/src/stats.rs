@@ -19,7 +19,7 @@ pub struct ServeStats {
     pub shed: u64,
     /// Sessions evicted by the tenant table's LRU bound.
     pub sessions_evicted: u64,
-    /// Kernel nodes recorded across all batch graphs (gpu-sim substrate).
+    /// Kernel nodes recorded across all batch graphs.
     pub recorded_kernels: u64,
     /// Kernel launches the batch plans actually issued.
     pub planned_launches: u64,
@@ -32,13 +32,12 @@ pub struct ServeStats {
     /// Batch ticks that ran the full planning pass.
     pub plan_cache_misses: u64,
     /// Requests served per device shard (index = device; length =
-    /// `num_devices`, or 1 on the CPU substrate).
+    /// `num_devices`).
     pub per_device_requests: Vec<u64>,
     /// Planned kernel launches replayed per device shard.
     pub per_device_launches: Vec<u64>,
     /// Per-device stream occupancy over the stats window, filled at
-    /// snapshot time from each device's simulator ledger (gpu-sim
-    /// substrate; empty on CPU).
+    /// snapshot time from each device's simulator ledger.
     pub per_device_occupancy: Vec<f64>,
     /// Sessions reconstructed from a snapshot stream by
     /// [`Server::restore`](crate::Server::restore) (key material re-loaded,

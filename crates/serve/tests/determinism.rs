@@ -1,18 +1,22 @@
 //! The serving layer's correctness bar: batched multi-tenant execution is
 //! **bit-identical** to the same requests served one at a time, and to the
-//! same circuits run on a fresh single-tenant engine — across thread
-//! interleavings, worker counts and batch sizes.
+//! same circuits run on a fresh single-tenant engine — gpu-sim or the CPU
+//! reference — across thread interleavings, worker counts, planning pool
+//! sizes and batch sizes.
 //!
 //! This holds structurally (CKKS server kernels are data-oblivious, so the
 //! batch schedule affects only timing), and these tests pin the structure
-//! down frame-byte by frame-byte.
+//! down frame-byte by frame-byte. Worker and pool counts are pinned inside
+//! the tests; the device count is the `FIDES_DEVICES` axis of the CI
+//! matrix.
 
 use std::collections::BTreeMap;
 
-use fides_api::CkksEngine;
+use fides_api::{BackendChoice, CkksEngine, CkksEngineBuilder};
+use fides_client::persist::{kind, RecordReader};
 use fides_client::wire::EvalRequest;
 use fides_core::CkksParameters;
-use fides_serve::{ServeBackend, Server, ServerConfig};
+use fides_serve::{Server, ServerConfig};
 use fides_workloads::serve_lr::{synthetic_features, synthetic_model, ServeLrModel};
 
 const DIM: usize = 16;
@@ -24,18 +28,22 @@ struct Tenant {
     session: fides_api::Session,
 }
 
+/// Tenant `t`'s engine builder: any backend built from it with the same
+/// seed holds the same keys.
+fn tenant_engine(t: usize, model: &ServeLrModel) -> CkksEngineBuilder {
+    CkksEngine::builder()
+        .log_n(LOG_N)
+        .levels(LEVELS)
+        .scale_bits(40)
+        .rotations(&model.required_rotations())
+        .seed(500 + t as u64)
+}
+
 fn tenants(n: usize) -> Vec<Tenant> {
     (0..n)
         .map(|t| {
             let model = synthetic_model(DIM, t as u64 + 1);
-            let engine = CkksEngine::builder()
-                .log_n(LOG_N)
-                .levels(LEVELS)
-                .scale_bits(40)
-                .rotations(&model.required_rotations())
-                .seed(500 + t as u64)
-                .build()
-                .unwrap();
+            let engine = tenant_engine(t, &model).build().unwrap();
             Tenant {
                 model,
                 session: engine.session(),
@@ -103,6 +111,29 @@ fn requests(
         }
     }
     out
+}
+
+/// The request's circuit run through `eval_program` on `engine` (no
+/// server, no batching), as output frames. The engine and session layers
+/// share one padding policy, so `preload_plain` over the model's values
+/// gives the identical encoding the session uploaded.
+fn engine_frames(engine: &CkksEngine, model: &ServeLrModel, req: &EvalRequest) -> Vec<Vec<u8>> {
+    let inputs: Vec<_> = req
+        .inputs
+        .iter()
+        .map(|raw| fides_api::Ct::from_backend(engine, engine.backend().load(raw).unwrap(), 1))
+        .collect();
+    let plains: Vec<_> = model
+        .session_plains(engine.max_level())
+        .iter()
+        .map(|(v, l)| engine.preload_plain(v, *l).unwrap())
+        .collect();
+    engine
+        .eval_program(&inputs, &plains, &req.program)
+        .unwrap()
+        .iter()
+        .map(|ct| ct.to_raw().unwrap().to_bytes())
+        .collect()
 }
 
 /// Serves every request through `server` from `threads` OS threads with
@@ -184,31 +215,13 @@ fn batched_bit_identical_to_serial_and_engine() {
         // Engine: the same ciphertext inputs through eval_program on the
         // tenant's own engine (same keys — the session exported them).
         let tenant = &tenants[*t];
-        let engine = tenant.session.engine();
         let (_, _, wire_req) = reqs.iter().find(|(tt, rr, _)| tt == t && rr == r).unwrap();
-        let inputs: Vec<_> = wire_req
-            .inputs
-            .iter()
-            .map(|raw| fides_api::Ct::from_backend(engine, engine.backend().load(raw).unwrap(), 1))
-            .collect();
-        // The engine and session layers share one padding policy, so
-        // preload_plain over the same values gives the identical encoding
-        // the session uploaded.
-        let weights = tenant.model.session_plains(engine.max_level());
-        let plains: Vec<_> = weights
-            .iter()
-            .map(|(v, l)| engine.preload_plain(v, *l).unwrap())
-            .collect();
-        let outs = engine
-            .eval_program(&inputs, &plains, &wire_req.program)
-            .unwrap();
-        for (a, b) in batched.outputs.iter().zip(&outs) {
-            assert_eq!(
-                a.to_bytes(),
-                b.to_raw().unwrap().to_bytes(),
-                "batched vs single-tenant engine frames (tenant {t} request {r})"
-            );
-        }
+        let batched: Vec<Vec<u8>> = batched.outputs.iter().map(|ct| ct.to_bytes()).collect();
+        assert_eq!(
+            batched,
+            engine_frames(tenant.session.engine(), &tenant.model, wire_req),
+            "batched vs single-tenant engine frames (tenant {t} request {r})"
+        );
     }
 }
 
@@ -253,52 +266,102 @@ fn threads_interleaved_match_serial_across_batch_sizes() {
     }
 }
 
+/// The CPU reference backend stays the server's oracle: every frame the
+/// gpu-sim server serves equals `eval_program` on a CPU engine built from
+/// the tenant's seed (hence its keys), at every limb-parallel worker count.
 #[test]
-fn cpu_substrate_matches_gpu_across_worker_counts() {
+fn served_frames_match_cpu_engine_across_worker_counts() {
     let tenants = tenants(2);
-    let per_tenant = 2;
+    let server = Server::new(ServerConfig::new(params()).batch_size(16)).unwrap();
+    let sids = open_all(&server, &tenants);
+    let reqs = requests(&tenants, &sids, 2);
+    let served = serve_threaded(&server, &reqs, 4);
 
-    let gpu = Server::new(ServerConfig::new(params()).batch_size(16)).unwrap();
-    let gpu_sids = open_all(&gpu, &tenants);
-    let reqs = requests(&tenants, &gpu_sids, per_tenant);
-    let mut expected = BTreeMap::new();
-    for (t, r, req) in &reqs {
-        let resp = gpu.eval(req.clone()).unwrap();
-        assert!(resp.error.is_none());
-        expected.insert(
-            (*t, *r),
-            resp.outputs
-                .iter()
-                .map(|ct| ct.to_bytes())
-                .collect::<Vec<_>>(),
-        );
-    }
-
-    // The CPU reference substrate must produce the same frames at every
-    // worker count (the FIDES_WORKERS axis of the CI matrix, pinned
-    // explicitly here).
     for workers in [1usize, 8] {
-        for batch_size in [1usize, 16] {
-            let server = Server::new(
-                ServerConfig::new(params())
-                    .backend(ServeBackend::Cpu {
-                        workers: Some(workers),
-                    })
-                    .batch_size(batch_size),
-            )
-            .unwrap();
-            let sids = open_all(&server, &tenants);
-            let mut my_reqs = reqs.clone();
-            for (t, _, req) in &mut my_reqs {
-                req.session_id = sids[*t];
+        for (t, tenant) in tenants.iter().enumerate() {
+            let cpu = tenant_engine(t, &tenant.model)
+                .backend(BackendChoice::Cpu)
+                .workers(workers)
+                .build()
+                .unwrap();
+            for (_, r, req) in reqs.iter().filter(|(tt, _, _)| *tt == t) {
+                assert_eq!(
+                    served[&(t, *r)],
+                    engine_frames(&cpu, &tenant.model, req),
+                    "cpu workers {workers}: tenant {t} request {r} drifted from gpu-sim"
+                );
             }
-            let got = serve_threaded(&server, &my_reqs, 4);
-            assert_eq!(
-                got, expected,
-                "cpu workers {workers} batch {batch_size}: frames drifted from gpu-sim"
-            );
         }
     }
+}
+
+/// A miss tick plans its shard graphs on the rayon pool
+/// (`PlanCache::bind` → `plan_parallel`, sized by
+/// `rayon::current_num_threads`). Two shards give every tick two graphs to
+/// plan; the frames and the cached plans must not depend on the pool size.
+#[test]
+fn planning_pool_size_changes_neither_frames_nor_plans() {
+    let tenants = tenants(2);
+    // Encrypted once: both servers evaluate the same ciphertext bytes.
+    let reqs = requests(&tenants, &[0; 2], 1);
+    let serve_in_pool = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let server =
+                Server::new(ServerConfig::new(params().with_num_devices(2)).batch_size(16))
+                    .unwrap();
+            let sids = open_all(&server, &tenants);
+            // The hash ring homes the two tenants on different shards.
+            // Tenant t sends its request k·(t + 1) times, and a shard's
+            // graph shape is its request count: 1 and 2 at k = 1, 3 and 6
+            // at k = 3. So the first two ticks each plan two new shapes at
+            // once, and the third hits both.
+            let mix = |k: usize| -> Vec<(u64, &EvalRequest)> {
+                reqs.iter()
+                    .flat_map(|(t, _, req)| std::iter::repeat_n((sids[*t], req), k * (t + 1)))
+                    .collect()
+            };
+            let mut frames = Vec::new();
+            for k in [1, 3, 1] {
+                let tickets: Vec<_> = mix(k)
+                    .into_iter()
+                    .map(|(sid, req)| {
+                        let mut req = req.clone();
+                        req.session_id = sid;
+                        server.submit(req).unwrap()
+                    })
+                    .collect();
+                assert_eq!(server.run_tick(), tickets.len());
+                for ticket in tickets {
+                    let resp = ticket.try_take().expect("served");
+                    assert!(resp.error.is_none(), "request failed: {:?}", resp.error);
+                    frames.extend(resp.outputs.iter().map(|ct| ct.to_bytes()));
+                }
+            }
+            let stats = server.stats();
+            assert_eq!(stats.per_device_requests, [5, 10], "one tenant per shard");
+            assert_eq!(stats.plan_cache_misses, 4, "two shapes on two shards");
+            let mut image = Vec::new();
+            server.snapshot(&mut image).unwrap();
+            let mut reader = RecordReader::new(image.as_slice()).unwrap();
+            let mut plans = Vec::new();
+            while let Some(rec) = reader.read_record().unwrap() {
+                if rec.kind == kind::PLAN {
+                    plans.push(rec.payload.to_vec());
+                }
+            }
+            assert_eq!(plans.len(), 4, "four distinct shard graphs");
+            (frames, plans)
+        })
+    };
+    let (frames_1, plans_1) = serve_in_pool(1);
+    let (frames_8, plans_8) = serve_in_pool(8);
+    // `assert!`, not `assert_eq!`: a failure should not print megabytes.
+    assert!(frames_1 == frames_8, "pool size changed frames");
+    assert!(plans_1 == plans_8, "pool size changed cached plans");
 }
 
 #[test]
@@ -515,9 +578,8 @@ fn registry_evicts_lru_and_rejects_foreign_chains() {
 /// threads over **real sockets** — each opening its session and
 /// pipelining its requests through frames, the event loop, the admission
 /// queue and the DRR scheduler — get responses byte-identical to the
-/// same requests through the in-process `eval` path. Worker counts and
-/// device counts come from the CI matrix (`FIDES_WORKERS` ×
-/// `FIDES_DEVICES`), like every other test in this suite.
+/// same requests through the in-process `eval` path, at every device count
+/// of the CI matrix (`FIDES_DEVICES`).
 #[test]
 fn socket_serving_matches_in_process() {
     use fides_client::net::NetClient;

@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 use fides_api::CkksEngine;
 use fides_client::wire::EvalRequest;
 use fides_core::CkksParameters;
-use fides_gpu_sim::{DeviceSpec, ExecMode};
-use fides_serve::{ServeBackend, Server, ServerConfig, ShardRouter};
+use fides_gpu_sim::ExecMode;
+use fides_serve::{Server, ServerConfig, ShardRouter};
 use fides_workloads::serve_lr::{synthetic_features, synthetic_model, ServeLrModel};
 
 const DIM: usize = 16;
@@ -176,14 +176,10 @@ fn sharding_raises_aggregate_simulated_throughput() {
     let tenants = tenants();
     let identity: Vec<usize> = (0..TENANTS).collect();
     let req_per_sim_s = |devices: usize| {
-        let server = Server::new(
-            ServerConfig::new(params(devices))
-                .backend(ServeBackend::GpuSim {
-                    device: DeviceSpec::rtx_4090(),
-                    mode: ExecMode::CostOnly,
-                })
-                .batch_size(16),
-        )
+        let server = Server::new(ServerConfig {
+            mode: ExecMode::CostOnly,
+            ..ServerConfig::new(params(devices)).batch_size(16)
+        })
         .unwrap();
         let sids = open_in_order(&server, &tenants, &identity);
         let reqs = requests(&tenants, &sids);

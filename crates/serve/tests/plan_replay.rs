@@ -5,8 +5,8 @@
 use fides_api::CkksEngine;
 use fides_client::wire::EvalRequest;
 use fides_core::{CkksParameters, FusionConfig};
-use fides_gpu_sim::{DeviceSpec, ExecMode};
-use fides_serve::{ServeBackend, Server, ServerConfig};
+use fides_gpu_sim::ExecMode;
+use fides_serve::{Server, ServerConfig};
 use fides_workloads::serve_lr::{synthetic_features, synthetic_model, ServeLrModel};
 
 const LOG_N: usize = 10;
@@ -68,14 +68,10 @@ fn requests(server: &Server, tenants: &[(ServeLrModel, fides_api::Session)]) -> 
 fn steady_state_ticks_hit_the_plan_cache_and_replay_the_whole_plan() {
     // Cost-only: cache behaviour depends on the graph's shape, never on the
     // math, and the kernel schedule is identical either way.
-    let server = Server::new(
-        ServerConfig::new(params(true))
-            .backend(ServeBackend::GpuSim {
-                device: DeviceSpec::rtx_4090(),
-                mode: ExecMode::CostOnly,
-            })
-            .batch_size(16),
-    )
+    let server = Server::new(ServerConfig {
+        mode: ExecMode::CostOnly,
+        ..ServerConfig::new(params(true)).batch_size(16)
+    })
     .unwrap();
     let reqs = requests(&server, &tenants());
     server.reset_sim_stats();

@@ -5,15 +5,15 @@
 //! uninterrupted run — and the restored plan cache is warm, so the first
 //! post-restore tick replans nothing.
 //!
-//! Like the rest of the suite, everything here must hold at every point
-//! of the CI matrix (`FIDES_WORKERS` × `FIDES_DEVICES`).
+//! Like the rest of the suite, everything here must hold at every device
+//! count of the CI matrix (`FIDES_DEVICES`).
 
 use std::collections::BTreeMap;
 
 use fides_api::CkksEngine;
 use fides_client::wire::EvalRequest;
 use fides_core::CkksParameters;
-use fides_serve::{ServeBackend, ServeError, Server, ServerConfig, WarmupShape};
+use fides_serve::{ServeError, Server, ServerConfig, WarmupShape};
 use fides_workloads::serve_lr::{synthetic_features, synthetic_model, ServeLrModel};
 
 const DIM: usize = 16;
@@ -50,13 +50,6 @@ fn num_devices() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
-}
-
-fn num_workers() -> usize {
-    std::env::var("FIDES_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
 }
 
 fn params() -> CkksParameters {
@@ -207,32 +200,6 @@ fn kill_and_restore_mid_workload_is_invisible_in_frames() {
 }
 
 #[test]
-fn cpu_substrate_snapshot_restores_across_worker_counts() {
-    let tenants = tenants(2);
-    let config = || {
-        ServerConfig::new(params())
-            .backend(ServeBackend::Cpu {
-                workers: Some(num_workers()),
-            })
-            .batch_size(16)
-    };
-    let victim = Server::new(config()).unwrap();
-    let sids = open_all(&victim, &tenants);
-    let reqs = requests(&tenants, &sids, 2);
-    let expected = serve_round(&victim, &reqs);
-    let mut image = Vec::new();
-    victim.snapshot(&mut image).expect("cpu snapshot");
-
-    let restored = Server::new(config()).unwrap();
-    assert_eq!(restored.restore(&image[..]).unwrap(), tenants.len() as u64);
-    assert_eq!(
-        serve_round(&restored, &reqs),
-        expected,
-        "cpu restore changed frames"
-    );
-}
-
-#[test]
 fn warmup_primes_the_first_tick_without_changing_frames() {
     let tenants = tenants(2);
     let per_tenant = 2;
@@ -278,8 +245,7 @@ fn warmup_primes_the_first_tick_without_changing_frames() {
         "the warmed tick hits a warm entry"
     );
 
-    // Unknown sessions are a typed error; the CPU substrate has no graphs
-    // to prime and reports 0.
+    // Unknown sessions are a typed error.
     let missing = WarmupShape {
         requests: vec![(9999, tenants[0].model.scoring_program(0), DIM)],
     };
@@ -287,14 +253,6 @@ fn warmup_primes_the_first_tick_without_changing_frames() {
         warm.warmup(&[missing]),
         Err(ServeError::UnknownSession(9999))
     ));
-    let cpu =
-        Server::new(ServerConfig::new(params()).backend(ServeBackend::Cpu { workers: Some(1) }))
-            .unwrap();
-    let cpu_sids = open_all(&cpu, &tenants[..1]);
-    let shape = WarmupShape {
-        requests: vec![(cpu_sids[0], tenants[0].model.scoring_program(0), DIM)],
-    };
-    assert_eq!(cpu.warmup(&[shape]).unwrap(), 0);
 }
 
 #[test]

@@ -15,8 +15,9 @@
 //!   keygen, resident in the server's evaluation-domain cache);
 //! * the dot product is the classic rotate-and-add reduction over the
 //!   packed feature slots (`log2(dim)` rotations);
-//! * the sigmoid is the paper's degree-3 least-squares approximation, the
-//!   same polynomial the training workloads use.
+//! * the sigmoid is a degree-3 polynomial approximation, but **not** the
+//!   one the training workloads use (`0.5 + 0.15012·z − 0.001593·z³`,
+//!   [`crate::lr::sigmoid_poly`]).
 //!
 //! Feature count must be a power of two; callers pad (the loan workload's
 //! 25 → 32 padding is the template). The circuit consumes 4 levels
@@ -25,8 +26,8 @@
 
 use fides_client::wire::{OpProgram, ProgramOp, SessionRequest};
 
-/// Degree-3 sigmoid approximation coefficients (§IV-B): σ(t) ≈ a0 + a1·t +
-/// a3·t³ on the training domain.
+/// Degree-3 sigmoid approximation coefficients of the scoring circuit:
+/// σ(t) ≈ a0 + a1·t + a3·t³.
 pub const SIGMOID_A0: f64 = 0.5;
 /// Linear coefficient of the degree-3 sigmoid approximation.
 pub const SIGMOID_A1: f64 = 0.197;
@@ -95,8 +96,9 @@ impl ServeLrModel {
             let rot = p.push(ProgramOp::Rotate { a: acc, k: 1 << k });
             acc = p.push(ProgramOp::Add { a: acc, b: rot });
         }
-        // σ(t) ≈ a0 + a1·t + a3·t³ — Horner-free form matching the exact
-        // op order the engine training workloads use.
+        // σ(t) ≈ a0 + a1·t + a3·t³, Horner-free: t³ = t²·t first, then
+        // the a3 product. (The training workloads order it differently:
+        // they scale t by c3 before the cube's last product.)
         let t2 = p.push(ProgramOp::Square { a: acc });
         let t3 = p.push(ProgramOp::Mul { a: t2, b: acc });
         let c3 = p.push(ProgramOp::MulScalar {

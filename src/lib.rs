@@ -68,4 +68,4 @@ pub use fides_api::{
     BackendChoice, BootstrapConfig, CkksEngine, Ct, FidesError, FusionConfig, Result, SchedStats,
     Session,
 };
-pub use fides_serve::{ServeBackend, ServeStats, Server, ServerConfig};
+pub use fides_serve::{ServeStats, Server, ServerConfig};
