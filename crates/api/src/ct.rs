@@ -225,7 +225,8 @@ impl Ct {
     ///
     /// # Errors
     ///
-    /// Backend mismatches only.
+    /// [`FidesError::ScalarOutOfRange`] when `c` times the ciphertext's
+    /// scale rounds to 2¹²⁷ or more in magnitude.
     pub fn try_add_scalar(&self, c: f64) -> Result<Ct> {
         Ok(self.wrap(self.inner.backend.add_scalar(&self.ct, c)?))
     }
@@ -235,7 +236,9 @@ impl Ct {
     ///
     /// # Errors
     ///
-    /// [`FidesError::NotEnoughLevels`] at level 0.
+    /// [`FidesError::NotEnoughLevels`] at level 0,
+    /// [`FidesError::ScalarOutOfRange`] when `c` times the constant's scale
+    /// (≈ the fresh scale) rounds to 2¹²⁷ or more in magnitude.
     pub fn try_mul_scalar(&self, c: f64) -> Result<Ct> {
         let level = self.ct.level();
         if level == 0 {

@@ -19,7 +19,7 @@ use fides_gpu_sim::{DeviceSpec, ExecMode, GpuSim};
 fn run_op(op: &str, a: &Ciphertext, b: &Ciphertext, p: &Plaintext, keys: &EvalKeySet) {
     match op {
         "ScalarAdd" => {
-            let _ = a.add_scalar(1.5);
+            let _ = a.add_scalar(1.5).unwrap();
         }
         "PtAdd" => {
             let _ = a.add_plain(p).unwrap();
@@ -28,7 +28,7 @@ fn run_op(op: &str, a: &Ciphertext, b: &Ciphertext, p: &Plaintext, keys: &EvalKe
             let _ = a.add(b).unwrap();
         }
         "ScalarMult" => {
-            let _ = a.mul_scalar(1.5);
+            let _ = a.mul_scalar(1.5).unwrap();
         }
         "PtMult" => {
             let _ = a.mul_plain(p).unwrap();

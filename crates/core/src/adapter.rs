@@ -19,8 +19,22 @@ use crate::error::{FidesError, Result};
 use crate::keys::{EvalKeySet, KeySwitchingKey};
 use crate::poly::RNSPoly;
 
-/// Checks that a ciphertext frame's limb structure matches its header.
+/// Checks a frame header's scale and slot count for a ring of degree `n`:
+/// a finite positive scale and a power-of-two slot count in `1..=n/2`.
+fn check_header(scale: f64, slots: usize, n: usize) -> Result<()> {
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(FidesError::InvalidScale(scale));
+    }
+    if !slots.is_power_of_two() || slots > n / 2 {
+        return Err(FidesError::InvalidSlots { slots, max: n / 2 });
+    }
+    Ok(())
+}
+
+/// Checks that a ciphertext frame's header is valid and its limb structure
+/// matches it.
 pub(crate) fn check_ct_shape(raw: &RawCiphertext, n: usize) -> Result<()> {
+    check_header(raw.scale, raw.slots, n)?;
     for (name, poly) in [("c0", &raw.c0), ("c1", &raw.c1)] {
         if poly.limbs.len() != raw.level + 1 {
             return Err(FidesError::Malformed(format!(
@@ -46,7 +60,9 @@ pub(crate) fn check_ct_shape(raw: &RawCiphertext, n: usize) -> Result<()> {
 /// [`FidesError::DomainMismatch`] if the ciphertext is not in evaluation
 /// domain, [`FidesError::LevelOutOfRange`] if its level exceeds the context
 /// chain, [`FidesError::Malformed`] if the limb structure contradicts the
-/// header.
+/// header, [`FidesError::InvalidScale`] for a scale that is not finite and
+/// positive, [`FidesError::InvalidSlots`] for a slot count that is not a
+/// power of two in `1..=N/2`.
 pub fn load_ciphertext(ctx: &Arc<CkksContext>, raw: &RawCiphertext) -> Result<Ciphertext> {
     if raw.c0.domain != Domain::Eval {
         return Err(FidesError::DomainMismatch {
@@ -102,7 +118,9 @@ pub fn store_ciphertext(ct: &Ciphertext) -> RawCiphertext {
 /// # Errors
 ///
 /// [`FidesError::DomainMismatch`] if the plaintext is not in coefficient
-/// domain, [`FidesError::LevelOutOfRange`] if its level exceeds the chain.
+/// domain, [`FidesError::LevelOutOfRange`] if its level exceeds the chain,
+/// [`FidesError::InvalidScale`] and [`FidesError::InvalidSlots`] as for
+/// [`load_ciphertext`].
 pub fn load_plaintext(ctx: &Arc<CkksContext>, raw: &RawPlaintext) -> Result<Plaintext> {
     if raw.poly.domain != Domain::Coeff {
         return Err(FidesError::DomainMismatch {
@@ -116,6 +134,7 @@ pub fn load_plaintext(ctx: &Arc<CkksContext>, raw: &RawPlaintext) -> Result<Plai
             max: ctx.max_level(),
         });
     }
+    check_header(raw.scale, raw.slots, ctx.n())?;
     let bytes = (raw.poly.limbs.len() * ctx.n() * 8) as u64;
     ctx.gpu().transfer_to_device(bytes);
     let mut poly = RNSPoly::from_host_q_limbs(ctx, raw.poly.limbs.clone(), Domain::Coeff);
@@ -301,6 +320,58 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A level-1 ciphertext and plaintext frame with `scale` and `slots`.
+    fn frames(n: usize, scale: f64, slots: usize) -> (RawCiphertext, RawPlaintext) {
+        let ct = RawCiphertext {
+            c0: RawPoly::zero(n, 2, Domain::Eval),
+            c1: RawPoly::zero(n, 2, Domain::Eval),
+            level: 1,
+            scale,
+            slots,
+            noise_log2: 1.0,
+        };
+        let pt = RawPlaintext {
+            poly: RawPoly::zero(n, 2, Domain::Coeff),
+            level: 1,
+            scale,
+            slots,
+        };
+        (ct, pt)
+    }
+
+    #[test]
+    fn zero_three_and_huge_slot_counts_are_typed_errors() {
+        let c = ctx();
+        let max = c.n() / 2;
+        for slots in [0, 3, 1 << 40, 2 * max] {
+            let (ct, pt) = frames(c.n(), 2f64.powi(40), slots);
+            let want = FidesError::InvalidSlots { slots, max };
+            assert_eq!(load_ciphertext(&c, &ct).unwrap_err(), want);
+            assert_eq!(load_plaintext(&c, &pt).unwrap_err(), want);
+        }
+        for slots in [1, max] {
+            let (ct, pt) = frames(c.n(), 2f64.powi(40), slots);
+            assert!(load_ciphertext(&c, &ct).is_ok() && load_plaintext(&c, &pt).is_ok());
+        }
+    }
+
+    #[test]
+    fn nan_and_zero_scales_are_typed_errors() {
+        let c = ctx();
+        for scale in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let (ct, pt) = frames(c.n(), scale, 8);
+            for err in [
+                load_ciphertext(&c, &ct).unwrap_err(),
+                load_plaintext(&c, &pt).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, FidesError::InvalidScale(s) if s.to_bits() == scale.to_bits()),
+                    "{scale}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

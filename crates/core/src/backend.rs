@@ -180,7 +180,9 @@ pub trait EvalBackend: fmt::Debug + Send + Sync {
     /// Negation.
     fn negate(&self, a: &BackendCt) -> Result<BackendCt>;
 
-    /// ScalarAdd (exact, no level consumed).
+    /// ScalarAdd (exact, no level consumed);
+    /// [`FidesError::ScalarOutOfRange`] when `c·scale` rounds to 2¹²⁷ or
+    /// more in magnitude.
     fn add_scalar(&self, a: &BackendCt, c: f64) -> Result<BackendCt>;
 
     /// PtAdd of a coefficient-domain encoded plaintext.
@@ -195,7 +197,9 @@ pub trait EvalBackend: fmt::Debug + Send + Sync {
     /// HSquare with relinearization (not rescaled).
     fn square(&self, a: &BackendCt) -> Result<BackendCt>;
 
-    /// ScalarMult with an explicit constant scale (not rescaled).
+    /// ScalarMult with an explicit constant scale (not rescaled);
+    /// [`FidesError::ScalarOutOfRange`] when `c·const_scale` rounds to 2¹²⁷
+    /// or more in magnitude.
     fn mul_scalar_at(&self, a: &BackendCt, c: f64, const_scale: f64) -> Result<BackendCt>;
 
     /// Exact small-integer multiplication (no scale change).
@@ -333,19 +337,19 @@ pub trait EvalBackend: fmt::Debug + Send + Sync {
         None
     }
 
-    /// Runs `body` as one keyed graph region whose kernel schedule is a
-    /// function of `key` and `inputs` alone (see
-    /// [`CkksContext::scheduled_keyed`]): a repeat replays its cached plan
-    /// without recording. `body` reports whether the work it wraps
-    /// succeeded. Returns `false`, without running `body`, on backends
-    /// without keyed regions.
-    fn graph_keyed(
+    /// Runs `body` as one keyed graph region whose kernel schedule and
+    /// output shape are a function of `key` and `inputs` alone (see
+    /// [`CkksContext::scheduled_keyed`]), and returns the region's output:
+    /// a cost-only repeat rebuilds it and replays its cached plan without
+    /// calling `body`. Backends without keyed regions (whose
+    /// [`EvalBackend::region_inputs`] is `None`) just run `body`.
+    fn graph_keyed<'a>(
         &self,
         _key: RegionKey,
         _inputs: RegionInputs,
-        _body: &mut dyn FnMut() -> Result<()>,
-    ) -> bool {
-        false
+        body: Box<dyn FnOnce() -> Result<BackendCt> + 'a>,
+    ) -> Result<BackendCt> {
+        body()
     }
 
     /// Scheduling-pass counters, for backends running the graph engine.
@@ -392,18 +396,14 @@ impl GpuSimBackend {
     fn device<'a>(&self, ct: &'a BackendCt) -> Result<&'a Ciphertext> {
         match ct {
             BackendCt::Device(c) => Ok(c),
-            BackendCt::Host(_) => Err(FidesError::Unsupported(
-                "host ciphertext handed to the gpu-sim backend".into(),
-            )),
+            BackendCt::Host(_) => Err(host_handle()),
         }
     }
 
     fn device_mut<'a>(&self, ct: &'a mut BackendCt) -> Result<&'a mut Ciphertext> {
         match ct {
             BackendCt::Device(c) => Ok(c),
-            BackendCt::Host(_) => Err(FidesError::Unsupported(
-                "host ciphertext handed to the gpu-sim backend".into(),
-            )),
+            BackendCt::Host(_) => Err(host_handle()),
         }
     }
 }
@@ -452,7 +452,7 @@ impl EvalBackend for GpuSimBackend {
     }
 
     fn add_scalar(&self, a: &BackendCt, c: f64) -> Result<BackendCt> {
-        Ok(BackendCt::Device(self.device(a)?.add_scalar(c)))
+        Ok(BackendCt::Device(self.device(a)?.add_scalar(c)?))
     }
 
     fn add_plain(&self, a: &BackendCt, pt: &RawPlaintext) -> Result<BackendCt> {
@@ -477,7 +477,7 @@ impl EvalBackend for GpuSimBackend {
 
     fn mul_scalar_at(&self, a: &BackendCt, c: f64, const_scale: f64) -> Result<BackendCt> {
         Ok(BackendCt::Device(
-            self.device(a)?.mul_scalar_at(c, const_scale),
+            self.device(a)?.mul_scalar_at(c, const_scale)?,
         ))
     }
 
@@ -597,20 +597,27 @@ impl EvalBackend for GpuSimBackend {
         Some(RegionInputs::new(&cts))
     }
 
-    fn graph_keyed(
+    fn graph_keyed<'a>(
         &self,
         key: RegionKey,
         inputs: RegionInputs,
-        body: &mut dyn FnMut() -> Result<()>,
-    ) -> bool {
-        // The caller holds what `body` produced, its error included.
-        let _ = self.ctx.scheduled_keyed(key, inputs, body);
-        true
+        body: Box<dyn FnOnce() -> Result<BackendCt> + 'a>,
+    ) -> Result<BackendCt> {
+        let out = self.ctx.scheduled_keyed(key, inputs, || match body()? {
+            BackendCt::Device(ct) => Ok(ct),
+            BackendCt::Host(_) => Err(host_handle()),
+        })?;
+        Ok(BackendCt::Device(out))
     }
 
     fn sched_stats(&self) -> Option<crate::sched::SchedStats> {
         Some(self.ctx.sched_stats())
     }
+}
+
+/// The gpu-sim backend's error for a CPU backend's ciphertext.
+fn host_handle() -> FidesError {
+    FidesError::Unsupported("host ciphertext handed to the gpu-sim backend".into())
 }
 
 #[cfg(test)]

@@ -529,25 +529,15 @@ fn in_graph<R>(backend: &dyn EvalBackend, f: impl FnOnce() -> Result<R>) -> Resu
 
 /// As [`in_graph`], in the keyed region `keyed` names when the backend has
 /// keyed regions ([`EvalBackend::graph_keyed`]).
-fn in_graph_keyed<R>(
+fn in_graph_keyed<'a>(
     backend: &dyn EvalBackend,
     keyed: Option<(RegionKey, RegionInputs)>,
-    f: impl FnOnce() -> Result<R>,
-) -> Result<R> {
-    let mut f = Some(f);
-    if let Some((key, inputs)) = keyed {
-        let mut out = None;
-        let mut body = || {
-            let r = f.take().expect("the body runs once")();
-            let status = r.as_ref().map(|_| ()).map_err(FidesError::clone);
-            out = Some(r);
-            status
-        };
-        if backend.graph_keyed(key, inputs, &mut body) {
-            return out.expect("a keyed region runs its body");
-        }
+    f: impl FnOnce() -> Result<BackendCt> + 'a,
+) -> Result<BackendCt> {
+    match keyed {
+        Some((key, inputs)) => backend.graph_keyed(key, inputs, Box::new(f)),
+        None => in_graph(backend, f),
     }
-    in_graph(backend, f.take().expect("the body runs once"))
 }
 
 /// Device-side ModRaise (the gpu-sim backend's

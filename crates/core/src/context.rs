@@ -13,16 +13,18 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fides_client::RawParams;
-use fides_gpu_sim::{BufferId, Capture, GpuSim, OwnWork, VectorGpu};
+use fides_client::{Domain, RawParams};
+use fides_gpu_sim::{BufferId, Capture, GpuSim, OwnWork, PoolBuf, VectorGpu};
 use fides_math::{build_eval_permutation, Modulus, Ntt2d, NttTable, ShoupPrecomp};
 use fides_rns::{product_inv_mod, product_mod, BaseConverter, DigitPartition};
 use parking_lot::Mutex;
 
 use crate::ciphertext::Ciphertext;
 use crate::error::Result;
+use crate::kernels;
 use crate::params::CkksParameters;
-use crate::sched::cache::{RegionHit, RegionShape, RunBinding};
+use crate::poly::{Limb, LimbPartition, RNSPoly};
+use crate::sched::cache::{OwnRuns, RegionHit, RegionShape, RunBinding};
 use crate::sched::{
     BoundPlan, CostModel, ExecGraph, ExecPlan, GpuReplayExecutor, PlanCache, PlanConfig, SchedStats,
 };
@@ -79,10 +81,10 @@ impl RegionKey {
 }
 
 /// A keyed region's declared inputs, described before the region runs (so
-/// the region may consume them): each ciphertext's slots, scale bits and
-/// limb counts, their buffers' aliasing pattern, and their distinct
-/// buffers in declaration order (each ciphertext's `c0` limbs, then
-/// `c1`'s).
+/// the region may consume them): each ciphertext's slots, scale and noise
+/// estimate bits, and each component's limb counts and domain, their
+/// buffers' aliasing pattern, and their distinct buffers in declaration
+/// order (each ciphertext's `c0` limbs, then `c1`'s).
 #[derive(Clone, Debug)]
 pub struct RegionInputs {
     shape: Vec<u64>,
@@ -96,9 +98,17 @@ impl RegionInputs {
         let mut ids: Vec<BufferId> = Vec::new();
         let mut aliasing = Vec::new();
         for ct in inputs {
-            shape.extend([ct.slots() as u64, ct.scale().to_bits()]);
+            shape.extend([
+                ct.slots() as u64,
+                ct.scale().to_bits(),
+                ct.noise_log2().to_bits(),
+            ]);
             for poly in [ct.c0(), ct.c1()] {
-                shape.extend([poly.num_q() as u64, poly.num_p() as u64]);
+                shape.extend([
+                    poly.num_q() as u64,
+                    poly.num_p() as u64,
+                    u64::from(poly.format() == Domain::Eval),
+                ]);
                 for limb in &poly.part.limbs {
                     let buf = limb.data.buffer();
                     let j = ids.iter().position(|&b| b == buf).unwrap_or_else(|| {
@@ -111,6 +121,81 @@ impl RegionInputs {
         }
         shape.extend(aliasing);
         Self { shape, ids }
+    }
+}
+
+/// What a keyed region's output is, as a body-free hit rebuilds it: per
+/// component its limb counts, domain and each limb's prime and own ordinal
+/// (its index among the ids the region allocated), plus the ciphertext's
+/// scale, slots and noise estimate.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct OutputTemplate {
+    parts: [PartTemplate; 2],
+    scale_bits: u64,
+    slots: usize,
+    noise_bits: u64,
+}
+
+#[derive(Clone, Debug, PartialEq)]
+struct PartTemplate {
+    num_q: usize,
+    num_p: usize,
+    format: Domain,
+    limbs: Vec<(u64, ChainIdx)>,
+}
+
+impl OutputTemplate {
+    /// `out`'s template, when `out` is exactly what its region kept: every
+    /// limb one of the region's own allocations, and every own allocation
+    /// still alive a limb of `out`. `None` otherwise.
+    pub(crate) fn of(out: &Ciphertext, own: &OwnWork) -> Option<Self> {
+        let runs = OwnRuns::new(&own.own_ids);
+        let part = |poly: &RNSPoly| -> Option<PartTemplate> {
+            let limbs = poly.part.limbs.iter().map(|limb| {
+                let k = runs.ordinal(limb.data.buffer())?;
+                Some((k as u64, limb.chain))
+            });
+            Some(PartTemplate {
+                num_q: poly.num_q(),
+                num_p: poly.num_p(),
+                format: poly.format(),
+                limbs: limbs.collect::<Option<_>>()?,
+            })
+        };
+        let parts = [part(out.c0())?, part(out.c1())?];
+        let limbs = out.c0().num_limbs() + out.c1().num_limbs();
+        let bytes = limbs as u64 * kernels::limb_bytes(out.context().n());
+        (own.live_ids == limbs as u64 && own.effect.live_bytes == bytes).then(|| Self {
+            parts,
+            scale_bits: out.scale().to_bits(),
+            slots: out.slots(),
+            noise_bits: out.noise_log2().to_bits(),
+        })
+    }
+
+    /// The output on a run whose own ids start at `first`.
+    fn build(&self, ctx: &Arc<CkksContext>, first: u64) -> Ciphertext {
+        let gpu = ctx.gpu();
+        let [c0, c1] = self.parts.each_ref().map(|part| {
+            let limbs = part.limbs.iter().map(|&(k, chain)| Limb {
+                data: PoolBuf::on_id(gpu, first + k, ctx.n()),
+                chain,
+            });
+            RNSPoly {
+                ctx: Arc::clone(ctx),
+                part: LimbPartition::from_limbs(gpu, limbs.collect()),
+                num_q: part.num_q,
+                num_p: part.num_p,
+                format: part.format,
+            }
+        });
+        Ciphertext::from_parts(
+            c0,
+            c1,
+            f64::from_bits(self.scale_bits),
+            self.slots,
+            f64::from_bits(self.noise_bits),
+        )
     }
 }
 
@@ -507,55 +592,64 @@ impl CkksContext {
         let _ = self.gpu.end_capture();
     }
 
-    /// As [`Self::scheduled`], for a region whose kernel schedule is a
-    /// function of `key` and the shapes of `inputs` alone: every buffer it
-    /// reads is one of `inputs`' limbs, one it allocates itself, or one
-    /// that outlives it (keys, diagonals, permutations). The inputs are
-    /// described before `f` runs, so `f` may consume them.
+    /// As [`Self::scheduled`], for a region whose kernel schedule and
+    /// output shape are a function of `key` and the shapes of `inputs`
+    /// alone: every buffer it reads is one of `inputs`' limbs, one it
+    /// allocates itself, or one that outlives it (keys, diagonals,
+    /// permutations). The inputs are described before `f` runs, so `f` may
+    /// consume them.
     ///
-    /// Such a region is looked up before it runs. Once a recording of it
-    /// has succeeded and resolved to a plan-cache hit, the cache keeps that
-    /// entry for the region's shape — `key`, each input's level, limb
-    /// counts, slots and scale bits, and how the inputs alias — with each
-    /// binding position classed as own allocation, input buffer or
-    /// constant. A later run of the same shape skips every launch and fence
-    /// ([`GpuSim::begin_capture_skipping`]), builds its binding from its
-    /// own allocations and inputs, and replays the cached plan through the
-    /// same memoised path, counted in
-    /// [`SchedStats::record_free_hits`] and as a plan-cache hit. Nothing is
-    /// recorded and no graph is walked. Any other run records as
-    /// [`Self::scheduled`] does, and a recording whose `f` failed registers
-    /// nothing. A shortcut run whose `f` fails returns the error with
-    /// nothing replayed: there is no plan of the part it did.
+    /// In cost-only mode such a region is looked up before it runs. Once a
+    /// recording of it has succeeded and resolved to a plan-cache hit, the
+    /// cache keeps that entry for the region's shape — `key`, each input's
+    /// level, limb counts, domains, slots, scale and noise bits, and how
+    /// the inputs alias — with each binding position classed as own
+    /// allocation, input buffer or constant, what the recording did to the
+    /// device pool ([`OwnWork::effect`]), and, when the output is exactly
+    /// what the recording kept, the output's template. A later outermost
+    /// run of the same shape with a template does not call `f`: it drops
+    /// `f` (releasing what `f` would have consumed), applies the pool
+    /// effect ([`GpuSim::apply_pool_effect`]), builds its output from the
+    /// template on the ids that gives, and replays the cached plan through
+    /// the same memoised path, counted in [`SchedStats::record_free_hits`]
+    /// and as a plan-cache hit. Nothing is recorded and no graph is walked.
+    /// Any other run records as [`Self::scheduled`] does, and a recording
+    /// whose `f` failed registers nothing. In functional mode `f` runs for
+    /// its data, so the region is an ordinary [`Self::scheduled`] one.
     ///
     /// Lock order: the plan cache's lock, then the device lock.
     ///
     /// # Panics
     ///
-    /// If a successful shortcut run made a different number of launches or
-    /// own allocations than the recording it replays. Debug builds also
-    /// record every shortcut run and panic unless its walked fingerprint
-    /// and binding equal what the key produced — the check that catches a
-    /// region reading a buffer it did not declare.
-    pub fn scheduled_keyed<R>(
-        &self,
+    /// If a recorded run of a registered shape did other work than its
+    /// registration: other launches, fingerprint, binding, pool effect or
+    /// output template, or an error where the registration has a template.
+    /// Release builds only record the runs they cannot rebuild; debug
+    /// builds record every run, so this is the check that catches a region
+    /// reading a buffer it did not declare.
+    pub fn scheduled_keyed(
+        self: &Arc<Self>,
         key: RegionKey,
         inputs: RegionInputs,
-        f: impl FnOnce() -> Result<R>,
-    ) -> Result<R> {
+        f: impl FnOnce() -> Result<Ciphertext>,
+    ) -> Result<Ciphertext> {
+        if self.gpu.is_functional() {
+            return self.scheduled(f);
+        }
         let RegionInputs { shape, ids } = inputs;
         let mut shape: RegionShape = shape;
         shape.extend([key.owner, u64::from(key.phase)]);
-        let cache = self.plan_cache.lock();
-        let hit = cache.region(&shape);
+        let hit = self.plan_cache.lock().region(&shape);
         // Debug builds record every hit, to check it.
-        let skip = hit.is_some() && !cfg!(debug_assertions);
-        let outermost = if skip {
-            self.gpu.begin_capture_skipping()
-        } else {
-            self.gpu.begin_capture()
-        };
-        drop(cache);
+        let body_free = hit
+            .as_ref()
+            .and_then(|hit| Some((hit, hit.region.output()?)))
+            .filter(|_| !cfg!(debug_assertions) && !self.gpu.capturing_on_current_thread());
+        if let Some((hit, out)) = body_free {
+            drop(f);
+            return Ok(self.replay_body_free(hit, out, &ids));
+        }
+        let outermost = self.gpu.begin_capture();
         let mut guard = CloseGuard {
             ctx: self,
             armed: true,
@@ -564,13 +658,7 @@ impl CkksContext {
         guard.armed = false;
         if outermost {
             let (capture, own) = self.gpu.end_capture_owned();
-            let run = KeyedRun {
-                skipped: skip,
-                ok: r.is_ok(),
-                capture,
-                own,
-            };
-            self.close_keyed(shape, &ids, hit, run);
+            self.close_keyed(shape, &ids, hit, capture, &own, &r);
         } else {
             // Part of an enclosing region, which plans it.
             self.graph_scope_end();
@@ -578,63 +666,66 @@ impl CkksContext {
         r
     }
 
-    /// The outermost close of a keyed region: replays `hit` onto the run's
-    /// own allocations when the run skipped its launches, else plans the
-    /// recording as [`Self::graph_scope_end`] does — checking it against
-    /// `hit`, or registering the shape when it hit the plan cache.
+    /// A body-free run of the registered shape `hit`: the region's pool
+    /// effect, its output built from `out`, and the cached plan replayed
+    /// onto the ids the effect handed out and `inputs`.
+    fn replay_body_free(
+        self: &Arc<Self>,
+        hit: &RegionHit,
+        out: &OutputTemplate,
+        inputs: &[BufferId],
+    ) -> Ciphertext {
+        let own = [self.gpu.apply_pool_effect(hit.region.effect())];
+        let ct = out.build(self, own[0].start);
+        let binding = RunBinding::new(&hit.region, &own, inputs);
+        let mut cache = self.plan_cache.lock();
+        let memo = cache.hit_region(hit);
+        GpuReplayExecutor::new(&self.gpu).execute_region(hit.plan(), hit.planned(), &binding, memo);
+        drop(cache);
+        self.book(hit.plan(), true, true);
+        ct
+    }
+
+    /// The outermost close of a recorded keyed region: plans the recording
+    /// as [`Self::graph_scope_end`] does, checking it against `hit`, or
+    /// registering the shape when it hit the plan cache.
     fn close_keyed(
         &self,
         shape: RegionShape,
         inputs: &[BufferId],
         hit: Option<RegionHit>,
-        run: KeyedRun,
+        capture: Capture,
+        own: &OwnWork,
+        out: &Result<Ciphertext>,
     ) {
-        let check = |hit: &RegionHit, launches: u64, binding: &RunBinding<'_>| {
+        if let (Some(hit), Err(e)) = (&hit, out) {
             assert!(
-                launches == hit.region.launches && binding.own_ids() == hit.region.own_ids(),
-                "a keyed region did other work than its cached plan: {launches} launches and \
-                 {} own allocations against {} and {}",
-                binding.own_ids(),
-                hit.region.launches,
-                hit.region.own_ids(),
+                hit.region.output().is_none(),
+                "a keyed region failed on a hit of its key: {e}"
             );
-        };
-        let KeyedRun {
-            skipped,
-            ok,
-            capture,
-            own,
-        } = run;
-        if skipped {
-            let hit = hit.expect("only a hit skips its launches");
-            if !ok {
-                return;
-            }
-            let binding = RunBinding::new(&hit.region, &own.own_ids, inputs);
-            check(&hit, own.skipped_launches, &binding);
-            let mut cache = self.plan_cache.lock();
-            let memo = cache.hit_region(&hit);
-            GpuReplayExecutor::new(&self.gpu).execute_region(
-                hit.plan(),
-                hit.planned(),
-                &binding,
-                memo,
-            );
-            drop(cache);
-            self.book(hit.plan(), true, true);
-            return;
         }
         if capture.events.is_empty() {
             return;
         }
         let graph = ExecGraph::from_capture(capture);
         let launches = graph.kernel_count() as u64;
+        let output = out.as_ref().ok().and_then(|ct| OutputTemplate::of(ct, own));
         let mut cache = self.plan_cache.lock();
         let bound = self.bind_one(&mut cache, &graph);
-        let checked = match &hit {
-            Some(hit) if ok => {
-                let binding = RunBinding::new(&hit.region, &own.own_ids, inputs);
-                check(hit, launches, &binding);
+        let record_free = match (&hit, out) {
+            (Some(hit), Ok(_)) => {
+                let region = &hit.region;
+                let binding = RunBinding::new(region, &own.own_ids, inputs);
+                assert!(
+                    launches == region.launches
+                        && own.effect == *region.effect()
+                        && output.as_ref() == region.output(),
+                    "a keyed region did other work than its cached plan: {launches} launches \
+                     and {:?} against {} and {:?}",
+                    own.effect,
+                    region.launches,
+                    region.effect(),
+                );
                 assert_eq!(
                     bound.fp(),
                     hit.fp(),
@@ -644,10 +735,11 @@ impl CkksContext {
                     binding.to_vec() == bound.current_binding(),
                     "a keyed region read a buffer it did not declare"
                 );
-                true
+                // What a release build rebuilds without recording.
+                output.is_some()
             }
-            None if ok && bound.is_hit() => {
-                cache.register_region(shape, &bound, launches, &own.own_ids, inputs);
+            (None, Ok(_)) if bound.is_hit() => {
+                cache.register_region(shape, &bound, launches, own, inputs, output);
                 false
             }
             _ => false,
@@ -655,7 +747,7 @@ impl CkksContext {
         GpuReplayExecutor::new(&self.gpu).execute_memoised(&bound, &mut cache);
         drop(cache);
         self.gpu.recycle_capture_log(graph.log);
-        self.book(bound.plan(), bound.is_hit(), checked);
+        self.book(bound.plan(), bound.is_hit(), record_free);
     }
 
     /// The planning configuration this context schedules with: fusion and
@@ -682,16 +774,6 @@ impl CkksContext {
     pub fn cached_plans(&self) -> Vec<(u64, Arc<ExecPlan>, Arc<[BufferId]>)> {
         self.plan_cache.lock().export_entries()
     }
-}
-
-/// How one outermost run of a keyed region went: whether it skipped its
-/// launches, whether its body succeeded, and what it recorded and
-/// allocated.
-struct KeyedRun {
-    skipped: bool,
-    ok: bool,
-    capture: Capture,
-    own: OwnWork,
 }
 
 /// Close-on-unwind guard: a panicking op must not leave the capture region

@@ -592,18 +592,8 @@ impl CpuBackend {
     }
 
     /// Per-limb residues of `round(c · const_scale)`.
-    fn scalar_residues(&self, c: f64, const_scale: f64, level: usize) -> Vec<u64> {
-        let v = (c * const_scale).round() as i128;
-        (0..=level)
-            .map(|i| {
-                let p = self.hctx.moduli_q[i].value() as i128;
-                let mut r = v % p;
-                if r < 0 {
-                    r += p;
-                }
-                r as u64
-            })
-            .collect()
+    fn scalar_residues(&self, c: f64, const_scale: f64, level: usize) -> Result<Vec<u64>> {
+        crate::ops::scalar_residues(c, const_scale, &self.hctx.moduli_q[..=level])
     }
 
     fn apply_galois(
@@ -807,7 +797,7 @@ impl EvalBackend for CpuBackend {
 
     fn add_scalar(&self, a: &BackendCt, c: f64) -> Result<BackendCt> {
         let a = self.host(a)?;
-        let scalars = self.scalar_residues(c, a.scale, a.level);
+        let scalars = self.scalar_residues(c, a.scale, a.level)?;
         let mut out = a.clone();
         self.on_pool(|| {
             out.c0.par_iter_mut().enumerate().for_each(|(i, limb)| {
@@ -940,7 +930,7 @@ impl EvalBackend for CpuBackend {
 
     fn mul_scalar_at(&self, a: &BackendCt, c: f64, const_scale: f64) -> Result<BackendCt> {
         let a = self.host(a)?;
-        let scalars = self.scalar_residues(c, const_scale, a.level);
+        let scalars = self.scalar_residues(c, const_scale, a.level)?;
         let mut out = a.clone();
         self.on_pool(|| {
             out.c0.par_iter_mut().enumerate().for_each(|(i, limb)| {

@@ -66,6 +66,25 @@ pub enum FidesError {
     Malformed(String),
     /// The active evaluation backend does not support the operation.
     Unsupported(String),
+    /// A scalar operand's `c·scale` is not finite or rounds to a magnitude
+    /// of 2¹²⁷ or more, past the integer its residues are taken from.
+    ScalarOutOfRange {
+        /// The scalar.
+        c: f64,
+        /// The scale it is encoded at.
+        scale: f64,
+    },
+    /// A ciphertext or plaintext frame declares a scale that is not finite
+    /// and positive.
+    InvalidScale(f64),
+    /// A ciphertext or plaintext frame declares a slot count that is not a
+    /// power of two in `1..=max`.
+    InvalidSlots {
+        /// The declared slot count.
+        slots: usize,
+        /// The ring's slot capacity, `N/2`.
+        max: usize,
+    },
 }
 
 impl fmt::Display for FidesError {
@@ -106,6 +125,16 @@ impl fmt::Display for FidesError {
             FidesError::Client(msg) => write!(f, "client operation failed: {msg}"),
             FidesError::Malformed(msg) => write!(f, "malformed frame: {msg}"),
             FidesError::Unsupported(what) => write!(f, "unsupported by this backend: {what}"),
+            FidesError::ScalarOutOfRange { c, scale } => write!(
+                f,
+                "scalar {c:e} at scale {scale:e} is out of range: |c·scale| must round below 2^127"
+            ),
+            FidesError::InvalidScale(scale) => {
+                write!(f, "scale {scale:e} is not finite and positive")
+            }
+            FidesError::InvalidSlots { slots, max } => {
+                write!(f, "slot count {slots} is not a power of two in 1..={max}")
+            }
         }
     }
 }

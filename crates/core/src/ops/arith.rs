@@ -113,32 +113,47 @@ impl Ciphertext {
     /// ScalarAdd: adds the real constant `c` to every slot. Exact (no level
     /// consumed): adds `round(c·scale)` to the constant coefficient, which in
     /// evaluation domain is a per-limb scalar addition.
-    pub fn add_scalar(&self, c: f64) -> Ciphertext {
+    ///
+    /// # Errors
+    ///
+    /// [`FidesError::ScalarOutOfRange`] when `c·scale` is not finite or
+    /// rounds to a magnitude of 2¹²⁷ or more.
+    pub fn add_scalar(&self, c: f64) -> Result<Ciphertext> {
+        let scalars = self.scalar_residues(c, self.scale)?;
         let mut out = self.duplicate();
-        out.add_scalar_assign(c);
-        out
+        out.add_residues(&scalars);
+        Ok(out)
     }
 
     /// In-place ScalarAdd.
-    pub fn add_scalar_assign(&mut self, c: f64) {
-        let v = (c * self.scale).round() as i128;
-        let scalars: Vec<u64> = (0..self.c0.num_q())
-            .map(|i| {
-                let m = &self.context().moduli_q()[i];
-                let p = m.value() as i128;
-                let mut r = v % p;
-                if r < 0 {
-                    r += p;
-                }
-                r as u64
-            })
-            .collect();
-        self.c0.scalar_add_assign(&scalars);
-        self.noise_log2 += 0.1;
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::add_scalar`]; `self` is unchanged then.
+    pub fn add_scalar_assign(&mut self, c: f64) -> Result<()> {
+        let scalars = self.scalar_residues(c, self.scale)?;
+        self.add_residues(&scalars);
+        Ok(())
     }
 
     /// ScalarSub: subtracts a constant from every slot.
-    pub fn sub_scalar_assign(&mut self, c: f64) {
-        self.add_scalar_assign(-c);
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::add_scalar`].
+    pub fn sub_scalar_assign(&mut self, c: f64) -> Result<()> {
+        self.add_scalar_assign(-c)
+    }
+
+    /// Adds a constant, given as its residues, to every slot.
+    fn add_residues(&mut self, scalars: &[u64]) {
+        self.c0.scalar_add_assign(scalars);
+        self.noise_log2 += 0.1;
+    }
+
+    /// The per-limb residues of `round(c·scale)` at this level.
+    pub(crate) fn scalar_residues(&self, c: f64, scale: f64) -> Result<Vec<u64>> {
+        let moduli = &self.context().moduli_q()[..self.c0.num_q()];
+        crate::ops::scalar_residues(c, scale, moduli)
     }
 }

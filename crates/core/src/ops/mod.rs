@@ -16,9 +16,34 @@
 //! | `KeySwitch`/`ModUp`/`ModDown` | internal (`ops::keyswitch`) |
 //! | `Bootstrap` | [`Bootstrapper`](crate::boot::Bootstrapper) |
 
+use fides_math::Modulus;
+
+use crate::error::{FidesError, Result};
+
 pub(crate) mod arith;
 pub(crate) mod keyswitch;
 pub(crate) mod linear;
 pub(crate) mod mult;
 pub(crate) mod rescale;
 pub(crate) mod rotate;
+
+/// Per-limb residues of `round(c·scale)` under `moduli`: a scalar
+/// operand's constant polynomial.
+///
+/// # Errors
+///
+/// [`FidesError::ScalarOutOfRange`] when `c·scale` is not finite or rounds
+/// to a magnitude of 2¹²⁷ or more (an `i128` cast would saturate there).
+pub(crate) fn scalar_residues(c: f64, scale: f64, moduli: &[Modulus]) -> Result<Vec<u64>> {
+    let v = (c * scale).round();
+    // False for NaN too.
+    let in_range = v.abs() < 2f64.powi(127);
+    if !in_range {
+        return Err(FidesError::ScalarOutOfRange { c, scale });
+    }
+    let v = v as i128;
+    Ok(moduli
+        .iter()
+        .map(|m| v.rem_euclid(i128::from(m.value())) as u64)
+        .collect())
+}

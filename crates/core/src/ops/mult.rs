@@ -122,26 +122,24 @@ impl Ciphertext {
 
     /// ScalarMult: multiplies every slot by the real constant `c`, encoding
     /// the constant at the default scale `Δ` (result scale = `scale·Δ`).
-    pub fn mul_scalar(&self, c: f64) -> Ciphertext {
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::mul_scalar_at`].
+    pub fn mul_scalar(&self, c: f64) -> Result<Ciphertext> {
         let delta = self.context().fresh_scale();
         self.mul_scalar_at(c, delta)
     }
 
     /// ScalarMult with an explicit constant scale: multiplies by
     /// `round(c·const_scale)`; result scale = `scale·const_scale`.
-    pub fn mul_scalar_at(&self, c: f64, const_scale: f64) -> Ciphertext {
-        let v = (c * const_scale).round() as i128;
-        let scalars: Vec<u64> = (0..self.c0.num_q())
-            .map(|i| {
-                let m = &self.context().moduli_q()[i];
-                let p = m.value() as i128;
-                let mut r = v % p;
-                if r < 0 {
-                    r += p;
-                }
-                r as u64
-            })
-            .collect();
+    ///
+    /// # Errors
+    ///
+    /// [`FidesError::ScalarOutOfRange`] when `c·const_scale` is not finite
+    /// or rounds to a magnitude of 2¹²⁷ or more.
+    pub fn mul_scalar_at(&self, c: f64, const_scale: f64) -> Result<Ciphertext> {
+        let scalars = self.scalar_residues(c, const_scale)?;
         let ctx = Arc::clone(self.context());
         let mut out = ctx.scheduled(|| {
             let mut out = self.duplicate();
@@ -151,7 +149,7 @@ impl Ciphertext {
         });
         out.scale = self.scale * const_scale;
         out.noise_log2 = self.noise_log2 + 1.0;
-        out
+        Ok(out)
     }
 
     /// ScalarMult by a constant, immediately rescaled such that a ciphertext
@@ -172,7 +170,7 @@ impl Ciphertext {
         let l = self.level();
         let q_l = ctx.moduli_q()[l].value() as f64;
         let const_scale = q_l * ctx.standard_scale(l - 1) / ctx.standard_scale(l);
-        let mut out = self.mul_scalar_at(c, const_scale);
+        let mut out = self.mul_scalar_at(c, const_scale)?;
         out.rescale_in_place()?;
         Ok(out)
     }

@@ -58,10 +58,11 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fides_gpu_sim::{BufferId, Event, ReplayMemo};
+use fides_gpu_sim::{BufferId, Event, OwnWork, PoolEffect, ReplayMemo};
 
 use super::graph::{BufferIndex, ExecGraph};
 use super::plan::{ExecPlan, PlanConfig, Planner};
+use crate::context::OutputTemplate;
 
 /// A consumer of a graph's canonical word stream.
 trait WordSink {
@@ -295,6 +296,10 @@ const NOWHERE: u32 = u32::MAX;
 /// binding as slot classes, and the work it did.
 #[derive(Debug)]
 pub(crate) struct KeyedRegion {
+    /// What the recording did to the device pool.
+    effect: PoolEffect,
+    /// Its output's template, when the output is exactly what it kept.
+    output: Option<OutputTemplate>,
     fp: u64,
     slots: Vec<Slot>,
     /// The constants' ids, ascending.
@@ -311,7 +316,14 @@ pub(crate) struct KeyedRegion {
 impl KeyedRegion {
     /// Classifies each position of `bound`'s binding: an id of `own`, else
     /// of `inputs`, else a constant.
-    fn new(bound: &BoundPlan, launches: u64, own: &OwnRuns<'_>, inputs: &[BufferId]) -> Self {
+    fn new(
+        bound: &BoundPlan,
+        launches: u64,
+        own: &OwnRuns<'_>,
+        inputs: &[BufferId],
+        effect: PoolEffect,
+        output: Option<OutputTemplate>,
+    ) -> Self {
         let binding = bound.current_binding();
         assert!(
             binding.len() <= INDEX as usize,
@@ -343,6 +355,8 @@ impl KeyedRegion {
         }
         let (consts, const_pos) = consts.into_iter().unzip();
         Self {
+            effect,
+            output,
             fp: bound.fp,
             slots,
             consts,
@@ -353,9 +367,14 @@ impl KeyedRegion {
         }
     }
 
-    /// Ids the recording allocated itself.
-    pub(crate) fn own_ids(&self) -> usize {
-        self.own_pos.len()
+    /// What the recording did to the device pool.
+    pub(crate) fn effect(&self) -> &PoolEffect {
+        &self.effect
+    }
+
+    /// The recording's output template, if it has one.
+    pub(crate) fn output(&self) -> Option<&OutputTemplate> {
+        self.output.as_ref()
     }
 }
 
@@ -363,13 +382,13 @@ impl KeyedRegion {
 /// how many own ids precede each run, so that the k-th own id and an id's
 /// ordinal are binary searches over runs.
 #[derive(Debug)]
-struct OwnRuns<'a> {
+pub(crate) struct OwnRuns<'a> {
     runs: &'a [Range<u64>],
     before: Vec<u64>,
 }
 
 impl<'a> OwnRuns<'a> {
-    fn new(runs: &'a [Range<u64>]) -> Self {
+    pub(crate) fn new(runs: &'a [Range<u64>]) -> Self {
         let mut total = 0;
         let before = runs
             .iter()
@@ -397,7 +416,7 @@ impl<'a> OwnRuns<'a> {
     }
 
     /// `buf`'s ordinal among the own ids, if it is one.
-    fn ordinal(&self, buf: BufferId) -> Option<usize> {
+    pub(crate) fn ordinal(&self, buf: BufferId) -> Option<usize> {
         let r = self.runs.partition_point(|run| run.end <= buf.0);
         let run = self.runs.get(r).filter(|run| run.contains(&buf.0))?;
         Some((self.before[r] + buf.0 - run.start) as usize)
@@ -437,11 +456,6 @@ impl<'a> RunBinding<'a> {
             own: OwnRuns::new(own),
             inputs,
         }
-    }
-
-    /// Ids the run allocated itself.
-    pub(crate) fn own_ids(&self) -> usize {
-        self.own.len()
     }
 
     /// The buffer at binding position `p`.
@@ -717,20 +731,22 @@ impl PlanCache {
     }
 
     /// Records what the keyed region `shape` resolved to: `bound`, bound
-    /// onto a recording that made `launches` launches, allocated the id
-    /// runs `own` (ascending) itself and declared `inputs`.
+    /// onto a recording that made `launches` launches, did `own` itself,
+    /// declared `inputs` and produced an output of template `output`.
     pub(crate) fn register_region(
         &mut self,
         shape: RegionShape,
         bound: &BoundPlan,
         launches: u64,
-        own: &[Range<u64>],
+        own: &OwnWork,
         inputs: &[BufferId],
+        output: Option<OutputTemplate>,
     ) {
         if !self.entries.contains_key(&bound.fp) {
             return;
         }
-        let region = KeyedRegion::new(bound, launches, &OwnRuns::new(own), inputs);
+        let runs = OwnRuns::new(&own.own_ids);
+        let region = KeyedRegion::new(bound, launches, &runs, inputs, own.effect, output);
         self.regions.insert(shape, Arc::new(region));
     }
 
@@ -1269,22 +1285,23 @@ mod tests {
         let mut cache = PlanCache::default();
         let bound = bind1(&mut cache, &cfg(), &graph(&recorded));
         let shape: RegionShape = vec![1];
-        cache.register_region(
-            shape.clone(),
-            &bound,
-            10,
-            &[100..103, 110..112],
-            &ids(&[51, 50]),
-        );
+        let own = OwnWork {
+            own_ids: vec![100..103, 110..112],
+            live_ids: 0,
+            effect: PoolEffect {
+                ids: 5,
+                ..PoolEffect::default()
+            },
+        };
+        cache.register_region(shape.clone(), &bound, 10, &own, &ids(&[51, 50]), None);
         let hit = cache.region(&shape).expect("registered");
-        assert_eq!((hit.fp(), hit.region.own_ids()), (bound.fp(), 5));
+        assert_eq!((hit.fp(), hit.region.effect().ids), (bound.fp(), 5));
 
         // A later run splits its five own ids differently.
         let runs = [200..202, 205..208];
         let inputs = ids(&[61, 60]);
         let binding = RunBinding::new(&hit.region, &runs, &inputs);
         let want = ids(&[201, 7, 60, 200, 3, 207, 61, 9, 206, 205]);
-        assert_eq!(binding.own_ids(), 5);
         assert_eq!(binding.to_vec(), want);
         for (p, &buf) in want.iter().enumerate() {
             assert_eq!(binding.get(p), buf);

@@ -174,7 +174,7 @@ fn lr_iteration_region_plans_are_pinned() {
     let mut c1z = z.mul_scalar_rescale(0.25).unwrap();
     c1z.drop_to_level(p.level()).unwrap();
     p.add_assign_ct(&c1z).unwrap();
-    p.add_scalar_assign(0.5);
+    p.add_scalar_assign(0.5).unwrap();
     let mut y_now = y.duplicate();
     y_now.drop_to_level(p.level()).unwrap();
     let e = y_now.sub(&p).unwrap();

@@ -459,7 +459,7 @@ impl Side {
         let cz = self.region(|| z.mul_scalar_rescale(0.5).unwrap());
         let mut p = self.region(|| z2.mul(&cz, keys).unwrap());
         self.region(|| p.rescale_in_place().unwrap());
-        self.region(|| p.add_scalar_assign(0.5));
+        self.region(|| p.add_scalar_assign(0.5).unwrap());
         let mut y_now = self.y.duplicate();
         y_now.drop_to_level(p.level()).unwrap();
         let e = self.region(|| y_now.sub(&p).unwrap());

@@ -120,11 +120,11 @@ fn scalar_add_and_mult() {
     let mut h = Harness::new(&[]);
     let a = ramp(32);
     let ca = h.encrypt(&a);
-    let shifted = ca.add_scalar(0.75);
+    let shifted = ca.add_scalar(0.75).unwrap();
     let expect: Vec<f64> = a.iter().map(|x| x + 0.75).collect();
     assert_close(&h.decrypt(&shifted), &expect, 1e-6, "ScalarAdd");
 
-    let mut scaled = ca.mul_scalar(-1.5);
+    let mut scaled = ca.mul_scalar(-1.5).unwrap();
     scaled.rescale_in_place().unwrap();
     let expect: Vec<f64> = a.iter().map(|x| x * -1.5).collect();
     assert_close(&h.decrypt(&scaled), &expect, 1e-6, "ScalarMult");

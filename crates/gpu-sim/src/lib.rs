@@ -47,7 +47,6 @@ mod memo;
 mod pool;
 mod timeline;
 
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -102,16 +101,31 @@ pub struct OwnWork {
     /// and nothing else, so the k-th of them is the same temporary on every
     /// run of one schedule.
     pub own_ids: Vec<Range<u64>>,
-    /// Launches the region skipped instead of recording (a region opened
-    /// by [`GpuSim::begin_capture_skipping`]; 0 otherwise).
-    pub skipped_launches: u64,
+    /// How many of those ids were still allocated at the close.
+    pub live_ids: u64,
+    /// What the region did to the pool, in a form
+    /// [`GpuSim::apply_pool_effect`] repeats without the allocations.
+    pub effect: PoolEffect,
+}
+
+/// What one capture region's owner did to the device pool, net of the
+/// older buffers it released: a region that allocates, releases and keeps
+/// the same byte sizes in the same order from the same pool state leaves
+/// the pool as [`GpuSim::apply_pool_effect`] of its effect does, once the
+/// older buffers are released.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoolEffect {
+    /// Ids the owner was handed ([`OwnWork::own_ids`], counted).
+    pub ids: u64,
+    /// How far the pool's current bytes rose, at their highest while the
+    /// region was open, above the bytes at its close less its live
+    /// allocations — the entry bytes net of the older buffers it released.
+    pub peak_rise: u64,
+    /// Bytes of the owner's allocations still allocated at the close.
+    pub live_bytes: u64,
 }
 
 thread_local! {
-    /// The device (by address; 0 for none) whose open capture the current
-    /// thread skips launches and fences of, and how many launches it
-    /// skipped. A thread-local, so a skipping launch takes no lock.
-    static SKIPPING: Cell<(usize, u64)> = const { Cell::new((0, 0)) };
     /// The current thread's id, read without cloning its `Thread` handle.
     static THREAD_ID: std::thread::ThreadId = std::thread::current().id();
 }
@@ -176,8 +190,8 @@ struct SimState {
     capture_owner: Option<std::thread::ThreadId>,
     /// The pool's next id when the open capture began.
     capture_first_id: u64,
-    /// The id runs the capture's owner allocated (see [`OwnWork::own_ids`]).
-    own_ids: Vec<Range<u64>>,
+    /// What the capture's owner allocated and still holds.
+    own: OwnTally,
     /// The translation table [`GpuSim::replay_rebound`] fills, kept for
     /// its capacity between replays.
     rebind: Rebinding,
@@ -193,15 +207,22 @@ impl SimState {
         self.capture_depth > 0 && self.capture_owner == Some(current_thread())
     }
 
-    /// Notes a run of ids `ids` just handed out: the open capture's own
-    /// when the calling thread owns it.
-    fn note_alloc(&mut self, ids: Range<u64>) {
+    /// Notes a run of ids `ids` of `bytes` in all just handed out: the
+    /// open capture's own when the calling thread owns it.
+    fn note_alloc(&mut self, ids: Range<u64>, bytes: u64) {
         if ids.is_empty() || !self.captured_by_current_thread() {
             return;
         }
-        match self.own_ids.last_mut() {
-            Some(last) if last.end == ids.start => last.end = ids.end,
-            _ => self.own_ids.push(ids),
+        self.own.alloc(ids, bytes);
+    }
+
+    /// Returns `buf` of `bytes` to the pool and the L2 model; `owner` says
+    /// whether the calling thread owns the open capture.
+    fn free(&mut self, buf: BufferId, bytes: u64, owner: bool) {
+        self.pool.free(bytes);
+        self.timeline.evict_buffer(buf);
+        if owner {
+            self.own.free(buf, bytes);
         }
     }
 
@@ -219,6 +240,35 @@ impl SimState {
     }
 }
 
+/// The open capture owner's allocations: the id runs it was handed and how
+/// many of them, and of how many bytes, it still holds.
+#[derive(Debug, Default)]
+struct OwnTally {
+    ids: Vec<Range<u64>>,
+    live_ids: u64,
+    live_bytes: u64,
+}
+
+impl OwnTally {
+    fn alloc(&mut self, ids: Range<u64>, bytes: u64) {
+        self.live_ids += ids.end - ids.start;
+        self.live_bytes += bytes;
+        match self.ids.last_mut() {
+            Some(last) if last.end == ids.start => last.end = ids.end,
+            _ => self.ids.push(ids),
+        }
+    }
+
+    /// Counts `buf` gone when it is one of the owner's ids.
+    fn free(&mut self, buf: BufferId, bytes: u64) {
+        let r = self.ids.partition_point(|run| run.end <= buf.0);
+        if self.ids.get(r).is_some_and(|run| run.contains(&buf.0)) {
+            self.live_ids -= 1;
+            self.live_bytes -= bytes;
+        }
+    }
+}
+
 impl GpuSim {
     /// Creates a simulated device.
     pub fn new(spec: DeviceSpec, mode: ExecMode) -> Arc<Self> {
@@ -232,7 +282,7 @@ impl GpuSim {
                 capture_depth: 0,
                 capture_owner: None,
                 capture_first_id: 0,
-                own_ids: Vec::new(),
+                own: OwnTally::default(),
                 rebind: Rebinding::default(),
                 entry: EntryState::default(),
             }),
@@ -268,9 +318,6 @@ impl GpuSim {
     ///
     /// `accesses` runs under the device lock: it must only name buffers,
     /// never call back into this device.
-    ///
-    /// Inside a region opened by [`Self::begin_capture_skipping`] the launch
-    /// is only counted, without taking the device lock.
     #[inline]
     pub fn launch(
         &self,
@@ -278,11 +325,9 @@ impl GpuSim {
         desc: KernelDesc,
         accesses: impl FnOnce(&mut Accesses<'_>),
     ) -> Launched {
-        if !self.skips(1) {
-            self.state
-                .lock()
-                .record(|log| log.launch(stream, desc, accesses));
-        }
+        self.state
+            .lock()
+            .record(|log| log.launch(stream, desc, accesses));
         Launched {
             functional: self.is_functional(),
         }
@@ -415,20 +460,6 @@ impl GpuSim {
         }
     }
 
-    /// True (counting `launches`) when the calling thread skips this
-    /// device's launches and fences.
-    #[inline]
-    fn skips(&self, launches: u64) -> bool {
-        SKIPPING.with(|s| {
-            let (dev, n) = s.get();
-            let skip = dev == self as *const Self as usize;
-            if skip {
-                s.set((dev, n + launches));
-            }
-            skip
-        })
-    }
-
     /// Opens a kernel-graph capture region on the **calling thread**:
     /// subsequent [`Self::launch`] and [`Self::fence`] calls from this
     /// thread are recorded instead of timed (other threads keep executing
@@ -444,7 +475,8 @@ impl GpuSim {
             st.capture_owner = Some(me);
             st.capture_depth = 1;
             st.capture_first_id = st.pool.next_id();
-            st.own_ids.clear();
+            st.pool.capture_peak = st.pool.current_bytes;
+            st.own = OwnTally::default();
             true
         } else {
             if st.capture_owner == Some(me) {
@@ -452,26 +484,6 @@ impl GpuSim {
             }
             false
         }
-    }
-
-    /// As [`Self::begin_capture`], except that when this call opens the
-    /// outermost region, the calling thread's launches and fences on this
-    /// device are dropped until it closes: each launch is counted
-    /// ([`OwnWork::skipped_launches`]) and its body runs as usual, and
-    /// neither takes the device lock. Allocations and releases still go
-    /// through the pool, and [`OwnWork::own_ids`] lists them.
-    ///
-    /// For a caller that already holds the plan of the work the region is
-    /// about to issue, and only needs its allocations to bind it.
-    pub fn begin_capture_skipping(&self) -> bool {
-        let outermost = self.begin_capture();
-        if outermost {
-            SKIPPING.with(|s| {
-                assert_eq!(s.get().0, 0, "one skipping capture per thread");
-                s.set((self as *const Self as usize, 0));
-            });
-        }
-        outermost
     }
 
     /// Closes one capture region of the calling thread. The outermost close
@@ -485,7 +497,8 @@ impl GpuSim {
     }
 
     /// As [`Self::end_capture`], also returning what the region's owner
-    /// allocated and skipped (empty unless this is the outermost close).
+    /// allocated and what it did to the pool (empty unless this is the
+    /// outermost close).
     pub fn end_capture_owned(&self) -> (Capture, OwnWork) {
         let mut st = self.state.lock();
         if !st.captured_by_current_thread() {
@@ -494,21 +507,21 @@ impl GpuSim {
         st.capture_depth -= 1;
         if st.capture_depth == 0 {
             st.capture_owner = None;
-            let skipped_launches = SKIPPING.with(|s| {
-                let (dev, n) = s.get();
-                if dev != self as *const Self as usize {
-                    return 0;
-                }
-                s.set((0, 0));
-                n
-            });
             let capture = Capture {
                 events: std::mem::take(&mut st.capture),
                 fresh_ids: st.capture_first_id..st.pool.next_id(),
             };
+            let tally = std::mem::take(&mut st.own);
+            let kept = st.pool.current_bytes.saturating_sub(tally.live_bytes);
+            let effect = PoolEffect {
+                ids: tally.ids.iter().map(|run| run.end - run.start).sum(),
+                peak_rise: st.pool.capture_peak.saturating_sub(kept),
+                live_bytes: tally.live_bytes,
+            };
             let own = OwnWork {
-                own_ids: std::mem::take(&mut st.own_ids),
-                skipped_launches,
+                own_ids: tally.ids,
+                live_ids: tally.live_ids,
+                effect,
             };
             (capture, own)
         } else {
@@ -547,9 +560,6 @@ impl GpuSim {
     /// Event fence: streams in `waiters` wait for work recorded on
     /// `signals`. Recorded instead of applied while a capture is active.
     pub fn fence(&self, signals: &[usize], waiters: &[usize]) {
-        if self.skips(0) {
-            return;
-        }
         self.state
             .lock()
             .record(|log| log.fence(signals.iter().copied(), waiters.iter().copied()));
@@ -630,32 +640,54 @@ impl GpuSim {
         bytes: impl IntoIterator<Item = u64>,
     ) -> std::ops::Range<u64> {
         let mut st = self.state.lock();
+        let owner = st.captured_by_current_thread();
         for (buf, b) in bufs {
-            st.pool.free(b);
-            st.timeline.evict_buffer(buf);
+            st.free(buf, b, owner);
         }
         let first = st.pool.next_id();
+        let mut total = 0;
         for b in bytes {
             st.pool.alloc(b);
+            total += b;
         }
         let ids = first..st.pool.next_id();
-        st.note_alloc(ids.clone());
+        st.note_alloc(ids.clone(), total);
         ids
+    }
+
+    /// Repeats what a capture region did to the pool
+    /// ([`OwnWork::effect`]) without its allocations, under one
+    /// acquisition of the device lock: hands out `effect.ids` consecutive
+    /// ids, raises the peak to the current bytes plus `effect.peak_rise`,
+    /// and counts `effect.live_bytes` as allocated. Returns the ids; the
+    /// caller owns those the recorded region kept
+    /// ([`PoolBuf::on_id`]) and none of the others.
+    ///
+    /// Call it once the older buffers the region would have released are
+    /// released.
+    pub fn apply_pool_effect(&self, effect: &PoolEffect) -> Range<u64> {
+        let mut st = self.state.lock();
+        let pool = &mut st.pool;
+        let first = pool.next_id();
+        pool.skip_ids(effect.ids);
+        pool.raise_peak(pool.current_bytes + effect.peak_rise);
+        pool.current_bytes += effect.live_bytes;
+        first..pool.next_id()
     }
 
     /// One id for a standalone [`VectorGpu`], under its own lock.
     fn pool_alloc(&self, bytes: u64) -> BufferId {
         let mut st = self.state.lock();
         let id = st.pool.alloc(bytes);
-        st.note_alloc(id.0..id.0 + 1);
+        st.note_alloc(id.0..id.0 + 1, bytes);
         id
     }
 
     /// Frees one standalone [`VectorGpu`], under its own lock.
     fn pool_free(&self, buf: BufferId, bytes: u64) {
         let mut st = self.state.lock();
-        st.pool.free(bytes);
-        st.timeline.evict_buffer(buf);
+        let owner = st.captured_by_current_thread();
+        st.free(buf, bytes, owner);
     }
 }
 
@@ -918,35 +950,82 @@ mod tests {
     }
 
     #[test]
-    fn a_skipping_capture_counts_launches_and_lists_its_own_allocations() {
+    fn a_capture_lists_its_owners_allocations_and_what_it_still_holds() {
         let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::Functional);
         let before = gpu.alloc_run([8]);
-        assert!(gpu.begin_capture_skipping());
+        assert!(gpu.begin_capture());
         let first = gpu.alloc_run([8, 8]);
         let lone = gpu.pool_alloc(8);
-        assert!(!gpu.begin_capture_skipping(), "nested");
-        let mut hits = 0;
-        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
-            .run(|| hits += 1);
-        gpu.fence(&[0], &[1]);
+        assert!(!gpu.begin_capture(), "nested");
         assert!(gpu.end_capture().events.is_empty(), "nested close");
         // Another thread's allocation lands in the window, not in the list.
         std::thread::scope(|s| {
             s.spawn(|| gpu.alloc_run([8]));
         });
-        let last = gpu.alloc_run([8]);
-        gpu.launch(1, KernelDesc::new(KernelKind::Elementwise), |_| {})
-            .run(|| hits += 1);
+        let last = gpu.alloc_run([16]);
+        gpu.release([(BufferId(first.start), 8), (BufferId(before.start), 8)]);
         let (c, own) = gpu.end_capture_owned();
-        assert_eq!(hits, 2, "bodies run");
-        assert!(c.events.is_empty(), "nothing recorded");
-        assert_eq!(own.skipped_launches, 2);
         assert_eq!(c.fresh_ids, before.end..last.end);
         assert_eq!(own.own_ids, [first.start..lone.0 + 1, last]);
-        assert_eq!(gpu.stats().kernel_launches, 0, "nothing timed");
-        gpu.launch(0, KernelDesc::new(KernelKind::Elementwise), |_| {})
-            .run(|| {});
-        assert_eq!(gpu.stats().kernel_launches, 1, "the close ends the skip");
+        assert_eq!((own.live_ids, own.effect.live_bytes), (3, 32));
+        assert_eq!(own.effect.ids, 4);
+    }
+
+    /// One region's allocations and releases: it consumes `input` (an
+    /// older buffer) midway and keeps one buffer, which it returns.
+    fn region_steps(gpu: &GpuSim, input: Range<u64>) -> BufferId {
+        let temps = gpu.alloc_run([64, 32]);
+        gpu.release([(BufferId(input.start), 40)]);
+        let out = gpu.recycle([(BufferId(temps.start), 64)], [24, 8]);
+        gpu.release([
+            (BufferId(temps.start + 1), 32),
+            (BufferId(out.start + 1), 8),
+        ]);
+        BufferId(out.start)
+    }
+
+    #[test]
+    fn applying_a_pool_effect_equals_stepping_its_allocations() {
+        let state = |gpu: &GpuSim| {
+            let s = gpu.stats();
+            let next_id = gpu.alloc_run(std::iter::empty()).start;
+            (s.peak_alloc_bytes, s.current_alloc_bytes, next_id)
+        };
+        // A device past a 500-byte peak, holding `resident` bytes and the
+        // region's 40-byte input.
+        let device = |resident: u64| {
+            let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+            let gone = gpu.alloc_run([500]);
+            gpu.release([(BufferId(gone.start), 500)]);
+            let _ = gpu.alloc_run([resident]);
+            let input = gpu.alloc_run([40]);
+            (gpu, input)
+        };
+        let (recorded, input) = device(100);
+        assert!(recorded.begin_capture());
+        let _ = region_steps(&recorded, input);
+        let (_, own) = recorded.end_capture_owned();
+        assert_eq!(own.live_ids, 1);
+        // Highest at 100 + 40 + 64 + 32; kept 100 of what it entered with.
+        let effect = PoolEffect {
+            ids: 4,
+            peak_rise: 136,
+            live_bytes: 24,
+        };
+        assert_eq!(own.effect, effect);
+        // Under the old peak, and past it: the effect is relative to the
+        // state it is applied in, once the input is released.
+        for (resident, peak) in [(100, 500), (700, 836)] {
+            let (stepped, input) = device(resident);
+            let kept = region_steps(&stepped, input.clone());
+            let (applied, _) = device(resident);
+            applied.release([(BufferId(input.start), 40)]);
+            let ids = applied.apply_pool_effect(&effect);
+            assert_eq!(ids.end - ids.start, 4);
+            assert_eq!(kept, BufferId(ids.start + 2), "the kept ordinal");
+            assert_eq!(state(&applied), state(&stepped), "resident {resident}");
+            assert_eq!(state(&applied).0, peak);
+        }
     }
 
     #[test]

@@ -120,6 +120,9 @@ pub(crate) struct PoolState {
     next_id: u64,
     pub(crate) current_bytes: u64,
     pub(crate) peak_bytes: u64,
+    /// The highest `current_bytes` since the open capture began (set to
+    /// the current bytes when one begins).
+    pub(crate) capture_peak: u64,
 }
 
 impl PoolState {
@@ -132,8 +135,19 @@ impl PoolState {
         let id = BufferId(self.next_id);
         self.next_id += 1;
         self.current_bytes += bytes;
-        self.peak_bytes = self.peak_bytes.max(self.current_bytes);
+        self.raise_peak(self.current_bytes);
         id
+    }
+
+    /// Hands out `count` ids that hold no bytes.
+    pub(crate) fn skip_ids(&mut self, count: u64) {
+        self.next_id += count;
+    }
+
+    /// Raises both high-water marks to at least `bytes`.
+    pub(crate) fn raise_peak(&mut self, bytes: u64) {
+        self.peak_bytes = self.peak_bytes.max(bytes);
+        self.capture_peak = self.capture_peak.max(bytes);
     }
 
     pub(crate) fn free(&mut self, bytes: u64) {

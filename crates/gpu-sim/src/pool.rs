@@ -54,6 +54,15 @@ impl<T: Copy + Default> PoolBuf<T> {
         })
     }
 
+    /// A zero-initialized buffer of `len` elements on `id`, an id the pool
+    /// already handed out and counts the bytes of
+    /// ([`GpuSim::apply_pool_effect`]) with no buffer yet holding it.
+    pub fn on_id(gpu: &GpuSim, id: u64, len: usize) -> Self {
+        Self::on_ids(gpu, id..id + 1, len)
+            .next()
+            .expect("one id, one buffer")
+    }
+
     /// Uploads each host vector of `host` into a fresh buffer, all ids taken
     /// under one device lock by this call (functional mode keeps the
     /// contents; cost-only mode records the allocations only). Does **not**

@@ -274,7 +274,7 @@ impl<'a> LrTrainer<'a> {
         c1z.drop_to_level(z3c.level())?;
         let mut p = z3c;
         p.add_assign_ct(&c1z)?;
-        p.add_scalar_assign(SIGMOID_C0);
+        p.add_scalar_assign(SIGMOID_C0)?;
 
         // 4. Error e = y − p.
         let mut y_now = y.duplicate();

@@ -2,7 +2,7 @@
 //! decrypt round-trips on **both** backends, cross-backend agreement, and
 //! the automatic level-alignment policy.
 
-use fideslib::{BackendChoice, CkksEngine};
+use fideslib::{BackendChoice, CkksEngine, FidesError};
 use proptest::prelude::*;
 
 fn engine(backend: BackendChoice, seed: u64) -> CkksEngine {
@@ -165,6 +165,42 @@ fn negation_identities() {
             assert!((neg[i] + xs[i]).abs() < 1e-4);
             assert!(z[i].abs() < 1e-4);
             assert!((flipped[i] - (1.0 - xs[i])).abs() < 1e-4);
+        }
+    }
+}
+
+/// A scalar whose `c·scale` rounds to 2¹²⁷ or more is a typed error on both
+/// backends (its residues come from an `i128`, which would saturate), and
+/// one just inside the range still computes.
+#[test]
+fn scalars_past_the_integer_range_are_typed_errors() {
+    for backend in [BackendChoice::GpuSim, BackendChoice::Cpu] {
+        let engine = engine(backend, 5);
+        let xs = [0.5, -0.25];
+        let x = engine.encrypt(&xs).unwrap();
+        for c in [1e30, 1e40] {
+            for r in [x.try_add_scalar(c), x.try_mul_scalar(c)] {
+                assert!(
+                    matches!(r, Err(FidesError::ScalarOutOfRange { .. })),
+                    "{backend:?} c = {c:e}: {r:?}"
+                );
+            }
+        }
+        let c = 1e20;
+        let sum = engine.decrypt(&x.try_add_scalar(c).unwrap()).unwrap();
+        let prod = engine.decrypt(&x.try_mul_scalar(c).unwrap()).unwrap();
+        for (i, x) in xs.iter().enumerate() {
+            let (want_sum, want_prod) = (x + c, x * c);
+            assert!(
+                (sum[i] - want_sum).abs() < 1e-9 * c,
+                "{backend:?} slot {i}: {} vs {want_sum}",
+                sum[i]
+            );
+            assert!(
+                (prod[i] - want_prod).abs() < 1e-6 * c,
+                "{backend:?} slot {i}: {} vs {want_prod}",
+                prod[i]
+            );
         }
     }
 }
