@@ -23,8 +23,8 @@ use fides_core::sched::{
     fingerprint, BoundPlan, ExecGraph, GpuReplayExecutor, PlanCache, PlanConfig, Planner,
 };
 use fides_core::{
-    adapter, boot, BackendCt, BootstrapConfig, Bootstrapper, Ciphertext, CkksContext, EvalBackend,
-    GpuSimBackend,
+    adapter, boot, BackendCt, BootstrapConfig, Bootstrapper, Ciphertext, CkksContext,
+    CkksParameters, EvalBackend, GpuSimBackend,
 };
 use fides_gpu_sim::{
     BufferId, Capture, DeviceSpec, Event, EventLog, ExecMode, GpuSim, KernelDesc, KernelKind,
@@ -363,18 +363,34 @@ struct Side {
     /// How many pool ids each region the test captured itself handed out
     /// (its [`Capture::fresh_ids`] length), in region order.
     fresh_ids: RefCell<Vec<u64>>,
+    /// Slots of the LR batch and of the bootstrap.
+    slots: usize,
 }
 
-/// The LR batch at logN 11: 32 samples × 32 features fill the 1024 slots.
+/// Features per sample of the LR batch: at logN 11, 32 samples × 32
+/// features fill the 1024 slots.
 const FEATURES: i32 = 32;
-const SLOTS: usize = 1024;
 
 impl Side {
+    /// A side on the logN-11 test context, its LR batch filling every slot.
     fn new(plain: bool) -> Self {
         let ctx = common::context();
+        let slots = ctx.n() / 2;
+        Self::on(ctx, slots, plain)
+    }
+
+    /// A side on the paper's LR parameters (N = 2¹⁶), cost-only, with a
+    /// sparse 2¹⁴-slot batch.
+    fn paper(plain: bool) -> Self {
+        let params = CkksParameters::paper_lr().with_limb_batch(12);
+        let gpu = GpuSim::new(DeviceSpec::rtx_4090(), ExecMode::CostOnly);
+        Self::on(CkksContext::new(params, gpu), 1 << 14, plain)
+    }
+
+    fn on(ctx: Arc<CkksContext>, slots: usize, plain: bool) -> Self {
         let client = ClientContext::new(ctx.raw_params().clone());
         let cfg = BootstrapConfig {
-            slots: ctx.n() / 2,
+            slots,
             level_budget: (2, 2),
             k_range: 128.0,
             double_angles: 6,
@@ -382,7 +398,7 @@ impl Side {
         };
         let mut shifts = boot::required_rotations(ctx.n(), &cfg);
         let mut k = 1;
-        while k < SLOTS as i32 {
+        while k < slots as i32 {
             shifts.extend([k, -k]);
             k <<= 1;
         }
@@ -390,7 +406,7 @@ impl Side {
         let booter = Bootstrapper::new(&backend, &client, cfg).expect("chain deep enough");
         let backend = backend.with_bootstrapper(booter);
         let top = ctx.max_level();
-        let fresh = || adapter::placeholder_ciphertext(&ctx, top, ctx.standard_scale(top), SLOTS);
+        let fresh = || adapter::placeholder_ciphertext(&ctx, top, ctx.standard_scale(top), slots);
         let (w, x, y) = (fresh(), fresh(), fresh());
         Side {
             ctx,
@@ -400,6 +416,7 @@ impl Side {
             y,
             plain: plain.then(|| RefCell::new(PlanCache::default())),
             fresh_ids: RefCell::default(),
+            slots,
         }
     }
 
@@ -450,7 +467,7 @@ impl Side {
         self.region(|| prod.rescale_in_place().unwrap());
         self.fold(&mut prod, 1, FEATURES);
         let mask =
-            adapter::placeholder_plaintext(&self.ctx, prod.level(), level_scale(&prod), SLOTS);
+            adapter::placeholder_plaintext(&self.ctx, prod.level(), level_scale(&prod), self.slots);
         let mut z = self.region(|| prod.mul_plain(&mask).unwrap());
         self.region(|| z.rescale_in_place().unwrap());
         self.fold(&mut z, -1, FEATURES);
@@ -467,7 +484,7 @@ impl Side {
         x_low.drop_to_level(e.level()).unwrap();
         let mut g = self.region(|| e.mul(&x_low, keys).unwrap());
         self.region(|| g.rescale_in_place().unwrap());
-        self.fold(&mut g, FEATURES, SLOTS as i32);
+        self.fold(&mut g, FEATURES, self.slots as i32);
         let mut low = self.region(|| g.mul_scalar_rescale(0.125).unwrap());
         low.drop_to_level(0).unwrap();
         self.region(|| self.backend.bootstrap(&BackendCt::Device(low)).unwrap());
@@ -480,10 +497,36 @@ fn bind1_with(cache: &mut PlanCache, cfg: &PlanConfig, g: &ExecGraph) -> BoundPl
 
 #[test]
 fn memoised_context_replay_equals_plain_replay_of_the_same_plans() {
-    let memoised = Side::new(false);
-    let plain = Side::new(true);
+    let hits = assert_memoised_equals_plain(Side::new(false), Side::new(true), 4);
+    assert_eq!(hits[0], 0, "a plan's first replays have nothing to reuse");
+    assert!(
+        hits[2..].iter().all(|&h| h > 0),
+        "memo hits start by the third repeat: {hits:?}"
+    );
+}
+
+/// The same twin at the size the memo's gain is claimed on: a memo hit
+/// there advances the clocks over tens of thousands of stored launch terms.
+#[test]
+#[ignore = "paper scale: run with --include-ignored in a release build"]
+fn paper_scale_memoised_context_replay_equals_plain_replay_of_the_same_plans() {
+    let hits = assert_memoised_equals_plain(Side::paper(false), Side::paper(true), 5);
+    // Plans repeated within one op hit from the first repeat on; warm
+    // repeats hit more.
+    assert!(
+        hits[2..].iter().all(|&h| h > hits[0]),
+        "warm repeats are served from the memo: {hits:?}"
+    );
+}
+
+/// Runs the LR iteration plus bootstrap `repeats` times on both sides and
+/// requires their ledgers, plan-cache counters, resident lists and clocks
+/// to agree to the bit after every repeat. Returns the memo hits of each
+/// repeat.
+fn assert_memoised_equals_plain(memoised: Side, plain: Side, repeats: usize) -> Vec<u64> {
     let mut hits_before = 0;
-    for repeat in 0..4 {
+    let mut per_repeat = Vec::with_capacity(repeats);
+    for repeat in 0..repeats {
         memoised.iteration_and_bootstrap();
         plain.iteration_and_bootstrap();
 
@@ -510,17 +553,13 @@ fn memoised_context_replay_equals_plain_replay_of_the_same_plans() {
             plain.gpu().sync().to_bits(),
             "{when}: simulated clock"
         );
-        if repeat == 0 {
-            assert_eq!(hits, 0, "a plan's first replays have nothing to reuse");
-        }
-        if repeat >= 2 {
-            assert!(hits > 0, "{when}: memo hits start by the third repeat");
-        }
+        per_repeat.push(hits);
     }
     assert!(
         memoised.ctx.sched_stats().plan_cache_hits > 0,
         "repeats replay cached plans"
     );
+    per_repeat
 }
 
 /// Pool ids each region of [`Side::iteration_and_bootstrap`] hands out, in

@@ -391,11 +391,13 @@ impl GpuSim {
     /// contract a replay's L2 classification depends only on the device's
     /// resident list with each line reduced to its name (or, unnamed, to
     /// nothing), bytes and dirty flag — the entry state. When the memo
-    /// holds a replay recorded from an equal entry state, this one skips
-    /// `bind` and every L2 touch: it times each launch from the recorded
-    /// hit, miss and write-back bytes and installs the recorded exit state,
-    /// leaving the device exactly as [`Self::replay_rebound`] would (and
-    /// counting [`SimStats::replay_memo_hits`]). Otherwise it replays
+    /// holds a replay recorded from an equal entry state on a device of
+    /// equal timing constants, this one skips `bind`, every L2 touch and
+    /// the walk over the log's launches: it advances the clocks and the
+    /// ledger by each launch's recorded terms, applies the log's fences
+    /// between them and installs the recorded exit state, leaving the
+    /// device exactly as [`Self::replay_rebound`] would (and counting
+    /// [`SimStats::replay_memo_hits`]). Otherwise it replays
     /// through the L2 model, and records this replay into `memo` when an
     /// earlier unmatched replay entered from the same state.
     ///

@@ -1,14 +1,17 @@
-//! Memoised replay: a planned log's L2 classification, reused while the
+//! Memoised replay: a planned log's launch terms, reused while the
 //! device's residency list repeats.
 //!
 //! Replaying a launch does two separable things. It *classifies* its
 //! traffic through the L2 model — which read bytes hit, which missed, which
-//! dirty bytes an eviction wrote back — and it *times* the launch from
-//! those three byte counts. The classification of a whole log is a pure
-//! function of the L2 capacity, the ordered resident list it starts from
-//! (each line's bytes and dirty flag) and the sequence of buffers the log
-//! touches; the timing arithmetic never feeds back into it. Only equality
-//! of buffer ids matters to the L2 model, never their values.
+//! dirty bytes an eviction wrote back — and it *times* the launch: those
+//! three byte counts, its descriptor and the device's constants fix its
+//! [`LaunchTerms`] (resource-phase and service times, ledger counts), and
+//! [`Timeline::advance`] moves the clocks and the ledger by them. The
+//! classification of a whole log is a pure function of the L2 capacity,
+//! the ordered resident list it starts from (each line's bytes and dirty
+//! flag) and the sequence of buffers the log touches; the timing arithmetic
+//! never feeds back into it. Only equality of buffer ids matters to the L2
+//! model, never their values.
 //!
 //! So a replay names the lines it starts from: a buffer it touches gets
 //! the caller's name for it (a cached plan names a pooled slot by the slot
@@ -17,15 +20,20 @@
 //! touches is named only by its bytes and dirty flag. Two replays of one
 //! log from equally named states touch corresponding buffers in the same
 //! order, so they classify every launch identically and leave equally named
-//! exit states — which is what lets a [`ReplayMemo`] replace every L2 touch
-//! of a repeated replay with the recorded byte counts and one install of
-//! the recorded exit state.
+//! exit states. A [`ReplayMemo`] therefore records each launch's terms and
+//! the exit state once, and a repeated replay from that state calls
+//! `advance` over the stored terms — applying the log's fences, found by
+//! their recorded event index, between them — and installs the exit state:
+//! no L2 touch, no walk over the log's launches, no terms derived again.
+//! The terms bake in the device's timing constants, so a memo is keyed on
+//! all of them, not only the L2 capacity. A recorded replay keeps 80 bytes
+//! per launch.
 
 use std::cell::Cell;
 
-use crate::log::EventLog;
+use crate::log::{Event, EventLog};
 use crate::mem::{BufferId, BufferMap};
-use crate::timeline::{L2Class, L2Model, Timeline};
+use crate::timeline::{Constants, L2Model, LaunchTerms, Timeline};
 
 /// One resident L2 line as a replay names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,13 +55,37 @@ enum Source {
     Entry(u32),
 }
 
-/// One recorded replay: the state it entered from, the classification of
-/// each launch, and the state it left.
+/// One recorded replay: the state it entered from, each launch's terms,
+/// where the log's fences fall among them, and the state it left.
 #[derive(Debug, Default)]
 struct Recorded {
     entry: Vec<Line>,
-    classes: Vec<L2Class>,
+    /// One per launch, in launch order.
+    terms: Vec<LaunchTerms>,
+    /// Each fence as `(launches before it, its index in the log)`.
+    fences: Vec<(usize, usize)>,
     exit: Vec<(Source, u64, bool)>,
+}
+
+impl Recorded {
+    /// Advances `timeline` by every stored launch and every fence of `log`,
+    /// in the log's order.
+    fn advance(&self, timeline: &mut Timeline, log: &EventLog) {
+        let mut done = 0;
+        for &(at, event) in &self.fences {
+            for t in &self.terms[done..at] {
+                timeline.advance(t);
+            }
+            done = at;
+            let Event::Fence { signals, waiters } = log.get(event) else {
+                unreachable!("a recorded fence index names a fence of its log");
+            };
+            timeline.fence(signals, waiters);
+        }
+        for t in &self.terms[done..] {
+            timeline.advance(t);
+        }
+    }
 }
 
 /// The device's resident list named for one replay. Scratch the device
@@ -85,17 +117,18 @@ const STATES: usize = 4;
 
 /// What one replayed log remembers between replays (see the module docs
 /// and [`GpuSim::replay_memoised`](crate::GpuSim::replay_memoised)): the
-/// classification and exit state of up to four replays, each from its own
+/// launch terms and exit state of up to four replays, each from its own
 /// entry state, and the entry states of the last four replays that found
 /// no recorded match. A state is recorded the second time a replay that
 /// finds no match enters from it.
 ///
 /// A memo belongs to one log replayed under one naming, and is valid on any
-/// device of the L2 capacity it was recorded on.
+/// device whose L2 capacity and timing constants (launch overhead, latency
+/// floor, DRAM, L2 and int32 rates) equal those it was recorded on.
 #[derive(Debug, Default)]
 pub struct ReplayMemo {
-    /// L2 capacity `recorded` and `seen` were named on.
-    capacity: u64,
+    /// Device constants `recorded` and `seen` were made on.
+    constants: Constants,
     /// Least recently applied first.
     recorded: Vec<Recorded>,
     /// Entry states of unmatched replays, oldest first.
@@ -103,9 +136,10 @@ pub struct ReplayMemo {
 }
 
 impl ReplayMemo {
-    /// Replays `log` from a recorded classification and installs that
-    /// replay's exit state — when the memo holds one entered from exactly
-    /// `state` on this capacity. Returns whether it did.
+    /// Advances `timeline` by a recorded replay's terms and `log`'s fences
+    /// and installs that replay's exit state — when the memo holds one
+    /// entered from exactly `state` on a device of these constants. Returns
+    /// whether it did.
     pub(crate) fn apply(
         &mut self,
         timeline: &mut Timeline,
@@ -113,7 +147,7 @@ impl ReplayMemo {
         state: &EntryState,
         resolve: impl Fn(u64) -> BufferId,
     ) -> bool {
-        if self.capacity != timeline.l2.capacity() {
+        if self.constants != timeline.constants() {
             return false;
         }
         let Some(at) = self.recorded.iter().position(|r| r.entry == state.lines) else {
@@ -121,7 +155,7 @@ impl ReplayMemo {
         };
         self.recorded[at..].rotate_left(1);
         let rec = self.recorded.last().expect("just found");
-        timeline.replay_classified(log, &rec.classes);
+        rec.advance(timeline, log);
         timeline
             .l2
             .install(rec.exit.iter().map(|&(source, bytes, dirty)| {
@@ -145,9 +179,9 @@ impl ReplayMemo {
         state: &EntryState,
         name: impl Fn(BufferId) -> Option<u64>,
     ) {
-        let capacity = timeline.l2.capacity();
-        if self.capacity != capacity {
-            self.capacity = capacity;
+        let constants = timeline.constants();
+        if self.constants != constants {
+            self.constants = constants;
             self.recorded.clear();
             self.seen.clear();
         }
@@ -161,11 +195,12 @@ impl ReplayMemo {
         };
         let mut rec = Recorded {
             entry: self.seen.remove(seen),
-            classes: Vec::with_capacity(log.launches()),
+            terms: Vec::with_capacity(log.launches()),
+            fences: Vec::with_capacity(log.fences()),
             exit: Vec::new(),
         };
         // A log touching a buffer the naming misses cannot be memoised:
-        // its classification would depend on that buffer's identity.
+        // its terms would depend on that buffer's identity.
         let named = Cell::new(true);
         let map = |buf| {
             let to = map(buf);
@@ -174,7 +209,7 @@ impl ReplayMemo {
             }
             to
         };
-        timeline.replay_classifying(log, map, &mut rec.classes);
+        timeline.replay_recording(log, map, &mut rec.terms, &mut rec.fences);
         if !named.get() {
             return;
         }

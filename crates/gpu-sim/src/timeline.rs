@@ -15,6 +15,16 @@
 //! latency but never exceeds the device's aggregate bandwidth/compute — the
 //! same first-order behaviour the paper exploits and measures.
 //!
+//! Timing one launch is three steps. [`Timeline::classify`] splits its
+//! traffic through the L2 model into hit, miss and write-back bytes;
+//! [`LaunchTerms::of`] turns those bytes, the descriptor and the device's
+//! [`Constants`] into the launch's resource-phase times, service time and
+//! ledger counts, touching no clock; and [`Timeline::advance`] — the one
+//! home of the clock chain and the ledger — moves the clocks and the
+//! ledger by those terms. A plain replay does all three per launch; a
+//! memoised replay ([`crate::ReplayMemo`]) stores the terms when it records
+//! and, on a hit, only calls `advance` over them.
+//!
 //! L2 residency is a byte-accurate LRU over [`BufferId`]s: a read hits iff
 //! the buffer was touched recently enough that it has not been evicted, which
 //! is what produces the working-set knees of Figs. 4, 5 and 7. The model is
@@ -22,11 +32,10 @@
 //! and charges the evicted *dirty* bytes to DRAM. Recency lives in an
 //! intrusive doubly-linked list over a slab, indexed by an integer-hashed
 //! [`BufferMap`], so a touch is O(1) and — like the rest of
-//! [`Timeline::launch`] — allocates nothing in steady state: a plain replay
-//! of a paper-scale LR iteration plus bootstrap is ~1.21 M touches per op,
-//! which a memoised replay ([`crate::ReplayMemo`]) skips. The tests keep
-//! the older ordered-map formulation as a reference and compare the two
-//! step by step.
+//! [`Timeline::launch_mapped`] — allocates nothing in steady state: a plain
+//! replay of a paper-scale LR iteration plus bootstrap is ~1.21 M touches
+//! per op, which a memoised replay skips. The tests keep the older
+//! ordered-map formulation as a reference and compare the two step by step.
 
 use std::collections::BTreeMap;
 
@@ -74,7 +83,9 @@ pub struct SimStats {
     pub dram_read_bytes: u64,
     /// Bytes read that hit L2.
     pub l2_hit_bytes: u64,
-    /// Bytes written (write-through in the model).
+    /// Bytes written. Writes land in L2 (the model is write-back); their
+    /// DRAM cost is charged to `dram_read_bytes` when a dirty line is
+    /// evicted.
     pub write_bytes: u64,
     /// Total int32-equivalent ops executed.
     pub int32_ops: u64,
@@ -108,8 +119,9 @@ pub struct SimStats {
     pub plan_cache_hits: u64,
     /// Planned graphs that had to run the full planning pass.
     pub plan_cache_misses: u64,
-    /// Replays that reused a [`ReplayMemo`](crate::ReplayMemo)'s recorded
-    /// L2 classification instead of touching the L2 model
+    /// Replays that advanced the clocks from a
+    /// [`ReplayMemo`](crate::ReplayMemo)'s recorded launch terms instead of
+    /// touching the L2 model
     /// ([`GpuSim::replay_memoised`](crate::GpuSim::replay_memoised)).
     pub replay_memo_hits: u64,
 }
@@ -140,8 +152,7 @@ impl SimStats {
 }
 
 /// How the L2 model split one launch's traffic: what
-/// [`Timeline::replay_classifying`] records and
-/// [`Timeline::replay_classified`] times from.
+/// [`Timeline::classify`] returns and [`LaunchTerms::of`] times.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct L2Class {
     /// Read bytes that hit a resident line.
@@ -150,6 +161,97 @@ pub(crate) struct L2Class {
     pub(crate) miss_bytes: u64,
     /// Dirty bytes evicted to make room.
     pub(crate) writeback_bytes: u64,
+}
+
+/// What a replay's classification and timing read of the device, derived
+/// from its [`DeviceSpec`] once. Two devices with equal constants classify
+/// and time every launch alike.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct Constants {
+    l2_bytes: u64,
+    kernel_launch_us: f64,
+    min_kernel_us: f64,
+    dram_bytes_per_us: f64,
+    l2_bytes_per_us: f64,
+    int32_ops_per_us: f64,
+}
+
+impl Constants {
+    fn of(spec: &DeviceSpec) -> Self {
+        Self {
+            l2_bytes: spec.l2_bytes,
+            kernel_launch_us: spec.kernel_launch_us,
+            min_kernel_us: spec.min_kernel_us,
+            dram_bytes_per_us: spec.dram_bytes_per_us(),
+            l2_bytes_per_us: spec.l2_bytes_per_us(),
+            int32_ops_per_us: spec.effective_int32_ops_per_us(),
+        }
+    }
+}
+
+/// One classified launch, ready for [`Timeline::advance`]: its stream and
+/// kind, its resource-phase and service times, and what it adds to the
+/// integer ledger. A pure function of the launch, its [`L2Class`] and the
+/// device's [`Constants`]; a [`crate::ReplayMemo`] stores one per launch.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct LaunchTerms {
+    stream: u32,
+    kind: KernelKind,
+    dram_time: f64,
+    l2_time: f64,
+    compute_time: f64,
+    /// The kernel's own service demand: what it would occupy its stream
+    /// with on an uncontended device.
+    service: f64,
+    /// Miss plus write-back bytes.
+    dram_bytes: u64,
+    hit_bytes: u64,
+    write_bytes: u64,
+    /// Miss, hit and write bytes: what the per-kind ledger counts as moved.
+    moved_bytes: u64,
+    int32_ops: u64,
+}
+
+impl LaunchTerms {
+    /// The terms of `launch`, whose traffic the L2 model split into
+    /// `class`, on a device with constants `c`.
+    pub(crate) fn of(c: &Constants, launch: &Launch<'_>, class: L2Class) -> Self {
+        let desc = &launch.desc;
+        let L2Class {
+            hit_bytes,
+            miss_bytes,
+            writeback_bytes,
+        } = class;
+        let write_bytes = launch.bytes_written();
+
+        let eff = desc.access_efficiency;
+        // Write-back model: writes land in L2; DRAM sees misses plus dirty
+        // evictions.
+        let dram_time = (miss_bytes + writeback_bytes) as f64 / (c.dram_bytes_per_us * eff);
+        let l2_time = (hit_bytes + write_bytes) as f64 / (c.l2_bytes_per_us * eff);
+        let compute_time = desc.int32_ops as f64 / c.int32_ops_per_us;
+        // `end − start` of a launch additionally contains queueing behind
+        // *other* streams' resource traffic, which is idle time for its
+        // stream, not busy time.
+        let service = c
+            .min_kernel_us
+            .max(dram_time)
+            .max(l2_time)
+            .max(compute_time);
+        Self {
+            stream: u32::try_from(launch.stream).expect("stream id exceeds u32"),
+            kind: desc.kind.unwrap_or(KernelKind::Elementwise),
+            dram_time,
+            l2_time,
+            compute_time,
+            service,
+            dram_bytes: miss_bytes + writeback_bytes,
+            hit_bytes,
+            write_bytes,
+            moved_bytes: miss_bytes + hit_bytes + write_bytes,
+            int32_ops: desc.int32_ops,
+        }
+    }
 }
 
 /// Sentinel slab index: "no node".
@@ -339,10 +441,6 @@ impl L2Model {
             self.total += bytes;
         }
     }
-
-    pub(crate) fn capacity(&self) -> u64 {
-        self.capacity
-    }
 }
 
 /// `len` as a slab index.
@@ -355,6 +453,7 @@ fn index_of(len: usize) -> u32 {
 #[derive(Debug)]
 pub(crate) struct Timeline {
     spec: DeviceSpec,
+    constants: Constants,
     /// Host launch clock, µs.
     cpu_clock: f64,
     /// Per-stream ready times, µs.
@@ -380,6 +479,7 @@ impl Timeline {
     pub(crate) fn new(spec: DeviceSpec) -> Self {
         let l2 = L2Model::new(spec.l2_bytes);
         Self {
+            constants: Constants::of(&spec),
             spec,
             cpu_clock: 0.0,
             stream_ready: vec![0.0; 4],
@@ -426,43 +526,38 @@ impl Timeline {
     /// Times every event of `log` in order, each buffer a launch touches
     /// presented to the L2 model as `map(buffer)`.
     pub(crate) fn replay(&mut self, log: &EventLog, map: impl Fn(BufferId) -> BufferId) {
-        self.replay_with(log, |t, launch| {
-            t.launch_mapped(launch, &map);
-        });
+        for event in log.iter() {
+            match event {
+                Event::Launch(l) => {
+                    self.launch_mapped(&l, &map);
+                }
+                Event::Fence { signals, waiters } => self.fence(signals, waiters),
+            }
+        }
     }
 
-    /// As [`Self::replay`], pushing each launch's L2 classification onto
-    /// `classes` in launch order.
-    pub(crate) fn replay_classifying(
+    /// As [`Self::replay`], pushing each launch's terms onto `terms` in
+    /// launch order and each fence onto `fences` as `(launches before it,
+    /// its index in log)`.
+    pub(crate) fn replay_recording(
         &mut self,
         log: &EventLog,
         map: impl Fn(BufferId) -> BufferId,
-        classes: &mut Vec<L2Class>,
+        terms: &mut Vec<LaunchTerms>,
+        fences: &mut Vec<(usize, usize)>,
     ) {
-        self.replay_with(log, |t, launch| {
-            let class = t.classify(launch, &map);
-            classes.push(class);
-            t.time_launch(launch, class);
-        });
-    }
-
-    /// Times every event of `log` in order from classifications recorded
-    /// earlier (one per launch, in launch order), touching no L2 line.
-    pub(crate) fn replay_classified(&mut self, log: &EventLog, classes: &[L2Class]) {
-        let mut classes = classes.iter();
-        self.replay_with(log, |t, launch| {
-            let class = *classes.next().expect("one classification per launch");
-            t.time_launch(launch, class);
-        });
-    }
-
-    /// Applies every fence of `log` and hands every launch to `launch`, in
-    /// order.
-    fn replay_with(&mut self, log: &EventLog, mut launch: impl FnMut(&mut Self, &Launch<'_>)) {
-        for event in log.iter() {
+        for (i, event) in log.iter().enumerate() {
             match event {
-                Event::Launch(l) => launch(self, &l),
-                Event::Fence { signals, waiters } => self.fence(signals, waiters),
+                Event::Launch(l) => {
+                    let class = self.classify(&l, &map);
+                    let t = LaunchTerms::of(&self.constants, &l, class);
+                    self.advance(&t);
+                    terms.push(t);
+                }
+                Event::Fence { signals, waiters } => {
+                    fences.push((terms.len(), i));
+                    self.fence(signals, waiters);
+                }
             }
         }
     }
@@ -482,7 +577,7 @@ impl Timeline {
         map: impl Fn(BufferId) -> BufferId,
     ) -> f64 {
         let class = self.classify(launch, map);
-        self.time_launch(launch, class)
+        self.advance(&LaunchTerms::of(&self.constants, launch, class))
     }
 
     /// Classifies one launch's traffic through the write-back L2 model:
@@ -506,65 +601,41 @@ impl Timeline {
         class
     }
 
-    /// Advances the clocks and the ledger for one launch whose traffic
-    /// [`Self::classify`] split into `class`; returns its completion time
-    /// (µs). Reads nothing of the L2 model.
-    fn time_launch(&mut self, launch: &Launch<'_>, class: L2Class) -> f64 {
-        let (stream, desc) = (launch.stream, &launch.desc);
-        let kernel_launch_us = self.spec.kernel_launch_us;
-        let min_kernel_us = self.spec.min_kernel_us;
-        let dram_bytes_per_us = self.spec.dram_bytes_per_us();
-        let l2_bytes_per_us = self.spec.l2_bytes_per_us();
-        let int32_ops_per_us = self.spec.effective_int32_ops_per_us();
+    /// Advances the clocks and the ledger by one launch's terms; returns
+    /// its completion time (µs). Reads nothing of the L2 model. Terms are
+    /// only valid on a device with the constants they were made with.
+    pub(crate) fn advance(&mut self, t: &LaunchTerms) -> f64 {
+        let stream = t.stream as usize;
         // Host-side submission cost.
-        self.cpu_clock += kernel_launch_us;
+        self.cpu_clock += self.constants.kernel_launch_us;
         let start = self.stream_slot(stream).max(self.cpu_clock);
 
-        let L2Class {
-            hit_bytes,
-            miss_bytes,
-            writeback_bytes,
-        } = class;
-        let write_bytes = launch.bytes_written();
-
-        let eff = desc.access_efficiency;
-        // Write-back model: writes land in L2; DRAM sees misses plus dirty
-        // evictions.
-        let dram_time = (miss_bytes + writeback_bytes) as f64 / (dram_bytes_per_us * eff);
-        let l2_time = (hit_bytes + write_bytes) as f64 / (l2_bytes_per_us * eff);
-        let compute_time = desc.int32_ops as f64 / int32_ops_per_us;
-
         let dram_at = self.dram_free.max(start);
-        let dram_end = dram_at + dram_time;
+        let dram_end = dram_at + t.dram_time;
         self.dram_free = dram_end;
         let l2_at = self.l2_free.max(start);
-        let l2_end = l2_at + l2_time;
+        let l2_end = l2_at + t.l2_time;
         self.l2_free = l2_end;
         let comp_at = self.compute_free.max(start);
-        let comp_end = comp_at + compute_time;
+        let comp_end = comp_at + t.compute_time;
         self.compute_free = comp_end;
 
-        let end = (start + min_kernel_us)
+        let end = (start + self.constants.min_kernel_us)
             .max(dram_end)
             .max(l2_end)
             .max(comp_end);
         *self.stream_slot(stream) = end;
-        // The kernel's own service demand: what it would occupy its stream
-        // with on an uncontended device. `end − start` additionally
-        // contains queueing behind *other* streams' resource traffic,
-        // which is idle time for this stream, not busy time.
-        let service = min_kernel_us.max(dram_time).max(l2_time).max(compute_time);
 
         // Ledger.
         self.stats.kernel_launches += 1;
-        self.stats.dram_read_bytes += miss_bytes + writeback_bytes;
-        self.stats.l2_hit_bytes += hit_bytes;
-        self.stats.write_bytes += write_bytes;
-        self.stats.int32_ops += desc.int32_ops;
-        let kind = &mut self.kinds[desc.kind.unwrap_or(KernelKind::Elementwise) as usize];
+        self.stats.dram_read_bytes += t.dram_bytes;
+        self.stats.l2_hit_bytes += t.hit_bytes;
+        self.stats.write_bytes += t.write_bytes;
+        self.stats.int32_ops += t.int32_ops;
+        let kind = &mut self.kinds[t.kind as usize];
         kind.count += 1;
-        kind.busy_us += service;
-        kind.bytes += miss_bytes + hit_bytes + write_bytes;
+        kind.busy_us += t.service;
+        kind.bytes += t.moved_bytes;
         if stream >= self.stats.per_stream.len() {
             self.stats
                 .per_stream
@@ -575,7 +646,7 @@ impl Timeline {
         // Clamp to the measurement window: a kernel whose window ends
         // before the epoch set at the last reset contributes nothing, and
         // one straddling it contributes at most the in-window span.
-        ss.busy_us += service.min((end - self.stats_epoch).max(0.0));
+        ss.busy_us += t.service.min((end - self.stats_epoch).max(0.0));
         end
     }
 
@@ -651,6 +722,10 @@ impl Timeline {
 
     pub(crate) fn spec(&self) -> &DeviceSpec {
         &self.spec
+    }
+
+    pub(crate) fn constants(&self) -> Constants {
+        self.constants
     }
 }
 
@@ -970,6 +1045,12 @@ mod tests {
             (end - expect).abs() / expect < 0.1,
             "end={end} expect~{expect}"
         );
+    }
+
+    #[test]
+    fn launch_terms_take_80_bytes() {
+        // What a memo keeps per recorded launch (module docs of `memo`).
+        assert_eq!(std::mem::size_of::<LaunchTerms>(), 80);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! after round onto shifted buffers, from random L2 states, through
 //! [`GpuSim::replay_memoised`] on one device and [`GpuSim::replay`] on a
 //! twin, must leave bit-identical ledgers, clocks and resident lists —
-//! whether the memo was applied, recorded or passed over.
+//! whether the memo was applied, recorded or passed over, and across a
+//! reset of the measurement window. A memo recorded on one device must not
+//! be applied on a device of other timing constants.
 
 mod common;
 
@@ -10,7 +12,8 @@ use std::sync::Arc;
 
 use common::{assert_same_stats, device, sequence, Rng};
 use fides_gpu_sim::{
-    BufferId, BufferMap, EventLog, GpuSim, KernelDesc, KernelKind, Rebinding, ReplayMemo, VectorGpu,
+    BufferId, BufferMap, DeviceSpec, EventLog, ExecMode, GpuSim, KernelDesc, KernelKind, Rebinding,
+    ReplayMemo, VectorGpu,
 };
 use proptest::prelude::*;
 
@@ -121,8 +124,10 @@ fn bind(rebind: &mut Rebinding, current: &[BufferId]) {
 /// Replays `log` for `rounds` rounds on a memoised device and a plain twin.
 /// Each round allocates fresh buffers for the `Fresh` positions and the
 /// bystanders and drops the last round's, replays the same pre-state script
-/// (perturbed by extra touches in some rounds), then replays the plan.
-/// Returns how many replays the memo served.
+/// (perturbed by extra touches in some rounds), then replays the plan. One
+/// seeded round resets both ledgers just before its plan replay, so the
+/// per-stream busy time of the replays from there on is clamped to the new
+/// window. Returns how many replays the memo served.
 fn run(seed: u64, log: &EventLog, rounds: usize) -> u64 {
     let mut rng = Rng(seed.rotate_left(29) | 1);
     let roles: Vec<Role> = (0..24)
@@ -140,6 +145,7 @@ fn run(seed: u64, log: &EventLog, rounds: usize) -> u64 {
             (rng.below(3) == 0).then(|| touches(&mut rng, n))
         })
         .collect();
+    let reset_at = rng.below(rounds as u64) as usize;
 
     let (memoised, plain) = (device(), device());
     let kept = |gpu| {
@@ -149,7 +155,7 @@ fn run(seed: u64, log: &EventLog, rounds: usize) -> u64 {
     };
     let (kept_m, kept_p) = (kept(&memoised), kept(&plain));
     let mut memo = ReplayMemo::default();
-    let mut hits = 0;
+    let (mut hits, mut window_hits) = (0, 0);
     let mut last: Option<[Round; 2]> = None;
     for (r, extra) in perturbed.iter().enumerate() {
         let m = round(&memoised, &roles, &kept_m);
@@ -162,6 +168,11 @@ fn run(seed: u64, log: &EventLog, rounds: usize) -> u64 {
             }
         }
         assert_eq!(m.current, p.current, "twins allocate alike");
+        if r == reset_at {
+            memoised.reset_stats();
+            plain.reset_stats();
+            window_hits = 0;
+        }
 
         let positions: BufferMap<u64> = m
             .current
@@ -190,8 +201,9 @@ fn run(seed: u64, log: &EventLog, rounds: usize) -> u64 {
         plain.replay(log, &rebind);
 
         hits += u64::from(hit);
+        window_hits += u64::from(hit);
         let mut stats = memoised.stats();
-        assert_eq!(stats.replay_memo_hits, hits, "round {r}");
+        assert_eq!(stats.replay_memo_hits, window_hits, "round {r}");
         stats.replay_memo_hits = 0;
         assert_same_stats(&stats, &plain.stats());
         assert_eq!(
@@ -246,5 +258,75 @@ fn memo_serves_a_repeating_state_and_only_that() {
     assert!(
         hits >= 16,
         "steady rounds must be served from the memo: {hits}"
+    );
+}
+
+/// A 4090 with half its DRAM bandwidth: the same L2 capacity, so the same
+/// L2 classification, but other launch times.
+fn half_dram() -> Arc<GpuSim> {
+    let mut spec = DeviceSpec::rtx_4090();
+    spec.dram_gbps /= 2.0;
+    GpuSim::new(spec, ExecMode::CostOnly)
+}
+
+#[test]
+fn a_memo_is_not_applied_on_a_device_of_other_timing_constants() {
+    // 40 clean 2 MB reads over three streams, with fences: 80 MB cycles
+    // through the 72 MB L2, so every replay misses every read (DRAM time
+    // depends on the bandwidth) and leaves the state it entered from.
+    let mut log = EventLog::default();
+    for i in 0..40u64 {
+        let stream = (i % 3) as usize;
+        log.launch(
+            stream,
+            KernelDesc::new(KernelKind::NttPhase1).ops(1 << 20),
+            |d| {
+                d.read(BufferId(i), 2 << 20);
+            },
+        );
+        if i % 10 == 9 {
+            log.fence([stream], [0, 1, 2]);
+        }
+    }
+    let replay = |gpu: &GpuSim, memo: &mut ReplayMemo| {
+        gpu.replay_memoised(&log, 0..40, |_| {}, |buf| Some(buf.0), BufferId, memo)
+    };
+
+    let mut memo = ReplayMemo::default();
+    let fast = device();
+    let applied: Vec<bool> = (0..4).map(|_| replay(&fast, &mut memo)).collect();
+    assert_eq!(applied, [false, false, false, true], "recorded on the 4090");
+
+    let (slow, twin) = (half_dram(), half_dram());
+    for gpu in [&slow, &twin] {
+        gpu.replay(&log, &Rebinding::default());
+    }
+    assert_eq!(
+        slow.l2_residents(),
+        fast.l2_residents(),
+        "the state the memo was recorded from"
+    );
+    let mut applied = Vec::new();
+    for round in 0..4 {
+        applied.push(replay(&slow, &mut memo));
+        twin.replay(&log, &Rebinding::default());
+        let mut stats = slow.stats();
+        stats.replay_memo_hits = 0;
+        assert_same_stats(&stats, &twin.stats());
+        assert_eq!(
+            slow.sync().to_bits(),
+            twin.sync().to_bits(),
+            "round {round}: clock"
+        );
+        assert_eq!(slow.l2_residents(), twin.l2_residents(), "round {round}");
+    }
+    assert_eq!(
+        applied,
+        [false, false, true, true],
+        "re-recorded on the slower device, then applied there"
+    );
+    assert!(
+        !replay(&fast, &mut memo),
+        "and no longer applied on the 4090"
     );
 }
